@@ -335,7 +335,10 @@ def build_cond_grammar(
                 rhs.append(nonterminal(f"V{slot}"))
             else:
                 rhs.append(terminal(token))
-        productions.append(Production(nonterminal(EXPR_ROOT), tuple(rhs)))
+        production = Production(nonterminal(EXPR_ROOT), tuple(rhs))
+        # templates that differ only in slot types share one production
+        if production not in productions:
+            productions.append(production)
     for position in range(1, max_arity + 1):
         for name in variable_names:
             productions.append(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ApplyError, SchemaError
 from .grammar import Annotation, RewritingRule, RuleKind, RuleSet, RuleTree
@@ -304,6 +304,7 @@ class Probe:
 
 @dataclass(frozen=True)
 class ProbeOutcome:
+    target: int | None
     kept: tuple[Probe, ...]
     size_pruned: int
     constraint_pruned: int
@@ -349,13 +350,13 @@ def probe_rules(
             constraint_pruned += 1
             continue
         kept.append(Probe(rule, new_ast, tuple(ids), tuple(schema)))
-    return ProbeOutcome(tuple(kept), size_pruned, constraint_pruned)
+    return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
 
 
 def feasible_rules(
     ast: AnnotatedAst,
-    target: int | None,
     rs: RuleSet,
+    policy: Callable[[AnnotatedAst], tuple[int, Annotation]],
     *,
     var_types: Mapping[str, str] | None = None,
     result_type: str | None = None,
@@ -363,20 +364,25 @@ def feasible_rules(
     size_limit: int | None = None,
     base_constraints: Iterable[TypeConstraint] = (),
 ) -> ProbeOutcome:
-    """Probe every rule of the set that fits the target's symbol and mark."""
-    if target is None:
-        candidates = list(rs.creation_rules)
+    """One search step: the single pruning gate every expansion goes through.
+
+    The empty tree is offered the creation rules; otherwise ``policy`` picks
+    the node and direction, and the rules of that group are probed there.
+    Beam search, exhaustive search, the scorer and training extraction all
+    step through here, so they agree on which candidates each step offers.
+    """
+    if ast.is_empty:
+        target = None
+        group = rs.creation_rules
     else:
-        node = ast.node(target)
-        candidates = []
-        if node.annotation.needs_up:
-            candidates.extend(rs.rules_for(node.symbol, Annotation.U))
-        if node.annotation.needs_down:
-            candidates.extend(rs.rules_for(node.symbol, Annotation.D))
+        target, direction = policy(ast)
+        group = rs.rules_for(ast.nodes[target].symbol, direction)
+    if not group:
+        return ProbeOutcome(target, (), 0, 0)
     return probe_rules(
         ast,
         target,
-        candidates,
+        group,
         var_types=var_types,
         result_type=result_type,
         bounds=bounds,

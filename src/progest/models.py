@@ -6,9 +6,11 @@ candidate.  The fitted models normalize over exactly that list; the fixture
 ``TableModel`` intentionally returns its raw table entries so hand-written
 scenarios multiply out to predictable figures.
 
-Training data comes from replaying known-good trees: every replay step turns
-into one positive instance for the applied rule and one negative for each
-feasible sibling.
+Training data comes from replaying known-good trees with
+``feasible_derivation``, the one replay the scorer in ``search`` uses too: it
+steps through ``constraints.feasible_rules`` exactly as the search does, and
+every replay step turns into one positive instance for the applied rule and
+one negative for each feasible sibling.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .constraints import compute_size_bounds, probe_rules
+# probe_rules is bound only so that the benchmark's tracer (perfbench) can
+# wrap it under this module's name; every probe goes through feasible_rules
+from .constraints import ProbeOutcome, compute_size_bounds, feasible_rules, probe_rules
 from .errors import UnderivableTreeError
 from .features import (
     Context,
@@ -440,6 +444,7 @@ class StepAudit:
     candidates: int
     feasible: int
     applied_key: str
+    # always True: only builds whose every step is feasible get audited
     applied_feasible: bool
 
 
@@ -457,70 +462,66 @@ StepEncoder = Callable[
 ]
 
 
-_MAX_RECONSTRUCTIONS = 50
+# derivations tried per tree before the replay gives up on it
+_MAX_DERIVATIONS = 50
 
 
-def _replay_steps(ctx, rs, apps, policy, bounds, size_limit, encoder, item_idx):
-    """One replay attempt; (staged, audits, failure reason or None)."""
-    staged: list[TrainingInstance] = []
-    audits: list[StepAudit] = []
-    ast = AnnotatedAst.empty()
-    pins: tuple = ()
+@dataclass(frozen=True)
+class ReplayStep:
+    """One step of a replayed build: the tree before it, what the step
+    offered there, and the index of the derivation's rule in ``outcome.kept``."""
+
+    ast: AnnotatedAst
+    outcome: ProbeOutcome
+    choice: int
+
+
+def feasible_derivation(
+    tree: AnnotatedAst,
+    rs: RuleSet,
+    policy,
+    ctx: Context | None = None,
+    *,
+    size_limit: int | None = None,
+) -> list[ReplayStep] | None:
+    """Replay ``tree`` through the search step, the way the search builds it.
+
+    Derivations come in policy order; the first whose every applied rule
+    survives the typed, size-bounded step wins.  An untyped rule set can
+    derive a tree several ways that differ only in slot types, and only the
+    feasible one is the build the search can make.  None when no derivation
+    survives; ``UnderivableTreeError`` when the rule set has none at all.
+    """
     var_types = ctx.variable_types if ctx is not None else None
     result_type = ctx.result_type if ctx is not None else None
-    for step_idx, app in enumerate(apps):
-        rule = rs[app.rule]
-        if ast.is_empty:
-            node = None
-            group = list(rs.creation_rules)
+    bounds = compute_size_bounds(rs) if size_limit is not None else None
+    for derivation in iter_derivations(
+        tree, rs, policy, max_derivations=_MAX_DERIVATIONS
+    ):
+        steps: list[ReplayStep] = []
+        ast = AnnotatedAst.empty()
+        pins: tuple = ()
+        for step in derivation:
+            outcome = feasible_rules(
+                ast,
+                rs,
+                policy,
+                var_types=var_types,
+                result_type=result_type,
+                bounds=bounds,
+                size_limit=size_limit,
+                base_constraints=pins,
+            )
+            rule_ids = [p.rule.id for p in outcome.kept]
+            if step.application.rule not in rule_ids:
+                break
+            choice = rule_ids.index(step.application.rule)
+            steps.append(ReplayStep(ast, outcome, choice))
+            ast = outcome.kept[choice].ast
+            pins = pins + outcome.kept[choice].constraints
         else:
-            node, direction = policy(ast)
-            if node != app.node:
-                return staged, audits, f"replay diverged from policy at step {step_idx}"
-            group = list(rs.rules_for(ast.nodes[node].symbol, direction))
-        outcome = probe_rules(
-            ast,
-            node,
-            group,
-            var_types=var_types,
-            result_type=result_type,
-            bounds=bounds,
-            size_limit=size_limit,
-            base_constraints=pins,
-        )
-        kept = [p.rule for p in outcome.kept]
-        applied_feasible = any(r.key == rule.key for r in kept)
-        kind = ""
-        vecs: list = [None] * len(kept)
-        if encoder is not None and kept:
-            kind, vecs = encoder(ctx, ast, node, kept)
-        gstr = group_str(rule)
-        parent = _parent_key(ast, node)
-        audits.append(
-            StepAudit(
-                item_idx,
-                step_idx,
-                kind,
-                gstr,
-                parent,
-                len(group),
-                len(kept),
-                rule.key,
-                applied_feasible,
-            )
-        )
-        if not applied_feasible:
-            return staged, audits, f"applied rule {rule.key} infeasible at step {step_idx}"
-        for cand, vec in zip(kept, vecs):
-            staged.append(
-                TrainingInstance(
-                    vec, gstr, parent, cand.key, cand.key == rule.key, kind
-                )
-            )
-        applied_probe = next(p for p in outcome.kept if p.rule.key == rule.key)
-        ast = applied_probe.ast
-        pins = pins + applied_probe.constraints
-    return staged, audits, None
+            return steps
+    return None
 
 
 def extract_training_set(
@@ -534,45 +535,48 @@ def extract_training_set(
     """Replay each finished tree and label every decision along the way.
 
     Each step contributes one positive instance (the rule that was applied)
-    and one negative per other feasible candidate.  When a tree admits more
-    than one build order, the first reconstruction whose replay stays inside
-    the feasible set wins; items with no such reconstruction are skipped
-    whole and reported, never partially emitted.
+    and one negative per other feasible candidate.  The build replayed is
+    ``feasible_derivation``'s, the one the search would make; items without
+    one are skipped whole and reported, never partially emitted.
     """
     result = ExtractionResult()
-    bounds_cache: dict[int, object] = {}
     for item_idx, (ctx, tree) in enumerate(items):
         rs = rules_for(ctx) if callable(rules_for) else rules_for
-        bounds = None
-        if size_limit is not None:
-            cache_key = id(rs)
-            if cache_key not in bounds_cache:
-                bounds_cache[cache_key] = compute_size_bounds(rs)
-            bounds = bounds_cache[cache_key]
-        first_attempt = None
-        accepted = None
         try:
-            for steps in iter_derivations(
-                tree, rs, policy, max_derivations=_MAX_RECONSTRUCTIONS
-            ):
-                apps = [s.application for s in steps]
-                attempt = _replay_steps(
-                    ctx, rs, apps, policy, bounds, size_limit, encoder, item_idx
-                )
-                if first_attempt is None:
-                    first_attempt = attempt
-                if attempt[2] is None:
-                    accepted = attempt
-                    break
+            steps = feasible_derivation(tree, rs, policy, ctx, size_limit=size_limit)
         except UnderivableTreeError as err:
             result.skipped.append((item_idx, str(err)))
             continue
-        if accepted is not None:
-            staged, audits, _ = accepted
-            result.steps_audited.extend(audits)
-            result.instances.extend(staged)
-        else:
-            _, audits, reason = first_attempt
-            result.steps_audited.extend(audits)
-            result.skipped.append((item_idx, reason))
+        if steps is None:
+            result.skipped.append((item_idx, "no derivation survives the pruning"))
+            continue
+        for step_idx, step in enumerate(steps):
+            outcome = step.outcome
+            kept = [p.rule for p in outcome.kept]
+            applied = kept[step.choice]
+            kind = ""
+            vecs: list = [None] * len(kept)
+            if encoder is not None:
+                kind, vecs = encoder(ctx, step.ast, outcome.target, kept)
+            gstr = group_str(applied)
+            parent = _parent_key(step.ast, outcome.target)
+            result.steps_audited.append(
+                StepAudit(
+                    item_idx,
+                    step_idx,
+                    kind,
+                    gstr,
+                    parent,
+                    len(kept) + outcome.size_pruned + outcome.constraint_pruned,
+                    len(kept),
+                    applied.key,
+                    True,
+                )
+            )
+            for idx, (cand, vec) in enumerate(zip(kept, vecs)):
+                result.instances.append(
+                    TrainingInstance(
+                        vec, gstr, parent, cand.key, idx == step.choice, kind
+                    )
+                )
     return result

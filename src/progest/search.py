@@ -6,6 +6,11 @@ its policy picks, keeps the locally best successors, then truncates the pool
 to the round's beam width.  Widths are given per round; the last entry
 repeats, so ``(5, 200)`` means a tight first pick and a wide tail.
 
+Every expansion is one call of ``constraints.feasible_rules``: the policy's
+node, its rule group, and the typed, size-bounded probe.  The scorer replays
+a known tree through the same step (``models.feasible_derivation``), so it
+gives each tree the probability the search gives it.
+
 All tie-breaking is total and value-based (never by node identity), which
 keeps results reproducible across runs and processes.
 """
@@ -18,17 +23,19 @@ from dataclasses import dataclass, field
 from math import exp, inf, log
 from typing import Callable, Sequence
 
-from .constraints import compute_size_bounds, probe_rules
+# probe_rules is bound only so that the benchmark's tracer (perfbench) can
+# wrap it under this module's name; every probe goes through feasible_rules
+from .constraints import compute_size_bounds, feasible_rules, probe_rules
 from .errors import SearchOverflowError
 from .features import Context
 from .grammar import Annotation, RuleSet
+from .models import feasible_derivation
 from .trees import (
     AnnotatedAst,
     Application,
     expandable_nodes,
     is_complete,
     policy_leftmost,
-    reconstruct_applications,
     render,
     to_sexpr,
 )
@@ -132,13 +139,6 @@ class SearchResult:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
-def _step_candidates(rs: RuleSet, ast: AnnotatedAst, policy: Policy):
-    if ast.is_empty:
-        return None, list(rs.creation_rules)
-    node, direction = policy(ast)
-    return node, list(rs.rules_for(ast.nodes[node].symbol, direction))
-
-
 def beam_search(
     rs: RuleSet,
     ctx: Context | None,
@@ -149,7 +149,6 @@ def beam_search(
     k: int = 10,
     size_limit: int | None = 30,
     anti_patterns: Sequence[AntiPattern] = DEFAULT_ANTI_PATTERNS,
-    rule_cap: int | None = None,
     step_cap: int = 100_000,
     renderer: Renderer | None = None,
 ) -> SearchResult:
@@ -188,13 +187,10 @@ def beam_search(
                 stats.step_cap_hit = True
                 continue
             stats.expansions += 1
-            node, group = _step_candidates(rs, ast, policy)
-            if not group:
-                continue
-            outcome = probe_rules(
+            outcome = feasible_rules(
                 ast,
-                node,
-                group,
+                rs,
+                policy,
                 var_types=var_types,
                 result_type=result_type,
                 bounds=bounds,
@@ -205,6 +201,7 @@ def beam_search(
             stats.constraint_pruned += outcome.constraint_pruned
             if not outcome.kept:
                 continue
+            node = outcome.target
             probs = model.predict(ctx, ast, node, [p.rule for p in outcome.kept])
             scored = []
             for probe, p in zip(outcome.kept, probs):
@@ -212,11 +209,10 @@ def beam_search(
                     stats.zero_prob_pruned += 1
                     continue
                 scored.append((log_prob + log(p), probe))
-            cap = rule_cap if rule_cap is not None else width
             scored.sort(key=lambda item: (-item[0], item[1].rule.id))
-            if len(scored) > cap:
-                stats.beam_truncated += len(scored) - cap
-                scored = scored[:cap]
+            if len(scored) > width:
+                stats.beam_truncated += len(scored) - width
+                scored = scored[:width]
             for new_log, probe in scored:
                 successors.append(
                     (
@@ -282,13 +278,10 @@ def exhaustive_search(
                 stats.anti_pattern_pruned += 1
             continue
         stats.expansions += 1
-        node, group = _step_candidates(rs, ast, policy)
-        if not group:
-            continue
-        outcome = probe_rules(
+        outcome = feasible_rules(
             ast,
-            node,
-            group,
+            rs,
+            policy,
             var_types=var_types,
             result_type=result_type,
             bounds=bounds,
@@ -299,6 +292,7 @@ def exhaustive_search(
         stats.constraint_pruned += outcome.constraint_pruned
         if not outcome.kept:
             continue
+        node = outcome.target
         if model is not None:
             probs = model.predict(ctx, ast, node, [p.rule for p in outcome.kept])
         else:
@@ -331,47 +325,24 @@ def program_log_probability(
     policy: Policy = policy_leftmost,
     size_limit: int | None = None,
 ) -> float:
-    """Log probability the model assigns to the unique build of ``tree``.
+    """Log probability the model assigns to the build of ``tree`` the search
+    makes.
 
-    Replays the reconstruction and multiplies the model's scores over the
-    feasible candidate list of each step.  Comes back ``-inf`` when some step
-    of the true build is pruned away or scored zero.
+    Replays ``models.feasible_derivation`` and multiplies the model's scores
+    over the candidates each step offers, so a tree the search outputs gets
+    the probability the search gave it.  Comes back ``-inf`` when no build
+    survives the pruning or some step of it is scored zero.
     """
-    var_types = ctx.variable_types if ctx is not None else None
-    result_type = ctx.result_type if ctx is not None else None
-    bounds = compute_size_bounds(rs) if size_limit is not None else None
-    apps = reconstruct_applications(tree, rs, policy)
-    ast = AnnotatedAst.empty()
-    pins: tuple = ()
+    steps = feasible_derivation(tree, rs, policy, ctx, size_limit=size_limit)
+    if steps is None:
+        return -inf
     total = 0.0
-    for app in apps:
-        rule = rs[app.rule]
-        node, group = _step_candidates(rs, ast, policy)
-        outcome = probe_rules(
-            ast,
-            node,
-            group,
-            var_types=var_types,
-            result_type=result_type,
-            bounds=bounds,
-            size_limit=size_limit,
-            base_constraints=pins,
-        )
-        chosen = None
-        kept_rules = [p.rule for p in outcome.kept]
-        for probe in outcome.kept:
-            if probe.rule.key == rule.key:
-                chosen = probe
-                break
-        if chosen is None:
-            return -inf
-        probs = model.predict(ctx, ast, node, kept_rules)
-        p = probs[kept_rules.index(chosen.rule)]
+    for step in steps:
+        kept = [p.rule for p in step.outcome.kept]
+        p = model.predict(ctx, step.ast, step.outcome.target, kept)[step.choice]
         if p <= 0.0:
             return -inf
         total += log(p)
-        ast = chosen.ast
-        pins = pins + chosen.constraints
     return total
 
 

@@ -278,7 +278,7 @@ def policy_leftmost(ast: AnnotatedAst) -> tuple[int, Annotation]:
 
 
 # --------------------------------------------------------------------------
-# derivation reconstruction
+# derivations of a finished tree
 
 @dataclass(frozen=True)
 class DerivationStep:
@@ -441,19 +441,6 @@ def iter_derivations(
     if produced == 0:
         detail = max(stuck)[1] if stuck else "empty rule set"
         raise UnderivableTreeError(f"tree is not derivable; stuck at {detail}")
-
-
-def reconstruct_applications(
-    complete: AnnotatedAst, rs: RuleSet, policy
-) -> list[Application]:
-    """The first (policy-ordered) application sequence deriving ``complete``.
-
-    For an unambiguous rule set the sequence is unique up to reordering, so
-    this is the canonical replay used for training extraction and scoring.
-    """
-    for steps in iter_derivations(complete, rs, policy, max_derivations=1):
-        return [s.application for s in steps]
-    raise UnderivableTreeError("tree is not derivable")  # pragma: no cover
 
 
 def replay(rs: RuleSet, applications: list[Application]) -> AnnotatedAst:

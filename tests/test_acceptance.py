@@ -27,11 +27,18 @@ from gramgen import (
 )
 from progest.ambiguity import check_unambiguous, enumerate_complete_trees
 from progest.cli import main as cli_main
-from progest.condsynth import evaluate_topk, train_cond_models
+from progest.condsynth import (
+    build_cond_ruleset,
+    evaluate_topk,
+    record_tree,
+    synthesize_condition,
+    train_cond_models,
+)
 from progest.constraints import compute_size_bounds, feasible_rules
 from progest.datagen import generate_corpus, write_corpus
 from progest.errors import UnderivableTreeError
 from progest.features import pca_apply, pca_fit
+from progest.minilang import join_tokens, parse_condition, tokens_with_vars
 from progest.grammar import (
     Annotation,
     CreationMode,
@@ -258,7 +265,7 @@ def test_criterion_04_pruning_matches_brute_force():
                     rs.rules_for(ast.nodes[target].symbol, direction)
                 )
             outcome = feasible_rules(
-                ast, target, rs,
+                ast, rs, policy_leftmost,
                 result_type=result_type,
                 bounds=bounds,
                 size_limit=7,
@@ -502,3 +509,30 @@ def test_criterion_10_pca_against_dense_eigendecomposition():
     assert pca_apply(transform, data[0]).shape == (20,)
     degenerate = pca_fit(list(data[:5]), dims=20)
     assert degenerate.components.shape[0] <= 5
+
+
+def test_criterion_11_one_tree_one_probability(corpus_records):
+    """The scorer gives every corpus atom a probability, and a found atom
+    the probability the search gave it."""
+    started = time.monotonic()
+    trained = train_cond_models(corpus_records, model_kind="frequency")
+    found = 0
+    for record in corpus_records:
+        rs = build_cond_ruleset(trained.templates, record.context)
+        score = program_log_probability(
+            record_tree(record), rs, trained.model, record.context, size_limit=30
+        )
+        assert score > -inf, record.id
+        target = join_tokens(
+            [t for t, _ in tokens_with_vars(parse_condition(record.condition))]
+        )
+        result = synthesize_condition(
+            record.context, trained.templates, trained.model, k=50
+        )
+        for cand in result.candidates:
+            if cand.rendered == target:
+                assert score == pytest.approx(cand.log_prob, abs=1e-9), record.id
+                found += 1
+                break
+    assert found > len(corpus_records) // 2
+    assert time.monotonic() - started < 120.0

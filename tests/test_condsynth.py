@@ -19,9 +19,10 @@ from progest.condsynth import (
     template_of,
     train_cond_models,
 )
-from progest.ambiguity import check_unambiguous
+from progest.ambiguity import check_unambiguous, enumerate_complete_trees
 from progest.errors import ContextError
 from progest.features import Context
+from progest.grammar import derive_top_down_rules
 from progest.trees import to_sexpr
 
 
@@ -194,6 +195,21 @@ def test_compiled_rules_certify_unambiguous():
     g = build_cond_grammar(templates, ["count", "total"])
     report = check_unambiguous(rs, g, max_nodes=certification_bound(templates))
     assert report.unambiguous
+
+
+def test_cond_grammar_emits_each_production_once(corpus_records):
+    templates = mine_templates(corpus_records)
+    names = [v.name for v in corpus_records[0].context.variables]
+    g = build_cond_grammar(templates, names)
+    # 46 templates, 30 token shapes, plus two slot positions of 7 variables
+    assert len(templates) == 46
+    assert len(g.productions) == len(set(g.productions)) == 30 + 2 * 7
+    assert len(derive_top_down_rules(g)) == len(g.productions)
+    trees = [
+        to_sexpr(t)
+        for t in enumerate_complete_trees(g, certification_bound(templates))
+    ]
+    assert len(trees) == len(set(trees)) == 630
 
 
 def test_train_and_synthesize_frequency():

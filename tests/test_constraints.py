@@ -27,7 +27,7 @@ from progest.grammar import (
     derive_top_down_rules,
     load_grammar,
 )
-from progest.trees import AnnotatedAst, apply_rule, apply_rule_with_ids
+from progest.trees import AnnotatedAst, apply_rule, apply_rule_with_ids, policy_leftmost
 
 DEMO = (
     'E -> E:Int "> 12" :: Boolean\n'
@@ -281,7 +281,7 @@ def test_probe_prunes_by_type():
 
 def test_feasible_rules_on_empty_tree_offers_creations():
     rs = full_rules(DEMO)
-    out = feasible_rules(AnnotatedAst.empty(), None, rs)
+    out = feasible_rules(AnnotatedAst.empty(), rs, policy_leftmost)
     keys = {p.rule.key for p in out.kept}
     assert "make-root:E" in keys
     assert "make-leaf:hours" in keys
@@ -292,7 +292,7 @@ def test_feasible_rules_respects_base_constraints():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     pinned = [eq_const(ast.root, "Int")]
-    out = feasible_rules(ast, ast.root, rs, base_constraints=pinned)
+    out = feasible_rules(ast, rs, policy_leftmost, base_constraints=pinned)
     kept = {p.rule.key for p in out.kept}
     # comparisons would force the root Boolean against the pin
     assert 'td:E->E "> 12"' not in kept
@@ -302,7 +302,7 @@ def test_feasible_rules_respects_base_constraints():
 def test_probe_constraints_carry_schema_only():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
-    out = feasible_rules(ast, ast.root, rs)
+    out = feasible_rules(ast, rs, policy_leftmost)
     by_key = {p.rule.key: p for p in out.kept}
     gt = by_key['td:E->E "> 12"']
     assert set(gt.constraints) == {

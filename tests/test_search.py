@@ -3,8 +3,12 @@
 from math import inf, log
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gramgen import random_rule_weights, random_typed_grammar, top_down_set
 from progest.errors import SearchOverflowError
+from progest.features import Context
 from progest.grammar import (
     CreationMode,
     derive_creation_rules,
@@ -159,6 +163,36 @@ def test_program_probability_zero_when_pruned(worked_example):
         ast = apply_rule(ast, node, rules.by_key('td:E->"hours"'))
     assert program_log_probability(ast, rules, model, size_limit=9) == -inf
     assert program_probability(ast, rules, model, size_limit=9) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 2), st.booleans(), st.booleans())
+def test_scorer_matches_exhaustive_search_on_typed_grammars(
+    seed, pick, hashed, uniform
+):
+    """Every tree the typed search outputs is scored with the search's own
+    log probability: the scorer replays the same steps.  The uniform model
+    scores 1/k per step, so it also checks that each replayed step offers
+    the candidates the search's step offered."""
+    g = random_typed_grammar(seed)
+    rs = top_down_set(g)
+    types = sorted(
+        {
+            p.result_atom.name
+            for p in g.productions
+            if p.result_atom is not None and not p.result_atom.is_schema_var
+        }
+    )
+    ctx = Context.simple({}, result_type=types[pick % len(types)])
+    model = UniformModel() if uniform else TableModel(random_rule_weights(rs, seed))
+    policy = make_hash_policy(seed) if hashed else policy_leftmost
+    found = exhaustive_search(rs, ctx, policy=policy, size_limit=7, model=model)
+    assert found.candidates
+    for cand in found.candidates:
+        score = program_log_probability(
+            cand.ast, rs, model, ctx, policy=policy, size_limit=7
+        )
+        assert score == pytest.approx(cand.log_prob, abs=1e-9), cand.rendered
 
 
 def test_hash_policy_is_stable_and_complete(worked_example):

@@ -24,7 +24,6 @@ from progest.trees import (
     iter_derivations,
     leaf_tokens,
     policy_leftmost,
-    reconstruct_applications,
     render,
     replay,
     to_sexpr,
@@ -203,12 +202,3 @@ def test_underivable_tree_raises():
     target = build_complete_ast((nonterminal("E"), [(terminal("hours"), [])]))
     with pytest.raises(UnderivableTreeError):
         list(iter_derivations(target, td_only, policy_leftmost))
-
-
-def test_reconstruct_then_replay_round_trip(rules):
-    target = build_top_down(
-        rules,
-        ["make-root:E", 'td:E->E "+" E', 'td:E->"hours"', 'td:E->"value"'],
-    )
-    apps = reconstruct_applications(target, rules, policy_leftmost)
-    assert isomorphic(replay(rules, apps), target)
