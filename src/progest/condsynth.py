@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -372,7 +373,10 @@ def record_tree(record: CorpusRecord) -> AnnotatedAst:
 
 
 def render_condition(ast: AnnotatedAst) -> str:
-    return join_tokens(leaf_tokens(ast))
+    """The condition's text.  Renderings repeat across holes (the same
+    templates over the same variable names), so they are interned: a caller
+    that keeps many rankings keeps one copy of each text."""
+    return sys.intern(join_tokens(leaf_tokens(ast)))
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,13 @@ concrete type names; a candidate rule application survives only if the
 combined system stays satisfiable.  Satisfiability is an equality-only
 problem, so a union-find with constant tracking decides it exactly.
 
-The solver keeps an undo trail instead of path compression: search probes a
-candidate with ``push`` and retracts it with ``pop`` in O(changes), which is
-what makes per-candidate checking cheap inside a beam.
+A search step decides each candidate before it splices anything: a
+``SearchStep`` compiles each rule it meets once into a signature (whether
+its fresh nodes type-check among themselves, the type they force on the
+node the rule is applied to, and its size delta), the state's own system
+is solved once per expansion, and only the candidates that survive are
+spliced.  ``probe_rules`` gives the argument why this decides exactly what
+solving the whole system of each spliced tree decides.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Iterable, Mapping
 
-from .errors import ApplyError, SchemaError
-from .grammar import Annotation, RewritingRule, RuleKind, RuleSet, RuleTree
-from .trees import AnnotatedAst, apply_rule_with_ids
+from .errors import SchemaError
+from .grammar import Annotation, RewritingRule, RuleSet, RuleTree
+from .trees import AnnotatedAst, apply_rule_with_ids, check_applicable, direction_of
 
 _IDENT = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
 _NON_VARIABLE_WORDS = frozenset({"null", "true", "false"})
@@ -53,20 +57,19 @@ def eq_const(a: int, name: str) -> TypeConstraint:
 
 
 class SolverState:
-    """Union-find over node type variables with checkpointed undo.
+    """Union-find over node type variables.
 
     ``push`` applies a batch of constraints transactionally: on conflict the
-    state is rolled back and False comes back, otherwise a checkpoint is
-    recorded for a later ``pop``.  Variables spring into existence on first
-    mention.
+    batch is rolled back and False comes back.  Variables spring into
+    existence on first mention.
     """
 
     def __init__(self) -> None:
         self._parent: dict[int, int] = {}
         self._rank: dict[int, int] = {}
         self._const: dict[int, str] = {}
-        self._trail: list[tuple] = []
-        self._marks: list[int] = []
+        # (table, key, previous value) for every write of the current batch
+        self._trail: list[tuple[dict, int, object]] = []
 
     def find(self, x: int) -> int:
         parent = self._parent
@@ -92,13 +95,13 @@ class SolverState:
         if self._rank.get(ra, 0) < self._rank.get(rb, 0):
             ra, rb = rb, ra
             ca, cb = cb, ca
-        self._trail.append(("parent", rb, self._parent.get(rb)))
+        self._trail.append((self._parent, rb, self._parent.get(rb)))
         self._parent[rb] = ra
         if self._rank.get(ra, 0) == self._rank.get(rb, 0):
-            self._trail.append(("rank", ra, self._rank.get(ra)))
+            self._trail.append((self._rank, ra, self._rank.get(ra)))
             self._rank[ra] = self._rank.get(ra, 0) + 1
         if ca is None and cb is not None:
-            self._trail.append(("const", ra, None))
+            self._trail.append((self._const, ra, None))
             self._const[ra] = cb
         return True
 
@@ -107,47 +110,30 @@ class SolverState:
         current = self._const.get(ra)
         if current is not None:
             return current == name
-        self._trail.append(("const", ra, None))
+        self._trail.append((self._const, ra, None))
         self._const[ra] = name
         return True
 
-    def _undo_to(self, mark: int) -> None:
-        while len(self._trail) > mark:
-            kind, key, old = self._trail.pop()
-            table = {"parent": self._parent, "rank": self._rank, "const": self._const}[
-                kind
-            ]
+    def _rollback(self) -> None:
+        trail = self._trail
+        while trail:
+            table, key, old = trail.pop()
             if old is None:
                 del table[key]
             else:
                 table[key] = old
 
     def push(self, constraints: Iterable[TypeConstraint]) -> bool:
-        mark = len(self._trail)
+        self._trail.clear()
         for c in constraints:
             if c.right is not None:
                 ok = self._union(c.left, c.right)
             else:
                 ok = self._assign(c.left, c.const)  # type: ignore[arg-type]
             if not ok:
-                self._undo_to(mark)
+                self._rollback()
                 return False
-        self._marks.append(mark)
         return True
-
-    def pop(self) -> None:
-        if not self._marks:
-            raise ApplyError("solver pop without a matching push")
-        self._undo_to(self._marks.pop())
-
-    def clone(self) -> "SolverState":
-        out = SolverState()
-        out._parent = dict(self._parent)
-        out._rank = dict(self._rank)
-        out._const = dict(self._const)
-        out._trail = list(self._trail)
-        out._marks = list(self._marks)
-        return out
 
 
 def constraints_of_application(
@@ -236,11 +222,15 @@ class SizeBounds:
     def of(self, symbol_name: str, mark: Annotation) -> float:
         return _contribution(symbol_name, mark, self.down, self.up)
 
-    def tree_size(self, ast: AnnotatedAst) -> float:
-        """Smallest node count any completion of ``ast`` can reach."""
+    def tree_size(self, ast: AnnotatedAst, skip: int | None = None) -> float:
+        """Smallest node count any completion of ``ast`` can reach, leaving
+        the node ``skip`` out of the count when one is given."""
         total = 0.0
-        for node in ast.nodes.values():
-            total += _contribution(node.symbol.name, node.annotation, self.down, self.up)
+        for nid, node in ast.nodes.items():
+            if nid != skip:
+                total += _contribution(
+                    node.symbol.name, node.annotation, self.down, self.up
+                )
         return total
 
     def feasible(self, ast: AnnotatedAst, limit: int | None) -> bool:
@@ -286,10 +276,93 @@ def compute_size_bounds(rs: RuleSet) -> SizeBounds:
 # --------------------------------------------------------------------------
 # candidate probing
 
+# the type variable of the node a rule is applied to, inside a compiled
+# signature; fresh replacement nodes are numbered by preorder position
+_ANCHOR = -1
+
+
+@dataclass(frozen=True)
+class _Signature:
+    """What one rule does at a node with a given mark, before any splice."""
+
+    rule: RewritingRule
+    fresh_ok: bool  # its fresh part type-checks among itself
+    anchor_type: str | None  # the type the fresh part forces on the anchor
+    size_delta: float  # fresh nodes plus the anchor at its leftover mark
+
+
+class SearchStep:
+    """The fixed inputs of every step of one search, and the rule signatures
+    compiled from them.
+
+    Build one per search (or replay) and pass it to each ``feasible_rules``
+    call.  Signatures are compiled on first use and kept for the step's life,
+    keyed by rule id, the target's mark and whether the target is the root;
+    a rule that is not the one compiled under its id is compiled afresh.
+    """
+
+    def __init__(
+        self,
+        rs: RuleSet,
+        *,
+        var_types: Mapping[str, str] | None = None,
+        result_type: str | None = None,
+        bounds: SizeBounds | None = None,
+        size_limit: int | None = None,
+    ) -> None:
+        self.rs = rs
+        self.var_types = var_types
+        self.result_type = result_type
+        self.bounds = bounds
+        self.size_limit = size_limit
+        self._signatures: dict[tuple[int, Annotation | None, bool], _Signature] = {}
+
+    def signature(
+        self, rule: RewritingRule, mark: Annotation | None, at_root: bool
+    ) -> _Signature:
+        key = (rule.id, mark, at_root)
+        sig = self._signatures.get(key)
+        if sig is None or sig.rule is not rule:
+            sig = self._signatures[key] = self._compile(rule, mark, at_root)
+        return sig
+
+    def _compile(
+        self, rule: RewritingRule, mark: Annotation | None, at_root: bool
+    ) -> _Signature:
+        """The fresh part of the system ``rule`` adds at a node marked ``mark``
+        (None: a creation on the empty tree): its schema, the declared-type
+        pins of its fresh leaves, and the result pin when it makes the root
+        a finished node.  The anchor is the variable ``_ANCHOR``."""
+        nodes = rule.replacement.preorder()
+        ids = [_ANCHOR if rt.anchor else pos for pos, rt in enumerate(nodes)]
+        # creations (mark None) have no anchor to carry a leftover mark
+        leftover = mark.without(direction_of(rule.kind)) if mark is not None else None
+        marks = [leftover if rt.anchor else rt.annotation for rt in nodes]
+        system = constraints_of_application(rule, ids)
+        var_types = self.var_types or {}
+        for pos, rt in enumerate(nodes):
+            declared = var_types.get(rt.symbol.name)
+            if (
+                declared is not None
+                and not rt.anchor
+                and rt.symbol.is_terminal
+                and is_variable_token(rt.symbol.name)
+            ):
+                system.append(eq_const(pos, declared))
+        if at_root and self.result_type is not None and not marks[0].needs_up:
+            system.append(eq_const(ids[0], self.result_type))
+        solver = SolverState()
+        ok = solver.push(system)
+        size = 0.0
+        if self.bounds is not None:
+            size = sum(self.bounds.of(rt.symbol.name, m) for rt, m in zip(nodes, marks))
+        return _Signature(rule, ok, solver.resolved(_ANCHOR) if ok else None, size)
+
+
 @dataclass(frozen=True)
 class Probe:
-    """One surviving candidate: the rule, the new tree, the splice ids, and
-    the schema constraints this application contributes.
+    """One surviving candidate, spliced: the rule, the new tree, the splice
+    ids, and the schema constraints this application contributes.
 
     Callers that accept the candidate must carry ``constraints`` forward as
     part of the base system of later probes; schema pins die with the probe
@@ -314,54 +387,86 @@ def probe_rules(
     ast: AnnotatedAst,
     target: int | None,
     candidates: Iterable[RewritingRule],
-    *,
-    var_types: Mapping[str, str] | None = None,
-    result_type: str | None = None,
-    bounds: SizeBounds | None = None,
-    size_limit: int | None = None,
+    step: SearchStep,
     base_constraints: Iterable[TypeConstraint] = (),
 ) -> ProbeOutcome:
     """Try each candidate at ``target`` and keep the applications that stand.
 
-    The size bound goes first because it is cheap and independent of typing;
-    a candidate cut there is never charged to the constraint counter.  Each
-    constraint check solves ``base_constraints`` (the schema pins collected
-    from the applications that built ``ast``) plus the candidate's own schema
-    plus the full context constraints of the new tree; context constraints
-    are recomputed whole, which is redundant but idempotent.
+    A candidate that does not fit the target raises ``ApplyError`` before
+    any pruning.  The size bound goes first because it is cheap and
+    independent of typing; a candidate cut there is never charged to the
+    constraint counter.  The constraint check asks whether three parts are
+    satisfiable together: ``base_constraints`` (the schema pins of the
+    applications that built ``ast``; they mention only its nodes), the
+    candidate's schema, and the context constraints of the new tree.  Only
+    the candidates that survive both are spliced.
+
+    Why deciding before the splice is exact: the splice gives the fresh
+    replacement nodes ids at or above ``ast.next_id``, which neither the
+    pins nor the constraints of the old nodes mention.  The candidate's
+    system is therefore two systems that share one variable, the target's:
+
+    * the tree's own: the pins plus the context constraints of ``ast``,
+      without the root's result pin when the target is the root, since the
+      candidate decides what the new root is;
+    * the rule's fresh part, which ``SearchStep`` compiles once per rule,
+      target mark and rootedness.
+
+    Union-find classes merge only through the shared variable, so the whole
+    is satisfiable exactly when both parts are and they do not force two
+    different types on the target.  Likewise the new tree's size bound is
+    the old tree's without the target plus the rule's size delta.  The
+    tree's part is solved, and its size summed, once per call.
     """
+    if target is None:
+        mark, at_root = None, True
+    else:
+        node = ast.node(target)
+        mark, at_root = node.annotation, node.parent is None
+    limit = step.size_limit if step.bounds is not None else None
+    rest = step.bounds.tree_size(ast, skip=target) if limit is not None else 0.0
+    solver = SolverState()
+    tree_ok = solver.push(
+        [
+            *base_constraints,
+            *constraints_of_context(
+                step.var_types, ast, None if at_root else step.result_type
+            ),
+        ]
+    )
+    forced = solver.resolved(target) if tree_ok and target is not None else None
+
     kept: list[Probe] = []
     size_pruned = 0
     constraint_pruned = 0
-    base = list(base_constraints)
+    # whether a rule fits the target depends only on its kind and pattern,
+    # which a group's rules share
+    fitting = None
     for rule in candidates:
-        new_ast, ids = apply_rule_with_ids(ast, target, rule)
-        if (
-            size_limit is not None
-            and bounds is not None
-            and bounds.tree_size(new_ast) > size_limit
-        ):
+        if (rule.kind, rule.pattern) != fitting:
+            check_applicable(ast, target, rule)
+            fitting = (rule.kind, rule.pattern)
+        sig = step.signature(rule, mark, at_root)
+        if limit is not None and rest + sig.size_delta > limit:
             size_pruned += 1
             continue
-        schema = constraints_of_application(rule, ids)
-        system = base + schema + constraints_of_context(var_types, new_ast, result_type)
-        solver = SolverState()
-        if not solver.push(system):
+        if not (tree_ok and sig.fresh_ok) or (
+            forced is not None
+            and sig.anchor_type is not None
+            and forced != sig.anchor_type
+        ):
             constraint_pruned += 1
             continue
+        new_ast, ids = apply_rule_with_ids(ast, target, rule)
+        schema = constraints_of_application(rule, ids)
         kept.append(Probe(rule, new_ast, tuple(ids), tuple(schema)))
     return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
 
 
 def feasible_rules(
     ast: AnnotatedAst,
-    rs: RuleSet,
+    step: SearchStep,
     policy: Callable[[AnnotatedAst], tuple[int, Annotation]],
-    *,
-    var_types: Mapping[str, str] | None = None,
-    result_type: str | None = None,
-    bounds: SizeBounds | None = None,
-    size_limit: int | None = None,
     base_constraints: Iterable[TypeConstraint] = (),
 ) -> ProbeOutcome:
     """One search step: the single pruning gate every expansion goes through.
@@ -371,6 +476,7 @@ def feasible_rules(
     Beam search, exhaustive search, the scorer and training extraction all
     step through here, so they agree on which candidates each step offers.
     """
+    rs = step.rs
     if ast.is_empty:
         target = None
         group = rs.creation_rules
@@ -379,13 +485,4 @@ def feasible_rules(
         group = rs.rules_for(ast.nodes[target].symbol, direction)
     if not group:
         return ProbeOutcome(target, (), 0, 0)
-    return probe_rules(
-        ast,
-        target,
-        group,
-        var_types=var_types,
-        result_type=result_type,
-        bounds=bounds,
-        size_limit=size_limit,
-        base_constraints=base_constraints,
-    )
+    return probe_rules(ast, target, group, step, base_constraints)

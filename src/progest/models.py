@@ -22,7 +22,13 @@ import numpy as np
 
 # probe_rules is bound only so that the benchmark's tracer (perfbench) can
 # wrap it under this module's name; every probe goes through feasible_rules
-from .constraints import ProbeOutcome, compute_size_bounds, feasible_rules, probe_rules
+from .constraints import (
+    ProbeOutcome,
+    SearchStep,
+    compute_size_bounds,
+    feasible_rules,
+    probe_rules,
+)
 from .errors import UnderivableTreeError
 from .features import (
     Context,
@@ -444,8 +450,6 @@ class StepAudit:
     candidates: int
     feasible: int
     applied_key: str
-    # always True: only builds whose every step is feasible get audited
-    applied_feasible: bool
 
 
 @dataclass
@@ -492,30 +496,25 @@ def feasible_derivation(
     feasible one is the build the search can make.  None when no derivation
     survives; ``UnderivableTreeError`` when the rule set has none at all.
     """
-    var_types = ctx.variable_types if ctx is not None else None
-    result_type = ctx.result_type if ctx is not None else None
-    bounds = compute_size_bounds(rs) if size_limit is not None else None
+    step = SearchStep(
+        rs,
+        var_types=ctx.variable_types if ctx is not None else None,
+        result_type=ctx.result_type if ctx is not None else None,
+        bounds=compute_size_bounds(rs) if size_limit is not None else None,
+        size_limit=size_limit,
+    )
     for derivation in iter_derivations(
         tree, rs, policy, max_derivations=_MAX_DERIVATIONS
     ):
         steps: list[ReplayStep] = []
         ast = AnnotatedAst.empty()
         pins: tuple = ()
-        for step in derivation:
-            outcome = feasible_rules(
-                ast,
-                rs,
-                policy,
-                var_types=var_types,
-                result_type=result_type,
-                bounds=bounds,
-                size_limit=size_limit,
-                base_constraints=pins,
-            )
+        for derived in derivation:
+            outcome = feasible_rules(ast, step, policy, pins)
             rule_ids = [p.rule.id for p in outcome.kept]
-            if step.application.rule not in rule_ids:
+            if derived.application.rule not in rule_ids:
                 break
-            choice = rule_ids.index(step.application.rule)
+            choice = rule_ids.index(derived.application.rule)
             steps.append(ReplayStep(ast, outcome, choice))
             ast = outcome.kept[choice].ast
             pins = pins + outcome.kept[choice].constraints
@@ -570,7 +569,6 @@ def extract_training_set(
                     len(kept) + outcome.size_pruned + outcome.constraint_pruned,
                     len(kept),
                     applied.key,
-                    True,
                 )
             )
             for idx, (cand, vec) in enumerate(zip(kept, vecs)):

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 # probe_rules is bound only so that the benchmark's tracer (perfbench) can
 # wrap it under this module's name; every probe goes through feasible_rules
-from .constraints import compute_size_bounds, feasible_rules, probe_rules
+from .constraints import SearchStep, compute_size_bounds, feasible_rules, probe_rules
 from .errors import SearchOverflowError
 from .features import Context
 from .grammar import Annotation, RuleSet
@@ -163,9 +163,13 @@ def beam_search(
         raise ValueError("widths must be a non-empty sequence of positive ints")
     stats = SearchStats()
     render_fn = renderer or render
-    var_types = ctx.variable_types if ctx is not None else None
-    result_type = ctx.result_type if ctx is not None else None
-    bounds = compute_size_bounds(rs) if size_limit is not None else None
+    step = SearchStep(
+        rs,
+        var_types=ctx.variable_types if ctx is not None else None,
+        result_type=ctx.result_type if ctx is not None else None,
+        bounds=compute_size_bounds(rs) if size_limit is not None else None,
+        size_limit=size_limit,
+    )
     results: list[Candidate] = []
     # state: tree, log prob, applications so far, accumulated schema pins
     states: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
@@ -187,16 +191,7 @@ def beam_search(
                 stats.step_cap_hit = True
                 continue
             stats.expansions += 1
-            outcome = feasible_rules(
-                ast,
-                rs,
-                policy,
-                var_types=var_types,
-                result_type=result_type,
-                bounds=bounds,
-                size_limit=size_limit,
-                base_constraints=pins,
-            )
+            outcome = feasible_rules(ast, step, policy, pins)
             stats.size_pruned += outcome.size_pruned
             stats.constraint_pruned += outcome.constraint_pruned
             if not outcome.kept:
@@ -255,9 +250,13 @@ def exhaustive_search(
     """
     stats = SearchStats()
     render_fn = renderer or render
-    var_types = ctx.variable_types if ctx is not None else None
-    result_type = ctx.result_type if ctx is not None else None
-    bounds = compute_size_bounds(rs) if size_limit is not None else None
+    step = SearchStep(
+        rs,
+        var_types=ctx.variable_types if ctx is not None else None,
+        result_type=ctx.result_type if ctx is not None else None,
+        bounds=compute_size_bounds(rs) if size_limit is not None else None,
+        size_limit=size_limit,
+    )
     results: list[Candidate] = []
     stack: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
         (AnnotatedAst.empty(), 0.0, (), ())
@@ -278,16 +277,7 @@ def exhaustive_search(
                 stats.anti_pattern_pruned += 1
             continue
         stats.expansions += 1
-        outcome = feasible_rules(
-            ast,
-            rs,
-            policy,
-            var_types=var_types,
-            result_type=result_type,
-            bounds=bounds,
-            size_limit=size_limit,
-            base_constraints=pins,
-        )
+        outcome = feasible_rules(ast, step, policy, pins)
         stats.size_pruned += outcome.size_pruned
         stats.constraint_pruned += outcome.constraint_pruned
         if not outcome.kept:

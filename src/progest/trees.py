@@ -107,20 +107,17 @@ def direction_of(kind: RuleKind) -> Annotation:
     raise ValueError("creation rules have no direction")
 
 
-def apply_rule_with_ids(
+def check_applicable(
     ast: AnnotatedAst, target: int | None, rule: RewritingRule
-) -> tuple[AnnotatedAst, list[int]]:
-    """Apply ``rule`` and also report the node ids of the replacement tree.
-
-    The returned id list is aligned with the preorder positions of the rule's
-    replacement, which is what type schemas are written against.
-    """
+) -> None:
+    """Raise ``ApplyError`` unless ``rule`` fits the node ``target`` of ``ast``:
+    its pattern symbol, its direction, and the node's place in the tree."""
     if rule.kind is RuleKind.CREATION:
         if target is not None:
             raise ApplyError("creation rules take no target node")
         if not ast.is_empty:
             raise ApplyError("creation rule applied to a non-empty tree")
-        return _splice(ast, None, rule)
+        return
     if target is None:
         raise ApplyError(f"rule {rule.key} needs a target node")
     node = ast.node(target)
@@ -138,6 +135,17 @@ def apply_rule_with_ids(
         raise ApplyError(f"node {target} has a parent and cannot grow upward")
     if direction is Annotation.D and node.children:
         raise ApplyError(f"node {target} already has children")
+
+
+def apply_rule_with_ids(
+    ast: AnnotatedAst, target: int | None, rule: RewritingRule
+) -> tuple[AnnotatedAst, list[int]]:
+    """Apply ``rule`` and also report the node ids of the replacement tree.
+
+    The returned id list is aligned with the preorder positions of the rule's
+    replacement, which is what type schemas are written against.
+    """
+    check_applicable(ast, target, rule)
     return _splice(ast, target, rule)
 
 

@@ -119,12 +119,14 @@ def random_recursive_grammar(seed: int, *, with_dead: bool = False) -> Grammar:
     return Grammar(tuple(productions), nts[0])
 
 
-def random_typed_grammar(seed: int) -> Grammar:
+def random_typed_grammar(seed: int, *, typed_leaves: bool = False) -> Grammar:
     """A one-symbol typed grammar: a leaf per type plus compound productions.
 
     Every type atom that a schema can demand has a single-terminal leaf
     production, so any solver-consistent partial tree completes within a few
-    nodes regardless of the types forced on its pending slots.
+    nodes regardless of the types forced on its pending slots.  With
+    ``typed_leaves`` each leaf production also types its terminal, so a
+    declared type on that terminal reaches the tree's type system.
     """
     rng = random.Random(seed * 6151)
     types = rng.sample(["Int", "Str", "Bool"], k=rng.randint(2, 3))
@@ -132,8 +134,9 @@ def random_typed_grammar(seed: int) -> Grammar:
     productions: list[Production] = []
     for t in types:
         for i in range(rng.randint(1, 2)):
+            atoms = (TypeAtom(t),) if typed_leaves else ()
             productions.append(
-                Production(e, (terminal(f"{t.lower()}{i}"),), TypeAtom(t))
+                Production(e, (terminal(f"{t.lower()}{i}"),), TypeAtom(t), atoms)
             )
     ops = iter(("plus", "eq", "cmp", "cat", "app"))
     for _ in range(rng.randint(2, 4)):

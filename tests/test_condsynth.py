@@ -24,6 +24,7 @@ from progest.errors import ContextError
 from progest.features import Context
 from progest.grammar import derive_top_down_rules
 from progest.trees import to_sexpr
+from tests_support import reference_prober
 
 
 def ctx_dict(types):
@@ -224,6 +225,23 @@ def test_train_and_synthesize_frequency():
     assert "count > 0" in rendered
     # every candidate is well typed in context by construction
     assert all(">" in r or r for r in rendered)
+
+
+def test_beam_matches_reference_prober_on_corpus_atoms(corpus_records):
+    """On real condition rule sets, the eval-setting beam over the compiled
+    step returns exactly what it returns over the splice-then-solve prober."""
+    trained = train_cond_models(corpus_records, model_kind="frequency")
+    for record in corpus_records[:60]:
+        got = synthesize_condition(
+            record.context, trained.templates, trained.model, k=50
+        )
+        with reference_prober():
+            want = synthesize_condition(
+                record.context, trained.templates, trained.model, k=50
+            )
+        assert got.candidates, record.id
+        assert got.candidates == want.candidates, record.id
+        assert got.stats == want.stats, record.id
 
 
 def test_train_rejects_unknown_kind():

@@ -1,12 +1,15 @@
 """Equality solver, schema instantiation, size bounds, and rule probing."""
 
+from collections import deque
 from math import inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramgen import full_set, random_typed_grammar, top_down_set
 from progest.constraints import (
+    SearchStep,
     SolverState,
     compute_size_bounds,
     constraints_of_application,
@@ -21,13 +24,27 @@ from progest.errors import ApplyError, SchemaError
 from progest.grammar import (
     Annotation,
     CreationMode,
+    RewritingRule,
+    RuleKind,
+    RuleSet,
+    RuleTree,
     TypeAtom,
     derive_bottom_up_rules,
     derive_creation_rules,
     derive_top_down_rules,
     load_grammar,
+    nonterminal,
 )
-from progest.trees import AnnotatedAst, apply_rule, apply_rule_with_ids, policy_leftmost
+from progest.search import make_hash_policy
+from progest.trees import (
+    AnnotatedAst,
+    apply_rule,
+    apply_rule_with_ids,
+    is_complete,
+    policy_leftmost,
+    to_sexpr,
+)
+from tests_support import reference_prober
 
 DEMO = (
     'E -> E:Int "> 12" :: Boolean\n'
@@ -71,32 +88,6 @@ def test_push_is_transactional():
     assert not ok
     assert s.resolved(1) is None
     assert s.resolved(2) is None
-
-
-def test_pop_restores_previous_answers():
-    s = SolverState()
-    assert s.push([eq_const(1, "Int")])
-    assert s.push([eq_var(1, 5)])
-    assert s.resolved(5) == "Int"
-    s.pop()
-    assert s.resolved(5) is None
-    assert s.resolved(1) == "Int"
-
-
-def test_pop_without_push():
-    with pytest.raises(ApplyError):
-        SolverState().pop()
-
-
-def test_clone_is_independent():
-    s = SolverState()
-    s.push([eq_const(1, "Int")])
-    c = s.clone()
-    assert c.push([eq_var(1, 2)])
-    assert c.resolved(2) == "Int"
-    assert s.resolved(2) is None
-    c.pop()
-    assert c.resolved(1) == "Int"
 
 
 def brute_satisfiable(constraints) -> bool:
@@ -148,14 +139,14 @@ def test_solver_agrees_with_component_check(constraints):
     st.lists(constraint_st, max_size=8),
     st.lists(constraint_st, max_size=8),
 )
-def test_push_pop_leaves_no_trace(base, extra):
+def test_failed_push_leaves_no_trace(base, extra):
     s = SolverState()
     if not s.push(base):
         return
     before = {x: s.resolved(x) for x in range(6)}
     classes = {(a, b): s.same_class(a, b) for a in range(6) for b in range(6)}
     if s.push(extra):
-        s.pop()
+        return
     assert {x: s.resolved(x) for x in range(6)} == before
     assert {(a, b): s.same_class(a, b) for a in range(6) for b in range(6)} == classes
 
@@ -258,7 +249,8 @@ def test_probe_prunes_by_size():
     bounds = compute_size_bounds(rs)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     group = rs.rules_for(ast.nodes[ast.root].symbol, Annotation.D)
-    out = probe_rules(ast, ast.root, group, bounds=bounds, size_limit=2)
+    step = SearchStep(rs, bounds=bounds, size_limit=2)
+    out = probe_rules(ast, ast.root, group, step)
     kept = {p.rule.key for p in out.kept}
     assert kept == {'td:E->"hours"', 'td:E->"value"'}
     assert out.size_pruned == 3
@@ -269,10 +261,10 @@ def test_probe_prunes_by_type():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     group = rs.rules_for(ast.nodes[ast.root].symbol, Annotation.D)
-    out = probe_rules(
-        ast, ast.root, group, var_types={"hours": "Int", "value": "Int"},
-        result_type="Boolean",
+    step = SearchStep(
+        rs, var_types={"hours": "Int", "value": "Int"}, result_type="Boolean"
     )
+    out = probe_rules(ast, ast.root, group, step)
     kept = {p.rule.key for p in out.kept}
     # leaf and addition rules would make the whole tree an Int
     assert kept == {'td:E->E "> 12"', 'td:E->E "> 0"'}
@@ -281,7 +273,7 @@ def test_probe_prunes_by_type():
 
 def test_feasible_rules_on_empty_tree_offers_creations():
     rs = full_rules(DEMO)
-    out = feasible_rules(AnnotatedAst.empty(), rs, policy_leftmost)
+    out = feasible_rules(AnnotatedAst.empty(), SearchStep(rs), policy_leftmost)
     keys = {p.rule.key for p in out.kept}
     assert "make-root:E" in keys
     assert "make-leaf:hours" in keys
@@ -292,7 +284,7 @@ def test_feasible_rules_respects_base_constraints():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     pinned = [eq_const(ast.root, "Int")]
-    out = feasible_rules(ast, rs, policy_leftmost, base_constraints=pinned)
+    out = feasible_rules(ast, SearchStep(rs), policy_leftmost, pinned)
     kept = {p.rule.key for p in out.kept}
     # comparisons would force the root Boolean against the pin
     assert 'td:E->E "> 12"' not in kept
@@ -302,10 +294,122 @@ def test_feasible_rules_respects_base_constraints():
 def test_probe_constraints_carry_schema_only():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
-    out = feasible_rules(ast, rs, policy_leftmost)
+    out = feasible_rules(ast, SearchStep(rs), policy_leftmost)
     by_key = {p.rule.key: p for p in out.kept}
     gt = by_key['td:E->E "> 12"']
     assert set(gt.constraints) == {
         eq_const(gt.ids[0], "Boolean"),
         eq_const(gt.ids[1], "Int"),
     }
+
+
+def test_probe_checks_each_candidate_fits_before_pruning():
+    rs = full_rules(DEMO)
+    bounds = compute_size_bounds(rs)
+    leaf = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-leaf:hours"))
+    root = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
+    # an E pattern on the "hours" leaf, and an upward rule on a downward mark
+    misfits = [
+        (leaf, rs.by_key('bu0:E->E "> 12"')),
+        (root, rs.by_key("fin:E")),
+    ]
+    steps = [
+        SearchStep(rs, bounds=bounds, size_limit=1),
+        SearchStep(rs, var_types={"hours": "Str"}, result_type="Str"),
+    ]
+    for ast, rule in misfits:
+        for step in steps:
+            with pytest.raises(ApplyError):
+                probe_rules(ast, ast.root, [rule], step)
+    # either step prunes a candidate that does fit
+    fits = rs.by_key('td:E->E "> 12"')
+    assert probe_rules(root, root.root, [fits], steps[0]).size_pruned == 1
+    assert probe_rules(root, root.root, [fits], steps[1]).constraint_pruned == 1
+
+
+def test_probe_lets_a_wrapping_rule_decide_the_root_type():
+    """A top-down rule anchored below its replacement root moves the target
+    off the root, so the target's result pin no longer binds it."""
+    e, w = nonterminal("E"), nonterminal("W")
+    wrap = RewritingRule(
+        0,
+        RuleKind.TOP_DOWN,
+        (e, Annotation.D),
+        RuleTree(w, Annotation.NONE, False, (RuleTree(e, Annotation.NONE, True),)),
+        key="wrap",
+        schema=((0, TypeAtom("Int")), (1, TypeAtom("Str"))),
+    )
+    make_root = RewritingRule(
+        1, RuleKind.CREATION, None, RuleTree(e, Annotation.D), key="make-root:E"
+    )
+    rs = RuleSet([wrap, make_root])
+    ast = apply_rule(AnnotatedAst.empty(), None, make_root)
+    step = SearchStep(rs, result_type="Int")
+    got = feasible_rules(ast, step, policy_leftmost)
+    with reference_prober():
+        want = feasible_rules(ast, step, policy_leftmost)
+    assert got == want
+    assert [p.rule.key for p in got.kept] == ["wrap"]
+
+
+_TYPES = ("Int", "Str", "Bool")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.sampled_from(["top-down", "full", "full+middle"]),
+    st.sampled_from([None, 5, 7, 9]),
+    st.booleans(),
+    st.data(),
+)
+def test_step_matches_reference_prober_on_typed_grammars(
+    seed, typed_leaves, rules, size_limit, hashed, data
+):
+    """The compiled step keeps, prunes and splices exactly what splicing
+    every candidate and solving its whole system does, at every state of a
+    breadth-first walk.  Middle creations bring marks that keep a direction
+    after a step."""
+    g = random_typed_grammar(seed, typed_leaves=typed_leaves)
+    if rules == "top-down":
+        rs = top_down_set(g)
+    else:
+        rs = full_set(g)
+        if rules == "full+middle":
+            rs = rs.merged(derive_creation_rules(g, [CreationMode.MIDDLE]))
+    var_types = {
+        t.name: data.draw(st.sampled_from(_TYPES))
+        for t in g.terminals
+        if is_variable_token(t.name) and data.draw(st.booleans())
+    }
+    result_type = data.draw(st.sampled_from((None,) + _TYPES))
+    policy = make_hash_policy(seed) if hashed else policy_leftmost
+    step = SearchStep(
+        rs,
+        var_types=var_types,
+        result_type=result_type,
+        bounds=compute_size_bounds(rs),
+        size_limit=size_limit,
+    )
+    queue = deque([(AnnotatedAst.empty(), ())])
+    for _ in range(150):
+        if not queue:
+            break
+        ast, pins = queue.popleft()
+        if not ast.is_empty and is_complete(ast):
+            continue
+        got = feasible_rules(ast, step, policy, pins)
+        with reference_prober():
+            want = feasible_rules(ast, step, policy, pins)
+        where = to_sexpr(ast)
+        assert got.target == want.target, where
+        assert [p.rule.id for p in got.kept] == [p.rule.id for p in want.kept], where
+        assert [(p.ast, p.ids, p.constraints) for p in got.kept] == [
+            (p.ast, p.ids, p.constraints) for p in want.kept
+        ], where
+        assert (got.size_pruned, got.constraint_pruned) == (
+            want.size_pruned,
+            want.constraint_pruned,
+        ), where
+        queue.extend((p.ast, pins + p.constraints) for p in got.kept)

@@ -1,5 +1,18 @@
-"""Hand-built fixtures for the worked two-variable comparison example."""
+"""Hand-built fixtures for the worked two-variable comparison example, and
+the splice-then-solve prober that the compiled search step is checked
+against."""
 
+import contextlib
+
+from progest import constraints
+from progest.constraints import (
+    Probe,
+    ProbeOutcome,
+    SearchStep,
+    SolverState,
+    constraints_of_application,
+    constraints_of_context,
+)
 from progest.grammar import (
     CreationMode,
     Grammar,
@@ -8,6 +21,7 @@ from progest.grammar import (
     derive_top_down_rules,
 )
 from progest.models import TableModel
+from progest.trees import apply_rule_with_ids
 
 
 def classify_demo_rules(rs: RuleSet) -> dict[str, str]:
@@ -48,3 +62,49 @@ def stub_rules_and_model(g: Grammar) -> tuple[RuleSet, TableModel, dict[str, str
         keys["gt0"]: {keys["hours"]: 0.1, keys["value"]: 0.2, keys["plus"]: 0.05},
     }
     return rs, TableModel.from_nested(table), keys
+
+
+def reference_probe_rules(
+    ast, target, candidates, step: SearchStep, base_constraints=()
+):
+    """``constraints.probe_rules`` the slow way, with the same arguments.
+
+    Every candidate is spliced first; the size bound is the new tree's whole
+    ``tree_size``, and the constraint check solves a fresh system of the
+    base pins, the candidate's schema and the full context constraints of
+    the new tree.
+    """
+    kept = []
+    size_pruned = 0
+    constraint_pruned = 0
+    base = list(base_constraints)
+    for rule in candidates:
+        new_ast, ids = apply_rule_with_ids(ast, target, rule)
+        if (
+            step.size_limit is not None
+            and step.bounds is not None
+            and step.bounds.tree_size(new_ast) > step.size_limit
+        ):
+            size_pruned += 1
+            continue
+        schema = constraints_of_application(rule, ids)
+        system = base + schema + constraints_of_context(
+            step.var_types, new_ast, step.result_type
+        )
+        if not SolverState().push(system):
+            constraint_pruned += 1
+            continue
+        kept.append(Probe(rule, new_ast, tuple(ids), tuple(schema)))
+    return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
+
+
+@contextlib.contextmanager
+def reference_prober():
+    """Route every probe of the block through ``reference_probe_rules``:
+    ``feasible_rules`` looks ``probe_rules`` up at call time."""
+    saved = constraints.probe_rules
+    constraints.probe_rules = reference_probe_rules
+    try:
+        yield
+    finally:
+        constraints.probe_rules = saved
