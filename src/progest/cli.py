@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--model", choices=("frequency", "logistic"), default="frequency")
     train.add_argument("--seed", type=int, default=12345)
     train.add_argument("--pca-dims", type=_pca_dims, default=16)
-    _add_search_flags(train, k_default=50)
+    train.add_argument("--size-limit", type=int, default=30,
+                       help="max completed tree size")
     train.set_defaults(func=cmd_train)
 
     predict = sub.add_parser("predict", help="rank conditions for one context")
@@ -105,8 +106,6 @@ def cmd_train(args) -> int:
         "seed": args.seed,
         "pca_dims": args.pca_dims,
         "size_limit": args.size_limit,
-        "k": args.k,
-        "beam": [args.beam, args.beam2],
     }
     bundle = bundle_of(trained, config, corpus_sha256=sha256_of_file(args.corpus))
     save_bundle(args.bundle, bundle)

@@ -19,6 +19,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import ContextError, MiniLangError, MiniTypeError
+# extract_features is bound only so that the benchmark's tracer (perfbench)
+# can wrap it under this module's name; every decision is encoded through
+# LogisticModel.encode
 from .features import (
     Context,
     FeaturePipeline,
@@ -440,15 +443,11 @@ class CondStepResolver:
             for rule in candidates:
                 if rule.key.startswith("make-var:"):
                     name = rule.key[len("make-var:"):]
-                    payloads.append(
-                        StepPayload("creation", ctx, variable=self._var(ctx, name))
-                    )
+                    payloads.append(StepPayload(ctx, variable=self._var(ctx, name)))
                 else:
                     tkey = rule.key[len("make-expr:"):]
                     payloads.append(
-                        StepPayload(
-                            "creation", ctx, template=self._template_payload(tkey)
-                        )
+                        StepPayload(ctx, template=self._template_payload(tkey))
                     )
             return kind, payloads
         if kind == "expression":
@@ -457,7 +456,6 @@ class CondStepResolver:
                 tkey = rule.key[len("expr:"):]
                 payloads.append(
                     StepPayload(
-                        "expression",
                         ctx,
                         chosen=chosen,
                         template=self._template_payload(tkey),
@@ -475,7 +473,6 @@ class CondStepResolver:
                 name = rule.replacement.children[0].symbol.name
                 payloads.append(
                     StepPayload(
-                        "variable",
                         ctx,
                         variable=self._var(ctx, name),
                         previous=previous,
@@ -484,17 +481,7 @@ class CondStepResolver:
                     )
                 )
             return kind, payloads
-        return kind, [StepPayload("creation", ctx) for _ in candidates]
-
-
-def make_encoder(resolver: CondStepResolver, pipeline: FeaturePipeline):
-    def encode(ctx, ast, node, candidates):
-        kind, payloads = resolver(ctx, ast, node, candidates)
-        if kind == "other":
-            return kind, [None] * len(candidates)
-        return kind, [extract_features(p, pipeline) for p in payloads]
-
-    return encode
+        return kind, []
 
 
 # --------------------------------------------------------------------------
@@ -562,11 +549,11 @@ def train_cond_models(
         items,
         rules_for,
         policy_leftmost,
-        encoder=make_encoder(resolver, pipeline),
+        encoder=LogisticModel(pipeline, resolver).encode,
         size_limit=size_limit,
     )
     logistic = LogisticModel.train(
-        extraction.instances, pipeline, resolver, lr=lr, epochs=epochs
+        extraction.decisions, pipeline, resolver, lr=lr, epochs=epochs
     )
     return TrainedCond(
         "logistic", templates, pipeline=pipeline, logistic=logistic,

@@ -6,9 +6,9 @@ method names, and small token windows around the hole.  Names are encoded as
 character-bigram count vectors and compressed with a PCA fitted at training
 time; token windows use a small vocabulary learned alongside.
 
-Feature vectors are assembled per decision kind from fixed blocks, so their
-layout depends only on the PCA width.  Optional inputs encode as zeros plus a
-trailing presence flag of 0, never as a shifted layout.
+A decision's feature rows are assembled from fixed blocks by its kind, so
+their layout depends only on the PCA width.  Optional inputs encode as zeros
+plus a trailing presence flag of 0, never as a shifted layout.
 """
 
 from __future__ import annotations
@@ -500,18 +500,17 @@ def position_block(position: int | None) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# per-decision payloads and their vectors
+# per-decision payloads and their rows
 
 @dataclass(frozen=True)
 class StepPayload:
-    """Everything one scoring decision gets to look at.
+    """What one candidate of a scoring decision gets to look at.
 
-    ``kind`` routes to the right block layout: creating the first variable,
-    choosing the expression template around it, or filling a later variable
-    slot.  Optional parts are None and encode as zeroed blocks.
+    The decision's kind picks the blocks that are read: creating the first
+    variable, choosing the expression template around it, or filling a later
+    variable slot.  Optional parts are None and encode as zeroed blocks.
     """
 
-    kind: str  # "creation" | "expression" | "variable"
     context: Context | None
     variable: VariableInfo | None = None  # the candidate being scored
     chosen: VariableInfo | None = None  # first variable, for expression steps
@@ -520,48 +519,39 @@ class StepPayload:
     position: int | None = None
 
 
-def extract_features(payload: StepPayload, pipe: FeaturePipeline) -> np.ndarray:
-    ctx_vec = context_block(payload.context, pipe)
-    if payload.kind == "creation":
-        return np.concatenate(
-            [
-                ctx_vec,
-                variable_block(payload.variable, pipe),
-                expression_block(payload.template, pipe),
-            ]
-        )
-    if payload.kind == "expression":
-        return np.concatenate(
-            [
-                ctx_vec,
-                variable_block(payload.chosen, pipe),
-                expression_block(payload.template, pipe),
-            ]
-        )
-    if payload.kind == "variable":
-        return np.concatenate(
-            [
-                ctx_vec,
-                variable_block(payload.variable, pipe),
-                variable_block(payload.previous, pipe),
-                expression_block(payload.template, pipe),
-                position_block(payload.position),
-            ]
-        )
-    raise ContextError(f"unknown payload kind {payload.kind!r}")
+def extract_features(
+    kind: str, payloads: Sequence[StepPayload], pipe: FeaturePipeline
+) -> np.ndarray:
+    """Feature rows of one decision, whose payloads share one context.
 
-
-def feature_length(kind: str, p: int) -> int:
-    ctx = context_block_length(p)
-    var = variable_block_length(p)
-    expr = expression_block_length(p)
-    if kind in ("creation", "expression"):
-        return ctx + var + expr
-    if kind == "variable":
-        return ctx + 2 * var + expr + 1
-    raise ContextError(f"unknown payload kind {kind!r}")
-
-
-def expression_prefix_length(p: int) -> int:
-    """Length of the candidate-independent slice of an expression vector."""
-    return context_block_length(p) + variable_block_length(p)
+    The context block is computed once per decision.  Creation and variable
+    decisions get one row per payload.  An expression decision is a single
+    classification, so it gets one row: the context and the chosen first
+    variable, which every candidate shares.
+    """
+    ctx_vec = context_block(payloads[0].context, pipe)
+    if kind == "expression":
+        row = np.concatenate([ctx_vec, variable_block(payloads[0].chosen, pipe)])
+        return row[np.newaxis]
+    if kind == "creation":
+        tails = [
+            np.concatenate(
+                [variable_block(p.variable, pipe), expression_block(p.template, pipe)]
+            )
+            for p in payloads
+        ]
+    elif kind == "variable":
+        tails = [
+            np.concatenate(
+                [
+                    variable_block(p.variable, pipe),
+                    variable_block(p.previous, pipe),
+                    expression_block(p.template, pipe),
+                    position_block(p.position),
+                ]
+            )
+            for p in payloads
+        ]
+    else:
+        raise ContextError(f"unknown decision kind {kind!r}")
+    return np.hstack([np.tile(ctx_vec, (len(tails), 1)), np.stack(tails)])

@@ -10,13 +10,15 @@ Training data comes from replaying known-good trees with
 ``feasible_derivation``, the one replay the scorer in ``search`` uses too: it
 steps through ``constraints.feasible_rules`` exactly as the search does, and
 every replay step turns into one positive instance for the applied rule and
-one negative for each feasible sibling.
+one negative for each feasible sibling.  With an encoder, each step a model
+core scores is also stored once as an ``EncodedDecision``: its feature rows,
+built by the same ``LogisticModel.encode`` that prediction uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,13 +32,7 @@ from .constraints import (
     probe_rules,
 )
 from .errors import UnderivableTreeError
-from .features import (
-    Context,
-    FeaturePipeline,
-    StepPayload,
-    expression_prefix_length,
-    extract_features,
-)
+from .features import Context, FeaturePipeline, StepPayload, extract_features
 from .grammar import RewritingRule, RuleSet, group_key_of
 from .trees import AnnotatedAst, iter_derivations
 
@@ -44,17 +40,6 @@ from .trees import AnnotatedAst, iter_derivations
 def group_str(rule: RewritingRule) -> str:
     name, direction = group_key_of(rule)
     return f"{name}|{direction}"
-
-
-class ProbabilityModel(Protocol):
-    def predict(
-        self,
-        ctx: Context | None,
-        ast: AnnotatedAst,
-        node: int | None,
-        candidates: Sequence[RewritingRule],
-    ) -> list[float]:
-        ...
 
 
 def _parent_key(ast: AnnotatedAst, node: int | None) -> str:
@@ -296,6 +281,9 @@ class SoftmaxCore:
         )
 
 
+# decision kinds a logistic core scores; any other decision scores uniform
+_SCORED_KINDS = ("creation", "variable", "expression")
+
 # step resolver: maps a decision point to (kind, one payload per candidate)
 StepResolver = Callable[
     [Context | None, AnnotatedAst, int | None, Sequence[RewritingRule]],
@@ -307,8 +295,9 @@ class LogisticModel:
     """Learned model: binary scorers for creation and variable-slot steps,
     one multinomial over the expression alternatives.
 
-    The expression decision is a single classification, so it trains on the
-    candidate-independent prefix of the feature vector (context plus chosen
+    ``encode`` is the one way a decision becomes model input, for training
+    and prediction alike.  The expression decision is a single
+    classification over its candidate-independent row (context plus chosen
     variable); candidates are then looked up by their rule key in the class
     distribution.  Missing cores fall back to the uniform distribution and
     are listed in ``untrained_kinds``.
@@ -328,7 +317,6 @@ class LogisticModel:
         self.creation = creation
         self.variable = variable
         self.expression = expression
-        self.prefix_len = expression_prefix_length(pipeline.dims)
 
     @property
     def untrained_kinds(self) -> tuple[str, ...]:
@@ -341,9 +329,17 @@ class LogisticModel:
             out.append("expression")
         return tuple(out)
 
+    def encode(self, ctx, ast, node, candidates) -> tuple[str, np.ndarray | None]:
+        """The decision's kind and its feature rows; None for a kind that
+        no core scores."""
+        kind, payloads = self.resolver(ctx, ast, node, candidates)
+        if kind not in _SCORED_KINDS:
+            return kind, None
+        return kind, extract_features(kind, payloads, self.pipeline)
+
     @staticmethod
     def train(
-        instances: Iterable["TrainingInstance"],
+        decisions: Iterable["EncodedDecision"],
         pipeline: FeaturePipeline,
         resolver: StepResolver,
         *,
@@ -351,32 +347,29 @@ class LogisticModel:
         epochs: int = 450,
         l2: float = 1e-3,
     ) -> "LogisticModel":
-        by_kind: dict[str, list[TrainingInstance]] = {}
-        for inst in instances:
-            if inst.features is not None:
-                by_kind.setdefault(inst.kind, []).append(inst)
-        creation = variable = expression = None
+        by_kind: dict[str, list[EncodedDecision]] = {}
+        for decision in decisions:
+            by_kind.setdefault(decision.kind, []).append(decision)
+        cores: dict[str, BinaryLogisticCore] = {}
         for kind in ("creation", "variable"):
-            rows = by_kind.get(kind, [])
-            if rows:
-                X = np.stack([r.features for r in rows])
-                y = np.array([1.0 if r.polarity else 0.0 for r in rows])
-                core = BinaryLogisticCore.fit(X, y, lr=lr, epochs=epochs, l2=l2)
-                if kind == "creation":
-                    creation = core
-                else:
-                    variable = core
-        prefix = expression_prefix_length(pipeline.dims)
-        rows = [r for r in by_kind.get("expression", []) if r.polarity]
-        if rows:
-            X = np.stack([r.features[:prefix] for r in rows])
-            labels = [r.label for r in rows]
+            found = by_kind.get(kind, [])
+            if found:
+                X = np.vstack([d.rows for d in found])
+                y = np.concatenate(
+                    [np.arange(len(d.rows)) == d.chosen for d in found]
+                ).astype(float)
+                cores[kind] = BinaryLogisticCore.fit(X, y, lr=lr, epochs=epochs, l2=l2)
+        expression = None
+        found = by_kind.get("expression", [])
+        if found:
+            X = np.vstack([d.rows for d in found])
+            labels = [d.applied_key for d in found]
             expression = SoftmaxCore.fit(X, labels, lr=lr, epochs=epochs, l2=l2)
         return LogisticModel(
             pipeline,
             resolver,
-            creation=creation,
-            variable=variable,
+            creation=cores.get("creation"),
+            variable=cores.get("variable"),
             expression=expression,
         )
 
@@ -384,10 +377,9 @@ class LogisticModel:
         k = len(candidates)
         if k == 0:
             return []
-        kind, payloads = self.resolver(ctx, ast, node, candidates)
+        kind, rows = self.encode(ctx, ast, node, candidates)
         if kind == "expression" and self.expression is not None:
-            full = extract_features(payloads[0], self.pipeline)
-            dist = self.expression.distribution(full[: self.prefix_len])
+            dist = self.expression.distribution(rows[0])
             raw = [dist.get(r.key, 0.0) for r in candidates]
             mass = sum(raw)
             if mass <= 0.0:
@@ -396,8 +388,7 @@ class LogisticModel:
         core = {"creation": self.creation, "variable": self.variable}.get(kind)
         if core is None:
             return _uniform(k)
-        X = np.stack([extract_features(p, self.pipeline) for p in payloads])
-        scores = core.scores(X)
+        scores = core.scores(rows)
         mass = float(scores.sum())
         if mass <= 0.0:
             return _uniform(k)
@@ -432,19 +423,27 @@ class LogisticModel:
 
 @dataclass(frozen=True)
 class TrainingInstance:
-    features: np.ndarray | None
     group: str
     parent: str
     label: str  # rule key
     polarity: bool
-    kind: str = ""
+
+
+@dataclass(frozen=True)
+class EncodedDecision:
+    """One scored decision as model input: its rows (see
+    ``LogisticModel.encode``) and which candidate the build applied."""
+
+    kind: str
+    rows: np.ndarray
+    chosen: int
+    applied_key: str
 
 
 @dataclass(frozen=True)
 class StepAudit:
     item: int
     step: int
-    kind: str
     group: str
     parent: str
     candidates: int
@@ -457,12 +456,14 @@ class ExtractionResult:
     instances: list[TrainingInstance] = field(default_factory=list)
     skipped: list[tuple[int, str]] = field(default_factory=list)
     steps_audited: list[StepAudit] = field(default_factory=list)
+    decisions: list[EncodedDecision] = field(default_factory=list)
 
 
-# encoder: maps a decision point to (kind, one feature vector per candidate)
+# encoder: maps a decision point to its kind and feature rows, as
+# ``LogisticModel.encode`` does
 StepEncoder = Callable[
     [Context | None, AnnotatedAst, int | None, Sequence[RewritingRule]],
-    tuple[str, list[np.ndarray]],
+    tuple[str, np.ndarray | None],
 ]
 
 
@@ -534,9 +535,11 @@ def extract_training_set(
     """Replay each finished tree and label every decision along the way.
 
     Each step contributes one positive instance (the rule that was applied)
-    and one negative per other feasible candidate.  The build replayed is
-    ``feasible_derivation``'s, the one the search would make; items without
-    one are skipped whole and reported, never partially emitted.
+    and one negative per other feasible candidate; with an ``encoder``, each
+    step it gives rows for is also stored once as an ``EncodedDecision``.
+    The build replayed is ``feasible_derivation``'s, the one the search
+    would make; items without one are skipped whole and reported, never
+    partially emitted.
     """
     result = ExtractionResult()
     for item_idx, (ctx, tree) in enumerate(items):
@@ -553,17 +556,18 @@ def extract_training_set(
             outcome = step.outcome
             kept = [p.rule for p in outcome.kept]
             applied = kept[step.choice]
-            kind = ""
-            vecs: list = [None] * len(kept)
             if encoder is not None:
-                kind, vecs = encoder(ctx, step.ast, outcome.target, kept)
+                kind, rows = encoder(ctx, step.ast, outcome.target, kept)
+                if rows is not None:
+                    result.decisions.append(
+                        EncodedDecision(kind, rows, step.choice, applied.key)
+                    )
             gstr = group_str(applied)
             parent = _parent_key(step.ast, outcome.target)
             result.steps_audited.append(
                 StepAudit(
                     item_idx,
                     step_idx,
-                    kind,
                     gstr,
                     parent,
                     len(kept) + outcome.size_pruned + outcome.constraint_pruned,
@@ -571,10 +575,8 @@ def extract_training_set(
                     applied.key,
                 )
             )
-            for idx, (cand, vec) in enumerate(zip(kept, vecs)):
+            for idx, cand in enumerate(kept):
                 result.instances.append(
-                    TrainingInstance(
-                        vec, gstr, parent, cand.key, idx == step.choice, kind
-                    )
+                    TrainingInstance(gstr, parent, cand.key, idx == step.choice)
                 )
     return result

@@ -242,22 +242,6 @@ def to_sexpr(ast: AnnotatedAst) -> str:
     return walk(ast.root)  # type: ignore[arg-type]
 
 
-def isomorphic(a: AnnotatedAst, b: AnnotatedAst) -> bool:
-    """Structural equality ignoring node ids and origins."""
-
-    def shape(ast: AnnotatedAst, nid: int):
-        node = ast.nodes[nid]
-        return (
-            node.symbol,
-            node.annotation,
-            tuple(shape(ast, c) for c in node.children),
-        )
-
-    if a.is_empty or b.is_empty:
-        return a.is_empty and b.is_empty
-    return shape(a, a.root) == shape(b, b.root)
-
-
 def build_complete_ast(shape) -> AnnotatedAst:
     """Build a finished tree from nested (Symbol, children) tuples."""
     nodes: dict[int, AstNode] = {}
@@ -449,11 +433,3 @@ def iter_derivations(
     if produced == 0:
         detail = max(stuck)[1] if stuck else "empty rule set"
         raise UnderivableTreeError(f"tree is not derivable; stuck at {detail}")
-
-
-def replay(rs: RuleSet, applications: list[Application]) -> AnnotatedAst:
-    """Re-run a recorded application list from the empty tree."""
-    ast = AnnotatedAst.empty()
-    for app in applications:
-        ast = apply_rule(ast, app.node, rs[app.rule])
-    return ast

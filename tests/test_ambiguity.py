@@ -18,7 +18,8 @@ from progest.grammar import (
     nonterminal,
     terminal,
 )
-from progest.trees import isomorphic, render, replay
+from progest.trees import render
+from tests_support import isomorphic, replay
 
 DEMO = 'E -> E "> 12" | E "> 0" | "hours" | "value" | E "+" E\n'
 

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from progest.condsynth import (
     CorpusRecord,
+    Template,
     build_cond_grammar,
     build_cond_ruleset,
     certification_bound,
@@ -21,10 +23,16 @@ from progest.condsynth import (
 )
 from progest.ambiguity import check_unambiguous, enumerate_complete_trees
 from progest.errors import ContextError
-from progest.features import Context
+from progest.features import (
+    Context,
+    context_block_length,
+    extract_features,
+    variable_block_length,
+)
 from progest.grammar import derive_top_down_rules
-from progest.trees import to_sexpr
-from tests_support import reference_prober
+from progest.models import feasible_derivation
+from progest.trees import AnnotatedAst, apply_rule, policy_leftmost, to_sexpr
+from tests_support import reference_features, reference_prober
 
 
 def ctx_dict(types):
@@ -242,6 +250,56 @@ def test_beam_matches_reference_prober_on_corpus_atoms(corpus_records):
         assert got.candidates, record.id
         assert got.candidates == want.candidates, record.id
         assert got.stats == want.stats, record.id
+
+
+def test_decision_rows_match_the_per_payload_reference(corpus_records):
+    """Each decision of the first 60 corpus items encodes, once per decision,
+    to the per-payload reference vectors: stacked for creation and variable
+    steps, the candidate-independent prefix for an expression step.
+    Training stored exactly these decisions."""
+    records = corpus_records[:60]
+    trained = train_cond_models(records, model_kind="logistic", epochs=5)
+    model = trained.logistic
+    pipe = model.pipeline
+    prefix = context_block_length(pipe.dims) + variable_block_length(pipe.dims)
+    encoded = []
+    kinds = set()
+    for record in records:
+        ctx = record.context
+        rs = build_cond_ruleset(trained.templates, ctx)
+        steps = feasible_derivation(
+            record_tree(record), rs, policy_leftmost, ctx, size_limit=30
+        )
+        for step in steps:
+            node = step.outcome.target
+            kept = [p.rule for p in step.outcome.kept]
+            kind, payloads = model.resolver(ctx, step.ast, node, kept)
+            kinds.add(kind)
+            rows = extract_features(kind, payloads, pipe)
+            reference = np.stack([reference_features(kind, p, pipe) for p in payloads])
+            if kind == "expression":
+                assert np.array_equal(rows, reference[:1, :prefix]), record.id
+            else:
+                assert np.array_equal(rows, reference), record.id
+            encoded.append((kind, rows, step.choice, kept[step.choice].key))
+    assert kinds == {"creation", "expression", "variable"}
+    stored = trained.extraction.decisions
+    assert len(stored) == len(encoded)
+    for decision, (kind, rows, chosen, key) in zip(stored, encoded):
+        assert (decision.kind, decision.chosen, decision.applied_key) == (
+            kind, chosen, key
+        )
+        assert np.array_equal(decision.rows, rows)
+
+    # the corpus has no variable-free template, so its builds never reach
+    # the fin step, a decision that no core scores
+    closed = Template(template_key(("done",), ()), ("done",), ())
+    ctx = records[0].context
+    rs = build_cond_ruleset(trained.templates + (closed,), ctx)
+    ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key(f"make-expr:{closed.key}"))
+    fin = [rs.by_key("fin:E")]
+    assert model.encode(ctx, ast, ast.root, fin) == ("other", None)
+    assert model.predict(ctx, ast, ast.root, fin) == [1.0]
 
 
 def test_train_rejects_unknown_kind():

@@ -16,7 +16,6 @@ from progest.features import (
     expression_block,
     expression_block_length,
     extract_features,
-    feature_length,
     last_word,
     name_words,
     pca_apply,
@@ -175,14 +174,21 @@ def test_extract_features_lengths_per_kind():
     ctx = make_contexts()[1]
     var = ctx.variables[0]
     tpl = TemplatePayload("V1 > 0::Int", 1, ("V1", ">", "0"), ("Int",))
-    for kind in ("creation", "expression", "variable"):
-        payload = StepPayload(
-            kind, ctx, variable=var, chosen=var, previous=None,
-            template=tpl, position=1,
-        )
-        vec = extract_features(payload, pipe)
-        assert vec.shape == (feature_length(kind, 3),)
-        assert vec.any()
+    payload = StepPayload(
+        ctx, variable=var, chosen=var, previous=None, template=tpl, position=1,
+    )
+    ctx_len = context_block_length(3)
+    var_len = variable_block_length(3)
+    expr_len = expression_block_length(3)
+    widths = {
+        "creation": (2, ctx_len + var_len + expr_len),
+        "expression": (1, ctx_len + var_len),
+        "variable": (2, ctx_len + 2 * var_len + expr_len + 1),
+    }
+    for kind, shape in widths.items():
+        rows = extract_features(kind, [payload, payload], pipe)
+        assert rows.shape == shape
+        assert rows.any(axis=1).all()
 
 
 def test_expression_block_reads_the_skeleton():

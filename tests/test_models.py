@@ -120,9 +120,9 @@ def test_frequency_single_candidate(rules, rooted):
 
 def test_frequency_fit_counts_positives_only():
     instances = [
-        TrainingInstance(None, "E|D", "make-root:E", "a", True),
-        TrainingInstance(None, "E|D", "make-root:E", "b", False),
-        TrainingInstance(None, "E|D", "make-root:E", "a", True),
+        TrainingInstance("E|D", "make-root:E", "a", True),
+        TrainingInstance("E|D", "make-root:E", "b", False),
+        TrainingInstance("E|D", "make-root:E", "a", True),
     ]
     model = FrequencyModel.fit(instances)
     assert model.counts == {("E|D", "make-root:E", "a"): 2}

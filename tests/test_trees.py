@@ -20,14 +20,13 @@ from progest.trees import (
     build_complete_ast,
     expandable_nodes,
     is_complete,
-    isomorphic,
     iter_derivations,
     leaf_tokens,
     policy_leftmost,
     render,
-    replay,
     to_sexpr,
 )
+from tests_support import isomorphic, replay
 
 GRAMMAR = 'E -> E "> 12" | "hours" | "value" | E "+" E\n'
 

@@ -1,8 +1,10 @@
-"""Hand-built fixtures for the worked two-variable comparison example, and
-the splice-then-solve prober that the compiled search step is checked
-against."""
+"""Hand-built fixtures for the worked two-variable comparison example, tree
+helpers for the tests, and the reference paths that fast paths are checked
+against: the splice-then-solve prober and the per-payload feature vector."""
 
 import contextlib
+
+import numpy as np
 
 from progest import constraints
 from progest.constraints import (
@@ -13,6 +15,13 @@ from progest.constraints import (
     constraints_of_application,
     constraints_of_context,
 )
+from progest.errors import ContextError
+from progest.features import (
+    context_block,
+    expression_block,
+    position_block,
+    variable_block,
+)
 from progest.grammar import (
     CreationMode,
     Grammar,
@@ -21,7 +30,7 @@ from progest.grammar import (
     derive_top_down_rules,
 )
 from progest.models import TableModel
-from progest.trees import apply_rule_with_ids
+from progest.trees import AnnotatedAst, Application, apply_rule, apply_rule_with_ids
 
 
 def classify_demo_rules(rs: RuleSet) -> dict[str, str]:
@@ -108,3 +117,60 @@ def reference_prober():
         yield
     finally:
         constraints.probe_rules = saved
+
+
+def isomorphic(a: AnnotatedAst, b: AnnotatedAst) -> bool:
+    """Structural equality ignoring node ids and origins."""
+
+    def shape(ast: AnnotatedAst, nid: int):
+        node = ast.nodes[nid]
+        return (
+            node.symbol,
+            node.annotation,
+            tuple(shape(ast, c) for c in node.children),
+        )
+
+    if a.is_empty or b.is_empty:
+        return a.is_empty and b.is_empty
+    return shape(a, a.root) == shape(b, b.root)
+
+
+def replay(rs: RuleSet, applications: list[Application]) -> AnnotatedAst:
+    """Re-run a recorded application list from the empty tree."""
+    ast = AnnotatedAst.empty()
+    for app in applications:
+        ast = apply_rule(ast, app.node, rs[app.rule])
+    return ast
+
+
+def reference_features(kind: str, payload, pipe) -> np.ndarray:
+    """One candidate's full feature vector, blocks recomputed per payload:
+    the encoding ``features.extract_features`` builds per decision."""
+    ctx_vec = context_block(payload.context, pipe)
+    if kind == "creation":
+        return np.concatenate(
+            [
+                ctx_vec,
+                variable_block(payload.variable, pipe),
+                expression_block(payload.template, pipe),
+            ]
+        )
+    if kind == "expression":
+        return np.concatenate(
+            [
+                ctx_vec,
+                variable_block(payload.chosen, pipe),
+                expression_block(payload.template, pipe),
+            ]
+        )
+    if kind == "variable":
+        return np.concatenate(
+            [
+                ctx_vec,
+                variable_block(payload.variable, pipe),
+                variable_block(payload.previous, pipe),
+                expression_block(payload.template, pipe),
+                position_block(payload.position),
+            ]
+        )
+    raise ContextError(f"unknown payload kind {kind!r}")
