@@ -12,12 +12,14 @@ right (downward expansions).
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .constraints import SignatureTable, compute_size_bounds
 from .errors import ContextError, MiniLangError, MiniTypeError
 # extract_features is bound only so that the benchmark's tracer (perfbench)
 # can wrap it under this module's name; every decision is encoded through
@@ -225,97 +227,150 @@ def _leaf_rule_tree(symbol_name: str, var_name: str, *, upward: bool) -> RuleTre
     )
 
 
+def _make_var(rule_id: int, name: str) -> RewritingRule:
+    return RewritingRule(
+        rule_id,
+        RuleKind.CREATION,
+        None,
+        _leaf_rule_tree("V1", name, upward=True),
+        key=f"make-var:{name}",
+        schema=((0, _SCHEMA_VAR), (1, _SCHEMA_VAR)),
+    )
+
+
+def _fill_slot(rule_id: int, position: int, name: str) -> RewritingRule:
+    return RewritingRule(
+        rule_id,
+        RuleKind.TOP_DOWN,
+        (nonterminal(f"V{position}"), Annotation.D),
+        _leaf_rule_tree(f"V{position}", name, upward=False),
+        key=f"var{position}:{name}",
+        schema=((0, _SCHEMA_VAR), (1, _SCHEMA_VAR)),
+    )
+
+
+def _make_expr(rule_id: int, t: Template) -> RewritingRule:
+    return RewritingRule(
+        rule_id,
+        RuleKind.CREATION,
+        None,
+        RuleTree(
+            nonterminal(EXPR_ROOT),
+            Annotation.U,
+            False,
+            tuple(RuleTree(terminal(tok)) for tok in t.tokens),
+        ),
+        key=f"make-expr:{t.key}",
+        schema=((0, _BOOLEAN),),
+    )
+
+
+def _expand(rule_id: int, t: Template) -> RewritingRule:
+    children: list[RuleTree] = []
+    schema: list[tuple[int, TypeAtom]] = [(0, _BOOLEAN)]
+    slot = 0
+    for pos, token in enumerate(t.tokens):
+        if _PLACEHOLDER_RE.match(token):
+            slot += 1
+            schema.append((pos + 1, TypeAtom(t.placeholder_types[slot - 1])))
+            if slot == 1:
+                children.append(RuleTree(nonterminal("V1"), Annotation.NONE, True))
+            else:
+                children.append(RuleTree(nonterminal(f"V{slot}"), Annotation.D))
+        else:
+            children.append(RuleTree(terminal(token)))
+    return RewritingRule(
+        rule_id,
+        RuleKind.BOTTOM_UP,
+        (nonterminal("V1"), Annotation.U),
+        RuleTree(nonterminal(EXPR_ROOT), Annotation.NONE, False, tuple(children)),
+        key=f"expr:{t.key}",
+        schema=tuple(schema),
+    )
+
+
+_FINISH = RewritingRule(
+    0,
+    RuleKind.BOTTOM_UP,
+    (nonterminal(EXPR_ROOT), Annotation.U),
+    RuleTree(nonterminal(EXPR_ROOT), Annotation.NONE, True),
+    key=f"fin:{EXPR_ROOT}",
+)
+
+
+class TemplateLayer:
+    """The part of every context's rule set that only the templates decide,
+    compiled once per template set.
+
+    A context's rule set is, in id order: a ``make-var:`` creation per
+    declared variable, a ``make-expr:`` creation per variable-free
+    template, an ``expr:`` upward expansion per template with slots
+    (anchored at its first slot), a ``varN:`` rule per later slot position
+    and variable, and the ``fin:`` rule when some template is variable-free.
+    The ``make-expr:``/``expr:``/``fin:`` rules are validated here once;
+    ``bind`` builds and validates only the variable rules.  Truncation and
+    the successor sort break ties by rule id, so the order is kept.
+
+    The size bounds of a bound set depend only on the templates and on
+    whether it has variable rules: every ``varN:`` rule costs the same
+    whatever its variable, and creations do not enter the fixpoint.  So the
+    layer holds one ``SignatureTable`` per case, with those bounds and the
+    signatures of its own rules.
+    """
+
+    def __init__(self, templates: tuple[Template, ...]) -> None:
+        if not templates:
+            raise ContextError("no templates to synthesize from")
+        self.max_arity = max(t.arity for t in templates)
+        closed = [t for t in templates if t.arity == 0]
+        open_ = [t for t in templates if t.arity > 0]
+        self._head = RuleSet(
+            [_make_expr(i, t) for i, t in enumerate(closed)]
+            + [_expand(len(closed) + i, t) for i, t in enumerate(open_)]
+        )
+        self._tail = RuleSet([_FINISH] if closed else [])
+        self._tables: dict[bool, SignatureTable] = {}
+
+    def bind(self, ctx: Context) -> RuleSet:
+        """The rule set for one context, sharing this layer's table."""
+        names = tuple(v.name for v in ctx.variables) if self.max_arity >= 1 else ()
+        return self._join(names, self._table(bool(names)))
+
+    def _table(self, with_variables: bool) -> SignatureTable:
+        table = self._tables.get(with_variables)
+        if table is None:
+            # any one variable gives the bounds of every set with variables
+            sample = self._join(("v",) if with_variables else (), None)
+            table = self._tables[with_variables] = SignatureTable(
+                [*self._head, *self._tail], compute_size_bounds(sample)
+            )
+        return table
+
+    def _join(self, names: Sequence[str], shared) -> RuleSet:
+        creations = RuleSet([_make_var(i, name) for i, name in enumerate(names)])
+        fills = [(p, name) for p in range(2, self.max_arity + 1) for name in names]
+        slots = RuleSet([_fill_slot(i, p, name) for i, (p, name) in enumerate(fills)])
+        return RuleSet.joined((creations, self._head, slots, self._tail), shared=shared)
+
+
+@functools.lru_cache(maxsize=4)
+def template_layer(templates: tuple[Template, ...]) -> TemplateLayer:
+    """The layer of a template set, memoised on the templates' values: a
+    training run and every prediction from one bundle build it once.  A
+    layer is a function of its templates, so the few it keeps are shared
+    by every caller in the process."""
+    return TemplateLayer(templates)
+
+
 def build_cond_ruleset(templates: Sequence[Template], ctx: Context) -> RuleSet:
     """Rules for synthesizing one condition in one context.
 
     Creation seeds the first variable (or a whole variable-free condition);
     each template with slots becomes an upward expansion anchored at the
-    first slot; later slots are filled by per-variable downward rules.
+    first slot; later slots are filled by per-variable downward rules.  The
+    template rules come compiled from ``template_layer``.
     """
-    if not templates:
-        raise ContextError("no templates to synthesize from")
-    rules: list[RewritingRule] = []
-    max_arity = max(t.arity for t in templates)
-
-    if max_arity >= 1:
-        for var in ctx.variables:
-            rules.append(
-                RewritingRule(
-                    len(rules),
-                    RuleKind.CREATION,
-                    None,
-                    _leaf_rule_tree("V1", var.name, upward=True),
-                    key=f"make-var:{var.name}",
-                    schema=((0, _SCHEMA_VAR), (1, _SCHEMA_VAR)),
-                )
-            )
-    for t in templates:
-        if t.arity == 0:
-            rules.append(
-                RewritingRule(
-                    len(rules),
-                    RuleKind.CREATION,
-                    None,
-                    RuleTree(
-                        nonterminal(EXPR_ROOT),
-                        Annotation.U,
-                        False,
-                        tuple(RuleTree(terminal(tok)) for tok in t.tokens),
-                    ),
-                    key=f"make-expr:{t.key}",
-                    schema=((0, _BOOLEAN),),
-                )
-            )
-    for t in templates:
-        if t.arity == 0:
-            continue
-        children: list[RuleTree] = []
-        schema: list[tuple[int, TypeAtom]] = [(0, _BOOLEAN)]
-        slot = 0
-        for pos, token in enumerate(t.tokens):
-            m = _PLACEHOLDER_RE.match(token)
-            if m:
-                slot += 1
-                schema.append((pos + 1, TypeAtom(t.placeholder_types[slot - 1])))
-                if slot == 1:
-                    children.append(RuleTree(nonterminal("V1"), Annotation.NONE, True))
-                else:
-                    children.append(RuleTree(nonterminal(f"V{slot}"), Annotation.D))
-            else:
-                children.append(RuleTree(terminal(token)))
-        rules.append(
-            RewritingRule(
-                len(rules),
-                RuleKind.BOTTOM_UP,
-                (nonterminal("V1"), Annotation.U),
-                RuleTree(nonterminal(EXPR_ROOT), Annotation.NONE, False, tuple(children)),
-                key=f"expr:{t.key}",
-                schema=tuple(schema),
-            )
-        )
-    for position in range(2, max_arity + 1):
-        for var in ctx.variables:
-            rules.append(
-                RewritingRule(
-                    len(rules),
-                    RuleKind.TOP_DOWN,
-                    (nonterminal(f"V{position}"), Annotation.D),
-                    _leaf_rule_tree(f"V{position}", var.name, upward=False),
-                    key=f"var{position}:{var.name}",
-                    schema=((0, _SCHEMA_VAR), (1, _SCHEMA_VAR)),
-                )
-            )
-    if any(t.arity == 0 for t in templates):
-        rules.append(
-            RewritingRule(
-                len(rules),
-                RuleKind.BOTTOM_UP,
-                (nonterminal(EXPR_ROOT), Annotation.U),
-                RuleTree(nonterminal(EXPR_ROOT), Annotation.NONE, True),
-                key=f"fin:{EXPR_ROOT}",
-            )
-        )
-    return RuleSet(rules)
+    return template_layer(tuple(templates)).bind(ctx)
 
 
 def build_cond_grammar(

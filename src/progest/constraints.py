@@ -12,7 +12,10 @@ its fresh nodes type-check among themselves, the type they force on the
 node the rule is applied to, and its size delta), the state's own system
 is solved once per expansion, and only the candidates that survive are
 spliced.  ``probe_rules`` gives the argument why this decides exactly what
-solving the whole system of each spliced tree decides.
+solving the whole system of each spliced tree decides.  Rules that many
+rule sets hold alike (the template rules of every context's condition rule
+set) get their signatures from a ``SignatureTable`` compiled once and
+shared by all those searches.
 """
 
 from __future__ import annotations
@@ -285,20 +288,122 @@ _ANCHOR = -1
 class _Signature:
     """What one rule does at a node with a given mark, before any splice."""
 
-    rule: RewritingRule
     fresh_ok: bool  # its fresh part type-checks among itself
     anchor_type: str | None  # the type the fresh part forces on the anchor
     size_delta: float  # fresh nodes plus the anchor at its leftover mark
+
+
+def _declared_leaves(rule: RewritingRule) -> tuple[str, ...]:
+    """The fresh leaves whose declared types a signature reads: the
+    identifier-shaped terminals of the replacement, in preorder."""
+    return tuple(
+        rt.symbol.name
+        for rt in rule.replacement.preorder()
+        if not rt.anchor and rt.symbol.is_terminal and is_variable_token(rt.symbol.name)
+    )
+
+
+def _compile(
+    rule: RewritingRule,
+    mark: Annotation | None,
+    at_root: bool,
+    var_types: Mapping[str, str] | None,
+    result_type: str | None,
+    bounds: SizeBounds | None,
+) -> _Signature:
+    """The fresh part of the system ``rule`` adds at a node marked ``mark``
+    (None: a creation on the empty tree): its schema, the declared-type pins
+    of its fresh leaves, and the result pin when it makes the root a
+    finished node.  The anchor is the variable ``_ANCHOR``."""
+    nodes = rule.replacement.preorder()
+    ids = [_ANCHOR if rt.anchor else pos for pos, rt in enumerate(nodes)]
+    # creations (mark None) have no anchor to carry a leftover mark
+    leftover = mark.without(direction_of(rule.kind)) if mark is not None else None
+    marks = [leftover if rt.anchor else rt.annotation for rt in nodes]
+    system = constraints_of_application(rule, ids)
+    var_types = var_types or {}
+    for pos, rt in enumerate(nodes):
+        declared = var_types.get(rt.symbol.name)
+        if (
+            declared is not None
+            and not rt.anchor
+            and rt.symbol.is_terminal
+            and is_variable_token(rt.symbol.name)
+        ):
+            system.append(eq_const(pos, declared))
+    if at_root and result_type is not None and not marks[0].needs_up:
+        system.append(eq_const(ids[0], result_type))
+    solver = SolverState()
+    ok = solver.push(system)
+    size = 0.0
+    if bounds is not None:
+        size = sum(bounds.of(rt.symbol.name, m) for rt, m in zip(nodes, marks))
+    return _Signature(ok, solver.resolved(_ANCHOR) if ok else None, size)
+
+
+class SignatureTable:
+    """Signatures compiled once for a fixed group of rules, shared by every
+    search over a rule set that holds those rules.
+
+    ``bounds`` are the size bounds of every rule set the table is attached
+    to (``RuleSet.joined(..., shared=table)``); whoever attaches it
+    vouches for that.  A signature is keyed on everything ``_compile``
+    reads besides the rule itself: the target's mark, whether the target
+    is the root, the result type, whether sizes are bounded (by these
+    bounds, the only ones a step with this table may carry), and the
+    declared types of the rule's identifier-shaped fresh leaves, the only
+    entries of a context's declarations it looks up.  ``_compile`` is a
+    function of the rule and these, so two searches that agree on them
+    compile the same signature and sharing it is exact.  The rule is
+    looked up by key and must equal the table's in every field but its id,
+    which is positional in each set; any other rule is left to the caller
+    to compile.
+    """
+
+    def __init__(self, rules: Iterable[RewritingRule], bounds: SizeBounds) -> None:
+        self.bounds = bounds
+        self._rules = {rule.key: rule for rule in rules}
+        self._leaves = {key: _declared_leaves(r) for key, r in self._rules.items()}
+        self._signatures: dict[tuple, _Signature] = {}
+
+    def signature(
+        self, rule: RewritingRule, mark: Annotation | None, at_root: bool,
+        step: "SearchStep",
+    ) -> _Signature | None:
+        own = self._rules.get(rule.key)
+        # ids are positional in each set; every other field must match
+        if own is None or (own.kind, own.pattern, own.replacement, own.schema) != (
+            rule.kind, rule.pattern, rule.replacement, rule.schema
+        ):
+            return None
+        declared = step.var_types or {}
+        key = (
+            rule.key,
+            mark,
+            at_root,
+            step.result_type,
+            step.bounds is not None,
+            tuple(declared.get(name) for name in self._leaves[rule.key]),
+        )
+        sig = self._signatures.get(key)
+        if sig is None:
+            sig = self._signatures[key] = _compile(
+                rule, mark, at_root, step.var_types, step.result_type, step.bounds
+            )
+        return sig
 
 
 class SearchStep:
     """The fixed inputs of every step of one search, and the rule signatures
     compiled from them.
 
-    Build one per search (or replay) and pass it to each ``feasible_rules``
-    call.  Signatures are compiled on first use and kept for the step's life,
-    keyed by rule id, the target's mark and whether the target is the root;
-    a rule that is not the one compiled under its id is compiled afresh.
+    ``SearchStep.of`` builds the one step a search (or replay) over a rule
+    set takes; pass it to each ``feasible_rules`` call.  Signatures are
+    compiled on first use and kept for the step's life, keyed by rule id,
+    the target's mark and whether the target is the root; a rule that is
+    not the one compiled under its id is compiled afresh.  A rule of the
+    ``shared`` table gets the table's signature instead, compiled at most
+    once for all the searches that agree on what it reads.
     """
 
     def __init__(
@@ -309,54 +414,55 @@ class SearchStep:
         result_type: str | None = None,
         bounds: SizeBounds | None = None,
         size_limit: int | None = None,
+        shared: SignatureTable | None = None,
     ) -> None:
+        if shared is not None and bounds is not None and bounds is not shared.bounds:
+            raise ValueError("a step with a shared table takes the table's bounds")
         self.rs = rs
         self.var_types = var_types
         self.result_type = result_type
         self.bounds = bounds
         self.size_limit = size_limit
-        self._signatures: dict[tuple[int, Annotation | None, bool], _Signature] = {}
+        self.shared = shared
+        self._signatures: dict[
+            tuple[int, Annotation | None, bool], tuple[RewritingRule, _Signature]
+        ] = {}
+
+    @classmethod
+    def of(cls, rs: RuleSet, ctx, size_limit: int | None) -> "SearchStep":
+        """The step a search over ``rs`` takes in ``ctx`` (anything with
+        ``variable_types`` and ``result_type``, or None).  Sizes are bounded
+        when ``size_limit`` is given; the bounds and signatures of
+        ``rs.shared`` are used when it has them."""
+        shared = rs.shared
+        bounds = None
+        if size_limit is not None:
+            bounds = shared.bounds if shared is not None else compute_size_bounds(rs)
+        return cls(
+            rs,
+            var_types=ctx.variable_types if ctx is not None else None,
+            result_type=ctx.result_type if ctx is not None else None,
+            bounds=bounds,
+            size_limit=size_limit,
+            shared=shared,
+        )
 
     def signature(
         self, rule: RewritingRule, mark: Annotation | None, at_root: bool
     ) -> _Signature:
         key = (rule.id, mark, at_root)
-        sig = self._signatures.get(key)
-        if sig is None or sig.rule is not rule:
-            sig = self._signatures[key] = self._compile(rule, mark, at_root)
+        hit = self._signatures.get(key)
+        if hit is not None and hit[0] is rule:
+            return hit[1]
+        sig = None
+        if self.shared is not None:
+            sig = self.shared.signature(rule, mark, at_root, self)
+        if sig is None:
+            sig = _compile(
+                rule, mark, at_root, self.var_types, self.result_type, self.bounds
+            )
+        self._signatures[key] = (rule, sig)
         return sig
-
-    def _compile(
-        self, rule: RewritingRule, mark: Annotation | None, at_root: bool
-    ) -> _Signature:
-        """The fresh part of the system ``rule`` adds at a node marked ``mark``
-        (None: a creation on the empty tree): its schema, the declared-type
-        pins of its fresh leaves, and the result pin when it makes the root
-        a finished node.  The anchor is the variable ``_ANCHOR``."""
-        nodes = rule.replacement.preorder()
-        ids = [_ANCHOR if rt.anchor else pos for pos, rt in enumerate(nodes)]
-        # creations (mark None) have no anchor to carry a leftover mark
-        leftover = mark.without(direction_of(rule.kind)) if mark is not None else None
-        marks = [leftover if rt.anchor else rt.annotation for rt in nodes]
-        system = constraints_of_application(rule, ids)
-        var_types = self.var_types or {}
-        for pos, rt in enumerate(nodes):
-            declared = var_types.get(rt.symbol.name)
-            if (
-                declared is not None
-                and not rt.anchor
-                and rt.symbol.is_terminal
-                and is_variable_token(rt.symbol.name)
-            ):
-                system.append(eq_const(pos, declared))
-        if at_root and self.result_type is not None and not marks[0].needs_up:
-            system.append(eq_const(ids[0], self.result_type))
-        solver = SolverState()
-        ok = solver.push(system)
-        size = 0.0
-        if self.bounds is not None:
-            size = sum(self.bounds.of(rt.symbol.name, m) for rt, m in zip(nodes, marks))
-        return _Signature(rule, ok, solver.resolved(_ANCHOR) if ok else None, size)
 
 
 @dataclass(frozen=True)
@@ -410,7 +516,11 @@ def probe_rules(
       without the root's result pin when the target is the root, since the
       candidate decides what the new root is;
     * the rule's fresh part, which ``SearchStep`` compiles once per rule,
-      target mark and rootedness.
+      target mark and rootedness, or takes from its shared table.  That
+      part reads nothing of the tree, only the rule, the mark, the
+      rootedness, the result type, the bounds and the declared types of
+      the rule's own identifier-shaped leaves, so a signature compiled in
+      another search that agreed on these is the same signature.
 
     Union-find classes merge only through the shared variable, so the whole
     is satisfiable exactly when both parts are and they do not force two

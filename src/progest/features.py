@@ -527,11 +527,15 @@ def extract_features(
     The context block is computed once per decision.  Creation and variable
     decisions get one row per payload.  An expression decision is a single
     classification, so it gets one row: the context and the chosen first
-    variable, which every candidate shares.
+    variable, which every candidate shares.  The payloads of a variable
+    decision share the previous variable, the template and the position
+    too (they fill one slot of one tree), so that block is also computed
+    once, from the first payload.
     """
-    ctx_vec = context_block(payloads[0].context, pipe)
+    first = payloads[0]
+    ctx_vec = context_block(first.context, pipe)
     if kind == "expression":
-        row = np.concatenate([ctx_vec, variable_block(payloads[0].chosen, pipe)])
+        row = np.concatenate([ctx_vec, variable_block(first.chosen, pipe)])
         return row[np.newaxis]
     if kind == "creation":
         tails = [
@@ -540,18 +544,21 @@ def extract_features(
             )
             for p in payloads
         ]
-    elif kind == "variable":
-        tails = [
-            np.concatenate(
-                [
-                    variable_block(p.variable, pipe),
-                    variable_block(p.previous, pipe),
-                    expression_block(p.template, pipe),
-                    position_block(p.position),
-                ]
-            )
-            for p in payloads
-        ]
-    else:
-        raise ContextError(f"unknown decision kind {kind!r}")
-    return np.hstack([np.tile(ctx_vec, (len(tails), 1)), np.stack(tails)])
+        return np.hstack([np.tile(ctx_vec, (len(tails), 1)), np.stack(tails)])
+    if kind == "variable":
+        slot = np.concatenate(
+            [
+                variable_block(first.previous, pipe),
+                expression_block(first.template, pipe),
+                position_block(first.position),
+            ]
+        )
+        n = len(payloads)
+        return np.hstack(
+            [
+                np.tile(ctx_vec, (n, 1)),
+                np.stack([variable_block(p.variable, pipe) for p in payloads]),
+                np.tile(slot, (n, 1)),
+            ]
+        )
+    raise ContextError(f"unknown decision kind {kind!r}")

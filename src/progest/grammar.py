@@ -282,27 +282,6 @@ def _split_alternatives(body: str, line_no: int) -> list[str]:
     return parts
 
 
-def serialize_grammar(g: Grammar) -> str:
-    """Render the normalized text form: one line per left hand side."""
-    lines = []
-    for lhs in g.nonterminals:
-        alts = []
-        for p in g.productions_for(lhs):
-            parts = []
-            for idx, sym in enumerate(p.rhs):
-                atom = p.rhs_atoms[idx] if p.rhs_atoms else None
-                token = str(sym)
-                if atom is not None:
-                    token += f":{atom}"
-                parts.append(token)
-            alt = " ".join(parts)
-            if p.result_atom is not None:
-                alt += f" :: {p.result_atom}"
-            alts.append(alt)
-        lines.append(f"{lhs.name} -> {' | '.join(alts)}")
-    return "\n".join(lines) + "\n"
-
-
 # --------------------------------------------------------------------------
 # rewriting rules
 
@@ -437,16 +416,37 @@ class RuleSet:
     Rules are grouped by their pattern, creation rules form one extra group;
     the groups partition the set.  Ids are reassigned positionally, keys must
     be unique.
+
+    ``shared`` holds what was compiled once for rules this set shares with
+    other sets (a ``constraints.SignatureTable``: the set's size bounds and
+    those rules' search signatures); it is None for a set that shares none,
+    and only ``joined`` sets it.
     """
 
     def __init__(self, rules: list[RewritingRule] | tuple[RewritingRule, ...]):
+        for rule in rules:
+            _validate_rule(rule)
+        self._index(rules, None)
+
+    @classmethod
+    def joined(cls, parts: "tuple[RuleSet, ...]", *, shared=None) -> "RuleSet":
+        """One set of the parts' rules, in order and renumbered.
+
+        Each part validated its rules when it was built, and a rule's
+        validity does not depend on its id, so only the keys are checked
+        again.
+        """
+        out = cls.__new__(cls)
+        out._index([rule for part in parts for rule in part.rules], shared)
+        return out
+
+    def _index(self, rules, shared) -> None:
         renumbered = []
         for idx, rule in enumerate(rules):
             if rule.id != idx:
                 rule = RewritingRule(
                     idx, rule.kind, rule.pattern, rule.replacement, rule.key, rule.schema
                 )
-            _validate_rule(rule)
             renumbered.append(rule)
         self.rules: tuple[RewritingRule, ...] = tuple(renumbered)
         keys = [r.key for r in self.rules]
@@ -459,6 +459,7 @@ class RuleSet:
             grouping.setdefault(group_key_of(rule), []).append(rule)
         self._groups = {k: tuple(v) for k, v in grouping.items()}
         self._by_key = {r.key: r for r in self.rules}
+        self.shared = shared
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -485,10 +486,7 @@ class RuleSet:
         return self._groups.get((symbol.name, direction.value), ())
 
     def merged(self, *others: "RuleSet") -> "RuleSet":
-        rules: list[RewritingRule] = list(self.rules)
-        for other in others:
-            rules.extend(other.rules)
-        return RuleSet(rules)
+        return RuleSet.joined((self, *others))
 
 
 # --------------------------------------------------------------------------

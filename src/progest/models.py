@@ -22,8 +22,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-# probe_rules is bound only so that the benchmark's tracer (perfbench) can
-# wrap it under this module's name; every probe goes through feasible_rules
+# compute_size_bounds and probe_rules are bound only so that the benchmark's
+# tracer (perfbench) can wrap them under this module's name; every step comes
+# from SearchStep.of and every probe goes through feasible_rules
 from .constraints import (
     ProbeOutcome,
     SearchStep,
@@ -497,13 +498,7 @@ def feasible_derivation(
     feasible one is the build the search can make.  None when no derivation
     survives; ``UnderivableTreeError`` when the rule set has none at all.
     """
-    step = SearchStep(
-        rs,
-        var_types=ctx.variable_types if ctx is not None else None,
-        result_type=ctx.result_type if ctx is not None else None,
-        bounds=compute_size_bounds(rs) if size_limit is not None else None,
-        size_limit=size_limit,
-    )
+    step = SearchStep.of(rs, ctx, size_limit)
     for derivation in iter_derivations(
         tree, rs, policy, max_derivations=_MAX_DERIVATIONS
     ):

@@ -17,14 +17,14 @@ keeps results reproducible across runs and processes.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from math import exp, inf, log
 from typing import Callable, Sequence
 
-# probe_rules is bound only so that the benchmark's tracer (perfbench) can
-# wrap it under this module's name; every probe goes through feasible_rules
+# compute_size_bounds and probe_rules are bound only so that the benchmark's
+# tracer (perfbench) can wrap them under this module's name; every step comes
+# from SearchStep.of and every probe goes through feasible_rules
 from .constraints import SearchStep, compute_size_bounds, feasible_rules, probe_rules
 from .errors import SearchOverflowError
 from .features import Context
@@ -33,7 +33,6 @@ from .models import feasible_derivation
 from .trees import (
     AnnotatedAst,
     Application,
-    expandable_nodes,
     is_complete,
     policy_leftmost,
     render,
@@ -42,44 +41,6 @@ from .trees import (
 
 Policy = Callable[[AnnotatedAst], tuple[int, Annotation]]
 Renderer = Callable[[AnnotatedAst], str]
-
-
-def make_hash_policy(seed: int) -> Policy:
-    """A deterministic pseudo-random node order, stable across processes.
-
-    Nodes are ranked by hashing the seed with the node's child-index path
-    from the root and the direction, so the order depends only on tree shape.
-    Nodes marked both ways may expand in either direction.
-    """
-
-    def path_of(ast: AnnotatedAst, nid: int) -> tuple[int, ...]:
-        path: list[int] = []
-        while ast.nodes[nid].parent is not None:
-            parent = ast.nodes[nid].parent  # type: ignore[assignment]
-            path.append(ast.nodes[parent].children.index(nid))
-            nid = parent
-        return tuple(reversed(path))
-
-    def policy(ast: AnnotatedAst) -> tuple[int, Annotation]:
-        best: tuple[str, int, Annotation] | None = None
-        for nid, mark in expandable_nodes(ast):
-            path = path_of(ast, nid)
-            for direction in (Annotation.U, Annotation.D):
-                if direction is Annotation.U and not mark.needs_up:
-                    continue
-                if direction is Annotation.D and not mark.needs_down:
-                    continue
-                digest = hashlib.sha256(
-                    f"{seed}|{path}|{direction.value}".encode()
-                ).hexdigest()
-                entry = (digest, nid, direction)
-                if best is None or entry < best:
-                    best = entry
-        if best is None:
-            raise ValueError("tree has no expandable node")
-        return best[1], best[2]
-
-    return policy
 
 
 # --------------------------------------------------------------------------
@@ -163,13 +124,7 @@ def beam_search(
         raise ValueError("widths must be a non-empty sequence of positive ints")
     stats = SearchStats()
     render_fn = renderer or render
-    step = SearchStep(
-        rs,
-        var_types=ctx.variable_types if ctx is not None else None,
-        result_type=ctx.result_type if ctx is not None else None,
-        bounds=compute_size_bounds(rs) if size_limit is not None else None,
-        size_limit=size_limit,
-    )
+    step = SearchStep.of(rs, ctx, size_limit)
     results: list[Candidate] = []
     # state: tree, log prob, applications so far, accumulated schema pins
     states: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
@@ -250,13 +205,7 @@ def exhaustive_search(
     """
     stats = SearchStats()
     render_fn = renderer or render
-    step = SearchStep(
-        rs,
-        var_types=ctx.variable_types if ctx is not None else None,
-        result_type=ctx.result_type if ctx is not None else None,
-        bounds=compute_size_bounds(rs) if size_limit is not None else None,
-        size_limit=size_limit,
-    )
+    step = SearchStep.of(rs, ctx, size_limit)
     results: list[Candidate] = []
     stack: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
         (AnnotatedAst.empty(), 0.0, (), ())
@@ -335,17 +284,3 @@ def program_log_probability(
         total += log(p)
     return total
 
-
-def program_probability(
-    tree: AnnotatedAst,
-    rs: RuleSet,
-    model,
-    ctx: Context | None = None,
-    *,
-    policy: Policy = policy_leftmost,
-    size_limit: int | None = None,
-) -> float:
-    lp = program_log_probability(
-        tree, rs, model, ctx, policy=policy, size_limit=size_limit
-    )
-    return exp(lp) if lp > -inf else 0.0

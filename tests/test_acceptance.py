@@ -54,7 +54,6 @@ from progest.models import TableModel
 from progest.search import (
     beam_search,
     exhaustive_search,
-    make_hash_policy,
     program_log_probability,
 )
 from progest.trees import (
@@ -66,6 +65,7 @@ from progest.trees import (
     render,
     to_sexpr,
 )
+from tests_support import make_hash_policy
 
 
 def test_criterion_01_worked_example_and_greedy_flip(worked_example):

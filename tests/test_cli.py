@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from progest.bundle import load_bundle
+from progest.bundle import load_bundle, sha256_of_file
 from progest.cli import main
 from progest.datagen import demo_context, generate_corpus, write_corpus
 from progest.features import Context, VariableInfo
@@ -193,3 +193,22 @@ def test_pca_dims_out_of_range(capsys, small_corpus, tmp_path):
               "--bundle", str(tmp_path / "x.json"), "--pca-dims", "25"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+# sha256 of `progest train --model frequency` on data/corpus.jsonl with the
+# default flags; the bundle holds only strings and integer counts, so its
+# bytes do not depend on the platform's float arithmetic
+CORPUS_FREQUENCY_BUNDLE_SHA256 = (
+    "8ecdffed42835867240ec35fa182d5f38486e9a406ccfa935e293dedbedcb9be"
+)
+
+
+def test_frequency_bundle_bytes_are_pinned(capsys, tmp_path, data_dir):
+    out_path = tmp_path / "freq.json"
+    code, _, _ = run(
+        capsys,
+        ["train", "--corpus", str(data_dir / "corpus.jsonl"),
+         "--bundle", str(out_path), "--model", "frequency"],
+    )
+    assert code == 0
+    assert sha256_of_file(str(out_path)) == CORPUS_FREQUENCY_BUNDLE_SHA256

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from progest.condsynth import (
     CorpusRecord,
@@ -18,21 +20,29 @@ from progest.condsynth import (
     render_condition,
     synthesize_condition,
     template_key,
+    template_layer,
     template_of,
     train_cond_models,
 )
+from progest.constraints import SearchStep, compute_size_bounds
 from progest.ambiguity import check_unambiguous, enumerate_complete_trees
 from progest.errors import ContextError
 from progest.features import (
     Context,
+    VariableInfo,
     context_block_length,
     extract_features,
     variable_block_length,
 )
-from progest.grammar import derive_top_down_rules
-from progest.models import feasible_derivation
+from progest.grammar import Annotation, RuleKind, derive_top_down_rules
+from progest.models import UniformModel, feasible_derivation
+from progest.search import beam_search
 from progest.trees import AnnotatedAst, apply_rule, policy_leftmost, to_sexpr
-from tests_support import reference_features, reference_prober
+from tests_support import (
+    reference_build_cond_ruleset,
+    reference_features,
+    reference_prober,
+)
 
 
 def ctx_dict(types):
@@ -189,6 +199,83 @@ def test_variable_free_templates_get_fin_rule():
 def test_build_ruleset_needs_templates():
     with pytest.raises(ContextError):
         build_cond_ruleset([], Context.simple({"a": "Int"}))
+
+
+def _marks_met(rule):
+    """Every (mark, rootedness) a search can probe ``rule`` at."""
+    if rule.kind is RuleKind.CREATION:
+        return [(None, True)]
+    return [(m, r) for m in (rule.pattern[1], Annotation.UD) for r in (True, False)]
+
+
+# identifier-shaped template tokens of the corpus among the variable names
+_NAMES = ("size", "isEmpty", "length", "count", "items", "flag", "total")
+_CLOSED = tuple(Template(template_key(toks, ()), toks, ()) for toks in (("done",), ("size",)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_layered_rule_set_matches_the_per_context_reference(corpus_records, data):
+    """Built from the shared template layer, a context's rule set equals the
+    one built and validated afresh, rule by rule; its size bounds are the
+    fresh set's, every shared signature is the one a fresh step compiles,
+    and a beam over it finds what a beam over the fresh set finds.
+    Contexts reuse the layer of earlier ones, so stale signatures show."""
+    mined = mine_templates(corpus_records)
+    picked = data.draw(st.lists(st.sampled_from(mined), min_size=1, max_size=8, unique=True))
+    closed = data.draw(st.lists(st.sampled_from(_CLOSED), max_size=2, unique=True))
+    templates = tuple(data.draw(st.permutations(picked + closed)))
+    # the picked templates' slot types, so that some instantiations type-check
+    types = sorted({ty for t in picked for ty in t.placeholder_types} | {"Int"})
+    for _ in range(data.draw(st.integers(1, 3))):
+        names = data.draw(st.lists(st.sampled_from(_NAMES), max_size=4, unique=True))
+        ctx = Context(
+            variables=tuple(
+                VariableInfo(name, data.draw(st.sampled_from(types))) for name in names
+            ),
+            result_type=data.draw(st.sampled_from(("Boolean", "Int"))),
+        )
+        size_limit = data.draw(st.sampled_from((None, 4, 30)))
+        got = build_cond_ruleset(templates, ctx)
+        want = reference_build_cond_ruleset(templates, ctx)
+
+        def fields(rs):
+            return [(r.id, r.key, r.kind, r.pattern, r.replacement, r.schema) for r in rs]
+
+        assert fields(got) == fields(want)
+        assert got.groups == want.groups
+        step = SearchStep.of(got, ctx, size_limit)
+        assert step.shared is got.shared is not None
+        fresh = SearchStep(
+            want,
+            var_types=ctx.variable_types,
+            result_type=ctx.result_type,
+            bounds=compute_size_bounds(want) if size_limit is not None else None,
+            size_limit=size_limit,
+        )
+        assert step.bounds == fresh.bounds
+        for rule, twin in zip(got, want):
+            for mark, at_root in _marks_met(rule):
+                assert step.signature(rule, mark, at_root) == fresh.signature(
+                    twin, mark, at_root
+                ), (rule.key, mark, at_root)
+        model = UniformModel()
+        beams = [
+            beam_search(rs, ctx, model, widths=(5, 40), k=20,
+                        size_limit=size_limit, anti_patterns=())
+            for rs in (got, want)
+        ]
+        assert beams[0].candidates == beams[1].candidates
+        assert beams[0].stats == beams[1].stats
+
+
+def test_template_layer_is_memoised_on_values(corpus_records):
+    templates = mine_templates(corpus_records)
+    reloaded = tuple(Template.from_dict(t.to_dict()) for t in templates)
+    assert reloaded is not templates
+    assert template_layer(reloaded) is template_layer(templates)
+    ctx = corpus_records[0].context
+    assert build_cond_ruleset(reloaded, ctx).shared is build_cond_ruleset(templates, ctx).shared
 
 
 def test_certification_bound():

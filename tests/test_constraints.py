@@ -2,6 +2,7 @@
 
 from collections import deque
 from math import inf
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gramgen import full_set, random_typed_grammar, top_down_set
 from progest.constraints import (
     SearchStep,
+    SignatureTable,
     SolverState,
     compute_size_bounds,
     constraints_of_application,
@@ -35,7 +37,6 @@ from progest.grammar import (
     load_grammar,
     nonterminal,
 )
-from progest.search import make_hash_policy
 from progest.trees import (
     AnnotatedAst,
     apply_rule,
@@ -44,7 +45,7 @@ from progest.trees import (
     policy_leftmost,
     to_sexpr,
 )
-from tests_support import reference_prober
+from tests_support import make_hash_policy, reference_prober
 
 DEMO = (
     'E -> E:Int "> 12" :: Boolean\n'
@@ -413,3 +414,79 @@ def test_step_matches_reference_prober_on_typed_grammars(
             want.constraint_pruned,
         ), where
         queue.extend((p.ast, pins + p.constraints) for p in got.kept)
+
+
+def _marks_met(rule):
+    """Every (mark, rootedness) a search can probe ``rule`` at."""
+    if rule.kind is RuleKind.CREATION:
+        return [(None, True)]
+    return [(m, r) for m in (rule.pattern[1], Annotation.UD) for r in (True, False)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["top-down", "full"]),
+    st.data(),
+)
+def test_shared_signatures_match_fresh_compiles_across_contexts(seed, rules, data):
+    """One table serves searches in several contexts over typed-leaf
+    grammars, where a leaf's declared type decides whether a rule
+    type-checks: each signature it hands out is the one a step of that
+    context alone compiles."""
+    g = random_typed_grammar(seed, typed_leaves=True)
+    rs = top_down_set(g) if rules == "top-down" else full_set(g)
+    table = SignatureTable(rs, compute_size_bounds(rs))
+    shared = RuleSet.joined((rs,), shared=table)
+    leaves = [t.name for t in g.terminals if is_variable_token(t.name)]
+    for _ in range(4):
+        ctx = SimpleNamespace(
+            variable_types={
+                name: data.draw(st.sampled_from(_TYPES))
+                for name in leaves
+                if data.draw(st.booleans())
+            },
+            result_type=data.draw(st.sampled_from((None,) + _TYPES)),
+        )
+        size_limit = data.draw(st.sampled_from([None, 5]))
+        step = SearchStep.of(shared, ctx, size_limit)
+        assert step.bounds is (table.bounds if size_limit is not None else None)
+        fresh = SearchStep(
+            rs,
+            var_types=ctx.variable_types,
+            result_type=ctx.result_type,
+            bounds=table.bounds if size_limit is not None else None,
+            size_limit=size_limit,
+        )
+        for rule in shared:
+            for mark, at_root in _marks_met(rule):
+                assert step.signature(rule, mark, at_root) == fresh.signature(
+                    rs[rule.id], mark, at_root
+                ), (rule.key, mark, at_root, ctx)
+
+
+def test_shared_table_leaves_a_rule_that_only_shares_its_key():
+    rs = full_rules(DEMO)
+    table = SignatureTable(rs, compute_size_bounds(rs))
+    rule = rs.by_key('td:E->E "> 12"')
+    step = SearchStep(rs, shared=table)
+    assert table.signature(rule, Annotation.D, True, step) is not None
+    # the same key with another schema is another rule
+    retyped = RewritingRule(
+        rule.id, rule.kind, rule.pattern, rule.replacement, rule.key,
+        ((0, TypeAtom("Str")),),
+    )
+    assert table.signature(retyped, Annotation.D, True, step) is None
+    assert step.signature(retyped, Annotation.D, True) == SearchStep(rs).signature(
+        retyped, Annotation.D, True
+    )
+
+
+def test_step_takes_the_shared_tables_bounds():
+    rs = full_rules(DEMO)
+    table = SignatureTable(rs, compute_size_bounds(rs))
+    with pytest.raises(ValueError):
+        SearchStep(rs, bounds=compute_size_bounds(rs), size_limit=5, shared=table)
+    step = SearchStep.of(RuleSet.joined((rs,), shared=table), None, 5)
+    assert step.bounds is table.bounds
+    assert SearchStep.of(rs, None, None).bounds is None

@@ -19,9 +19,10 @@ from progest.grammar import (
     group_key_of,
     load_grammar,
     nonterminal,
-    serialize_grammar,
     terminal,
 )
+from tests_support import serialize_grammar
+
 
 SIMPLE = """
 # comment line

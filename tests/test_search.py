@@ -1,6 +1,6 @@
 """Beam search, exhaustive search, and whole-tree scoring."""
 
-from math import inf, log
+from math import exp, inf, log
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +21,10 @@ from progest.search import (
     anti_pattern_check,
     beam_search,
     exhaustive_search,
-    make_hash_policy,
     program_log_probability,
-    program_probability,
 )
 from progest.trees import AnnotatedAst, apply_rule, policy_leftmost
+from tests_support import make_hash_policy
 
 
 def test_worked_example_wide_beam(worked_example):
@@ -149,7 +148,7 @@ def test_program_log_probability_worked_example(worked_example):
     best = res.candidates[0]
     lp = program_log_probability(best.ast, rules, model, size_limit=9)
     assert lp == pytest.approx(log(0.24), abs=1e-12)
-    assert program_probability(best.ast, rules, model, size_limit=9) == (
+    assert exp(program_log_probability(best.ast, rules, model, size_limit=9)) == (
         pytest.approx(0.24, abs=1e-12)
     )
 
@@ -162,7 +161,7 @@ def test_program_probability_zero_when_pruned(worked_example):
         node, _dir = policy_leftmost(ast)
         ast = apply_rule(ast, node, rules.by_key('td:E->"hours"'))
     assert program_log_probability(ast, rules, model, size_limit=9) == -inf
-    assert program_probability(ast, rules, model, size_limit=9) == 0.0
+    assert exp(program_log_probability(ast, rules, model, size_limit=9)) == 0.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,11 @@
-"""Hand-built fixtures for the worked two-variable comparison example, tree
-helpers for the tests, and the reference paths that fast paths are checked
-against: the splice-then-solve prober and the per-payload feature vector."""
+"""Hand-built fixtures for the worked two-variable comparison example, tree,
+grammar and policy helpers for the tests, and the reference paths that fast
+paths are checked against: the splice-then-solve prober, the per-payload
+feature vector and the per-context condition rule set."""
 
 import contextlib
+import hashlib
+import re
 
 import numpy as np
 
@@ -23,14 +26,27 @@ from progest.features import (
     variable_block,
 )
 from progest.grammar import (
+    Annotation,
     CreationMode,
     Grammar,
+    RewritingRule,
+    RuleKind,
     RuleSet,
+    RuleTree,
+    TypeAtom,
     derive_creation_rules,
     derive_top_down_rules,
+    nonterminal,
+    terminal,
 )
 from progest.models import TableModel
-from progest.trees import AnnotatedAst, Application, apply_rule, apply_rule_with_ids
+from progest.trees import (
+    AnnotatedAst,
+    Application,
+    apply_rule,
+    apply_rule_with_ids,
+    expandable_nodes,
+)
 
 
 def classify_demo_rules(rs: RuleSet) -> dict[str, str]:
@@ -174,3 +190,165 @@ def reference_features(kind: str, payload, pipe) -> np.ndarray:
             ]
         )
     raise ContextError(f"unknown payload kind {kind!r}")
+
+
+def serialize_grammar(g: Grammar) -> str:
+    """Render the normalized text form: one line per left hand side."""
+    lines = []
+    for lhs in g.nonterminals:
+        alts = []
+        for p in g.productions_for(lhs):
+            parts = []
+            for idx, sym in enumerate(p.rhs):
+                atom = p.rhs_atoms[idx] if p.rhs_atoms else None
+                token = str(sym)
+                if atom is not None:
+                    token += f":{atom}"
+                parts.append(token)
+            alt = " ".join(parts)
+            if p.result_atom is not None:
+                alt += f" :: {p.result_atom}"
+            alts.append(alt)
+        lines.append(f"{lhs.name} -> {' | '.join(alts)}")
+    return "\n".join(lines) + "\n"
+
+
+def make_hash_policy(seed: int):
+    """A deterministic pseudo-random node order, stable across processes.
+
+    Nodes are ranked by hashing the seed with the node's child-index path
+    from the root and the direction, so the order depends only on tree shape.
+    Nodes marked both ways may expand in either direction.
+    """
+
+    def path_of(ast: AnnotatedAst, nid: int) -> tuple[int, ...]:
+        path: list[int] = []
+        while ast.nodes[nid].parent is not None:
+            parent = ast.nodes[nid].parent
+            path.append(ast.nodes[parent].children.index(nid))
+            nid = parent
+        return tuple(reversed(path))
+
+    def policy(ast: AnnotatedAst) -> tuple[int, Annotation]:
+        best = None
+        for nid, mark in expandable_nodes(ast):
+            path = path_of(ast, nid)
+            for direction in (Annotation.U, Annotation.D):
+                if direction is Annotation.U and not mark.needs_up:
+                    continue
+                if direction is Annotation.D and not mark.needs_down:
+                    continue
+                digest = hashlib.sha256(
+                    f"{seed}|{path}|{direction.value}".encode()
+                ).hexdigest()
+                entry = (digest, nid, direction)
+                if best is None or entry < best:
+                    best = entry
+        if best is None:
+            raise ValueError("tree has no expandable node")
+        return best[1], best[2]
+
+    return policy
+
+
+_PLACEHOLDER = re.compile(r"^V(\d+)$")
+_SCHEMA_VAR = TypeAtom("a")
+_BOOLEAN = TypeAtom("Boolean")
+
+
+def _leaf_rule_tree(symbol_name: str, var_name: str, *, upward: bool) -> RuleTree:
+    mark = Annotation.U if upward else Annotation.NONE
+    return RuleTree(
+        nonterminal(symbol_name),
+        mark,
+        not upward,
+        (RuleTree(terminal(var_name)),),
+    )
+
+
+def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
+    """``condsynth.build_cond_ruleset`` the slow way: every rule of the
+    context's set built and validated afresh, in one ``RuleSet``."""
+    if not templates:
+        raise ContextError("no templates to synthesize from")
+    rules: list[RewritingRule] = []
+    max_arity = max(t.arity for t in templates)
+
+    if max_arity >= 1:
+        for var in ctx.variables:
+            rules.append(
+                RewritingRule(
+                    len(rules),
+                    RuleKind.CREATION,
+                    None,
+                    _leaf_rule_tree("V1", var.name, upward=True),
+                    key=f"make-var:{var.name}",
+                    schema=((0, _SCHEMA_VAR), (1, _SCHEMA_VAR)),
+                )
+            )
+    for t in templates:
+        if t.arity == 0:
+            rules.append(
+                RewritingRule(
+                    len(rules),
+                    RuleKind.CREATION,
+                    None,
+                    RuleTree(
+                        nonterminal("E"),
+                        Annotation.U,
+                        False,
+                        tuple(RuleTree(terminal(tok)) for tok in t.tokens),
+                    ),
+                    key=f"make-expr:{t.key}",
+                    schema=((0, _BOOLEAN),),
+                )
+            )
+    for t in templates:
+        if t.arity == 0:
+            continue
+        children: list[RuleTree] = []
+        schema: list[tuple[int, TypeAtom]] = [(0, _BOOLEAN)]
+        slot = 0
+        for pos, token in enumerate(t.tokens):
+            if _PLACEHOLDER.match(token):
+                slot += 1
+                schema.append((pos + 1, TypeAtom(t.placeholder_types[slot - 1])))
+                if slot == 1:
+                    children.append(RuleTree(nonterminal("V1"), Annotation.NONE, True))
+                else:
+                    children.append(RuleTree(nonterminal(f"V{slot}"), Annotation.D))
+            else:
+                children.append(RuleTree(terminal(token)))
+        rules.append(
+            RewritingRule(
+                len(rules),
+                RuleKind.BOTTOM_UP,
+                (nonterminal("V1"), Annotation.U),
+                RuleTree(nonterminal("E"), Annotation.NONE, False, tuple(children)),
+                key=f"expr:{t.key}",
+                schema=tuple(schema),
+            )
+        )
+    for position in range(2, max_arity + 1):
+        for var in ctx.variables:
+            rules.append(
+                RewritingRule(
+                    len(rules),
+                    RuleKind.TOP_DOWN,
+                    (nonterminal(f"V{position}"), Annotation.D),
+                    _leaf_rule_tree(f"V{position}", var.name, upward=False),
+                    key=f"var{position}:{var.name}",
+                    schema=((0, _SCHEMA_VAR), (1, _SCHEMA_VAR)),
+                )
+            )
+    if any(t.arity == 0 for t in templates):
+        rules.append(
+            RewritingRule(
+                len(rules),
+                RuleKind.BOTTOM_UP,
+                (nonterminal("E"), Annotation.U),
+                RuleTree(nonterminal("E"), Annotation.NONE, True),
+                key="fin:E",
+            )
+        )
+    return RuleSet(rules)
