@@ -28,18 +28,33 @@ from .grammar import (
 from .search import DEFAULT_ANTI_PATTERNS
 
 
-def _pca_dims(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= 20:
-        raise argparse.ArgumentTypeError("pca dims must be between 1 and 20")
-    return value
+def _ranged(cast, ok, what: str):
+    """An argparse type: ``cast`` the text and refuse it unless ``ok``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_pca_dims = _ranged(int, lambda v: 1 <= v <= 20, "between 1 and 20")
+_count = _ranged(int, lambda v: v >= 0, "0 or more")
+_positive = _ranged(int, lambda v: v >= 1, "1 or more")
+_fraction = _ranged(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
 
 def _add_search_flags(sub, *, k_default: int) -> None:
-    sub.add_argument("--k", type=int, default=k_default, help="candidates to rank")
-    sub.add_argument("--beam", type=int, default=5, help="beam width at the creation step")
-    sub.add_argument("--beam2", type=int, default=200, help="beam width at later steps")
-    sub.add_argument("--size-limit", type=int, default=30, help="max completed tree size")
+    sub.add_argument("--k", type=_count, default=k_default, help="candidates to rank")
+    sub.add_argument("--beam", type=_positive, default=5,
+                     help="beam width at the creation step")
+    sub.add_argument("--beam2", type=_positive, default=200,
+                     help="beam width at later steps")
+    sub.add_argument("--size-limit", type=_positive, default=30,
+                     help="max completed tree size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--model", choices=("frequency", "logistic"), default="frequency")
     train.add_argument("--seed", type=int, default=12345)
     train.add_argument("--pca-dims", type=_pca_dims, default=16)
-    train.add_argument("--size-limit", type=int, default=30,
+    train.add_argument("--size-limit", type=_positive, default=30,
                        help="max completed tree size")
     train.set_defaults(func=cmd_train)
 
@@ -72,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", choices=("frequency", "logistic", "uniform"),
                     default="frequency")
     ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--split", type=float, default=0.1, help="held-out fraction")
-    ev.add_argument("--repeats", type=int, default=1)
+    ev.add_argument("--split", type=_fraction, default=0.1, help="held-out fraction")
+    ev.add_argument("--repeats", type=_positive, default=1)
     ev.add_argument("--pca-dims", type=_pca_dims, default=16)
     ev.add_argument("--csv", default=None, help="also write precision rows to this CSV")
     _add_search_flags(ev, k_default=50)
@@ -81,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="certify a grammar's rule set and size bounds")
     check.add_argument("--grammar", required=True, help="grammar file")
-    check.add_argument("--bound", type=int, default=9, help="max tree size to enumerate")
+    check.add_argument("--bound", type=_positive, default=9,
+                       help="max tree size to enumerate")
     check.add_argument("--rules", choices=("topdown", "full"), default="topdown",
                        help="topdown: root creation + top-down rules; "
                             "full: adds bottom-up rules and leaf creations")

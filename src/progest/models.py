@@ -7,12 +7,13 @@ candidate.  The fitted models normalize over exactly that list; the fixture
 scenarios multiply out to predictable figures.
 
 Training data comes from replaying known-good trees with
-``feasible_derivation``, the one replay the scorer in ``search`` uses too: it
-steps through ``constraints.feasible_rules`` exactly as the search does, and
-every replay step turns into one positive instance for the applied rule and
-one negative for each feasible sibling.  With an encoder, each step a model
-core scores is also stored once as an ``EncodedDecision``: its feature rows,
-built by the same ``LogisticModel.encode`` that prediction uses.
+``feasible_derivation``, the one replay the scorer in ``search`` uses too: the
+first derivation that ``trees.iter_derivations`` yields when it steps through
+``constraints.feasible_rules`` exactly as the search does.  Every replay step
+turns into one positive instance for the applied rule and one negative for
+each feasible sibling.  With an encoder, each step a model core scores is
+also stored once as an ``EncodedDecision``: its feature rows, built by the
+same ``LogisticModel.encode`` that prediction uses.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 # tracer (perfbench) can wrap them under this module's name; every step comes
 # from SearchStep.of and every probe goes through feasible_rules
 from .constraints import (
-    ProbeOutcome,
     SearchStep,
     compute_size_bounds,
     feasible_rules,
@@ -35,7 +35,8 @@ from .constraints import (
 from .errors import UnderivableTreeError
 from .features import Context, FeaturePipeline, StepPayload, extract_features
 from .grammar import RewritingRule, RuleSet, group_key_of
-from .trees import AnnotatedAst, iter_derivations
+# iter_derivations is called by this name so that the tracer counts replays
+from .trees import AnnotatedAst, DerivationStep, iter_derivations
 
 
 def group_str(rule: RewritingRule) -> str:
@@ -468,20 +469,6 @@ StepEncoder = Callable[
 ]
 
 
-# derivations tried per tree before the replay gives up on it
-_MAX_DERIVATIONS = 50
-
-
-@dataclass(frozen=True)
-class ReplayStep:
-    """One step of a replayed build: the tree before it, what the step
-    offered there, and the index of the derivation's rule in ``outcome.kept``."""
-
-    ast: AnnotatedAst
-    outcome: ProbeOutcome
-    choice: int
-
-
 def feasible_derivation(
     tree: AnnotatedAst,
     rs: RuleSet,
@@ -489,34 +476,16 @@ def feasible_derivation(
     ctx: Context | None = None,
     *,
     size_limit: int | None = None,
-) -> list[ReplayStep] | None:
-    """Replay ``tree`` through the search step, the way the search builds it.
-
-    Derivations come in policy order; the first whose every applied rule
-    survives the typed, size-bounded step wins.  An untyped rule set can
-    derive a tree several ways that differ only in slot types, and only the
-    feasible one is the build the search can make.  None when no derivation
-    survives; ``UnderivableTreeError`` when the rule set has none at all.
-    """
+) -> list[DerivationStep]:
+    """The build of ``tree`` the search makes: the first derivation of the
+    typed walk, whose steps carry their ``outcome`` and ``choice``.  Raises
+    ``UnderivableTreeError`` when no derivation survives every step."""
     step = SearchStep.of(rs, ctx, size_limit)
-    for derivation in iter_derivations(
-        tree, rs, policy, max_derivations=_MAX_DERIVATIONS
-    ):
-        steps: list[ReplayStep] = []
-        ast = AnnotatedAst.empty()
-        pins: tuple = ()
-        for derived in derivation:
-            outcome = feasible_rules(ast, step, policy, pins)
-            rule_ids = [p.rule.id for p in outcome.kept]
-            if derived.application.rule not in rule_ids:
-                break
-            choice = rule_ids.index(derived.application.rule)
-            steps.append(ReplayStep(ast, outcome, choice))
-            ast = outcome.kept[choice].ast
-            pins = pins + outcome.kept[choice].constraints
-        else:
-            return steps
-    return None
+    return next(
+        iter_derivations(
+            tree, rs, policy, lambda ast, pins: feasible_rules(ast, step, policy, pins)
+        )
+    )
 
 
 def extract_training_set(
@@ -533,8 +502,8 @@ def extract_training_set(
     and one negative per other feasible candidate; with an ``encoder``, each
     step it gives rows for is also stored once as an ``EncodedDecision``.
     The build replayed is ``feasible_derivation``'s, the one the search
-    would make; items without one are skipped whole and reported, never
-    partially emitted.
+    would make; items without one are skipped whole with the walk's reason,
+    never partially emitted.
     """
     result = ExtractionResult()
     for item_idx, (ctx, tree) in enumerate(items):
@@ -543,9 +512,6 @@ def extract_training_set(
             steps = feasible_derivation(tree, rs, policy, ctx, size_limit=size_limit)
         except UnderivableTreeError as err:
             result.skipped.append((item_idx, str(err)))
-            continue
-        if steps is None:
-            result.skipped.append((item_idx, "no derivation survives the pruning"))
             continue
         for step_idx, step in enumerate(steps):
             outcome = step.outcome

@@ -8,8 +8,8 @@ repeats, so ``(5, 200)`` means a tight first pick and a wide tail.
 
 Every expansion is one call of ``constraints.feasible_rules``: the policy's
 node, its rule group, and the typed, size-bounded probe.  The scorer replays
-a known tree through the same step (``models.feasible_derivation``), so it
-gives each tree the probability the search gives it.
+the search's build of a known tree, the first derivation of the typed walk
+(``models.feasible_derivation``), so it gives each tree the search's probability.
 
 All tie-breaking is total and value-based (never by node identity), which
 keeps results reproducible across runs and processes.
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 # tracer (perfbench) can wrap them under this module's name; every step comes
 # from SearchStep.of and every probe goes through feasible_rules
 from .constraints import SearchStep, compute_size_bounds, feasible_rules, probe_rules
-from .errors import SearchOverflowError
+from .errors import SearchOverflowError, UnderivableTreeError
 from .features import Context
 from .grammar import Annotation, RuleSet
 from .models import feasible_derivation
@@ -269,11 +269,12 @@ def program_log_probability(
 
     Replays ``models.feasible_derivation`` and multiplies the model's scores
     over the candidates each step offers, so a tree the search outputs gets
-    the probability the search gave it.  Comes back ``-inf`` when no build
-    survives the pruning or some step of it is scored zero.
+    the probability the search gave it.  Comes back ``-inf`` when the search
+    cannot build the tree or some step of its build is scored zero.
     """
-    steps = feasible_derivation(tree, rs, policy, ctx, size_limit=size_limit)
-    if steps is None:
+    try:
+        steps = feasible_derivation(tree, rs, policy, ctx, size_limit=size_limit)
+    except UnderivableTreeError:
         return -inf
     total = 0.0
     for step in steps:

@@ -11,11 +11,15 @@ inherits the matched node's id, its subtree, and whatever mark is left after
 consuming the expansion direction.  For a plain top-down rule (anchor at the
 root) that collapses to "keep the node, add children"; for a bottom-up rule
 it hangs the old root under a new one.
+
+``iter_derivations`` is the one walk over a finished tree's derivations:
+untyped for the certifier, or typed through a search step for the replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ApplyError, IncompleteTreeError, UnderivableTreeError
 from .grammar import (
@@ -26,6 +30,9 @@ from .grammar import (
     RuleTree,
     Symbol,
 )
+
+if TYPE_CHECKING:  # constraints imports this module
+    from .constraints import ProbeOutcome
 
 
 @dataclass(frozen=True)
@@ -278,15 +285,32 @@ class DerivationStep:
     direction: Annotation | None  # None for creation
     target_node: int | None  # id in the target tree; None for creation
     introduced: tuple[int, ...]  # target ids matched by fresh replacement nodes
+    ast: AnnotatedAst  # the tree before the step
+    # typed walks only: what the step offered, and the applied rule's index
+    outcome: ProbeOutcome | None = None
+    choice: int | None = None
 
 
-def _ancestor(ast: AnnotatedAst, nid: int, depth: int) -> int | None:
-    current: int | None = nid
-    for _ in range(depth):
-        if current is None:
-            return None
-        current = ast.nodes[current].parent
-    return current
+def _root_match(
+    target: AnnotatedAst, node: AstNode, tid: int, rule: RewritingRule
+) -> tuple[int, ...]:
+    """Where the replacement root of ``rule`` lands in ``target`` when its
+    anchor lands on ``tid``: one target id, or none where it may not land."""
+    root_tid: int | None = tid
+    for _ in rule.anchor_path() or ():
+        root_tid = target.nodes[root_tid].parent  # type: ignore[index]
+        if root_tid is None:
+            return ()
+    if node.parent is None:
+        # the splice result replaces the tree root here; once it can no
+        # longer grow upward it must already map to the target root
+        if rule.replacement.anchor:
+            still_up = node.annotation.without(rule.pattern[1]).needs_up  # type: ignore[index]
+        else:
+            still_up = rule.replacement.annotation.needs_up
+        if not still_up and root_tid != target.root:
+            return ()
+    return (root_tid,)
 
 
 def _match_replacement(
@@ -342,94 +366,80 @@ def iter_derivations(
     target: AnnotatedAst,
     rs: RuleSet,
     policy,
-    max_derivations: int | None = None,
+    step: Callable[[AnnotatedAst, tuple], ProbeOutcome] | None = None,
 ):
-    """Yield every application sequence of ``rs`` that builds ``target``.
+    """Yield every derivation of ``target`` by ``rs``, depth first, as lists
+    of ``DerivationStep``; replaying one from an empty tree rebuilds
+    ``target`` up to node ids.  ``policy`` picks the node at each state.
 
-    Node choice follows ``policy``, so sequences differ only in which rules
-    were picked, never in visit order.  Each yielded item is a list of
-    ``DerivationStep``; replaying the contained applications from an empty
-    tree reproduces ``target`` up to node ids.
+    Untyped (no ``step``), each rule of the node's group is matched against
+    ``target`` before it is spliced.  ``step(tree, pins)`` returns what the
+    search step over ``rs`` keeps there, as ``constraints.feasible_rules``
+    does; the typed walk matches only those probes, reuses their splices and
+    carries their pins.  They are a subsequence of the same group, so it
+    yields the untyped derivations whose every step survives, in the same
+    order: the first is the search's build.  Raises ``UnderivableTreeError``
+    when the walk yields nothing.
     """
     if not is_complete(target):
         raise IncompleteTreeError("derivations need a finished target tree")
-
+    order = target.preorder()
     produced = 0
     stuck: list[tuple[int, str]] = []
 
-    def walk(ast: AnnotatedAst, mapping: dict[int, int], steps: list[DerivationStep]):
+    def walk(ast: AnnotatedAst, mapping: dict[int, int], steps: list, pins: tuple):
         nonlocal produced
-        if max_derivations is not None and produced >= max_derivations:
-            return
-        if ast.is_empty:
-            for rule in rs.creation_rules:
-                for tid in target.preorder():
-                    matched = _match_replacement(rule, target, tid, None)
-                    if matched is None:
-                        continue
-                    new_ast, ids = apply_rule_with_ids(ast, None, rule)
-                    new_mapping = {ids[pos]: t for pos, t in matched}
-                    step = DerivationStep(
-                        Application(None, rule.id),
-                        None,
-                        None,
-                        tuple(t for _, t in matched),
-                    )
-                    yield from walk(new_ast, new_mapping, steps + [step])
-            if not rs.creation_rules:
-                stuck.append((0, "no creation rules"))
-            return
         if is_complete(ast):
             if mapping[ast.root] == target.root:
                 produced += 1
                 yield steps
             return
-        node_id, direction = policy(ast)
-        node = ast.nodes[node_id]
-        tid = mapping[node_id]
-        candidates = rs.rules_for(node.symbol, direction)
+        outcome = node = tid = None
+        if step is not None:
+            outcome = step(ast, pins)
+            node_id = outcome.target
+            rules = [p.rule for p in outcome.kept]
+        elif ast.is_empty:
+            node_id, rules = None, rs.creation_rules
+        else:
+            node_id, direction = policy(ast)
+            rules = rs.rules_for(ast.nodes[node_id].symbol, direction)
+        if node_id is not None:
+            node, tid = ast.nodes[node_id], mapping[node_id]
         progressed = False
-        for rule in candidates:
-            depth = len(rule.anchor_path() or ())
-            root_tid = _ancestor(target, tid, depth)
-            if root_tid is None:
-                continue
-            if node.parent is None:
-                # the splice result replaces the tree root here; once it can
-                # no longer grow upward it must already map to the target root
-                if rule.replacement.anchor:
-                    still_up = node.annotation.without(direction).needs_up
-                else:
-                    still_up = rule.replacement.annotation.needs_up
-                if not still_up and root_tid != target.root:
+        for choice, rule in enumerate(rules):
+            for root_tid in order if node is None else _root_match(target, node, tid, rule):
+                matched = _match_replacement(rule, target, root_tid, tid)
+                if matched is None:
                     continue
-            matched = _match_replacement(rule, target, root_tid, tid)
-            if matched is None:
-                continue
-            new_ast, ids = apply_rule_with_ids(ast, node_id, rule)
-            new_mapping = dict(mapping)
-            fresh: list[int] = []
-            ok = True
-            for pos, t in matched:
-                rid = ids[pos]
-                if rid in new_mapping:
-                    if new_mapping[rid] != t:
-                        ok = False
+                if outcome is None:
+                    new_ast, ids = apply_rule_with_ids(ast, node_id, rule)
+                    new_pins, chosen = pins, None
+                else:
+                    probe = outcome.kept[choice]
+                    new_ast, ids = probe.ast, probe.ids
+                    new_pins, chosen = pins + probe.constraints, choice
+                new_mapping = dict(mapping)
+                fresh: list[int] = []
+                for pos, t in matched:
+                    if ids[pos] not in new_mapping:
+                        new_mapping[ids[pos]] = t
+                        fresh.append(t)
+                    elif new_mapping[ids[pos]] != t:
                         break
                 else:
-                    new_mapping[rid] = t
-                    fresh.append(t)
-            if not ok:
-                continue
-            progressed = True
-            step = DerivationStep(
-                Application(node_id, rule.id), direction, tid, tuple(fresh)
-            )
-            yield from walk(new_ast, new_mapping, steps + [step])
+                    progressed = True
+                    taken = DerivationStep(
+                        Application(node_id, rule.id),
+                        rule.pattern[1] if rule.pattern else None,
+                        tid, tuple(fresh), ast, outcome, chosen,
+                    )
+                    yield from walk(new_ast, new_mapping, steps + [taken], new_pins)
         if not progressed:
-            stuck.append((len(steps), f"node {tid} ({node.symbol})"))
+            where = "the empty tree" if node is None else f"node {tid} ({node.symbol})"
+            stuck.append((len(steps), where))
 
-    yield from walk(AnnotatedAst.empty(), {}, [])
+    yield from walk(AnnotatedAst.empty(), {}, [], ())
     if produced == 0:
-        detail = max(stuck)[1] if stuck else "empty rule set"
-        raise UnderivableTreeError(f"tree is not derivable; stuck at {detail}")
+        what = "tree is not derivable" if step is None else "no derivation survives the step"
+        raise UnderivableTreeError(what + (f"; stuck at {max(stuck)[1]}" if stuck else ""))

@@ -13,6 +13,7 @@ Three families:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from progest.grammar import (
     CreationMode,
@@ -201,6 +202,38 @@ def spine_set(g: Grammar, seed_terminal: Symbol) -> RuleSet:
     for rule in derive_creation_rules(g, [CreationMode.LEAF]):
         if rule.key == f"make-leaf:{seed_terminal.name}":
             rules.append(rule)
+    return RuleSet(rules)
+
+
+def with_overloads(rs: RuleSet, seed: int) -> RuleSet:
+    """``rs`` plus, for about half of its rules with a typed slot, a twin that
+    differs only in the type constants of its schema (key suffixed ``'``),
+    placed just before or just after the rule in its group.
+
+    A tree then has derivations that differ only in slot types, as the
+    condition rules compiled from corpus templates do, and whether the first
+    of them survives typing is up to the types.
+    """
+    rng = random.Random(seed * 7919)
+    types = sorted(
+        {a.name for r in rs for _, a in r.schema if not a.is_schema_var}
+    )
+    rules: list = []
+    for rule in rs:
+        twin = None
+        if rng.random() < 0.5:
+            schema = tuple(
+                (pos, a if a.is_schema_var else TypeAtom(rng.choice(types)))
+                for pos, a in rule.schema
+            )
+            if schema != rule.schema:
+                twin = replace(rule, key=rule.key + "'", schema=schema)
+        if twin is None:
+            rules.append(rule)
+        elif rng.random() < 0.5:
+            rules += [twin, rule]
+        else:
+            rules += [rule, twin]
     return RuleSet(rules)
 
 

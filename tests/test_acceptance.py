@@ -91,11 +91,10 @@ def _derivable_pool(g, rs, bound, cap=60):
     pool = []
     for tree in islice(enumerate_complete_trees(g, bound), 3000):
         try:
-            for _ in iter_derivations(tree, rs, policy_leftmost, max_derivations=1):
-                pool.append(tree)
-                break
+            next(iter_derivations(tree, rs, policy_leftmost))
         except UnderivableTreeError:
             continue
+        pool.append(tree)
         if len(pool) >= cap:
             break
     return pool

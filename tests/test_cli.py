@@ -195,6 +195,36 @@ def test_pca_dims_out_of_range(capsys, small_corpus, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("predict", "--beam", "0"),
+        ("predict", "--beam2", "0"),
+        ("predict", "--k", "-1"),
+        ("predict", "--size-limit", "-3"),
+        ("train", "--size-limit", "0"),
+        ("eval", "--repeats", "0"),
+        ("eval", "--split", "1.5"),
+        ("eval", "--split", "0"),
+        ("check", "--bound", "0"),
+        ("check", "--bound", "-1"),
+    ],
+)
+def test_out_of_range_numbers_are_exit_2(capsys, data_dir, command, flag, value):
+    demo = data_dir / "demo"
+    required = {
+        "predict": [str(demo / "demo_context.json"),
+                    "--bundle", str(demo / "demo_bundle.json")],
+        "train": ["--corpus", str(data_dir / "corpus.jsonl"), "--bundle", "unused.json"],
+        "eval": ["--corpus", str(data_dir / "corpus.jsonl")],
+        "check": ["--grammar", str(demo / "demo_grammar.txt")],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *required, flag, value])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 # sha256 of `progest train --model frequency` on data/corpus.jsonl with the
 # default flags; the bundle holds only strings and integer counts, so its
 # bytes do not depend on the platform's float arithmetic

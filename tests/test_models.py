@@ -1,15 +1,26 @@
 """Probability models: table lookup, smoothed counts, logistic cores."""
 
+from itertools import islice
+from math import inf
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramgen import full_set, random_typed_grammar, with_overloads
+from progest.ambiguity import enumerate_complete_trees
+from progest.condsynth import build_cond_ruleset, mine_templates, record_tree
+from progest.constraints import is_variable_token
+from progest.errors import UnderivableTreeError
 from progest.grammar import (
     CreationMode,
     derive_creation_rules,
     derive_top_down_rules,
     load_grammar,
+    nonterminal,
+    terminal,
 )
 from progest.models import (
     BinaryLogisticCore,
@@ -19,9 +30,19 @@ from progest.models import (
     TrainingInstance,
     UniformModel,
     extract_training_set,
+    feasible_derivation,
     group_str,
 )
-from progest.trees import AnnotatedAst, apply_rule, policy_leftmost
+from progest.search import program_log_probability
+from progest.trees import (
+    AnnotatedAst,
+    Application,
+    apply_rule,
+    build_complete_ast,
+    iter_derivations,
+    policy_leftmost,
+)
+from tests_support import make_hash_policy, reference_feasible_derivation
 
 GRAMMAR = 'E -> E "> 12" | "hours" | "value"\n'
 
@@ -237,3 +258,109 @@ def test_extraction_labels_every_step(rules):
     assert {i.label for i in positives} == {
         "make-root:E", 'td:E->E "> 12"', 'td:E->"hours"',
     }
+
+
+def test_tree_without_a_build_scores_minus_inf_and_is_skipped(rules, rooted):
+    """One outcome for a tree the rules cannot derive: the walk raises, the
+    scorer gives -inf and extraction skips the item whole with the walk's
+    message."""
+    stray = build_complete_ast((nonterminal("E"), [(terminal("minutes"), [])]))
+    with pytest.raises(UnderivableTreeError) as err:
+        feasible_derivation(stray, rules, policy_leftmost)
+    assert program_log_probability(stray, rules, UniformModel()) == -inf
+    hours = apply_rule(rooted, rooted.root, rules.by_key('td:E->"hours"'))
+    result = extract_training_set(
+        [(None, stray), (None, hours)], rules, policy_leftmost
+    )
+    assert result.skipped == [(0, str(err.value))]
+    assert {a.item for a in result.steps_audited} == {1}
+
+
+def _assert_same_replay(got, want):
+    """Step by step: the tree before, target, kept rule ids, pruned counts,
+    choice and the pins the step was probed under."""
+    assert len(got) == len(want)
+    pins = ()
+    for step, (ast, outcome, choice, want_pins) in zip(got, want):
+        assert step.ast == ast
+        assert step.outcome.target == outcome.target
+        assert [p.rule.id for p in step.outcome.kept] == [
+            p.rule.id for p in outcome.kept
+        ]
+        assert (step.outcome.size_pruned, step.outcome.constraint_pruned) == (
+            outcome.size_pruned,
+            outcome.constraint_pruned,
+        )
+        assert step.choice == choice
+        assert step.application == Application(
+            outcome.target, outcome.kept[choice].rule.id
+        )
+        assert pins == want_pins
+        pins = pins + step.outcome.kept[step.choice].constraints
+
+
+_TYPES = ("Int", "Str", "Bool")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.sampled_from([None, 5, 7]),
+    st.booleans(),
+    st.data(),
+)
+def test_typed_walk_matches_the_restarting_replay(seed, middle, size_limit, hashed, data):
+    """The first derivation of the typed walk is the replay that restarts on
+    each untyped derivation until one survives typing.  Overloaded rules
+    (twins that differ only in slot types) give trees several derivations
+    that differ only in types, and often the first fails typing.  Where the
+    restarting replay finds nothing, the walk raises."""
+    g = random_typed_grammar(seed, typed_leaves=True)
+    rs = full_set(g)
+    if middle:
+        rs = rs.merged(derive_creation_rules(g, [CreationMode.MIDDLE]))
+    rs = with_overloads(rs, seed)
+    ctx = SimpleNamespace(
+        variable_types={
+            t.name: data.draw(st.sampled_from(_TYPES))
+            for t in g.terminals
+            if is_variable_token(t.name) and data.draw(st.booleans())
+        },
+        result_type=data.draw(st.sampled_from((None,) + _TYPES)),
+    )
+    policy = make_hash_policy(seed) if hashed else policy_leftmost
+    pool = list(islice(enumerate_complete_trees(g, 7), 60))
+    picks = data.draw(
+        st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=8, unique=True)
+    )
+    for tree in (pool[i] for i in picks):
+        want = reference_feasible_derivation(
+            tree, rs, policy, ctx, size_limit=size_limit
+        )
+        if want is None:
+            with pytest.raises(UnderivableTreeError):
+                feasible_derivation(tree, rs, policy, ctx, size_limit=size_limit)
+        else:
+            got = feasible_derivation(tree, rs, policy, ctx, size_limit=size_limit)
+            _assert_same_replay(got, want)
+
+
+def test_typed_walk_replays_the_corpus_as_the_restarting_replay(corpus_records):
+    """Every corpus item replays identically through the typed walk and the
+    restarting replay, at training settings; on some the first untyped
+    derivation fails typing."""
+    templates = mine_templates(corpus_records)
+    restarted = 0
+    for record in corpus_records:
+        ctx = record.context
+        rs = build_cond_ruleset(templates, ctx)
+        tree = record_tree(record)
+        want = reference_feasible_derivation(
+            tree, rs, policy_leftmost, ctx, size_limit=30
+        )
+        got = feasible_derivation(tree, rs, policy_leftmost, ctx, size_limit=30)
+        _assert_same_replay(got, want)
+        first = next(iter_derivations(tree, rs, policy_leftmost))
+        restarted += [s.application for s in first] != [s.application for s in got]
+    assert restarted > 0

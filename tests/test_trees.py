@@ -181,14 +181,6 @@ def test_iter_derivations_counts_routes(rules):
         assert isomorphic(rebuilt, target)
 
 
-def test_iter_derivations_max_cap(rules):
-    target = build_top_down(rules, ["make-root:E", 'td:E->E "> 12"', 'td:E->"hours"'])
-    derivations = list(
-        iter_derivations(target, rules, policy_leftmost, max_derivations=1)
-    )
-    assert len(derivations) == 1
-
-
 def test_iter_derivations_requires_complete(rules):
     partial = build_top_down(rules, ["make-root:E", 'td:E->E "> 12"'])
     with pytest.raises(IncompleteTreeError):

@@ -1,7 +1,8 @@
 """Hand-built fixtures for the worked two-variable comparison example, tree,
 grammar and policy helpers for the tests, and the reference paths that fast
-paths are checked against: the splice-then-solve prober, the per-payload
-feature vector and the per-context condition rule set."""
+paths are checked against: the splice-then-solve prober, the restarting
+typed replay, the per-payload feature vector and the per-context condition
+rule set."""
 
 import contextlib
 import hashlib
@@ -17,8 +18,9 @@ from progest.constraints import (
     SolverState,
     constraints_of_application,
     constraints_of_context,
+    feasible_rules,
 )
-from progest.errors import ContextError
+from progest.errors import ContextError, UnderivableTreeError
 from progest.features import (
     context_block,
     expression_block,
@@ -46,6 +48,7 @@ from progest.trees import (
     apply_rule,
     apply_rule_with_ids,
     expandable_nodes,
+    iter_derivations,
 )
 
 
@@ -133,6 +136,37 @@ def reference_prober():
         yield
     finally:
         constraints.probe_rules = saved
+
+
+def reference_feasible_derivation(tree, rs, policy, ctx=None, *, size_limit=None):
+    """``models.feasible_derivation`` the slow way: restart a typed replay
+    from the empty tree on each untyped derivation, in policy order, until
+    one survives every step.
+
+    Returns one ``(tree before, outcome, choice, pins)`` per step, where
+    ``pins`` is the base system the step was probed under, or None when no
+    derivation survives or there is none.
+    """
+    step = SearchStep.of(rs, ctx, size_limit)
+    try:
+        for derivation in iter_derivations(tree, rs, policy):
+            steps = []
+            ast = AnnotatedAst.empty()
+            pins = ()
+            for derived in derivation:
+                outcome = feasible_rules(ast, step, policy, pins)
+                rule_ids = [p.rule.id for p in outcome.kept]
+                if derived.application.rule not in rule_ids:
+                    break
+                choice = rule_ids.index(derived.application.rule)
+                steps.append((ast, outcome, choice, pins))
+                ast = outcome.kept[choice].ast
+                pins = pins + outcome.kept[choice].constraints
+            else:
+                return steps
+    except UnderivableTreeError:
+        pass
+    return None
 
 
 def isomorphic(a: AnnotatedAst, b: AnnotatedAst) -> bool:
