@@ -215,7 +215,10 @@ def cmd_check(args) -> int:
     report = check_unambiguous(rs, grammar, max_nodes=args.bound)
     bounds = compute_size_bounds(rs)
     print(f"rules: {len(rs)} ({args.rules})")
-    if report.unambiguous:
+    if report.trees_checked == 0:
+        print(f"nothing certified (bound {report.max_nodes}): "
+              "no tree is within the bound")
+    elif report.unambiguous:
         print(f"unambiguous (bound {report.max_nodes})")
     else:
         w = report.witness
@@ -231,7 +234,7 @@ def cmd_check(args) -> int:
     for name in sorted(set(bounds.down) | set(bounds.up)):
         print(f"  {name}^D = {_fmt_bound(bounds.down.get(name, float('inf')))}")
         print(f"  {name}^U = {_fmt_bound(bounds.up.get(name, float('inf')))}")
-    return 0 if report.unambiguous else 1
+    return 0 if report.unambiguous and report.trees_checked > 0 else 1
 
 
 def main(argv=None) -> int:

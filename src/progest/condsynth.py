@@ -314,8 +314,14 @@ class TemplateLayer:
     The size bounds of a bound set depend only on the templates and on
     whether it has variable rules: every ``varN:`` rule costs the same
     whatever its variable, and creations do not enter the fixpoint.  So the
-    layer holds one ``SignatureTable`` per case, with those bounds and the
-    signatures of its own rules.
+    layer holds one ``SignatureTable`` per case, with those bounds, and
+    every set it binds in that case reads all its signatures there, the
+    variable rules' too.  The table's promise holds because every rule the
+    layer makes is built from the content of its own key: a ``make-var:``
+    or ``varN:`` key names the slot and the variable, a ``make-expr:`` or
+    ``expr:`` key the template, and ``fin:`` is one fixed rule.  So a
+    variable rule's signatures are compiled once per process, not once per
+    search.
     """
 
     def __init__(self, templates: tuple[Template, ...]) -> None:
@@ -342,7 +348,7 @@ class TemplateLayer:
             # any one variable gives the bounds of every set with variables
             sample = self._join(("v",) if with_variables else (), None)
             table = self._tables[with_variables] = SignatureTable(
-                [*self._head, *self._tail], compute_size_bounds(sample)
+                compute_size_bounds(sample)
             )
         return table
 
@@ -676,7 +682,10 @@ def evaluate_topk(
 ) -> EvalReport:
     """Held-out ranking accuracy, averaged over seeded shuffles.
 
-    A test condition whose template was never mined from the training split
+    Precision is reported at cutoffs 1, 10 and ``k`` (``k`` = 0 adds none),
+    and each search ranks as many candidates as the largest cutoff, so a
+    cutoff never counts from fewer candidates than it names.  A test
+    condition whose template was never mined from the training split
     cannot be produced at all; it counts as a miss at every cutoff and goes
     into ``unreachable``.
     """
@@ -684,7 +693,7 @@ def evaluate_topk(
 
     if not records:
         raise ContextError("empty corpus")
-    cutoffs = sorted({1, 10, k})
+    cutoffs = sorted({1, 10, k} - {0})
     totals = {c: 0.0 for c in cutoffs}
     solved = {c: 0 for c in cutoffs}
     unreachable_total = 0
@@ -723,7 +732,7 @@ def evaluate_topk(
                 record.context,
                 trained.templates,
                 trained.model,
-                k=k,
+                k=cutoffs[-1],
                 widths=widths,
                 size_limit=size_limit,
             )

@@ -6,16 +6,17 @@ concrete type names; a candidate rule application survives only if the
 combined system stays satisfiable.  Satisfiability is an equality-only
 problem, so a union-find with constant tracking decides it exactly.
 
-A search step decides each candidate before it splices anything: a
-``SearchStep`` compiles each rule it meets once into a signature (whether
-its fresh nodes type-check among themselves, the type they force on the
-node the rule is applied to, and its size delta), the state's own system
-is solved once per expansion, and only the candidates that survive are
-spliced.  ``probe_rules`` gives the argument why this decides exactly what
-solving the whole system of each spliced tree decides.  Rules that many
-rule sets hold alike (the template rules of every context's condition rule
-set) get their signatures from a ``SignatureTable`` compiled once and
-shared by all those searches.
+A search step decides each candidate before it splices anything: the
+``SearchStep`` of a search reads each rule's signature (whether its fresh
+nodes type-check among themselves, the type they force on the node the rule
+is applied to, and its size delta) from one ``SignatureTable``, which
+compiles it on first use, the state's own system is solved once per
+expansion, and only the candidates that survive are spliced.
+``probe_rules`` gives the argument why this decides exactly what solving
+the whole system of each spliced tree decides.  The table is keyed on
+values, so the condition rule sets of every context share one and a
+signature is compiled once for all the searches that agree on what it
+reads.
 """
 
 from __future__ import annotations
@@ -293,23 +294,18 @@ class _Signature:
     size_delta: float  # fresh nodes plus the anchor at its leftover mark
 
 
-def _declared_leaves(rule: RewritingRule) -> tuple[str, ...]:
-    """The fresh leaves whose declared types a signature reads: the
-    identifier-shaped terminals of the replacement, in preorder."""
+def _declared_leaves(rule: RewritingRule) -> tuple[tuple[int, str], ...]:
+    """The fresh leaves whose declared types a signature reads: the preorder
+    positions and names of the replacement's identifier-shaped terminals."""
     return tuple(
-        rt.symbol.name
-        for rt in rule.replacement.preorder()
+        (pos, rt.symbol.name)
+        for pos, rt in enumerate(rule.replacement.preorder())
         if not rt.anchor and rt.symbol.is_terminal and is_variable_token(rt.symbol.name)
     )
 
 
 def _compile(
-    rule: RewritingRule,
-    mark: Annotation | None,
-    at_root: bool,
-    var_types: Mapping[str, str] | None,
-    result_type: str | None,
-    bounds: SizeBounds | None,
+    rule: RewritingRule, mark: Annotation | None, at_root: bool, step: "SearchStep"
 ) -> _Signature:
     """The fresh part of the system ``rule`` adds at a node marked ``mark``
     (None: a creation on the empty tree): its schema, the declared-type pins
@@ -321,148 +317,97 @@ def _compile(
     leftover = mark.without(direction_of(rule.kind)) if mark is not None else None
     marks = [leftover if rt.anchor else rt.annotation for rt in nodes]
     system = constraints_of_application(rule, ids)
-    var_types = var_types or {}
-    for pos, rt in enumerate(nodes):
-        declared = var_types.get(rt.symbol.name)
-        if (
-            declared is not None
-            and not rt.anchor
-            and rt.symbol.is_terminal
-            and is_variable_token(rt.symbol.name)
-        ):
+    for pos, name in _declared_leaves(rule):
+        declared = step.var_types.get(name)
+        if declared is not None:
             system.append(eq_const(pos, declared))
-    if at_root and result_type is not None and not marks[0].needs_up:
-        system.append(eq_const(ids[0], result_type))
+    if at_root and step.result_type is not None and not marks[0].needs_up:
+        system.append(eq_const(ids[0], step.result_type))
     solver = SolverState()
     ok = solver.push(system)
     size = 0.0
-    if bounds is not None:
-        size = sum(bounds.of(rt.symbol.name, m) for rt, m in zip(nodes, marks))
+    if step.bounds is not None:
+        size = sum(step.bounds.of(rt.symbol.name, m) for rt, m in zip(nodes, marks))
     return _Signature(ok, solver.resolved(_ANCHOR) if ok else None, size)
 
 
 class SignatureTable:
-    """Signatures compiled once for a fixed group of rules, shared by every
-    search over a rule set that holds those rules.
+    """Rule signatures, compiled once and shared by every search over a rule
+    set the table is attached to (``RuleSet.joined(..., shared=table)``).
 
-    ``bounds`` are the size bounds of every rule set the table is attached
-    to (``RuleSet.joined(..., shared=table)``); whoever attaches it
-    vouches for that.  A signature is keyed on everything ``_compile``
-    reads besides the rule itself: the target's mark, whether the target
-    is the root, the result type, whether sizes are bounded (by these
-    bounds, the only ones a step with this table may carry), and the
-    declared types of the rule's identifier-shaped fresh leaves, the only
-    entries of a context's declarations it looks up.  ``_compile`` is a
-    function of the rule and these, so two searches that agree on them
-    compile the same signature and sharing it is exact.  The rule is
-    looked up by key and must equal the table's in every field but its id,
-    which is positional in each set; any other rule is left to the caller
-    to compile.
+    ``bounds`` are the size bounds of every such set.  A signature is keyed
+    on the rule's key and on everything else ``_compile`` reads: the
+    target's mark, whether the target is the root, the result type, whether
+    sizes are bounded (by these bounds, the ones every step with this table
+    carries), and the declared types of the rule's identifier-shaped fresh
+    leaves, the only entries of a context's declarations it looks up.
+    Whoever attaches the table promises that a key names one rule, up to
+    its positional id, in every set it is attached to; ``_compile`` is a
+    function of the rule and the rest of the key, so two searches that
+    agree on the key compile the same signature and sharing it is exact.
     """
 
-    def __init__(self, rules: Iterable[RewritingRule], bounds: SizeBounds) -> None:
+    def __init__(self, bounds: SizeBounds | None) -> None:
         self.bounds = bounds
-        self._rules = {rule.key: rule for rule in rules}
-        self._leaves = {key: _declared_leaves(r) for key, r in self._rules.items()}
+        # the names of each key's declared leaves
+        self._leaves: dict[str, tuple[str, ...]] = {}
         self._signatures: dict[tuple, _Signature] = {}
 
     def signature(
         self, rule: RewritingRule, mark: Annotation | None, at_root: bool,
         step: "SearchStep",
-    ) -> _Signature | None:
-        own = self._rules.get(rule.key)
-        # ids are positional in each set; every other field must match
-        if own is None or (own.kind, own.pattern, own.replacement, own.schema) != (
-            rule.kind, rule.pattern, rule.replacement, rule.schema
-        ):
-            return None
-        declared = step.var_types or {}
+    ) -> _Signature:
+        names = self._leaves.get(rule.key)
+        if names is None:
+            names = self._leaves[rule.key] = tuple(
+                name for _, name in _declared_leaves(rule)
+            )
         key = (
             rule.key,
             mark,
             at_root,
             step.result_type,
             step.bounds is not None,
-            tuple(declared.get(name) for name in self._leaves[rule.key]),
+            tuple(map(step.var_types.get, names)) if names else (),
         )
         sig = self._signatures.get(key)
         if sig is None:
-            sig = self._signatures[key] = _compile(
-                rule, mark, at_root, step.var_types, step.result_type, step.bounds
-            )
+            sig = self._signatures[key] = _compile(rule, mark, at_root, step)
         return sig
 
 
 class SearchStep:
-    """The fixed inputs of every step of one search, and the rule signatures
-    compiled from them.
+    """The fixed inputs of every step of one search over ``rs`` in ``ctx``
+    (anything with ``variable_types`` and ``result_type``, or None); pass it
+    to each ``feasible_rules`` call.
 
-    ``SearchStep.of`` builds the one step a search (or replay) over a rule
-    set takes; pass it to each ``feasible_rules`` call.  Signatures are
-    compiled on first use and kept for the step's life, keyed by rule id,
-    the target's mark and whether the target is the root; a rule that is
-    not the one compiled under its id is compiled afresh.  A rule of the
-    ``shared`` table gets the table's signature instead, compiled at most
-    once for all the searches that agree on what it reads.
+    Sizes are bounded when ``size_limit`` is given, by the bounds of
+    ``rs.shared`` when the set has a table and by ``compute_size_bounds(rs)``
+    otherwise.  Signatures come from ``rs.shared``; a set without one gets a
+    table of the step's own, which lives as long as the step.  A rule that
+    ``rs`` does not hold under its key is compiled afresh and not cached.
     """
 
-    def __init__(
-        self,
-        rs: RuleSet,
-        *,
-        var_types: Mapping[str, str] | None = None,
-        result_type: str | None = None,
-        bounds: SizeBounds | None = None,
-        size_limit: int | None = None,
-        shared: SignatureTable | None = None,
-    ) -> None:
-        if shared is not None and bounds is not None and bounds is not shared.bounds:
-            raise ValueError("a step with a shared table takes the table's bounds")
+    def __init__(self, rs: RuleSet, ctx=None, size_limit: int | None = None) -> None:
         self.rs = rs
-        self.var_types = var_types
-        self.result_type = result_type
-        self.bounds = bounds
+        self.var_types: Mapping[str, str] = {}
+        self.result_type: str | None = None
+        if ctx is not None:
+            self.var_types, self.result_type = ctx.variable_types, ctx.result_type
         self.size_limit = size_limit
-        self.shared = shared
-        self._signatures: dict[
-            tuple[int, Annotation | None, bool], tuple[RewritingRule, _Signature]
-        ] = {}
-
-    @classmethod
-    def of(cls, rs: RuleSet, ctx, size_limit: int | None) -> "SearchStep":
-        """The step a search over ``rs`` takes in ``ctx`` (anything with
-        ``variable_types`` and ``result_type``, or None).  Sizes are bounded
-        when ``size_limit`` is given; the bounds and signatures of
-        ``rs.shared`` are used when it has them."""
-        shared = rs.shared
-        bounds = None
+        self.bounds: SizeBounds | None = None
         if size_limit is not None:
-            bounds = shared.bounds if shared is not None else compute_size_bounds(rs)
-        return cls(
-            rs,
-            var_types=ctx.variable_types if ctx is not None else None,
-            result_type=ctx.result_type if ctx is not None else None,
-            bounds=bounds,
-            size_limit=size_limit,
-            shared=shared,
-        )
+            self.bounds = (
+                rs.shared.bounds if rs.shared is not None else compute_size_bounds(rs)
+            )
+        self.table = rs.shared if rs.shared is not None else SignatureTable(self.bounds)
 
     def signature(
         self, rule: RewritingRule, mark: Annotation | None, at_root: bool
     ) -> _Signature:
-        key = (rule.id, mark, at_root)
-        hit = self._signatures.get(key)
-        if hit is not None and hit[0] is rule:
-            return hit[1]
-        sig = None
-        if self.shared is not None:
-            sig = self.shared.signature(rule, mark, at_root, self)
-        if sig is None:
-            sig = _compile(
-                rule, mark, at_root, self.var_types, self.result_type, self.bounds
-            )
-        self._signatures[key] = (rule, sig)
-        return sig
+        if not self.rs.holds(rule):
+            return _compile(rule, mark, at_root, self)
+        return self.table.signature(rule, mark, at_root, self)
 
 
 @dataclass(frozen=True)
@@ -515,12 +460,12 @@ def probe_rules(
     * the tree's own: the pins plus the context constraints of ``ast``,
       without the root's result pin when the target is the root, since the
       candidate decides what the new root is;
-    * the rule's fresh part, which ``SearchStep`` compiles once per rule,
-      target mark and rootedness, or takes from its shared table.  That
-      part reads nothing of the tree, only the rule, the mark, the
-      rootedness, the result type, the bounds and the declared types of
-      the rule's own identifier-shaped leaves, so a signature compiled in
-      another search that agreed on these is the same signature.
+    * the rule's fresh part, its signature, which the step reads from its
+      ``SignatureTable``.  That part reads nothing of the tree, only the
+      rule, the mark, the rootedness, the result type, the bounds and the
+      declared types of the rule's own identifier-shaped leaves, so a
+      signature compiled in another search that agreed on these is the
+      same signature.
 
     Union-find classes merge only through the shared variable, so the whole
     is satisfiable exactly when both parts are and they do not force two

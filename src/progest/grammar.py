@@ -417,10 +417,10 @@ class RuleSet:
     the groups partition the set.  Ids are reassigned positionally, keys must
     be unique.
 
-    ``shared`` holds what was compiled once for rules this set shares with
-    other sets (a ``constraints.SignatureTable``: the set's size bounds and
-    those rules' search signatures); it is None for a set that shares none,
-    and only ``joined`` sets it.
+    ``shared`` holds what was compiled once for every set built like this
+    one (a ``constraints.SignatureTable``: the set's size bounds and its
+    rules' search signatures, keyed on rule keys); it is None for a set
+    that shares nothing, and only ``joined`` sets it.
     """
 
     def __init__(self, rules: list[RewritingRule] | tuple[RewritingRule, ...]):
@@ -434,7 +434,8 @@ class RuleSet:
 
         Each part validated its rules when it was built, and a rule's
         validity does not depend on its id, so only the keys are checked
-        again.
+        again.  Whoever passes ``shared`` promises that each key names one
+        rule, up to its id, in every set that table is attached to.
         """
         out = cls.__new__(cls)
         out._index([rule for part in parts for rule in part.rules], shared)
@@ -485,8 +486,9 @@ class RuleSet:
         """Candidate rules for expanding ``symbol`` in ``direction`` (D or U)."""
         return self._groups.get((symbol.name, direction.value), ())
 
-    def merged(self, *others: "RuleSet") -> "RuleSet":
-        return RuleSet.joined((self, *others))
+    def holds(self, rule: RewritingRule) -> bool:
+        """Whether ``rule`` is this set's own rule under its key."""
+        return self._by_key.get(rule.key) is rule
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 # compute_size_bounds and probe_rules are bound only so that the benchmark's
 # tracer (perfbench) can wrap them under this module's name; every step comes
-# from SearchStep.of and every probe goes through feasible_rules
+# from SearchStep and every probe goes through feasible_rules
 from .constraints import (
     SearchStep,
     compute_size_bounds,
@@ -480,7 +480,7 @@ def feasible_derivation(
     """The build of ``tree`` the search makes: the first derivation of the
     typed walk, whose steps carry their ``outcome`` and ``choice``.  Raises
     ``UnderivableTreeError`` when no derivation survives every step."""
-    step = SearchStep.of(rs, ctx, size_limit)
+    step = SearchStep(rs, ctx, size_limit)
     return next(
         iter_derivations(
             tree, rs, policy, lambda ast, pins: feasible_rules(ast, step, policy, pins)

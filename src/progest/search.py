@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 # compute_size_bounds and probe_rules are bound only so that the benchmark's
 # tracer (perfbench) can wrap them under this module's name; every step comes
-# from SearchStep.of and every probe goes through feasible_rules
+# from SearchStep and every probe goes through feasible_rules
 from .constraints import SearchStep, compute_size_bounds, feasible_rules, probe_rules
 from .errors import SearchOverflowError, UnderivableTreeError
 from .features import Context
@@ -124,7 +124,7 @@ def beam_search(
         raise ValueError("widths must be a non-empty sequence of positive ints")
     stats = SearchStats()
     render_fn = renderer or render
-    step = SearchStep.of(rs, ctx, size_limit)
+    step = SearchStep(rs, ctx, size_limit)
     results: list[Candidate] = []
     # state: tree, log prob, applications so far, accumulated schema pins
     states: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
@@ -205,7 +205,7 @@ def exhaustive_search(
     """
     stats = SearchStats()
     render_fn = renderer or render
-    step = SearchStep.of(rs, ctx, size_limit)
+    step = SearchStep(rs, ctx, size_limit)
     results: list[Candidate] = []
     stack: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
         (AnnotatedAst.empty(), 0.0, (), ())

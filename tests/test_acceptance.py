@@ -11,6 +11,7 @@ import random
 import time
 from itertools import islice
 from math import inf
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -241,7 +242,6 @@ def test_criterion_04_pruning_matches_brute_force():
         seed = 400 + i
         g = random_typed_grammar(seed)
         rs = top_down_set(g)
-        bounds = compute_size_bounds(rs)
         concrete = sorted(
             p.result_atom.name
             for p in g.productions
@@ -249,7 +249,9 @@ def test_criterion_04_pruning_matches_brute_force():
         )
         rng = random.Random(seed)
         result_type = rng.choice(concrete)
-        step = SearchStep(rs, result_type=result_type, bounds=bounds, size_limit=7)
+        step = SearchStep(
+            rs, SimpleNamespace(variable_types={}, result_type=result_type), 7
+        )
 
         ast = AnnotatedAst.empty()
         pins: tuple = ()

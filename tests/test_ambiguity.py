@@ -11,6 +11,7 @@ from progest.ambiguity import (
 )
 from progest.grammar import (
     CreationMode,
+    RuleSet,
     derive_bottom_up_rules,
     derive_creation_rules,
     derive_top_down_rules,
@@ -59,8 +60,8 @@ def test_enumeration_respects_bound(demo):
 
 
 def test_top_down_set_is_unambiguous(demo):
-    rs = derive_top_down_rules(demo).merged(
-        derive_creation_rules(demo, [CreationMode.ROOT])
+    rs = RuleSet.joined(
+        (derive_top_down_rules(demo), derive_creation_rules(demo, [CreationMode.ROOT]))
     )
     report = check_unambiguous(rs, demo, max_nodes=9)
     assert report.unambiguous
@@ -71,10 +72,11 @@ def test_top_down_set_is_unambiguous(demo):
 
 
 def test_mixed_set_is_ambiguous(demo):
-    rs = derive_top_down_rules(demo).merged(
+    rs = RuleSet.joined((
+        derive_top_down_rules(demo),
         derive_bottom_up_rules(demo),
         derive_creation_rules(demo, [CreationMode.ROOT, CreationMode.LEAF]),
-    )
+    ))
     report = check_unambiguous(rs, demo, max_nodes=9)
     assert not report.unambiguous
     w = report.witness

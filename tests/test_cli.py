@@ -165,6 +165,18 @@ def test_check_full_reports_ambiguity(capsys, data_dir):
     assert "  E^U = 1" in out
 
 
+def test_check_below_the_smallest_tree_certifies_nothing(capsys, data_dir):
+    code, out, _ = run(
+        capsys,
+        ["check", "--grammar", str(data_dir / "demo" / "demo_grammar.txt"),
+         "--bound", "1"],
+    )
+    assert code == 1
+    assert "nothing certified (bound 1)" in out
+    assert "unambiguous" not in out
+    assert "checked 0 trees" in out
+
+
 def test_missing_file_is_exit_2(capsys, data_dir):
     code, _, err = run(
         capsys,

@@ -1,5 +1,6 @@
 """Corpus ingestion, template mining, rule compilation, and synthesis."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -24,8 +25,10 @@ from progest.condsynth import (
     template_of,
     train_cond_models,
 )
-from progest.constraints import SearchStep, compute_size_bounds
+from progest import constraints
+from progest.constraints import SearchStep
 from progest.ambiguity import check_unambiguous, enumerate_complete_trees
+from progest.datagen import generate_corpus
 from progest.errors import ContextError
 from progest.features import (
     Context,
@@ -244,15 +247,9 @@ def test_layered_rule_set_matches_the_per_context_reference(corpus_records, data
 
         assert fields(got) == fields(want)
         assert got.groups == want.groups
-        step = SearchStep.of(got, ctx, size_limit)
-        assert step.shared is got.shared is not None
-        fresh = SearchStep(
-            want,
-            var_types=ctx.variable_types,
-            result_type=ctx.result_type,
-            bounds=compute_size_bounds(want) if size_limit is not None else None,
-            size_limit=size_limit,
-        )
+        step = SearchStep(got, ctx, size_limit)
+        assert step.table is got.shared is not None
+        fresh = SearchStep(want, ctx, size_limit)
         assert step.bounds == fresh.bounds
         for rule, twin in zip(got, want):
             for mark, at_root in _marks_met(rule):
@@ -267,6 +264,45 @@ def test_layered_rule_set_matches_the_per_context_reference(corpus_records, data
         ]
         assert beams[0].candidates == beams[1].candidates
         assert beams[0].stats == beams[1].stats
+
+
+def test_variable_rule_signatures_are_shared_across_contexts(corpus_records, monkeypatch):
+    """A context whose variables have the names and types of an earlier
+    context's compiles no signature: the template layer's table holds the
+    variable rules' signatures too.  The same name declared with another
+    type gets its own signatures, the ones a step on the per-context
+    reference set compiles."""
+    templates = mine_templates(corpus_records)
+    first = next(r.context for r in corpus_records if r.context.variables)
+    synthesize_condition(first, templates, UniformModel())
+    compiled = []
+    compile_ = constraints._compile
+    monkeypatch.setattr(
+        constraints, "_compile",
+        lambda rule, *rest: compiled.append(rule.key) or compile_(rule, *rest),
+    )
+    twin = dataclasses.replace(first, method_name=first.method_name + "Other")
+    synthesize_condition(twin, templates, UniformModel())
+    assert compiled == []
+
+    var = first.variables[0]
+    other = "Str" if var.type == "Int" else "Int"
+    retyped = dataclasses.replace(
+        first, variables=(VariableInfo(var.name, other), *first.variables[1:])
+    )
+    got = build_cond_ruleset(templates, retyped)
+    want = reference_build_cond_ruleset(templates, retyped)
+    step = SearchStep(got, retyped, 30)
+    fresh = SearchStep(want, retyped, 30)
+    anchor_types = set()
+    for rule, twin_rule in zip(got, want):
+        if rule.key.partition(":")[2] != var.name:
+            continue
+        for mark, at_root in _marks_met(rule):
+            sig = step.signature(rule, mark, at_root)
+            assert sig == fresh.signature(twin_rule, mark, at_root), rule.key
+            anchor_types.add(sig.anchor_type)
+    assert other in anchor_types
 
 
 def test_template_layer_is_memoised_on_values(corpus_records):
@@ -411,6 +447,20 @@ def test_evaluate_topk_smoke():
     assert report.tested == report.repeats * max(1, round(len(records) * 0.1))
     assert set(report.precision) == {1, 5, 10}
     assert all(0.0 <= p <= 1.0 for p in report.precision.values())
+
+
+def test_evaluate_topk_cutoffs_rank_enough_candidates(tmp_path):
+    """Precision@10 counts ten candidates whatever ``k`` is, and ``k`` = 0
+    adds no cutoff of its own."""
+    records = load_corpus(write_corpus(tmp_path, generate_corpus(60, seed=2)))
+    reports = {
+        k: evaluate_topk(records, model_kind="frequency", split_ratio=0.3, k=k)
+        for k in (0, 3, 50)
+    }
+    assert set(reports[0].precision) == {1, 10}
+    assert set(reports[3].precision) == {1, 3, 10}
+    assert reports[3].precision[10] == reports[50].precision[10]
+    assert reports[0].precision[10] == reports[50].precision[10]
 
 
 def test_evaluate_topk_rejects_empty():

@@ -58,10 +58,16 @@ DEMO = (
 
 def full_rules(text):
     g = load_grammar(text)
-    return derive_top_down_rules(g).merged(
+    return RuleSet.joined((
+        derive_top_down_rules(g),
         derive_bottom_up_rules(g),
         derive_creation_rules(g, [CreationMode.ROOT, CreationMode.LEAF]),
-    )
+    ))
+
+
+def context(var_types, result_type):
+    """What a search step reads of a context."""
+    return SimpleNamespace(variable_types=var_types, result_type=result_type)
 
 
 def test_constraint_shape_is_checked():
@@ -224,8 +230,8 @@ def test_size_bounds_demo_values():
 
 def test_size_bounds_unreachable_is_infinite():
     g = load_grammar('E -> E "x"\n')  # no terminal-only production
-    rs = derive_top_down_rules(g).merged(
-        derive_creation_rules(g, [CreationMode.ROOT])
+    rs = RuleSet.joined(
+        (derive_top_down_rules(g), derive_creation_rules(g, [CreationMode.ROOT]))
     )
     bounds = compute_size_bounds(rs)
     assert bounds.of("E", Annotation.D) == inf
@@ -247,10 +253,9 @@ def test_tree_size_counts_completions():
 
 def test_probe_prunes_by_size():
     rs = full_rules(DEMO)
-    bounds = compute_size_bounds(rs)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     group = rs.rules_for(ast.nodes[ast.root].symbol, Annotation.D)
-    step = SearchStep(rs, bounds=bounds, size_limit=2)
+    step = SearchStep(rs, None, 2)
     out = probe_rules(ast, ast.root, group, step)
     kept = {p.rule.key for p in out.kept}
     assert kept == {'td:E->"hours"', 'td:E->"value"'}
@@ -262,9 +267,7 @@ def test_probe_prunes_by_type():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     group = rs.rules_for(ast.nodes[ast.root].symbol, Annotation.D)
-    step = SearchStep(
-        rs, var_types={"hours": "Int", "value": "Int"}, result_type="Boolean"
-    )
+    step = SearchStep(rs, context({"hours": "Int", "value": "Int"}, "Boolean"))
     out = probe_rules(ast, ast.root, group, step)
     kept = {p.rule.key for p in out.kept}
     # leaf and addition rules would make the whole tree an Int
@@ -306,7 +309,6 @@ def test_probe_constraints_carry_schema_only():
 
 def test_probe_checks_each_candidate_fits_before_pruning():
     rs = full_rules(DEMO)
-    bounds = compute_size_bounds(rs)
     leaf = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-leaf:hours"))
     root = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     # an E pattern on the "hours" leaf, and an upward rule on a downward mark
@@ -315,8 +317,8 @@ def test_probe_checks_each_candidate_fits_before_pruning():
         (root, rs.by_key("fin:E")),
     ]
     steps = [
-        SearchStep(rs, bounds=bounds, size_limit=1),
-        SearchStep(rs, var_types={"hours": "Str"}, result_type="Str"),
+        SearchStep(rs, None, 1),
+        SearchStep(rs, context({"hours": "Str"}, "Str")),
     ]
     for ast, rule in misfits:
         for step in steps:
@@ -345,7 +347,7 @@ def test_probe_lets_a_wrapping_rule_decide_the_root_type():
     )
     rs = RuleSet([wrap, make_root])
     ast = apply_rule(AnnotatedAst.empty(), None, make_root)
-    step = SearchStep(rs, result_type="Int")
+    step = SearchStep(rs, context({}, "Int"))
     got = feasible_rules(ast, step, policy_leftmost)
     with reference_prober():
         want = feasible_rules(ast, step, policy_leftmost)
@@ -378,7 +380,7 @@ def test_step_matches_reference_prober_on_typed_grammars(
     else:
         rs = full_set(g)
         if rules == "full+middle":
-            rs = rs.merged(derive_creation_rules(g, [CreationMode.MIDDLE]))
+            rs = RuleSet.joined((rs, derive_creation_rules(g, [CreationMode.MIDDLE])))
     var_types = {
         t.name: data.draw(st.sampled_from(_TYPES))
         for t in g.terminals
@@ -386,13 +388,7 @@ def test_step_matches_reference_prober_on_typed_grammars(
     }
     result_type = data.draw(st.sampled_from((None,) + _TYPES))
     policy = make_hash_policy(seed) if hashed else policy_leftmost
-    step = SearchStep(
-        rs,
-        var_types=var_types,
-        result_type=result_type,
-        bounds=compute_size_bounds(rs),
-        size_limit=size_limit,
-    )
+    step = SearchStep(rs, context(var_types, result_type), size_limit)
     queue = deque([(AnnotatedAst.empty(), ())])
     for _ in range(150):
         if not queue:
@@ -436,7 +432,7 @@ def test_shared_signatures_match_fresh_compiles_across_contexts(seed, rules, dat
     context alone compiles."""
     g = random_typed_grammar(seed, typed_leaves=True)
     rs = top_down_set(g) if rules == "top-down" else full_set(g)
-    table = SignatureTable(rs, compute_size_bounds(rs))
+    table = SignatureTable(compute_size_bounds(rs))
     shared = RuleSet.joined((rs,), shared=table)
     leaves = [t.name for t in g.terminals if is_variable_token(t.name)]
     for _ in range(4):
@@ -449,15 +445,9 @@ def test_shared_signatures_match_fresh_compiles_across_contexts(seed, rules, dat
             result_type=data.draw(st.sampled_from((None,) + _TYPES)),
         )
         size_limit = data.draw(st.sampled_from([None, 5]))
-        step = SearchStep.of(shared, ctx, size_limit)
+        step = SearchStep(shared, ctx, size_limit)
         assert step.bounds is (table.bounds if size_limit is not None else None)
-        fresh = SearchStep(
-            rs,
-            var_types=ctx.variable_types,
-            result_type=ctx.result_type,
-            bounds=table.bounds if size_limit is not None else None,
-            size_limit=size_limit,
-        )
+        fresh = SearchStep(rs, ctx, size_limit)
         for rule in shared:
             for mark, at_root in _marks_met(rule):
                 assert step.signature(rule, mark, at_root) == fresh.signature(
@@ -467,16 +457,17 @@ def test_shared_signatures_match_fresh_compiles_across_contexts(seed, rules, dat
 
 def test_shared_table_leaves_a_rule_that_only_shares_its_key():
     rs = full_rules(DEMO)
-    table = SignatureTable(rs, compute_size_bounds(rs))
+    table = SignatureTable(compute_size_bounds(rs))
     rule = rs.by_key('td:E->E "> 12"')
-    step = SearchStep(rs, shared=table)
+    shared = RuleSet.joined((rs,), shared=table)
+    step = SearchStep(shared)
     assert table.signature(rule, Annotation.D, True, step) is not None
     # the same key with another schema is another rule
     retyped = RewritingRule(
         rule.id, rule.kind, rule.pattern, rule.replacement, rule.key,
         ((0, TypeAtom("Str")),),
     )
-    assert table.signature(retyped, Annotation.D, True, step) is None
+    assert not shared.holds(retyped)
     assert step.signature(retyped, Annotation.D, True) == SearchStep(rs).signature(
         retyped, Annotation.D, True
     )
@@ -484,9 +475,7 @@ def test_shared_table_leaves_a_rule_that_only_shares_its_key():
 
 def test_step_takes_the_shared_tables_bounds():
     rs = full_rules(DEMO)
-    table = SignatureTable(rs, compute_size_bounds(rs))
-    with pytest.raises(ValueError):
-        SearchStep(rs, bounds=compute_size_bounds(rs), size_limit=5, shared=table)
-    step = SearchStep.of(RuleSet.joined((rs,), shared=table), None, 5)
+    table = SignatureTable(compute_size_bounds(rs))
+    step = SearchStep(RuleSet.joined((rs,), shared=table), None, 5)
     assert step.bounds is table.bounds
-    assert SearchStep.of(rs, None, None).bounds is None
+    assert SearchStep(rs, None, None).bounds is None

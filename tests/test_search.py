@@ -11,6 +11,7 @@ from progest.errors import SearchOverflowError
 from progest.features import Context
 from progest.grammar import (
     CreationMode,
+    RuleSet,
     derive_creation_rules,
     derive_top_down_rules,
     load_grammar,
@@ -83,7 +84,9 @@ def test_search_is_deterministic(worked_example):
 
 def test_anti_patterns_screen_results():
     g = load_grammar('E -> "owner" "!= null" | "count" "> 0"\n')
-    rs = derive_top_down_rules(g).merged(derive_creation_rules(g, [CreationMode.ROOT]))
+    rs = RuleSet.joined(
+        (derive_top_down_rules(g), derive_creation_rules(g, [CreationMode.ROOT]))
+    )
     screen = AntiPattern("bare-null-check", r"!= null$")
     res = beam_search(rs, None, UniformModel(), widths=(4,), k=4,
                       anti_patterns=(screen,))
@@ -128,7 +131,9 @@ def test_exhaustive_matches_wide_beam(worked_example):
 
 def test_exhaustive_without_model_scores_zero():
     g = load_grammar('E -> "a" | "b"\n')
-    rs = derive_top_down_rules(g).merged(derive_creation_rules(g, [CreationMode.ROOT]))
+    rs = RuleSet.joined(
+        (derive_top_down_rules(g), derive_creation_rules(g, [CreationMode.ROOT]))
+    )
     res = exhaustive_search(rs, None)
     assert sorted(c.rendered for c in res.candidates) == ["a", "b"]
     assert all(c.log_prob == 0.0 for c in res.candidates)
@@ -136,7 +141,9 @@ def test_exhaustive_without_model_scores_zero():
 
 def test_exhaustive_overflow():
     g = load_grammar('E -> "x" | E "+" E\n')
-    rs = derive_top_down_rules(g).merged(derive_creation_rules(g, [CreationMode.ROOT]))
+    rs = RuleSet.joined(
+        (derive_top_down_rules(g), derive_creation_rules(g, [CreationMode.ROOT]))
+    )
     with pytest.raises(SearchOverflowError):
         exhaustive_search(rs, None, size_limit=60, state_cap=200)
 

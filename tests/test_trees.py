@@ -6,6 +6,7 @@ from progest.errors import ApplyError, IncompleteTreeError, UnderivableTreeError
 from progest.grammar import (
     Annotation,
     CreationMode,
+    RuleSet,
     derive_bottom_up_rules,
     derive_creation_rules,
     derive_top_down_rules,
@@ -37,7 +38,7 @@ def rules():
     td = derive_top_down_rules(g)
     bu = derive_bottom_up_rules(g)
     creation = derive_creation_rules(g, [CreationMode.ROOT, CreationMode.LEAF])
-    return td.merged(bu, creation)
+    return RuleSet.joined((td, bu, creation))
 
 
 def build_top_down(rules, keys):

@@ -147,7 +147,7 @@ def reference_feasible_derivation(tree, rs, policy, ctx=None, *, size_limit=None
     ``pins`` is the base system the step was probed under, or None when no
     derivation survives or there is none.
     """
-    step = SearchStep.of(rs, ctx, size_limit)
+    step = SearchStep(rs, ctx, size_limit)
     try:
         for derivation in iter_derivations(tree, rs, policy):
             steps = []
