@@ -47,16 +47,24 @@ class Bundle:
     version: int = BUNDLE_VERSION
 
     def build_model(self):
-        """Reconstruct the prediction model this bundle describes."""
+        """Reconstruct the prediction model this bundle describes.
+
+        Raises ``BundleError`` when the model or pipeline section does not
+        parse as the parameters its model reads."""
         if self.model_kind == "uniform":
             return UniformModel()
         if self.model_kind == "table":
             return TableModel.from_nested(self.model_params.get("table", {}))
-        if self.model_kind == "frequency":
-            return FrequencyModel.from_params(self.model_params)
-        pipeline = FeaturePipeline.from_params(self.pipeline_params)
         resolver = CondStepResolver(self.templates)
-        return LogisticModel.from_params(self.model_params, pipeline, resolver)
+        try:
+            if self.model_kind == "frequency":
+                return FrequencyModel.from_params(self.model_params)
+            pipeline = FeaturePipeline.from_params(self.pipeline_params)
+            return LogisticModel.from_params(self.model_params, pipeline, resolver)
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise BundleError(
+                f"malformed bundle: {self.model_kind} parameters: {err}"
+            ) from None
 
     def to_dict(self) -> dict:
         return {
@@ -82,7 +90,7 @@ class Bundle:
         try:
             templates = tuple(Template.from_dict(t) for t in data["templates"])
             model_params = dict(data["model"])
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise BundleError(f"malformed bundle: {err}") from None
         if kind == "logistic" and not data.get("pipeline"):
             raise BundleError("logistic bundle is missing its feature pipeline")

@@ -307,9 +307,13 @@ class TemplateLayer:
     template, an ``expr:`` upward expansion per template with slots
     (anchored at its first slot), a ``varN:`` rule per later slot position
     and variable, and the ``fin:`` rule when some template is variable-free.
-    The ``make-expr:``/``expr:``/``fin:`` rules are validated here once;
-    ``bind`` builds and validates only the variable rules.  Truncation and
-    the successor sort break ties by rule id, so the order is kept.
+    Truncation and the successor sort break ties by rule id, so the order
+    is kept.  Only the variable count moves the template rules' ids, so
+    the layer keeps, per count, the ``make-expr:``/``expr:`` rules and the
+    ``fin:`` rule at their ids in a set with that many variables, validated,
+    grouped and keyed once.  ``bind`` builds and validates only the
+    variable rules, at their ids, and ``RuleSet.joined`` merges them with
+    those parts without renumbering or regrouping anything.
 
     The size bounds of a bound set depend only on the templates and on
     whether it has variable rules: every ``varN:`` rule costs the same
@@ -330,11 +334,12 @@ class TemplateLayer:
         self.max_arity = max(t.arity for t in templates)
         closed = [t for t in templates if t.arity == 0]
         open_ = [t for t in templates if t.arity > 0]
-        self._head = RuleSet(
-            [_make_expr(i, t) for i, t in enumerate(closed)]
-            + [_expand(len(closed) + i, t) for i, t in enumerate(open_)]
-        )
-        self._tail = RuleSet([_FINISH] if closed else [])
+        # at ids from 0; each count's parts renumber them
+        self._head = [_make_expr(i, t) for i, t in enumerate(closed)] + [
+            _expand(len(closed) + i, t) for i, t in enumerate(open_)
+        ]
+        self._tail = [_FINISH] if closed else []
+        self._parts: dict[int, tuple[RuleSet, RuleSet]] = {}
         self._tables: dict[bool, SignatureTable] = {}
 
     def bind(self, ctx: Context) -> RuleSet:
@@ -353,10 +358,28 @@ class TemplateLayer:
         return table
 
     def _join(self, names: Sequence[str], shared) -> RuleSet:
-        creations = RuleSet([_make_var(i, name) for i, name in enumerate(names)])
+        n = len(names)
         fills = [(p, name) for p in range(2, self.max_arity + 1) for name in names]
-        slots = RuleSet([_fill_slot(i, p, name) for i, (p, name) in enumerate(fills)])
-        return RuleSet.joined((creations, self._head, slots, self._tail), shared=shared)
+        parts = self._parts.get(n)
+        if parts is None:
+            parts = self._parts[n] = (
+                RuleSet(self._head, n),
+                RuleSet(self._tail, n + len(self._head) + len(fills)),
+            )
+        head, tail = parts
+        first = n + len(head)
+        return RuleSet.joined(
+            (
+                RuleSet([_make_var(i, name) for i, name in enumerate(names)]),
+                head,
+                RuleSet(
+                    [_fill_slot(first + i, p, name) for i, (p, name) in enumerate(fills)],
+                    first,
+                ),
+                tail,
+            ),
+            shared=shared,
+        )
 
 
 @functools.lru_cache(maxsize=4)

@@ -11,7 +11,8 @@ A search step decides each candidate before it splices anything: the
 nodes type-check among themselves, the type they force on the node the rule
 is applied to, and its size delta) from one ``SignatureTable``, which
 compiles it on first use, the state's own system is solved once per
-expansion, and only the candidates that survive are spliced.
+expansion, and a surviving candidate is spliced only when its ``Probe`` is
+first read.
 ``probe_rules`` gives the argument why this decides exactly what solving
 the whole system of each spliced tree decides.  The table is keyed on
 values, so the condition rule sets of every context share one and a
@@ -410,20 +411,60 @@ class SearchStep:
         return self.table.signature(rule, mark, at_root, self)
 
 
-@dataclass(frozen=True)
 class Probe:
-    """One surviving candidate, spliced: the rule, the new tree, the splice
-    ids, and the schema constraints this application contributes.
+    """One surviving candidate: the rule, the tree it is applied to and the
+    target node there.  The splice is made when one of its parts is first
+    read: ``ast``, the new tree, ``ids``, the splice ids, and
+    ``constraints``, the schema constraints this application contributes.
+    A caller that reads none of them splices nothing.  Two probes are equal
+    when their rules and these parts are.
 
     Callers that accept the candidate must carry ``constraints`` forward as
     part of the base system of later probes; schema pins die with the probe
     otherwise, and a later expansion could contradict them unnoticed.
     """
 
-    rule: RewritingRule
-    ast: AnnotatedAst
-    ids: tuple[int, ...]
-    constraints: tuple[TypeConstraint, ...]
+    __slots__ = ("rule", "parent", "target", "_spliced")
+
+    def __init__(
+        self, rule: RewritingRule, parent: AnnotatedAst, target: int | None
+    ) -> None:
+        self.rule = rule
+        self.parent = parent
+        self.target = target
+        self._spliced: tuple | None = None
+
+    def _splice(
+        self,
+    ) -> tuple[AnnotatedAst, tuple[int, ...], tuple[TypeConstraint, ...]]:
+        if self._spliced is None:
+            ast, ids = apply_rule_with_ids(self.parent, self.target, self.rule)
+            self._spliced = (
+                ast, tuple(ids), tuple(constraints_of_application(self.rule, ids))
+            )
+        return self._spliced
+
+    @property
+    def ast(self) -> AnnotatedAst:
+        return self._splice()[0]
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return self._splice()[1]
+
+    @property
+    def constraints(self) -> tuple[TypeConstraint, ...]:
+        return self._splice()[2]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Probe):
+            return NotImplemented
+        return self.rule == other.rule and self._splice() == other._splice()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Probe({self.rule.key!r} at {self.target!r})"
 
 
 @dataclass(frozen=True)
@@ -449,8 +490,9 @@ def probe_rules(
     constraint counter.  The constraint check asks whether three parts are
     satisfiable together: ``base_constraints`` (the schema pins of the
     applications that built ``ast``; they mention only its nodes), the
-    candidate's schema, and the context constraints of the new tree.  Only
-    the candidates that survive both are spliced.
+    candidate's schema, and the context constraints of the new tree.  The
+    candidates that survive both come back as ``Probe``s, each spliced when
+    first read: a walk that follows one of them splices only that one.
 
     Why deciding before the splice is exact: the splice gives the fresh
     replacement nodes ids at or above ``ast.next_id``, which neither the
@@ -512,9 +554,7 @@ def probe_rules(
         ):
             constraint_pruned += 1
             continue
-        new_ast, ids = apply_rule_with_ids(ast, target, rule)
-        schema = constraints_of_application(rule, ids)
-        kept.append(Probe(rule, new_ast, tuple(ids), tuple(schema)))
+        kept.append(Probe(rule, ast, target))
     return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
 
 

@@ -403,6 +403,12 @@ GroupKey = tuple[str, str]
 CREATION_GROUP: GroupKey = ("<create>", "")
 
 
+def _raise_duplicates(rules) -> None:
+    keys = [r.key for r in rules]
+    dupes = sorted({k for k in keys if keys.count(k) > 1})
+    raise RuleError(f"duplicate rule keys: {', '.join(dupes)}")
+
+
 def group_key_of(rule: RewritingRule) -> GroupKey:
     if rule.pattern is None:
         return CREATION_GROUP
@@ -414,8 +420,9 @@ class RuleSet:
     """An indexed collection of rewriting rules.
 
     Rules are grouped by their pattern, creation rules form one extra group;
-    the groups partition the set.  Ids are reassigned positionally, keys must
-    be unique.
+    the groups partition the set.  Ids are reassigned positionally from
+    ``first_id``, keys must be unique.  A set whose ids start above 0 is a
+    part of a larger set, to be placed by ``joined`` where its ids say.
 
     ``shared`` holds what was compiled once for every set built like this
     one (a ``constraints.SignatureTable``: the set's size bounds and its
@@ -423,44 +430,55 @@ class RuleSet:
     that shares nothing, and only ``joined`` sets it.
     """
 
-    def __init__(self, rules: list[RewritingRule] | tuple[RewritingRule, ...]):
-        for rule in rules:
-            _validate_rule(rule)
-        self._index(rules, None)
-
-    @classmethod
-    def joined(cls, parts: "tuple[RuleSet, ...]", *, shared=None) -> "RuleSet":
-        """One set of the parts' rules, in order and renumbered.
-
-        Each part validated its rules when it was built, and a rule's
-        validity does not depend on its id, so only the keys are checked
-        again.  Whoever passes ``shared`` promises that each key names one
-        rule, up to its id, in every set that table is attached to.
-        """
-        out = cls.__new__(cls)
-        out._index([rule for part in parts for rule in part.rules], shared)
-        return out
-
-    def _index(self, rules, shared) -> None:
+    def __init__(
+        self, rules: list[RewritingRule] | tuple[RewritingRule, ...], first_id: int = 0
+    ):
         renumbered = []
-        for idx, rule in enumerate(rules):
+        for idx, rule in enumerate(rules, first_id):
+            _validate_rule(rule)
             if rule.id != idx:
                 rule = RewritingRule(
                     idx, rule.kind, rule.pattern, rule.replacement, rule.key, rule.schema
                 )
             renumbered.append(rule)
         self.rules: tuple[RewritingRule, ...] = tuple(renumbered)
-        keys = [r.key for r in self.rules]
-        if len(set(keys)) != len(keys):
-            dupes = sorted({k for k in keys if keys.count(k) > 1})
-            raise RuleError(f"duplicate rule keys: {', '.join(dupes)}")
-        self._groups: dict[GroupKey, tuple[RewritingRule, ...]] = {}
+        self._by_key = {r.key: r for r in self.rules}
+        if len(self._by_key) != len(self.rules):
+            _raise_duplicates(self.rules)
         grouping: dict[GroupKey, list[RewritingRule]] = {}
         for rule in self.rules:
             grouping.setdefault(group_key_of(rule), []).append(rule)
-        self._groups = {k: tuple(v) for k, v in grouping.items()}
-        self._by_key = {r.key: r for r in self.rules}
-        self.shared = shared
+        self._groups: dict[GroupKey, tuple[RewritingRule, ...]] = {
+            k: tuple(v) for k, v in grouping.items()
+        }
+        self.shared = None
+
+    @classmethod
+    def joined(cls, parts: "tuple[RuleSet, ...]", *, shared=None) -> "RuleSet":
+        """One set of the parts' rules, in order, with ids from 0.
+
+        Each part must already hold its ids where it lands (built with that
+        ``first_id``), so its rules, groups and keys are merged, not
+        rebuilt.  Each part validated its rules when it was built, so only
+        the keys are checked again.  Whoever passes ``shared`` promises
+        that each key names one rule, up to its id, in every set that table
+        is attached to.
+        """
+        rules: list[RewritingRule] = []
+        groups: dict[GroupKey, tuple[RewritingRule, ...]] = {}
+        by_key: dict[str, RewritingRule] = {}
+        for part in parts:
+            assert not part.rules or part.rules[0].id == len(rules), "misplaced part"
+            rules.extend(part.rules)
+            for key, group in part._groups.items():
+                groups[key] = groups[key] + group if key in groups else group
+            by_key.update(part._by_key)
+        if len(by_key) != len(rules):
+            _raise_duplicates(rules)
+        out = cls.__new__(cls)
+        out.rules, out._groups, out._by_key = tuple(rules), groups, by_key
+        out.shared = shared
+        return out
 
     def __len__(self) -> int:
         return len(self.rules)

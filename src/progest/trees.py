@@ -375,8 +375,9 @@ def iter_derivations(
     Untyped (no ``step``), each rule of the node's group is matched against
     ``target`` before it is spliced.  ``step(tree, pins)`` returns what the
     search step over ``rs`` keeps there, as ``constraints.feasible_rules``
-    does; the typed walk matches only those probes, reuses their splices and
-    carries their pins.  They are a subsequence of the same group, so it
+    does; the typed walk matches only those probes, reads the splice and the
+    pins of a probe only once its rule matches (a probe splices when first
+    read) and carries those pins.  They are a subsequence of the same group, so it
     yields the untyped derivations whose every step survives, in the same
     order: the first is the search's build.  Raises ``UnderivableTreeError``
     when the walk yields nothing.

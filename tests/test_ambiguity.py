@@ -60,8 +60,8 @@ def test_enumeration_respects_bound(demo):
 
 
 def test_top_down_set_is_unambiguous(demo):
-    rs = RuleSet.joined(
-        (derive_top_down_rules(demo), derive_creation_rules(demo, [CreationMode.ROOT]))
+    rs = RuleSet(
+        [*derive_top_down_rules(demo), *derive_creation_rules(demo, [CreationMode.ROOT])]
     )
     report = check_unambiguous(rs, demo, max_nodes=9)
     assert report.unambiguous
@@ -72,11 +72,11 @@ def test_top_down_set_is_unambiguous(demo):
 
 
 def test_mixed_set_is_ambiguous(demo):
-    rs = RuleSet.joined((
-        derive_top_down_rules(demo),
-        derive_bottom_up_rules(demo),
-        derive_creation_rules(demo, [CreationMode.ROOT, CreationMode.LEAF]),
-    ))
+    rs = RuleSet([
+        *derive_top_down_rules(demo),
+        *derive_bottom_up_rules(demo),
+        *derive_creation_rules(demo, [CreationMode.ROOT, CreationMode.LEAF]),
+    ])
     report = check_unambiguous(rs, demo, max_nodes=9)
     assert not report.unambiguous
     w = report.witness

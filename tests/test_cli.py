@@ -199,6 +199,28 @@ def test_invalid_context_json_is_exit_2(capsys, tmp_path, data_dir):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "kind, model, pipeline",
+    [
+        ("frequency", "ab", None),
+        ("frequency", {"counts": "x"}, None),
+        ("logistic", {}, "ab"),
+    ],
+)
+def test_malformed_bundle_is_exit_2(capsys, tmp_path, data_dir, kind, model, pipeline):
+    demo = data_dir / "demo"
+    data = json.loads((demo / "demo_bundle.json").read_text())
+    data.update(model_kind=kind, model=model, pipeline=pipeline)
+    bad = tmp_path / "bad_bundle.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, ["predict", str(demo / "demo_context.json"), "--bundle", str(bad)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed bundle: ")
+
+
 def test_pca_dims_out_of_range(capsys, small_corpus, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["train", "--corpus", str(small_corpus),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from progest.condsynth import (
     CorpusRecord,
     Template,
+    TemplateLayer,
     build_cond_grammar,
     build_cond_ruleset,
     certification_bound,
@@ -303,6 +304,60 @@ def test_variable_rule_signatures_are_shared_across_contexts(corpus_records, mon
             assert sig == fresh.signature(twin_rule, mark, at_root), rule.key
             anchor_types.add(sig.anchor_type)
     assert other in anchor_types
+
+
+@pytest.mark.parametrize("with_closed", [False, True])
+def test_binding_alternating_variable_counts_matches_the_reference(
+    corpus_records, with_closed
+):
+    """A layer keeps its template rules per variable count; binding
+    contexts of counts n, m, n and 0 in turn gives each time the set built
+    afresh, with the same ids, groups and keys, and a count seen before
+    reuses its template rules instead of building them again.  Without
+    variable-free templates a context with no variables has no creation
+    rule at all."""
+    templates = mine_templates(corpus_records)
+    templates = tuple(t for t in templates if t.arity > 0)
+    if with_closed:
+        templates += _CLOSED
+    layer = TemplateLayer(templates)
+    five = next(r.context for r in corpus_records if len(r.context.variables) == 5)
+    two = dataclasses.replace(five, variables=five.variables[3:])
+    none = dataclasses.replace(five, variables=())
+    template_rules = {}
+    for ctx in (five, two, five, none, two):
+        got = layer.bind(ctx)
+        own = [r for r in got if not r.key.startswith(("make-var:", "var"))]
+        seen = template_rules.setdefault(len(ctx.variables), own)
+        assert all(a is b for a, b in zip(own, seen, strict=True))
+        want = reference_build_cond_ruleset(templates, ctx)
+        assert [(r.id, r.key, r.kind, r.pattern, r.replacement, r.schema) for r in got] == [
+            (r.id, r.key, r.kind, r.pattern, r.replacement, r.schema) for r in want
+        ]
+        assert got.groups == want.groups
+        assert list(got.groups) == list(want.groups)
+        assert all(got.by_key(r.key) is r and got[r.id] is r for r in got)
+        assert got.shared is not None
+    assert bool(layer.bind(none).creation_rules) is with_closed
+
+
+def test_training_splices_one_probe_per_build_step(corpus_records, monkeypatch):
+    """The typed replay reads the splice of the one probe it follows at each
+    step; the other kept candidates are never spliced.  So training on the
+    whole corpus splices exactly once per build step."""
+    spliced = 0
+    apply = constraints.apply_rule_with_ids
+
+    def counting(*args):
+        nonlocal spliced
+        spliced += 1
+        return apply(*args)
+
+    monkeypatch.setattr(constraints, "apply_rule_with_ids", counting)
+    trained = train_cond_models(corpus_records, model_kind="frequency")
+    assert len(corpus_records) == 590
+    assert trained.extraction.skipped == []
+    assert spliced == len(trained.extraction.steps_audited) == 1306
 
 
 def test_template_layer_is_memoised_on_values(corpus_records):

@@ -1,5 +1,6 @@
 """Equality solver, schema instantiation, size bounds, and rule probing."""
 
+import contextlib
 from collections import deque
 from math import inf
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramgen import full_set, random_typed_grammar, top_down_set
+from progest import constraints
 from progest.constraints import (
     SearchStep,
     SignatureTable,
@@ -45,7 +47,7 @@ from progest.trees import (
     policy_leftmost,
     to_sexpr,
 )
-from tests_support import make_hash_policy, reference_prober
+from tests_support import make_hash_policy, probe_fields, reference_prober
 
 DEMO = (
     'E -> E:Int "> 12" :: Boolean\n'
@@ -58,11 +60,11 @@ DEMO = (
 
 def full_rules(text):
     g = load_grammar(text)
-    return RuleSet.joined((
-        derive_top_down_rules(g),
-        derive_bottom_up_rules(g),
-        derive_creation_rules(g, [CreationMode.ROOT, CreationMode.LEAF]),
-    ))
+    return RuleSet([
+        *derive_top_down_rules(g),
+        *derive_bottom_up_rules(g),
+        *derive_creation_rules(g, [CreationMode.ROOT, CreationMode.LEAF]),
+    ])
 
 
 def context(var_types, result_type):
@@ -230,8 +232,8 @@ def test_size_bounds_demo_values():
 
 def test_size_bounds_unreachable_is_infinite():
     g = load_grammar('E -> E "x"\n')  # no terminal-only production
-    rs = RuleSet.joined(
-        (derive_top_down_rules(g), derive_creation_rules(g, [CreationMode.ROOT]))
+    rs = RuleSet(
+        [*derive_top_down_rules(g), *derive_creation_rules(g, [CreationMode.ROOT])]
     )
     bounds = compute_size_bounds(rs)
     assert bounds.of("E", Annotation.D) == inf
@@ -351,7 +353,7 @@ def test_probe_lets_a_wrapping_rule_decide_the_root_type():
     got = feasible_rules(ast, step, policy_leftmost)
     with reference_prober():
         want = feasible_rules(ast, step, policy_leftmost)
-    assert got == want
+    assert probe_fields(got) == probe_fields(want)
     assert [p.rule.key for p in got.kept] == ["wrap"]
 
 
@@ -380,7 +382,7 @@ def test_step_matches_reference_prober_on_typed_grammars(
     else:
         rs = full_set(g)
         if rules == "full+middle":
-            rs = RuleSet.joined((rs, derive_creation_rules(g, [CreationMode.MIDDLE])))
+            rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
     var_types = {
         t.name: data.draw(st.sampled_from(_TYPES))
         for t in g.terminals
@@ -410,6 +412,58 @@ def test_step_matches_reference_prober_on_typed_grammars(
             want.constraint_pruned,
         ), where
         queue.extend((p.ast, pins + p.constraints) for p in got.kept)
+
+
+@contextlib.contextmanager
+def counted_probe_splices():
+    """The splices probes make in the block, one entry each."""
+    spliced = []
+    apply = constraints.apply_rule_with_ids
+    constraints.apply_rule_with_ids = lambda *args: spliced.append(args[2].key) or apply(
+        *args
+    )
+    try:
+        yield spliced
+    finally:
+        constraints.apply_rule_with_ids = apply
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["top-down", "full"]),
+    st.sampled_from([None, 7]),
+    st.data(),
+)
+def test_probes_splice_when_first_read(seed, rules, size_limit, data):
+    """A step splices none of the candidates it keeps.  Each kept probe
+    splices once, the first time its tree, ids or constraints are read, and
+    the lazy outcome equals the reference prober's eagerly spliced one."""
+    g = random_typed_grammar(seed, typed_leaves=True)
+    rs = top_down_set(g) if rules == "top-down" else full_set(g)
+    var_types = {
+        t.name: data.draw(st.sampled_from(_TYPES))
+        for t in g.terminals
+        if is_variable_token(t.name) and data.draw(st.booleans())
+    }
+    result_type = data.draw(st.sampled_from((None,) + _TYPES))
+    step = SearchStep(rs, context(var_types, result_type), size_limit)
+    queue = deque([(AnnotatedAst.empty(), ())])
+    for _ in range(60):
+        if not queue:
+            break
+        ast, pins = queue.popleft()
+        if not ast.is_empty and is_complete(ast):
+            continue
+        with counted_probe_splices() as spliced:
+            got = feasible_rules(ast, step, policy_leftmost, pins)
+            with reference_prober():
+                want = feasible_rules(ast, step, policy_leftmost, pins)
+            assert spliced == []
+            assert probe_fields(got) == probe_fields(want), to_sexpr(ast)
+            assert spliced == [p.rule.key for p in got.kept]
+            queue.extend((p.ast, pins + p.constraints) for p in got.kept)
+            assert len(spliced) == len(got.kept)
 
 
 def _marks_met(rule):
@@ -453,6 +507,16 @@ def test_shared_signatures_match_fresh_compiles_across_contexts(seed, rules, dat
                 assert step.signature(rule, mark, at_root) == fresh.signature(
                     rs[rule.id], mark, at_root
                 ), (rule.key, mark, at_root, ctx)
+
+
+def test_shared_table_keys_every_declared_leaf():
+    """A rule with two identifier leaves gets a signature of its own when
+    only the second leaf's declared type changes."""
+    rs = derive_top_down_rules(load_grammar('E -> "x":a "==" "y":a :: Boolean\n'))
+    shared = RuleSet.joined((rs,), shared=SignatureTable(None))
+    for y_type, ok in (("Int", True), ("Str", False), ("Int", True)):
+        step = SearchStep(shared, context({"x": "Int", "y": y_type}, None))
+        assert step.signature(shared[0], Annotation.D, True).fresh_ok is ok
 
 
 def test_shared_table_leaves_a_rule_that_only_shares_its_key():

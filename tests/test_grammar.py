@@ -171,8 +171,8 @@ def test_creation_modes():
 
 def test_ruleset_renumbers_and_groups():
     g = load_grammar(SIMPLE)
-    rs = RuleSet.joined(
-        (derive_top_down_rules(g), derive_creation_rules(g, [CreationMode.ROOT]))
+    rs = RuleSet(
+        [*derive_top_down_rules(g), *derive_creation_rules(g, [CreationMode.ROOT])]
     )
     assert [r.id for r in rs] == list(range(len(rs)))
     assert rs[2].id == 2
@@ -188,7 +188,7 @@ def test_ruleset_rejects_duplicate_keys():
     g = load_grammar(SIMPLE)
     rs = derive_top_down_rules(g)
     with pytest.raises(RuleError, match="duplicate"):
-        RuleSet.joined((rs, rs))
+        RuleSet([*rs, *rs])
 
 
 def test_group_key_of():

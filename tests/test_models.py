@@ -51,8 +51,8 @@ GRAMMAR = 'E -> E "> 12" | "hours" | "value"\n'
 @pytest.fixture(scope="module")
 def rules():
     g = load_grammar(GRAMMAR)
-    return RuleSet.joined(
-        (derive_top_down_rules(g), derive_creation_rules(g, [CreationMode.ROOT]))
+    return RuleSet(
+        [*derive_top_down_rules(g), *derive_creation_rules(g, [CreationMode.ROOT])]
     )
 
 
@@ -320,7 +320,7 @@ def test_typed_walk_matches_the_restarting_replay(seed, middle, size_limit, hash
     g = random_typed_grammar(seed, typed_leaves=True)
     rs = full_set(g)
     if middle:
-        rs = RuleSet.joined((rs, derive_creation_rules(g, [CreationMode.MIDDLE])))
+        rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
     rs = with_overloads(rs, seed)
     ctx = SimpleNamespace(
         variable_types={

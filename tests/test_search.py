@@ -84,8 +84,8 @@ def test_search_is_deterministic(worked_example):
 
 def test_anti_patterns_screen_results():
     g = load_grammar('E -> "owner" "!= null" | "count" "> 0"\n')
-    rs = RuleSet.joined(
-        (derive_top_down_rules(g), derive_creation_rules(g, [CreationMode.ROOT]))
+    rs = RuleSet(
+        [*derive_top_down_rules(g), *derive_creation_rules(g, [CreationMode.ROOT])]
     )
     screen = AntiPattern("bare-null-check", r"!= null$")
     res = beam_search(rs, None, UniformModel(), widths=(4,), k=4,
@@ -131,8 +131,8 @@ def test_exhaustive_matches_wide_beam(worked_example):
 
 def test_exhaustive_without_model_scores_zero():
     g = load_grammar('E -> "a" | "b"\n')
-    rs = RuleSet.joined(
-        (derive_top_down_rules(g), derive_creation_rules(g, [CreationMode.ROOT]))
+    rs = RuleSet(
+        [*derive_top_down_rules(g), *derive_creation_rules(g, [CreationMode.ROOT])]
     )
     res = exhaustive_search(rs, None)
     assert sorted(c.rendered for c in res.candidates) == ["a", "b"]
@@ -141,8 +141,8 @@ def test_exhaustive_without_model_scores_zero():
 
 def test_exhaustive_overflow():
     g = load_grammar('E -> "x" | E "+" E\n')
-    rs = RuleSet.joined(
-        (derive_top_down_rules(g), derive_creation_rules(g, [CreationMode.ROOT]))
+    rs = RuleSet(
+        [*derive_top_down_rules(g), *derive_creation_rules(g, [CreationMode.ROOT])]
     )
     with pytest.raises(SearchOverflowError):
         exhaustive_search(rs, None, size_limit=60, state_cap=200)

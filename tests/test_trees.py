@@ -38,7 +38,7 @@ def rules():
     td = derive_top_down_rules(g)
     bu = derive_bottom_up_rules(g)
     creation = derive_creation_rules(g, [CreationMode.ROOT, CreationMode.LEAF])
-    return RuleSet.joined((td, bu, creation))
+    return RuleSet([*td, *bu, *creation])
 
 
 def build_top_down(rules, keys):

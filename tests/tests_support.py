@@ -7,15 +7,16 @@ rule set."""
 import contextlib
 import hashlib
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from progest import constraints
 from progest.constraints import (
-    Probe,
     ProbeOutcome,
     SearchStep,
     SolverState,
+    TypeConstraint,
     constraints_of_application,
     constraints_of_context,
     feasible_rules,
@@ -92,6 +93,28 @@ def stub_rules_and_model(g: Grammar) -> tuple[RuleSet, TableModel, dict[str, str
     return rs, TableModel.from_nested(table), keys
 
 
+@dataclass(frozen=True)
+class SplicedProbe:
+    """A kept candidate as ``reference_probe_rules`` records it, spliced at
+    once: the fields a search reads of a ``constraints.Probe``."""
+
+    rule: RewritingRule
+    ast: AnnotatedAst
+    ids: tuple[int, ...]
+    constraints: tuple[TypeConstraint, ...]
+
+
+def probe_fields(outcome: ProbeOutcome):
+    """``outcome`` with each kept probe read field by field, so that lazy
+    probes and the reference's records compare by what they hold."""
+    return (
+        outcome.target,
+        [(p.rule, p.ast, p.ids, p.constraints) for p in outcome.kept],
+        outcome.size_pruned,
+        outcome.constraint_pruned,
+    )
+
+
 def reference_probe_rules(
     ast, target, candidates, step: SearchStep, base_constraints=()
 ):
@@ -122,7 +145,7 @@ def reference_probe_rules(
         if not SolverState().push(system):
             constraint_pruned += 1
             continue
-        kept.append(Probe(rule, new_ast, tuple(ids), tuple(schema)))
+        kept.append(SplicedProbe(rule, new_ast, tuple(ids), tuple(schema)))
     return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
 
 
