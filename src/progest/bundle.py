@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .condsynth import CondStepResolver, Template, TrainedCond
 from .errors import BundleError
-from .features import FeaturePipeline
+from .features import BIGRAM_DIM, FeaturePipeline, row_length
 from .models import FrequencyModel, LogisticModel, TableModel, UniformModel
 
 BUNDLE_VERSION = 1
@@ -50,7 +50,8 @@ class Bundle:
         """Reconstruct the prediction model this bundle describes.
 
         Raises ``BundleError`` when the model or pipeline section does not
-        parse as the parameters its model reads."""
+        parse as the parameters its model reads, or when a logistic array's
+        length does not fit the feature rows of the bundle's pipeline."""
         if self.model_kind == "uniform":
             return UniformModel()
         if self.model_kind == "table":
@@ -60,11 +61,13 @@ class Bundle:
             if self.model_kind == "frequency":
                 return FrequencyModel.from_params(self.model_params)
             pipeline = FeaturePipeline.from_params(self.pipeline_params)
-            return LogisticModel.from_params(self.model_params, pipeline, resolver)
+            model = LogisticModel.from_params(self.model_params, pipeline, resolver)
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise BundleError(
                 f"malformed bundle: {self.model_kind} parameters: {err}"
             ) from None
+        _check_logistic_shapes(model)
+        return model
 
     def to_dict(self) -> dict:
         return {
@@ -102,6 +105,45 @@ class Bundle:
             config=dict(data.get("config") or {}),
             corpus_sha256=data.get("corpus_sha256", ""),
         )
+
+
+def _check_logistic_shapes(model: LogisticModel) -> None:
+    """Raise ``BundleError`` unless the PCA and every core's arrays have the
+    shapes the pipeline's feature rows give them (``features.row_length``)."""
+    pca = model.pipeline.pca
+    dims = pca.dims
+    kept = pca.components.shape[0] if pca.components.ndim == 2 else 0
+    if kept > dims:
+        raise BundleError(
+            f"malformed bundle: logistic pipeline keeps {kept} pca directions "
+            f"in {dims} dims"
+        )
+    found = [
+        ("pipeline pca mean", pca.mean.shape, (BIGRAM_DIM,)),
+        ("pipeline pca components", pca.components.shape, (kept, BIGRAM_DIM)),
+    ]
+    for kind in ("creation", "variable"):
+        core = getattr(model, kind)
+        if core is not None:
+            width = (row_length(kind, dims),)
+            found += [(f"{kind} {name}", getattr(core, name).shape, width)
+                      for name in ("w", "mean", "std")]
+    core = model.expression
+    if core is not None:
+        width = row_length("expression", dims)
+        classes = len(core.classes)
+        found += [
+            ("expression W", core.W.shape, (width, classes)),
+            ("expression b", core.b.shape, (classes,)),
+            ("expression mean", core.mean.shape, (width,)),
+            ("expression std", core.std.shape, (width,)),
+        ]
+    for name, shape, want in found:
+        if shape != want:
+            raise BundleError(
+                f"malformed bundle: logistic {name} has shape {shape}, "
+                f"expected {want}"
+            )
 
 
 def bundle_of(trained: TrainedCond, config: dict, corpus_sha256: str = "") -> Bundle:

@@ -519,28 +519,93 @@ class StepPayload:
     position: int | None = None
 
 
+def row_length(kind: str, p: int) -> int:
+    """Width of a ``kind`` decision's feature rows at PCA width ``p``."""
+    head = context_block_length(p) + variable_block_length(p)
+    if kind == "expression":
+        return head
+    if kind == "creation":
+        return head + expression_block_length(p)
+    if kind == "variable":
+        return head + variable_block_length(p) + expression_block_length(p) + 1
+    raise ContextError(f"unknown decision kind {kind!r}")
+
+
+def _read_only(block: np.ndarray) -> np.ndarray:
+    block.flags.writeable = False
+    return block
+
+
+class ContextEncoding:
+    """The feature blocks of one context, each computed at most once.
+
+    The context block, the variable block of each ``VariableInfo`` and the
+    expression block of each ``TemplatePayload`` are computed on first use
+    by the module's block functions and kept by value, so every decision
+    over this context reads the same arrays.  They are read-only: a row is
+    always a new array assembled from them.  The blocks are this context's
+    only; a caller holding an encoding across decisions checks ``context``
+    before it reuses it (``LogisticModel.encode`` does).
+    """
+
+    def __init__(self, context: Context | None, pipe: FeaturePipeline) -> None:
+        self.context = context
+        self.pipeline = pipe
+        self._context_block: np.ndarray | None = None
+        self._variable_blocks: dict[VariableInfo | None, np.ndarray] = {}
+        self._expression_blocks: dict[TemplatePayload | None, np.ndarray] = {}
+
+    def context_block(self) -> np.ndarray:
+        if self._context_block is None:
+            block = context_block(self.context, self.pipeline)
+            self._context_block = _read_only(block)
+        return self._context_block
+
+    def variable_block(self, var: VariableInfo | None) -> np.ndarray:
+        block = self._variable_blocks.get(var)
+        if block is None:
+            block = _read_only(variable_block(var, self.pipeline))
+            self._variable_blocks[var] = block
+        return block
+
+    def expression_block(self, tpl: TemplatePayload | None) -> np.ndarray:
+        block = self._expression_blocks.get(tpl)
+        if block is None:
+            block = _read_only(expression_block(tpl, self.pipeline))
+            self._expression_blocks[tpl] = block
+        return block
+
+
 def extract_features(
-    kind: str, payloads: Sequence[StepPayload], pipe: FeaturePipeline
+    kind: str,
+    payloads: Sequence[StepPayload],
+    pipe: FeaturePipeline,
+    *,
+    encoding: ContextEncoding | None = None,
 ) -> np.ndarray:
     """Feature rows of one decision, whose payloads share one context.
 
-    The context block is computed once per decision.  Creation and variable
-    decisions get one row per payload.  An expression decision is a single
-    classification, so it gets one row: the context and the chosen first
-    variable, which every candidate shares.  The payloads of a variable
-    decision share the previous variable, the template and the position
-    too (they fill one slot of one tree), so that block is also computed
-    once, from the first payload.
+    Blocks come from ``encoding``, the ``ContextEncoding`` of the payloads'
+    context, or from a fresh one over ``pipe``; a caller that passes the
+    same encoding to every decision of a context computes the context block
+    once per context, and each variable and template block once.  Creation
+    and variable decisions get one row per payload.  An expression decision
+    is a single classification, so it gets one row: the context and the
+    chosen first variable, which every candidate shares.  The payloads of a
+    variable decision share the previous variable, the template and the
+    position too (they fill one slot of one tree), so that part is read
+    from the first payload.
     """
     first = payloads[0]
-    ctx_vec = context_block(first.context, pipe)
+    enc = encoding if encoding is not None else ContextEncoding(first.context, pipe)
+    ctx_vec = enc.context_block()
     if kind == "expression":
-        row = np.concatenate([ctx_vec, variable_block(first.chosen, pipe)])
+        row = np.concatenate([ctx_vec, enc.variable_block(first.chosen)])
         return row[np.newaxis]
     if kind == "creation":
         tails = [
             np.concatenate(
-                [variable_block(p.variable, pipe), expression_block(p.template, pipe)]
+                [enc.variable_block(p.variable), enc.expression_block(p.template)]
             )
             for p in payloads
         ]
@@ -548,8 +613,8 @@ def extract_features(
     if kind == "variable":
         slot = np.concatenate(
             [
-                variable_block(first.previous, pipe),
-                expression_block(first.template, pipe),
+                enc.variable_block(first.previous),
+                enc.expression_block(first.template),
                 position_block(first.position),
             ]
         )
@@ -557,7 +622,7 @@ def extract_features(
         return np.hstack(
             [
                 np.tile(ctx_vec, (n, 1)),
-                np.stack([variable_block(p.variable, pipe) for p in payloads]),
+                np.stack([enc.variable_block(p.variable) for p in payloads]),
                 np.tile(slot, (n, 1)),
             ]
         )

@@ -33,7 +33,13 @@ from .constraints import (
     probe_rules,
 )
 from .errors import UnderivableTreeError
-from .features import Context, FeaturePipeline, StepPayload, extract_features
+from .features import (
+    Context,
+    ContextEncoding,
+    FeaturePipeline,
+    StepPayload,
+    extract_features,
+)
 from .grammar import RewritingRule, RuleSet, group_key_of
 # iter_derivations is called by this name so that the tracer counts replays
 from .trees import AnnotatedAst, DerivationStep, iter_derivations
@@ -298,7 +304,8 @@ class LogisticModel:
     one multinomial over the expression alternatives.
 
     ``encode`` is the one way a decision becomes model input, for training
-    and prediction alike.  The expression decision is a single
+    and prediction alike; it keeps the ``ContextEncoding`` of the last
+    context it encoded.  The expression decision is a single
     classification over its candidate-independent row (context plus chosen
     variable); candidates are then looked up by their rule key in the class
     distribution.  Missing cores fall back to the uniform distribution and
@@ -319,6 +326,7 @@ class LogisticModel:
         self.creation = creation
         self.variable = variable
         self.expression = expression
+        self._encoding: ContextEncoding | None = None
 
     @property
     def untrained_kinds(self) -> tuple[str, ...]:
@@ -333,11 +341,21 @@ class LogisticModel:
 
     def encode(self, ctx, ast, node, candidates) -> tuple[str, np.ndarray | None]:
         """The decision's kind and its feature rows; None for a kind that
-        no core scores."""
+        no core scores.
+
+        The rows read their blocks from the encoding of the last context
+        encoded while the decision's context equals it, so the decisions of
+        one predict, or of one training item, compute each block once.  A
+        context that differs in any value replaces the encoding; only one
+        is kept."""
         kind, payloads = self.resolver(ctx, ast, node, candidates)
         if kind not in _SCORED_KINDS:
             return kind, None
-        return kind, extract_features(kind, payloads, self.pipeline)
+        context = payloads[0].context
+        if self._encoding is None or self._encoding.context != context:
+            self._encoding = ContextEncoding(context, self.pipeline)
+        rows = extract_features(kind, payloads, self.pipeline, encoding=self._encoding)
+        return kind, rows
 
     @staticmethod
     def train(

@@ -221,6 +221,55 @@ def test_malformed_bundle_is_exit_2(capsys, tmp_path, data_dir, kind, model, pip
     assert err.startswith("error: malformed bundle: ")
 
 
+@pytest.fixture(scope="module")
+def logistic_bundle(tmp_path_factory, small_corpus):
+    """A logistic bundle with all three cores, and a context it predicts for."""
+    folder = tmp_path_factory.mktemp("logistic")
+    path = folder / "log.json"
+    assert main(["train", "--corpus", str(small_corpus), "--bundle", str(path),
+                 "--model", "logistic", "--pca-dims", "4"]) == 0
+    data = json.loads(path.read_text())
+    assert all(data["model"][kind] for kind in ("creation", "variable", "expression"))
+    ctx_path = folder / "ctx.json"
+    ctx_path.write_text(json.dumps(generate_corpus(30, seed=2)[0]["context"]))
+    return data, ctx_path
+
+
+def _cut_last(values):
+    return values[:-1]
+
+
+@pytest.mark.parametrize(
+    "section, core, name, edit",
+    [
+        ("model", "creation", "w", lambda w: w[:2]),
+        ("model", "creation", "mean", _cut_last),
+        ("model", "variable", "std", lambda std: std + [1.0]),
+        ("model", "expression", "W", _cut_last),
+        ("model", "expression", "W", lambda W: [row[:-1] for row in W]),
+        ("model", "expression", "b", _cut_last),
+        ("model", "expression", "mean", _cut_last),
+        ("pipeline", "pca", "mean", _cut_last),
+        ("pipeline", "pca", "components", lambda rows: rows + rows),
+    ],
+)
+def test_logistic_bundle_with_misfit_arrays_is_exit_2(
+    capsys, tmp_path, logistic_bundle, section, core, name, edit
+):
+    """Arrays that parse but do not fit the pipeline's feature rows are a
+    malformed bundle, not a numpy failure in the middle of a predict."""
+    data, ctx_path = logistic_bundle
+    data = json.loads(json.dumps(data))
+    params = data[section][core]
+    params[name] = edit(params[name])
+    bad = tmp_path / "bad_bundle.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["predict", str(ctx_path), "--bundle", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed bundle: logistic ")
+
+
 def test_pca_dims_out_of_range(capsys, small_corpus, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["train", "--corpus", str(small_corpus),

@@ -26,7 +26,7 @@ from progest.condsynth import (
     template_of,
     train_cond_models,
 )
-from progest import constraints
+from progest import constraints, features
 from progest.constraints import SearchStep
 from progest.ambiguity import check_unambiguous, enumerate_complete_trees
 from progest.datagen import generate_corpus
@@ -39,7 +39,7 @@ from progest.features import (
     variable_block_length,
 )
 from progest.grammar import Annotation, RuleKind, derive_top_down_rules
-from progest.models import UniformModel, feasible_derivation
+from progest.models import LogisticModel, UniformModel, feasible_derivation
 from progest.search import beam_search
 from progest.trees import AnnotatedAst, apply_rule, policy_leftmost, to_sexpr
 from tests_support import (
@@ -478,6 +478,124 @@ def test_decision_rows_match_the_per_payload_reference(corpus_records):
     fin = [rs.by_key("fin:E")]
     assert model.encode(ctx, ast, ast.root, fin) == ("other", None)
     assert model.predict(ctx, ast, ast.root, fin) == [1.0]
+
+
+@pytest.fixture(scope="module")
+def logistic_60(corpus_records):
+    return train_cond_models(corpus_records[:60], model_kind="logistic", epochs=5)
+
+
+def fresh_model(trained):
+    """The trained logistic model with no context encoded yet."""
+    logistic = trained.logistic
+    return LogisticModel.from_params(
+        logistic.to_params(), logistic.pipeline, logistic.resolver
+    )
+
+
+def replayed_decisions(templates, ctx, tree):
+    """(ast, target, kept rules) of each step of the search's build of tree."""
+    rs = build_cond_ruleset(templates, ctx)
+    steps = feasible_derivation(tree, rs, policy_leftmost, ctx, size_limit=30)
+    return [
+        (step.ast, step.outcome.target, [p.rule for p in step.outcome.kept])
+        for step in steps
+    ]
+
+
+def test_encoding_follows_the_context_of_each_decision(corpus_records, logistic_60):
+    """One model encodes the builds of contexts A, B, A and then of A with one
+    variable's usage count changed: every row is the per-payload reference
+    of its own context, never a block kept from the one before."""
+    model = fresh_model(logistic_60)
+    pipe = model.pipeline
+    prefix = context_block_length(pipe.dims) + variable_block_length(pipe.dims)
+    a = corpus_records[0]
+    b = next(r for r in corpus_records if r.context != a.context)
+    first = a.context.variables[0]
+    changed = dataclasses.replace(first, usage_count=first.usage_count + 7)
+    a_changed = dataclasses.replace(
+        a.context, variables=(changed,) + a.context.variables[1:]
+    )
+    rows_of = {}
+    for name, ctx, record in (
+        ("A", a.context, a), ("B", b.context, b), ("A", a.context, a),
+        ("A'", a_changed, a),
+    ):
+        got = []
+        for ast, node, kept in replayed_decisions(
+            logistic_60.templates, ctx, record_tree(record)
+        ):
+            kind, payloads = model.resolver(ctx, ast, node, kept)
+            _, rows = model.encode(ctx, ast, node, kept)
+            reference = np.stack([reference_features(kind, p, pipe) for p in payloads])
+            if kind == "expression":
+                reference = reference[:1, :prefix]
+            assert np.array_equal(rows, reference), (name, kind)
+            got.append(rows)
+        rows_of.setdefault(name, got)
+    # the changed usage count reaches the rows, so a block kept by name
+    # instead of by value would have been caught above
+    assert any(
+        not np.array_equal(x, y) for x, y in zip(rows_of["A"], rows_of["A'"])
+    )
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call's first argument is recorded."""
+    seen = []
+    raw = getattr(owner, name)
+
+    def wrapper(first, *args, **kwargs):
+        seen.append(first)
+        return raw(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return seen
+
+
+def test_one_predict_encodes_each_block_once(monkeypatch, corpus_records, logistic_60):
+    """A predict computes its context's block once and each variable it
+    scores once, however many decisions read them."""
+    model = fresh_model(logistic_60)
+    scored = set()
+    resolve = model.resolver
+
+    def recording_resolver(ctx, ast, node, candidates):
+        kind, payloads = resolve(ctx, ast, node, candidates)
+        for p in payloads:
+            if kind == "creation":
+                scored.add(p.variable)
+            elif kind == "expression":
+                scored.add(p.chosen)
+            elif kind == "variable":
+                scored.update((p.variable, p.previous))
+        return kind, payloads
+
+    model.resolver = recording_resolver
+    contexts = counting(monkeypatch, features, "context_block")
+    variables = counting(monkeypatch, features, "variable_block")
+    record = corpus_records[0]
+    result = synthesize_condition(record.context, logistic_60.templates, model, k=50)
+    assert result.candidates
+    assert contexts == [record.context]
+    assert len(variables) == len(set(variables))
+    assert set(variables) == scored
+    assert len(scored) > 2
+
+
+def test_training_encodes_each_run_of_equal_contexts_once(monkeypatch, corpus_records):
+    """Consecutive atoms of one corpus record share their context, and
+    training computes its block once for the whole run."""
+    contexts = counting(monkeypatch, features, "context_block")
+    trained = train_cond_models(
+        corpus_records, model_kind="logistic", pca_dims=2, epochs=1
+    )
+    assert not trained.extraction.skipped
+    items = [r.context for r in corpus_records]
+    runs = 1 + sum(x != y for x, y in zip(items, items[1:]))
+    assert runs == 560  # the corpus's records, before compounds were split
+    assert len(contexts) == runs
 
 
 def test_train_rejects_unknown_kind():

@@ -1,11 +1,14 @@
 """Name encodings, the PCA, and the fixed-layout feature blocks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from progest.features import (
     BIGRAM_DIM,
     Context,
+    ContextEncoding,
     FeaturePipeline,
     StepPayload,
     TemplatePayload,
@@ -21,6 +24,7 @@ from progest.features import (
     pca_apply,
     pca_fit,
     position_block,
+    row_length,
     variable_block,
     variable_block_length,
 )
@@ -189,6 +193,45 @@ def test_extract_features_lengths_per_kind():
         rows = extract_features(kind, [payload, payload], pipe)
         assert rows.shape == shape
         assert rows.any(axis=1).all()
+
+
+def test_row_length_is_the_width_of_each_kind():
+    pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
+    ctx = make_contexts()[1]
+    payload = StepPayload(ctx, variable=ctx.variables[0], position=1)
+    for kind in ("creation", "expression", "variable"):
+        assert extract_features(kind, [payload], pipe).shape == (1, row_length(kind, 3))
+
+
+def test_encoding_hands_out_read_only_blocks_kept_by_value():
+    pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
+    ctx = make_contexts()[1]
+    var = ctx.variables[0]
+    tpl = TemplatePayload("V1 > 0::Int", 1, ("V1", ">", "0"), ("Int",))
+    enc = ContextEncoding(ctx, pipe)
+    blocks = [
+        enc.context_block(),
+        enc.variable_block(var),
+        enc.variable_block(None),
+        enc.expression_block(tpl),
+        enc.expression_block(None),
+    ]
+    for block in blocks:
+        with pytest.raises(ValueError):
+            block[0] = 1.0
+        with pytest.raises(ValueError):
+            block += 1.0
+    assert np.array_equal(blocks[0], context_block(ctx, pipe))
+    assert np.array_equal(blocks[1], variable_block(var, pipe))
+    assert not blocks[2].any() and not blocks[4].any()
+    # an equal variable or template is the same block, computed once
+    assert enc.variable_block(dataclasses.replace(var)) is blocks[1]
+    assert enc.expression_block(dataclasses.replace(tpl)) is blocks[3]
+    # rows are new arrays: writing one leaves the kept blocks as they were
+    payload = StepPayload(ctx, variable=var, template=tpl)
+    rows = extract_features("creation", [payload], pipe, encoding=enc)
+    rows[:] = 0.0
+    assert np.array_equal(enc.context_block(), context_block(ctx, pipe))
 
 
 def test_expression_block_reads_the_skeleton():
