@@ -1,34 +1,36 @@
-"""Exhaustive ambiguity checking for rewriting-rule sets.
+"""Bounded ambiguity checking for rewriting-rule sets.
 
 A rule set is unambiguous (up to a size bound) when no complete tree within
-the bound has two essentially different build histories.  Two histories count
-as the same when they apply the same rules at the same tree positions, no
-matter in which order the marked nodes were processed.
+the bound has two build histories.
 
-The check enumerates complete trees of the grammar in size order and, for
-each, walks every possible history with the backtracking machinery from
-``trees``.  The first tree with two distinct histories yields a replayable
-witness.
+The check generates forward from the empty tree, as AMBER does (Schröer
+2001): one ``search.exhaustive_search`` over the rule set reaches every
+complete tree within the bound once per build, through the same step the
+beam takes.  The rules' type schemas are dropped first, so the check is
+untyped.  Under one policy two builds of a tree first differ at a step
+where the same node takes two different rules, so a tree reached twice has
+two distinct histories.  The grammar's complete trees are enumerated in
+size order to count them and to pick the first clashing tree, which yields
+a replayable witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import inf
 
-from .errors import UnderivableTreeError
 from .grammar import Grammar, RuleSet, Symbol
+from .search import Candidate, exhaustive_search
+# iter_derivations is bound only so that the benchmark's tracer (perfbench)
+# can wrap it under this module's name; the check itself does not call it
 from .trees import (
     AnnotatedAst,
     Application,
-    DerivationStep,
     build_complete_ast,
     iter_derivations,
     policy_leftmost,
-    render,
+    to_sexpr,
 )
-
-_CREATE_SLOT = -1  # pseudo node key for the creation entry of a history table
 
 
 def minimum_tree_sizes(g: Grammar) -> dict[Symbol, float]:
@@ -93,32 +95,15 @@ def enumerate_complete_trees(g: Grammar, max_nodes: int):
             yield build_complete_ast(shape)
 
 
-def _history_table(steps: list[DerivationStep], rs: RuleSet) -> dict:
-    """Order-free summary of one derivation: what was applied where."""
-    table: dict[int, list] = {}
-    for s in steps:
-        if s.direction is None:
-            table.setdefault(_CREATE_SLOT, []).append(
-                (rs[s.application.rule].key, s.introduced)
-            )
-        else:
-            table.setdefault(s.target_node, []).append(
-                (s.direction.value, rs[s.application.rule].key)
-            )
-    return {k: tuple(sorted(v)) for k, v in table.items()}
-
-
-def _freeze(table: dict) -> tuple:
-    return tuple(sorted(table.items()))
-
-
 @dataclass(frozen=True)
 class Witness:
     """Two distinct build histories for the same tree.
 
-    ``node`` is the first tree position (preorder) where they disagree, and
-    ``rule_a``/``rule_b`` name the clashing choices there.  Replaying either
-    application sequence from the empty tree reproduces ``tree``.
+    ``tree`` is the tree history a builds.  ``node`` is the node that the
+    first step where the two histories differ applies to, and
+    ``rule_a``/``rule_b`` name the rules the two histories apply there; at a
+    creation step it is the first node the creation builds, id 0.  Replaying
+    either application sequence from the empty tree reproduces ``tree``.
     """
 
     tree: AnnotatedAst
@@ -140,63 +125,29 @@ class AmbiguityReport:
     witness: Witness | None = None
 
 
-def _intro_map(steps: list[DerivationStep], rs: RuleSet) -> dict[int, str]:
-    out: dict[int, str] = {}
-    for s in steps:
-        key = rs[s.application.rule].key
-        for tid in s.introduced:
-            out.setdefault(tid, key)
-    return out
+def _walk_order(cand: Candidate):
+    """Where a build comes when a tree's builds are walked depth first from
+    the empty tree, as ``trees.iter_derivations`` walks them: by its creation
+    rule, then by the preorder place in the tree of the node the creation
+    makes (id 0), then by its later rules."""
+    first, *rest = cand.applications
+    return first.rule, cand.ast.preorder().index(0), [app.rule for app in rest]
 
 
-def _describe(entries, index: int, intro: dict[int, str], tid: int) -> str:
-    if entries is not None and index < len(entries):
-        item = entries[index]
-        return item[1] if len(item) == 2 else item[0]
-    return intro.get(tid, "(not applied)")
-
-
-def _build_witness(
-    tree: AnnotatedAst,
-    table_a: dict,
-    steps_a: list[DerivationStep],
-    table_b: dict,
-    steps_b: list[DerivationStep],
-    rs: RuleSet,
-) -> Witness:
-    intro_a = _intro_map(steps_a, rs)
-    intro_b = _intro_map(steps_b, rs)
-    node = tree.root if tree.root is not None else 0
-    rule_a = rule_b = "(creation)"
-    create_a = table_a.get(_CREATE_SLOT)
-    create_b = table_b.get(_CREATE_SLOT)
-    if create_a != create_b:
-        node = create_a[0][1][0] if create_a and create_a[0][1] else node
-        rule_a = create_a[0][0] if create_a else "(none)"
-        rule_b = create_b[0][0] if create_b else "(none)"
-    else:
-        for tid in tree.preorder():
-            ea = table_a.get(tid)
-            eb = table_b.get(tid)
-            if ea == eb:
-                continue
-            node = tid
-            span = max(len(ea or ()), len(eb or ()))
-            for i in range(span):
-                da = _describe(ea, i, intro_a, tid)
-                db = _describe(eb, i, intro_b, tid)
-                if da != db:
-                    rule_a, rule_b = da, db
-                    break
-            break
+def _witness(a: Candidate, b: Candidate, rs: RuleSet) -> Witness:
+    # both builds end in a complete tree, so neither history is a prefix of
+    # the other; where they part, one policy picked one node for both
+    app_a, app_b = next(
+        (x, y) for x, y in zip(a.applications, b.applications) if x != y
+    )
     return Witness(
-        tree=tree,
-        rendered=render(tree),
-        node=node,
-        rule_a=rule_a,
-        rule_b=rule_b,
-        derivation_a=tuple(s.application for s in steps_a),
-        derivation_b=tuple(s.application for s in steps_b),
+        tree=a.ast,
+        rendered=a.rendered,
+        node=0 if app_a.node is None else app_a.node,
+        rule_a=rs[app_a.rule].key,
+        rule_b=rs[app_b.rule].key,
+        derivation_a=a.applications,
+        derivation_b=b.applications,
     )
 
 
@@ -211,35 +162,39 @@ def check_unambiguous(
 
     The bound keeps the check decidable; a clean report certifies nothing
     about larger trees, though in practice a clash shows up near the smallest
-    tree the clashing rules can both build.
+    tree the clashing rules can both build.  Trees are checked in the
+    enumeration's order, and the first clashing tree ends the check: its
+    first two builds in walk order make the witness and count as two
+    derivations.
     """
-    policy = policy or policy_leftmost
+    untyped = RuleSet([replace(r, schema=()) for r in rs])
+    found = exhaustive_search(
+        untyped, None, policy=policy or policy_leftmost,
+        size_limit=max_nodes, state_cap=inf,
+    )
+    builds: dict[str, list[Candidate]] = {}
+    for cand in found.candidates:
+        builds.setdefault(to_sexpr(cand.ast), []).append(cand)
     trees_checked = 0
     derivations_checked = 0
     underivable = 0
     for tree in enumerate_complete_trees(grammar, max_nodes):
         trees_checked += 1
-        seen: dict[tuple, tuple[dict, list[DerivationStep]]] = {}
-        try:
-            for steps in iter_derivations(tree, rs, policy):
-                derivations_checked += 1
-                table = _history_table(steps, rs)
-                key = _freeze(table)
-                if key not in seen:
-                    seen[key] = (table, steps)
-                if len(seen) == 2:
-                    (ta, sa), (tb, sb) = seen.values()
-                    witness = _build_witness(tree, ta, sa, tb, sb, rs)
-                    return AmbiguityReport(
-                        False,
-                        max_nodes,
-                        trees_checked,
-                        derivations_checked,
-                        underivable,
-                        witness,
-                    )
-        except UnderivableTreeError:
+        same = builds.get(to_sexpr(tree), ())
+        if not same:
             underivable += 1
+        elif len(same) == 1:
+            derivations_checked += 1
+        else:
+            a, b = sorted(same, key=_walk_order)[:2]
+            return AmbiguityReport(
+                False,
+                max_nodes,
+                trees_checked,
+                derivations_checked + 2,
+                underivable,
+                _witness(a, b, rs),
+            )
     return AmbiguityReport(
         True, max_nodes, trees_checked, derivations_checked, underivable, None
     )

@@ -30,6 +30,7 @@ from .features import (
     StepPayload,
     TemplatePayload,
     extract_features,
+    string_tuple,
 )
 from .grammar import (
     Annotation,
@@ -101,6 +102,8 @@ def load_corpus(path: str) -> list[CorpusRecord]:
             try:
                 rec_id = str(data["id"])
                 condition = data["condition"]
+                if not isinstance(condition, str):
+                    raise TypeError("condition must be a string")
                 ctx = Context.from_dict(data["context"])
             except (KeyError, TypeError) as err:
                 raise ContextError(f"line {line_no}: bad record ({err})") from None
@@ -157,10 +160,13 @@ class Template:
 
     @staticmethod
     def from_dict(data: Mapping) -> "Template":
+        key = data["key"]
+        if not isinstance(key, str):
+            raise TypeError("template key must be a string")
         return Template(
-            data["key"],
-            tuple(data["tokens"]),
-            tuple(data["types"]),
+            key,
+            string_tuple(data["tokens"], "template tokens"),
+            string_tuple(data["types"], "template types"),
             int(data.get("count", 0)),
         )
 

@@ -150,6 +150,16 @@ class Context:
         )
 
 
+def string_tuple(values, what: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; ``TypeError`` naming ``what`` for
+    anything else, so that a reader reports it instead of failing later."""
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(v, str) for v in values
+    ):
+        raise TypeError(f"{what} must be a list of strings")
+    return tuple(values)
+
+
 # --------------------------------------------------------------------------
 # name encodings
 
@@ -311,7 +321,7 @@ class FeaturePipeline:
     @staticmethod
     def from_params(data: Mapping) -> "FeaturePipeline":
         return FeaturePipeline(
-            PcaTransform.from_params(data["pca"]), tuple(data["vocab"])
+            PcaTransform.from_params(data["pca"]), string_tuple(data["vocab"], "vocab")
         )
 
     @staticmethod

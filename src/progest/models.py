@@ -8,7 +8,7 @@ scenarios multiply out to predictable figures.
 
 Training data comes from replaying known-good trees with
 ``feasible_derivation``, the one replay the scorer in ``search`` uses too: the
-first derivation that ``trees.iter_derivations`` yields when it steps through
+first derivation of ``trees.iter_derivations``, a walk that steps through
 ``constraints.feasible_rules`` exactly as the search does.  Every replay step
 turns into one positive instance for the applied rule and one negative for
 each feasible sibling.  With an encoder, each step a model core scores is
@@ -39,6 +39,7 @@ from .features import (
     FeaturePipeline,
     StepPayload,
     extract_features,
+    string_tuple,
 )
 from .grammar import RewritingRule, RuleSet, group_key_of
 # iter_derivations is called by this name so that the tracer counts replays
@@ -281,7 +282,7 @@ class SoftmaxCore:
     @staticmethod
     def from_params(data: Mapping) -> "SoftmaxCore":
         return SoftmaxCore(
-            tuple(data["classes"]),
+            string_tuple(data["classes"], "classes"),
             np.asarray(data["W"], dtype=float),
             np.asarray(data["b"], dtype=float),
             np.asarray(data["mean"], dtype=float),
@@ -499,11 +500,9 @@ def feasible_derivation(
     typed walk, whose steps carry their ``outcome`` and ``choice``.  Raises
     ``UnderivableTreeError`` when no derivation survives every step."""
     step = SearchStep(rs, ctx, size_limit)
-    return next(
-        iter_derivations(
-            tree, rs, policy, lambda ast, pins: feasible_rules(ast, step, policy, pins)
-        )
-    )
+    return next(iter_derivations(
+        tree, lambda ast, pins: feasible_rules(ast, step, policy, pins)
+    ))
 
 
 def extract_training_set(

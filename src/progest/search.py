@@ -192,16 +192,18 @@ def exhaustive_search(
     *,
     policy: Policy = policy_leftmost,
     size_limit: int | None = None,
-    state_cap: int = 1_000_000,
+    state_cap: float = 1_000_000,
     model=None,
     anti_patterns: Sequence[AntiPattern] = (),
     renderer: Renderer | None = None,
 ) -> SearchResult:
     """Every finished tree reachable under the pruning, in stable order.
 
-    Meant for small spaces (oracle comparisons, exactness checks); raises
-    ``SearchOverflowError`` past ``state_cap`` visited states.  Without a
-    model all log probabilities are zero.
+    Visits every state within the bounds, so it suits bounded spaces: the
+    unambiguity certifier (``ambiguity.check_unambiguous``), oracle
+    comparisons and exactness checks.  Raises ``SearchOverflowError`` past
+    ``state_cap`` visited states; ``math.inf`` sets no cap.  Without a model
+    all log probabilities are zero.
     """
     stats = SearchStats()
     render_fn = renderer or render

@@ -13,7 +13,8 @@ root) that collapses to "keep the node, add children"; for a bottom-up rule
 it hangs the old root under a new one.
 
 ``iter_derivations`` is the one walk over a finished tree's derivations:
-untyped for the certifier, or typed through a search step for the replay.
+it steps through a search step, so its first derivation is the search's
+build of the tree.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .grammar import (
     Annotation,
     RewritingRule,
     RuleKind,
-    RuleSet,
     RuleTree,
     Symbol,
 )
@@ -286,9 +286,8 @@ class DerivationStep:
     target_node: int | None  # id in the target tree; None for creation
     introduced: tuple[int, ...]  # target ids matched by fresh replacement nodes
     ast: AnnotatedAst  # the tree before the step
-    # typed walks only: what the step offered, and the applied rule's index
-    outcome: ProbeOutcome | None = None
-    choice: int | None = None
+    outcome: ProbeOutcome  # what the step offered
+    choice: int  # the applied rule's index in ``outcome.kept``
 
 
 def _root_match(
@@ -364,23 +363,20 @@ def _match_replacement(
 
 def iter_derivations(
     target: AnnotatedAst,
-    rs: RuleSet,
-    policy,
-    step: Callable[[AnnotatedAst, tuple], ProbeOutcome] | None = None,
+    step: Callable[[AnnotatedAst, tuple], ProbeOutcome],
 ):
-    """Yield every derivation of ``target`` by ``rs``, depth first, as lists
-    of ``DerivationStep``; replaying one from an empty tree rebuilds
-    ``target`` up to node ids.  ``policy`` picks the node at each state.
+    """Yield every derivation of ``target`` through ``step``, depth first, as
+    lists of ``DerivationStep``; replaying one from an empty tree rebuilds
+    ``target`` up to node ids.
 
-    Untyped (no ``step``), each rule of the node's group is matched against
-    ``target`` before it is spliced.  ``step(tree, pins)`` returns what the
-    search step over ``rs`` keeps there, as ``constraints.feasible_rules``
-    does; the typed walk matches only those probes, reads the splice and the
-    pins of a probe only once its rule matches (a probe splices when first
-    read) and carries those pins.  They are a subsequence of the same group, so it
-    yields the untyped derivations whose every step survives, in the same
-    order: the first is the search's build.  Raises ``UnderivableTreeError``
-    when the walk yields nothing.
+    ``step(tree, pins)`` returns what a search step keeps at ``tree``, as
+    ``constraints.feasible_rules`` does: the node its policy picks and the
+    probes of that node's rule group that survive.  The walk matches each
+    probe's rule against ``target``, reads the probe's splice and pins only
+    once its rule matches (a probe splices when first read) and carries
+    those pins.  Probes are tried in the order the step keeps them, so the
+    first derivation is the search's build.  Raises
+    ``UnderivableTreeError`` when the walk yields nothing.
     """
     if not is_complete(target):
         raise IncompleteTreeError("derivations need a finished target tree")
@@ -395,31 +391,19 @@ def iter_derivations(
                 produced += 1
                 yield steps
             return
-        outcome = node = tid = None
-        if step is not None:
-            outcome = step(ast, pins)
-            node_id = outcome.target
-            rules = [p.rule for p in outcome.kept]
-        elif ast.is_empty:
-            node_id, rules = None, rs.creation_rules
-        else:
-            node_id, direction = policy(ast)
-            rules = rs.rules_for(ast.nodes[node_id].symbol, direction)
+        outcome = step(ast, pins)
+        node_id = outcome.target
+        node = tid = None
         if node_id is not None:
             node, tid = ast.nodes[node_id], mapping[node_id]
         progressed = False
-        for choice, rule in enumerate(rules):
+        for choice, probe in enumerate(outcome.kept):
+            rule = probe.rule
             for root_tid in order if node is None else _root_match(target, node, tid, rule):
                 matched = _match_replacement(rule, target, root_tid, tid)
                 if matched is None:
                     continue
-                if outcome is None:
-                    new_ast, ids = apply_rule_with_ids(ast, node_id, rule)
-                    new_pins, chosen = pins, None
-                else:
-                    probe = outcome.kept[choice]
-                    new_ast, ids = probe.ast, probe.ids
-                    new_pins, chosen = pins + probe.constraints, choice
+                ids = probe.ids
                 new_mapping = dict(mapping)
                 fresh: list[int] = []
                 for pos, t in matched:
@@ -433,14 +417,17 @@ def iter_derivations(
                     taken = DerivationStep(
                         Application(node_id, rule.id),
                         rule.pattern[1] if rule.pattern else None,
-                        tid, tuple(fresh), ast, outcome, chosen,
+                        tid, tuple(fresh), ast, outcome, choice,
                     )
-                    yield from walk(new_ast, new_mapping, steps + [taken], new_pins)
+                    new_pins = pins + probe.constraints
+                    yield from walk(probe.ast, new_mapping, steps + [taken], new_pins)
         if not progressed:
             where = "the empty tree" if node is None else f"node {tid} ({node.symbol})"
             stuck.append((len(steps), where))
 
     yield from walk(AnnotatedAst.empty(), {}, [], ())
     if produced == 0:
-        what = "tree is not derivable" if step is None else "no derivation survives the step"
-        raise UnderivableTreeError(what + (f"; stuck at {max(stuck)[1]}" if stuck else ""))
+        raise UnderivableTreeError(
+            "no derivation survives the step"
+            + (f"; stuck at {max(stuck)[1]}" if stuck else "")
+        )

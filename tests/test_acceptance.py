@@ -61,12 +61,11 @@ from progest.trees import (
     AnnotatedAst,
     apply_rule,
     is_complete,
-    iter_derivations,
     policy_leftmost,
     render,
     to_sexpr,
 )
-from tests_support import make_hash_policy
+from tests_support import make_hash_policy, untyped_derivations
 
 
 def test_criterion_01_worked_example_and_greedy_flip(worked_example):
@@ -92,7 +91,7 @@ def _derivable_pool(g, rs, bound, cap=60):
     pool = []
     for tree in islice(enumerate_complete_trees(g, bound), 3000):
         try:
-            next(iter_derivations(tree, rs, policy_leftmost))
+            next(untyped_derivations(tree, rs, policy_leftmost))
         except UnderivableTreeError:
             continue
         pool.append(tree)

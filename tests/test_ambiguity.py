@@ -3,7 +3,16 @@
 from math import inf
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gramgen import (
+    full_set,
+    random_dag_grammar,
+    random_recursive_grammar,
+    spine_set,
+    top_down_set,
+)
 from progest.ambiguity import (
     check_unambiguous,
     enumerate_complete_trees,
@@ -19,8 +28,13 @@ from progest.grammar import (
     nonterminal,
     terminal,
 )
-from progest.trees import render
-from tests_support import isomorphic, replay
+from progest.trees import policy_leftmost, render, to_sexpr
+from tests_support import (
+    isomorphic,
+    make_hash_policy,
+    reference_check_unambiguous,
+    replay,
+)
 
 DEMO = 'E -> E "> 12" | E "> 0" | "hours" | "value" | E "+" E\n'
 
@@ -95,3 +109,64 @@ def test_underivable_trees_are_counted(demo):
     report = check_unambiguous(rs, demo, max_nodes=4)
     assert report.unambiguous
     assert report.underivable_trees == report.trees_checked > 0
+
+
+def _counts(report):
+    return (
+        report.unambiguous,
+        report.max_nodes,
+        report.trees_checked,
+        report.derivations_checked,
+        report.underivable_trees,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(("dag", "recursive", "recursive-dead")),
+    st.sampled_from(("topdown", "full", "spine")),
+    st.booleans(),
+)
+# the clashing tree has five builds; after the root creation come two that
+# create the same leaf at two places, and the walk takes the place that is
+# first in preorder, although the other build's later rules sort first
+@example(243, "dag", "full", False)
+def test_check_matches_the_per_tree_walk(seed, family, kind, hashed):
+    """The forward search reports what the per-tree derivation walk reports:
+    verdict, counts, witness tree and the two histories; its witness names
+    the first step where the two histories part."""
+    if family == "dag":
+        g = random_dag_grammar(seed, max_programs=300)
+    else:
+        g = random_recursive_grammar(seed, with_dead=family == "recursive-dead")
+    if kind == "topdown":
+        rs = top_down_set(g)
+    elif kind == "full":
+        rs = full_set(g)
+    else:
+        terminals = sorted(g.terminals, key=lambda t: t.name)
+        rs = spine_set(g, terminals[seed % len(terminals)])
+    policy = make_hash_policy(seed) if hashed else policy_leftmost
+    got = check_unambiguous(rs, g, max_nodes=7, policy=policy)
+    want = reference_check_unambiguous(rs, g, max_nodes=7, policy=policy)
+    assert _counts(got) == _counts(want)
+    if want.witness is None:
+        assert got.witness is None
+        return
+    w = got.witness
+    assert to_sexpr(w.tree) == to_sexpr(want.witness.tree)
+    assert w.rendered == render(w.tree)
+    # the same two builds, in the same order: the walk's first two
+    assert (w.derivation_a, w.derivation_b) == (
+        want.witness.derivation_a,
+        want.witness.derivation_b,
+    )
+    for apps in (w.derivation_a, w.derivation_b):
+        assert isomorphic(replay(rs, list(apps)), w.tree)
+    app_a, app_b = next(
+        (a, b) for a, b in zip(w.derivation_a, w.derivation_b) if a != b
+    )
+    assert app_a.node == app_b.node
+    assert w.node == (0 if app_a.node is None else app_a.node)
+    assert (w.rule_a, w.rule_b) == (rs[app_a.rule].key, rs[app_b.rule].key)

@@ -165,6 +165,54 @@ def test_check_full_reports_ambiguity(capsys, data_dir):
     assert "  E^U = 1" in out
 
 
+# stdout of the two `check` commands of README.md, byte for byte
+README_CHECK_TOPDOWN = """\
+rules: 6 (topdown)
+unambiguous (bound 9)
+checked 58 trees, 58 derivations, 0 underivable
+size bounds:
+  E^D = 2
+  E^U = inf
+"""
+
+README_CHECK_FULL = """\
+rules: 21 (full)
+ambiguous (bound 9)
+witness: "hours" has two build histories (node 0: make-root:E vs make-leaf:hours)
+history a: make-root:E@- td:E->"hours"@0
+history b: make-leaf:hours@- bu0:E->"hours"@0 fin:E@1
+checked 1 trees, 2 derivations, 0 underivable
+size bounds:
+  +^D = inf
+  +^U = 6
+  > 0^D = inf
+  > 0^U = 4
+  > 12^D = inf
+  > 12^U = 4
+  E^D = 2
+  E^U = 1
+  hours^D = inf
+  hours^U = 2
+  value^D = inf
+  value^U = 2
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, want_code, want_out",
+    [
+        pytest.param([], 0, README_CHECK_TOPDOWN, id="topdown"),
+        pytest.param(["--rules", "full"], 1, README_CHECK_FULL, id="full"),
+    ],
+)
+def test_check_output_is_pinned(capsys, data_dir, extra, want_code, want_out):
+    code, out, err = run(
+        capsys,
+        ["check", "--grammar", str(data_dir / "demo" / "demo_grammar.txt"), *extra],
+    )
+    assert (code, out, err) == (want_code, want_out, "")
+
+
 def test_check_below_the_smallest_tree_certifies_nothing(capsys, data_dir):
     code, out, _ = run(
         capsys,
@@ -199,26 +247,83 @@ def test_invalid_context_json_is_exit_2(capsys, tmp_path, data_dir):
     assert err.startswith("error:")
 
 
+def _set_sections(kind, model, pipeline):
+    def edit(data):
+        data.update(model_kind=kind, model=model, pipeline=pipeline)
+    return edit
+
+
+def _set_entry(*path_and_value):
+    """Replace the entry at a key/index path, e.g. ("templates", 0, "key", v)."""
+    *path, last, value = path_and_value
+
+    def edit(data):
+        for step in path:
+            data = data[step]
+        data[last] = value
+    return edit
+
+
 @pytest.mark.parametrize(
-    "kind, model, pipeline",
+    "source, edit",
     [
-        ("frequency", "ab", None),
-        ("frequency", {"counts": "x"}, None),
-        ("logistic", {}, "ab"),
+        pytest.param("demo", _set_sections("frequency", "ab", None),
+                     id="frequency-ab-None"),
+        pytest.param("demo", _set_sections("frequency", {"counts": "x"}, None),
+                     id="frequency-model1-None"),
+        pytest.param("demo", _set_sections("logistic", {}, "ab"),
+                     id="logistic-model2-ab"),
+        pytest.param("demo", _set_entry("templates", 0, "key", ["V1"]),
+                     id="template-key-list"),
+        pytest.param("demo", _set_entry("templates", 0, "tokens", 0, ["V1"]),
+                     id="template-token-list"),
+        pytest.param("demo", _set_entry("templates", 0, "tokens", "V1 > 0"),
+                     id="template-tokens-string"),
+        pytest.param("demo", _set_entry("templates", 0, "types", 0, ["Int"]),
+                     id="template-type-list"),
+        pytest.param("logistic", _set_entry("pipeline", "vocab", 0, ["x"]),
+                     id="pipeline-vocab-list"),
+        pytest.param("logistic", _set_entry("pipeline", "vocab", 0, 5),
+                     id="pipeline-vocab-number"),
+        pytest.param("logistic", _set_entry("model", "expression", "classes", 0, ["x"]),
+                     id="expression-classes-list"),
+        pytest.param("logistic", _set_entry("model", "expression", "classes", 0, 5),
+                     id="expression-classes-number"),
     ],
 )
-def test_malformed_bundle_is_exit_2(capsys, tmp_path, data_dir, kind, model, pipeline):
-    demo = data_dir / "demo"
-    data = json.loads((demo / "demo_bundle.json").read_text())
-    data.update(model_kind=kind, model=model, pipeline=pipeline)
+def test_malformed_bundle_is_exit_2(capsys, tmp_path, data_dir, request, source, edit):
+    if source == "demo":
+        demo = data_dir / "demo"
+        data = json.loads((demo / "demo_bundle.json").read_text())
+        ctx_path = demo / "demo_context.json"
+    else:
+        data, ctx_path = request.getfixturevalue("logistic_bundle")
+        data = json.loads(json.dumps(data))
+        capsys.readouterr()  # the fixture's training output, on first use
+    edit(data)
     bad = tmp_path / "bad_bundle.json"
     bad.write_text(json.dumps(data))
-    code, out, err = run(
-        capsys, ["predict", str(demo / "demo_context.json"), "--bundle", str(bad)]
-    )
+    code, out, err = run(capsys, ["predict", str(ctx_path), "--bundle", str(bad)])
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed bundle: ")
+
+
+@pytest.mark.parametrize(
+    "condition", [5, None, ["a"], {"a": 1}], ids=["number", "null", "list", "object"]
+)
+def test_malformed_corpus_record_is_exit_2(capsys, tmp_path, condition):
+    record = generate_corpus(1, seed=2)[0]
+    record["condition"] = condition
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(json.dumps(record) + "\n")
+    code, out, err = run(
+        capsys,
+        ["train", "--corpus", str(corpus), "--bundle", str(tmp_path / "x.json")],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: bad record (")
 
 
 @pytest.fixture(scope="module")

@@ -40,10 +40,13 @@ from progest.trees import (
     Application,
     apply_rule,
     build_complete_ast,
-    iter_derivations,
     policy_leftmost,
 )
-from tests_support import make_hash_policy, reference_feasible_derivation
+from tests_support import (
+    make_hash_policy,
+    reference_feasible_derivation,
+    untyped_derivations,
+)
 
 GRAMMAR = 'E -> E "> 12" | "hours" | "value"\n'
 
@@ -362,6 +365,6 @@ def test_typed_walk_replays_the_corpus_as_the_restarting_replay(corpus_records):
         )
         got = feasible_derivation(tree, rs, policy_leftmost, ctx, size_limit=30)
         _assert_same_replay(got, want)
-        first = next(iter_derivations(tree, rs, policy_leftmost))
+        first = next(untyped_derivations(tree, rs, policy_leftmost))
         restarted += [s.application for s in first] != [s.application for s in got]
     assert restarted > 0

@@ -21,13 +21,12 @@ from progest.trees import (
     build_complete_ast,
     expandable_nodes,
     is_complete,
-    iter_derivations,
     leaf_tokens,
     policy_leftmost,
     render,
     to_sexpr,
 )
-from tests_support import isomorphic, replay
+from tests_support import isomorphic, replay, untyped_derivations
 
 GRAMMAR = 'E -> E "> 12" | "hours" | "value" | E "+" E\n'
 
@@ -174,7 +173,7 @@ def test_policy_fails_on_complete(rules):
 
 def test_iter_derivations_counts_routes(rules):
     target = build_top_down(rules, ["make-root:E", 'td:E->E "> 12"', 'td:E->"hours"'])
-    derivations = list(iter_derivations(target, rules, policy_leftmost))
+    derivations = list(untyped_derivations(target, rules, policy_leftmost))
     # one top-down route plus one bottom-up route per leaf token
     assert len(derivations) == 3
     for steps in derivations:
@@ -185,7 +184,7 @@ def test_iter_derivations_counts_routes(rules):
 def test_iter_derivations_requires_complete(rules):
     partial = build_top_down(rules, ["make-root:E", 'td:E->E "> 12"'])
     with pytest.raises(IncompleteTreeError):
-        list(iter_derivations(partial, rules, policy_leftmost))
+        list(untyped_derivations(partial, rules, policy_leftmost))
 
 
 def test_underivable_tree_raises():
@@ -193,4 +192,4 @@ def test_underivable_tree_raises():
     td_only = derive_top_down_rules(g)  # no creation rules at all
     target = build_complete_ast((nonterminal("E"), [(terminal("hours"), [])]))
     with pytest.raises(UnderivableTreeError):
-        list(iter_derivations(target, td_only, policy_leftmost))
+        list(untyped_derivations(target, td_only, policy_leftmost))

@@ -1,13 +1,13 @@
 """Hand-built fixtures for the worked two-variable comparison example, tree,
 grammar and policy helpers for the tests, and the reference paths that fast
 paths are checked against: the splice-then-solve prober, the restarting
-typed replay, the per-payload feature vector and the per-context condition
-rule set."""
+typed replay, the per-tree certifier, the per-payload feature vector and the
+per-context condition rule set."""
 
 import contextlib
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from progest.constraints import (
     constraints_of_context,
     feasible_rules,
 )
+from progest.ambiguity import AmbiguityReport, Witness, enumerate_complete_trees
 from progest.errors import ContextError, UnderivableTreeError
 from progest.features import (
     context_block,
@@ -50,6 +51,8 @@ from progest.trees import (
     apply_rule_with_ids,
     expandable_nodes,
     iter_derivations,
+    policy_leftmost,
+    render,
 )
 
 
@@ -161,6 +164,17 @@ def reference_prober():
         constraints.probe_rules = saved
 
 
+def untyped_derivations(target, rs, policy):
+    """Every derivation of ``target`` by ``rs`` under ``policy``, untyped and
+    unbounded: ``iter_derivations`` through the step over ``rs`` without its
+    schemas and with no size limit, which keeps every rule of each group, so
+    the walk matches the whole group in rule order."""
+    step = SearchStep(RuleSet([replace(r, schema=()) for r in rs]), None, None)
+    return iter_derivations(
+        target, lambda ast, pins: feasible_rules(ast, step, policy, pins)
+    )
+
+
 def reference_feasible_derivation(tree, rs, policy, ctx=None, *, size_limit=None):
     """``models.feasible_derivation`` the slow way: restart a typed replay
     from the empty tree on each untyped derivation, in policy order, until
@@ -172,7 +186,7 @@ def reference_feasible_derivation(tree, rs, policy, ctx=None, *, size_limit=None
     """
     step = SearchStep(rs, ctx, size_limit)
     try:
-        for derivation in iter_derivations(tree, rs, policy):
+        for derivation in untyped_derivations(tree, rs, policy):
             steps = []
             ast = AnnotatedAst.empty()
             pins = ()
@@ -190,6 +204,111 @@ def reference_feasible_derivation(tree, rs, policy, ctx=None, *, size_limit=None
     except UnderivableTreeError:
         pass
     return None
+
+
+_CREATE_SLOT = -1  # pseudo node key for the creation entry of a history table
+
+
+def _history_table(steps, rs: RuleSet) -> dict:
+    """Order-free summary of one derivation: what was applied where."""
+    table: dict[int, list] = {}
+    for s in steps:
+        if s.direction is None:
+            table.setdefault(_CREATE_SLOT, []).append(
+                (rs[s.application.rule].key, s.introduced)
+            )
+        else:
+            table.setdefault(s.target_node, []).append(
+                (s.direction.value, rs[s.application.rule].key)
+            )
+    return {k: tuple(sorted(v)) for k, v in table.items()}
+
+
+def _intro_map(steps, rs: RuleSet) -> dict[int, str]:
+    out: dict[int, str] = {}
+    for s in steps:
+        key = rs[s.application.rule].key
+        for tid in s.introduced:
+            out.setdefault(tid, key)
+    return out
+
+
+def _describe(entries, index: int, intro: dict[int, str], tid: int) -> str:
+    if entries is not None and index < len(entries):
+        item = entries[index]
+        return item[1] if len(item) == 2 else item[0]
+    return intro.get(tid, "(not applied)")
+
+
+def _reference_witness(tree, table_a, steps_a, table_b, steps_b, rs) -> Witness:
+    intro_a = _intro_map(steps_a, rs)
+    intro_b = _intro_map(steps_b, rs)
+    node = tree.root if tree.root is not None else 0
+    rule_a = rule_b = "(creation)"
+    create_a = table_a.get(_CREATE_SLOT)
+    create_b = table_b.get(_CREATE_SLOT)
+    if create_a != create_b:
+        node = create_a[0][1][0] if create_a and create_a[0][1] else node
+        rule_a = create_a[0][0] if create_a else "(none)"
+        rule_b = create_b[0][0] if create_b else "(none)"
+    else:
+        for tid in tree.preorder():
+            ea = table_a.get(tid)
+            eb = table_b.get(tid)
+            if ea == eb:
+                continue
+            node = tid
+            span = max(len(ea or ()), len(eb or ()))
+            for i in range(span):
+                da = _describe(ea, i, intro_a, tid)
+                db = _describe(eb, i, intro_b, tid)
+                if da != db:
+                    rule_a, rule_b = da, db
+                    break
+            break
+    return Witness(
+        tree=tree,
+        rendered=render(tree),
+        node=node,
+        rule_a=rule_a,
+        rule_b=rule_b,
+        derivation_a=tuple(s.application for s in steps_a),
+        derivation_b=tuple(s.application for s in steps_b),
+    )
+
+
+def reference_check_unambiguous(rs, grammar, *, max_nodes=9, policy=None):
+    """``ambiguity.check_unambiguous`` the slow way: walk every derivation of
+    each enumerated tree from the empty tree, and stop at the first tree with
+    two distinct history tables (what was applied at which target node, in
+    any order).  The witness's ``node`` is a position of the enumerated tree
+    and its rules come from comparing the two tables."""
+    policy = policy or policy_leftmost
+    trees_checked = 0
+    derivations_checked = 0
+    underivable = 0
+    for tree in enumerate_complete_trees(grammar, max_nodes):
+        trees_checked += 1
+        seen = {}
+        try:
+            for steps in untyped_derivations(tree, rs, policy):
+                derivations_checked += 1
+                table = _history_table(steps, rs)
+                key = tuple(sorted(table.items()))
+                if key not in seen:
+                    seen[key] = (table, steps)
+                if len(seen) == 2:
+                    (ta, sa), (tb, sb) = seen.values()
+                    witness = _reference_witness(tree, ta, sa, tb, sb, rs)
+                    return AmbiguityReport(
+                        False, max_nodes, trees_checked, derivations_checked,
+                        underivable, witness,
+                    )
+        except UnderivableTreeError:
+            underivable += 1
+    return AmbiguityReport(
+        True, max_nodes, trees_checked, derivations_checked, underivable, None
+    )
 
 
 def isomorphic(a: AnnotatedAst, b: AnnotatedAst) -> bool:
