@@ -9,17 +9,23 @@ complete tree within the bound once per build, through the same step the
 beam takes.  The rules' type schemas are dropped first, so the check is
 untyped.  Under one policy two builds of a tree first differ at a step
 where the same node takes two different rules, so a tree reached twice has
-two distinct histories.  The grammar's complete trees are enumerated in
-size order to count them and to pick the first clashing tree, which yields
-a replayable witness.
+two distinct histories.  Each build is keyed by its tree's preorder
+``(name, is_terminal, arity)`` labels, and builds of trees the grammar does
+not have are dropped.  When no tree has two builds, the report is counted,
+not listed: the grammar's complete trees within the bound are counted with
+the recursion that enumerates them, and those the search did not reach are
+underivable.  Only a clash makes the check walk the grammar's tree shapes in
+size order, up to the first clashing tree, which yields a replayable
+witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from math import inf
 
-from .grammar import Grammar, RuleSet, Symbol
+from .grammar import Grammar, RuleSet, Symbol, SymbolKind
 from .search import Candidate, exhaustive_search
 # iter_derivations is bound only so that the benchmark's tracer (perfbench)
 # can wrap it under this module's name; the check itself does not call it
@@ -29,8 +35,9 @@ from .trees import (
     build_complete_ast,
     iter_derivations,
     policy_leftmost,
-    to_sexpr,
 )
+
+_TERMINAL = SymbolKind.TERMINAL
 
 
 def minimum_tree_sizes(g: Grammar) -> dict[Symbol, float]:
@@ -49,8 +56,9 @@ def minimum_tree_sizes(g: Grammar) -> dict[Symbol, float]:
     return sizes
 
 
-def enumerate_complete_trees(g: Grammar, max_nodes: int):
-    """Yield every complete tree of ``g`` with at most ``max_nodes`` nodes.
+def tree_shapes(g: Grammar, max_nodes: int):
+    """Yield every complete tree of ``g`` with at most ``max_nodes`` nodes, as
+    nested ``(Symbol, children)`` tuples.
 
     Trees come out in ascending node count; within one size the order follows
     production order, so runs are reproducible.
@@ -91,8 +99,87 @@ def enumerate_complete_trees(g: Grammar, max_nodes: int):
         return results
 
     for n in range(1, max_nodes + 1):
-        for shape in shapes(g.root, n):
-            yield build_complete_ast(shape)
+        yield from shapes(g.root, n)
+
+
+def enumerate_complete_trees(g: Grammar, max_nodes: int):
+    """Yield the trees of ``tree_shapes`` as ``AnnotatedAst`` values, in its
+    order."""
+    for shape in tree_shapes(g, max_nodes):
+        yield build_complete_ast(shape)
+
+
+def count_complete_trees(g: Grammar, max_nodes: int) -> int:
+    """How many trees ``tree_shapes`` yields: its recursion, memoised,
+    counting the trees instead of listing them."""
+    mins = minimum_tree_sizes(g)
+
+    @cache
+    def count(sym: Symbol, n: int) -> int:
+        if sym.is_terminal:
+            return int(n == 1)
+        return sum(fill(p.rhs, n - 1) for p in g.productions_for(sym))
+
+    @cache
+    def fill(symbols: tuple[Symbol, ...], budget: int) -> int:
+        if not symbols:
+            return int(budget == 0)
+        first, rest = symbols[0], symbols[1:]
+        first_min = mins[first]
+        rest_min = sum(mins[s] for s in rest)
+        if first_min == inf or rest_min == inf:
+            return 0
+        return sum(
+            count(first, take) * fill(rest, budget - take)
+            for take in range(int(first_min), int(budget - rest_min) + 1)
+        )
+
+    return sum(count(g.root, n) for n in range(1, max_nodes + 1))
+
+
+def _shape_key(shape) -> tuple:
+    """Preorder ``(name, is_terminal, arity)`` of a ``tree_shapes`` tree,
+    which fixes the tree."""
+    out = []
+    stack = [shape]
+    while stack:
+        sym, kids = stack.pop()
+        out.append((sym.name, sym.is_terminal, len(kids)))
+        stack.extend(reversed(kids))
+    return tuple(out)
+
+
+def _grammar_tree_key(ast: AnnotatedAst, root: str, productions: set):
+    """``_shape_key`` of a finished tree, or None when the tree is not a tree
+    of the grammar: ``root`` names the grammar's root and ``productions``
+    holds each production as (lhs name, right-hand side's (name,
+    is_terminal) pairs).
+
+    This runs once per build, so it reads names and kinds and hashes plain
+    tuples; a ``Symbol`` hashes through Python code.
+    """
+    nodes = ast.nodes
+    first = nodes[ast.root].symbol
+    if first.kind is _TERMINAL or first.name != root:
+        return None
+    out = []
+    stack = [ast.root]
+    while stack:
+        node = nodes[stack.pop()]
+        kids = node.children
+        sym = node.symbol
+        if sym.kind is _TERMINAL:
+            if kids:
+                return None
+            out.append((sym.name, True, 0))
+            continue
+        syms = [nodes[c].symbol for c in kids]
+        rhs = tuple([(s.name, s.kind is _TERMINAL) for s in syms])
+        if (sym.name, rhs) not in productions:
+            return None
+        out.append((sym.name, False, len(kids)))
+        stack.extend(reversed(kids))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -162,25 +249,39 @@ def check_unambiguous(
 
     The bound keeps the check decidable; a clean report certifies nothing
     about larger trees, though in practice a clash shows up near the smallest
-    tree the clashing rules can both build.  Trees are checked in the
-    enumeration's order, and the first clashing tree ends the check: its
-    first two builds in walk order make the witness and count as two
-    derivations.
+    tree the clashing rules can both build.  Only builds of the grammar's
+    trees count; a tree outside the grammar may have any number.  With no
+    clash the counts need no enumeration: the grammar's trees are counted,
+    and those the search did not reach are underivable.  With a clash the
+    trees are checked in ``tree_shapes`` order, and the first clashing tree
+    ends the check: its first two builds in walk order make the witness and
+    count as two derivations.
     """
     untyped = RuleSet([replace(r, schema=()) for r in rs])
     found = exhaustive_search(
         untyped, None, policy=policy or policy_leftmost,
         size_limit=max_nodes, state_cap=inf,
     )
-    builds: dict[str, list[Candidate]] = {}
+    productions = {
+        (p.lhs.name, tuple((s.name, s.is_terminal) for s in p.rhs))
+        for p in grammar.productions
+    }
+    builds: dict[tuple, list[Candidate]] = {}
     for cand in found.candidates:
-        builds.setdefault(to_sexpr(cand.ast), []).append(cand)
+        key = _grammar_tree_key(cand.ast, grammar.root.name, productions)
+        if key is not None:
+            builds.setdefault(key, []).append(cand)
+    if all(len(same) == 1 for same in builds.values()):
+        trees = count_complete_trees(grammar, max_nodes)
+        return AmbiguityReport(
+            True, max_nodes, trees, len(builds), trees - len(builds), None
+        )
     trees_checked = 0
     derivations_checked = 0
     underivable = 0
-    for tree in enumerate_complete_trees(grammar, max_nodes):
+    for shape in tree_shapes(grammar, max_nodes):
         trees_checked += 1
-        same = builds.get(to_sexpr(tree), ())
+        same = builds.get(_shape_key(shape), ())
         if not same:
             underivable += 1
         elif len(same) == 1:
@@ -195,6 +296,4 @@ def check_unambiguous(
                 underivable,
                 _witness(a, b, rs),
             )
-    return AmbiguityReport(
-        True, max_nodes, trees_checked, derivations_checked, underivable, None
-    )
+    raise AssertionError("a clashing grammar tree was not enumerated")

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="certify a grammar's rule set and size bounds")
     check.add_argument("--grammar", required=True, help="grammar file")
     check.add_argument("--bound", type=_positive, default=9,
-                       help="max tree size to enumerate")
+                       help="max tree size to certify")
     check.add_argument("--rules", choices=("topdown", "full"), default="topdown",
                        help="topdown: root creation + top-down rules; "
                             "full: adds bottom-up rules and leaf creations")

@@ -13,13 +13,16 @@ from gramgen import (
     spine_set,
     top_down_set,
 )
+from progest import ambiguity, trees
 from progest.ambiguity import (
     check_unambiguous,
+    count_complete_trees,
     enumerate_complete_trees,
     minimum_tree_sizes,
 )
 from progest.grammar import (
     CreationMode,
+    Grammar,
     RuleSet,
     derive_bottom_up_rules,
     derive_creation_rules,
@@ -73,6 +76,24 @@ def test_enumeration_respects_bound(demo):
     assert list(enumerate_complete_trees(demo, 1)) == []
 
 
+def _family_grammar(family, seed):
+    if family == "dag":
+        return random_dag_grammar(seed, max_programs=300)
+    return random_recursive_grammar(seed, with_dead=family == "recursive-dead")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(("dag", "recursive", "recursive-dead")),
+)
+def test_tree_count_matches_the_enumeration(seed, family):
+    g = _family_grammar(family, seed)
+    for bound in range(10):
+        want = sum(1 for _ in enumerate_complete_trees(g, bound))
+        assert count_complete_trees(g, bound) == want, bound
+
+
 def test_top_down_set_is_unambiguous(demo):
     rs = RuleSet(
         [*derive_top_down_rules(demo), *derive_creation_rules(demo, [CreationMode.ROOT])]
@@ -111,6 +132,70 @@ def test_underivable_trees_are_counted(demo):
     assert report.underivable_trees == report.trees_checked > 0
 
 
+def _off_root_set(g: Grammar, other) -> RuleSet:
+    """The top-down set of ``g`` plus the bottom-up and creation rules of the
+    same productions rooted at ``other``: trees rooted at ``other`` are
+    built both top-down and by climbing from a leaf, and are not trees of
+    ``g``."""
+    off_root = Grammar(g.productions, other)
+    return RuleSet([
+        *top_down_set(g),
+        *derive_bottom_up_rules(off_root),
+        *derive_creation_rules(off_root, [CreationMode.ROOT, CreationMode.LEAF]),
+    ])
+
+
+def test_a_clash_outside_the_grammar_is_not_ambiguity():
+    g = load_grammar('E -> F "!"\nF -> "x"\n')
+    f = nonterminal("F")
+    rs = _off_root_set(g, f)
+    # (F "x") has two builds, but only (E (F "x") "!") is a tree of g
+    off = check_unambiguous(rs, Grammar(g.productions, f), max_nodes=4)
+    assert not off.unambiguous and off.witness.rendered == "x"
+    report = check_unambiguous(rs, g, max_nodes=4)
+    assert _counts(report) == (True, 4, 1, 1, 0)
+    assert report.witness is None
+    assert _counts(report) == _counts(reference_check_unambiguous(rs, g, max_nodes=4))
+
+
+def _criterion_06_sets(g: Grammar) -> tuple[RuleSet, RuleSet]:
+    """Top-down rules seeded at the root; and both directions, minus the
+    climb through the left operand of a two-operand production, seeded at
+    the ``value`` leaf."""
+    bottom_up = [
+        rule
+        for rule in derive_bottom_up_rules(g)
+        if rule.key.startswith("fin:")
+        or not rule.replacement.children[0].anchor
+        or all(c.symbol.is_terminal for c in rule.replacement.children[1:])
+    ]
+    leaf = [
+        r for r in derive_creation_rules(g, [CreationMode.LEAF])
+        if r.key == "make-leaf:value"
+    ]
+    return top_down_set(g), RuleSet([*derive_top_down_rules(g), *bottom_up, *leaf])
+
+
+def test_a_clean_check_lists_no_tree(demo_grammar, monkeypatch):
+    """With no clash the report is counted: no tree of the grammar is
+    enumerated, built or printed."""
+
+    def listed(*args, **kwargs):
+        raise AssertionError("a clean check listed a tree")
+
+    topdown, both = _criterion_06_sets(demo_grammar)
+    monkeypatch.setattr(trees, "build_complete_ast", listed)
+    monkeypatch.setattr(ambiguity, "build_complete_ast", listed)
+    monkeypatch.setattr(trees, "to_sexpr", listed)
+    monkeypatch.setattr(ambiguity, "tree_shapes", listed)
+    assert _counts(check_unambiguous(topdown, demo_grammar, max_nodes=13)) == (
+        True, 13, 746, 746, 0
+    )
+    assert _counts(check_unambiguous(both, demo_grammar, max_nodes=13)) == (
+        True, 13, 746, 373, 373
+    )
+
+
 def _counts(report):
     return (
         report.unambiguous,
@@ -125,7 +210,7 @@ def _counts(report):
 @given(
     st.integers(0, 10_000),
     st.sampled_from(("dag", "recursive", "recursive-dead")),
-    st.sampled_from(("topdown", "full", "spine")),
+    st.sampled_from(("topdown", "full", "spine", "foreign", "off-root")),
     st.booleans(),
 )
 # the clashing tree has five builds; after the root creation come two that
@@ -135,15 +220,18 @@ def _counts(report):
 def test_check_matches_the_per_tree_walk(seed, family, kind, hashed):
     """The forward search reports what the per-tree derivation walk reports:
     verdict, counts, witness tree and the two histories; its witness names
-    the first step where the two histories part."""
-    if family == "dag":
-        g = random_dag_grammar(seed, max_programs=300)
-    else:
-        g = random_recursive_grammar(seed, with_dead=family == "recursive-dead")
+    the first step where the two histories part.  ``foreign`` checks the
+    full set of another grammar and ``off-root`` adds builds rooted at a
+    non-root symbol, so some builds are not trees of the grammar."""
+    g = _family_grammar(family, seed)
     if kind == "topdown":
         rs = top_down_set(g)
     elif kind == "full":
         rs = full_set(g)
+    elif kind == "foreign":
+        rs = full_set(_family_grammar(family, seed + 1))
+    elif kind == "off-root":
+        rs = _off_root_set(g, g.nonterminals[1])
     else:
         terminals = sorted(g.terminals, key=lambda t: t.name)
         rs = spine_set(g, terminals[seed % len(terminals)])
