@@ -260,7 +260,7 @@ def check_unambiguous(
     untyped = RuleSet([replace(r, schema=()) for r in rs])
     found = exhaustive_search(
         untyped, None, policy=policy or policy_leftmost,
-        size_limit=max_nodes, state_cap=inf,
+        size_limit=max_nodes, step_cap=inf,
     )
     productions = {
         (p.lhs.name, tuple((s.name, s.is_terminal) for s in p.rhs))

@@ -105,7 +105,7 @@ def load_corpus(path: str) -> list[CorpusRecord]:
                 if not isinstance(condition, str):
                     raise TypeError("condition must be a string")
                 ctx = Context.from_dict(data["context"])
-            except (KeyError, TypeError) as err:
+            except (KeyError, TypeError, ContextError) as err:
                 raise ContextError(f"line {line_no}: bad record ({err})") from None
             if rec_id in seen_ids:
                 raise ContextError(f"line {line_no}: duplicate id {rec_id!r}")

@@ -59,25 +59,34 @@ class VariableInfo:
         }
 
     @staticmethod
-    def from_dict(data: Mapping) -> "VariableInfo":
-        try:
-            name = data["name"]
-            type_name = data["type"]
-        except KeyError as missing:
-            raise ContextError(f"variable entry missing {missing}") from None
+    def from_dict(data: dict) -> "VariableInfo":
+        if not isinstance(data, dict):
+            raise ContextError("variable entry must be an object")
+        for key in ("name", "type"):
+            if key not in data:
+                raise ContextError(f"variable entry missing {key!r}")
+        bad = _bad_field(data, _VARIABLE_KINDS)
+        def_sites = data.get("def_sites", ())
+        if bad is None and not (
+            isinstance(def_sites, (list, tuple))
+            and all(type(x) is int for x in def_sites)
+        ):
+            bad = "'def_sites' must be a list of integers"
+        if bad is not None:
+            raise ContextError(f"variable {data['name']!r}: {bad}")
         return VariableInfo(
-            name=name,
-            type=type_name,
-            is_final=bool(data.get("final", False)),
-            is_static=bool(data.get("static", False)),
-            in_loop=bool(data.get("in_loop", False)),
-            has_initializer=bool(data.get("has_init", False)),
-            init_is_zero=bool(data.get("init_zero", False)),
-            decl_distance=int(data.get("decl_distance", 0)),
-            def_sites=tuple(int(x) for x in data.get("def_sites", ())),
-            usage_count=int(data.get("usages", 0)),
-            usages_before=int(data.get("usages_before", 0)),
-            usages_after=int(data.get("usages_after", 0)),
+            name=data["name"],
+            type=data["type"],
+            is_final=data.get("final", False),
+            is_static=data.get("static", False),
+            in_loop=data.get("in_loop", False),
+            has_initializer=data.get("has_init", False),
+            init_is_zero=data.get("init_zero", False),
+            decl_distance=data.get("decl_distance", 0),
+            def_sites=tuple(def_sites),
+            usage_count=data.get("usages", 0),
+            usages_before=data.get("usages_before", 0),
+            usages_after=data.get("usages_after", 0),
         )
 
 
@@ -129,25 +138,60 @@ class Context:
         }
 
     @staticmethod
-    def from_dict(data: Mapping) -> "Context":
-        variables = tuple(
-            VariableInfo.from_dict(v) for v in data.get("variables", ())
-        )
+    def from_dict(data: dict) -> "Context":
+        if not isinstance(data, dict):
+            raise ContextError("context must be an object")
+        bad = _bad_field(data, _CONTEXT_KINDS)
+        if bad is not None:
+            raise ContextError(f"context: {bad}")
+        entries = data.get("variables", ())
+        if not isinstance(entries, (list, tuple)):
+            raise ContextError("context: 'variables' must be a list")
+        variables = tuple(VariableInfo.from_dict(v) for v in entries)
         names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise ContextError("duplicate variable names in context")
+        try:
+            before = string_tuple(data.get("before", ()), "context 'before'")
+            after = string_tuple(data.get("after", ()), "context 'after'")
+        except TypeError as err:
+            raise ContextError(str(err)) from None
         return Context(
             variables=variables,
             result_type=data.get("result", "Boolean"),
             class_name=data.get("class", ""),
             superclass_name=data.get("superclass", ""),
             method_name=data.get("method", ""),
-            method_params=int(data.get("params", 0)),
-            method_is_static=bool(data.get("static", False)),
-            in_loop=bool(data.get("in_loop", False)),
-            before_tokens=tuple(data.get("before", ())),
-            after_tokens=tuple(data.get("after", ())),
+            method_params=data.get("params", 0),
+            method_is_static=data.get("static", False),
+            in_loop=data.get("in_loop", False),
+            before_tokens=before,
+            after_tokens=after,
         )
+
+
+# the JSON kind of each scalar field of a variable entry and of a context;
+# kinds compare exactly, so a boolean is no integer
+_VARIABLE_KINDS = {
+    "name": str, "type": str, "final": bool, "static": bool, "in_loop": bool,
+    "has_init": bool, "init_zero": bool, "decl_distance": int, "usages": int,
+    "usages_before": int, "usages_after": int,
+}
+_CONTEXT_KINDS = {
+    "result": str, "class": str, "superclass": str, "method": str,
+    "params": int, "static": bool, "in_loop": bool,
+}
+_KIND_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def _bad_field(data: dict, kinds: dict[str, type]) -> str | None:
+    """What is wrong with the first field of ``data`` whose value is not of
+    its kind in ``kinds``, or None when every field fits."""
+    for key, value in data.items():
+        kind = kinds.get(key)
+        if kind is not None and type(value) is not kind:
+            return f"{key!r} must be {_KIND_NAMES[kind]}"
+    return None
 
 
 def string_tuple(values, what: str) -> tuple[str, ...]:

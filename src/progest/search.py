@@ -4,7 +4,8 @@ States are partial annotated trees with the log probability of the rule
 choices that built them.  Each round expands every live state at the node
 its policy picks, keeps the locally best successors, then truncates the pool
 to the round's beam width.  Widths are given per round; the last entry
-repeats, so ``(5, 200)`` means a tight first pick and a wide tail.
+repeats, so ``(5, 200)`` means a tight first pick and a wide tail.  There is
+one search loop: exhaustive search is the beam at unbounded width.
 
 Every expansion is one call of ``constraints.feasible_rules``: the policy's
 node, its rule group, and the typed, size-bounded probe.  The scorer replays
@@ -20,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import exp, inf, log
+from sys import maxsize
 from typing import Callable, Sequence
 
 # compute_size_bounds and probe_rules are bound only so that the benchmark's
@@ -41,6 +43,8 @@ from .trees import (
 
 Policy = Callable[[AnnotatedAst], tuple[int, Annotation]]
 Renderer = Callable[[AnnotatedAst], str]
+# a search state: tree, log prob, applications so far, accumulated schema pins
+State = tuple[AnnotatedAst, float, tuple[Application, ...], tuple]
 
 
 # --------------------------------------------------------------------------
@@ -106,11 +110,11 @@ def beam_search(
     model,
     *,
     policy: Policy = policy_leftmost,
-    widths: Sequence[int] = (5, 200),
+    widths: Sequence[float] = (5, 200),
     k: int = 10,
     size_limit: int | None = 30,
     anti_patterns: Sequence[AntiPattern] = DEFAULT_ANTI_PATTERNS,
-    step_cap: int = 100_000,
+    step_cap: float = 100_000,
     renderer: Renderer | None = None,
 ) -> SearchResult:
     """Beam search for the ``k`` most probable finished trees.
@@ -119,6 +123,11 @@ def beam_search(
     fitted models normalize per candidate list, fixtures may not.  Finished
     states leave the beam, get anti-pattern screened, and are ranked at the
     end, so a slow completion can still outrank an early one.
+
+    A width may be ``math.inf``.  Candidates and successors are sorted only
+    when they outnumber the width.  Both sort keys are total, so the states
+    kept, and so the ranking, are those of a full sort; only their order in
+    a round differs, and with it what ``step_cap`` (expansions) cuts.
     """
     if not widths or any(w < 1 for w in widths):
         raise ValueError("widths must be a non-empty sequence of positive ints")
@@ -126,14 +135,11 @@ def beam_search(
     render_fn = renderer or render
     step = SearchStep(rs, ctx, size_limit)
     results: list[Candidate] = []
-    # state: tree, log prob, applications so far, accumulated schema pins
-    states: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
-        (AnnotatedAst.empty(), 0.0, (), ())
-    ]
+    states: list[State] = [(AnnotatedAst.empty(), 0.0, (), ())]
     round_idx = 0
     while states:
         width = widths[min(round_idx, len(widths) - 1)]
-        successors: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = []
+        successors: list[State] = []
         for ast, log_prob, apps, pins in states:
             if not ast.is_empty and is_complete(ast):
                 text = render_fn(ast)
@@ -159,23 +165,19 @@ def beam_search(
                     stats.zero_prob_pruned += 1
                     continue
                 scored.append((log_prob + log(p), probe))
-            scored.sort(key=lambda item: (-item[0], item[1].rule.id))
             if len(scored) > width:
+                scored.sort(key=lambda item: (-item[0], item[1].rule.id))
                 stats.beam_truncated += len(scored) - width
                 scored = scored[:width]
-            for new_log, probe in scored:
-                successors.append(
-                    (
-                        probe.ast,
-                        new_log,
-                        apps + (Application(node, probe.rule.id),),
-                        pins + probe.constraints,
-                    )
-                )
-        successors.sort(
-            key=lambda s: (-s[1], to_sexpr(s[0]), tuple(a.rule for a in s[2]))
-        )
+            successors.extend(
+                (probe.ast, new_log, apps + (Application(node, probe.rule.id),),
+                 pins + probe.constraints)
+                for new_log, probe in scored
+            )
         if len(successors) > width:
+            successors.sort(
+                key=lambda s: (-s[1], to_sexpr(s[0]), tuple(a.rule for a in s[2]))
+            )
             stats.beam_truncated += len(successors) - width
             successors = successors[:width]
         states = successors
@@ -186,75 +188,38 @@ def beam_search(
     return SearchResult(results[:k], stats)
 
 
+class _Unscored:
+    """Scores every candidate 1, so every log probability stays 0."""
+
+    def predict(self, ctx, ast, node, candidates) -> list[float]:
+        return [1.0] * len(candidates)
+
+
 def exhaustive_search(
     rs: RuleSet,
     ctx: Context | None = None,
     *,
     policy: Policy = policy_leftmost,
     size_limit: int | None = None,
-    state_cap: float = 1_000_000,
+    step_cap: float = 1_000_000,
     model=None,
     anti_patterns: Sequence[AntiPattern] = (),
     renderer: Renderer | None = None,
 ) -> SearchResult:
-    """Every finished tree reachable under the pruning, in stable order.
+    """Every finished tree reachable under the pruning, in rank order: the
+    beam at unbounded width, with no cut on the result count.
 
-    Visits every state within the bounds, so it suits bounded spaces: the
-    unambiguity certifier (``ambiguity.check_unambiguous``), oracle
-    comparisons and exactness checks.  Raises ``SearchOverflowError`` past
-    ``state_cap`` visited states; ``math.inf`` sets no cap.  Without a model
-    all log probabilities are zero.
+    Suits bounded spaces: the certifier (``ambiguity.check_unambiguous``),
+    oracles and exactness checks.  Raises ``SearchOverflowError`` past
+    ``step_cap`` expansions; ``math.inf`` sets no cap.  Without a model every
+    step scores 1, so every log probability is zero.
     """
-    stats = SearchStats()
-    render_fn = renderer or render
-    step = SearchStep(rs, ctx, size_limit)
-    results: list[Candidate] = []
-    stack: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
-        (AnnotatedAst.empty(), 0.0, (), ())
-    ]
-    visited = 0
-    while stack:
-        ast, log_prob, apps, pins = stack.pop()
-        visited += 1
-        if visited > state_cap:
-            raise SearchOverflowError(
-                f"exhaustive search exceeded {state_cap} states"
-            )
-        if not ast.is_empty and is_complete(ast):
-            text = render_fn(ast)
-            if anti_pattern_check(text, anti_patterns):
-                results.append(Candidate(ast, text, log_prob, apps))
-            else:
-                stats.anti_pattern_pruned += 1
-            continue
-        stats.expansions += 1
-        outcome = feasible_rules(ast, step, policy, pins)
-        stats.size_pruned += outcome.size_pruned
-        stats.constraint_pruned += outcome.constraint_pruned
-        if not outcome.kept:
-            continue
-        node = outcome.target
-        if model is not None:
-            probs = model.predict(ctx, ast, node, [p.rule for p in outcome.kept])
-        else:
-            probs = [1.0] * len(outcome.kept)
-        for probe, p in reversed(list(zip(outcome.kept, probs))):
-            if model is not None and p <= 0.0:
-                stats.zero_prob_pruned += 1
-                continue
-            new_log = log_prob + (log(p) if model is not None else 0.0)
-            stack.append(
-                (
-                    probe.ast,
-                    new_log,
-                    apps + (Application(node, probe.rule.id),),
-                    pins + probe.constraints,
-                )
-            )
-    results.sort(
-        key=lambda c: (-c.log_prob, c.rendered, tuple(a.rule for a in c.applications))
-    )
-    return SearchResult(results, stats)
+    found = beam_search(rs, ctx, model or _Unscored(), policy=policy, widths=(inf,),
+                        k=maxsize, size_limit=size_limit, anti_patterns=anti_patterns,
+                        step_cap=step_cap, renderer=renderer)
+    if found.stats.step_cap_hit:
+        raise SearchOverflowError(f"exhaustive search exceeded {step_cap} expansions")
+    return found
 
 
 def program_log_probability(

@@ -52,11 +52,7 @@ from progest.grammar import (
     derive_top_down_rules,
 )
 from progest.models import TableModel
-from progest.search import (
-    beam_search,
-    exhaustive_search,
-    program_log_probability,
-)
+from progest.search import beam_search, program_log_probability
 from progest.trees import (
     AnnotatedAst,
     apply_rule,
@@ -65,7 +61,11 @@ from progest.trees import (
     render,
     to_sexpr,
 )
-from tests_support import make_hash_policy, untyped_derivations
+from tests_support import (
+    make_hash_policy,
+    reference_exhaustive_search,
+    untyped_derivations,
+)
 
 
 def test_criterion_01_worked_example_and_greedy_flip(worked_example):
@@ -153,7 +153,7 @@ def test_criterion_03_saturated_beam_equals_exhaustive():
             rs, None, model,
             widths=(1100,), k=10, size_limit=None, anti_patterns=(),
         )
-        full = exhaustive_search(rs, None, model=model)
+        full = reference_exhaustive_search(rs, None, model=model)
         top = full.candidates[:10]
         assert [c.rendered for c in beam.candidates] == [c.rendered for c in top]
         for ours, ref in zip(beam.candidates, top):

@@ -326,6 +326,56 @@ def test_malformed_corpus_record_is_exit_2(capsys, tmp_path, condition):
     assert err.startswith("error: line 1: bad record (")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_set_entry("context", [1, 2]), id="context-list"),
+        pytest.param(_set_entry("context", "variables", {"n": 1}),
+                     id="variables-object"),
+        pytest.param(_set_entry("context", "variables", 0, 3), id="variable-number"),
+        pytest.param(_set_entry("context", "variables", 0, "name", 5),
+                     id="name-number"),
+        pytest.param(_set_entry("context", "variables", 0, "type", 7),
+                     id="type-number"),
+        pytest.param(_set_entry("context", "result", None), id="result-null"),
+        pytest.param(_set_entry("context", "class", ["A"]), id="class-list"),
+        pytest.param(_set_entry("context", "superclass", 1), id="superclass-number"),
+        pytest.param(_set_entry("context", "method", None), id="method-null"),
+        pytest.param(_set_entry("context", "before", "abc"), id="before-string"),
+        pytest.param(_set_entry("context", "after", [1]), id="after-numbers"),
+        pytest.param(_set_entry("context", "params", 1.5), id="params-float"),
+        pytest.param(_set_entry("context", "variables", 0, "usages", "many"),
+                     id="usages-string"),
+        pytest.param(_set_entry("context", "variables", 0, "decl_distance", True),
+                     id="distance-boolean"),
+        pytest.param(_set_entry("context", "variables", 0, "def_sites", ["3"]),
+                     id="def-sites-strings"),
+        pytest.param(_set_entry("context", "static", 1), id="static-number"),
+        pytest.param(_set_entry("context", "variables", 0, "final", "no"),
+                     id="final-string"),
+    ],
+)
+def test_malformed_context_is_exit_2(capsys, tmp_path, data_dir, edit):
+    """A context field of the wrong JSON type is an input error for both the
+    context of a predict and a corpus record, not a traceback or a guess."""
+    record = generate_corpus(1, seed=2)[0]
+    edit(record)
+    ctx_path = tmp_path / "ctx.json"
+    ctx_path.write_text(json.dumps(record["context"]))
+    bundle = data_dir / "demo" / "demo_bundle.json"
+    code, out, err = run(capsys, ["predict", str(ctx_path), "--bundle", str(bundle)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(json.dumps(record) + "\n")
+    code, out, err = run(
+        capsys,
+        ["train", "--corpus", str(corpus), "--bundle", str(tmp_path / "x.json")],
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1: bad record (")
+
+
 @pytest.fixture(scope="module")
 def logistic_bundle(tmp_path_factory, small_corpus):
     """A logistic bundle with all three cores, and a context it predicts for."""

@@ -1,12 +1,22 @@
 """Beam search, exhaustive search, and whole-tree scoring."""
 
+import random
 from math import exp, inf, log
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramgen import random_rule_weights, random_typed_grammar, top_down_set
+from gramgen import (
+    full_set,
+    random_dag_grammar,
+    random_recursive_grammar,
+    random_rule_weights,
+    random_typed_grammar,
+    top_down_set,
+)
+from progest import condsynth
+from progest.condsynth import synthesize_condition, train_cond_models
 from progest.errors import SearchOverflowError
 from progest.features import Context
 from progest.grammar import (
@@ -24,8 +34,12 @@ from progest.search import (
     exhaustive_search,
     program_log_probability,
 )
-from progest.trees import AnnotatedAst, apply_rule, policy_leftmost
-from tests_support import make_hash_policy
+from progest.trees import AnnotatedAst, apply_rule, policy_leftmost, to_sexpr
+from tests_support import (
+    make_hash_policy,
+    reference_beam_search,
+    reference_exhaustive_search,
+)
 
 
 def test_worked_example_wide_beam(worked_example):
@@ -145,7 +159,7 @@ def test_exhaustive_overflow():
         [*derive_top_down_rules(g), *derive_creation_rules(g, [CreationMode.ROOT])]
     )
     with pytest.raises(SearchOverflowError):
-        exhaustive_search(rs, None, size_limit=60, state_cap=200)
+        exhaustive_search(rs, None, size_limit=60, step_cap=200)
 
 
 def test_program_log_probability_worked_example(worked_example):
@@ -171,6 +185,18 @@ def test_program_probability_zero_when_pruned(worked_example):
     assert exp(program_log_probability(ast, rules, model, size_limit=9)) == 0.0
 
 
+def _result_context(g, pick):
+    """A bare context asking for one of the concrete result types of ``g``."""
+    types = sorted(
+        {
+            p.result_atom.name
+            for p in g.productions
+            if p.result_atom is not None and not p.result_atom.is_schema_var
+        }
+    )
+    return Context.simple({}, result_type=types[pick % len(types)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 2), st.booleans(), st.booleans())
 def test_scorer_matches_exhaustive_search_on_typed_grammars(
@@ -182,14 +208,7 @@ def test_scorer_matches_exhaustive_search_on_typed_grammars(
     the candidates the search's step offered."""
     g = random_typed_grammar(seed)
     rs = top_down_set(g)
-    types = sorted(
-        {
-            p.result_atom.name
-            for p in g.productions
-            if p.result_atom is not None and not p.result_atom.is_schema_var
-        }
-    )
-    ctx = Context.simple({}, result_type=types[pick % len(types)])
+    ctx = _result_context(g, pick)
     model = UniformModel() if uniform else TableModel(random_rule_weights(rs, seed))
     policy = make_hash_policy(seed) if hashed else policy_leftmost
     found = exhaustive_search(rs, ctx, policy=policy, size_limit=7, model=model)
@@ -222,3 +241,118 @@ def test_hash_policy_still_finishes_builds(worked_example):
     )
     assert res.candidates[0].rendered == "hours > 12"
     assert res.candidates[0].prob == pytest.approx(0.24, abs=1e-12)
+
+
+def _result_fields(result):
+    """What a search hands back, compared by value: each candidate's tree,
+    rendering, exact log probability and build, and every count."""
+    return (
+        [
+            (to_sexpr(c.ast), c.rendered, c.log_prob, c.applications)
+            for c in result.candidates
+        ],
+        result.stats,
+    )
+
+
+def _search_case(family, seed, full, hashed, model_kind):
+    """A seeded rule set, context, policy and model from one of the
+    ``gramgen`` families.  The table model zeroes about a fifth of its
+    entries, so that zero-probability pruning shows up in the counts."""
+    if family == "typed":
+        g = random_typed_grammar(seed)
+        ctx = _result_context(g, seed)
+    elif family == "recursive":
+        g, ctx = random_recursive_grammar(seed), None
+    else:
+        g, ctx = random_dag_grammar(seed), None
+    rs = full_set(g) if full else top_down_set(g)
+    policy = make_hash_policy(seed) if hashed else policy_leftmost
+    if model_kind == "table":
+        rng = random.Random(seed)
+        weights = random_rule_weights(rs, seed)
+        model = TableModel({k: w for k, w in weights.items() if rng.random() > 0.2})
+    elif model_kind == "uniform":
+        model = UniformModel()
+    else:
+        model = None
+    return rs, ctx, policy, model
+
+
+# a single token is screened out, so the anti-pattern count is exercised too
+_ONE_TOKEN = (AntiPattern("one-token", r"^\S+$"),)
+_FAMILIES = st.sampled_from(["dag", "recursive", "typed"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _FAMILIES,
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["none", "uniform", "table"]),
+    st.integers(5, 8),
+)
+def test_exhaustive_search_equals_the_depth_first_reference(
+    family, seed, full, hashed, model_kind, size_limit
+):
+    """The beam at unbounded width finds what the depth-first walk finds,
+    with the same log probabilities, builds and counts."""
+    rs, ctx, policy, model = _search_case(family, seed, full, hashed, model_kind)
+    kwargs = dict(policy=policy, size_limit=size_limit, model=model,
+                  anti_patterns=_ONE_TOKEN)
+    ours = exhaustive_search(rs, ctx, **kwargs)
+    ref = reference_exhaustive_search(rs, ctx, **kwargs)
+    assert _result_fields(ours) == _result_fields(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _FAMILIES,
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["uniform", "table"]),
+    st.sampled_from([(1,), (2,), (3,), (1, 2), (2, 1), (5, 200)]),
+)
+def test_beam_equals_the_always_sorting_reference(
+    family, seed, full, hashed, model_kind, widths
+):
+    """Sorting only to truncate keeps the states and the ranking that sorting
+    every round keeps.  The uniform model ties every step, so its cuts fall
+    to the ``to_sexpr`` and rule-id tie-breaks."""
+    rs, ctx, policy, model = _search_case(family, seed, full, hashed, model_kind)
+    kwargs = dict(policy=policy, widths=widths, k=10, size_limit=7,
+                  anti_patterns=_ONE_TOKEN)
+    ours = beam_search(rs, ctx, model, **kwargs)
+    ref = reference_beam_search(rs, ctx, model, **kwargs)
+    assert not ref.stats.step_cap_hit
+    assert _result_fields(ours) == _result_fields(ref)
+
+
+@pytest.fixture(scope="module")
+def corpus_models(corpus_records):
+    return [
+        train_cond_models(corpus_records, model_kind=kind)
+        for kind in ("frequency", "logistic")
+    ]
+
+
+def test_beam_equals_the_reference_on_corpus_contexts(
+    corpus_records, corpus_models, monkeypatch
+):
+    """The real workload: both trained models rank the first 40 corpus
+    contexts at the evaluation settings as the always-sorting beam does."""
+    for trained in corpus_models:
+        for record in corpus_records[:40]:
+            def predict():
+                return synthesize_condition(
+                    record.context, trained.templates, trained.model,
+                    k=50, widths=(5, 200), size_limit=30,
+                )
+
+            ours = predict()
+            with monkeypatch.context() as patch:
+                patch.setattr(condsynth, "beam_search", reference_beam_search)
+                ref = predict()
+            assert _result_fields(ours) == _result_fields(ref), record.id

@@ -1,13 +1,16 @@
 """Hand-built fixtures for the worked two-variable comparison example, tree,
 grammar and policy helpers for the tests, and the reference paths that fast
 paths are checked against: the splice-then-solve prober, the restarting
-typed replay, the per-tree certifier, the per-payload feature vector and the
-per-context condition rule set."""
+typed replay, the always-sorting beam, the depth-first exhaustive search,
+the per-tree certifier, the per-payload feature vector and the per-context
+condition rule set."""
 
 import contextlib
 import hashlib
 import re
 from dataclasses import dataclass, replace
+from math import log
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +25,9 @@ from progest.constraints import (
     feasible_rules,
 )
 from progest.ambiguity import AmbiguityReport, Witness, enumerate_complete_trees
-from progest.errors import ContextError, UnderivableTreeError
+from progest.errors import ContextError, SearchOverflowError, UnderivableTreeError
 from progest.features import (
+    Context,
     context_block,
     expression_block,
     position_block,
@@ -44,15 +48,27 @@ from progest.grammar import (
     terminal,
 )
 from progest.models import TableModel
+from progest.search import (
+    DEFAULT_ANTI_PATTERNS,
+    AntiPattern,
+    Candidate,
+    Policy,
+    Renderer,
+    SearchResult,
+    SearchStats,
+    anti_pattern_check,
+)
 from progest.trees import (
     AnnotatedAst,
     Application,
     apply_rule,
     apply_rule_with_ids,
     expandable_nodes,
+    is_complete,
     iter_derivations,
     policy_leftmost,
     render,
+    to_sexpr,
 )
 
 
@@ -204,6 +220,155 @@ def reference_feasible_derivation(tree, rs, policy, ctx=None, *, size_limit=None
     except UnderivableTreeError:
         pass
     return None
+
+
+def reference_beam_search(
+    rs: RuleSet,
+    ctx: Context | None,
+    model,
+    *,
+    policy: Policy = policy_leftmost,
+    widths: Sequence[int] = (5, 200),
+    k: int = 10,
+    size_limit: int | None = 30,
+    anti_patterns: Sequence[AntiPattern] = DEFAULT_ANTI_PATTERNS,
+    step_cap: int = 100_000,
+    renderer: Renderer | None = None,
+) -> SearchResult:
+    """``search.beam_search`` the slow way, with the same arguments: every
+    state's scored candidates and every round's successors are sorted,
+    whether or not the width truncates them."""
+    if not widths or any(w < 1 for w in widths):
+        raise ValueError("widths must be a non-empty sequence of positive ints")
+    stats = SearchStats()
+    render_fn = renderer or render
+    step = SearchStep(rs, ctx, size_limit)
+    results: list[Candidate] = []
+    # state: tree, log prob, applications so far, accumulated schema pins
+    states: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
+        (AnnotatedAst.empty(), 0.0, (), ())
+    ]
+    round_idx = 0
+    while states:
+        width = widths[min(round_idx, len(widths) - 1)]
+        successors: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = []
+        for ast, log_prob, apps, pins in states:
+            if not ast.is_empty and is_complete(ast):
+                text = render_fn(ast)
+                if anti_pattern_check(text, anti_patterns):
+                    results.append(Candidate(ast, text, log_prob, apps))
+                else:
+                    stats.anti_pattern_pruned += 1
+                continue
+            if stats.expansions >= step_cap:
+                stats.step_cap_hit = True
+                continue
+            stats.expansions += 1
+            outcome = feasible_rules(ast, step, policy, pins)
+            stats.size_pruned += outcome.size_pruned
+            stats.constraint_pruned += outcome.constraint_pruned
+            if not outcome.kept:
+                continue
+            node = outcome.target
+            probs = model.predict(ctx, ast, node, [p.rule for p in outcome.kept])
+            scored = []
+            for probe, p in zip(outcome.kept, probs):
+                if p <= 0.0:
+                    stats.zero_prob_pruned += 1
+                    continue
+                scored.append((log_prob + log(p), probe))
+            scored.sort(key=lambda item: (-item[0], item[1].rule.id))
+            if len(scored) > width:
+                stats.beam_truncated += len(scored) - width
+                scored = scored[:width]
+            for new_log, probe in scored:
+                successors.append(
+                    (
+                        probe.ast,
+                        new_log,
+                        apps + (Application(node, probe.rule.id),),
+                        pins + probe.constraints,
+                    )
+                )
+        successors.sort(
+            key=lambda s: (-s[1], to_sexpr(s[0]), tuple(a.rule for a in s[2]))
+        )
+        if len(successors) > width:
+            stats.beam_truncated += len(successors) - width
+            successors = successors[:width]
+        states = successors
+        round_idx += 1
+    results.sort(
+        key=lambda c: (-c.log_prob, c.rendered, tuple(a.rule for a in c.applications))
+    )
+    return SearchResult(results[:k], stats)
+
+
+def reference_exhaustive_search(
+    rs: RuleSet,
+    ctx: Context | None = None,
+    *,
+    policy: Policy = policy_leftmost,
+    size_limit: int | None = None,
+    state_cap: float = 1_000_000,
+    model=None,
+    anti_patterns: Sequence[AntiPattern] = (),
+    renderer: Renderer | None = None,
+) -> SearchResult:
+    """``search.exhaustive_search`` as a loop of its own: a depth-first walk
+    of every state within the bounds.  Raises ``SearchOverflowError`` past
+    ``state_cap`` visited states; ``math.inf`` sets no cap.  Without a model
+    all log probabilities are zero."""
+    stats = SearchStats()
+    render_fn = renderer or render
+    step = SearchStep(rs, ctx, size_limit)
+    results: list[Candidate] = []
+    stack: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
+        (AnnotatedAst.empty(), 0.0, (), ())
+    ]
+    visited = 0
+    while stack:
+        ast, log_prob, apps, pins = stack.pop()
+        visited += 1
+        if visited > state_cap:
+            raise SearchOverflowError(
+                f"exhaustive search exceeded {state_cap} states"
+            )
+        if not ast.is_empty and is_complete(ast):
+            text = render_fn(ast)
+            if anti_pattern_check(text, anti_patterns):
+                results.append(Candidate(ast, text, log_prob, apps))
+            else:
+                stats.anti_pattern_pruned += 1
+            continue
+        stats.expansions += 1
+        outcome = feasible_rules(ast, step, policy, pins)
+        stats.size_pruned += outcome.size_pruned
+        stats.constraint_pruned += outcome.constraint_pruned
+        if not outcome.kept:
+            continue
+        node = outcome.target
+        if model is not None:
+            probs = model.predict(ctx, ast, node, [p.rule for p in outcome.kept])
+        else:
+            probs = [1.0] * len(outcome.kept)
+        for probe, p in reversed(list(zip(outcome.kept, probs))):
+            if model is not None and p <= 0.0:
+                stats.zero_prob_pruned += 1
+                continue
+            new_log = log_prob + (log(p) if model is not None else 0.0)
+            stack.append(
+                (
+                    probe.ast,
+                    new_log,
+                    apps + (Application(node, probe.rule.id),),
+                    pins + probe.constraints,
+                )
+            )
+    results.sort(
+        key=lambda c: (-c.log_prob, c.rendered, tuple(a.rule for a in c.applications))
+    )
+    return SearchResult(results, stats)
 
 
 _CREATE_SLOT = -1  # pseudo node key for the creation entry of a history table
