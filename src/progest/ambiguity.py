@@ -10,19 +10,16 @@ beam takes.  The rules' type schemas are dropped first, so the check is
 untyped.  Under one policy two builds of a tree first differ at a step
 where the same node takes two different rules, so a tree reached twice has
 two distinct histories.  Each build is keyed by its tree's preorder
-``(name, is_terminal, arity)`` labels, and builds of trees the grammar does
-not have are dropped.  When no tree has two builds, the report is counted,
-not listed: the grammar's complete trees within the bound are counted with
-the recursion that enumerates them, and those the search did not reach are
-underivable.  Only a clash makes the check walk the grammar's tree shapes in
-size order, up to the first clashing tree, which yields a replayable
-witness.
+``(name, is_terminal, arity)`` labels, which fix the tree.  The check then
+walks the grammar's complete trees, as the same labels, in size order: a
+tree with one build is a checked derivation, a tree with none is
+underivable, and the first tree with two ends the walk with a replayable
+witness.  Builds of trees the grammar does not have are never looked up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
 from math import inf
 
 from .grammar import Grammar, RuleSet, Symbol, SymbolKind
@@ -35,6 +32,7 @@ from .trees import (
     build_complete_ast,
     iter_derivations,
     policy_leftmost,
+    render,
 )
 
 _TERMINAL = SymbolKind.TERMINAL
@@ -56,9 +54,9 @@ def minimum_tree_sizes(g: Grammar) -> dict[Symbol, float]:
     return sizes
 
 
-def tree_shapes(g: Grammar, max_nodes: int):
+def tree_labels(g: Grammar, max_nodes: int):
     """Yield every complete tree of ``g`` with at most ``max_nodes`` nodes, as
-    nested ``(Symbol, children)`` tuples.
+    its preorder ``(name, is_terminal, arity)`` labels, which fix the tree.
 
     Trees come out in ascending node count; within one size the order follows
     production order, so runs are reproducible.
@@ -66,7 +64,7 @@ def tree_shapes(g: Grammar, max_nodes: int):
     mins = minimum_tree_sizes(g)
     memo: dict[tuple[Symbol, int], list] = {}
 
-    def shapes(sym: Symbol, n: int) -> list:
+    def trees(sym: Symbol, n: int) -> list:
         key = (sym, n)
         cached = memo.get(key)
         if cached is not None:
@@ -74,10 +72,11 @@ def tree_shapes(g: Grammar, max_nodes: int):
         out: list = []
         if sym.is_terminal:
             if n == 1:
-                out.append((sym, ()))
+                out.append(((sym.name, True, 0),))
         else:
             for prod in g.productions_for(sym):
-                out.extend((sym, kids) for kids in fill(prod.rhs, n - 1))
+                head = ((sym.name, False, len(prod.rhs)),)
+                out.extend(head + kids for kids in fill(prod.rhs, n - 1))
         memo[key] = out
         return out
 
@@ -91,93 +90,51 @@ def tree_shapes(g: Grammar, max_nodes: int):
             return []
         results: list = []
         for take in range(int(first_min), int(budget - rest_min) + 1):
-            heads = shapes(first, take)
+            heads = trees(first, take)
             if not heads:
                 continue
             for tail in fill(rest, budget - take):
-                results.extend((head,) + tail for head in heads)
+                results.extend(head + tail for head in heads)
         return results
 
     for n in range(1, max_nodes + 1):
-        yield from shapes(g.root, n)
+        yield from trees(g.root, n)
+
+
+def _shape(labels: tuple) -> tuple:
+    """The nested ``(Symbol, children)`` tuples of a tree's preorder labels."""
+    rest = iter(labels)
+
+    def node():
+        name, is_terminal, arity = next(rest)
+        sym = Symbol(name, _TERMINAL if is_terminal else SymbolKind.NONTERMINAL)
+        return sym, tuple(node() for _ in range(arity))
+
+    return node()
 
 
 def enumerate_complete_trees(g: Grammar, max_nodes: int):
-    """Yield the trees of ``tree_shapes`` as ``AnnotatedAst`` values, in its
+    """Yield the trees of ``tree_labels`` as ``AnnotatedAst`` values, in its
     order."""
-    for shape in tree_shapes(g, max_nodes):
-        yield build_complete_ast(shape)
+    for labels in tree_labels(g, max_nodes):
+        yield build_complete_ast(_shape(labels))
 
 
-def count_complete_trees(g: Grammar, max_nodes: int) -> int:
-    """How many trees ``tree_shapes`` yields: its recursion, memoised,
-    counting the trees instead of listing them."""
-    mins = minimum_tree_sizes(g)
-
-    @cache
-    def count(sym: Symbol, n: int) -> int:
-        if sym.is_terminal:
-            return int(n == 1)
-        return sum(fill(p.rhs, n - 1) for p in g.productions_for(sym))
-
-    @cache
-    def fill(symbols: tuple[Symbol, ...], budget: int) -> int:
-        if not symbols:
-            return int(budget == 0)
-        first, rest = symbols[0], symbols[1:]
-        first_min = mins[first]
-        rest_min = sum(mins[s] for s in rest)
-        if first_min == inf or rest_min == inf:
-            return 0
-        return sum(
-            count(first, take) * fill(rest, budget - take)
-            for take in range(int(first_min), int(budget - rest_min) + 1)
-        )
-
-    return sum(count(g.root, n) for n in range(1, max_nodes + 1))
-
-
-def _shape_key(shape) -> tuple:
-    """Preorder ``(name, is_terminal, arity)`` of a ``tree_shapes`` tree,
-    which fixes the tree."""
-    out = []
-    stack = [shape]
-    while stack:
-        sym, kids = stack.pop()
-        out.append((sym.name, sym.is_terminal, len(kids)))
-        stack.extend(reversed(kids))
-    return tuple(out)
-
-
-def _grammar_tree_key(ast: AnnotatedAst, root: str, productions: set):
-    """``_shape_key`` of a finished tree, or None when the tree is not a tree
-    of the grammar: ``root`` names the grammar's root and ``productions``
-    holds each production as (lhs name, right-hand side's (name,
-    is_terminal) pairs).
+def _tree_key(ast: AnnotatedAst) -> tuple:
+    """The preorder ``(name, is_terminal, arity)`` labels of a finished tree,
+    as ``tree_labels`` yields them.
 
     This runs once per build, so it reads names and kinds and hashes plain
     tuples; a ``Symbol`` hashes through Python code.
     """
     nodes = ast.nodes
-    first = nodes[ast.root].symbol
-    if first.kind is _TERMINAL or first.name != root:
-        return None
     out = []
     stack = [ast.root]
     while stack:
         node = nodes[stack.pop()]
         kids = node.children
         sym = node.symbol
-        if sym.kind is _TERMINAL:
-            if kids:
-                return None
-            out.append((sym.name, True, 0))
-            continue
-        syms = [nodes[c].symbol for c in kids]
-        rhs = tuple([(s.name, s.kind is _TERMINAL) for s in syms])
-        if (sym.name, rhs) not in productions:
-            return None
-        out.append((sym.name, False, len(kids)))
+        out.append((sym.name, sym.kind is _TERMINAL, len(kids)))
         stack.extend(reversed(kids))
     return tuple(out)
 
@@ -229,7 +186,7 @@ def _witness(a: Candidate, b: Candidate, rs: RuleSet) -> Witness:
     )
     return Witness(
         tree=a.ast,
-        rendered=a.rendered,
+        rendered=render(a.ast),
         node=0 if app_a.node is None else app_a.node,
         rule_a=rs[app_a.rule].key,
         rule_b=rs[app_b.rule].key,
@@ -250,50 +207,36 @@ def check_unambiguous(
     The bound keeps the check decidable; a clean report certifies nothing
     about larger trees, though in practice a clash shows up near the smallest
     tree the clashing rules can both build.  Only builds of the grammar's
-    trees count; a tree outside the grammar may have any number.  With no
-    clash the counts need no enumeration: the grammar's trees are counted,
-    and those the search did not reach are underivable.  With a clash the
-    trees are checked in ``tree_shapes`` order, and the first clashing tree
-    ends the check: its first two builds in walk order make the witness and
-    count as two derivations.
+    trees count; a tree outside the grammar may have any number.  The
+    grammar's trees are walked once, in ``tree_labels`` order: each tree with
+    one build counts as a derivation, each with none as underivable, and the
+    first clashing tree ends the check: its first two builds in walk order
+    make the witness and count as two derivations.
     """
     untyped = RuleSet([replace(r, schema=()) for r in rs])
+    # no build's text is read but the witness's, which _witness renders; the
+    # search's rank order, which then falls back to rule ids, is not read
+    # either, since a clash sorts its builds by _walk_order
     found = exhaustive_search(
         untyped, None, policy=policy or policy_leftmost,
-        size_limit=max_nodes, step_cap=inf,
+        size_limit=max_nodes, step_cap=inf, renderer=lambda ast: "",
     )
-    productions = {
-        (p.lhs.name, tuple((s.name, s.is_terminal) for s in p.rhs))
-        for p in grammar.productions
-    }
     builds: dict[tuple, list[Candidate]] = {}
     for cand in found.candidates:
-        key = _grammar_tree_key(cand.ast, grammar.root.name, productions)
-        if key is not None:
-            builds.setdefault(key, []).append(cand)
-    if all(len(same) == 1 for same in builds.values()):
-        trees = count_complete_trees(grammar, max_nodes)
-        return AmbiguityReport(
-            True, max_nodes, trees, len(builds), trees - len(builds), None
-        )
-    trees_checked = 0
-    derivations_checked = 0
-    underivable = 0
-    for shape in tree_shapes(grammar, max_nodes):
+        builds.setdefault(_tree_key(cand.ast), []).append(cand)
+    trees_checked = derivations_checked = underivable = 0
+    for labels in tree_labels(grammar, max_nodes):
         trees_checked += 1
-        same = builds.get(_shape_key(shape), ())
-        if not same:
-            underivable += 1
-        elif len(same) == 1:
+        same = builds.get(labels, ())
+        if len(same) > 1:
+            a, b = sorted(same, key=_walk_order)[:2]
+            return AmbiguityReport(False, max_nodes, trees_checked,
+                                   derivations_checked + 2, underivable,
+                                   _witness(a, b, rs))
+        if same:
             derivations_checked += 1
         else:
-            a, b = sorted(same, key=_walk_order)[:2]
-            return AmbiguityReport(
-                False,
-                max_nodes,
-                trees_checked,
-                derivations_checked + 2,
-                underivable,
-                _witness(a, b, rs),
-            )
-    raise AssertionError("a clashing grammar tree was not enumerated")
+            underivable += 1
+    return AmbiguityReport(
+        True, max_nodes, trees_checked, derivations_checked, underivable
+    )

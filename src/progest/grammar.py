@@ -153,7 +153,12 @@ class Grammar:
         lhs_names = {p.lhs for p in self.productions}
         if self.root not in lhs_names:
             raise GrammarError(f"root {self.root.name} has no production")
+        # trees carry no type atoms, so productions that differ only in their
+        # atoms would give one tree two parses
+        first: dict[tuple[Symbol, tuple[Symbol, ...]], Production] = {}
         for p in self.productions:
+            if first.setdefault((p.lhs, p.rhs), p) is not p:
+                raise GrammarError(f"repeated production {p}")
             for sym in p.rhs:
                 if not sym.is_terminal and sym not in lhs_names:
                     raise GrammarError(f"undeclared symbol {sym.name} in {p}")

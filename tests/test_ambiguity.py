@@ -1,5 +1,6 @@
 """Bounded tree enumeration and two-history detection."""
 
+import hashlib
 from math import inf
 
 import pytest
@@ -13,12 +14,13 @@ from gramgen import (
     spine_set,
     top_down_set,
 )
-from progest import ambiguity, trees
+from progest import ambiguity, search, trees
 from progest.ambiguity import (
+    _tree_key,
     check_unambiguous,
-    count_complete_trees,
     enumerate_complete_trees,
     minimum_tree_sizes,
+    tree_labels,
 )
 from progest.grammar import (
     CreationMode,
@@ -76,6 +78,21 @@ def test_enumeration_respects_bound(demo):
     assert list(enumerate_complete_trees(demo, 1)) == []
 
 
+# sha256 of the enumeration's to_sexpr lines on the demo grammar: the order
+# decides the witness and ``trees_checked`` of a clashing check
+DEMO_ENUMERATION_SHA256 = {
+    9: (58, "4346fc3c5a6bccb026ecf3c300d1cdf3a7b08101b0e13e37728083cf0eb7b1bf"),
+    13: (746, "0a654400d0fbe27f048f52790326392d30a009a0c42eeaf6824735db4e397bd7"),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(DEMO_ENUMERATION_SHA256))
+def test_enumeration_order_is_pinned(demo_grammar, bound):
+    listed = [to_sexpr(t) for t in enumerate_complete_trees(demo_grammar, bound)]
+    digest = hashlib.sha256("\n".join(listed).encode()).hexdigest()
+    assert (len(listed), digest) == DEMO_ENUMERATION_SHA256[bound]
+
+
 def _family_grammar(family, seed):
     if family == "dag":
         return random_dag_grammar(seed, max_programs=300)
@@ -87,11 +104,17 @@ def _family_grammar(family, seed):
     st.integers(0, 10_000),
     st.sampled_from(("dag", "recursive", "recursive-dead")),
 )
-def test_tree_count_matches_the_enumeration(seed, family):
+def test_tree_labels_fix_the_enumerated_trees(seed, family):
+    """Each tree comes once, smallest first, and its labels are the key the
+    certifier gives a build of it."""
     g = _family_grammar(family, seed)
     for bound in range(10):
-        want = sum(1 for _ in enumerate_complete_trees(g, bound))
-        assert count_complete_trees(g, bound) == want, bound
+        labels = list(tree_labels(g, bound))
+        built = list(enumerate_complete_trees(g, bound))
+        assert len(set(labels)) == len(labels) == len(built), bound
+        sizes = [len(t) for t in built]
+        assert sizes == sorted(sizes) and all(n <= bound for n in sizes), bound
+        assert [_tree_key(t) for t in built] == labels, bound
 
 
 def test_top_down_set_is_unambiguous(demo):
@@ -177,8 +200,9 @@ def _criterion_06_sets(g: Grammar) -> tuple[RuleSet, RuleSet]:
 
 
 def test_a_clean_check_lists_no_tree(demo_grammar, monkeypatch):
-    """With no clash the report is counted: no tree of the grammar is
-    enumerated, built or printed."""
+    """With no clash the grammar's trees are walked as labels only: no tree
+    is built from them, and no tree, of the grammar or of the search, is
+    printed or rendered."""
 
     def listed(*args, **kwargs):
         raise AssertionError("a clean check listed a tree")
@@ -187,7 +211,7 @@ def test_a_clean_check_lists_no_tree(demo_grammar, monkeypatch):
     monkeypatch.setattr(trees, "build_complete_ast", listed)
     monkeypatch.setattr(ambiguity, "build_complete_ast", listed)
     monkeypatch.setattr(trees, "to_sexpr", listed)
-    monkeypatch.setattr(ambiguity, "tree_shapes", listed)
+    monkeypatch.setattr(search, "render", listed)
     assert _counts(check_unambiguous(topdown, demo_grammar, max_nodes=13)) == (
         True, 13, 746, 746, 0
     )

@@ -225,6 +225,13 @@ def test_check_below_the_smallest_tree_certifies_nothing(capsys, data_dir):
     assert "checked 0 trees" in out
 
 
+def test_check_rejects_a_repeated_production(capsys, tmp_path):
+    grammar = tmp_path / "repeat.txt"
+    grammar.write_text('E -> "x" | "x"\n', encoding="utf-8")
+    code, out, err = run(capsys, ["check", "--grammar", str(grammar)])
+    assert (code, out, err) == (2, "", 'error: repeated production E -> "x"\n')
+
+
 def test_missing_file_is_exit_2(capsys, data_dir):
     code, _, err = run(
         capsys,

@@ -101,6 +101,29 @@ def test_grammar_requires_root_production():
         Grammar((p,), nonterminal("F"))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        'E -> "x" | "y"\nE -> "x"\n',
+        'E -> "x" | "x"\n',
+        # atoms are not part of a tree, so they do not tell productions apart
+        'E -> F:Int "!" :: Boolean | F "!"\nF -> "v"\n',
+    ],
+)
+def test_a_repeated_production_is_rejected(text):
+    with pytest.raises(GrammarError, match="repeated production E -> "):
+        load_grammar(text)
+
+
+def test_a_repeated_production_is_rejected_from_objects():
+    p = Production(nonterminal("E"), (terminal("x"),))
+    with pytest.raises(GrammarError, match='^repeated production E -> "x"$'):
+        Grammar((p, Production(nonterminal("E"), (terminal("x"),))), p.lhs)
+    # the same right-hand side under two left-hand sides is no repeat
+    g = load_grammar('E -> F | "x"\nF -> "x"\n')
+    assert len(g.productions) == 3
+
+
 def test_schema_var_is_lowercase():
     assert TypeAtom("a").is_schema_var
     assert TypeAtom("result").is_schema_var

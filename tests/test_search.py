@@ -135,7 +135,7 @@ def test_exhaustive_matches_wide_beam(worked_example):
         worked_example.rules, None, worked_example.model,
         widths=(10_000,), k=100, size_limit=9, anti_patterns=(),
     )
-    full = exhaustive_search(
+    full = reference_exhaustive_search(
         worked_example.rules, None, size_limit=9, model=worked_example.model,
     )
     assert [(c.rendered, c.log_prob) for c in wide.candidates] == [
