@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import inf
 
-from .grammar import Grammar, RuleSet, Symbol, SymbolKind
+from .grammar import Grammar, RuleSet, Symbol
 from .search import Candidate, exhaustive_search
 # iter_derivations is bound only so that the benchmark's tracer (perfbench)
 # can wrap it under this module's name; the check itself does not call it
@@ -34,9 +34,6 @@ from .trees import (
     policy_leftmost,
     render,
 )
-
-_TERMINAL = SymbolKind.TERMINAL
-
 
 def minimum_tree_sizes(g: Grammar) -> dict[Symbol, float]:
     """Smallest complete-tree node count per symbol; inf for dead symbols."""
@@ -107,8 +104,7 @@ def _shape(labels: tuple) -> tuple:
 
     def node():
         name, is_terminal, arity = next(rest)
-        sym = Symbol(name, _TERMINAL if is_terminal else SymbolKind.NONTERMINAL)
-        return sym, tuple(node() for _ in range(arity))
+        return Symbol(name, is_terminal), tuple(node() for _ in range(arity))
 
     return node()
 
@@ -124,8 +120,8 @@ def _tree_key(ast: AnnotatedAst) -> tuple:
     """The preorder ``(name, is_terminal, arity)`` labels of a finished tree,
     as ``tree_labels`` yields them.
 
-    This runs once per build, so it reads names and kinds and hashes plain
-    tuples; a ``Symbol`` hashes through Python code.
+    This runs once per build, so it reads names and terminal flags and
+    hashes plain tuples; a ``Symbol`` hashes through Python code.
     """
     nodes = ast.nodes
     out = []
@@ -134,7 +130,7 @@ def _tree_key(ast: AnnotatedAst) -> tuple:
         node = nodes[stack.pop()]
         kids = node.children
         sym = node.symbol
-        out.append((sym.name, sym.kind is _TERMINAL, len(kids)))
+        out.append((sym.name, sym.is_terminal, len(kids)))
         stack.extend(reversed(kids))
     return tuple(out)
 

@@ -83,7 +83,8 @@ class Bundle:
     @staticmethod
     def from_dict(data: Mapping) -> "Bundle":
         version = data.get("version")
-        if version != BUNDLE_VERSION:
+        # a bool or a float can equal the version number; neither is one
+        if type(version) is not int or version != BUNDLE_VERSION:
             raise BundleError(
                 f"unsupported bundle version {version!r} (expected {BUNDLE_VERSION})"
             )
@@ -95,6 +96,14 @@ class Bundle:
             model_params = dict(data["model"])
         except (KeyError, TypeError, ValueError) as err:
             raise BundleError(f"malformed bundle: {err}") from None
+        config = data.get("config")
+        if config is None:
+            config = {}
+        elif not isinstance(config, dict):
+            raise BundleError("malformed bundle: config must be an object")
+        corpus_sha256 = data.get("corpus_sha256", "")
+        if not isinstance(corpus_sha256, str):
+            raise BundleError("malformed bundle: corpus_sha256 must be a string")
         if kind == "logistic" and not data.get("pipeline"):
             raise BundleError("logistic bundle is missing its feature pipeline")
         return Bundle(
@@ -102,8 +111,8 @@ class Bundle:
             templates=templates,
             model_params=model_params,
             pipeline_params=data.get("pipeline"),
-            config=dict(data.get("config") or {}),
-            corpus_sha256=data.get("corpus_sha256", ""),
+            config=dict(config),
+            corpus_sha256=corpus_sha256,
         )
 
 

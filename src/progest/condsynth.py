@@ -16,7 +16,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .constraints import SignatureTable, compute_size_bounds
@@ -163,11 +163,15 @@ class Template:
         key = data["key"]
         if not isinstance(key, str):
             raise TypeError("template key must be a string")
+        count = data.get("count", 0)
+        # a bool is no integer
+        if type(count) is not int:
+            raise TypeError("template count must be an integer")
         return Template(
             key,
             string_tuple(data["tokens"], "template tokens"),
             string_tuple(data["types"], "template types"),
-            int(data.get("count", 0)),
+            count,
         )
 
 
@@ -202,18 +206,13 @@ def template_of(record: CorpusRecord) -> Template:
 def mine_templates(records: Sequence[CorpusRecord]) -> tuple[Template, ...]:
     """Distinct templates of the corpus, most frequent first."""
     counts: dict[str, int] = {}
-    shapes: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    first: dict[str, Template] = {}
     for record in records:
-        tokens, types, _ = _abstract(
-            record.condition, record.context.variable_types
-        )
-        key = template_key(tokens, types)
-        counts[key] = counts.get(key, 0) + 1
-        shapes.setdefault(key, (tokens, types))
+        t = template_of(record)
+        counts[t.key] = counts.get(t.key, 0) + 1
+        first.setdefault(t.key, t)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return tuple(
-        Template(key, shapes[key][0], shapes[key][1], count) for key, count in ordered
-    )
+    return tuple(replace(first[key], count=count) for key, count in ordered)
 
 
 # --------------------------------------------------------------------------
@@ -233,9 +232,8 @@ def _leaf_rule_tree(symbol_name: str, var_name: str, *, upward: bool) -> RuleTre
     )
 
 
-def _make_var(rule_id: int, name: str) -> RewritingRule:
+def _make_var(name: str) -> RewritingRule:
     return RewritingRule(
-        rule_id,
         RuleKind.CREATION,
         None,
         _leaf_rule_tree("V1", name, upward=True),
@@ -244,9 +242,8 @@ def _make_var(rule_id: int, name: str) -> RewritingRule:
     )
 
 
-def _fill_slot(rule_id: int, position: int, name: str) -> RewritingRule:
+def _fill_slot(position: int, name: str) -> RewritingRule:
     return RewritingRule(
-        rule_id,
         RuleKind.TOP_DOWN,
         (nonterminal(f"V{position}"), Annotation.D),
         _leaf_rule_tree(f"V{position}", name, upward=False),
@@ -255,9 +252,8 @@ def _fill_slot(rule_id: int, position: int, name: str) -> RewritingRule:
     )
 
 
-def _make_expr(rule_id: int, t: Template) -> RewritingRule:
+def _make_expr(t: Template) -> RewritingRule:
     return RewritingRule(
-        rule_id,
         RuleKind.CREATION,
         None,
         RuleTree(
@@ -271,7 +267,7 @@ def _make_expr(rule_id: int, t: Template) -> RewritingRule:
     )
 
 
-def _expand(rule_id: int, t: Template) -> RewritingRule:
+def _expand(t: Template) -> RewritingRule:
     children: list[RuleTree] = []
     schema: list[tuple[int, TypeAtom]] = [(0, _BOOLEAN)]
     slot = 0
@@ -286,7 +282,6 @@ def _expand(rule_id: int, t: Template) -> RewritingRule:
         else:
             children.append(RuleTree(terminal(token)))
     return RewritingRule(
-        rule_id,
         RuleKind.BOTTOM_UP,
         (nonterminal("V1"), Annotation.U),
         RuleTree(nonterminal(EXPR_ROOT), Annotation.NONE, False, tuple(children)),
@@ -296,7 +291,6 @@ def _expand(rule_id: int, t: Template) -> RewritingRule:
 
 
 _FINISH = RewritingRule(
-    0,
     RuleKind.BOTTOM_UP,
     (nonterminal(EXPR_ROOT), Annotation.U),
     RuleTree(nonterminal(EXPR_ROOT), Annotation.NONE, True),
@@ -314,12 +308,9 @@ class TemplateLayer:
     (anchored at its first slot), a ``varN:`` rule per later slot position
     and variable, and the ``fin:`` rule when some template is variable-free.
     Truncation and the successor sort break ties by rule id, so the order
-    is kept.  Only the variable count moves the template rules' ids, so
-    the layer keeps, per count, the ``make-expr:``/``expr:`` rules and the
-    ``fin:`` rule at their ids in a set with that many variables, validated,
-    grouped and keyed once.  ``bind`` builds and validates only the
-    variable rules, at their ids, and ``RuleSet.joined`` merges them with
-    those parts without renumbering or regrouping anything.
+    is kept.  The layer makes the ``make-expr:``/``expr:``/``fin:`` rules
+    once; ``bind`` makes only the variable rules and puts the layer's own
+    rule objects in every set, each at its place in that set.
 
     The size bounds of a bound set depend only on the templates and on
     whether it has variable rules: every ``varN:`` rule costs the same
@@ -339,51 +330,39 @@ class TemplateLayer:
             raise ContextError("no templates to synthesize from")
         self.max_arity = max(t.arity for t in templates)
         closed = [t for t in templates if t.arity == 0]
-        open_ = [t for t in templates if t.arity > 0]
-        # at ids from 0; each count's parts renumber them
-        self._head = [_make_expr(i, t) for i, t in enumerate(closed)] + [
-            _expand(len(closed) + i, t) for i, t in enumerate(open_)
+        self._head = [_make_expr(t) for t in closed] + [
+            _expand(t) for t in templates if t.arity > 0
         ]
         self._tail = [_FINISH] if closed else []
-        self._parts: dict[int, tuple[RuleSet, RuleSet]] = {}
         self._tables: dict[bool, SignatureTable] = {}
 
     def bind(self, ctx: Context) -> RuleSet:
         """The rule set for one context, sharing this layer's table."""
         names = tuple(v.name for v in ctx.variables) if self.max_arity >= 1 else ()
-        return self._join(names, self._table(bool(names)))
+        return self._rule_set(names, self._table(bool(names)))
 
     def _table(self, with_variables: bool) -> SignatureTable:
         table = self._tables.get(with_variables)
         if table is None:
             # any one variable gives the bounds of every set with variables
-            sample = self._join(("v",) if with_variables else (), None)
+            sample = self._rule_set(("v",) if with_variables else (), None)
             table = self._tables[with_variables] = SignatureTable(
                 compute_size_bounds(sample)
             )
         return table
 
-    def _join(self, names: Sequence[str], shared) -> RuleSet:
-        n = len(names)
-        fills = [(p, name) for p in range(2, self.max_arity + 1) for name in names]
-        parts = self._parts.get(n)
-        if parts is None:
-            parts = self._parts[n] = (
-                RuleSet(self._head, n),
-                RuleSet(self._tail, n + len(self._head) + len(fills)),
-            )
-        head, tail = parts
-        first = n + len(head)
-        return RuleSet.joined(
-            (
-                RuleSet([_make_var(i, name) for i, name in enumerate(names)]),
-                head,
-                RuleSet(
-                    [_fill_slot(first + i, p, name) for i, (p, name) in enumerate(fills)],
-                    first,
+    def _rule_set(self, names: Sequence[str], shared) -> RuleSet:
+        return RuleSet(
+            [
+                *map(_make_var, names),
+                *self._head,
+                *(
+                    _fill_slot(p, name)
+                    for p in range(2, self.max_arity + 1)
+                    for name in names
                 ),
-                tail,
-            ),
+                *self._tail,
+            ],
             shared=shared,
         )
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Iterable, Mapping
 
-from .errors import SchemaError
+from .errors import RuleError, SchemaError
 from .grammar import Annotation, RewritingRule, RuleSet, RuleTree
 from .trees import AnnotatedAst, apply_rule_with_ids, check_applicable, direction_of
 
@@ -85,9 +85,6 @@ class SolverState:
     def resolved(self, x: int) -> str | None:
         """Concrete type name forced for ``x``, if any."""
         return self._const.get(self.find(x))
-
-    def same_class(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
 
     def _union(self, a: int, b: int) -> bool:
         ra, rb = self.find(a), self.find(b)
@@ -238,11 +235,6 @@ class SizeBounds:
                 )
         return total
 
-    def feasible(self, ast: AnnotatedAst, limit: int | None) -> bool:
-        if limit is None:
-            return True
-        return self.tree_size(ast) <= limit
-
 
 def _rule_cost(rule: RewritingRule, down: dict[str, float], up: dict[str, float]) -> float:
     total = 0.0
@@ -334,7 +326,7 @@ def _compile(
 
 class SignatureTable:
     """Rule signatures, compiled once and shared by every search over a rule
-    set the table is attached to (``RuleSet.joined(..., shared=table)``).
+    set the table is attached to (``RuleSet(rules, shared=table)``).
 
     ``bounds`` are the size bounds of every such set.  A signature is keyed
     on the rule's key and on everything else ``_compile`` reads: the
@@ -342,10 +334,10 @@ class SignatureTable:
     sizes are bounded (by these bounds, the ones every step with this table
     carries), and the declared types of the rule's identifier-shaped fresh
     leaves, the only entries of a context's declarations it looks up.
-    Whoever attaches the table promises that a key names one rule, up to
-    its positional id, in every set it is attached to; ``_compile`` is a
-    function of the rule and the rest of the key, so two searches that
-    agree on the key compile the same signature and sharing it is exact.
+    Whoever attaches the table promises that a key names one rule in every
+    set it is attached to; ``_compile`` is a function of the rule and the
+    rest of the key, so two searches that agree on the key compile the same
+    signature and sharing it is exact.
     """
 
     def __init__(self, bounds: SizeBounds | None) -> None:
@@ -386,7 +378,8 @@ class SearchStep:
     ``rs.shared`` when the set has a table and by ``compute_size_bounds(rs)``
     otherwise.  Signatures come from ``rs.shared``; a set without one gets a
     table of the step's own, which lives as long as the step.  A rule that
-    ``rs`` does not hold under its key is compiled afresh and not cached.
+    ``rs`` does not hold under its key is refused with ``RuleError``: the
+    table's signatures and the probe's id are those of the set's own rule.
     """
 
     def __init__(self, rs: RuleSet, ctx=None, size_limit: int | None = None) -> None:
@@ -407,29 +400,31 @@ class SearchStep:
         self, rule: RewritingRule, mark: Annotation | None, at_root: bool
     ) -> _Signature:
         if not self.rs.holds(rule):
-            return _compile(rule, mark, at_root, self)
+            raise RuleError(f"rule {rule.key} is not in the searched rule set")
         return self.table.signature(rule, mark, at_root, self)
 
 
 class Probe:
-    """One surviving candidate: the rule, the tree it is applied to and the
-    target node there.  The splice is made when one of its parts is first
-    read: ``ast``, the new tree, ``ids``, the splice ids, and
-    ``constraints``, the schema constraints this application contributes.
+    """One surviving candidate: the rule, its id in the searched set, the
+    tree it is applied to and the target node there.  The splice is made
+    when one of its parts is first read: ``ast``, the new tree, ``ids``, the
+    splice ids, and ``constraints``, the schema constraints this
+    application contributes.
     A caller that reads none of them splices nothing.  Two probes are equal
-    when their rules and these parts are.
+    when their rules, ids and these parts are.
 
     Callers that accept the candidate must carry ``constraints`` forward as
     part of the base system of later probes; schema pins die with the probe
     otherwise, and a later expansion could contradict them unnoticed.
     """
 
-    __slots__ = ("rule", "parent", "target", "_spliced")
+    __slots__ = ("rule", "id", "parent", "target", "_spliced")
 
     def __init__(
-        self, rule: RewritingRule, parent: AnnotatedAst, target: int | None
+        self, rule: RewritingRule, id: int, parent: AnnotatedAst, target: int | None
     ) -> None:
         self.rule = rule
+        self.id = id
         self.parent = parent
         self.target = target
         self._spliced: tuple | None = None
@@ -459,7 +454,11 @@ class Probe:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Probe):
             return NotImplemented
-        return self.rule == other.rule and self._splice() == other._splice()
+        return (
+            self.rule == other.rule
+            and self.id == other.id
+            and self._splice() == other._splice()
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -485,14 +484,16 @@ def probe_rules(
     """Try each candidate at ``target`` and keep the applications that stand.
 
     A candidate that does not fit the target raises ``ApplyError`` before
-    any pruning.  The size bound goes first because it is cheap and
-    independent of typing; a candidate cut there is never charged to the
-    constraint counter.  The constraint check asks whether three parts are
-    satisfiable together: ``base_constraints`` (the schema pins of the
-    applications that built ``ast``; they mention only its nodes), the
-    candidate's schema, and the context constraints of the new tree.  The
-    candidates that survive both come back as ``Probe``s, each spliced when
-    first read: a walk that follows one of them splices only that one.
+    any pruning, and one that ``step.rs`` does not hold ``RuleError``.  The
+    size bound goes first because it is cheap and independent of typing; a
+    candidate cut there is never charged to the constraint counter.  The
+    constraint check asks whether three parts are satisfiable together:
+    ``base_constraints`` (the schema pins of the applications that built
+    ``ast``; they mention only its nodes), the candidate's schema, and the
+    context constraints of the new tree.  The candidates that survive both
+    come back as ``Probe``s, each carrying its id in ``step.rs`` and
+    spliced when first read: a walk that follows one of them splices only
+    that one.
 
     Why deciding before the splice is exact: the splice gives the fresh
     replacement nodes ids at or above ``ast.next_id``, which neither the
@@ -554,7 +555,7 @@ def probe_rules(
         ):
             constraint_pruned += 1
             continue
-        kept.append(Probe(rule, ast, target))
+        kept.append(Probe(rule, step.rs.id_of(rule), ast, target))
     return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
 
 

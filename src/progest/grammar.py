@@ -13,7 +13,7 @@ rewriting rules can be derived:
   annotated subtree).
 
 Rules carry a stable string key so that learned statistics survive re-deriving
-a rule set, and an integer id that is only unique within one ``RuleSet``.
+a rule set; a rule's integer id is its position in one ``RuleSet``.
 
 Grammar text format, one production group per line::
 
@@ -31,16 +31,11 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GrammarError, RuleError
 
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-
-
-class SymbolKind(enum.Enum):
-    NONTERMINAL = "nonterminal"
-    TERMINAL = "terminal"
 
 
 @dataclass(frozen=True, order=True)
@@ -48,22 +43,18 @@ class Symbol:
     """A grammar symbol; terminals carry their token text as the name."""
 
     name: str
-    kind: SymbolKind = SymbolKind.NONTERMINAL
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.kind is SymbolKind.TERMINAL
+    is_terminal: bool = False
 
     def __str__(self) -> str:
         return f'"{self.name}"' if self.is_terminal else self.name
 
 
 def nonterminal(name: str) -> Symbol:
-    return Symbol(name, SymbolKind.NONTERMINAL)
+    return Symbol(name)
 
 
 def terminal(text: str) -> Symbol:
-    return Symbol(text, SymbolKind.TERMINAL)
+    return Symbol(text, True)
 
 
 class Annotation(enum.Enum):
@@ -334,16 +325,53 @@ class RewritingRule:
 
     ``schema`` maps preorder positions of the replacement to type atoms; the
     anchored position constrains the node the rule is applied to.  ``key`` is
-    a stable semantic identifier used by learned models, ``id`` is positional
-    within a rule set.
+    a stable semantic identifier used by learned models.  A rule has no id of
+    its own: its id is its position in a ``RuleSet``, so one rule can sit in
+    many sets.  A rule checks its own shape when it is made and raises
+    ``RuleError`` if that shape is bad.
     """
 
-    id: int
     kind: RuleKind
     pattern: tuple[Symbol, Annotation] | None
     replacement: RuleTree
     key: str
     schema: tuple[tuple[int, TypeAtom], ...] = ()
+
+    def __post_init__(self) -> None:
+        nodes = self.replacement.preorder()
+        anchors = [n for n in nodes if n.anchor]
+        if self.kind is RuleKind.CREATION:
+            if self.pattern is not None or anchors:
+                raise RuleError(f"creation rule {self.key} must have no pattern or anchor")
+        else:
+            if self.pattern is None or len(anchors) != 1:
+                raise RuleError(f"rule {self.key} needs a pattern and exactly one anchor")
+            sym, ann = self.pattern
+            expected = Annotation.D if self.kind is RuleKind.TOP_DOWN else Annotation.U
+            if ann is not expected:
+                raise RuleError(
+                    f"rule {self.key}: pattern mark {ann} does not fit {self.kind.value}"
+                )
+            if anchors[0].symbol != sym:
+                raise RuleError(f"rule {self.key}: anchor symbol differs from pattern")
+            if anchors[0].annotation.needs_up:
+                raise RuleError(f"rule {self.key}: anchor cannot keep an upward mark")
+        for node in nodes:
+            if node.annotation.needs_down and node.children:
+                raise RuleError(f"rule {self.key}: downward-marked node has children")
+            if node.annotation.needs_up and node is not self.replacement:
+                raise RuleError(f"rule {self.key}: only the root may carry an upward mark")
+            if node.symbol.is_terminal and node.children:
+                raise RuleError(f"rule {self.key}: terminal with children")
+            if (
+                node.symbol.is_terminal
+                and node.annotation is not Annotation.NONE
+                and node is not self.replacement
+            ):
+                raise RuleError(f"rule {self.key}: marked terminal below the root")
+        for pos, _atom in self.schema:
+            if not 0 <= pos < len(nodes):
+                raise RuleError(f"rule {self.key}: schema position {pos} out of range")
 
     def anchor_path(self) -> tuple[int, ...] | None:
         """Child-index path from the replacement root to the anchor."""
@@ -367,51 +395,9 @@ class RewritingRule:
         return f"{sym}{mark} => {self.replacement}"
 
 
-def _validate_rule(rule: RewritingRule) -> None:
-    nodes = rule.replacement.preorder()
-    anchors = [n for n in nodes if n.anchor]
-    if rule.kind is RuleKind.CREATION:
-        if rule.pattern is not None or anchors:
-            raise RuleError(f"creation rule {rule.key} must have no pattern or anchor")
-    else:
-        if rule.pattern is None or len(anchors) != 1:
-            raise RuleError(f"rule {rule.key} needs a pattern and exactly one anchor")
-        sym, ann = rule.pattern
-        expected = Annotation.D if rule.kind is RuleKind.TOP_DOWN else Annotation.U
-        if ann is not expected:
-            raise RuleError(f"rule {rule.key}: pattern mark {ann} does not fit {rule.kind.value}")
-        if anchors[0].symbol != sym:
-            raise RuleError(f"rule {rule.key}: anchor symbol differs from pattern")
-        if anchors[0].annotation.needs_up:
-            raise RuleError(f"rule {rule.key}: anchor cannot keep an upward mark")
-    for node in nodes:
-        if node.annotation.needs_down and node.children:
-            raise RuleError(f"rule {rule.key}: downward-marked node has children")
-        if node.annotation.needs_up and node is not rule.replacement:
-            raise RuleError(f"rule {rule.key}: only the root may carry an upward mark")
-        if node.symbol.is_terminal and node.children:
-            raise RuleError(f"rule {rule.key}: terminal with children")
-        if (
-            node.symbol.is_terminal
-            and node.annotation is not Annotation.NONE
-            and node is not rule.replacement
-        ):
-            raise RuleError(f"rule {rule.key}: marked terminal below the root")
-    size = len(nodes)
-    for pos, _atom in rule.schema:
-        if not 0 <= pos < size:
-            raise RuleError(f"rule {rule.key}: schema position {pos} out of range")
-
-
 GroupKey = tuple[str, str]
 
 CREATION_GROUP: GroupKey = ("<create>", "")
-
-
-def _raise_duplicates(rules) -> None:
-    keys = [r.key for r in rules]
-    dupes = sorted({k for k in keys if keys.count(k) > 1})
-    raise RuleError(f"duplicate rule keys: {', '.join(dupes)}")
 
 
 def group_key_of(rule: RewritingRule) -> GroupKey:
@@ -424,66 +410,35 @@ def group_key_of(rule: RewritingRule) -> GroupKey:
 class RuleSet:
     """An indexed collection of rewriting rules.
 
-    Rules are grouped by their pattern, creation rules form one extra group;
-    the groups partition the set.  Ids are reassigned positionally from
-    ``first_id``, keys must be unique.  A set whose ids start above 0 is a
-    part of a larger set, to be placed by ``joined`` where its ids say.
+    A rule's id is its position in the set (``id_of``; ``rs[id]`` is the
+    rule).  Rules are grouped by their pattern, creation rules form one
+    extra group; the groups partition the set.  Keys must be unique.  The
+    rules validated themselves when they were made, so a set neither copies
+    nor checks them again.
 
     ``shared`` holds what was compiled once for every set built like this
     one (a ``constraints.SignatureTable``: the set's size bounds and its
     rules' search signatures, keyed on rule keys); it is None for a set
-    that shares nothing, and only ``joined`` sets it.
+    that shares nothing.
     """
 
     def __init__(
-        self, rules: list[RewritingRule] | tuple[RewritingRule, ...], first_id: int = 0
+        self, rules: list[RewritingRule] | tuple[RewritingRule, ...], *, shared=None
     ):
-        renumbered = []
-        for idx, rule in enumerate(rules, first_id):
-            _validate_rule(rule)
-            if rule.id != idx:
-                rule = RewritingRule(
-                    idx, rule.kind, rule.pattern, rule.replacement, rule.key, rule.schema
-                )
-            renumbered.append(rule)
-        self.rules: tuple[RewritingRule, ...] = tuple(renumbered)
+        self.rules: tuple[RewritingRule, ...] = tuple(rules)
         self._by_key = {r.key: r for r in self.rules}
         if len(self._by_key) != len(self.rules):
-            _raise_duplicates(self.rules)
+            keys = [r.key for r in self.rules]
+            dupes = sorted({k for k in keys if keys.count(k) > 1})
+            raise RuleError(f"duplicate rule keys: {', '.join(dupes)}")
+        self._ids = {r.key: i for i, r in enumerate(self.rules)}
         grouping: dict[GroupKey, list[RewritingRule]] = {}
         for rule in self.rules:
             grouping.setdefault(group_key_of(rule), []).append(rule)
         self._groups: dict[GroupKey, tuple[RewritingRule, ...]] = {
             k: tuple(v) for k, v in grouping.items()
         }
-        self.shared = None
-
-    @classmethod
-    def joined(cls, parts: "tuple[RuleSet, ...]", *, shared=None) -> "RuleSet":
-        """One set of the parts' rules, in order, with ids from 0.
-
-        Each part must already hold its ids where it lands (built with that
-        ``first_id``), so its rules, groups and keys are merged, not
-        rebuilt.  Each part validated its rules when it was built, so only
-        the keys are checked again.  Whoever passes ``shared`` promises
-        that each key names one rule, up to its id, in every set that table
-        is attached to.
-        """
-        rules: list[RewritingRule] = []
-        groups: dict[GroupKey, tuple[RewritingRule, ...]] = {}
-        by_key: dict[str, RewritingRule] = {}
-        for part in parts:
-            assert not part.rules or part.rules[0].id == len(rules), "misplaced part"
-            rules.extend(part.rules)
-            for key, group in part._groups.items():
-                groups[key] = groups[key] + group if key in groups else group
-            by_key.update(part._by_key)
-        if len(by_key) != len(rules):
-            _raise_duplicates(rules)
-        out = cls.__new__(cls)
-        out.rules, out._groups, out._by_key = tuple(rules), groups, by_key
-        out.shared = shared
-        return out
+        self.shared = shared
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -491,11 +446,19 @@ class RuleSet:
     def __iter__(self):
         return iter(self.rules)
 
-    def __getitem__(self, rule_id: int) -> RewritingRule:
-        return self.rules[rule_id]
+    def __getitem__(self, position: int) -> RewritingRule:
+        return self.rules[position]
 
     def by_key(self, key: str) -> RewritingRule:
         return self._by_key[key]
+
+    def id_of(self, rule: RewritingRule) -> int:
+        """The position of this set's own ``rule``; ``RuleError`` for a rule
+        the set does not hold."""
+        position = self._ids.get(rule.key)
+        if position is None or self.rules[position] is not rule:
+            raise RuleError(f"rule {rule.key} is not in this rule set")
+        return position
 
     @property
     def groups(self) -> dict[GroupKey, tuple[RewritingRule, ...]]:
@@ -548,7 +511,6 @@ def derive_top_down_rules(g: Grammar) -> RuleSet:
         )
         rules.append(
             RewritingRule(
-                len(rules),
                 RuleKind.TOP_DOWN,
                 (p.lhs, Annotation.D),
                 replacement,
@@ -574,7 +536,6 @@ def derive_bottom_up_rules(g: Grammar) -> RuleSet:
             replacement = RuleTree(p.lhs, Annotation.U, False, children)
             rules.append(
                 RewritingRule(
-                    len(rules),
                     RuleKind.BOTTOM_UP,
                     (anchor_sym, Annotation.U),
                     replacement,
@@ -584,7 +545,6 @@ def derive_bottom_up_rules(g: Grammar) -> RuleSet:
             )
     rules.append(
         RewritingRule(
-            len(rules),
             RuleKind.BOTTOM_UP,
             (g.root, Annotation.U),
             RuleTree(g.root, Annotation.NONE, True),
@@ -608,7 +568,6 @@ def derive_creation_rules(g: Grammar, modes) -> RuleSet:
     if CreationMode.ROOT in modes:
         rules.append(
             RewritingRule(
-                len(rules),
                 RuleKind.CREATION,
                 None,
                 RuleTree(g.root, Annotation.D),
@@ -619,7 +578,6 @@ def derive_creation_rules(g: Grammar, modes) -> RuleSet:
         for term in g.terminals:
             rules.append(
                 RewritingRule(
-                    len(rules),
                     RuleKind.CREATION,
                     None,
                     RuleTree(term, Annotation.U),
@@ -630,7 +588,6 @@ def derive_creation_rules(g: Grammar, modes) -> RuleSet:
         for nt in g.nonterminals:
             rules.append(
                 RewritingRule(
-                    len(rules),
                     RuleKind.CREATION,
                     None,
                     RuleTree(nt, Annotation.UD),

@@ -166,11 +166,11 @@ def beam_search(
                     continue
                 scored.append((log_prob + log(p), probe))
             if len(scored) > width:
-                scored.sort(key=lambda item: (-item[0], item[1].rule.id))
+                scored.sort(key=lambda item: (-item[0], item[1].id))
                 stats.beam_truncated += len(scored) - width
                 scored = scored[:width]
             successors.extend(
-                (probe.ast, new_log, apps + (Application(node, probe.rule.id),),
+                (probe.ast, new_log, apps + (Application(node, probe.id),),
                  pins + probe.constraints)
                 for new_log, probe in scored
             )

@@ -85,7 +85,8 @@ class AnnotatedAst:
 
 @dataclass(frozen=True)
 class Application:
-    """One recorded rule application; ``node`` is None for creation steps."""
+    """One recorded rule application: ``rule`` is the rule's id in its set,
+    ``node`` is None for creation steps."""
 
     node: int | None
     rule: int
@@ -215,12 +216,7 @@ def render(ast: AnnotatedAst) -> str:
     """Terminal leaves left to right, separated by single spaces."""
     if not is_complete(ast):
         raise IncompleteTreeError("cannot render a partial tree")
-    texts = [
-        ast.nodes[nid].symbol.name
-        for nid in ast.preorder()
-        if ast.nodes[nid].symbol.is_terminal
-    ]
-    return " ".join(texts)
+    return " ".join(leaf_tokens(ast))
 
 
 def leaf_tokens(ast: AnnotatedAst) -> list[str]:
@@ -415,7 +411,7 @@ def iter_derivations(
                 else:
                     progressed = True
                     taken = DerivationStep(
-                        Application(node_id, rule.id),
+                        Application(node_id, probe.id),
                         rule.pattern[1] if rule.pattern else None,
                         tid, tuple(fresh), ast, outcome, choice,
                     )

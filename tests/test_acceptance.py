@@ -291,9 +291,7 @@ def test_criterion_04_pruning_matches_brute_force():
 def _brute_min_completion(rs, symbol, mark, cap=12):
     """Uniform-cost search over leftmost-policy expansions; node count is the
     cost, so the first finished tree popped is minimal."""
-    seed = RewritingRule(
-        0, RuleKind.CREATION, None, RuleTree(symbol, mark), key="seed:probe"
-    )
+    seed = RewritingRule(RuleKind.CREATION, None, RuleTree(symbol, mark), key="seed:probe")
     start = apply_rule(AnnotatedAst.empty(), None, seed)
     counter = 0
     heap = [(len(start.nodes), counter, start)]

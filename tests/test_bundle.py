@@ -92,8 +92,16 @@ def test_uniform_and_table_build(tmp_path):
 
 
 def test_from_dict_rejects_bad_version():
-    with pytest.raises(BundleError, match="version"):
-        Bundle.from_dict({"version": 99, "model_kind": "frequency"})
+    # JSON true and 1.0 equal 1 in Python, but neither is the integer 1
+    for version in (99, True, 1.0, "1"):
+        with pytest.raises(BundleError, match="version"):
+            Bundle.from_dict({"version": version, "model_kind": "frequency"})
+
+
+def test_from_dict_reads_an_absent_or_null_config_as_empty():
+    data = {"version": 1, "model_kind": "uniform", "templates": [], "model": {}}
+    assert Bundle.from_dict(data).config == {}
+    assert Bundle.from_dict({**data, "config": None}).config == {}
 
 
 def test_from_dict_rejects_unknown_kind():

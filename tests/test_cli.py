@@ -288,6 +288,16 @@ def _set_entry(*path_and_value):
                      id="template-tokens-string"),
         pytest.param("demo", _set_entry("templates", 0, "types", 0, ["Int"]),
                      id="template-type-list"),
+        pytest.param("demo", _set_entry("templates", 0, "count", 2.5),
+                     id="template-count-float"),
+        pytest.param("demo", _set_entry("templates", 0, "count", True),
+                     id="template-count-bool"),
+        pytest.param("demo", _set_entry("templates", 0, "count", "7"),
+                     id="template-count-string"),
+        pytest.param("demo", _set_entry("config", "x"), id="config-string"),
+        pytest.param("demo", _set_entry("config", 5), id="config-number"),
+        pytest.param("demo", _set_entry("config", [1, 2]), id="config-list"),
+        pytest.param("demo", _set_entry("corpus_sha256", 5), id="corpus-sha256-number"),
         pytest.param("logistic", _set_entry("pipeline", "vocab", 0, ["x"]),
                      id="pipeline-vocab-list"),
         pytest.param("logistic", _set_entry("pipeline", "vocab", 0, 5),

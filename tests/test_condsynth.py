@@ -244,7 +244,10 @@ def test_layered_rule_set_matches_the_per_context_reference(corpus_records, data
         want = reference_build_cond_ruleset(templates, ctx)
 
         def fields(rs):
-            return [(r.id, r.key, r.kind, r.pattern, r.replacement, r.schema) for r in rs]
+            return [
+                (i, r.key, r.kind, r.pattern, r.replacement, r.schema)
+                for i, r in enumerate(rs)
+            ]
 
         assert fields(got) == fields(want)
         assert got.groups == want.groups
@@ -310,12 +313,11 @@ def test_variable_rule_signatures_are_shared_across_contexts(corpus_records, mon
 def test_binding_alternating_variable_counts_matches_the_reference(
     corpus_records, with_closed
 ):
-    """A layer keeps its template rules per variable count; binding
-    contexts of counts n, m, n and 0 in turn gives each time the set built
-    afresh, with the same ids, groups and keys, and a count seen before
-    reuses its template rules instead of building them again.  Without
-    variable-free templates a context with no variables has no creation
-    rule at all."""
+    """A layer makes its template rules once; binding contexts of counts n,
+    m, n and 0 in turn gives each time the set built afresh, with the same
+    positions, groups and keys, and every set holds the layer's own
+    template rules instead of building them again.  Without variable-free
+    templates a context with no variables has no creation rule at all."""
     templates = mine_templates(corpus_records)
     templates = tuple(t for t in templates if t.arity > 0)
     if with_closed:
@@ -324,21 +326,55 @@ def test_binding_alternating_variable_counts_matches_the_reference(
     five = next(r.context for r in corpus_records if len(r.context.variables) == 5)
     two = dataclasses.replace(five, variables=five.variables[3:])
     none = dataclasses.replace(five, variables=())
-    template_rules = {}
+    template_rules = None
     for ctx in (five, two, five, none, two):
         got = layer.bind(ctx)
         own = [r for r in got if not r.key.startswith(("make-var:", "var"))]
-        seen = template_rules.setdefault(len(ctx.variables), own)
-        assert all(a is b for a, b in zip(own, seen, strict=True))
+        template_rules = template_rules or own
+        assert all(a is b for a, b in zip(own, template_rules, strict=True))
         want = reference_build_cond_ruleset(templates, ctx)
-        assert [(r.id, r.key, r.kind, r.pattern, r.replacement, r.schema) for r in got] == [
-            (r.id, r.key, r.kind, r.pattern, r.replacement, r.schema) for r in want
+        assert [
+            (i, r.key, r.kind, r.pattern, r.replacement, r.schema)
+            for i, r in enumerate(got)
+        ] == [
+            (i, r.key, r.kind, r.pattern, r.replacement, r.schema)
+            for i, r in enumerate(want)
         ]
         assert got.groups == want.groups
         assert list(got.groups) == list(want.groups)
-        assert all(got.by_key(r.key) is r and got[r.id] is r for r in got)
+        assert all(
+            got.by_key(r.key) is r and got[i] is r and got.id_of(r) == i
+            for i, r in enumerate(got)
+        )
         assert got.shared is not None
     assert bool(layer.bind(none).creation_rules) is with_closed
+
+
+def test_one_template_rule_sits_at_each_sets_own_place(corpus_records):
+    """The layer's ``expr:`` rule is one object in the sets of contexts with
+    different variable counts, at another position in each, and every
+    application a beam over each set records names its rule by that set's
+    position: replaying them through ``rs[app.rule]`` rebuilds the tree."""
+    templates = mine_templates(corpus_records)
+    expr = next(t for t in templates if t.arity > 0)
+    ctx = next(r.context for r in corpus_records if len(r.context.variables) >= 3)
+    fewer = dataclasses.replace(ctx, variables=ctx.variables[:1])
+    sets = [build_cond_ruleset(templates, c) for c in (ctx, fewer)]
+    rules = [rs.by_key(f"expr:{expr.key}") for rs in sets]
+    assert rules[0] is rules[1]
+    ids = [rs.id_of(rule) for rs, rule in zip(sets, rules)]
+    assert ids[0] - ids[1] == len(ctx.variables) - 1
+    for rs, rule_id in zip(sets, ids):
+        assert rs[rule_id] is rules[0]
+    for c, rs in zip((ctx, fewer), sets):
+        found = beam_search(rs, c, UniformModel(), widths=(5, 40), k=20,
+                            anti_patterns=())
+        assert found.candidates
+        for cand in found.candidates:
+            ast = AnnotatedAst.empty()
+            for app in cand.applications:
+                ast = apply_rule(ast, app.node, rs[app.rule])
+            assert to_sexpr(ast) == to_sexpr(cand.ast)
 
 
 def test_training_splices_one_probe_per_build_step(corpus_records, monkeypatch):

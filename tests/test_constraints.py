@@ -1,6 +1,7 @@
 """Equality solver, schema instantiation, size bounds, and rule probing."""
 
 import contextlib
+import dataclasses
 from collections import deque
 from math import inf
 from types import SimpleNamespace
@@ -24,7 +25,7 @@ from progest.constraints import (
     is_variable_token,
     probe_rules,
 )
-from progest.errors import ApplyError, SchemaError
+from progest.errors import ApplyError, RuleError, SchemaError
 from progest.grammar import (
     Annotation,
     CreationMode,
@@ -85,7 +86,7 @@ def test_equality_chain_propagates_constants():
     assert s.push([eq_var(1, 2), eq_var(2, 3)])
     assert s.push([eq_const(1, "Int")])
     assert s.resolved(3) == "Int"
-    assert s.same_class(1, 3)
+    assert s.find(1) == s.find(3)
     assert not s.push([eq_const(3, "Str")])
     # the failed push left nothing behind
     assert s.resolved(3) == "Int"
@@ -153,11 +154,11 @@ def test_failed_push_leaves_no_trace(base, extra):
     if not s.push(base):
         return
     before = {x: s.resolved(x) for x in range(6)}
-    classes = {(a, b): s.same_class(a, b) for a in range(6) for b in range(6)}
+    classes = {(a, b): s.find(a) == s.find(b) for a in range(6) for b in range(6)}
     if s.push(extra):
         return
     assert {x: s.resolved(x) for x in range(6)} == before
-    assert {(a, b): s.same_class(a, b) for a in range(6) for b in range(6)} == classes
+    assert {(a, b): s.find(a) == s.find(b) for a in range(6) for b in range(6)} == classes
 
 
 def test_is_variable_token():
@@ -190,7 +191,7 @@ def test_application_constraints_schema_var():
     assert len(got) == 2
     s = SolverState()
     assert s.push(got)
-    assert s.same_class(ids[0], ids[3])
+    assert s.find(ids[0]) == s.find(ids[3])
 
 
 def test_application_constraints_bad_ids():
@@ -239,8 +240,7 @@ def test_size_bounds_unreachable_is_infinite():
     assert bounds.of("E", Annotation.D) == inf
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     assert bounds.tree_size(ast) == inf
-    assert not bounds.feasible(ast, 1000)
-    assert bounds.feasible(ast, None)
+    assert not bounds.tree_size(ast) <= 1000
 
 
 def test_tree_size_counts_completions():
@@ -337,7 +337,6 @@ def test_probe_lets_a_wrapping_rule_decide_the_root_type():
     off the root, so the target's result pin no longer binds it."""
     e, w = nonterminal("E"), nonterminal("W")
     wrap = RewritingRule(
-        0,
         RuleKind.TOP_DOWN,
         (e, Annotation.D),
         RuleTree(w, Annotation.NONE, False, (RuleTree(e, Annotation.NONE, True),)),
@@ -345,7 +344,7 @@ def test_probe_lets_a_wrapping_rule_decide_the_root_type():
         schema=((0, TypeAtom("Int")), (1, TypeAtom("Str"))),
     )
     make_root = RewritingRule(
-        1, RuleKind.CREATION, None, RuleTree(e, Annotation.D), key="make-root:E"
+        RuleKind.CREATION, None, RuleTree(e, Annotation.D), key="make-root:E"
     )
     rs = RuleSet([wrap, make_root])
     ast = apply_rule(AnnotatedAst.empty(), None, make_root)
@@ -403,7 +402,7 @@ def test_step_matches_reference_prober_on_typed_grammars(
             want = feasible_rules(ast, step, policy, pins)
         where = to_sexpr(ast)
         assert got.target == want.target, where
-        assert [p.rule.id for p in got.kept] == [p.rule.id for p in want.kept], where
+        assert [p.id for p in got.kept] == [p.id for p in want.kept], where
         assert [(p.ast, p.ids, p.constraints) for p in got.kept] == [
             (p.ast, p.ids, p.constraints) for p in want.kept
         ], where
@@ -487,7 +486,7 @@ def test_shared_signatures_match_fresh_compiles_across_contexts(seed, rules, dat
     g = random_typed_grammar(seed, typed_leaves=True)
     rs = top_down_set(g) if rules == "top-down" else full_set(g)
     table = SignatureTable(compute_size_bounds(rs))
-    shared = RuleSet.joined((rs,), shared=table)
+    shared = RuleSet(rs.rules, shared=table)
     leaves = [t.name for t in g.terminals if is_variable_token(t.name)]
     for _ in range(4):
         ctx = SimpleNamespace(
@@ -505,7 +504,7 @@ def test_shared_signatures_match_fresh_compiles_across_contexts(seed, rules, dat
         for rule in shared:
             for mark, at_root in _marks_met(rule):
                 assert step.signature(rule, mark, at_root) == fresh.signature(
-                    rs[rule.id], mark, at_root
+                    rule, mark, at_root
                 ), (rule.key, mark, at_root, ctx)
 
 
@@ -513,33 +512,37 @@ def test_shared_table_keys_every_declared_leaf():
     """A rule with two identifier leaves gets a signature of its own when
     only the second leaf's declared type changes."""
     rs = derive_top_down_rules(load_grammar('E -> "x":a "==" "y":a :: Boolean\n'))
-    shared = RuleSet.joined((rs,), shared=SignatureTable(None))
+    shared = RuleSet(rs.rules, shared=SignatureTable(None))
     for y_type, ok in (("Int", True), ("Str", False), ("Int", True)):
         step = SearchStep(shared, context({"x": "Int", "y": y_type}, None))
         assert step.signature(shared[0], Annotation.D, True).fresh_ok is ok
 
 
-def test_shared_table_leaves_a_rule_that_only_shares_its_key():
+def test_step_refuses_a_rule_that_only_shares_a_key():
+    """A table's signatures and a probe's id belong to the searched set's
+    own rule under a key, so a rule with that key and another schema is
+    refused, by the step and by the probe, and nothing is compiled for it."""
     rs = full_rules(DEMO)
     table = SignatureTable(compute_size_bounds(rs))
-    rule = rs.by_key('td:E->E "> 12"')
-    shared = RuleSet.joined((rs,), shared=table)
-    step = SearchStep(shared)
-    assert table.signature(rule, Annotation.D, True, step) is not None
-    # the same key with another schema is another rule
-    retyped = RewritingRule(
-        rule.id, rule.kind, rule.pattern, rule.replacement, rule.key,
-        ((0, TypeAtom("Str")),),
-    )
+    shared = RuleSet(rs.rules, shared=table)
+    rule = shared.by_key('td:E->E "> 12"')
+    retyped = dataclasses.replace(rule, schema=((0, TypeAtom("Str")),))
     assert not shared.holds(retyped)
-    assert step.signature(retyped, Annotation.D, True) == SearchStep(rs).signature(
-        retyped, Annotation.D, True
-    )
+    step = SearchStep(shared)
+    with pytest.raises(RuleError):
+        step.signature(retyped, Annotation.D, True)
+    root = apply_rule(AnnotatedAst.empty(), None, shared.by_key("make-root:E"))
+    with pytest.raises(RuleError):
+        probe_rules(root, root.root, [retyped], step)
+    assert table._signatures == {}
+    # the set's own rule under that key is probed as ever, at its place
+    (probe,) = probe_rules(root, root.root, [rule], step).kept
+    assert probe.id == shared.id_of(rule)
 
 
 def test_step_takes_the_shared_tables_bounds():
     rs = full_rules(DEMO)
     table = SignatureTable(compute_size_bounds(rs))
-    step = SearchStep(RuleSet.joined((rs,), shared=table), None, 5)
+    step = SearchStep(RuleSet(rs.rules, shared=table), None, 5)
     assert step.bounds is table.bounds
     assert SearchStep(rs, None, None).bounds is None

@@ -1,5 +1,7 @@
 """Grammar text format, rule derivation, and rule set bookkeeping."""
 
+import dataclasses
+
 import pytest
 
 from progest.errors import GrammarError, RuleError
@@ -192,13 +194,16 @@ def test_creation_modes():
     assert mids[0].replacement.annotation is Annotation.UD
 
 
-def test_ruleset_renumbers_and_groups():
+def test_ruleset_ids_are_positions_and_groups():
     g = load_grammar(SIMPLE)
     rs = RuleSet(
         [*derive_top_down_rules(g), *derive_creation_rules(g, [CreationMode.ROOT])]
     )
-    assert [r.id for r in rs] == list(range(len(rs)))
-    assert rs[2].id == 2
+    assert [rs.id_of(r) for r in rs] == list(range(len(rs)))
+    assert rs[rs.id_of(rs.rules[2])] is rs.rules[2]
+    # an id names the set's own rule, not an equal copy of it
+    with pytest.raises(RuleError):
+        rs.id_of(dataclasses.replace(rs.rules[2]))
     groups = rs.groups
     total = sum(len(v) for v in groups.values())
     assert total == len(rs)
@@ -226,39 +231,29 @@ def test_rule_validation_rejects_bad_shapes():
     e = nonterminal("E")
     # creation rules carry no anchor
     with pytest.raises(RuleError):
-        RuleSet([
-            RewritingRule(0, RuleKind.CREATION, None, RuleTree(e, Annotation.D, True), "bad")
-        ])
+        RewritingRule(RuleKind.CREATION, None, RuleTree(e, Annotation.D, True), "bad")
     # non-creation rules need exactly one anchor
     with pytest.raises(RuleError):
-        RuleSet([
-            RewritingRule(0, RuleKind.TOP_DOWN, (e, Annotation.D), RuleTree(e, Annotation.D), "bad")
-        ])
+        RewritingRule(RuleKind.TOP_DOWN, (e, Annotation.D), RuleTree(e, Annotation.D), "bad")
     # pattern mark has to match the kind
     with pytest.raises(RuleError):
-        RuleSet([
-            RewritingRule(0, RuleKind.TOP_DOWN, (e, Annotation.U), RuleTree(e, Annotation.NONE, True), "bad")
-        ])
+        RewritingRule(
+            RuleKind.TOP_DOWN, (e, Annotation.U), RuleTree(e, Annotation.NONE, True), "bad"
+        )
     # downward-marked nodes must stay childless
     with pytest.raises(RuleError):
-        RuleSet([
-            RewritingRule(
-                0,
-                RuleKind.TOP_DOWN,
-                (e, Annotation.D),
-                RuleTree(e, Annotation.NONE, True, (RuleTree(e, Annotation.D, False, (RuleTree(terminal("x")),)),)),
-                "bad",
-            )
-        ])
+        RewritingRule(
+            RuleKind.TOP_DOWN,
+            (e, Annotation.D),
+            RuleTree(e, Annotation.NONE, True, (RuleTree(e, Annotation.D, False, (RuleTree(terminal("x")),)),)),
+            "bad",
+        )
     # schema positions must land inside the replacement
     with pytest.raises(RuleError):
-        RuleSet([
-            RewritingRule(
-                0,
-                RuleKind.TOP_DOWN,
-                (e, Annotation.D),
-                RuleTree(e, Annotation.NONE, True, (RuleTree(terminal("x")),)),
-                "bad",
-                schema=((5, TypeAtom("Int")),),
-            )
-        ])
+        RewritingRule(
+            RuleKind.TOP_DOWN,
+            (e, Annotation.D),
+            RuleTree(e, Annotation.NONE, True, (RuleTree(terminal("x")),)),
+            "bad",
+            schema=((5, TypeAtom("Int")),),
+        )

@@ -288,17 +288,13 @@ def _assert_same_replay(got, want):
     for step, (ast, outcome, choice, want_pins) in zip(got, want):
         assert step.ast == ast
         assert step.outcome.target == outcome.target
-        assert [p.rule.id for p in step.outcome.kept] == [
-            p.rule.id for p in outcome.kept
-        ]
+        assert [p.id for p in step.outcome.kept] == [p.id for p in outcome.kept]
         assert (step.outcome.size_pruned, step.outcome.constraint_pruned) == (
             outcome.size_pruned,
             outcome.constraint_pruned,
         )
         assert step.choice == choice
-        assert step.application == Application(
-            outcome.target, outcome.kept[choice].rule.id
-        )
+        assert step.application == Application(outcome.target, outcome.kept[choice].id)
         assert pins == want_pins
         pins = pins + step.outcome.kept[step.choice].constraints
 

@@ -118,6 +118,7 @@ class SplicedProbe:
     once: the fields a search reads of a ``constraints.Probe``."""
 
     rule: RewritingRule
+    id: int
     ast: AnnotatedAst
     ids: tuple[int, ...]
     constraints: tuple[TypeConstraint, ...]
@@ -128,7 +129,7 @@ def probe_fields(outcome: ProbeOutcome):
     probes and the reference's records compare by what they hold."""
     return (
         outcome.target,
-        [(p.rule, p.ast, p.ids, p.constraints) for p in outcome.kept],
+        [(p.rule, p.id, p.ast, p.ids, p.constraints) for p in outcome.kept],
         outcome.size_pruned,
         outcome.constraint_pruned,
     )
@@ -164,7 +165,9 @@ def reference_probe_rules(
         if not SolverState().push(system):
             constraint_pruned += 1
             continue
-        kept.append(SplicedProbe(rule, new_ast, tuple(ids), tuple(schema)))
+        kept.append(
+            SplicedProbe(rule, step.rs.id_of(rule), new_ast, tuple(ids), tuple(schema))
+        )
     return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
 
 
@@ -208,7 +211,7 @@ def reference_feasible_derivation(tree, rs, policy, ctx=None, *, size_limit=None
             pins = ()
             for derived in derivation:
                 outcome = feasible_rules(ast, step, policy, pins)
-                rule_ids = [p.rule.id for p in outcome.kept]
+                rule_ids = [p.id for p in outcome.kept]
                 if derived.application.rule not in rule_ids:
                     break
                 choice = rule_ids.index(derived.application.rule)
@@ -277,7 +280,7 @@ def reference_beam_search(
                     stats.zero_prob_pruned += 1
                     continue
                 scored.append((log_prob + log(p), probe))
-            scored.sort(key=lambda item: (-item[0], item[1].rule.id))
+            scored.sort(key=lambda item: (-item[0], item[1].id))
             if len(scored) > width:
                 stats.beam_truncated += len(scored) - width
                 scored = scored[:width]
@@ -286,7 +289,7 @@ def reference_beam_search(
                     (
                         probe.ast,
                         new_log,
-                        apps + (Application(node, probe.rule.id),),
+                        apps + (Application(node, probe.id),),
                         pins + probe.constraints,
                     )
                 )
@@ -361,7 +364,7 @@ def reference_exhaustive_search(
                 (
                     probe.ast,
                     new_log,
-                    apps + (Application(node, probe.rule.id),),
+                    apps + (Application(node, probe.id),),
                     pins + probe.constraints,
                 )
             )
@@ -619,7 +622,6 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
         for var in ctx.variables:
             rules.append(
                 RewritingRule(
-                    len(rules),
                     RuleKind.CREATION,
                     None,
                     _leaf_rule_tree("V1", var.name, upward=True),
@@ -631,7 +633,6 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
         if t.arity == 0:
             rules.append(
                 RewritingRule(
-                    len(rules),
                     RuleKind.CREATION,
                     None,
                     RuleTree(
@@ -662,7 +663,6 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
                 children.append(RuleTree(terminal(token)))
         rules.append(
             RewritingRule(
-                len(rules),
                 RuleKind.BOTTOM_UP,
                 (nonterminal("V1"), Annotation.U),
                 RuleTree(nonterminal("E"), Annotation.NONE, False, tuple(children)),
@@ -674,7 +674,6 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
         for var in ctx.variables:
             rules.append(
                 RewritingRule(
-                    len(rules),
                     RuleKind.TOP_DOWN,
                     (nonterminal(f"V{position}"), Annotation.D),
                     _leaf_rule_tree(f"V{position}", var.name, upward=False),
@@ -685,7 +684,6 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
     if any(t.arity == 0 for t in templates):
         rules.append(
             RewritingRule(
-                len(rules),
                 RuleKind.BOTTOM_UP,
                 (nonterminal("E"), Annotation.U),
                 RuleTree(nonterminal("E"), Annotation.NONE, True),
