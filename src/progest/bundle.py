@@ -15,9 +15,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .condsynth import CondStepResolver, Template, TrainedCond
+from .condsynth import CondEncoder, Template, TrainedCond, row_length
 from .errors import BundleError
-from .features import BIGRAM_DIM, FeaturePipeline, row_length
+from .features import BIGRAM_DIM, FeaturePipeline
 from .models import FrequencyModel, LogisticModel, TableModel, UniformModel
 
 BUNDLE_VERSION = 1
@@ -54,19 +54,19 @@ class Bundle:
         length does not fit the feature rows of the bundle's pipeline."""
         if self.model_kind == "uniform":
             return UniformModel()
-        if self.model_kind == "table":
-            return TableModel.from_nested(self.model_params.get("table", {}))
-        resolver = CondStepResolver(self.templates)
         try:
+            if self.model_kind == "table":
+                return TableModel.from_nested(self.model_params.get("table", {}))
             if self.model_kind == "frequency":
                 return FrequencyModel.from_params(self.model_params)
             pipeline = FeaturePipeline.from_params(self.pipeline_params)
-            model = LogisticModel.from_params(self.model_params, pipeline, resolver)
+            encoder = CondEncoder(self.templates, pipeline)
+            model = LogisticModel.from_params(self.model_params, encoder)
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise BundleError(
                 f"malformed bundle: {self.model_kind} parameters: {err}"
             ) from None
-        _check_logistic_shapes(model)
+        _check_logistic_shapes(model, pipeline)
         return model
 
     def to_dict(self) -> dict:
@@ -116,10 +116,10 @@ class Bundle:
         )
 
 
-def _check_logistic_shapes(model: LogisticModel) -> None:
+def _check_logistic_shapes(model: LogisticModel, pipeline: FeaturePipeline) -> None:
     """Raise ``BundleError`` unless the PCA and every core's arrays have the
-    shapes the pipeline's feature rows give them (``features.row_length``)."""
-    pca = model.pipeline.pca
+    shapes the pipeline's feature rows give them (``condsynth.row_length``)."""
+    pca = pipeline.pca
     dims = pca.dims
     kept = pca.components.shape[0] if pca.components.ndim == 2 else 0
     if kept > dims:

@@ -16,21 +16,25 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .constraints import SignatureTable, compute_size_bounds
 from .errors import ContextError, MiniLangError, MiniTypeError
-# extract_features is bound only so that the benchmark's tracer (perfbench)
-# can wrap it under this module's name; every decision is encoded through
-# LogisticModel.encode
 from .features import (
     Context,
+    ContextEncoding,
     FeaturePipeline,
-    StepPayload,
     TemplatePayload,
+    VariableInfo,
+    context_block_length,
+    expression_block_length,
     extract_features,
+    position_block,
     string_tuple,
+    variable_block_length,
 )
 from .grammar import (
     Annotation,
@@ -167,12 +171,16 @@ class Template:
         # a bool is no integer
         if type(count) is not int:
             raise TypeError("template count must be an integer")
-        return Template(
-            key,
-            string_tuple(data["tokens"], "template tokens"),
-            string_tuple(data["types"], "template types"),
-            count,
-        )
+        tokens = string_tuple(data["tokens"], "template tokens")
+        types = string_tuple(data["types"], "template types")
+        # the placeholders mine_templates writes: V1..Vk in order, k slot types
+        slots = [t for t in tokens if _PLACEHOLDER_RE.match(t)]
+        if slots != [f"V{i}" for i in range(1, len(types) + 1)]:
+            raise ValueError(
+                f"template {key!r}: placeholders {slots} do not number its "
+                f"{len(types)} slot types"
+            )
+        return Template(key, tokens, types, count)
 
 
 def _abstract(condition: str, var_types: Mapping[str, str]):
@@ -452,38 +460,99 @@ def render_condition(ast: AnnotatedAst) -> str:
 
 
 # --------------------------------------------------------------------------
-# mapping decision points to payloads
+# encoding decision points as feature rows
 
-def step_kind(candidates: Sequence[RewritingRule]) -> str:
-    if not candidates:
-        return "other"
-    key = candidates[0].key
-    if key.startswith("make-var:") or key.startswith("make-expr:"):
-        return "creation"
-    if key.startswith("expr:"):
-        return "expression"
-    if _VAR_RULE_RE.match(key):
-        return "variable"
-    return "other"
+def row_length(kind: str, p: int) -> int:
+    """Width of a ``kind`` decision's feature rows at PCA width ``p``."""
+    head = context_block_length(p) + variable_block_length(p)
+    if kind == "expression":
+        return head
+    if kind == "creation":
+        return head + expression_block_length(p)
+    if kind == "variable":
+        return head + variable_block_length(p) + expression_block_length(p) + 1
+    raise ContextError(f"unknown decision kind {kind!r}")
 
 
-class CondStepResolver:
-    """Resolves a decision point into featurizable payloads, structurally.
+class CondEncoder:
+    """Turns a decision point into its kind and its feature rows, reading
+    everything off the rules and the current tree; one encoder serves
+    training extraction and prediction alike.
 
-    Everything is read off the rules and the current tree: the candidate
-    variable from a creation or slot rule's leaf, the chosen first variable
-    from under the V1 node, the template of a slot step from the key of the
-    rule that introduced the slot.
+    A creation decision gets one row per candidate: the variable of a
+    ``make-var:`` rule, or the template of a ``make-expr:`` rule.  An
+    expression decision is a single classification over the templates, so
+    it gets one row: the context and the first variable, read from under
+    the V1 node, which every candidate shares.  A variable decision fills
+    slot p of one template: one row per candidate variable (a slot rule's
+    leaf), then what its candidates share: the variable under slot p-1,
+    the template named by the rule that introduced the slot, and p.  Any
+    other decision (``fin:``) gets no rows.  ``row_length`` gives each
+    kind's width.
+
+    The encoder keeps the ``ContextEncoding`` of the last context it
+    encoded and reuses it while the next decision's context equals it, so
+    the decisions of one predict, or of one training item, compute each
+    block once.  A context that differs in any value replaces it; only one
+    is kept.
     """
 
-    def __init__(self, templates: Sequence[Template]):
-        self.by_key = {t.key: t for t in templates}
+    def __init__(self, templates: Sequence[Template], pipeline: FeaturePipeline):
+        self.pipeline = pipeline
+        self._templates = {t.key: t.payload for t in templates}
+        self._encoding: ContextEncoding | None = None
 
-    def _template_payload(self, key: str) -> TemplatePayload | None:
-        t = self.by_key.get(key)
-        return t.payload if t is not None else None
+    def __call__(
+        self,
+        ctx: Context | None,
+        ast: AnnotatedAst,
+        node: int | None,
+        candidates: Sequence[RewritingRule],
+    ) -> tuple[str, np.ndarray | None]:
+        key = candidates[0].key if candidates else ""
+        if key.startswith(("make-var:", "make-expr:")):
+            enc = self._encoding_of(ctx)
+            return "creation", extract_features(
+                enc, [self._creation_blocks(enc, ctx, r.key) for r in candidates]
+            )
+        if key.startswith("expr:"):
+            enc = self._encoding_of(ctx)
+            chosen = self._bound_var(ctx, ast, "V1")
+            return "expression", extract_features(enc, [(enc.variable_block(chosen),)])
+        slot = _VAR_RULE_RE.match(key)
+        if slot is None:
+            return "other", None
+        enc = self._encoding_of(ctx)
+        position = int(slot.group(1))
+        origin = ast.nodes[node].origin if node is not None else None
+        template = None
+        if origin and origin.startswith("expr:"):
+            template = self._templates.get(origin[len("expr:"):])
+        shared = (
+            enc.variable_block(self._bound_var(ctx, ast, f"V{position - 1}")),
+            enc.expression_block(template),
+            position_block(position),
+        )
+        own = [
+            (enc.variable_block(self._var(ctx, r.replacement.children[0].symbol.name)),)
+            for r in candidates
+        ]
+        return "variable", extract_features(enc, own, shared)
 
-    def _var(self, ctx: Context | None, name: str):
+    def _encoding_of(self, ctx: Context | None) -> ContextEncoding:
+        enc = self._encoding
+        if enc is None or enc.context != ctx:
+            enc = self._encoding = ContextEncoding(ctx, self.pipeline)
+        return enc
+
+    def _creation_blocks(self, enc: ContextEncoding, ctx: Context | None, key: str):
+        head, _, name = key.partition(":")
+        if head == "make-var":
+            return enc.variable_block(self._var(ctx, name)), enc.expression_block(None)
+        return enc.variable_block(None), enc.expression_block(self._templates.get(name))
+
+    @staticmethod
+    def _var(ctx: Context | None, name: str) -> VariableInfo | None:
         if ctx is None:
             return None
         try:
@@ -499,65 +568,9 @@ class CondStepResolver:
                 return self._var(ctx, leaf.symbol.name)
         return None
 
-    def __call__(
-        self,
-        ctx: Context | None,
-        ast: AnnotatedAst,
-        node: int | None,
-        candidates: Sequence[RewritingRule],
-    ) -> tuple[str, list[StepPayload]]:
-        kind = step_kind(candidates)
-        payloads: list[StepPayload] = []
-        if kind == "creation":
-            for rule in candidates:
-                if rule.key.startswith("make-var:"):
-                    name = rule.key[len("make-var:"):]
-                    payloads.append(StepPayload(ctx, variable=self._var(ctx, name)))
-                else:
-                    tkey = rule.key[len("make-expr:"):]
-                    payloads.append(
-                        StepPayload(ctx, template=self._template_payload(tkey))
-                    )
-            return kind, payloads
-        if kind == "expression":
-            chosen = self._bound_var(ctx, ast, "V1")
-            for rule in candidates:
-                tkey = rule.key[len("expr:"):]
-                payloads.append(
-                    StepPayload(
-                        ctx,
-                        chosen=chosen,
-                        template=self._template_payload(tkey),
-                    )
-                )
-            return kind, payloads
-        if kind == "variable":
-            position = int(_VAR_RULE_RE.match(candidates[0].key).group(1))
-            previous = self._bound_var(ctx, ast, f"V{position - 1}")
-            origin = ast.nodes[node].origin if node is not None else None
-            template = None
-            if origin and origin.startswith("expr:"):
-                template = self._template_payload(origin[len("expr:"):])
-            for rule in candidates:
-                name = rule.replacement.children[0].symbol.name
-                payloads.append(
-                    StepPayload(
-                        ctx,
-                        variable=self._var(ctx, name),
-                        previous=previous,
-                        template=template,
-                        position=position,
-                    )
-                )
-            return kind, payloads
-        return kind, []
-
 
 # --------------------------------------------------------------------------
 # training and synthesis
-
-MODEL_KINDS = ("frequency", "logistic", "uniform", "table")
-
 
 @dataclass
 class TrainedCond:
@@ -613,17 +626,11 @@ def train_cond_models(
             extraction=extraction,
         )
     pipeline = FeaturePipeline.fit((r.context for r in records), pca_dims, seed)
-    resolver = CondStepResolver(templates)
+    encoder = CondEncoder(templates, pipeline)
     extraction = extract_training_set(
-        items,
-        rules_for,
-        policy_leftmost,
-        encoder=LogisticModel(pipeline, resolver).encode,
-        size_limit=size_limit,
+        items, rules_for, policy_leftmost, encoder=encoder, size_limit=size_limit
     )
-    logistic = LogisticModel.train(
-        extraction.decisions, pipeline, resolver, lr=lr, epochs=epochs
-    )
+    logistic = LogisticModel.train(extraction.decisions, encoder, lr=lr, epochs=epochs)
     return TrainedCond(
         "logistic", templates, pipeline=pipeline, logistic=logistic,
         extraction=extraction,
@@ -673,7 +680,6 @@ class EvalReport:
     solved: dict[int, int]  # cutoff -> hits over all repeats
     precision: dict[int, float]
     unreachable: int
-    per_repeat: list[dict] = field(default_factory=list)
 
 
 def evaluate_topk(
@@ -705,7 +711,6 @@ def evaluate_topk(
     totals = {c: 0.0 for c in cutoffs}
     solved = {c: 0 for c in cutoffs}
     unreachable_total = 0
-    per_repeat: list[dict] = []
     n_test = max(1, round(len(records) * split_ratio))
     for rep in range(repeats):
         rng = random.Random(seed + rep)
@@ -756,9 +761,6 @@ def evaluate_topk(
             totals[c] += hits[c] / n_test
             solved[c] += hits[c]
         unreachable_total += unreachable
-        per_repeat.append(
-            {"repeat": rep, "hits": dict(hits), "unreachable": unreachable}
-        )
     precision = {c: totals[c] / repeats for c in cutoffs}
     return EvalReport(
         model_kind=model_kind,
@@ -773,5 +775,4 @@ def evaluate_topk(
         solved=solved,
         precision=precision,
         unreachable=unreachable_total,
-        per_repeat=per_repeat,
     )

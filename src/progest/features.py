@@ -6,15 +6,17 @@ method names, and small token windows around the hole.  Names are encoded as
 character-bigram count vectors and compressed with a PCA fitted at training
 time; token windows use a small vocabulary learned alongside.
 
-A decision's feature rows are assembled from fixed blocks by its kind, so
-their layout depends only on the PCA width.  Optional inputs encode as zeros
-plus a trailing presence flag of 0, never as a shifted layout.
+A decision's feature rows are assembled from fixed-width blocks, so their
+layout depends only on the PCA width and on which blocks the caller picks
+(``condsynth.CondEncoder`` picks them for each decision).  Optional inputs
+encode as zeros plus a trailing presence flag of 0, never as a shifted
+layout.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -554,36 +556,7 @@ def position_block(position: int | None) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# per-decision payloads and their rows
-
-@dataclass(frozen=True)
-class StepPayload:
-    """What one candidate of a scoring decision gets to look at.
-
-    The decision's kind picks the blocks that are read: creating the first
-    variable, choosing the expression template around it, or filling a later
-    variable slot.  Optional parts are None and encode as zeroed blocks.
-    """
-
-    context: Context | None
-    variable: VariableInfo | None = None  # the candidate being scored
-    chosen: VariableInfo | None = None  # first variable, for expression steps
-    previous: VariableInfo | None = None  # slot p-1 binding, for variable steps
-    template: TemplatePayload | None = None
-    position: int | None = None
-
-
-def row_length(kind: str, p: int) -> int:
-    """Width of a ``kind`` decision's feature rows at PCA width ``p``."""
-    head = context_block_length(p) + variable_block_length(p)
-    if kind == "expression":
-        return head
-    if kind == "creation":
-        return head + expression_block_length(p)
-    if kind == "variable":
-        return head + variable_block_length(p) + expression_block_length(p) + 1
-    raise ContextError(f"unknown decision kind {kind!r}")
-
+# one context's blocks and the rows assembled from them
 
 def _read_only(block: np.ndarray) -> np.ndarray:
     block.flags.writeable = False
@@ -597,9 +570,10 @@ class ContextEncoding:
     expression block of each ``TemplatePayload`` are computed on first use
     by the module's block functions and kept by value, so every decision
     over this context reads the same arrays.  They are read-only: a row is
-    always a new array assembled from them.  The blocks are this context's
-    only; a caller holding an encoding across decisions checks ``context``
-    before it reuses it (``LogisticModel.encode`` does).
+    always a new array assembled from them (``extract_features``).  The
+    blocks are this context's only; a caller holding an encoding across
+    decisions checks ``context`` before it reuses it
+    (``condsynth.CondEncoder`` does).
     """
 
     def __init__(self, context: Context | None, pipe: FeaturePipeline) -> None:
@@ -631,53 +605,12 @@ class ContextEncoding:
 
 
 def extract_features(
-    kind: str,
-    payloads: Sequence[StepPayload],
-    pipe: FeaturePipeline,
-    *,
-    encoding: ContextEncoding | None = None,
+    enc: ContextEncoding,
+    candidates: Sequence[Sequence[np.ndarray]],
+    shared: Sequence[np.ndarray] = (),
 ) -> np.ndarray:
-    """Feature rows of one decision, whose payloads share one context.
-
-    Blocks come from ``encoding``, the ``ContextEncoding`` of the payloads'
-    context, or from a fresh one over ``pipe``; a caller that passes the
-    same encoding to every decision of a context computes the context block
-    once per context, and each variable and template block once.  Creation
-    and variable decisions get one row per payload.  An expression decision
-    is a single classification, so it gets one row: the context and the
-    chosen first variable, which every candidate shares.  The payloads of a
-    variable decision share the previous variable, the template and the
-    position too (they fill one slot of one tree), so that part is read
-    from the first payload.
-    """
-    first = payloads[0]
-    enc = encoding if encoding is not None else ContextEncoding(first.context, pipe)
-    ctx_vec = enc.context_block()
-    if kind == "expression":
-        row = np.concatenate([ctx_vec, enc.variable_block(first.chosen)])
-        return row[np.newaxis]
-    if kind == "creation":
-        tails = [
-            np.concatenate(
-                [enc.variable_block(p.variable), enc.expression_block(p.template)]
-            )
-            for p in payloads
-        ]
-        return np.hstack([np.tile(ctx_vec, (len(tails), 1)), np.stack(tails)])
-    if kind == "variable":
-        slot = np.concatenate(
-            [
-                enc.variable_block(first.previous),
-                enc.expression_block(first.template),
-                position_block(first.position),
-            ]
-        )
-        n = len(payloads)
-        return np.hstack(
-            [
-                np.tile(ctx_vec, (n, 1)),
-                np.stack([enc.variable_block(p.variable) for p in payloads]),
-                np.tile(slot, (n, 1)),
-            ]
-        )
-    raise ContextError(f"unknown decision kind {kind!r}")
+    """Feature rows of one decision over the context of ``enc``: row i is
+    the context block, then candidate i's blocks, then the ``shared``
+    blocks, which every candidate of the decision reads alike."""
+    head = enc.context_block()
+    return np.stack([np.concatenate((head, *own, *shared)) for own in candidates])

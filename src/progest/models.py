@@ -13,7 +13,8 @@ first derivation of ``trees.iter_derivations``, a walk that steps through
 turns into one positive instance for the applied rule and one negative for
 each feasible sibling.  With an encoder, each step a model core scores is
 also stored once as an ``EncodedDecision``: its feature rows, built by the
-same ``LogisticModel.encode`` that prediction uses.
+same encoder (``condsynth.CondEncoder``) that the logistic model predicts
+through.
 """
 
 from __future__ import annotations
@@ -33,14 +34,10 @@ from .constraints import (
     probe_rules,
 )
 from .errors import UnderivableTreeError
-from .features import (
-    Context,
-    ContextEncoding,
-    FeaturePipeline,
-    StepPayload,
-    extract_features,
-    string_tuple,
-)
+# extract_features is bound only so that the benchmark's tracer (perfbench)
+# can wrap it under this module's name; every decision is encoded by the
+# encoder a LogisticModel holds, which calls it from condsynth
+from .features import Context, extract_features, string_tuple
 from .grammar import RewritingRule, RuleSet, group_key_of
 # iter_derivations is called by this name so that the tracer counts replays
 from .trees import AnnotatedAst, DerivationStep, iter_derivations
@@ -88,12 +85,6 @@ class TableModel:
             for key, p in row.items()
         }
         return TableModel(flat, default)
-
-    def to_nested(self) -> dict[str, dict[str, float]]:
-        nested: dict[str, dict[str, float]] = {}
-        for (parent, key), p in self.table.items():
-            nested.setdefault(parent, {})[key] = p
-        return nested
 
     def predict(self, ctx, ast, node, candidates) -> list[float]:
         parent = _parent_key(ast, node)
@@ -153,7 +144,12 @@ class FrequencyModel:
         for group, parents in data.get("counts", {}).items():
             for parent, row in parents.items():
                 for key, n in row.items():
-                    counts[(group, parent, key)] = int(n)
+                    # a count is a non-negative integer; a bool is none
+                    if type(n) is not int or n < 0:
+                        raise ValueError(
+                            f"count of {key!r} must be a non-negative integer"
+                        )
+                    counts[(group, parent, key)] = n
         return FrequencyModel(counts)
 
 
@@ -290,13 +286,11 @@ class SoftmaxCore:
         )
 
 
-# decision kinds a logistic core scores; any other decision scores uniform
-_SCORED_KINDS = ("creation", "variable", "expression")
-
-# step resolver: maps a decision point to (kind, one payload per candidate)
-StepResolver = Callable[
+# encoder: maps a decision point to its kind and its feature rows, or None
+# for a decision no core scores (``condsynth.CondEncoder``)
+StepEncoder = Callable[
     [Context | None, AnnotatedAst, int | None, Sequence[RewritingRule]],
-    tuple[str, list[StepPayload]],
+    tuple[str, np.ndarray | None],
 ]
 
 
@@ -304,65 +298,31 @@ class LogisticModel:
     """Learned model: binary scorers for creation and variable-slot steps,
     one multinomial over the expression alternatives.
 
-    ``encode`` is the one way a decision becomes model input, for training
-    and prediction alike; it keeps the ``ContextEncoding`` of the last
-    context it encoded.  The expression decision is a single
+    Its ``encoder`` is the one way a decision becomes model input, for
+    training and prediction alike.  The expression decision is a single
     classification over its candidate-independent row (context plus chosen
     variable); candidates are then looked up by their rule key in the class
-    distribution.  Missing cores fall back to the uniform distribution and
-    are listed in ``untrained_kinds``.
+    distribution.  A decision the encoder gives no rows, or whose core is
+    missing, gets the uniform distribution.
     """
 
     def __init__(
         self,
-        pipeline: FeaturePipeline,
-        resolver: StepResolver,
+        encoder: StepEncoder,
         *,
         creation: BinaryLogisticCore | None = None,
         variable: BinaryLogisticCore | None = None,
         expression: SoftmaxCore | None = None,
     ) -> None:
-        self.pipeline = pipeline
-        self.resolver = resolver
+        self.encoder = encoder
         self.creation = creation
         self.variable = variable
         self.expression = expression
-        self._encoding: ContextEncoding | None = None
-
-    @property
-    def untrained_kinds(self) -> tuple[str, ...]:
-        out = []
-        if self.creation is None:
-            out.append("creation")
-        if self.variable is None:
-            out.append("variable")
-        if self.expression is None:
-            out.append("expression")
-        return tuple(out)
-
-    def encode(self, ctx, ast, node, candidates) -> tuple[str, np.ndarray | None]:
-        """The decision's kind and its feature rows; None for a kind that
-        no core scores.
-
-        The rows read their blocks from the encoding of the last context
-        encoded while the decision's context equals it, so the decisions of
-        one predict, or of one training item, compute each block once.  A
-        context that differs in any value replaces the encoding; only one
-        is kept."""
-        kind, payloads = self.resolver(ctx, ast, node, candidates)
-        if kind not in _SCORED_KINDS:
-            return kind, None
-        context = payloads[0].context
-        if self._encoding is None or self._encoding.context != context:
-            self._encoding = ContextEncoding(context, self.pipeline)
-        rows = extract_features(kind, payloads, self.pipeline, encoding=self._encoding)
-        return kind, rows
 
     @staticmethod
     def train(
         decisions: Iterable["EncodedDecision"],
-        pipeline: FeaturePipeline,
-        resolver: StepResolver,
+        encoder: StepEncoder,
         *,
         lr: float = 0.4,
         epochs: int = 450,
@@ -387,8 +347,7 @@ class LogisticModel:
             labels = [d.applied_key for d in found]
             expression = SoftmaxCore.fit(X, labels, lr=lr, epochs=epochs, l2=l2)
         return LogisticModel(
-            pipeline,
-            resolver,
+            encoder,
             creation=cores.get("creation"),
             variable=cores.get("variable"),
             expression=expression,
@@ -398,7 +357,7 @@ class LogisticModel:
         k = len(candidates)
         if k == 0:
             return []
-        kind, rows = self.encode(ctx, ast, node, candidates)
+        kind, rows = self.encoder(ctx, ast, node, candidates)
         if kind == "expression" and self.expression is not None:
             dist = self.expression.distribution(rows[0])
             raw = [dist.get(r.key, 0.0) for r in candidates]
@@ -423,16 +382,13 @@ class LogisticModel:
         }
 
     @staticmethod
-    def from_params(
-        data: Mapping, pipeline: FeaturePipeline, resolver: StepResolver
-    ) -> "LogisticModel":
+    def from_params(data: Mapping, encoder: StepEncoder) -> "LogisticModel":
         def load(name, loader):
             block = data.get(name)
             return loader(block) if block else None
 
         return LogisticModel(
-            pipeline,
-            resolver,
+            encoder,
             creation=load("creation", BinaryLogisticCore.from_params),
             variable=load("variable", BinaryLogisticCore.from_params),
             expression=load("expression", SoftmaxCore.from_params),
@@ -453,7 +409,7 @@ class TrainingInstance:
 @dataclass(frozen=True)
 class EncodedDecision:
     """One scored decision as model input: its rows (see
-    ``LogisticModel.encode``) and which candidate the build applied."""
+    ``condsynth.CondEncoder``) and which candidate the build applied."""
 
     kind: str
     rows: np.ndarray
@@ -478,14 +434,6 @@ class ExtractionResult:
     skipped: list[tuple[int, str]] = field(default_factory=list)
     steps_audited: list[StepAudit] = field(default_factory=list)
     decisions: list[EncodedDecision] = field(default_factory=list)
-
-
-# encoder: maps a decision point to its kind and feature rows, as
-# ``LogisticModel.encode`` does
-StepEncoder = Callable[
-    [Context | None, AnnotatedAst, int | None, Sequence[RewritingRule]],
-    tuple[str, np.ndarray | None],
-]
 
 
 def feasible_derivation(

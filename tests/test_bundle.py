@@ -66,7 +66,9 @@ def test_logistic_bundle_round_trip(tmp_path):
     again = load_bundle(str(path))
     assert again.pipeline_params is not None
     rebuilt = again.build_model()
-    assert rebuilt.untrained_kinds == trained.logistic.untrained_kinds
+    assert canonical_json(rebuilt.to_params()) == canonical_json(
+        trained.logistic.to_params()
+    )
 
 
 def test_save_is_byte_stable(tmp_path):

@@ -294,6 +294,34 @@ def _set_entry(*path_and_value):
                      id="template-count-bool"),
         pytest.param("demo", _set_entry("templates", 0, "count", "7"),
                      id="template-count-string"),
+        pytest.param("demo", _set_entry("templates", 0, "tokens", ["V1", ">", "V2"]),
+                     id="template-placeholder-without-type"),
+        pytest.param("demo", _set_entry("templates", 0, "tokens", ["V2", ">", "0"]),
+                     id="template-placeholder-not-first"),
+        pytest.param("demo", _set_entry("templates", 0, "tokens", ["x", ">", "0"]),
+                     id="template-type-without-placeholder"),
+        pytest.param("demo", _set_entry("templates", 0, "types", []),
+                     id="template-types-empty"),
+        pytest.param("demo", _set_entry("templates", 0, "types", ["Int", "Int"]),
+                     id="template-types-extra"),
+        pytest.param("demo", _set_entry("model", "table", 5), id="table-number"),
+        pytest.param("demo", _set_entry("model", "table", {"": 5}), id="table-row-number"),
+        pytest.param("demo", _set_entry("model", "table", {"": {"make-var:hours": "x"}}),
+                     id="table-entry-string"),
+        pytest.param("demo", _set_entry("model", "table", {"": {"make-var:hours": [1]}}),
+                     id="table-entry-list"),
+        *(
+            pytest.param(
+                "demo",
+                _set_sections(
+                    "frequency", {"counts": {"<create>|": {"": {"make-var:hours": n}}}},
+                    None,
+                ),
+                id=f"frequency-count-{name}",
+            )
+            for name, n in (("float", 2.5), ("string", "7"), ("bool", True),
+                            ("negative", -1))
+        ),
         pytest.param("demo", _set_entry("config", "x"), id="config-string"),
         pytest.param("demo", _set_entry("config", 5), id="config-number"),
         pytest.param("demo", _set_entry("config", [1, 2]), id="config-list"),

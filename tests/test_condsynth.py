@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progest.condsynth import (
+    CondEncoder,
     CorpusRecord,
     Template,
     TemplateLayer,
@@ -20,6 +21,7 @@ from progest.condsynth import (
     mine_templates,
     record_tree,
     render_condition,
+    row_length,
     synthesize_condition,
     template_key,
     template_layer,
@@ -33,9 +35,9 @@ from progest.datagen import generate_corpus
 from progest.errors import ContextError
 from progest.features import (
     Context,
+    FeaturePipeline,
     VariableInfo,
     context_block_length,
-    extract_features,
     variable_block_length,
 )
 from progest.grammar import Annotation, RuleKind, derive_top_down_rules
@@ -45,6 +47,7 @@ from progest.trees import AnnotatedAst, apply_rule, policy_leftmost, to_sexpr
 from tests_support import (
     reference_build_cond_ruleset,
     reference_features,
+    reference_payloads,
     reference_prober,
 )
 
@@ -466,6 +469,18 @@ def test_beam_matches_reference_prober_on_corpus_atoms(corpus_records):
         assert got.stats == want.stats, record.id
 
 
+def reference_rows(templates, pipe, ctx, ast, node, candidates):
+    """The decision's kind and its per-payload reference rows: stacked for
+    creation and variable steps, the candidate-independent prefix for an
+    expression step."""
+    kind, payloads = reference_payloads(templates, ctx, ast, node, candidates)
+    reference = np.stack([reference_features(kind, p, pipe) for p in payloads])
+    if kind == "expression":
+        prefix = context_block_length(pipe.dims) + variable_block_length(pipe.dims)
+        reference = reference[:1, :prefix]
+    return kind, reference
+
+
 def test_decision_rows_match_the_per_payload_reference(corpus_records):
     """Each decision of the first 60 corpus items encodes, once per decision,
     to the per-payload reference vectors: stacked for creation and variable
@@ -474,8 +489,7 @@ def test_decision_rows_match_the_per_payload_reference(corpus_records):
     records = corpus_records[:60]
     trained = train_cond_models(records, model_kind="logistic", epochs=5)
     model = trained.logistic
-    pipe = model.pipeline
-    prefix = context_block_length(pipe.dims) + variable_block_length(pipe.dims)
+    pipe = model.encoder.pipeline
     encoded = []
     kinds = set()
     for record in records:
@@ -487,14 +501,11 @@ def test_decision_rows_match_the_per_payload_reference(corpus_records):
         for step in steps:
             node = step.outcome.target
             kept = [p.rule for p in step.outcome.kept]
-            kind, payloads = model.resolver(ctx, step.ast, node, kept)
+            kind, rows = model.encoder(ctx, step.ast, node, kept)
             kinds.add(kind)
-            rows = extract_features(kind, payloads, pipe)
-            reference = np.stack([reference_features(kind, p, pipe) for p in payloads])
-            if kind == "expression":
-                assert np.array_equal(rows, reference[:1, :prefix]), record.id
-            else:
-                assert np.array_equal(rows, reference), record.id
+            want = reference_rows(trained.templates, pipe, ctx, step.ast, node, kept)
+            assert kind == want[0], record.id
+            assert np.array_equal(rows, want[1]), record.id
             encoded.append((kind, rows, step.choice, kept[step.choice].key))
     assert kinds == {"creation", "expression", "variable"}
     stored = trained.extraction.decisions
@@ -512,7 +523,7 @@ def test_decision_rows_match_the_per_payload_reference(corpus_records):
     rs = build_cond_ruleset(trained.templates + (closed,), ctx)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key(f"make-expr:{closed.key}"))
     fin = [rs.by_key("fin:E")]
-    assert model.encode(ctx, ast, ast.root, fin) == ("other", None)
+    assert model.encoder(ctx, ast, ast.root, fin) == ("other", None)
     assert model.predict(ctx, ast, ast.root, fin) == [1.0]
 
 
@@ -524,9 +535,8 @@ def logistic_60(corpus_records):
 def fresh_model(trained):
     """The trained logistic model with no context encoded yet."""
     logistic = trained.logistic
-    return LogisticModel.from_params(
-        logistic.to_params(), logistic.pipeline, logistic.resolver
-    )
+    encoder = CondEncoder(trained.templates, logistic.encoder.pipeline)
+    return LogisticModel.from_params(logistic.to_params(), encoder)
 
 
 def replayed_decisions(templates, ctx, tree):
@@ -544,8 +554,7 @@ def test_encoding_follows_the_context_of_each_decision(corpus_records, logistic_
     variable's usage count changed: every row is the per-payload reference
     of its own context, never a block kept from the one before."""
     model = fresh_model(logistic_60)
-    pipe = model.pipeline
-    prefix = context_block_length(pipe.dims) + variable_block_length(pipe.dims)
+    pipe = model.encoder.pipeline
     a = corpus_records[0]
     b = next(r for r in corpus_records if r.context != a.context)
     first = a.context.variables[0]
@@ -562,11 +571,10 @@ def test_encoding_follows_the_context_of_each_decision(corpus_records, logistic_
         for ast, node, kept in replayed_decisions(
             logistic_60.templates, ctx, record_tree(record)
         ):
-            kind, payloads = model.resolver(ctx, ast, node, kept)
-            _, rows = model.encode(ctx, ast, node, kept)
-            reference = np.stack([reference_features(kind, p, pipe) for p in payloads])
-            if kind == "expression":
-                reference = reference[:1, :prefix]
+            kind, reference = reference_rows(
+                logistic_60.templates, pipe, ctx, ast, node, kept
+            )
+            _, rows = model.encoder(ctx, ast, node, kept)
             assert np.array_equal(rows, reference), (name, kind)
             got.append(rows)
         rows_of.setdefault(name, got)
@@ -575,6 +583,47 @@ def test_encoding_follows_the_context_of_each_decision(corpus_records, logistic_
     assert any(
         not np.array_equal(x, y) for x, y in zip(rows_of["A"], rows_of["A'"])
     )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 10_000), n=st.integers(2, 16), dims=st.sampled_from((2, 16))
+)
+def test_encoder_matches_the_reference_on_generated_corpora(
+    tmp_path_factory, seed, n, dims
+):
+    """On a generated corpus, every step of the search's build of every atom
+    encodes to its per-payload reference rows.  One encoder serves every
+    record in turn, so a block kept from another context would show."""
+    folder = tmp_path_factory.mktemp("corpus")
+    records = load_corpus(write_corpus(folder, generate_corpus(n, seed=seed)))
+    templates = mine_templates(records)
+    pipe = FeaturePipeline.fit([r.context for r in records], dims, seed)
+    encoder = CondEncoder(templates, pipe)
+    for record in records:
+        ctx = record.context
+        for ast, node, kept in replayed_decisions(templates, ctx, record_tree(record)):
+            kind, rows = encoder(ctx, ast, node, kept)
+            want_kind, reference = reference_rows(templates, pipe, ctx, ast, node, kept)
+            assert kind == want_kind, record.id
+            assert np.array_equal(rows, reference), (record.id, kind)
+
+
+def test_row_length_is_the_width_of_each_kind():
+    """Each decision kind's rows are ``row_length`` wide."""
+    records = make_records()
+    templates = mine_templates(records)
+    pipe = FeaturePipeline.fit([r.context for r in records], dims=3, seed=1)
+    encoder = CondEncoder(templates, pipe)
+    widths = {}
+    for record in records:
+        ctx = record.context
+        for ast, node, kept in replayed_decisions(templates, ctx, record_tree(record)):
+            kind, rows = encoder(ctx, ast, node, kept)
+            widths.setdefault(kind, set()).add(rows.shape[1])
+    assert widths == {
+        kind: {row_length(kind, 3)} for kind in ("creation", "expression", "variable")
+    }
 
 
 def counting(monkeypatch, owner, name):
@@ -595,10 +644,12 @@ def test_one_predict_encodes_each_block_once(monkeypatch, corpus_records, logist
     scores once, however many decisions read them."""
     model = fresh_model(logistic_60)
     scored = set()
-    resolve = model.resolver
+    encode = model.encoder
 
-    def recording_resolver(ctx, ast, node, candidates):
-        kind, payloads = resolve(ctx, ast, node, candidates)
+    def recording_encoder(ctx, ast, node, candidates):
+        kind, payloads = reference_payloads(
+            logistic_60.templates, ctx, ast, node, candidates
+        )
         for p in payloads:
             if kind == "creation":
                 scored.add(p.variable)
@@ -606,9 +657,9 @@ def test_one_predict_encodes_each_block_once(monkeypatch, corpus_records, logist
                 scored.add(p.chosen)
             elif kind == "variable":
                 scored.update((p.variable, p.previous))
-        return kind, payloads
+        return encode(ctx, ast, node, candidates)
 
-    model.resolver = recording_resolver
+    model.encoder = recording_encoder
     contexts = counting(monkeypatch, features, "context_block")
     variables = counting(monkeypatch, features, "variable_block")
     record = corpus_records[0]

@@ -10,7 +10,6 @@ from progest.features import (
     Context,
     ContextEncoding,
     FeaturePipeline,
-    StepPayload,
     TemplatePayload,
     VariableInfo,
     context_block,
@@ -24,7 +23,6 @@ from progest.features import (
     pca_apply,
     pca_fit,
     position_block,
-    row_length,
     variable_block,
     variable_block_length,
 )
@@ -173,34 +171,31 @@ def test_absent_parts_encode_as_zeros():
     assert position_block(None) == np.array([0.0])
 
 
-def test_extract_features_lengths_per_kind():
+def test_extract_features_lays_out_context_own_then_shared_blocks():
+    """Row i is the context block, then candidate i's own blocks, then the
+    blocks every candidate shares, in the order given."""
     pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
     ctx = make_contexts()[1]
     var = ctx.variables[0]
     tpl = TemplatePayload("V1 > 0::Int", 1, ("V1", ">", "0"), ("Int",))
-    payload = StepPayload(
-        ctx, variable=var, chosen=var, previous=None, template=tpl, position=1,
-    )
+    enc = ContextEncoding(ctx, pipe)
+    own = [
+        (enc.variable_block(var), enc.expression_block(None)),
+        (enc.variable_block(None), enc.expression_block(tpl)),
+    ]
+    shared = (variable_block(var, pipe), position_block(2))
+    rows = extract_features(enc, own, shared)
     ctx_len = context_block_length(3)
     var_len = variable_block_length(3)
     expr_len = expression_block_length(3)
-    widths = {
-        "creation": (2, ctx_len + var_len + expr_len),
-        "expression": (1, ctx_len + var_len),
-        "variable": (2, ctx_len + 2 * var_len + expr_len + 1),
-    }
-    for kind, shape in widths.items():
-        rows = extract_features(kind, [payload, payload], pipe)
-        assert rows.shape == shape
-        assert rows.any(axis=1).all()
-
-
-def test_row_length_is_the_width_of_each_kind():
-    pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
-    ctx = make_contexts()[1]
-    payload = StepPayload(ctx, variable=ctx.variables[0], position=1)
-    for kind in ("creation", "expression", "variable"):
-        assert extract_features(kind, [payload], pipe).shape == (1, row_length(kind, 3))
+    assert rows.shape == (2, ctx_len + 2 * var_len + expr_len + 1)
+    head = context_block(ctx, pipe)
+    for row, blocks in zip(rows, own):
+        assert np.array_equal(row, np.concatenate([head, *blocks, *shared]))
+    # no shared blocks: each row ends with its candidate's own blocks
+    alone = extract_features(enc, [(enc.variable_block(var),)])
+    assert alone.shape == (1, ctx_len + var_len)
+    assert np.array_equal(alone[0, ctx_len:], variable_block(var, pipe))
 
 
 def test_encoding_hands_out_read_only_blocks_kept_by_value():
@@ -228,10 +223,10 @@ def test_encoding_hands_out_read_only_blocks_kept_by_value():
     assert enc.variable_block(dataclasses.replace(var)) is blocks[1]
     assert enc.expression_block(dataclasses.replace(tpl)) is blocks[3]
     # rows are new arrays: writing one leaves the kept blocks as they were
-    payload = StepPayload(ctx, variable=var, template=tpl)
-    rows = extract_features("creation", [payload], pipe, encoding=enc)
+    rows = extract_features(enc, [(blocks[1], blocks[3])])
     rows[:] = 0.0
     assert np.array_equal(enc.context_block(), context_block(ctx, pipe))
+    assert np.array_equal(blocks[1], variable_block(var, pipe))
 
 
 def test_expression_block_reads_the_skeleton():

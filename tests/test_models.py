@@ -97,12 +97,6 @@ def test_table_model_default_fills_gaps(rules, rooted):
     assert model.predict(None, rooted, rooted.root, [hours]) == [0.125]
 
 
-def test_table_nested_round_trip():
-    nested = {"": {"a": 1.0}, "a": {"b": 0.25, "c": 0.75}}
-    model = TableModel.from_nested(nested)
-    assert model.to_nested() == nested
-
-
 def test_group_str(rules):
     assert group_str(rules.by_key('td:E->"hours"')) == "E|D"
     assert group_str(rules.by_key("make-root:E")) == "<create>|"

@@ -2,8 +2,8 @@
 grammar and policy helpers for the tests, and the reference paths that fast
 paths are checked against: the splice-then-solve prober, the restarting
 typed replay, the always-sorting beam, the depth-first exhaustive search,
-the per-tree certifier, the per-payload feature vector and the per-context
-condition rule set."""
+the per-tree certifier, the per-candidate reading of a decision and its
+feature vector, and the per-context condition rule set."""
 
 import contextlib
 import hashlib
@@ -28,6 +28,8 @@ from progest.ambiguity import AmbiguityReport, Witness, enumerate_complete_trees
 from progest.errors import ContextError, SearchOverflowError, UnderivableTreeError
 from progest.features import (
     Context,
+    TemplatePayload,
+    VariableInfo,
     context_block,
     expression_block,
     position_block,
@@ -503,9 +505,86 @@ def replay(rs: RuleSet, applications: list[Application]) -> AnnotatedAst:
     return ast
 
 
+@dataclass(frozen=True)
+class ReferencePayload:
+    """What one candidate of a decision looks at, with every field the
+    candidates share repeated in each: the variable being scored, the first
+    variable (for expression steps), the variable of slot p-1, the template
+    and the slot position p (for variable steps).  Optional parts are None."""
+
+    context: Context | None
+    variable: VariableInfo | None = None
+    chosen: VariableInfo | None = None
+    previous: VariableInfo | None = None
+    template: TemplatePayload | None = None
+    position: int | None = None
+
+
+_SLOT_RULE = re.compile(r"^var(\d+):")
+
+
+def reference_payloads(templates, ctx, ast, node, candidates):
+    """The decision's kind and one ``ReferencePayload`` per candidate, read
+    off the rules and the tree afresh for every candidate: the reference
+    reading that ``condsynth.CondEncoder`` does once per decision."""
+    by_key = {t.key: t.payload for t in templates}
+
+    def var(name):
+        if ctx is None:
+            return None
+        try:
+            return ctx.variable(name)
+        except ContextError:
+            return None
+
+    def bound(symbol_name):
+        for nid in ast.preorder():
+            n = ast.nodes[nid]
+            if n.symbol == nonterminal(symbol_name) and n.children:
+                return var(ast.nodes[n.children[0]].symbol.name)
+        return None
+
+    key = candidates[0].key if candidates else ""
+    if key.startswith(("make-var:", "make-expr:")):
+        return "creation", [
+            ReferencePayload(ctx, variable=var(r.key[len("make-var:"):]))
+            if r.key.startswith("make-var:")
+            else ReferencePayload(ctx, template=by_key.get(r.key[len("make-expr:"):]))
+            for r in candidates
+        ]
+    if key.startswith("expr:"):
+        return "expression", [
+            ReferencePayload(
+                ctx, chosen=bound("V1"), template=by_key.get(r.key[len("expr:"):])
+            )
+            for r in candidates
+        ]
+    slot = _SLOT_RULE.match(key)
+    if slot is None:
+        return "other", []
+    position = int(slot.group(1))
+    origin = ast.nodes[node].origin if node is not None else None
+    payloads = []
+    for r in candidates:
+        template = None
+        if origin and origin.startswith("expr:"):
+            template = by_key.get(origin[len("expr:"):])
+        payloads.append(
+            ReferencePayload(
+                ctx,
+                variable=var(r.replacement.children[0].symbol.name),
+                previous=bound(f"V{position - 1}"),
+                template=template,
+                position=position,
+            )
+        )
+    return "variable", payloads
+
+
 def reference_features(kind: str, payload, pipe) -> np.ndarray:
-    """One candidate's full feature vector, blocks recomputed per payload:
-    the encoding ``features.extract_features`` builds per decision."""
+    """One candidate's full feature vector, blocks recomputed per payload
+    (see ``reference_payloads``): the rows ``condsynth.CondEncoder`` builds
+    per decision."""
     ctx_vec = context_block(payload.context, pipe)
     if kind == "creation":
         return np.concatenate(
