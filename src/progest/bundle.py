@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .condsynth import CondEncoder, Template, TrainedCond, row_length
 from .errors import BundleError
 from .features import BIGRAM_DIM, FeaturePipeline
@@ -50,8 +52,9 @@ class Bundle:
         """Reconstruct the prediction model this bundle describes.
 
         Raises ``BundleError`` when the model or pipeline section does not
-        parse as the parameters its model reads, or when a logistic array's
-        length does not fit the feature rows of the bundle's pipeline."""
+        parse as the parameters its model reads, or when a logistic array
+        does not fit the feature rows of the bundle's pipeline or holds a
+        number no training run writes."""
         if self.model_kind == "uniform":
             return UniformModel()
         try:
@@ -62,11 +65,11 @@ class Bundle:
             pipeline = FeaturePipeline.from_params(self.pipeline_params)
             encoder = CondEncoder(self.templates, pipeline)
             model = LogisticModel.from_params(self.model_params, encoder)
-        except (AttributeError, KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
             raise BundleError(
                 f"malformed bundle: {self.model_kind} parameters: {err}"
             ) from None
-        _check_logistic_shapes(model, pipeline)
+        _check_logistic_arrays(model, pipeline)
         return model
 
     def to_dict(self) -> dict:
@@ -116,9 +119,11 @@ class Bundle:
         )
 
 
-def _check_logistic_shapes(model: LogisticModel, pipeline: FeaturePipeline) -> None:
+def _check_logistic_arrays(model: LogisticModel, pipeline: FeaturePipeline) -> None:
     """Raise ``BundleError`` unless the PCA and every core's arrays have the
-    shapes the pipeline's feature rows give them (``condsynth.row_length``)."""
+    shapes the pipeline's feature rows give them (``condsynth.row_length``),
+    hold finite numbers only, and every ``std`` is positive, as training's
+    ``std`` floor keeps it."""
     pca = pipeline.pca
     dims = pca.dims
     kept = pca.components.shape[0] if pca.components.ndim == 2 else 0
@@ -128,31 +133,38 @@ def _check_logistic_shapes(model: LogisticModel, pipeline: FeaturePipeline) -> N
             f"in {dims} dims"
         )
     found = [
-        ("pipeline pca mean", pca.mean.shape, (BIGRAM_DIM,)),
-        ("pipeline pca components", pca.components.shape, (kept, BIGRAM_DIM)),
+        ("pipeline pca mean", pca.mean, (BIGRAM_DIM,)),
+        ("pipeline pca components", pca.components, (kept, BIGRAM_DIM)),
     ]
     for kind in ("creation", "variable"):
         core = getattr(model, kind)
         if core is not None:
             width = (row_length(kind, dims),)
-            found += [(f"{kind} {name}", getattr(core, name).shape, width)
+            found += [(f"{kind} {name}", getattr(core, name), width)
                       for name in ("w", "mean", "std")]
+            found.append((f"{kind} b", np.asarray(core.b), ()))
     core = model.expression
     if core is not None:
         width = row_length("expression", dims)
         classes = len(core.classes)
         found += [
-            ("expression W", core.W.shape, (width, classes)),
-            ("expression b", core.b.shape, (classes,)),
-            ("expression mean", core.mean.shape, (width,)),
-            ("expression std", core.std.shape, (width,)),
+            ("expression W", core.W, (width, classes)),
+            ("expression b", core.b, (classes,)),
+            ("expression mean", core.mean, (width,)),
+            ("expression std", core.std, (width,)),
         ]
-    for name, shape, want in found:
-        if shape != want:
+    for name, array, want in found:
+        if array.shape != want:
             raise BundleError(
-                f"malformed bundle: logistic {name} has shape {shape}, "
+                f"malformed bundle: logistic {name} has shape {array.shape}, "
                 f"expected {want}"
             )
+        if not np.isfinite(array).all():
+            raise BundleError(f"malformed bundle: logistic {name} is not finite")
+    for kind in ("creation", "variable", "expression"):
+        core = getattr(model, kind)
+        if core is not None and not (core.std > 0).all():
+            raise BundleError(f"malformed bundle: logistic {kind} std is not positive")
 
 
 def bundle_of(trained: TrainedCond, config: dict, corpus_sha256: str = "") -> Bundle:

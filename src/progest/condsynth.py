@@ -27,7 +27,6 @@ from .features import (
     Context,
     ContextEncoding,
     FeaturePipeline,
-    TemplatePayload,
     VariableInfo,
     context_block_length,
     expression_block_length,
@@ -41,7 +40,6 @@ from .grammar import (
     Grammar,
     Production,
     RewritingRule,
-    RuleKind,
     RuleSet,
     RuleTree,
     TypeAtom,
@@ -148,12 +146,6 @@ class Template:
     def arity(self) -> int:
         return len(self.placeholder_types)
 
-    @property
-    def payload(self) -> TemplatePayload:
-        return TemplatePayload(
-            self.key, self.arity, self.tokens, self.placeholder_types
-        )
-
     def to_dict(self) -> dict:
         return {
             "key": self.key,
@@ -242,7 +234,6 @@ def _leaf_rule_tree(symbol_name: str, var_name: str, *, upward: bool) -> RuleTre
 
 def _make_var(name: str) -> RewritingRule:
     return RewritingRule(
-        RuleKind.CREATION,
         None,
         _leaf_rule_tree("V1", name, upward=True),
         key=f"make-var:{name}",
@@ -252,7 +243,6 @@ def _make_var(name: str) -> RewritingRule:
 
 def _fill_slot(position: int, name: str) -> RewritingRule:
     return RewritingRule(
-        RuleKind.TOP_DOWN,
         (nonterminal(f"V{position}"), Annotation.D),
         _leaf_rule_tree(f"V{position}", name, upward=False),
         key=f"var{position}:{name}",
@@ -262,7 +252,6 @@ def _fill_slot(position: int, name: str) -> RewritingRule:
 
 def _make_expr(t: Template) -> RewritingRule:
     return RewritingRule(
-        RuleKind.CREATION,
         None,
         RuleTree(
             nonterminal(EXPR_ROOT),
@@ -290,7 +279,6 @@ def _expand(t: Template) -> RewritingRule:
         else:
             children.append(RuleTree(terminal(token)))
     return RewritingRule(
-        RuleKind.BOTTOM_UP,
         (nonterminal("V1"), Annotation.U),
         RuleTree(nonterminal(EXPR_ROOT), Annotation.NONE, False, tuple(children)),
         key=f"expr:{t.key}",
@@ -299,7 +287,6 @@ def _expand(t: Template) -> RewritingRule:
 
 
 _FINISH = RewritingRule(
-    RuleKind.BOTTOM_UP,
     (nonterminal(EXPR_ROOT), Annotation.U),
     RuleTree(nonterminal(EXPR_ROOT), Annotation.NONE, True),
     key=f"fin:{EXPR_ROOT}",
@@ -323,9 +310,9 @@ class TemplateLayer:
     The size bounds of a bound set depend only on the templates and on
     whether it has variable rules: every ``varN:`` rule costs the same
     whatever its variable, and creations do not enter the fixpoint.  So the
-    layer holds one ``SignatureTable`` per case, with those bounds, and
+    layer keeps one ``SignatureTable`` per case, with those bounds, and
     every set it binds in that case reads all its signatures there, the
-    variable rules' too.  The table's promise holds because every rule the
+    variable rules' too.  The table's promise is kept because every rule the
     layer makes is built from the content of its own key: a ``make-var:``
     or ``varN:`` key names the slot and the variable, a ``make-expr:`` or
     ``expr:`` key the template, and ``fin:`` is one fixed rule.  So a
@@ -499,7 +486,7 @@ class CondEncoder:
 
     def __init__(self, templates: Sequence[Template], pipeline: FeaturePipeline):
         self.pipeline = pipeline
-        self._templates = {t.key: t.payload for t in templates}
+        self._templates = {t.key: t for t in templates}
         self._encoding: ContextEncoding | None = None
 
     def __call__(

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Iterable, Mapping
 
-from .errors import RuleError, SchemaError
+from .errors import SchemaError
 from .grammar import Annotation, RewritingRule, RuleSet, RuleTree
-from .trees import AnnotatedAst, apply_rule_with_ids, check_applicable, direction_of
+from .trees import AnnotatedAst, apply_rule_with_ids, check_applicable
 
 _IDENT = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
 _NON_VARIABLE_WORDS = frozenset({"null", "true", "false"})
@@ -64,17 +64,15 @@ def eq_const(a: int, name: str) -> TypeConstraint:
 class SolverState:
     """Union-find over node type variables.
 
-    ``push`` applies a batch of constraints transactionally: on conflict the
-    batch is rolled back and False comes back.  Variables spring into
-    existence on first mention.
+    ``push`` adds a batch of constraints and says whether the system is
+    still satisfiable.  After a False the state is spent: every caller
+    solves one system per solver and drops it on a conflict, so nothing is
+    undone.  Variables spring into existence on first mention.
     """
 
     def __init__(self) -> None:
         self._parent: dict[int, int] = {}
-        self._rank: dict[int, int] = {}
         self._const: dict[int, str] = {}
-        # (table, key, previous value) for every write of the current batch
-        self._trail: list[tuple[dict, int, object]] = []
 
     def find(self, x: int) -> int:
         parent = self._parent
@@ -94,16 +92,8 @@ class SolverState:
         cb = self._const.get(rb)
         if ca is not None and cb is not None and ca != cb:
             return False
-        if self._rank.get(ra, 0) < self._rank.get(rb, 0):
-            ra, rb = rb, ra
-            ca, cb = cb, ca
-        self._trail.append((self._parent, rb, self._parent.get(rb)))
         self._parent[rb] = ra
-        if self._rank.get(ra, 0) == self._rank.get(rb, 0):
-            self._trail.append((self._rank, ra, self._rank.get(ra)))
-            self._rank[ra] = self._rank.get(ra, 0) + 1
         if ca is None and cb is not None:
-            self._trail.append((self._const, ra, None))
             self._const[ra] = cb
         return True
 
@@ -112,28 +102,16 @@ class SolverState:
         current = self._const.get(ra)
         if current is not None:
             return current == name
-        self._trail.append((self._const, ra, None))
         self._const[ra] = name
         return True
 
-    def _rollback(self) -> None:
-        trail = self._trail
-        while trail:
-            table, key, old = trail.pop()
-            if old is None:
-                del table[key]
-            else:
-                table[key] = old
-
     def push(self, constraints: Iterable[TypeConstraint]) -> bool:
-        self._trail.clear()
         for c in constraints:
             if c.right is not None:
                 ok = self._union(c.left, c.right)
             else:
                 ok = self._assign(c.left, c.const)  # type: ignore[arg-type]
             if not ok:
-                self._rollback()
                 return False
         return True
 
@@ -307,7 +285,7 @@ def _compile(
     nodes = rule.replacement.preorder()
     ids = [_ANCHOR if rt.anchor else pos for pos, rt in enumerate(nodes)]
     # creations (mark None) have no anchor to carry a leftover mark
-    leftover = mark.without(direction_of(rule.kind)) if mark is not None else None
+    leftover = mark.without(rule.pattern[1]) if mark is not None else None
     marks = [leftover if rt.anchor else rt.annotation for rt in nodes]
     system = constraints_of_application(rule, ids)
     for pos, name in _declared_leaves(rule):
@@ -377,9 +355,9 @@ class SearchStep:
     Sizes are bounded when ``size_limit`` is given, by the bounds of
     ``rs.shared`` when the set has a table and by ``compute_size_bounds(rs)``
     otherwise.  Signatures come from ``rs.shared``; a set without one gets a
-    table of the step's own, which lives as long as the step.  A rule that
-    ``rs`` does not hold under its key is refused with ``RuleError``: the
-    table's signatures and the probe's id are those of the set's own rule.
+    table of the step's own, which lives as long as the step.  The table's
+    signatures are those of the set's own rules: ``probe_rules`` refuses any
+    other rule before it asks for a signature.
     """
 
     def __init__(self, rs: RuleSet, ctx=None, size_limit: int | None = None) -> None:
@@ -399,8 +377,6 @@ class SearchStep:
     def signature(
         self, rule: RewritingRule, mark: Annotation | None, at_root: bool
     ) -> _Signature:
-        if not self.rs.holds(rule):
-            raise RuleError(f"rule {rule.key} is not in the searched rule set")
         return self.table.signature(rule, mark, at_root, self)
 
 
@@ -496,7 +472,7 @@ def probe_rules(
     that one.
 
     Why deciding before the splice is exact: the splice gives the fresh
-    replacement nodes ids at or above ``ast.next_id``, which neither the
+    replacement nodes ids from ``len(ast.nodes)`` on, which neither the
     pins nor the constraints of the old nodes mention.  The candidate's
     system is therefore two systems that share one variable, the target's:
 
@@ -537,13 +513,14 @@ def probe_rules(
     kept: list[Probe] = []
     size_pruned = 0
     constraint_pruned = 0
-    # whether a rule fits the target depends only on its kind and pattern,
-    # which a group's rules share
-    fitting = None
+    # whether a rule fits the target depends only on its pattern, which a
+    # group's rules share
+    fitting = ()
     for rule in candidates:
-        if (rule.kind, rule.pattern) != fitting:
+        if rule.pattern != fitting:
             check_applicable(ast, target, rule)
-            fitting = (rule.kind, rule.pattern)
+            fitting = rule.pattern
+        rule_id = step.rs.id_of(rule)
         sig = step.signature(rule, mark, at_root)
         if limit is not None and rest + sig.size_delta > limit:
             size_pruned += 1
@@ -555,7 +532,7 @@ def probe_rules(
         ):
             constraint_pruned += 1
             continue
-        kept.append(Probe(rule, step.rs.id_of(rule), ast, target))
+        kept.append(Probe(rule, rule_id, ast, target))
     return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
 
 

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ContextError
 from .minilang import TYPE_CLASSES, classify_type
+
+if TYPE_CHECKING:  # condsynth imports this module
+    from .condsynth import Template
 
 # --------------------------------------------------------------------------
 # context data
@@ -499,21 +502,11 @@ def variable_block_length(p: int) -> int:
     return 3 * p + 16
 
 
-@dataclass(frozen=True)
-class TemplatePayload:
-    """What a condition template exposes to the feature encoder."""
-
-    key: str
-    arity: int
-    tokens: tuple[str, ...]  # skeleton with V1.. placeholders
-    placeholder_types: tuple[str, ...]
-
-
 _CMP_OPS = ("<", ">", "<=", ">=", "==", "!=")
 _ARITH_OPS = ("+", "-", "*", "/", "%")
 
 
-def expression_block(tpl: TemplatePayload | None, pipe: FeaturePipeline) -> np.ndarray:
+def expression_block(tpl: Template | None, pipe: FeaturePipeline) -> np.ndarray:
     p = pipe.dims
     if tpl is None:
         return np.zeros(expression_block_length(p))
@@ -567,7 +560,7 @@ class ContextEncoding:
     """The feature blocks of one context, each computed at most once.
 
     The context block, the variable block of each ``VariableInfo`` and the
-    expression block of each ``TemplatePayload`` are computed on first use
+    expression block of each ``Template`` are computed on first use
     by the module's block functions and kept by value, so every decision
     over this context reads the same arrays.  They are read-only: a row is
     always a new array assembled from them (``extract_features``).  The
@@ -581,7 +574,7 @@ class ContextEncoding:
         self.pipeline = pipe
         self._context_block: np.ndarray | None = None
         self._variable_blocks: dict[VariableInfo | None, np.ndarray] = {}
-        self._expression_blocks: dict[TemplatePayload | None, np.ndarray] = {}
+        self._expression_blocks: dict[Template | None, np.ndarray] = {}
 
     def context_block(self) -> np.ndarray:
         if self._context_block is None:
@@ -596,7 +589,7 @@ class ContextEncoding:
             self._variable_blocks[var] = block
         return block
 
-    def expression_block(self, tpl: TemplatePayload | None) -> np.ndarray:
+    def expression_block(self, tpl: Template | None) -> np.ndarray:
         block = self._expression_blocks.get(tpl)
         if block is None:
             block = _read_only(expression_block(tpl, self.pipeline))

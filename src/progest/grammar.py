@@ -281,12 +281,6 @@ def _split_alternatives(body: str, line_no: int) -> list[str]:
 # --------------------------------------------------------------------------
 # rewriting rules
 
-class RuleKind(enum.Enum):
-    TOP_DOWN = "top-down"
-    BOTTOM_UP = "bottom-up"
-    CREATION = "creation"
-
-
 @dataclass(frozen=True)
 class RuleTree:
     """Replacement tree of a rule.
@@ -323,15 +317,17 @@ class RuleTree:
 class RewritingRule:
     """One rewriting rule: an optional pattern and a replacement tree.
 
-    ``schema`` maps preorder positions of the replacement to type atoms; the
-    anchored position constrains the node the rule is applied to.  ``key`` is
-    a stable semantic identifier used by learned models.  A rule has no id of
-    its own: its id is its position in a ``RuleSet``, so one rule can sit in
+    The pattern fixes the rule's kind: a rule without one is a creation,
+    and a pattern's mark is the direction the rule expands its node in, D
+    for a top-down rule and U for a bottom-up one.  ``schema`` maps preorder
+    positions of the replacement to type atoms; the anchored position
+    constrains the node the rule is applied to.  ``key`` is a stable
+    semantic identifier used by learned models.  A rule has no id of its
+    own: its id is its position in a ``RuleSet``, so one rule can sit in
     many sets.  A rule checks its own shape when it is made and raises
     ``RuleError`` if that shape is bad.
     """
 
-    kind: RuleKind
     pattern: tuple[Symbol, Annotation] | None
     replacement: RuleTree
     key: str
@@ -340,18 +336,15 @@ class RewritingRule:
     def __post_init__(self) -> None:
         nodes = self.replacement.preorder()
         anchors = [n for n in nodes if n.anchor]
-        if self.kind is RuleKind.CREATION:
-            if self.pattern is not None or anchors:
-                raise RuleError(f"creation rule {self.key} must have no pattern or anchor")
+        if self.pattern is None:
+            if anchors:
+                raise RuleError(f"creation rule {self.key} must have no anchor")
         else:
-            if self.pattern is None or len(anchors) != 1:
-                raise RuleError(f"rule {self.key} needs a pattern and exactly one anchor")
+            if len(anchors) != 1:
+                raise RuleError(f"rule {self.key} needs exactly one anchor")
             sym, ann = self.pattern
-            expected = Annotation.D if self.kind is RuleKind.TOP_DOWN else Annotation.U
-            if ann is not expected:
-                raise RuleError(
-                    f"rule {self.key}: pattern mark {ann} does not fit {self.kind.value}"
-                )
+            if ann not in (Annotation.D, Annotation.U):
+                raise RuleError(f"rule {self.key}: pattern mark {ann.name} is not D or U")
             if anchors[0].symbol != sym:
                 raise RuleError(f"rule {self.key}: anchor symbol differs from pattern")
             if anchors[0].annotation.needs_up:
@@ -411,12 +404,13 @@ class RuleSet:
     """An indexed collection of rewriting rules.
 
     A rule's id is its position in the set (``id_of``; ``rs[id]`` is the
-    rule).  Rules are grouped by their pattern, creation rules form one
-    extra group; the groups partition the set.  Keys must be unique.  The
-    rules validated themselves when they were made, so a set neither copies
-    nor checks them again.
+    rule).  Keys must be unique, and one key→position index serves both
+    ``id_of`` and ``by_key``.  Rules are grouped by their pattern, creation
+    rules form one extra group; the groups partition the set.  The rules
+    validated themselves when they were made, so a set neither copies nor
+    checks them again.
 
-    ``shared`` holds what was compiled once for every set built like this
+    ``shared`` is what was compiled once for every set built like this
     one (a ``constraints.SignatureTable``: the set's size bounds and its
     rules' search signatures, keyed on rule keys); it is None for a set
     that shares nothing.
@@ -426,12 +420,11 @@ class RuleSet:
         self, rules: list[RewritingRule] | tuple[RewritingRule, ...], *, shared=None
     ):
         self.rules: tuple[RewritingRule, ...] = tuple(rules)
-        self._by_key = {r.key: r for r in self.rules}
-        if len(self._by_key) != len(self.rules):
+        self._ids = {r.key: i for i, r in enumerate(self.rules)}
+        if len(self._ids) != len(self.rules):
             keys = [r.key for r in self.rules]
             dupes = sorted({k for k in keys if keys.count(k) > 1})
             raise RuleError(f"duplicate rule keys: {', '.join(dupes)}")
-        self._ids = {r.key: i for i, r in enumerate(self.rules)}
         grouping: dict[GroupKey, list[RewritingRule]] = {}
         for rule in self.rules:
             grouping.setdefault(group_key_of(rule), []).append(rule)
@@ -450,7 +443,7 @@ class RuleSet:
         return self.rules[position]
 
     def by_key(self, key: str) -> RewritingRule:
-        return self._by_key[key]
+        return self.rules[self._ids[key]]
 
     def id_of(self, rule: RewritingRule) -> int:
         """The position of this set's own ``rule``; ``RuleError`` for a rule
@@ -471,10 +464,6 @@ class RuleSet:
     def rules_for(self, symbol: Symbol, direction: Annotation) -> tuple[RewritingRule, ...]:
         """Candidate rules for expanding ``symbol`` in ``direction`` (D or U)."""
         return self._groups.get((symbol.name, direction.value), ())
-
-    def holds(self, rule: RewritingRule) -> bool:
-        """Whether ``rule`` is this set's own rule under its key."""
-        return self._by_key.get(rule.key) is rule
 
 
 # --------------------------------------------------------------------------
@@ -511,7 +500,6 @@ def derive_top_down_rules(g: Grammar) -> RuleSet:
         )
         rules.append(
             RewritingRule(
-                RuleKind.TOP_DOWN,
                 (p.lhs, Annotation.D),
                 replacement,
                 key=f"td:{p.lhs.name}->{p.signature}",
@@ -536,7 +524,6 @@ def derive_bottom_up_rules(g: Grammar) -> RuleSet:
             replacement = RuleTree(p.lhs, Annotation.U, False, children)
             rules.append(
                 RewritingRule(
-                    RuleKind.BOTTOM_UP,
                     (anchor_sym, Annotation.U),
                     replacement,
                     key=f"bu{i}:{p.lhs.name}->{p.signature}",
@@ -545,7 +532,6 @@ def derive_bottom_up_rules(g: Grammar) -> RuleSet:
             )
     rules.append(
         RewritingRule(
-            RuleKind.BOTTOM_UP,
             (g.root, Annotation.U),
             RuleTree(g.root, Annotation.NONE, True),
             key=f"fin:{g.root.name}",
@@ -568,7 +554,6 @@ def derive_creation_rules(g: Grammar, modes) -> RuleSet:
     if CreationMode.ROOT in modes:
         rules.append(
             RewritingRule(
-                RuleKind.CREATION,
                 None,
                 RuleTree(g.root, Annotation.D),
                 key=f"make-root:{g.root.name}",
@@ -578,7 +563,6 @@ def derive_creation_rules(g: Grammar, modes) -> RuleSet:
         for term in g.terminals:
             rules.append(
                 RewritingRule(
-                    RuleKind.CREATION,
                     None,
                     RuleTree(term, Annotation.U),
                     key=f"make-leaf:{term.name}",
@@ -588,7 +572,6 @@ def derive_creation_rules(g: Grammar, modes) -> RuleSet:
         for nt in g.nonterminals:
             rules.append(
                 RewritingRule(
-                    RuleKind.CREATION,
                     None,
                     RuleTree(nt, Annotation.UD),
                     key=f"make-mid:{nt.name}",

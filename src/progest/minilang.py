@@ -87,26 +87,7 @@ class Call(Expr):
 
 _KEYWORD_LITERALS = frozenset({"true", "false", "null"})
 
-# binding strength per binary operator; higher binds tighter
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    ">": 4,
-    "<=": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "%": 6,
-}
-_UNARY_PREC = 7
-_POSTFIX_PREC = 8
-_ATOM_PREC = 9
-
+# binary operators by binding strength, loosest first
 _LEVELS = (
     ("||",),
     ("&&",),
@@ -115,6 +96,11 @@ _LEVELS = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+# binding strength per binary operator; higher binds tighter
+_PRECEDENCE = {op: level for level, ops in enumerate(_LEVELS, 1) for op in ops}
+_UNARY_PREC = 7
+_POSTFIX_PREC = 8
+_ATOM_PREC = 9
 
 
 class _Parser:

@@ -19,6 +19,7 @@ through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -36,7 +37,7 @@ from .constraints import (
 from .errors import UnderivableTreeError
 # extract_features is bound only so that the benchmark's tracer (perfbench)
 # can wrap it under this module's name; every decision is encoded by the
-# encoder a LogisticModel holds, which calls it from condsynth
+# encoder a LogisticModel keeps, which calls it from condsynth
 from .features import Context, extract_features, string_tuple
 from .grammar import RewritingRule, RuleSet, group_key_of
 # iter_derivations is called by this name so that the tracer counts replays
@@ -79,11 +80,15 @@ class TableModel:
 
     @staticmethod
     def from_nested(nested: Mapping[str, Mapping[str, float]], default: float = 0.0) -> "TableModel":
-        flat = {
-            (parent, key): float(p)
-            for parent, row in nested.items()
-            for key, p in row.items()
-        }
+        flat: dict[tuple[str, str], float] = {}
+        for parent, row in nested.items():
+            for key, p in row.items():
+                # a bool is no number
+                if type(p) not in (int, float) or not 0 <= p < math.inf:
+                    raise ValueError(
+                        f"entry of {key!r} must be a finite non-negative number"
+                    )
+                flat[(parent, key)] = float(p)
         return TableModel(flat, default)
 
     def predict(self, ctx, ast, node, candidates) -> list[float]:

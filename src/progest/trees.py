@@ -1,9 +1,11 @@
 """Annotated abstract syntax trees and rewriting-rule application.
 
 Trees are persistent values: ``apply_rule`` returns a new tree and leaves its
-input untouched, so search states can share structure freely.  Node ids are
-assigned from a per-tree counter and are never reused, which keeps replays of
-a recorded application sequence aligned id-for-id.
+input untouched, so search states can share structure freely.  A tree of n
+nodes numbers them 0…n−1 in the order they were made: a splice never drops a
+node, so it numbers its fresh nodes from ``len(ast.nodes)`` on.  Ids are never
+reused, which keeps replays of a recorded application sequence aligned
+id-for-id.
 
 Application uses one splice semantics for every rule kind: the replacement
 tree takes the place of the matched node, and the anchored replacement node
@@ -26,7 +28,6 @@ from .errors import ApplyError, IncompleteTreeError, UnderivableTreeError
 from .grammar import (
     Annotation,
     RewritingRule,
-    RuleKind,
     RuleTree,
     Symbol,
 )
@@ -52,11 +53,10 @@ class AstNode:
 class AnnotatedAst:
     nodes: dict[int, AstNode] = field(default_factory=dict)
     root: int | None = None
-    next_id: int = 0
 
     @staticmethod
     def empty() -> "AnnotatedAst":
-        return AnnotatedAst({}, None, 0)
+        return AnnotatedAst({}, None)
 
     @property
     def is_empty(self) -> bool:
@@ -107,20 +107,12 @@ def is_complete(ast: AnnotatedAst) -> bool:
     )
 
 
-def direction_of(kind: RuleKind) -> Annotation:
-    if kind is RuleKind.TOP_DOWN:
-        return Annotation.D
-    if kind is RuleKind.BOTTOM_UP:
-        return Annotation.U
-    raise ValueError("creation rules have no direction")
-
-
 def check_applicable(
     ast: AnnotatedAst, target: int | None, rule: RewritingRule
 ) -> None:
     """Raise ``ApplyError`` unless ``rule`` fits the node ``target`` of ``ast``:
     its pattern symbol, its direction, and the node's place in the tree."""
-    if rule.kind is RuleKind.CREATION:
+    if rule.pattern is None:
         if target is not None:
             raise ApplyError("creation rules take no target node")
         if not ast.is_empty:
@@ -129,12 +121,11 @@ def check_applicable(
     if target is None:
         raise ApplyError(f"rule {rule.key} needs a target node")
     node = ast.node(target)
-    sym = rule.pattern[0]  # type: ignore[index]
+    sym, direction = rule.pattern
     if node.symbol != sym:
         raise ApplyError(
             f"rule {rule.key} expects symbol {sym}, node {target} is {node.symbol}"
         )
-    direction = direction_of(rule.kind)
     if direction is Annotation.D and not node.annotation.needs_down:
         raise ApplyError(f"node {target} is not marked for downward expansion")
     if direction is Annotation.U and not node.annotation.needs_up:
@@ -165,18 +156,16 @@ def _splice(
     ast: AnnotatedAst, target: int | None, rule: RewritingRule
 ) -> tuple[AnnotatedAst, list[int]]:
     nodes = dict(ast.nodes)
-    next_id = ast.next_id
+    fresh = len(nodes)
     old = ast.nodes[target] if target is not None else None
-    leftover = (
-        old.annotation.without(direction_of(rule.kind)) if old is not None else None
-    )
+    leftover = old.annotation.without(rule.pattern[1]) if old is not None else None
 
     # ids come out in replacement preorder because build() appends each node
     # before recursing into its children
     ids: list[int] = []
 
     def build(rt: RuleTree, parent: int | None) -> int:
-        nonlocal next_id
+        nonlocal fresh
         if rt.anchor:
             nid = old.id  # type: ignore[union-attr]
             ids.append(nid)
@@ -188,8 +177,8 @@ def _splice(
                 nid, old.symbol, leftover, parent, child_ids, old.origin
             )
             return nid
-        nid = next_id
-        next_id += 1
+        nid = fresh
+        fresh += 1
         ids.append(nid)
         child_ids = tuple(build(c, nid) for c in rt.children)
         nodes[nid] = AstNode(nid, rt.symbol, rt.annotation, parent, child_ids, rule.key)
@@ -209,7 +198,7 @@ def _splice(
     else:
         root = new_root_id
 
-    return AnnotatedAst(nodes, root, next_id), ids
+    return AnnotatedAst(nodes, root), ids
 
 
 def render(ast: AnnotatedAst) -> str:
@@ -260,7 +249,7 @@ def build_complete_ast(shape) -> AnnotatedAst:
         return nid
 
     root = walk(shape, None)
-    return AnnotatedAst(nodes, root, counter)
+    return AnnotatedAst(nodes, root)
 
 
 def policy_leftmost(ast: AnnotatedAst) -> tuple[int, Annotation]:

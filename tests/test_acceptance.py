@@ -44,7 +44,6 @@ from progest.grammar import (
     Annotation,
     CreationMode,
     RewritingRule,
-    RuleKind,
     RuleSet,
     RuleTree,
     derive_bottom_up_rules,
@@ -291,7 +290,7 @@ def test_criterion_04_pruning_matches_brute_force():
 def _brute_min_completion(rs, symbol, mark, cap=12):
     """Uniform-cost search over leftmost-policy expansions; node count is the
     cost, so the first finished tree popped is minimal."""
-    seed = RewritingRule(RuleKind.CREATION, None, RuleTree(symbol, mark), key="seed:probe")
+    seed = RewritingRule(None, RuleTree(symbol, mark), key="seed:probe")
     start = apply_rule(AnnotatedAst.empty(), None, seed)
     counter = 0
     heap = [(len(start.nodes), counter, start)]

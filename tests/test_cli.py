@@ -313,6 +313,15 @@ def _set_entry(*path_and_value):
         *(
             pytest.param(
                 "demo",
+                _set_entry("model", "table", "make-var:hours", "expr:V1 > 12::Int", p),
+                id=f"table-entry-{name}",
+            )
+            for name, p in (("infinite", 1e309), ("negative", -0.5),
+                            ("nan", float("nan")), ("bool", True))
+        ),
+        *(
+            pytest.param(
+                "demo",
                 _set_sections(
                     "frequency", {"counts": {"<create>|": {"": {"make-var:hours": n}}}},
                     None,
@@ -334,6 +343,10 @@ def _set_entry(*path_and_value):
                      id="expression-classes-list"),
         pytest.param("logistic", _set_entry("model", "expression", "classes", 0, 5),
                      id="expression-classes-number"),
+        pytest.param("logistic", _set_entry("model", "creation", "w", 0, float("nan")),
+                     id="creation-w-nan"),
+        pytest.param("logistic", _set_entry("model", "creation", "std", 0, 0.0),
+                     id="creation-std-zero"),
     ],
 )
 def test_malformed_bundle_is_exit_2(capsys, tmp_path, data_dir, request, source, edit):

@@ -40,7 +40,7 @@ from progest.features import (
     context_block_length,
     variable_block_length,
 )
-from progest.grammar import Annotation, RuleKind, derive_top_down_rules
+from progest.grammar import Annotation, derive_top_down_rules
 from progest.models import LogisticModel, UniformModel, feasible_derivation
 from progest.search import beam_search
 from progest.trees import AnnotatedAst, apply_rule, policy_leftmost, to_sexpr
@@ -210,7 +210,7 @@ def test_build_ruleset_needs_templates():
 
 def _marks_met(rule):
     """Every (mark, rootedness) a search can probe ``rule`` at."""
-    if rule.kind is RuleKind.CREATION:
+    if rule.pattern is None:
         return [(None, True)]
     return [(m, r) for m in (rule.pattern[1], Annotation.UD) for r in (True, False)]
 
@@ -248,7 +248,7 @@ def test_layered_rule_set_matches_the_per_context_reference(corpus_records, data
 
         def fields(rs):
             return [
-                (i, r.key, r.kind, r.pattern, r.replacement, r.schema)
+                (i, r.key, r.pattern, r.replacement, r.schema)
                 for i, r in enumerate(rs)
             ]
 
@@ -337,10 +337,10 @@ def test_binding_alternating_variable_counts_matches_the_reference(
         assert all(a is b for a, b in zip(own, template_rules, strict=True))
         want = reference_build_cond_ruleset(templates, ctx)
         assert [
-            (i, r.key, r.kind, r.pattern, r.replacement, r.schema)
+            (i, r.key, r.pattern, r.replacement, r.schema)
             for i, r in enumerate(got)
         ] == [
-            (i, r.key, r.kind, r.pattern, r.replacement, r.schema)
+            (i, r.key, r.pattern, r.replacement, r.schema)
             for i, r in enumerate(want)
         ]
         assert got.groups == want.groups

@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from progest.condsynth import Template
 from progest.features import (
     BIGRAM_DIM,
     Context,
     ContextEncoding,
     FeaturePipeline,
-    TemplatePayload,
     VariableInfo,
     context_block,
     context_block_length,
@@ -156,7 +156,7 @@ def test_block_lengths_match():
     pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
     ctx = make_contexts()[1]
     var = ctx.variables[0]
-    tpl = TemplatePayload("V1 > 0::Int", 1, ("V1", ">", "0"), ("Int",))
+    tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
     assert context_block(ctx, pipe).shape == (context_block_length(3),)
     assert variable_block(var, pipe).shape == (variable_block_length(3),)
     assert expression_block(tpl, pipe).shape == (expression_block_length(3),)
@@ -177,7 +177,7 @@ def test_extract_features_lays_out_context_own_then_shared_blocks():
     pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
     ctx = make_contexts()[1]
     var = ctx.variables[0]
-    tpl = TemplatePayload("V1 > 0::Int", 1, ("V1", ">", "0"), ("Int",))
+    tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
     enc = ContextEncoding(ctx, pipe)
     own = [
         (enc.variable_block(var), enc.expression_block(None)),
@@ -202,7 +202,7 @@ def test_encoding_hands_out_read_only_blocks_kept_by_value():
     pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
     ctx = make_contexts()[1]
     var = ctx.variables[0]
-    tpl = TemplatePayload("V1 > 0::Int", 1, ("V1", ">", "0"), ("Int",))
+    tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
     enc = ContextEncoding(ctx, pipe)
     blocks = [
         enc.context_block(),
@@ -231,13 +231,10 @@ def test_encoding_hands_out_read_only_blocks_kept_by_value():
 
 def test_expression_block_reads_the_skeleton():
     pipe = FeaturePipeline.fit(make_contexts(), dims=2, seed=1)
-    null_check = TemplatePayload(
-        "V1 == null::Obj", 1, ("V1", "==", "null"), ("Obj",)
-    )
+    null_check = Template("V1 == null::Obj", ("V1", "==", "null"), ("Obj",))
     vec = expression_block(null_check, pipe)
-    call = TemplatePayload(
-        "V1 . isEmpty ( )::ItemList", 1,
-        ("V1", ".", "isEmpty", "(", ")"), ("ItemList",),
+    call = Template(
+        "V1 . isEmpty ( )::ItemList", ("V1", ".", "isEmpty", "(", ")"), ("ItemList",)
     )
     vec_call = expression_block(call, pipe)
     assert not np.array_equal(vec, vec_call)

@@ -11,7 +11,6 @@ from progest.grammar import (
     Grammar,
     Production,
     RewritingRule,
-    RuleKind,
     RuleSet,
     RuleTree,
     TypeAtom,
@@ -138,7 +137,6 @@ def test_top_down_rule_shape():
     rs = derive_top_down_rules(g)
     assert len(rs) == 3
     rule = rs.by_key('td:E->E "> 12"')
-    assert rule.kind is RuleKind.TOP_DOWN
     assert rule.pattern == (nonterminal("E"), Annotation.D)
     root = rule.replacement
     assert root.anchor and root.annotation is Annotation.NONE
@@ -231,19 +229,17 @@ def test_rule_validation_rejects_bad_shapes():
     e = nonterminal("E")
     # creation rules carry no anchor
     with pytest.raises(RuleError):
-        RewritingRule(RuleKind.CREATION, None, RuleTree(e, Annotation.D, True), "bad")
+        RewritingRule(None, RuleTree(e, Annotation.D, True), "bad")
     # non-creation rules need exactly one anchor
     with pytest.raises(RuleError):
-        RewritingRule(RuleKind.TOP_DOWN, (e, Annotation.D), RuleTree(e, Annotation.D), "bad")
-    # pattern mark has to match the kind
-    with pytest.raises(RuleError):
-        RewritingRule(
-            RuleKind.TOP_DOWN, (e, Annotation.U), RuleTree(e, Annotation.NONE, True), "bad"
-        )
+        RewritingRule((e, Annotation.D), RuleTree(e, Annotation.D), "bad")
+    # a pattern's mark is a direction, D or U
+    for mark in (Annotation.NONE, Annotation.UD):
+        with pytest.raises(RuleError):
+            RewritingRule((e, mark), RuleTree(e, Annotation.NONE, True), "bad")
     # downward-marked nodes must stay childless
     with pytest.raises(RuleError):
         RewritingRule(
-            RuleKind.TOP_DOWN,
             (e, Annotation.D),
             RuleTree(e, Annotation.NONE, True, (RuleTree(e, Annotation.D, False, (RuleTree(terminal("x")),)),)),
             "bad",
@@ -251,7 +247,6 @@ def test_rule_validation_rejects_bad_shapes():
     # schema positions must land inside the replacement
     with pytest.raises(RuleError):
         RewritingRule(
-            RuleKind.TOP_DOWN,
             (e, Annotation.D),
             RuleTree(e, Annotation.NONE, True, (RuleTree(terminal("x")),)),
             "bad",

@@ -1,7 +1,14 @@
 """Tree construction, splicing, rendering, and derivation replay."""
 
-import pytest
+from itertools import islice
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gramgen import full_set, random_typed_grammar
+from progest.ambiguity import enumerate_complete_trees
+from progest.constraints import SearchStep, feasible_rules
 from progest.errors import ApplyError, IncompleteTreeError, UnderivableTreeError
 from progest.grammar import (
     Annotation,
@@ -14,6 +21,7 @@ from progest.grammar import (
     nonterminal,
     terminal,
 )
+from progest.models import feasible_derivation
 from progest.trees import (
     AnnotatedAst,
     apply_rule,
@@ -193,3 +201,50 @@ def test_underivable_tree_raises():
     target = build_complete_ast((nonterminal("E"), [(terminal("hours"), [])]))
     with pytest.raises(UnderivableTreeError):
         list(untyped_derivations(target, td_only, policy_leftmost))
+
+
+def _assert_numbered(ast):
+    assert sorted(ast.nodes) == list(range(len(ast.nodes)))
+    assert all(node.id == nid for nid, node in ast.nodes.items())
+
+
+def _assert_spliced_in_order(old, probe):
+    """The probe's tree is numbered 0…n−1 and its fresh nodes, in
+    replacement preorder, take the ids from ``len(old.nodes)`` on."""
+    new = probe.ast
+    _assert_numbered(new)
+    fresh = [nid for nid in probe.ids if nid not in old.nodes]
+    assert fresh == list(range(len(old.nodes), len(new.nodes)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_built_trees_number_their_nodes_in_order(seed, middle):
+    """A tree of n nodes has ids 0…n−1 and a splice numbers its fresh nodes
+    from the old node count on, so the next id is ``len(ast.nodes)``.
+    Checked on every tree a probe splices in a bounded search over a random
+    typed grammar, and on every tree of a ``feasible_derivation`` replay."""
+    g = random_typed_grammar(seed)
+    rs = full_set(g)
+    if middle:
+        rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
+    step = SearchStep(rs, None, 7)
+    frontier, spliced = [AnnotatedAst.empty()], 0
+    while frontier and spliced < 300:
+        ast = frontier.pop()
+        if is_complete(ast):
+            continue
+        for probe in feasible_rules(ast, step, policy_leftmost).kept:
+            _assert_spliced_in_order(ast, probe)
+            frontier.append(probe.ast)
+            spliced += 1
+    assert spliced > 0
+    for tree in islice(enumerate_complete_trees(g, 7), 20):
+        _assert_numbered(tree)
+        try:
+            steps = feasible_derivation(tree, rs, policy_leftmost)
+        except UnderivableTreeError:
+            continue
+        for taken in steps:
+            _assert_numbered(taken.ast)
+            _assert_spliced_in_order(taken.ast, taken.outcome.kept[taken.choice])

@@ -25,10 +25,10 @@ from progest.constraints import (
     feasible_rules,
 )
 from progest.ambiguity import AmbiguityReport, Witness, enumerate_complete_trees
+from progest.condsynth import Template
 from progest.errors import ContextError, SearchOverflowError, UnderivableTreeError
 from progest.features import (
     Context,
-    TemplatePayload,
     VariableInfo,
     context_block,
     expression_block,
@@ -40,7 +40,6 @@ from progest.grammar import (
     CreationMode,
     Grammar,
     RewritingRule,
-    RuleKind,
     RuleSet,
     RuleTree,
     TypeAtom,
@@ -516,7 +515,7 @@ class ReferencePayload:
     variable: VariableInfo | None = None
     chosen: VariableInfo | None = None
     previous: VariableInfo | None = None
-    template: TemplatePayload | None = None
+    template: Template | None = None
     position: int | None = None
 
 
@@ -527,7 +526,7 @@ def reference_payloads(templates, ctx, ast, node, candidates):
     """The decision's kind and one ``ReferencePayload`` per candidate, read
     off the rules and the tree afresh for every candidate: the reference
     reading that ``condsynth.CondEncoder`` does once per decision."""
-    by_key = {t.key: t.payload for t in templates}
+    by_key = {t.key: t for t in templates}
 
     def var(name):
         if ctx is None:
@@ -701,7 +700,6 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
         for var in ctx.variables:
             rules.append(
                 RewritingRule(
-                    RuleKind.CREATION,
                     None,
                     _leaf_rule_tree("V1", var.name, upward=True),
                     key=f"make-var:{var.name}",
@@ -712,7 +710,6 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
         if t.arity == 0:
             rules.append(
                 RewritingRule(
-                    RuleKind.CREATION,
                     None,
                     RuleTree(
                         nonterminal("E"),
@@ -742,7 +739,6 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
                 children.append(RuleTree(terminal(token)))
         rules.append(
             RewritingRule(
-                RuleKind.BOTTOM_UP,
                 (nonterminal("V1"), Annotation.U),
                 RuleTree(nonterminal("E"), Annotation.NONE, False, tuple(children)),
                 key=f"expr:{t.key}",
@@ -753,7 +749,6 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
         for var in ctx.variables:
             rules.append(
                 RewritingRule(
-                    RuleKind.TOP_DOWN,
                     (nonterminal(f"V{position}"), Annotation.D),
                     _leaf_rule_tree(f"V{position}", var.name, upward=False),
                     key=f"var{position}:{var.name}",
@@ -763,7 +758,6 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
     if any(t.arity == 0 for t in templates):
         rules.append(
             RewritingRule(
-                RuleKind.BOTTOM_UP,
                 (nonterminal("E"), Annotation.U),
                 RuleTree(nonterminal("E"), Annotation.NONE, True),
                 key="fin:E",
