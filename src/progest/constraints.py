@@ -122,21 +122,18 @@ def constraints_of_application(
     """Instantiate a rule's type schema against freshly spliced node ids.
 
     Concrete atoms pin the node at their position; each schema variable links
-    all of its positions into one equality class.
+    all of its positions into one equality class.  ``ids`` is aligned with
+    the replacement's preorder positions, as ``apply_rule_with_ids`` gives
+    them.
     """
-    out: list[TypeConstraint] = []
-    by_var: dict[str, list[int]] = {}
-    for pos, atom in rule.schema:
-        if pos >= len(ids):
-            raise SchemaError(f"rule {rule.key}: schema position {pos} out of range")
-        if atom.is_schema_var:
-            by_var.setdefault(atom.name, []).append(ids[pos])
-        else:
-            out.append(eq_const(ids[pos], atom.name))
-    for positions in by_var.values():
-        for a, b in zip(positions, positions[1:]):
-            out.append(eq_var(a, b))
-    return out
+    block = rule.block
+    if len(ids) != len(block.symbols):
+        raise SchemaError(
+            f"rule {rule.key}: {len(ids)} ids for {len(block.symbols)} replacement nodes"
+        )
+    return [eq_const(ids[pos], name) for pos, name in block.pins] + [
+        eq_var(ids[a], ids[b]) for a, b in block.links
+    ]
 
 
 def is_variable_token(text: str) -> bool:
@@ -268,10 +265,11 @@ class _Signature:
 def _declared_leaves(rule: RewritingRule) -> tuple[tuple[int, str], ...]:
     """The fresh leaves whose declared types a signature reads: the preorder
     positions and names of the replacement's identifier-shaped terminals."""
+    block = rule.block
     return tuple(
-        (pos, rt.symbol.name)
-        for pos, rt in enumerate(rule.replacement.preorder())
-        if not rt.anchor and rt.symbol.is_terminal and is_variable_token(rt.symbol.name)
+        (pos, sym.name)
+        for pos, sym in enumerate(block.symbols)
+        if pos != block.anchor and sym.is_terminal and is_variable_token(sym.name)
     )
 
 
@@ -282,11 +280,12 @@ def _compile(
     (None: a creation on the empty tree): its schema, the declared-type pins
     of its fresh leaves, and the result pin when it makes the root a
     finished node.  The anchor is the variable ``_ANCHOR``."""
-    nodes = rule.replacement.preorder()
-    ids = [_ANCHOR if rt.anchor else pos for pos, rt in enumerate(nodes)]
-    # creations (mark None) have no anchor to carry a leftover mark
-    leftover = mark.without(rule.pattern[1]) if mark is not None else None
-    marks = [leftover if rt.anchor else rt.annotation for rt in nodes]
+    block = rule.block
+    ids = [_ANCHOR if pos == block.anchor else pos for pos in range(len(block.symbols))]
+    marks = list(block.marks)
+    if mark is not None:
+        # creations (mark None) have no anchor to carry a leftover mark
+        marks[block.anchor] = mark.without(rule.pattern[1])  # type: ignore[index]
     system = constraints_of_application(rule, ids)
     for pos, name in _declared_leaves(rule):
         declared = step.var_types.get(name)
@@ -298,7 +297,9 @@ def _compile(
     ok = solver.push(system)
     size = 0.0
     if step.bounds is not None:
-        size = sum(step.bounds.of(rt.symbol.name, m) for rt, m in zip(nodes, marks))
+        size = sum(
+            step.bounds.of(sym.name, m) for sym, m in zip(block.symbols, marks)
+        )
     return _Signature(ok, solver.resolved(_ANCHOR) if ok else None, size)
 
 

@@ -209,6 +209,22 @@ def string_tuple(values, what: str) -> tuple[str, ...]:
     return tuple(values)
 
 
+def number_array(values, what: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array;
+    ``TypeError`` naming ``what`` for any entry that is not an int or a
+    float, or is a bool, which ``np.asarray`` would silently convert."""
+
+    def check(value) -> None:
+        if isinstance(value, list):
+            for item in value:
+                check(item)
+        elif type(value) is not int and type(value) is not float:
+            raise TypeError(f"{what} must hold numbers only")
+
+    check(values)
+    return np.asarray(values, dtype=float)
+
+
 # --------------------------------------------------------------------------
 # name encodings
 
@@ -270,9 +286,12 @@ class PcaTransform:
 
     @staticmethod
     def from_params(data: Mapping) -> "PcaTransform":
-        dims = int(data["dims"])
-        mean = np.asarray(data["mean"], dtype=float)
-        components = np.asarray(data["components"], dtype=float)
+        dims = data["dims"]
+        # a bool is an int to Python, and int() would take "16" or 16.9
+        if type(dims) is not int:
+            raise TypeError("dims must be an integer")
+        mean = number_array(data["mean"], "mean")
+        components = number_array(data["components"], "components")
         if components.size == 0:
             components = components.reshape(0, mean.shape[0])
         return PcaTransform(mean, components, dims)

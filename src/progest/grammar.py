@@ -30,6 +30,7 @@ variable that equates every position it appears at.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 
@@ -314,6 +315,82 @@ class RuleTree:
 
 
 @dataclass(frozen=True)
+class RuleBlock:
+    """A rule's replacement flattened once, in preorder, for splicing.
+
+    Position p is the p-th replacement node in preorder: ``symbols[p]`` and
+    ``marks[p]`` are its symbol and mark, ``parents[p]`` its parent's
+    position (None at the root) and ``children[p]`` its children's
+    positions.  ``anchor`` is the anchor's position, None in a creation.
+    The marked positions other than the anchor are split by where they
+    fall in preorder: ``before`` the anchor, ``under`` it, and ``after``
+    its subtree; a creation has no anchor, so all of them are ``before``.
+    The schema comes as ``pins``, (position, type name) for each concrete
+    atom, and ``links``, (position, position) for each pair of consecutive
+    positions of one schema variable, in schema order.
+    """
+
+    symbols: tuple[Symbol, ...]
+    marks: tuple[Annotation, ...]
+    parents: tuple[int | None, ...]
+    children: tuple[tuple[int, ...], ...]
+    anchor: int | None
+    before: tuple[int, ...]
+    under: tuple[int, ...]
+    after: tuple[int, ...]
+    pins: tuple[tuple[int, str], ...]
+    links: tuple[tuple[int, int], ...]
+
+
+def _compile_block(rule: RewritingRule) -> RuleBlock:
+    symbols: list[Symbol] = []
+    marks: list[Annotation] = []
+    parents: list[int | None] = []
+    children: list[list[int]] = []
+    anchor: int | None = None
+    end = 0  # one past the last position of the anchor's subtree
+
+    def walk(rt: RuleTree, parent: int | None) -> None:
+        nonlocal anchor, end
+        pos = len(symbols)
+        symbols.append(rt.symbol)
+        marks.append(rt.annotation)
+        parents.append(parent)
+        children.append([])
+        if parent is not None:
+            children[parent].append(pos)
+        for child in rt.children:
+            walk(child, pos)
+        if rt.anchor:
+            anchor, end = pos, len(symbols)
+
+    walk(rule.replacement, None)
+    marked = [
+        p for p, m in enumerate(marks) if m is not Annotation.NONE and p != anchor
+    ]
+    if anchor is None:
+        before, under, after = marked, [], []
+    else:
+        before = [p for p in marked if p < anchor]
+        under = [p for p in marked if anchor < p < end]
+        after = [p for p in marked if p >= end]
+    pins: list[tuple[int, str]] = []
+    by_var: dict[str, list[int]] = {}
+    for pos, atom in rule.schema:
+        if atom.is_schema_var:
+            by_var.setdefault(atom.name, []).append(pos)
+        else:
+            pins.append((pos, atom.name))
+    links = [
+        link for positions in by_var.values() for link in zip(positions, positions[1:])
+    ]
+    return RuleBlock(
+        tuple(symbols), tuple(marks), tuple(parents), tuple(map(tuple, children)),
+        anchor, tuple(before), tuple(under), tuple(after), tuple(pins), tuple(links),
+    )
+
+
+@dataclass(frozen=True)
 class RewritingRule:
     """One rewriting rule: an optional pattern and a replacement tree.
 
@@ -325,7 +402,9 @@ class RewritingRule:
     semantic identifier used by learned models.  A rule has no id of its
     own: its id is its position in a ``RuleSet``, so one rule can sit in
     many sets.  A rule checks its own shape when it is made and raises
-    ``RuleError`` if that shape is bad.
+    ``RuleError`` if that shape is bad.  ``block`` is the replacement
+    compiled for splicing; it is derived from the fields, so equality,
+    hashing and the repr do not see it.
     """
 
     pattern: tuple[Symbol, Annotation] | None
@@ -365,6 +444,13 @@ class RewritingRule:
         for pos, _atom in self.schema:
             if not 0 <= pos < len(nodes):
                 raise RuleError(f"rule {self.key}: schema position {pos} out of range")
+
+    @functools.cached_property
+    def block(self) -> RuleBlock:
+        """The replacement compiled for splicing, on first use: a set is
+        often made for one search, so compiling every rule it holds up
+        front would cost more than the search reads."""
+        return _compile_block(self)
 
     def anchor_path(self) -> tuple[int, ...] | None:
         """Child-index path from the replacement root to the anchor."""

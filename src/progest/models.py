@@ -38,7 +38,7 @@ from .errors import UnderivableTreeError
 # extract_features is bound only so that the benchmark's tracer (perfbench)
 # can wrap it under this module's name; every decision is encoded by the
 # encoder a LogisticModel keeps, which calls it from condsynth
-from .features import Context, extract_features, string_tuple
+from .features import Context, extract_features, number_array, string_tuple
 from .grammar import RewritingRule, RuleSet, group_key_of
 # iter_derivations is called by this name so that the tracer counts replays
 from .trees import AnnotatedAst, DerivationStep, iter_derivations
@@ -217,10 +217,10 @@ class BinaryLogisticCore:
     @staticmethod
     def from_params(data: Mapping) -> "BinaryLogisticCore":
         return BinaryLogisticCore(
-            np.asarray(data["w"], dtype=float),
-            float(data["b"]),
-            np.asarray(data["mean"], dtype=float),
-            np.asarray(data["std"], dtype=float),
+            number_array(data["w"], "w"),
+            float(number_array(data["b"], "b")),
+            number_array(data["mean"], "mean"),
+            number_array(data["std"], "std"),
         )
 
 
@@ -284,10 +284,10 @@ class SoftmaxCore:
     def from_params(data: Mapping) -> "SoftmaxCore":
         return SoftmaxCore(
             string_tuple(data["classes"], "classes"),
-            np.asarray(data["W"], dtype=float),
-            np.asarray(data["b"], dtype=float),
-            np.asarray(data["mean"], dtype=float),
-            np.asarray(data["std"], dtype=float),
+            number_array(data["W"], "W"),
+            number_array(data["b"], "b"),
+            number_array(data["mean"], "mean"),
+            number_array(data["std"], "std"),
         )
 
 

@@ -141,7 +141,7 @@ def beam_search(
         width = widths[min(round_idx, len(widths) - 1)]
         successors: list[State] = []
         for ast, log_prob, apps, pins in states:
-            if not ast.is_empty and is_complete(ast):
+            if is_complete(ast):
                 text = render_fn(ast)
                 if anti_pattern_check(text, anti_patterns):
                     results.append(Candidate(ast, text, log_prob, apps))

@@ -14,6 +14,22 @@ consuming the expansion direction.  For a plain top-down rule (anchor at the
 root) that collapses to "keep the node, add children"; for a bottom-up rule
 it hangs the old root under a new one.
 
+A splice walks no tree.  It reads the rule's ``block``, its replacement
+flattened once in preorder (``grammar.RuleBlock``), copies the node dict and
+adds one node per block position: the anchor's position takes the target's
+id and every other position p the id ``len(ast.nodes)`` plus the number of
+non-anchor positions before p.  Nodes are tuples (``AstNode`` is a
+``NamedTuple``), since a search builds many and reads them only by field.
+
+Every tree carries ``open``, the ids of its marked nodes in preorder.  A
+splice replaces the target's entry with the block's marked positions, in
+its preorder: those before the anchor, the anchor itself while it keeps a
+mark, those under it, and those after its subtree.  A bottom-up splice
+applies to the root, whose subtree is the whole tree, so the old tree's
+other entries go right after the ones under the anchor and before the ones
+after its subtree.  ``policy_leftmost``, ``expandable_nodes`` and
+``is_complete`` read ``open`` and never rescan the tree.
+
 ``iter_derivations`` is the one walk over a finished tree's derivations:
 it steps through a search step, so its first derivation is the search's
 build of the tree.
@@ -21,8 +37,8 @@ build of the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ApplyError, IncompleteTreeError, UnderivableTreeError
 from .grammar import (
@@ -36,8 +52,7 @@ if TYPE_CHECKING:  # constraints imports this module
     from .constraints import ProbeOutcome
 
 
-@dataclass(frozen=True)
-class AstNode:
+class AstNode(NamedTuple):
     id: int
     symbol: Symbol
     annotation: Annotation = Annotation.NONE
@@ -51,8 +66,12 @@ class AstNode:
 
 @dataclass(frozen=True)
 class AnnotatedAst:
+    """A tree: its nodes by id, its root, and ``open``, the ids of its
+    marked nodes in preorder."""
+
     nodes: dict[int, AstNode] = field(default_factory=dict)
     root: int | None = None
+    open: tuple[int, ...] = ()
 
     @staticmethod
     def empty() -> "AnnotatedAst":
@@ -94,17 +113,11 @@ class Application:
 
 def expandable_nodes(ast: AnnotatedAst) -> list[tuple[int, Annotation]]:
     """Annotated nodes in stable preorder, with their current marks."""
-    return [
-        (nid, ast.nodes[nid].annotation)
-        for nid in ast.preorder()
-        if ast.nodes[nid].annotation is not Annotation.NONE
-    ]
+    return [(nid, ast.nodes[nid].annotation) for nid in ast.open]
 
 
 def is_complete(ast: AnnotatedAst) -> bool:
-    return not ast.is_empty and all(
-        n.annotation is Annotation.NONE for n in ast.nodes.values()
-    )
+    return ast.root is not None and not ast.open
 
 
 def check_applicable(
@@ -155,50 +168,58 @@ def apply_rule(ast: AnnotatedAst, target: int | None, rule: RewritingRule) -> An
 def _splice(
     ast: AnnotatedAst, target: int | None, rule: RewritingRule
 ) -> tuple[AnnotatedAst, list[int]]:
+    block = rule.block
     nodes = dict(ast.nodes)
     fresh = len(nodes)
-    old = ast.nodes[target] if target is not None else None
-    leftover = old.annotation.without(rule.pattern[1]) if old is not None else None
-
-    # ids come out in replacement preorder because build() appends each node
-    # before recursing into its children
-    ids: list[int] = []
-
-    def build(rt: RuleTree, parent: int | None) -> int:
-        nonlocal fresh
-        if rt.anchor:
-            nid = old.id  # type: ignore[union-attr]
-            ids.append(nid)
-            declared = tuple(build(c, nid) for c in rt.children)
+    size = len(block.symbols)
+    if target is None:
+        ids = list(range(fresh, fresh + size))
+        outer = leftover = old = None
+    else:
+        anchor = block.anchor
+        ids = [*range(fresh, fresh + anchor), target,
+               *range(fresh + anchor, fresh + size - 1)]
+        old = nodes[target]
+        outer = old.parent
+        leftover = old.annotation.without(rule.pattern[1])  # type: ignore[index]
+    key = rule.key
+    for nid, symbol, mark, up, kids in zip(
+        ids, block.symbols, block.marks, block.parents, block.children
+    ):
+        parent = outer if up is None else ids[up]
+        child_ids = tuple([ids[c] for c in kids])
+        if nid == target:
             # a downward target is childless and a leaf anchor declares
             # nothing, so these never both contribute
-            child_ids = declared + old.children  # type: ignore[union-attr]
             nodes[nid] = AstNode(
-                nid, old.symbol, leftover, parent, child_ids, old.origin
+                nid, symbol, leftover, parent, child_ids + old.children, old.origin
             )
-            return nid
-        nid = fresh
-        fresh += 1
-        ids.append(nid)
-        child_ids = tuple(build(c, nid) for c in rt.children)
-        nodes[nid] = AstNode(nid, rt.symbol, rt.annotation, parent, child_ids, rule.key)
-        return nid
+        else:
+            nodes[nid] = AstNode(nid, symbol, mark, parent, child_ids, key)
 
-    old_parent = old.parent if old is not None else None
-    new_root_id = build(rule.replacement, old_parent)
-
-    if old_parent is not None:
-        parent_node = nodes[old_parent]
-        new_children = tuple(
-            new_root_id if cid == (old.id if old else None) else cid
-            for cid in parent_node.children
+    # the replacement's marked nodes, in preorder up to the end of the
+    # anchor's subtree, and the ones after it
+    marked = [ids[p] for p in block.before]
+    if old is not None and leftover is not Annotation.NONE:
+        marked.append(target)
+    marked += [ids[p] for p in block.under]
+    after = [ids[p] for p in block.after]
+    open_ = ast.open
+    if outer is None:
+        # a creation, or the target was the root: then it was the first
+        # marked node and every other one lies in the subtree the anchor keeps
+        return AnnotatedAst(nodes, ids[0], (*marked, *open_[1:], *after)), ids
+    if ids[0] != target:
+        parent_node = nodes[outer]
+        nodes[outer] = parent_node._replace(
+            children=tuple([ids[0] if c == target else c for c in parent_node.children])
         )
-        nodes[old_parent] = replace(parent_node, children=new_children)
-        root = ast.root
-    else:
-        root = new_root_id
-
-    return AnnotatedAst(nodes, root), ids
+    # a target below the root grows downward, so it is a leaf and nothing
+    # marked lies under it
+    at = open_.index(target)
+    return AnnotatedAst(
+        nodes, ast.root, (*open_[:at], *marked, *after, *open_[at + 1:])
+    ), ids
 
 
 def render(ast: AnnotatedAst) -> str:
@@ -254,11 +275,12 @@ def build_complete_ast(shape) -> AnnotatedAst:
 
 def policy_leftmost(ast: AnnotatedAst) -> tuple[int, Annotation]:
     """Pick the first marked node in preorder; both-ways marks go up first."""
-    for nid, mark in expandable_nodes(ast):
-        if mark.needs_up:
-            return nid, Annotation.U
-        return nid, Annotation.D
-    raise ValueError("tree has no expandable node")
+    if not ast.open:
+        raise ValueError("tree has no expandable node")
+    nid = ast.open[0]
+    if ast.nodes[nid].annotation.needs_up:
+        return nid, Annotation.U
+    return nid, Annotation.D
 
 
 # --------------------------------------------------------------------------

@@ -42,13 +42,8 @@ from progest.features import pca_apply, pca_fit
 from progest.minilang import join_tokens, parse_condition, tokens_with_vars
 from progest.grammar import (
     Annotation,
-    CreationMode,
     RewritingRule,
-    RuleSet,
     RuleTree,
-    derive_bottom_up_rules,
-    derive_creation_rules,
-    derive_top_down_rules,
 )
 from progest.models import TableModel
 from progest.search import beam_search, program_log_probability
@@ -61,6 +56,7 @@ from progest.trees import (
     to_sexpr,
 )
 from tests_support import (
+    criterion_06_rule_sets,
     make_hash_policy,
     reference_exhaustive_search,
     untyped_derivations,
@@ -336,38 +332,15 @@ def test_criterion_05_size_bound_fixpoint_matches_search():
 
 
 def test_criterion_06_stated_rule_sets_and_witness(demo_grammar):
-    td = list(derive_top_down_rules(demo_grammar))
-    bu = list(derive_bottom_up_rules(demo_grammar))
-
-    # first set: top-down expansion seeded at the root
-    rs1 = RuleSet(td + list(derive_creation_rules(demo_grammar, [CreationMode.ROOT])))
+    # first set: top-down expansion seeded at the root; second set: both
+    # directions, minus the one climb that ascends through the left slot of
+    # the two-operand production, seeded at one leaf token
+    rs1, rs2 = criterion_06_rule_sets(demo_grammar)
     report1 = check_unambiguous(rs1, demo_grammar, max_nodes=9)
     assert report1.unambiguous
     assert report1.trees_checked == 58
     assert report1.underivable_trees == 0
 
-    # second set: both directions, minus the one climb that ascends through
-    # the left slot of the two-operand production, seeded at one leaf token
-    kept_bu = []
-    for rule in bu:
-        if rule.key.startswith("fin:"):
-            kept_bu.append(rule)
-            continue
-        children = rule.replacement.children
-        anchor_idx = next(i for i, c in enumerate(children) if c.anchor)
-        if anchor_idx == 0 and any(
-            not c.symbol.is_terminal for c in children[1:]
-        ):
-            continue
-        kept_bu.append(rule)
-    assert len(kept_bu) == len(bu) - 1
-    leaf = [
-        r
-        for r in derive_creation_rules(demo_grammar, [CreationMode.LEAF])
-        if r.key == "make-leaf:value"
-    ]
-    assert len(leaf) == 1
-    rs2 = RuleSet(td + kept_bu + leaf)
     report2 = check_unambiguous(rs2, demo_grammar, max_nodes=9)
     assert report2.unambiguous
     assert report2.trees_checked == 58

@@ -271,6 +271,16 @@ def _set_entry(*path_and_value):
     return edit
 
 
+def _stringify(*path):
+    """Replace each number of the list at a key path with its JSON text."""
+
+    def edit(data):
+        for step in path:
+            data = data[step]
+        data[:] = [json.dumps(x) for x in data]
+    return edit
+
+
 @pytest.mark.parametrize(
     "source, edit",
     [
@@ -347,6 +357,15 @@ def _set_entry(*path_and_value):
                      id="creation-w-nan"),
         pytest.param("logistic", _set_entry("model", "creation", "std", 0, 0.0),
                      id="creation-std-zero"),
+        pytest.param("logistic", _stringify("model", "creation", "w"),
+                     id="creation-w-strings"),
+        pytest.param("logistic", _set_entry("model", "variable", "mean", 0, True),
+                     id="variable-mean-bool"),
+        # the fixture keeps 4 pca dims: these are its own value, retyped
+        pytest.param("logistic", _set_entry("pipeline", "pca", "dims", "4"),
+                     id="pca-dims-string"),
+        pytest.param("logistic", _set_entry("pipeline", "pca", "dims", 4.0),
+                     id="pca-dims-float"),
     ],
 )
 def test_malformed_bundle_is_exit_2(capsys, tmp_path, data_dir, request, source, edit):

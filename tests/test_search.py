@@ -1,6 +1,7 @@
 """Beam search, exhaustive search, and whole-tree scoring."""
 
 import random
+from dataclasses import asdict, replace
 from math import exp, inf, log
 
 import pytest
@@ -16,6 +17,7 @@ from gramgen import (
     top_down_set,
 )
 from progest import condsynth
+from progest.ambiguity import check_unambiguous
 from progest.condsynth import synthesize_condition, train_cond_models
 from progest.errors import SearchOverflowError
 from progest.features import Context
@@ -29,6 +31,7 @@ from progest.grammar import (
 from progest.models import TableModel, UniformModel
 from progest.search import (
     AntiPattern,
+    SearchStats,
     anti_pattern_check,
     beam_search,
     exhaustive_search,
@@ -36,6 +39,7 @@ from progest.search import (
 )
 from progest.trees import AnnotatedAst, apply_rule, policy_leftmost, to_sexpr
 from tests_support import (
+    criterion_06_rule_sets,
     make_hash_policy,
     reference_beam_search,
     reference_exhaustive_search,
@@ -356,3 +360,49 @@ def test_beam_equals_the_reference_on_corpus_contexts(
                 patch.setattr(condsynth, "beam_search", reference_beam_search)
                 ref = predict()
             assert _result_fields(ours) == _result_fields(ref), record.id
+
+
+def test_search_counts_are_pinned(demo_grammar, corpus_records, corpus_models):
+    """What the search does, counted: a speedup of the splice or the step
+    must not come from searching less.  The certifier's search over the two
+    sets of criterion 06 at the benchmark's bound of 13 nodes, run as
+    ``check_unambiguous`` runs it, and three corpus-context predicts at the
+    evaluation settings, each with the counts the search made before
+    splices were compiled."""
+    want = {
+        "topdown": ((466, 1115), (746, 746, 0)),
+        "both": ((294, 677), (746, 373, 373)),
+    }
+    for name, rs in zip(want, criterion_06_rule_sets(demo_grammar)):
+        untyped = RuleSet([replace(r, schema=()) for r in rs])
+        found = exhaustive_search(
+            untyped, None, size_limit=13, step_cap=inf, renderer=lambda ast: ""
+        )
+        report = check_unambiguous(rs, demo_grammar, max_nodes=13)
+        assert report.unambiguous
+        got = (
+            (found.stats.expansions, found.stats.size_pruned),
+            (report.trees_checked, report.derivations_checked,
+             report.underivable_trees),
+        )
+        assert got == want[name], name
+
+    frequency = corpus_models[0]
+    pinned = {
+        "r0000": (6, 211, 2, 19),
+        "r0001": (12, 243, 2, 23),
+        "r0002": (15, 170, 0, 44),
+    }
+    for record in corpus_records[:3]:
+        result = synthesize_condition(
+            record.context, frequency.templates, frequency.model,
+            k=50, widths=(5, 200), size_limit=30,
+        )
+        stats = result.stats
+        assert asdict(stats) == {
+            **asdict(SearchStats()),
+            "expansions": pinned[record.id][0],
+            "constraint_pruned": pinned[record.id][1],
+            "beam_truncated": pinned[record.id][2],
+        }, record.id
+        assert len(result.candidates) == pinned[record.id][3], record.id

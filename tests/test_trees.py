@@ -34,7 +34,16 @@ from progest.trees import (
     render,
     to_sexpr,
 )
-from tests_support import isomorphic, replay, untyped_derivations
+from tests_support import (
+    isomorphic,
+    make_hash_policy,
+    reference_apply_rule_with_ids,
+    reference_constraints_of_application,
+    reference_expandable_nodes,
+    reference_is_complete,
+    replay,
+    untyped_derivations,
+)
 
 GRAMMAR = 'E -> E "> 12" | "hours" | "value" | E "+" E\n'
 
@@ -248,3 +257,40 @@ def test_built_trees_number_their_nodes_in_order(seed, middle):
         for taken in steps:
             _assert_numbered(taken.ast)
             _assert_spliced_in_order(taken.ast, taken.outcome.kept[taken.choice])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.booleans())
+def test_compiled_splice_matches_the_reference(seed, middle, hashed):
+    """The splice from a rule's compiled block gives the recursive splice's
+    nodes, ids and schema constraints, and the tree's ``open`` is the
+    rescan's marked nodes in preorder.  Checked on every probe of a bounded
+    search over a random typed grammar, top-down and bottom-up rules and
+    creations alike, under the leftmost policy and under one that picks
+    nodes anywhere in the tree."""
+    g = random_typed_grammar(seed)
+    rs = full_set(g)
+    if middle:
+        rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
+    policy = make_hash_policy(seed) if hashed else policy_leftmost
+    step = SearchStep(rs, None, 9)
+    frontier, spliced = [AnnotatedAst.empty()], 0
+    while frontier and spliced < 300:
+        ast = frontier.pop()
+        assert is_complete(ast) == reference_is_complete(ast)
+        assert expandable_nodes(ast) == reference_expandable_nodes(ast)
+        if is_complete(ast):
+            continue
+        outcome = feasible_rules(ast, step, policy)
+        for probe in outcome.kept:
+            want, ids = reference_apply_rule_with_ids(ast, outcome.target, probe.rule)
+            assert probe.ast.nodes == want.nodes
+            assert probe.ast.root == want.root
+            assert probe.ast.open == want.open
+            assert list(probe.ids) == ids
+            assert list(probe.constraints) == reference_constraints_of_application(
+                probe.rule, ids
+            )
+            frontier.append(probe.ast)
+            spliced += 1
+    assert spliced > 0

@@ -1,6 +1,7 @@
 """Hand-built fixtures for the worked two-variable comparison example, tree,
 grammar and policy helpers for the tests, and the reference paths that fast
-paths are checked against: the splice-then-solve prober, the restarting
+paths are checked against: the recursive splice and the rescanned frontier,
+the splice-then-solve prober, the restarting
 typed replay, the always-sorting beam, the depth-first exhaustive search,
 the per-tree certifier, the per-candidate reading of a decision and its
 feature vector, and the per-context condition rule set."""
@@ -43,6 +44,7 @@ from progest.grammar import (
     RuleSet,
     RuleTree,
     TypeAtom,
+    derive_bottom_up_rules,
     derive_creation_rules,
     derive_top_down_rules,
     nonterminal,
@@ -62,10 +64,11 @@ from progest.search import (
 from progest.trees import (
     AnnotatedAst,
     Application,
+    AstNode,
     apply_rule,
     apply_rule_with_ids,
+    check_applicable,
     expandable_nodes,
-    is_complete,
     iter_derivations,
     policy_leftmost,
     render,
@@ -93,6 +96,34 @@ def classify_demo_rules(rs: RuleSet) -> dict[str, str]:
     return keys
 
 
+def criterion_06_rule_sets(g: Grammar) -> tuple[RuleSet, RuleSet]:
+    """The two rule sets acceptance criterion 06 states for the demo grammar:
+    top-down expansion seeded at the root, and both directions, minus the
+    one climb that ascends through the left slot of the two-operand
+    production, seeded at the ``value`` leaf only."""
+    td = list(derive_top_down_rules(g))
+    bu = list(derive_bottom_up_rules(g))
+    kept_bu = []
+    for rule in bu:
+        if rule.key.startswith("fin:"):
+            kept_bu.append(rule)
+            continue
+        children = rule.replacement.children
+        anchor_idx = next(i for i, c in enumerate(children) if c.anchor)
+        if anchor_idx == 0 and any(not c.symbol.is_terminal for c in children[1:]):
+            continue
+        kept_bu.append(rule)
+    assert len(kept_bu) == len(bu) - 1
+    leaf = [
+        r
+        for r in derive_creation_rules(g, [CreationMode.LEAF])
+        if r.key == "make-leaf:value"
+    ]
+    assert len(leaf) == 1
+    topdown = RuleSet(td + list(derive_creation_rules(g, [CreationMode.ROOT])))
+    return topdown, RuleSet(td + kept_bu + leaf)
+
+
 def stub_rules_and_model(g: Grammar) -> tuple[RuleSet, TableModel, dict[str, str]]:
     """Top-down rules plus the fixed step odds of the running example.
 
@@ -111,6 +142,87 @@ def stub_rules_and_model(g: Grammar) -> tuple[RuleSet, TableModel, dict[str, str
         keys["gt0"]: {keys["hours"]: 0.1, keys["value"]: 0.2, keys["plus"]: 0.05},
     }
     return rs, TableModel.from_nested(table), keys
+
+
+def reference_expandable_nodes(ast: AnnotatedAst) -> list[tuple[int, Annotation]]:
+    """``trees.expandable_nodes`` the slow way: a preorder rescan of the
+    whole tree for its marked nodes."""
+    return [
+        (nid, ast.nodes[nid].annotation)
+        for nid in ast.preorder()
+        if ast.nodes[nid].annotation is not Annotation.NONE
+    ]
+
+
+def reference_is_complete(ast: AnnotatedAst) -> bool:
+    """``trees.is_complete`` the slow way: every node's mark is read."""
+    return not ast.is_empty and all(
+        n.annotation is Annotation.NONE for n in ast.nodes.values()
+    )
+
+
+def reference_apply_rule_with_ids(ast: AnnotatedAst, target, rule: RewritingRule):
+    """``trees.apply_rule_with_ids`` the slow way: the replacement is built
+    by a recursive walk of the rule's tree, and the new tree's marked nodes
+    come from ``reference_expandable_nodes``."""
+    check_applicable(ast, target, rule)
+    nodes = dict(ast.nodes)
+    fresh = len(nodes)
+    old = ast.nodes[target] if target is not None else None
+    leftover = old.annotation.without(rule.pattern[1]) if old is not None else None
+
+    # ids come out in replacement preorder because build() appends each node
+    # before recursing into its children
+    ids: list[int] = []
+
+    def build(rt: RuleTree, parent):
+        nonlocal fresh
+        if rt.anchor:
+            nid = old.id
+            ids.append(nid)
+            declared = tuple(build(c, nid) for c in rt.children)
+            nodes[nid] = AstNode(
+                nid, old.symbol, leftover, parent, declared + old.children, old.origin
+            )
+            return nid
+        nid = fresh
+        fresh += 1
+        ids.append(nid)
+        child_ids = tuple(build(c, nid) for c in rt.children)
+        nodes[nid] = AstNode(nid, rt.symbol, rt.annotation, parent, child_ids, rule.key)
+        return nid
+
+    old_parent = old.parent if old is not None else None
+    new_root_id = build(rule.replacement, old_parent)
+    if old_parent is not None:
+        parent_node = nodes[old_parent]
+        nodes[old_parent] = parent_node._replace(
+            children=tuple(
+                new_root_id if cid == old.id else cid for cid in parent_node.children
+            )
+        )
+        root = ast.root
+    else:
+        root = new_root_id
+    rescanned = reference_expandable_nodes(AnnotatedAst(nodes, root))
+    return AnnotatedAst(nodes, root, tuple(nid for nid, _ in rescanned)), ids
+
+
+def reference_constraints_of_application(rule: RewritingRule, ids):
+    """``constraints.constraints_of_application`` the slow way, read off the
+    rule's schema: each concrete atom's pin in schema order, then each schema
+    variable's links between consecutive positions."""
+    out: list[TypeConstraint] = []
+    by_var: dict[str, list[int]] = {}
+    for pos, atom in rule.schema:
+        if atom.is_schema_var:
+            by_var.setdefault(atom.name, []).append(ids[pos])
+        else:
+            out.append(TypeConstraint(ids[pos], const=atom.name))
+    for positions in by_var.values():
+        for a, b in zip(positions, positions[1:]):
+            out.append(TypeConstraint(a, right=b))
+    return out
 
 
 @dataclass(frozen=True)
@@ -257,7 +369,7 @@ def reference_beam_search(
         width = widths[min(round_idx, len(widths) - 1)]
         successors: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = []
         for ast, log_prob, apps, pins in states:
-            if not ast.is_empty and is_complete(ast):
+            if reference_is_complete(ast):
                 text = render_fn(ast)
                 if anti_pattern_check(text, anti_patterns):
                     results.append(Candidate(ast, text, log_prob, apps))
@@ -338,7 +450,7 @@ def reference_exhaustive_search(
             raise SearchOverflowError(
                 f"exhaustive search exceeded {state_cap} states"
             )
-        if not ast.is_empty and is_complete(ast):
+        if reference_is_complete(ast):
             text = render_fn(ast)
             if anti_pattern_check(text, anti_patterns):
                 results.append(Candidate(ast, text, log_prob, apps))
