@@ -6,18 +6,24 @@ concrete type names; a candidate rule application survives only if the
 combined system stays satisfiable.  Satisfiability is an equality-only
 problem, so a union-find with constant tracking decides it exactly.
 
-A search step decides each candidate before it splices anything: the
-``SearchStep`` of a search reads each rule's signature (whether its fresh
+A search step decides each candidate before it splices anything.  The
+``SearchStep`` of a search holds the offers of each rule group: per group
+key, target mark and whether the target is the root, each of the group's
+rules with its id in the searched set and its signature (whether its fresh
 nodes type-check among themselves, the type they force on the node the rule
-is applied to, and its size delta) from one ``SignatureTable``, which
-compiles it on first use, the state's own system is solved once per
-expansion, and a surviving candidate is spliced only when its ``Probe`` is
-first read.
+is applied to, and its size delta).  The step resolves a group's offers on
+the first expansion that meets that key and every later one reads them; the
+signatures come from one ``SignatureTable``, which compiles each on first
+use.  Per expansion the state's own system is solved once, and each offer
+costs a size comparison and a type comparison.  A surviving candidate's
+``Probe`` splices only when its tree or ids are first read, and instantiates
+its schema pins only when its ``constraints`` are: a search reads those only
+for a state it expands, and it never expands a finished tree.
 ``probe_rules`` gives the argument why this decides exactly what solving
-the whole system of each spliced tree decides.  The table is keyed on
-values, so the condition rule sets of every context share one and a
-signature is compiled once for all the searches that agree on what it
-reads.
+the whole system of each spliced tree decides, and why the offers' key is
+complete.  The table is keyed on values, so the condition rule sets of
+every context share one and a signature is compiled once for all the
+searches that agree on what it reads.
 """
 
 from __future__ import annotations
@@ -27,8 +33,15 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Iterable, Mapping
 
-from .errors import SchemaError
-from .grammar import Annotation, RewritingRule, RuleSet, RuleTree
+from .errors import ApplyError, SchemaError
+from .grammar import (
+    CREATION_GROUP,
+    Annotation,
+    GroupKey,
+    RewritingRule,
+    RuleSet,
+    RuleTree,
+)
 from .trees import AnnotatedAst, apply_rule_with_ids, check_applicable
 
 _IDENT = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
@@ -157,12 +170,14 @@ def constraints_of_context(
     if ast.is_empty:
         return out
     if var_types:
-        for nid in ast.preorder():
-            node = ast.nodes[nid]
-            if not node.symbol.is_terminal:
+        # the solver does not depend on the order of its input, so the nodes
+        # are read in id order and the tree is not walked
+        for nid, node in ast.nodes.items():
+            symbol = node.symbol
+            if not symbol.is_terminal:
                 continue
-            declared = var_types.get(node.symbol.name)
-            if declared is not None and is_variable_token(node.symbol.name):
+            declared = var_types.get(symbol.name)
+            if declared is not None and is_variable_token(symbol.name):
                 out.append(eq_const(nid, declared))
     root_node = ast.nodes[ast.root]  # type: ignore[index]
     if result_type is not None and not root_node.annotation.needs_up:
@@ -348,6 +363,11 @@ class SignatureTable:
         return sig
 
 
+# a group's offers at one (mark, rootedness): each rule with its id in the
+# searched set and its signature there
+Offers = tuple[tuple[RewritingRule, int, _Signature], ...]
+
+
 class SearchStep:
     """The fixed inputs of every step of one search over ``rs`` in ``ctx``
     (anything with ``variable_types`` and ``result_type``, or None); pass it
@@ -357,8 +377,12 @@ class SearchStep:
     ``rs.shared`` when the set has a table and by ``compute_size_bounds(rs)``
     otherwise.  Signatures come from ``rs.shared``; a set without one gets a
     table of the step's own, which lives as long as the step.  The table's
-    signatures are those of the set's own rules: ``probe_rules`` refuses any
-    other rule before it asks for a signature.
+    signatures are those of the set's own rules: the step asks only for
+    those of the rules its groups hold.
+
+    The step holds each group's ``offers`` at each target mark and
+    rootedness it has met, keyed on those values alone, so each rule's id
+    and signature are looked up once per key in a search.
     """
 
     def __init__(self, rs: RuleSet, ctx=None, size_limit: int | None = None) -> None:
@@ -374,28 +398,57 @@ class SearchStep:
                 rs.shared.bounds if rs.shared is not None else compute_size_bounds(rs)
             )
         self.table = rs.shared if rs.shared is not None else SignatureTable(self.bounds)
+        self._offers: dict[tuple[GroupKey, Annotation | None, bool], Offers] = {}
 
     def signature(
         self, rule: RewritingRule, mark: Annotation | None, at_root: bool
     ) -> _Signature:
         return self.table.signature(rule, mark, at_root, self)
 
+    def offers(
+        self, group: GroupKey, mark: Annotation | None, at_root: bool
+    ) -> Offers:
+        """What ``group`` offers at a target marked ``mark`` (None: the
+        empty tree) that is or is not the root, resolved on first use.
+
+        The caller has checked that the group's first rule fits the target.
+        A rule with another pattern then cannot fit it, since a node has one
+        symbol, so such a group raises ``ApplyError`` and is not kept."""
+        key = (group, mark, at_root)
+        offers = self._offers.get(key)
+        if offers is None:
+            rs, sign = self.rs, self.table.signature
+            rules = rs.group(group)
+            first = rules[0].pattern if rules else None
+            resolved = []
+            for rule in rules:
+                if rule.pattern is not first and rule.pattern != first:
+                    raise ApplyError(
+                        f"rule {rule.key} has another pattern than {rules[0].key},"
+                        " which fits the target"
+                    )
+                resolved.append((rule, rs.id_of(rule), sign(rule, mark, at_root, self)))
+            offers = self._offers[key] = tuple(resolved)
+        return offers
+
 
 class Probe:
     """One surviving candidate: the rule, its id in the searched set, the
-    tree it is applied to and the target node there.  The splice is made
-    when one of its parts is first read: ``ast``, the new tree, ``ids``, the
-    splice ids, and ``constraints``, the schema constraints this
-    application contributes.
-    A caller that reads none of them splices nothing.  Two probes are equal
-    when their rules, ids and these parts are.
+    tree it is applied to and the target node there.  Its other parts are
+    made when first read: ``ast``, the new tree, and ``ids``, the splice
+    ids, by one splice, and ``constraints``, the schema constraints this
+    application contributes, from those ids.  A caller that reads none of
+    them splices nothing, and one that reads only the tree instantiates no
+    pins.  Two probes are equal when their rules, ids and these parts are.
 
     Callers that accept the candidate must carry ``constraints`` forward as
     part of the base system of later probes; schema pins die with the probe
-    otherwise, and a later expansion could contradict them unnoticed.
+    otherwise, and a later expansion could contradict them unnoticed.  A
+    search reads them when it expands the state the probe made, the first
+    time a later probe needs them.
     """
 
-    __slots__ = ("rule", "id", "parent", "target", "_spliced")
+    __slots__ = ("rule", "id", "parent", "target", "_spliced", "_constraints")
 
     def __init__(
         self, rule: RewritingRule, id: int, parent: AnnotatedAst, target: int | None
@@ -404,16 +457,13 @@ class Probe:
         self.id = id
         self.parent = parent
         self.target = target
-        self._spliced: tuple | None = None
+        self._spliced: tuple[AnnotatedAst, tuple[int, ...]] | None = None
+        self._constraints: tuple[TypeConstraint, ...] | None = None
 
-    def _splice(
-        self,
-    ) -> tuple[AnnotatedAst, tuple[int, ...], tuple[TypeConstraint, ...]]:
+    def _splice(self) -> tuple[AnnotatedAst, tuple[int, ...]]:
         if self._spliced is None:
             ast, ids = apply_rule_with_ids(self.parent, self.target, self.rule)
-            self._spliced = (
-                ast, tuple(ids), tuple(constraints_of_application(self.rule, ids))
-            )
+            self._spliced = (ast, tuple(ids))
         return self._spliced
 
     @property
@@ -426,7 +476,9 @@ class Probe:
 
     @property
     def constraints(self) -> tuple[TypeConstraint, ...]:
-        return self._splice()[2]
+        if self._constraints is None:
+            self._constraints = tuple(constraints_of_application(self.rule, self.ids))
+        return self._constraints
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Probe):
@@ -435,6 +487,7 @@ class Probe:
             self.rule == other.rule
             and self.id == other.id
             and self._splice() == other._splice()
+            and self.constraints == other.constraints
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -454,23 +507,23 @@ class ProbeOutcome:
 def probe_rules(
     ast: AnnotatedAst,
     target: int | None,
-    candidates: Iterable[RewritingRule],
+    group: GroupKey,
     step: SearchStep,
     base_constraints: Iterable[TypeConstraint] = (),
 ) -> ProbeOutcome:
-    """Try each candidate at ``target`` and keep the applications that stand.
+    """Try the rules of ``step.rs``'s group ``group`` at ``target`` and keep
+    the applications that stand.
 
-    A candidate that does not fit the target raises ``ApplyError`` before
-    any pruning, and one that ``step.rs`` does not hold ``RuleError``.  The
-    size bound goes first because it is cheap and independent of typing; a
-    candidate cut there is never charged to the constraint counter.  The
-    constraint check asks whether three parts are satisfiable together:
-    ``base_constraints`` (the schema pins of the applications that built
-    ``ast``; they mention only its nodes), the candidate's schema, and the
-    context constraints of the new tree.  The candidates that survive both
-    come back as ``Probe``s, each carrying its id in ``step.rs`` and
-    spliced when first read: a walk that follows one of them splices only
-    that one.
+    A group that does not fit the target raises ``ApplyError`` before any
+    pruning.  The size bound goes first because it is cheap and independent
+    of typing; a candidate cut there is never charged to the constraint
+    counter.  The constraint check asks whether three parts are satisfiable
+    together: ``base_constraints`` (the schema pins of the applications
+    that built ``ast``; they mention only its nodes), the candidate's
+    schema, and the context constraints of the new tree.  The candidates
+    that survive both come back as ``Probe``s in the group's order, each
+    carrying its id in ``step.rs`` and spliced when first read: a walk that
+    follows one of them splices only that one.
 
     Why deciding before the splice is exact: the splice gives the fresh
     replacement nodes ids from ``len(ast.nodes)`` on, which neither the
@@ -492,12 +545,26 @@ def probe_rules(
     different types on the target.  Likewise the new tree's size bound is
     the old tree's without the target plus the rule's size delta.  The
     tree's part is solved, and its size summed, once per call.
+
+    Why the step's offers may stand in for the group: the rest is fixed for
+    the whole step.  The result type, the bounds and the declarations are
+    the step's own, and the group's rules and their ids are the set's.  So
+    a rule's signature in one search is a function of the rule, the mark
+    and the rootedness alone, and ``(group, mark, rootedness)`` decides
+    every offer of the group.  The memo is keyed on those values and never
+    on a tree or a node id.  Whether a group fits the target depends only
+    on the patterns its rules carry, so its first rule is checked before
+    any offer is resolved, and a group whose rules carry two patterns
+    fits no target.
     """
     if target is None:
         mark, at_root = None, True
     else:
         node = ast.node(target)
         mark, at_root = node.annotation, node.parent is None
+    for rule in step.rs.group(group)[:1]:
+        check_applicable(ast, target, rule)
+    offers = step.offers(group, mark, at_root)
     limit = step.size_limit if step.bounds is not None else None
     rest = step.bounds.tree_size(ast, skip=target) if limit is not None else 0.0
     solver = SolverState()
@@ -514,15 +581,7 @@ def probe_rules(
     kept: list[Probe] = []
     size_pruned = 0
     constraint_pruned = 0
-    # whether a rule fits the target depends only on its pattern, which a
-    # group's rules share
-    fitting = ()
-    for rule in candidates:
-        if rule.pattern != fitting:
-            check_applicable(ast, target, rule)
-            fitting = rule.pattern
-        rule_id = step.rs.id_of(rule)
-        sig = step.signature(rule, mark, at_root)
+    for rule, rule_id, sig in offers:
         if limit is not None and rest + sig.size_delta > limit:
             size_pruned += 1
             continue
@@ -550,13 +609,11 @@ def feasible_rules(
     Beam search, exhaustive search, the scorer and training extraction all
     step through here, so they agree on which candidates each step offers.
     """
-    rs = step.rs
     if ast.is_empty:
-        target = None
-        group = rs.creation_rules
+        target, group = None, CREATION_GROUP
     else:
         target, direction = policy(ast)
-        group = rs.rules_for(ast.nodes[target].symbol, direction)
-    if not group:
+        group = (ast.nodes[target].symbol.name, direction.value)
+    if not step.rs.group(group):
         return ProbeOutcome(target, (), 0, 0)
     return probe_rules(ast, target, group, step, base_constraints)

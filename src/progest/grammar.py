@@ -543,13 +543,18 @@ class RuleSet:
     def groups(self) -> dict[GroupKey, tuple[RewritingRule, ...]]:
         return dict(self._groups)
 
+    def group(self, key: GroupKey) -> tuple[RewritingRule, ...]:
+        """The rules of the group ``key``, in set order; empty when the set
+        has none."""
+        return self._groups.get(key, ())
+
     @property
     def creation_rules(self) -> tuple[RewritingRule, ...]:
-        return self._groups.get(CREATION_GROUP, ())
+        return self.group(CREATION_GROUP)
 
     def rules_for(self, symbol: Symbol, direction: Annotation) -> tuple[RewritingRule, ...]:
         """Candidate rules for expanding ``symbol`` in ``direction`` (D or U)."""
-        return self._groups.get((symbol.name, direction.value), ())
+        return self.group((symbol.name, direction.value))
 
 
 # --------------------------------------------------------------------------

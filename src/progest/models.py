@@ -403,7 +403,7 @@ class LogisticModel:
 # --------------------------------------------------------------------------
 # training-set extraction
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainingInstance:
     group: str
     parent: str
@@ -422,7 +422,7 @@ class EncodedDecision:
     applied_key: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepAudit:
     item: int
     step: int

@@ -27,7 +27,13 @@ from typing import Callable, Sequence
 # compute_size_bounds and probe_rules are bound only so that the benchmark's
 # tracer (perfbench) can wrap them under this module's name; every step comes
 # from SearchStep and every probe goes through feasible_rules
-from .constraints import SearchStep, compute_size_bounds, feasible_rules, probe_rules
+from .constraints import (
+    Probe,
+    SearchStep,
+    compute_size_bounds,
+    feasible_rules,
+    probe_rules,
+)
 from .errors import SearchOverflowError, UnderivableTreeError
 from .features import Context
 from .grammar import Annotation, RuleSet
@@ -43,8 +49,11 @@ from .trees import (
 
 Policy = Callable[[AnnotatedAst], tuple[int, Annotation]]
 Renderer = Callable[[AnnotatedAst], str]
-# a search state: tree, log prob, applications so far, accumulated schema pins
-State = tuple[AnnotatedAst, float, tuple[Application, ...], tuple]
+# a search state: tree, log prob, applications so far, and its schema pins
+# in two parts, those of the state it grew from and the probe that grew it
+# (None for the empty tree); the probe's own pins are read only when the
+# state is expanded, so a finished tree never instantiates them
+State = tuple[AnnotatedAst, float, tuple[Application, ...], tuple, Probe | None]
 
 
 # --------------------------------------------------------------------------
@@ -124,23 +133,31 @@ def beam_search(
     states leave the beam, get anti-pattern screened, and are ranked at the
     end, so a slow completion can still outrank an early one.
 
-    A width may be ``math.inf``.  Candidates and successors are sorted only
-    when they outnumber the width.  Both sort keys are total, so the states
-    kept, and so the ranking, are those of a full sort; only their order in
-    a round differs, and with it what ``step_cap`` (expansions) cuts.
+    ``k`` must be an int of at least 0 and each width an int of at least 1
+    or ``math.inf`` (bools are neither); anything else raises
+    ``ValueError`` before the search starts.  Candidates and successors are
+    sorted only when they outnumber the width.  Both sort keys are total, so
+    the states kept, and so the ranking, are those of a full sort; only
+    their order in a round differs, and with it what ``step_cap``
+    (expansions) cuts.
     """
-    if not widths or any(w < 1 for w in widths):
-        raise ValueError("widths must be a non-empty sequence of positive ints")
+    if not _is_count(k, 0):
+        raise ValueError(f"k must be an int >= 0, got {k!r}")
+    if not widths or not all(w == inf or _is_count(w, 1) for w in widths):
+        raise ValueError(
+            "widths must be a non-empty sequence of ints >= 1 or math.inf, "
+            f"got {widths!r}"
+        )
     stats = SearchStats()
     render_fn = renderer or render
     step = SearchStep(rs, ctx, size_limit)
     results: list[Candidate] = []
-    states: list[State] = [(AnnotatedAst.empty(), 0.0, (), ())]
+    states: list[State] = [(AnnotatedAst.empty(), 0.0, (), (), None)]
     round_idx = 0
     while states:
         width = widths[min(round_idx, len(widths) - 1)]
         successors: list[State] = []
-        for ast, log_prob, apps, pins in states:
+        for ast, log_prob, apps, pins, grown_by in states:
             if is_complete(ast):
                 text = render_fn(ast)
                 if anti_pattern_check(text, anti_patterns):
@@ -152,6 +169,8 @@ def beam_search(
                 stats.step_cap_hit = True
                 continue
             stats.expansions += 1
+            if grown_by is not None:
+                pins += grown_by.constraints
             outcome = feasible_rules(ast, step, policy, pins)
             stats.size_pruned += outcome.size_pruned
             stats.constraint_pruned += outcome.constraint_pruned
@@ -170,8 +189,7 @@ def beam_search(
                 stats.beam_truncated += len(scored) - width
                 scored = scored[:width]
             successors.extend(
-                (probe.ast, new_log, apps + (Application(node, probe.id),),
-                 pins + probe.constraints)
+                (probe.ast, new_log, apps + (Application(node, probe.id),), pins, probe)
                 for new_log, probe in scored
             )
         if len(successors) > width:
@@ -186,6 +204,11 @@ def beam_search(
         key=lambda c: (-c.log_prob, c.rendered, tuple(a.rule for a in c.applications))
     )
     return SearchResult(results[:k], stats)
+
+
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an int (not a bool) of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 class _Unscored:

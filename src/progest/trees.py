@@ -230,11 +230,18 @@ def render(ast: AnnotatedAst) -> str:
 
 
 def leaf_tokens(ast: AnnotatedAst) -> list[str]:
-    return [
-        ast.nodes[nid].symbol.name
-        for nid in ast.preorder()
-        if ast.nodes[nid].symbol.is_terminal
-    ]
+    """The terminals' names in preorder, read in one walk of the tree."""
+    if ast.root is None:
+        return []
+    nodes = ast.nodes
+    out: list[str] = []
+    stack = [ast.root]
+    while stack:
+        node = nodes[stack.pop()]
+        if node.symbol.is_terminal:
+            out.append(node.symbol.name)
+        stack.extend(reversed(node.children))
+    return out
 
 
 def to_sexpr(ast: AnnotatedAst) -> str:
@@ -379,11 +386,12 @@ def iter_derivations(
     ``step(tree, pins)`` returns what a search step keeps at ``tree``, as
     ``constraints.feasible_rules`` does: the node its policy picks and the
     probes of that node's rule group that survive.  The walk matches each
-    probe's rule against ``target``, reads the probe's splice and pins only
-    once its rule matches (a probe splices when first read) and carries
-    those pins.  Probes are tried in the order the step keeps them, so the
-    first derivation is the search's build.  Raises
-    ``UnderivableTreeError`` when the walk yields nothing.
+    probe's rule against ``target`` and reads the probe's splice only once
+    its rule matches (a probe splices when first read); it reads the
+    probe's pins only when it steps from the tree the probe made, so the
+    last probe of a derivation instantiates none.  Probes are tried in the
+    order the step keeps them, so the first derivation is the search's
+    build.  Raises ``UnderivableTreeError`` when the walk yields nothing.
     """
     if not is_complete(target):
         raise IncompleteTreeError("derivations need a finished target tree")
@@ -391,13 +399,18 @@ def iter_derivations(
     produced = 0
     stuck: list[tuple[int, str]] = []
 
-    def walk(ast: AnnotatedAst, mapping: dict[int, int], steps: list, pins: tuple):
+    def walk(ast: AnnotatedAst, mapping: dict[int, int], steps: list, pins: tuple,
+             grown_by):
+        # ``pins`` are those of the tree that ``grown_by``, the probe that
+        # made ``ast``, grew from
         nonlocal produced
         if is_complete(ast):
             if mapping[ast.root] == target.root:
                 produced += 1
                 yield steps
             return
+        if grown_by is not None:
+            pins += grown_by.constraints
         outcome = step(ast, pins)
         node_id = outcome.target
         node = tid = None
@@ -426,13 +439,14 @@ def iter_derivations(
                         rule.pattern[1] if rule.pattern else None,
                         tid, tuple(fresh), ast, outcome, choice,
                     )
-                    new_pins = pins + probe.constraints
-                    yield from walk(probe.ast, new_mapping, steps + [taken], new_pins)
+                    yield from walk(
+                        probe.ast, new_mapping, steps + [taken], pins, probe
+                    )
         if not progressed:
             where = "the empty tree" if node is None else f"node {tid} ({node.symbol})"
             stuck.append((len(steps), where))
 
-    yield from walk(AnnotatedAst.empty(), {}, [], ())
+    yield from walk(AnnotatedAst.empty(), {}, [], (), None)
     if produced == 0:
         raise UnderivableTreeError(
             "no derivation survives the step"

@@ -36,8 +36,10 @@ from progest.grammar import (
     derive_bottom_up_rules,
     derive_creation_rules,
     derive_top_down_rules,
+    group_key_of,
     load_grammar,
     nonterminal,
+    terminal,
 )
 from progest.trees import (
     AnnotatedAst,
@@ -228,9 +230,8 @@ def test_tree_size_counts_completions():
 def test_probe_prunes_by_size():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
-    group = rs.rules_for(ast.nodes[ast.root].symbol, Annotation.D)
     step = SearchStep(rs, None, 2)
-    out = probe_rules(ast, ast.root, group, step)
+    out = probe_rules(ast, ast.root, ("E", "D"), step)
     kept = {p.rule.key for p in out.kept}
     assert kept == {'td:E->"hours"', 'td:E->"value"'}
     assert out.size_pruned == 3
@@ -240,9 +241,8 @@ def test_probe_prunes_by_size():
 def test_probe_prunes_by_type():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
-    group = rs.rules_for(ast.nodes[ast.root].symbol, Annotation.D)
     step = SearchStep(rs, context({"hours": "Int", "value": "Int"}, "Boolean"))
-    out = probe_rules(ast, ast.root, group, step)
+    out = probe_rules(ast, ast.root, ("E", "D"), step)
     kept = {p.rule.key for p in out.kept}
     # leaf and addition rules would make the whole tree an Int
     assert kept == {'td:E->E "> 12"', 'td:E->E "> 0"'}
@@ -290,18 +290,50 @@ def test_probe_checks_each_candidate_fits_before_pruning():
         (leaf, rs.by_key('bu0:E->E "> 12"')),
         (root, rs.by_key("fin:E")),
     ]
-    steps = [
-        SearchStep(rs, None, 1),
-        SearchStep(rs, context({"hours": "Str"}, "Str")),
-    ]
+    steps = [(None, 1), (context({"hours": "Str"}, "Str"), None)]
+
+    def probe_alone(ast, rule, ctx, size_limit):
+        """Probe ``rule`` as the one rule of a set of its own."""
+        step = SearchStep(RuleSet([rule]), ctx, size_limit)
+        return probe_rules(ast, ast.root, group_key_of(rule), step)
+
     for ast, rule in misfits:
-        for step in steps:
+        for ctx, size_limit in steps:
             with pytest.raises(ApplyError):
-                probe_rules(ast, ast.root, [rule], step)
+                probe_alone(ast, rule, ctx, size_limit)
     # either step prunes a candidate that does fit
     fits = rs.by_key('td:E->E "> 12"')
-    assert probe_rules(root, root.root, [fits], steps[0]).size_pruned == 1
-    assert probe_rules(root, root.root, [fits], steps[1]).constraint_pruned == 1
+    assert probe_alone(root, fits, *steps[0]).size_pruned == 1
+    assert probe_alone(root, fits, *steps[1]).constraint_pruned == 1
+
+
+def test_probe_refuses_a_group_that_mixes_patterns():
+    """A terminal and a nonterminal of one name share a group key, but a
+    node is one of them, so probing such a group raises whichever rule
+    comes first, as splicing each of its rules does."""
+    e, t = nonterminal("E"), terminal("E")
+    on_leaf = RewritingRule(
+        (t, Annotation.U),
+        RuleTree(nonterminal("W"), Annotation.NONE, False,
+                 (RuleTree(t, Annotation.NONE, True),)),
+        key="bu:W->'E'",
+    )
+    on_node = RewritingRule(
+        (e, Annotation.U),
+        RuleTree(nonterminal("X"), Annotation.NONE, False,
+                 (RuleTree(e, Annotation.NONE, True),)),
+        key="bu:X->E",
+    )
+    make_leaf = RewritingRule(None, RuleTree(t, Annotation.U), key="make-leaf:E")
+    for group in ([on_leaf, on_node], [on_node, on_leaf]):
+        rs = RuleSet([make_leaf, *group])
+        leaf = apply_rule(AnnotatedAst.empty(), None, make_leaf)
+        assert group_key_of(on_leaf) == group_key_of(on_node)
+        for step in (SearchStep(rs), SearchStep(rs, None, 5)):
+            with pytest.raises(ApplyError):
+                feasible_rules(leaf, step, policy_leftmost)
+            with reference_prober(), pytest.raises(ApplyError):
+                feasible_rules(leaf, step, policy_leftmost)
 
 
 def test_probe_lets_a_wrapping_rule_decide_the_root_type():
@@ -489,8 +521,9 @@ def test_shared_table_keys_every_declared_leaf():
 
 def test_step_refuses_a_rule_that_only_shares_a_key():
     """A table's signatures and a probe's id belong to the searched set's
-    own rule under a key, so a rule with that key and another schema is
-    refused by the probe, and nothing is compiled for it."""
+    own rule under a key: the set refuses a rule with that key and another
+    schema, and a step offers only the rules its set holds, so the set's
+    own rule under that key is probed as ever, at its place."""
     rs = full_rules(DEMO)
     table = SignatureTable(compute_size_bounds(rs))
     shared = RuleSet(rs.rules, shared=table)
@@ -500,12 +533,10 @@ def test_step_refuses_a_rule_that_only_shares_a_key():
         shared.id_of(retyped)
     step = SearchStep(shared)
     root = apply_rule(AnnotatedAst.empty(), None, shared.by_key("make-root:E"))
-    with pytest.raises(RuleError):
-        probe_rules(root, root.root, [retyped], step)
-    assert table._signatures == {}
-    # the set's own rule under that key is probed as ever, at its place
-    (probe,) = probe_rules(root, root.root, [rule], step).kept
-    assert probe.id == shared.id_of(rule)
+    out = probe_rules(root, root.root, group_key_of(rule), step)
+    assert all(probe.rule is shared[probe.id] for probe in out.kept)
+    (probe,) = [p for p in out.kept if p.rule.key == rule.key]
+    assert probe.rule is rule and probe.id == shared.id_of(rule)
 
 
 def test_step_takes_the_shared_tables_bounds():

@@ -1,6 +1,7 @@
 """Beam search, exhaustive search, and whole-tree scoring."""
 
 import random
+from collections import Counter
 from dataclasses import asdict, replace
 from math import exp, inf, log
 
@@ -16,9 +17,15 @@ from gramgen import (
     random_typed_grammar,
     top_down_set,
 )
-from progest import condsynth
+from progest import condsynth, constraints, search
 from progest.ambiguity import check_unambiguous
-from progest.condsynth import synthesize_condition, train_cond_models
+from progest.condsynth import (
+    build_cond_ruleset,
+    record_tree,
+    synthesize_condition,
+    train_cond_models,
+)
+from progest.constraints import SignatureTable
 from progest.errors import SearchOverflowError
 from progest.features import Context
 from progest.grammar import (
@@ -28,7 +35,7 @@ from progest.grammar import (
     derive_top_down_rules,
     load_grammar,
 )
-from progest.models import TableModel, UniformModel
+from progest.models import TableModel, UniformModel, feasible_derivation
 from progest.search import (
     AntiPattern,
     SearchStats,
@@ -37,7 +44,13 @@ from progest.search import (
     exhaustive_search,
     program_log_probability,
 )
-from progest.trees import AnnotatedAst, apply_rule, policy_leftmost, to_sexpr
+from progest.trees import (
+    AnnotatedAst,
+    apply_rule,
+    is_complete,
+    policy_leftmost,
+    to_sexpr,
+)
 from tests_support import (
     criterion_06_rule_sets,
     make_hash_policy,
@@ -124,6 +137,43 @@ def test_invalid_widths_rejected(worked_example):
         beam_search(worked_example.rules, None, worked_example.model, widths=())
     with pytest.raises(ValueError):
         beam_search(worked_example.rules, None, worked_example.model, widths=(0,))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"k": -1},
+        {"k": 2.5},
+        {"k": True},
+        {"widths": (2.5,)},
+        {"widths": (True,)},
+        {"widths": (5, 2.5)},
+        {"widths": (-inf,)},
+    ],
+    ids=repr,
+)
+def test_bad_k_and_widths_are_refused_up_front(worked_example, bad):
+    """``k`` is an int of at least 0 and a width an int of at least 1 or
+    ``math.inf``; anything else is refused before any search, not cut
+    short or failed on once a round truncates."""
+    uniform = UniformModel()
+    kwargs = dict(widths=(5, 200), k=10, size_limit=9, anti_patterns=())
+    with pytest.raises(ValueError):
+        beam_search(worked_example.rules, None, uniform, **{**kwargs, **bad})
+
+
+def test_edge_k_and_widths_are_accepted(worked_example):
+    uniform = UniformModel()
+    kwargs = dict(size_limit=9, anti_patterns=())
+    every = beam_search(worked_example.rules, None, uniform, widths=(inf,),
+                        k=1_000, **kwargs)
+    assert len(every.candidates) > 1
+    none = beam_search(worked_example.rules, None, uniform, widths=(inf,), k=0,
+                       **kwargs)
+    assert none.candidates == []
+    one = beam_search(worked_example.rules, None, uniform, widths=(1, inf), k=1,
+                      **kwargs)
+    assert len(one.candidates) == 1
 
 
 def test_step_cap_reported_not_raised(worked_example):
@@ -406,3 +456,106 @@ def test_search_counts_are_pinned(demo_grammar, corpus_records, corpus_models):
             "beam_truncated": pinned[record.id][2],
         }, record.id
         assert len(result.candidates) == pinned[record.id][3], record.id
+
+
+def test_each_offer_is_resolved_once_per_search(
+    corpus_records, corpus_models, monkeypatch
+):
+    """A search step resolves a rule group once per target mark and
+    rootedness: over corpus predicts at the evaluation settings, each
+    rule's signature is asked for at most once per (mark, rootedness) in a
+    search, and its id once per signature, however many states probe it."""
+    signature = SignatureTable.signature
+    id_of = RuleSet.id_of
+    signed: Counter = Counter()
+    placed: Counter = Counter()
+
+    def counted_signature(self, rule, mark, at_root, step):
+        signed[rule.key, mark, at_root] += 1
+        return signature(self, rule, mark, at_root, step)
+
+    def counted_id_of(self, rule):
+        placed[rule.key] += 1
+        return id_of(self, rule)
+
+    monkeypatch.setattr(SignatureTable, "signature", counted_signature)
+    monkeypatch.setattr(RuleSet, "id_of", counted_id_of)
+    frequency = corpus_models[0]
+    for record in corpus_records[:10]:
+        signed.clear()
+        placed.clear()
+        result = synthesize_condition(
+            record.context, frequency.templates, frequency.model,
+            k=50, widths=(5, 200), size_limit=30,
+        )
+        stats = result.stats
+        assert stats.expansions > 1 and signed, record.id
+        assert max(signed.values()) == 1, record.id
+        per_rule = Counter(key for key, _, _ in signed)
+        assert placed == per_rule, record.id
+        # far fewer lookups than candidates probed
+        assert sum(signed.values()) < stats.constraint_pruned, record.id
+
+
+def test_pins_are_read_only_for_expanded_states(
+    corpus_records, corpus_models, monkeypatch
+):
+    """A state's schema pins are instantiated when the state is expanded
+    and never for a finished tree: over corpus predicts, one
+    ``constraints_of_application`` call per expanded state past the empty
+    tree, each for the probe that made it, and the ranking still equals the
+    always-sorting reference beam's.  The scorer's replay of a corpus
+    tree instantiates the pins of every step but the last."""
+    schema = constraints.constraints_of_application
+    feasible = search.feasible_rules
+    read_pins = constraints.Probe.constraints
+    instantiated: list = []
+    expanded: list = []
+    pinned_trees: list = []
+
+    def counted_schema(rule, ids):
+        instantiated.append(rule.key)
+        return schema(rule, ids)
+
+    def counted_feasible(ast, *args):
+        expanded.append(ast)
+        return feasible(ast, *args)
+
+    def reading_pins(probe):
+        pinned_trees.append(probe.ast)
+        return read_pins.fget(probe)
+
+    for trained in corpus_models:
+        for record in corpus_records[:10]:
+            def predict():
+                return synthesize_condition(
+                    record.context, trained.templates, trained.model,
+                    k=50, widths=(5, 200), size_limit=30,
+                )
+
+            del instantiated[:], expanded[:], pinned_trees[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(constraints, "constraints_of_application", counted_schema)
+                patch.setattr(search, "feasible_rules", counted_feasible)
+                patch.setattr(constraints.Probe, "constraints", property(reading_pins))
+                ours = predict()
+            assert len(expanded) == ours.stats.expansions, record.id
+            assert len(instantiated) == len(expanded) - 1, record.id
+            assert {id(t) for t in pinned_trees} == {id(t) for t in expanded[1:]}
+            assert not any(is_complete(t) for t in pinned_trees), record.id
+            with monkeypatch.context() as patch:
+                patch.setattr(condsynth, "beam_search", reference_beam_search)
+                ref = predict()
+            assert _result_fields(ours) == _result_fields(ref), record.id
+
+    templates = corpus_models[0].templates
+    for record in corpus_records[:10]:
+        rs = build_cond_ruleset(templates, record.context)
+        del instantiated[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(constraints, "constraints_of_application", counted_schema)
+            steps = feasible_derivation(
+                record_tree(record), rs, policy_leftmost, record.context,
+                size_limit=30,
+            )
+        assert len(instantiated) == len(steps) - 1, record.id

@@ -249,20 +249,20 @@ def probe_fields(outcome: ProbeOutcome):
 
 
 def reference_probe_rules(
-    ast, target, candidates, step: SearchStep, base_constraints=()
+    ast, target, group, step: SearchStep, base_constraints=()
 ):
     """``constraints.probe_rules`` the slow way, with the same arguments.
 
-    Every candidate is spliced first; the size bound is the new tree's whole
-    ``tree_size``, and the constraint check solves a fresh system of the
-    base pins, the candidate's schema and the full context constraints of
-    the new tree.
+    Every rule of the group is spliced first, with its id looked up there;
+    the size bound is the new tree's whole ``tree_size``, and the
+    constraint check solves a fresh system of the base pins, the
+    candidate's schema and the full context constraints of the new tree.
     """
     kept = []
     size_pruned = 0
     constraint_pruned = 0
     base = list(base_constraints)
-    for rule in candidates:
+    for rule in step.rs.group(group):
         new_ast, ids = apply_rule_with_ids(ast, target, rule)
         if (
             step.size_limit is not None
