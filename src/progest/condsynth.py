@@ -264,6 +264,11 @@ def _make_expr(t: Template) -> RewritingRule:
     )
 
 
+# one object for every expr: rule, so that a step checks their common
+# pattern by identity
+_EXPAND_PATTERN = (nonterminal("V1"), Annotation.U)
+
+
 def _expand(t: Template) -> RewritingRule:
     children: list[RuleTree] = []
     schema: list[tuple[int, TypeAtom]] = [(0, _BOOLEAN)]
@@ -279,7 +284,7 @@ def _expand(t: Template) -> RewritingRule:
         else:
             children.append(RuleTree(terminal(token)))
     return RewritingRule(
-        (nonterminal("V1"), Annotation.U),
+        _EXPAND_PATTERN,
         RuleTree(nonterminal(EXPR_ROOT), Annotation.NONE, False, tuple(children)),
         key=f"expr:{t.key}",
         schema=tuple(schema),
@@ -294,7 +299,7 @@ _FINISH = RewritingRule(
 
 
 class TemplateLayer:
-    """The part of every context's rule set that only the templates decide,
+    """The part of every context's rule set that repeats across contexts,
     compiled once per template set.
 
     A context's rule set is, in id order: a ``make-var:`` creation per
@@ -304,8 +309,12 @@ class TemplateLayer:
     and variable, and the ``fin:`` rule when some template is variable-free.
     Truncation and the successor sort break ties by rule id, so the order
     is kept.  The layer makes the ``make-expr:``/``expr:``/``fin:`` rules
-    once; ``bind`` makes only the variable rules and puts the layer's own
-    rule objects in every set, each at its place in that set.
+    once.  It makes a variable name's ``make-var:`` rule and its ``varN:``
+    rules, for slots 2 to ``max_arity``, on the first bind that declares the
+    name, and keeps them, keyed on the name, for as long as the layer
+    lives.  So a later bind makes no rule: it puts the layer's own rule
+    objects in a new set, each at its place there, and each rule validates
+    itself and compiles its block once per layer.
 
     The size bounds of a bound set depend only on the templates and on
     whether it has variable rules: every ``varN:`` rule costs the same
@@ -316,8 +325,8 @@ class TemplateLayer:
     layer makes is built from the content of its own key: a ``make-var:``
     or ``varN:`` key names the slot and the variable, a ``make-expr:`` or
     ``expr:`` key the template, and ``fin:`` is one fixed rule.  So a
-    variable rule's signatures are compiled once per process, not once per
-    search.
+    signature, and a group's tuple of signatures, is looked up once per
+    process, not once per search.
     """
 
     def __init__(self, templates: tuple[Template, ...]) -> None:
@@ -330,32 +339,36 @@ class TemplateLayer:
         ]
         self._tail = [_FINISH] if closed else []
         self._tables: dict[bool, SignatureTable] = {}
+        # per variable name: its make-var: rule, then its var2: ... rules
+        self._variables: dict[str, tuple[RewritingRule, ...]] = {}
 
     def bind(self, ctx: Context) -> RuleSet:
         """The rule set for one context, sharing this layer's table."""
         names = tuple(v.name for v in ctx.variables) if self.max_arity >= 1 else ()
-        return self._rule_set(names, self._table(bool(names)))
-
-    def _table(self, with_variables: bool) -> SignatureTable:
-        table = self._tables.get(with_variables)
+        table = self._tables.get(bool(names))
         if table is None:
-            # any one variable gives the bounds of every set with variables
-            sample = self._rule_set(("v",) if with_variables else (), None)
-            table = self._tables[with_variables] = SignatureTable(
-                compute_size_bounds(sample)
+            # this set's bounds are those of every set in its case
+            table = self._tables[bool(names)] = SignatureTable(
+                compute_size_bounds(self._rule_set(names, None))
             )
-        return table
+        return self._rule_set(names, table)
+
+    def _variable_rules(self, name: str) -> tuple[RewritingRule, ...]:
+        rules = self._variables.get(name)
+        if rules is None:
+            rules = self._variables[name] = (
+                _make_var(name),
+                *(_fill_slot(p, name) for p in range(2, self.max_arity + 1)),
+            )
+        return rules
 
     def _rule_set(self, names: Sequence[str], shared) -> RuleSet:
+        made = [self._variable_rules(name) for name in names]
         return RuleSet(
             [
-                *map(_make_var, names),
+                *(rules[0] for rules in made),
                 *self._head,
-                *(
-                    _fill_slot(p, name)
-                    for p in range(2, self.max_arity + 1)
-                    for name in names
-                ),
+                *(rules[p] for p in range(1, self.max_arity) for rules in made),
                 *self._tail,
             ],
             shared=shared,

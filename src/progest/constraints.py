@@ -12,23 +12,32 @@ key, target mark and whether the target is the root, each of the group's
 rules with its id in the searched set and its signature (whether its fresh
 nodes type-check among themselves, the type they force on the node the rule
 is applied to, and its size delta).  The step resolves a group's offers on
-the first expansion that meets that key and every later one reads them; the
-signatures come from one ``SignatureTable``, which compiles each on first
-use.  Per expansion the state's own system is solved once, and each offer
-costs a size comparison and a type comparison.  A surviving candidate's
-``Probe`` splices only when its tree or ids are first read, and instantiates
-its schema pins only when its ``constraints`` are: a search reads those only
-for a state it expands, and it never expands a finished tree.
-``probe_rules`` gives the argument why this decides exactly what solving
-the whole system of each spliced tree decides, and why the offers' key is
-complete.  The table is keyed on values, so the condition rule sets of
-every context share one and a signature is compiled once for all the
-searches that agree on what it reads.
+the first expansion that meets that key and every later one reads them.
+The signatures come from one ``SignatureTable``, which compiles each on
+first use and keeps, besides, each group's tuple of signatures, so a step
+reads a whole group with one lookup.  Per expansion the state's own system
+is solved once, and each offer costs a size comparison and a type
+comparison.  A surviving candidate's ``Probe`` splices only when its tree or
+ids are first read, and instantiates its schema pins only when its
+``constraints`` are: a search reads those only for a state it expands, and
+it never expands a finished tree.  ``probe_rules`` gives the argument why
+this decides exactly what solving the whole system of each spliced tree
+decides, and why the offers' key is complete.
+
+The table is keyed on values, so the condition rule sets of every context
+share one: a signature is compiled, and a group's tuple looked up, once for
+all the searches that agree on what it reads.  A group's key is complete
+because, under the table's promise that a rule key names one rule in every
+set it serves, the group's keys in order name its rules, and the key adds
+everything their signatures read: the mark, the rootedness, the result
+type, whether sizes are bounded, and the declared types of every
+identifier-shaped fresh leaf of the group's rules.  So a training replay,
+which meets each group once, reads the signatures of all the ``expr:``
+rules with one lookup.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import inf
 from typing import Callable, Iterable, Mapping
@@ -42,10 +51,8 @@ from .grammar import (
     RuleSet,
     RuleTree,
 )
+from .minilang import is_variable_token
 from .trees import AnnotatedAst, apply_rule_with_ids, check_applicable
-
-_IDENT = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
-_NON_VARIABLE_WORDS = frozenset({"null", "true", "false"})
 
 
 @dataclass(frozen=True)
@@ -147,10 +154,6 @@ def constraints_of_application(
     return [eq_const(ids[pos], name) for pos, name in block.pins] + [
         eq_var(ids[a], ids[b]) for a, b in block.links
     ]
-
-
-def is_variable_token(text: str) -> bool:
-    return bool(_IDENT.match(text)) and text not in _NON_VARIABLE_WORDS
 
 
 def constraints_of_context(
@@ -332,13 +335,37 @@ class SignatureTable:
     set it is attached to; ``_compile`` is a function of the rule and the
     rest of the key, so two searches that agree on the key compile the same
     signature and sharing it is exact.
+
+    ``signatures`` keeps, besides, each group's tuple of signatures, keyed
+    on the group's rule keys in order and on the same values: the mark, the
+    rootedness, the result type, whether sizes are bounded, and the
+    declared types of the identifier-shaped fresh leaves of all the group's
+    rules.  Under the promise the keys name the group's rules, and the
+    declared types are a superset of what each rule's own key reads, so the
+    group key decides every signature in the tuple and a search reads a
+    whole group with one lookup.
     """
 
     def __init__(self, bounds: SizeBounds | None) -> None:
         self.bounds = bounds
-        # the names of each key's declared leaves
-        self._leaves: dict[str, tuple[str, ...]] = {}
+        # the names of the declared leaves of each rule key, and of each
+        # group's tuple of rule keys
+        self._leaves: dict[str | tuple[str, ...], tuple[str, ...]] = {}
         self._signatures: dict[tuple, _Signature] = {}
+        self._groups: dict[tuple, tuple[_Signature, ...]] = {}
+
+    def _key(
+        self, keys: str | tuple[str, ...], names: tuple[str, ...],
+        mark: Annotation | None, at_root: bool, step: "SearchStep",
+    ) -> tuple:
+        return (
+            keys,
+            mark,
+            at_root,
+            step.result_type,
+            step.bounds is not None,
+            tuple(map(step.var_types.get, names)) if names else (),
+        )
 
     def signature(
         self, rule: RewritingRule, mark: Annotation | None, at_root: bool,
@@ -349,18 +376,32 @@ class SignatureTable:
             names = self._leaves[rule.key] = tuple(
                 name for _, name in _declared_leaves(rule)
             )
-        key = (
-            rule.key,
-            mark,
-            at_root,
-            step.result_type,
-            step.bounds is not None,
-            tuple(map(step.var_types.get, names)) if names else (),
-        )
+        key = self._key(rule.key, names, mark, at_root, step)
         sig = self._signatures.get(key)
         if sig is None:
             sig = self._signatures[key] = _compile(rule, mark, at_root, step)
         return sig
+
+    def signatures(
+        self, rules: tuple[RewritingRule, ...], mark: Annotation | None,
+        at_root: bool, step: "SearchStep",
+    ) -> tuple[_Signature, ...]:
+        """The signature of each of a group's ``rules``, in order."""
+        keys = tuple(rule.key for rule in rules)
+        names = self._leaves.get(keys)
+        if names is None:
+            names = self._leaves[keys] = tuple(
+                dict.fromkeys(
+                    name for rule in rules for _, name in _declared_leaves(rule)
+                )
+            )
+        key = self._key(keys, names, mark, at_root, step)
+        sigs = self._groups.get(key)
+        if sigs is None:
+            sigs = self._groups[key] = tuple(
+                self.signature(rule, mark, at_root, step) for rule in rules
+            )
+        return sigs
 
 
 # a group's offers at one (mark, rootedness): each rule with its id in the
@@ -378,11 +419,14 @@ class SearchStep:
     otherwise.  Signatures come from ``rs.shared``; a set without one gets a
     table of the step's own, which lives as long as the step.  The table's
     signatures are those of the set's own rules: the step asks only for
-    those of the rules its groups hold.
+    those of the groups it holds.
 
     The step holds each group's ``offers`` at each target mark and
-    rootedness it has met, keyed on those values alone, so each rule's id
-    and signature are looked up once per key in a search.
+    rootedness it has met, keyed on those values alone: the group's rules,
+    their ids from ``rs.id_of`` and their signatures, which come from one
+    group lookup in the table.  So a search looks each group up once per
+    key, and with a shared table a group met in an earlier search, such as
+    the ``expr:`` group of every training replay, compiles nothing.
     """
 
     def __init__(self, rs: RuleSet, ctx=None, size_limit: int | None = None) -> None:
@@ -417,18 +461,22 @@ class SearchStep:
         key = (group, mark, at_root)
         offers = self._offers.get(key)
         if offers is None:
-            rs, sign = self.rs, self.table.signature
+            rs = self.rs
             rules = rs.group(group)
             first = rules[0].pattern if rules else None
-            resolved = []
             for rule in rules:
                 if rule.pattern is not first and rule.pattern != first:
                     raise ApplyError(
                         f"rule {rule.key} has another pattern than {rules[0].key},"
                         " which fits the target"
                     )
-                resolved.append((rule, rs.id_of(rule), sign(rule, mark, at_root, self)))
-            offers = self._offers[key] = tuple(resolved)
+            offers = self._offers[key] = tuple(
+                zip(
+                    rules,
+                    map(rs.id_of, rules),
+                    self.table.signatures(rules, mark, at_root, self),
+                )
+            )
         return offers
 
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContextError
-from .minilang import TYPE_CLASSES, classify_type
+from .minilang import TYPE_CLASSES, classify_type, is_variable_token
 
 if TYPE_CHECKING:  # condsynth imports this module
     from .condsynth import Template
@@ -77,6 +77,8 @@ class VariableInfo:
             and all(type(x) is int for x in def_sites)
         ):
             bad = "'def_sites' must be a list of integers"
+        if bad is None and not is_variable_token(data["name"]):
+            bad = "'name' must be an identifier other than null, true or false"
         if bad is not None:
             raise ContextError(f"variable {data['name']!r}: {bad}")
         return VariableInfo(

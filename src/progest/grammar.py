@@ -402,9 +402,11 @@ class RewritingRule:
     semantic identifier used by learned models.  A rule has no id of its
     own: its id is its position in a ``RuleSet``, so one rule can sit in
     many sets.  A rule checks its own shape when it is made and raises
-    ``RuleError`` if that shape is bad.  ``block`` is the replacement
-    compiled for splicing; it is derived from the fields, so equality,
-    hashing and the repr do not see it.
+    ``RuleError`` if that shape is bad.  ``group``, the key of the rule's
+    group in a set (``group_key_of``), is computed then, and ``block``, the
+    replacement compiled for splicing, on first use; both are derived from
+    the fields and computed once per rule, so equality, hashing and the
+    repr do not see them.
     """
 
     pattern: tuple[Symbol, Annotation] | None
@@ -444,6 +446,8 @@ class RewritingRule:
         for pos, _atom in self.schema:
             if not 0 <= pos < len(nodes):
                 raise RuleError(f"rule {self.key}: schema position {pos} out of range")
+        # read by every set that holds the rule; not a field
+        object.__setattr__(self, "group", group_key_of(self))
 
     @functools.cached_property
     def block(self) -> RuleBlock:
@@ -513,7 +517,7 @@ class RuleSet:
             raise RuleError(f"duplicate rule keys: {', '.join(dupes)}")
         grouping: dict[GroupKey, list[RewritingRule]] = {}
         for rule in self.rules:
-            grouping.setdefault(group_key_of(rule), []).append(rule)
+            grouping.setdefault(rule.group, []).append(rule)
         self._groups: dict[GroupKey, tuple[RewritingRule, ...]] = {
             k: tuple(v) for k, v in grouping.items()
         }

@@ -86,6 +86,14 @@ class Call(Expr):
 
 
 _KEYWORD_LITERALS = frozenset({"true", "false", "null"})
+_NAME_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+
+
+def is_variable_token(text: str) -> bool:
+    """Whether ``text`` can name a variable: an identifier that is not one of
+    the keyword literals."""
+    return _NAME_RE.fullmatch(text) is not None and text not in _KEYWORD_LITERALS
+
 
 # binary operators by binding strength, loosest first
 _LEVELS = (

@@ -39,13 +39,13 @@ from .errors import UnderivableTreeError
 # can wrap it under this module's name; every decision is encoded by the
 # encoder a LogisticModel keeps, which calls it from condsynth
 from .features import Context, extract_features, number_array, string_tuple
-from .grammar import RewritingRule, RuleSet, group_key_of
+from .grammar import RewritingRule, RuleSet
 # iter_derivations is called by this name so that the tracer counts replays
 from .trees import AnnotatedAst, DerivationStep, iter_derivations
 
 
 def group_str(rule: RewritingRule) -> str:
-    name, direction = group_key_of(rule)
+    name, direction = rule.group
     return f"{name}|{direction}"
 
 

@@ -414,6 +414,14 @@ def test_malformed_corpus_record_is_exit_2(capsys, tmp_path, condition):
                      id="name-number"),
         pytest.param(_set_entry("context", "variables", 0, "type", 7),
                      id="type-number"),
+        pytest.param(_set_entry("context", "variables", 0, "name", ""),
+                     id="name-empty"),
+        pytest.param(_set_entry("context", "variables", 0, "name", "a b"),
+                     id="name-with-space"),
+        pytest.param(_set_entry("context", "variables", 0, "name", "1x"),
+                     id="name-leading-digit"),
+        pytest.param(_set_entry("context", "variables", 0, "name", "null"),
+                     id="name-keyword"),
         pytest.param(_set_entry("context", "result", None), id="result-null"),
         pytest.param(_set_entry("context", "class", ["A"]), id="class-list"),
         pytest.param(_set_entry("context", "superclass", 1), id="superclass-number"),
@@ -433,8 +441,10 @@ def test_malformed_corpus_record_is_exit_2(capsys, tmp_path, condition):
     ],
 )
 def test_malformed_context_is_exit_2(capsys, tmp_path, data_dir, edit):
-    """A context field of the wrong JSON type is an input error for both the
-    context of a predict and a corpus record, not a traceback or a guess."""
+    """A context field of the wrong JSON type, or a variable name that is
+    not an identifier or is a keyword literal, is an input error for both
+    the context of a predict and a corpus record, not a traceback or a
+    guess."""
     record = generate_corpus(1, seed=2)[0]
     edit(record)
     ctx_path = tmp_path / "ctx.json"

@@ -1,6 +1,7 @@
 """Corpus ingestion, template mining, rule compilation, and synthesis."""
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -28,7 +29,7 @@ from progest.condsynth import (
     template_of,
     train_cond_models,
 )
-from progest import constraints, features
+from progest import condsynth, constraints, features, grammar
 from progest.constraints import SearchStep
 from progest.ambiguity import check_unambiguous, enumerate_complete_trees
 from progest.datagen import generate_corpus
@@ -351,6 +352,49 @@ def test_binding_alternating_variable_counts_matches_the_reference(
         )
         assert got.shared is not None
     assert bool(layer.bind(none).creation_rules) is with_closed
+
+
+def test_variable_rules_are_made_once_per_name(corpus_records, monkeypatch):
+    """A layer makes a variable name's rules on the first bind that declares
+    it and reuses them: two binds declaring ``x`` hold the same
+    ``make-var:x`` and ``var2:x`` objects, and a second pass over corpus
+    predicts, from a fresh layer, makes no rule and compiles no block."""
+    templates = mine_templates(corpus_records)
+    layer = TemplateLayer(templates)
+    assert layer.max_arity >= 2
+    first = layer.bind(Context.simple({"x": "Int", "y": "Int"}))
+    second = layer.bind(Context.simple({"z": "String", "x": "Int"}))
+    for key in ("make-var:x", "var2:x"):
+        assert first.by_key(key) is second.by_key(key)
+
+    monkeypatch.setattr(
+        condsynth, "template_layer",
+        functools.lru_cache(maxsize=4)(condsynth.TemplateLayer),
+    )
+    frequency = train_cond_models(corpus_records, model_kind="frequency")
+
+    def predict_all():
+        for record in corpus_records[:20]:
+            synthesize_condition(
+                record.context, frequency.templates, frequency.model,
+                k=50, widths=(5, 200), size_limit=30,
+            )
+
+    predict_all()
+    made: list = []
+    compiled: list = []
+    post_init = grammar.RewritingRule.__post_init__
+    compile_block = grammar._compile_block
+    monkeypatch.setattr(
+        grammar.RewritingRule, "__post_init__",
+        lambda rule: made.append(rule.key) or post_init(rule),
+    )
+    monkeypatch.setattr(
+        grammar, "_compile_block",
+        lambda rule: compiled.append(rule.key) or compile_block(rule),
+    )
+    predict_all()
+    assert (made, compiled) == ([], [])
 
 
 def test_one_template_rule_sits_at_each_sets_own_place(corpus_records):

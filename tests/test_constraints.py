@@ -482,12 +482,14 @@ def _marks_met(rule):
 def test_shared_signatures_match_fresh_compiles_across_contexts(seed, rules, data):
     """One table serves searches in several contexts over typed-leaf
     grammars, where a leaf's declared type decides whether a rule
-    type-checks: each signature it hands out is the one a step of that
-    context alone compiles."""
+    type-checks, and over sets that hold the rules in other orders (and,
+    when sizes are unbounded, only some of them): each signature it hands
+    out, and each group's offers (rules, ids and signatures), are those of
+    a step over the same rules in a set with no shared table, which
+    compiles its own."""
     g = random_typed_grammar(seed, typed_leaves=True)
     rs = top_down_set(g) if rules == "top-down" else full_set(g)
     table = SignatureTable(compute_size_bounds(rs))
-    shared = RuleSet(rs.rules, shared=table)
     leaves = [t.name for t in g.terminals if is_variable_token(t.name)]
     for _ in range(4):
         ctx = SimpleNamespace(
@@ -499,14 +501,33 @@ def test_shared_signatures_match_fresh_compiles_across_contexts(seed, rules, dat
             result_type=data.draw(st.sampled_from((None,) + _TYPES)),
         )
         size_limit = data.draw(st.sampled_from([None, 5]))
-        step = SearchStep(shared, ctx, size_limit)
-        assert step.bounds is (table.bounds if size_limit is not None else None)
-        fresh = SearchStep(rs, ctx, size_limit)
-        for rule in shared:
-            for mark, at_root in _marks_met(rule):
-                assert step.signature(rule, mark, at_root) == fresh.signature(
-                    rule, mark, at_root
-                ), (rule.key, mark, at_root, ctx)
+        # two sets per context, so that groups of one context are met in
+        # two orders
+        for _ in range(2):
+            order = data.draw(st.permutations(rs.rules))
+            if size_limit is None:
+                # the table's bounds are those of the whole set, so only an
+                # unbounded step may serve a set of some of its rules
+                order = [r for r in order if data.draw(st.booleans())] or order[:1]
+            shared = RuleSet(order, shared=table)
+            step = SearchStep(shared, ctx, size_limit)
+            assert step.bounds is (table.bounds if size_limit is not None else None)
+            fresh = SearchStep(RuleSet(order), ctx, size_limit)
+            for group, members in shared.groups.items():
+                for mark, at_root in _marks_met(members[0]):
+                    where = (group, mark, at_root, ctx)
+                    try:
+                        want = fresh.offers(group, mark, at_root)
+                    except ApplyError:
+                        with pytest.raises(ApplyError):
+                            step.offers(group, mark, at_root)
+                        continue
+                    assert step.offers(group, mark, at_root) == want, where
+            for rule in shared:
+                for mark, at_root in _marks_met(rule):
+                    assert step.signature(rule, mark, at_root) == fresh.signature(
+                        rule, mark, at_root
+                    ), (rule.key, mark, at_root, ctx)
 
 
 def test_shared_table_keys_every_declared_leaf():

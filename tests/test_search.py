@@ -1,5 +1,6 @@
 """Beam search, exhaustive search, and whole-tree scoring."""
 
+import functools
 import random
 from collections import Counter
 from dataclasses import asdict, replace
@@ -461,40 +462,59 @@ def test_search_counts_are_pinned(demo_grammar, corpus_records, corpus_models):
 def test_each_offer_is_resolved_once_per_search(
     corpus_records, corpus_models, monkeypatch
 ):
-    """A search step resolves a rule group once per target mark and
-    rootedness: over corpus predicts at the evaluation settings, each
-    rule's signature is asked for at most once per (mark, rootedness) in a
-    search, and its id once per signature, however many states probe it."""
-    signature = SignatureTable.signature
+    """From a fresh template layer, over corpus predicts at the evaluation
+    settings: each signature key compiles at most once over all the
+    predicts together, and in each search every group's tuple of
+    signatures is looked up at most once per (mark, rootedness) and every
+    rule's id once, however many states probe them."""
+    monkeypatch.setattr(
+        condsynth, "template_layer",
+        functools.lru_cache(maxsize=4)(condsynth.TemplateLayer),
+    )
+    compile_ = constraints._compile
+    signatures = SignatureTable.signatures
     id_of = RuleSet.id_of
-    signed: Counter = Counter()
+    compiled: Counter = Counter()
+    looked_up: Counter = Counter()
     placed: Counter = Counter()
 
-    def counted_signature(self, rule, mark, at_root, step):
-        signed[rule.key, mark, at_root] += 1
-        return signature(self, rule, mark, at_root, step)
+    def counted_compile(rule, mark, at_root, step):
+        declared = tuple(
+            step.var_types.get(name) for _, name in constraints._declared_leaves(rule)
+        )
+        compiled[
+            step.table, rule.key, mark, at_root, step.result_type,
+            step.bounds is not None, declared,
+        ] += 1
+        return compile_(rule, mark, at_root, step)
+
+    def counted_signatures(self, rules, mark, at_root, step):
+        looked_up[tuple(rule.key for rule in rules), mark, at_root] += 1
+        return signatures(self, rules, mark, at_root, step)
 
     def counted_id_of(self, rule):
         placed[rule.key] += 1
         return id_of(self, rule)
 
-    monkeypatch.setattr(SignatureTable, "signature", counted_signature)
+    monkeypatch.setattr(constraints, "_compile", counted_compile)
+    monkeypatch.setattr(SignatureTable, "signatures", counted_signatures)
     monkeypatch.setattr(RuleSet, "id_of", counted_id_of)
     frequency = corpus_models[0]
     for record in corpus_records[:10]:
-        signed.clear()
+        looked_up.clear()
         placed.clear()
         result = synthesize_condition(
             record.context, frequency.templates, frequency.model,
             k=50, widths=(5, 200), size_limit=30,
         )
         stats = result.stats
-        assert stats.expansions > 1 and signed, record.id
-        assert max(signed.values()) == 1, record.id
-        per_rule = Counter(key for key, _, _ in signed)
-        assert placed == per_rule, record.id
+        assert stats.expansions > 1 and looked_up, record.id
+        assert max(looked_up.values()) == 1, record.id
+        assert max(placed.values()) == 1, record.id
+        assert set(placed) == {key for keys, _, _ in looked_up for key in keys}, record.id
         # far fewer lookups than candidates probed
-        assert sum(signed.values()) < stats.constraint_pruned, record.id
+        assert sum(looked_up.values()) < stats.constraint_pruned, record.id
+    assert compiled and max(compiled.values()) == 1
 
 
 def test_pins_are_read_only_for_expanded_states(
