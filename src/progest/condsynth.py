@@ -27,7 +27,6 @@ from .features import (
     Context,
     ContextEncoding,
     FeaturePipeline,
-    VariableInfo,
     context_block_length,
     expression_block_length,
     extract_features,
@@ -493,8 +492,14 @@ class CondEncoder:
     The encoder keeps the ``ContextEncoding`` of the last context it
     encoded and reuses it while the next decision's context equals it, so
     the decisions of one predict, or of one training item, compute each
-    block once.  A context that differs in any value replaces it; only one
-    is kept.
+    context and variable block once; a variable is read by its name
+    through the encoding.  A context that differs in any value replaces
+    it; only one is kept.  Template blocks and name embeddings come from
+    the pipeline's memos, once per pipeline.
+
+    A tree holds at most one node of each slot symbol ``V{p}`` with
+    children, the slot's variable leaf, so a slot's bound variable is read
+    from the one such node a scan of the nodes meets, in any order.
     """
 
     def __init__(self, templates: Sequence[Template], pipeline: FeaturePipeline):
@@ -513,11 +518,11 @@ class CondEncoder:
         if key.startswith(("make-var:", "make-expr:")):
             enc = self._encoding_of(ctx)
             return "creation", extract_features(
-                enc, [self._creation_blocks(enc, ctx, r.key) for r in candidates]
+                enc, [self._creation_blocks(enc, r.key) for r in candidates]
             )
         if key.startswith("expr:"):
             enc = self._encoding_of(ctx)
-            chosen = self._bound_var(ctx, ast, "V1")
+            chosen = _bound_var(ast, "V1")
             return "expression", extract_features(enc, [(enc.variable_block(chosen),)])
         slot = _VAR_RULE_RE.match(key)
         if slot is None:
@@ -529,12 +534,12 @@ class CondEncoder:
         if origin and origin.startswith("expr:"):
             template = self._templates.get(origin[len("expr:"):])
         shared = (
-            enc.variable_block(self._bound_var(ctx, ast, f"V{position - 1}")),
+            enc.variable_block(_bound_var(ast, f"V{position - 1}")),
             enc.expression_block(template),
             position_block(position),
         )
         own = [
-            (enc.variable_block(self._var(ctx, r.replacement.children[0].symbol.name)),)
+            (enc.variable_block(r.replacement.children[0].symbol.name),)
             for r in candidates
         ]
         return "variable", extract_features(enc, own, shared)
@@ -545,28 +550,21 @@ class CondEncoder:
             enc = self._encoding = ContextEncoding(ctx, self.pipeline)
         return enc
 
-    def _creation_blocks(self, enc: ContextEncoding, ctx: Context | None, key: str):
+    def _creation_blocks(self, enc: ContextEncoding, key: str):
         head, _, name = key.partition(":")
         if head == "make-var":
-            return enc.variable_block(self._var(ctx, name)), enc.expression_block(None)
+            return enc.variable_block(name), enc.expression_block(None)
         return enc.variable_block(None), enc.expression_block(self._templates.get(name))
 
-    @staticmethod
-    def _var(ctx: Context | None, name: str) -> VariableInfo | None:
-        if ctx is None:
-            return None
-        try:
-            return ctx.variable(name)
-        except ContextError:
-            return None
 
-    def _bound_var(self, ctx: Context | None, ast: AnnotatedAst, symbol_name: str):
-        for nid in ast.preorder():
-            node = ast.nodes[nid]
-            if node.symbol == nonterminal(symbol_name) and node.children:
-                leaf = ast.nodes[node.children[0]]
-                return self._var(ctx, leaf.symbol.name)
-        return None
+def _bound_var(ast: AnnotatedAst, symbol_name: str) -> str | None:
+    """The name of the variable leaf under the node of slot ``symbol_name``
+    that has children, or None when the slot is not filled yet."""
+    symbol = nonterminal(symbol_name)
+    for node in ast.nodes.values():
+        if node.children and node.symbol == symbol:
+            return ast.nodes[node.children[0]].symbol.name
+    return None
 
 
 # --------------------------------------------------------------------------

@@ -11,12 +11,19 @@ layout depends only on the PCA width and on which blocks the caller picks
 (``condsynth.CondEncoder`` picks them for each decision).  Optional inputs
 encode as zeros plus a trailing presence flag of 0, never as a shifted
 layout.
+
+What reads no context is computed once per pipeline: a ``FeaturePipeline``
+memoises each name's embedding, keyed on the name, and each template's
+expression block, keyed on the ``Template`` value.  What reads the context
+is computed once per context, by a ``ContextEncoding``.  Every memo hands
+out read-only arrays, so no caller can change what the next one reads.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -364,20 +371,48 @@ WINDOW_VOCAB_SIZE = 32
 
 @dataclass(frozen=True)
 class FeaturePipeline:
+    """The fitted name PCA and window vocabulary, with what the pipeline
+    has computed from them alone: the embedding of each name and the
+    expression block of each template it has met, each kept by value for
+    as long as the pipeline lives.  The memos are bounded by the distinct
+    names and templates met, are read-only, and take no part in the
+    pipeline's ``==``, ``repr`` or ``to_params``."""
+
     pca: PcaTransform
     vocab: tuple[str, ...]
+    _names: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _expressions: dict[Template | None, np.ndarray] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def dims(self) -> int:
         return self.pca.dims
 
     def embed_name(self, name: str) -> np.ndarray:
-        return pca_apply(self.pca, encode_name_2gram(name))
+        vec = self._names.get(name)
+        if vec is None:
+            vec = _read_only(pca_apply(self.pca, encode_name_2gram(name)))
+            self._names[name] = vec
+        return vec
+
+    def expression_block(self, tpl: Template | None) -> np.ndarray:
+        block = self._expressions.get(tpl)
+        if block is None:
+            block = _read_only(expression_block(tpl, self))
+            self._expressions[tpl] = block
+        return block
+
+    @cached_property
+    def _vocab_index(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.vocab)}
 
     def window_vec(self, tokens: Sequence[str]) -> np.ndarray:
         """Binary bag over the vocabulary plus UNK, plus a presence flag."""
         vec = np.zeros(WINDOW_VOCAB_SIZE + 2)
-        index = {t: i for i, t in enumerate(self.vocab)}
+        index = self._vocab_index
         for token in tokens:
             slot = index.get(token, WINDOW_VOCAB_SIZE)
             vec[slot] = 1.0
@@ -580,10 +615,13 @@ def _read_only(block: np.ndarray) -> np.ndarray:
 class ContextEncoding:
     """The feature blocks of one context, each computed at most once.
 
-    The context block, the variable block of each ``VariableInfo`` and the
-    expression block of each ``Template`` are computed on first use
-    by the module's block functions and kept by value, so every decision
-    over this context reads the same arrays.  They are read-only: a row is
+    The context block and the variable block of each declared name are
+    computed on first use by the module's block functions and kept, so
+    every decision over this context reads the same arrays.  A name is
+    looked up in a dict made once per encoding; the context's first
+    variable of a name wins, and a name it does not declare reads the
+    absent variable's block.  Expression blocks read no context: they are
+    read from the pipeline's memo.  Every block is read-only: a row is
     always a new array assembled from them (``extract_features``).  The
     blocks are this context's only; a caller holding an encoding across
     decisions checks ``context`` before it reuses it
@@ -594,8 +632,9 @@ class ContextEncoding:
         self.context = context
         self.pipeline = pipe
         self._context_block: np.ndarray | None = None
-        self._variable_blocks: dict[VariableInfo | None, np.ndarray] = {}
-        self._expression_blocks: dict[Template | None, np.ndarray] = {}
+        variables = context.variables if context is not None else ()
+        self._variables = {v.name: v for v in reversed(variables)}
+        self._variable_blocks: dict[str | None, np.ndarray] = {}
 
     def context_block(self) -> np.ndarray:
         if self._context_block is None:
@@ -603,19 +642,21 @@ class ContextEncoding:
             self._context_block = _read_only(block)
         return self._context_block
 
-    def variable_block(self, var: VariableInfo | None) -> np.ndarray:
-        block = self._variable_blocks.get(var)
+    def variable_block(self, name: str | None) -> np.ndarray:
+        """The block of the context's variable ``name``; for None, or a
+        name the context does not declare, the absent variable's block."""
+        block = self._variable_blocks.get(name)
         if block is None:
-            block = _read_only(variable_block(var, self.pipeline))
-            self._variable_blocks[var] = block
+            var = self._variables.get(name)
+            if var is None and name is not None:
+                block = self.variable_block(None)
+            else:
+                block = _read_only(variable_block(var, self.pipeline))
+            self._variable_blocks[name] = block
         return block
 
     def expression_block(self, tpl: Template | None) -> np.ndarray:
-        block = self._expression_blocks.get(tpl)
-        if block is None:
-            block = _read_only(expression_block(tpl, self.pipeline))
-            self._expression_blocks[tpl] = block
-        return block
+        return self.pipeline.expression_block(tpl)
 
 
 def extract_features(
@@ -625,6 +666,20 @@ def extract_features(
 ) -> np.ndarray:
     """Feature rows of one decision over the context of ``enc``: row i is
     the context block, then candidate i's blocks, then the ``shared``
-    blocks, which every candidate of the decision reads alike."""
+    blocks, which every candidate of the decision reads alike.  Every
+    candidate has blocks of the same widths; the rows are one new array,
+    written one column range per block."""
     head = enc.context_block()
-    return np.stack([np.concatenate((head, *own, *shared)) for own in candidates])
+    widths = [block.shape[0] for block in candidates[0]]
+    col = head.shape[0]
+    rows = np.empty(
+        (len(candidates), col + sum(widths) + sum(b.shape[0] for b in shared))
+    )
+    rows[:, :col] = head
+    for i, width in enumerate(widths):
+        rows[:, col : col + width] = [own[i] for own in candidates]
+        col += width
+    for block in shared:
+        rows[:, col : col + block.shape[0]] = block
+        col += block.shape[0]
+    return rows

@@ -226,13 +226,23 @@ class BinaryLogisticCore:
 
 @dataclass
 class SoftmaxCore:
-    """Multinomial logistic regression over a fixed label alphabet."""
+    """Multinomial logistic regression over a fixed label alphabet.
+
+    ``column`` maps each class to its column of ``W``; a class may appear
+    once only, or a later column would hide an earlier one's probability.
+    """
 
     classes: tuple[str, ...]
     W: np.ndarray  # (features, classes)
     b: np.ndarray  # (classes,)
     mean: np.ndarray
     std: np.ndarray
+    column: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.column = {c: i for i, c in enumerate(self.classes)}
+        if len(self.column) != len(self.classes):
+            raise ValueError("expression classes repeat a class")
 
     @staticmethod
     def fit(
@@ -263,13 +273,18 @@ class SoftmaxCore:
             b -= lr * err.mean(axis=0)
         return SoftmaxCore(classes, W, b, mean, std)
 
-    def distribution(self, x: np.ndarray) -> dict[str, float]:
+    def probabilities(self, x: np.ndarray) -> np.ndarray:
+        """The probability of each class, in ``classes`` order."""
         xs = (x - self.mean) / self.std
         z = xs @ self.W + self.b
         z -= z.max()
         p = np.exp(z)
         p /= p.sum()
-        return {c: float(p[i]) for i, c in enumerate(self.classes)}
+        return p
+
+    def distribution(self, x: np.ndarray) -> dict[str, float]:
+        p = self.probabilities(x)
+        return {c: float(p[i]) for c, i in self.column.items()}
 
     def to_params(self) -> dict:
         return {
@@ -364,8 +379,12 @@ class LogisticModel:
             return []
         kind, rows = self.encoder(ctx, ast, node, candidates)
         if kind == "expression" and self.expression is not None:
-            dist = self.expression.distribution(rows[0])
-            raw = [dist.get(r.key, 0.0) for r in candidates]
+            p = self.expression.probabilities(rows[0])
+            column = self.expression.column
+            raw = [
+                float(p[column[r.key]]) if r.key in column else 0.0
+                for r in candidates
+            ]
             mass = sum(raw)
             if mass <= 0.0:
                 return _uniform(k)

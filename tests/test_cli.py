@@ -271,6 +271,16 @@ def _set_entry(*path_and_value):
     return edit
 
 
+def _repeat_first(*path):
+    """Overwrite the second entry of the list at a key path with its first."""
+
+    def edit(data):
+        for step in path:
+            data = data[step]
+        data[1] = data[0]
+    return edit
+
+
 def _stringify(*path):
     """Replace each number of the list at a key path with its JSON text."""
 
@@ -353,6 +363,8 @@ def _stringify(*path):
                      id="expression-classes-list"),
         pytest.param("logistic", _set_entry("model", "expression", "classes", 0, 5),
                      id="expression-classes-number"),
+        pytest.param("logistic", _repeat_first("model", "expression", "classes"),
+                     id="expression-classes-repeated"),
         pytest.param("logistic", _set_entry("model", "creation", "w", 0, float("nan")),
                      id="creation-w-nan"),
         pytest.param("logistic", _set_entry("model", "creation", "std", 0, 0.0),

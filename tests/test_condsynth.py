@@ -30,26 +30,27 @@ from progest.condsynth import (
     train_cond_models,
 )
 from progest import condsynth, constraints, features, grammar
-from progest.constraints import SearchStep
+from progest.constraints import SearchStep, feasible_rules
 from progest.ambiguity import check_unambiguous, enumerate_complete_trees
 from progest.datagen import generate_corpus
 from progest.errors import ContextError
-from progest.features import (
-    Context,
-    FeaturePipeline,
-    VariableInfo,
-    context_block_length,
-    variable_block_length,
-)
-from progest.grammar import Annotation, derive_top_down_rules
+from progest.features import Context, FeaturePipeline, VariableInfo
+from progest.grammar import Annotation, derive_top_down_rules, nonterminal
 from progest.models import LogisticModel, UniformModel, feasible_derivation
 from progest.search import beam_search
-from progest.trees import AnnotatedAst, apply_rule, policy_leftmost, to_sexpr
+from progest.trees import (
+    AnnotatedAst,
+    apply_rule,
+    is_complete,
+    policy_leftmost,
+    to_sexpr,
+)
 from tests_support import (
     reference_build_cond_ruleset,
-    reference_features,
+    reference_logistic_predict,
     reference_payloads,
     reference_prober,
+    reference_rows,
 )
 
 
@@ -513,18 +514,6 @@ def test_beam_matches_reference_prober_on_corpus_atoms(corpus_records):
         assert got.stats == want.stats, record.id
 
 
-def reference_rows(templates, pipe, ctx, ast, node, candidates):
-    """The decision's kind and its per-payload reference rows: stacked for
-    creation and variable steps, the candidate-independent prefix for an
-    expression step."""
-    kind, payloads = reference_payloads(templates, ctx, ast, node, candidates)
-    reference = np.stack([reference_features(kind, p, pipe) for p in payloads])
-    if kind == "expression":
-        prefix = context_block_length(pipe.dims) + variable_block_length(pipe.dims)
-        reference = reference[:1, :prefix]
-    return kind, reference
-
-
 def test_decision_rows_match_the_per_payload_reference(corpus_records):
     """Each decision of the first 60 corpus items encodes, once per decision,
     to the per-payload reference vectors: stacked for creation and variable
@@ -651,6 +640,216 @@ def test_encoder_matches_the_reference_on_generated_corpora(
             want_kind, reference = reference_rows(templates, pipe, ctx, ast, node, kept)
             assert kind == want_kind, record.id
             assert np.array_equal(rows, reference), (record.id, kind)
+
+
+# names the encoder must take as they come: empty, one character, outside
+# the bigram alphabet, and corpus names, which recur across contexts with
+# other statistics and types
+_VARIABLE_NAMES = ("x", "i", "n$", "größe", "count", "items", "userList", "MAX_SIZE")
+_TEXTS = ("", "a", "Ärger", "size-of", "ReportBuilder", "AbstractQueue", "hasNext")
+# mostly the corpus's slot types, so that templates find their variables
+_TYPES = ("Int", "Int", "Boolean", "Float", "ItemList", "Str", "IntArray", "Map<K,V>", "Ω", "")
+_WINDOW = ("if", "(", ")", "{", "return", "while", "¿", "")
+
+_variables = st.builds(
+    VariableInfo,
+    name=st.sampled_from(_VARIABLE_NAMES),
+    type=st.sampled_from(_TYPES),
+    is_final=st.booleans(),
+    is_static=st.booleans(),
+    in_loop=st.booleans(),
+    has_initializer=st.booleans(),
+    init_is_zero=st.booleans(),
+    decl_distance=st.integers(0, 60),
+    def_sites=st.lists(st.integers(0, 60), max_size=4).map(tuple),
+    usage_count=st.integers(0, 12),
+    usages_before=st.integers(0, 12),
+    usages_after=st.integers(0, 12),
+)
+_contexts = st.builds(
+    Context,
+    variables=st.lists(_variables, max_size=5, unique_by=lambda v: v.name).map(tuple),
+    class_name=st.sampled_from(_TEXTS),
+    superclass_name=st.sampled_from(_TEXTS),
+    method_name=st.sampled_from(_TEXTS),
+    method_params=st.integers(0, 5),
+    method_is_static=st.booleans(),
+    in_loop=st.booleans(),
+    before_tokens=st.lists(st.sampled_from(_WINDOW), max_size=4).map(tuple),
+    after_tokens=st.lists(st.sampled_from(_WINDOW), max_size=4).map(tuple),
+)
+
+
+@st.composite
+def _templates(draw):
+    """A template of 0 to 3 slots: V1, an optional call, then a comparison
+    or arithmetic step per further slot and an optional constant test."""
+    arity = draw(st.integers(0, 3))
+    tokens = ["V1"] if arity else [draw(st.sampled_from(("done", "ready")))]
+    method = draw(st.sampled_from(("", "size", "isEmpty", "länge")))
+    if arity and method:
+        tokens += [".", method, "(", ")"]
+    for slot in range(2, arity + 1):
+        tokens += [draw(st.sampled_from(("<", "==", "+", "%"))), f"V{slot}"]
+    if draw(st.booleans()):
+        tokens += [draw(st.sampled_from(("!=", ">="))), draw(st.sampled_from(("0", "null")))]
+    types = tuple(draw(st.sampled_from(_TYPES)) for _ in range(arity))
+    return Template(template_key(tokens, types), tuple(tokens), types)
+
+
+def _random_build(data, rs, ctx):
+    """(ast, target, kept rules) of each step of one random build in ``rs``:
+    each step applies a kept rule drawn from ``data``, as the search would
+    expand it, until the tree is finished or the step keeps nothing."""
+    step = SearchStep(rs, ctx, 30)
+    ast, pins, decisions = AnnotatedAst.empty(), (), []
+    while not is_complete(ast):
+        outcome = feasible_rules(ast, step, policy_leftmost, pins)
+        if not outcome.kept:
+            break
+        decisions.append((ast, outcome.target, [p.rule for p in outcome.kept]))
+        probe = outcome.kept[data.draw(st.integers(0, len(outcome.kept) - 1))]
+        ast, pins = probe.ast, pins + probe.constraints
+    return decisions
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_encoder_and_predict_match_the_memo_free_reference(logistic_60, data):
+    """Random contexts, with corpus and random templates: every decision of
+    random builds encodes, bit for bit, to the reference rows, which keep
+    nothing, and the model predicts what the reference predict does
+    through ``SoftmaxCore.distribution``.  Each decision is encoded in
+    its own context, in that context with each variable repeated behind it
+    under other statistics (the first of a name wins), or in no context;
+    one encoder, on a fresh or a long-lived pipeline, serves them all in
+    turn, so a block kept from another context, or by name across
+    contexts, would show."""
+    pipe = logistic_60.logistic.encoder.pipeline
+    if data.draw(st.booleans()):
+        pipe = FeaturePipeline(pipe.pca, pipe.vocab)
+    corpus_keys = {t.key for t in logistic_60.templates}
+    extra = data.draw(st.lists(_templates(), max_size=3, unique_by=lambda t: t.key))
+    templates = logistic_60.templates + tuple(
+        t for t in extra if t.key not in corpus_keys
+    )
+    encoder = CondEncoder(templates, pipe)
+    model = LogisticModel.from_params(logistic_60.logistic.to_params(), encoder)
+    first = data.draw(_contexts)
+    again = dataclasses.replace(
+        first,
+        variables=tuple(
+            dataclasses.replace(v, usage_count=v.usage_count + 1, type="Shadow")
+            for v in first.variables
+        ),
+    )
+    for ctx in (first, data.draw(_contexts), again, first):
+        shadowed = dataclasses.replace(
+            ctx,
+            variables=ctx.variables + tuple(
+                dataclasses.replace(v, decl_distance=v.decl_distance + 9)
+                for v in ctx.variables
+            ),
+        )
+        rs = build_cond_ruleset(templates, ctx)
+        for ast, node, kept in _random_build(data, rs, ctx):
+            seen = data.draw(st.sampled_from((ctx, shadowed, None)))
+            kind, rows = encoder(seen, ast, node, kept)
+            want_kind, want = reference_rows(templates, pipe, seen, ast, node, kept)
+            assert kind == want_kind
+            if want is None:
+                assert rows is None
+            else:
+                assert rows.shape == want.shape and rows.dtype == want.dtype
+                assert np.array_equal(rows, want), kind
+            assert model.predict(seen, ast, node, kept) == reference_logistic_predict(
+                model, templates, pipe, seen, ast, node, kept
+            )
+
+
+def _heldout(tmp_path, n):
+    return load_corpus(write_corpus(tmp_path, generate_corpus(n, seed="heldout-1")))
+
+
+def test_each_name_is_encoded_once_per_pipeline(monkeypatch, corpus_records):
+    """Over one logistic training and 20 corpus predicts, the bigram encoder
+    runs once per distinct string for the pipeline's embeddings: every
+    later embedding of a name reads the pipeline's memo.  The fit's own
+    encodings of the training names are not counted."""
+    encoded, fitting = [], []
+    encode, fit = features.encode_name_2gram, FeaturePipeline.fit
+
+    def counting_encode(name):
+        if not fitting:
+            encoded.append(name)
+        return encode(name)
+
+    def flagged_fit(*args, **kwargs):
+        fitting.append(True)
+        try:
+            return fit(*args, **kwargs)
+        finally:
+            fitting.pop()
+
+    monkeypatch.setattr(features, "encode_name_2gram", counting_encode)
+    monkeypatch.setattr(FeaturePipeline, "fit", staticmethod(flagged_fit))
+    trained = train_cond_models(corpus_records, model_kind="logistic", epochs=1)
+    for record in corpus_records[:20]:
+        assert synthesize_condition(record.context, trained.templates, trained.model).candidates
+    assert len(encoded) == len(set(encoded)) > 50
+    assert set(encoded) == set(trained.pipeline._names)
+
+
+def test_a_second_pass_over_known_names_adds_no_memo_entry(tmp_path, logistic_60):
+    """A second held-out pass meets only names and templates the first one
+    met: the pipeline's memos keep the same entries, the same arrays."""
+    fitted = logistic_60.logistic.encoder.pipeline
+    pipe = FeaturePipeline(fitted.pca, fitted.vocab)
+    model = LogisticModel.from_params(
+        logistic_60.logistic.to_params(), CondEncoder(logistic_60.templates, pipe)
+    )
+    held = _heldout(tmp_path, 20)
+    snapshots = []
+    for _ in range(2):
+        for record in held:
+            synthesize_condition(record.context, logistic_60.templates, model)
+        snapshots.append(
+            ({n: id(v) for n, v in pipe._names.items()},
+             {t: id(v) for t, v in pipe._expressions.items()})
+        )
+    assert snapshots[0] == snapshots[1]
+    assert len(snapshots[0][0]) > 20 and len(snapshots[0][1]) > 5
+
+
+def test_each_tree_fills_each_slot_at_most_once(monkeypatch, tmp_path, corpus_records):
+    """Every tree the encoder reads, over a logistic training and held-out
+    predicts, and every tree those predicts rank, holds at most one node
+    of each slot symbol with children: the node ``CondEncoder`` reads a
+    slot's variable from, whatever order it scans the nodes in."""
+    seen = []
+    encode = CondEncoder.__call__
+
+    def recording(self, ctx, ast, node, candidates):
+        seen.append(ast)
+        return encode(self, ctx, ast, node, candidates)
+
+    monkeypatch.setattr(CondEncoder, "__call__", recording)
+    trained = train_cond_models(
+        corpus_records, model_kind="logistic", pca_dims=2, epochs=1
+    )
+    for record in _heldout(tmp_path, 20):
+        found = synthesize_condition(record.context, trained.templates, trained.model)
+        seen += [c.ast for c in found.candidates]
+    filled = {nonterminal(f"V{p}") for p in range(1, 4)}
+    slots = 0
+    for ast in seen:
+        counts = {}
+        for node in ast.nodes.values():
+            if node.children and node.symbol in filled:
+                counts[node.symbol] = counts.get(node.symbol, 0) + 1
+        assert all(n == 1 for n in counts.values()), to_sexpr(ast)
+        slots += len(counts)
+    assert len(seen) > 1000 and slots > 1000
 
 
 def test_row_length_is_the_width_of_each_kind():

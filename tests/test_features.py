@@ -180,7 +180,7 @@ def test_extract_features_lays_out_context_own_then_shared_blocks():
     tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
     enc = ContextEncoding(ctx, pipe)
     own = [
-        (enc.variable_block(var), enc.expression_block(None)),
+        (enc.variable_block(var.name), enc.expression_block(None)),
         (enc.variable_block(None), enc.expression_block(tpl)),
     ]
     shared = (variable_block(var, pipe), position_block(2))
@@ -193,7 +193,7 @@ def test_extract_features_lays_out_context_own_then_shared_blocks():
     for row, blocks in zip(rows, own):
         assert np.array_equal(row, np.concatenate([head, *blocks, *shared]))
     # no shared blocks: each row ends with its candidate's own blocks
-    alone = extract_features(enc, [(enc.variable_block(var),)])
+    alone = extract_features(enc, [(enc.variable_block(var.name),)])
     assert alone.shape == (1, ctx_len + var_len)
     assert np.array_equal(alone[0, ctx_len:], variable_block(var, pipe))
 
@@ -206,7 +206,7 @@ def test_encoding_hands_out_read_only_blocks_kept_by_value():
     enc = ContextEncoding(ctx, pipe)
     blocks = [
         enc.context_block(),
-        enc.variable_block(var),
+        enc.variable_block(var.name),
         enc.variable_block(None),
         enc.expression_block(tpl),
         enc.expression_block(None),
@@ -219,14 +219,71 @@ def test_encoding_hands_out_read_only_blocks_kept_by_value():
     assert np.array_equal(blocks[0], context_block(ctx, pipe))
     assert np.array_equal(blocks[1], variable_block(var, pipe))
     assert not blocks[2].any() and not blocks[4].any()
-    # an equal variable or template is the same block, computed once
-    assert enc.variable_block(dataclasses.replace(var)) is blocks[1]
+    # a name, or an equal template, is the same block, computed once; a
+    # name the context does not declare reads the absent variable's block
+    assert enc.variable_block("total") is blocks[1]
+    assert enc.variable_block("undeclared") is blocks[2]
     assert enc.expression_block(dataclasses.replace(tpl)) is blocks[3]
     # rows are new arrays: writing one leaves the kept blocks as they were
     rows = extract_features(enc, [(blocks[1], blocks[3])])
     rows[:] = 0.0
     assert np.array_equal(enc.context_block(), context_block(ctx, pipe))
     assert np.array_equal(blocks[1], variable_block(var, pipe))
+
+
+def fill_memos(pipe):
+    """Encode every block of the test contexts, and two templates, through
+    ``pipe``'s memos."""
+    tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
+    for ctx in make_contexts():
+        enc = ContextEncoding(ctx, pipe)
+        enc.context_block()
+        enc.expression_block(tpl)
+        enc.expression_block(None)
+        for v in ctx.variables:
+            enc.variable_block(v.name)
+
+
+def test_pipeline_memos_hand_out_read_only_arrays():
+    pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
+    fill_memos(pipe)
+    memo = [*pipe._names.values(), *pipe._expressions.values()]
+    assert len(pipe._names) > 5 and len(pipe._expressions) == 2
+    for array in memo:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    assert pipe.embed_name("count") is pipe.embed_name("count")
+
+
+def test_pipelines_never_share_a_memo_entry():
+    """Each pipeline embeds a name through its own PCA, whatever another
+    pipeline has embedded before, and keeps its own arrays."""
+    one = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
+    other = dataclasses.replace(
+        one, pca=pca_fit([np.eye(BIGRAM_DIM)[i] for i in range(5)], 3)
+    )
+    assert not other._names and not other._expressions
+    fill_memos(one)
+    fill_memos(other)
+    assert not {id(a) for a in one._names.values()} & {
+        id(a) for a in other._names.values()
+    }
+    for pipe in (one, other):
+        for name, vec in pipe._names.items():
+            assert np.array_equal(vec, pca_apply(pipe.pca, encode_name_2gram(name)))
+    assert not np.array_equal(one.embed_name("count"), other.embed_name("count"))
+
+
+def test_pipeline_params_eq_and_repr_ignore_its_memos():
+    pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
+    empty = dataclasses.replace(pipe)
+    params, text = pipe.to_params(), repr(pipe)
+    fill_memos(pipe)
+    assert pipe._names and not empty._names
+    assert pipe.to_params() == params == empty.to_params()
+    assert repr(pipe) == text == repr(empty)
+    assert pipe == empty
 
 
 def test_expression_block_reads_the_skeleton():

@@ -231,6 +231,18 @@ def test_softmax_params_round_trip():
     assert again.distribution(x) == core.distribution(x)
 
 
+def test_softmax_core_refuses_a_repeated_class():
+    """A class named twice would let its later column hide the earlier
+    one's probability."""
+    rng = np.random.default_rng(4)
+    core = SoftmaxCore.fit(rng.standard_normal((24, 3)), [("u", "v")[i % 2] for i in range(24)])
+    assert core.column == {"u": 0, "v": 1}
+    params = core.to_params()
+    params["classes"] = ["u", "u"]
+    with pytest.raises(ValueError, match="repeat"):
+        SoftmaxCore.from_params(params)
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((30, 3))

@@ -4,7 +4,8 @@ paths are checked against: the recursive splice and the rescanned frontier,
 the splice-then-solve prober, the restarting
 typed replay, the always-sorting beam, the depth-first exhaustive search,
 the per-tree certifier, the per-candidate reading of a decision and its
-feature vector, and the per-context condition rule set."""
+feature vector and the memo-free rows and logistic predict built from
+them, and the per-context condition rule set."""
 
 import contextlib
 import hashlib
@@ -29,12 +30,18 @@ from progest.ambiguity import AmbiguityReport, Witness, enumerate_complete_trees
 from progest.condsynth import Template
 from progest.errors import ContextError, SearchOverflowError, UnderivableTreeError
 from progest.features import (
+    WINDOW_VOCAB_SIZE,
     Context,
+    PcaTransform,
     VariableInfo,
     context_block,
+    context_block_length,
+    encode_name_2gram,
     expression_block,
+    pca_apply,
     position_block,
     variable_block,
+    variable_block_length,
 )
 from progest.grammar import (
     Annotation,
@@ -692,10 +699,37 @@ def reference_payloads(templates, ctx, ast, node, candidates):
     return "variable", payloads
 
 
+@dataclass(frozen=True)
+class MemoFreePipeline:
+    """A fitted ``FeaturePipeline``'s parts with nothing kept: each name is
+    embedded, and the window vocabulary indexed, afresh on every call.  The
+    block functions accept it in place of the pipeline."""
+
+    pca: PcaTransform
+    vocab: tuple[str, ...]
+
+    @property
+    def dims(self) -> int:
+        return self.pca.dims
+
+    def embed_name(self, name: str) -> np.ndarray:
+        return pca_apply(self.pca, encode_name_2gram(name))
+
+    def window_vec(self, tokens) -> np.ndarray:
+        vec = np.zeros(WINDOW_VOCAB_SIZE + 2)
+        index = {t: i for i, t in enumerate(self.vocab)}
+        for token in tokens:
+            vec[index.get(token, WINDOW_VOCAB_SIZE)] = 1.0
+        if tokens:
+            vec[-1] = 1.0
+        return vec
+
+
 def reference_features(kind: str, payload, pipe) -> np.ndarray:
     """One candidate's full feature vector, blocks recomputed per payload
-    (see ``reference_payloads``): the rows ``condsynth.CondEncoder`` builds
-    per decision."""
+    over a memo-free copy of ``pipe`` (see ``reference_payloads``): the rows
+    ``condsynth.CondEncoder`` builds per decision."""
+    pipe = MemoFreePipeline(pipe.pca, pipe.vocab)
     ctx_vec = context_block(payload.context, pipe)
     if kind == "creation":
         return np.concatenate(
@@ -724,6 +758,43 @@ def reference_features(kind: str, payload, pipe) -> np.ndarray:
             ]
         )
     raise ContextError(f"unknown payload kind {kind!r}")
+
+
+def reference_rows(templates, pipe, ctx, ast, node, candidates):
+    """The decision's kind and its rows with nothing kept: one
+    ``reference_features`` vector per candidate's payload, each
+    concatenated afresh, stacked; an expression decision keeps the
+    candidate-independent prefix of its first row, and a decision no core
+    scores gets None.  The path ``condsynth.CondEncoder`` replaces."""
+    kind, payloads = reference_payloads(templates, ctx, ast, node, candidates)
+    if kind == "other":
+        return kind, None
+    rows = np.stack([reference_features(kind, p, pipe) for p in payloads])
+    if kind == "expression":
+        rows = rows[:1, : context_block_length(pipe.dims) + variable_block_length(pipe.dims)]
+    return kind, rows
+
+
+def reference_logistic_predict(model, templates, pipe, ctx, ast, node, candidates):
+    """``LogisticModel.predict`` over the ``reference_rows``, reading the
+    expression classes through ``SoftmaxCore.distribution``, a dict over
+    every class, instead of the core's column index."""
+    k = len(candidates)
+    if k == 0:
+        return []
+    uniform = [1.0 / k] * k
+    kind, rows = reference_rows(templates, pipe, ctx, ast, node, candidates)
+    if kind == "expression" and model.expression is not None:
+        dist = model.expression.distribution(rows[0])
+        raw = [dist.get(r.key, 0.0) for r in candidates]
+        mass = sum(raw)
+        return [p / mass for p in raw] if mass > 0.0 else uniform
+    core = {"creation": model.creation, "variable": model.variable}.get(kind)
+    if core is None:
+        return uniform
+    scores = core.scores(rows)
+    mass = float(scores.sum())
+    return [float(s) / mass for s in scores] if mass > 0.0 else uniform
 
 
 def serialize_grammar(g: Grammar) -> str:
