@@ -263,8 +263,6 @@ def _make_expr(t: Template) -> RewritingRule:
     )
 
 
-# one object for every expr: rule, so that a step checks their common
-# pattern by identity
 _EXPAND_PATTERN = (nonterminal("V1"), Annotation.U)
 
 
@@ -324,8 +322,9 @@ class TemplateLayer:
     layer makes is built from the content of its own key: a ``make-var:``
     or ``varN:`` key names the slot and the variable, a ``make-expr:`` or
     ``expr:`` key the template, and ``fin:`` is one fixed rule.  So a
-    signature, and a group's tuple of signatures, is looked up once per
-    process, not once per search.
+    signature is compiled once per process, not once per search.  Every
+    pattern the layer's rules carry is a nonterminal (``E``, ``V1``,
+    ``V2``, ...), so no two groups of a bound set share a model cell name.
     """
 
     def __init__(self, templates: tuple[Template, ...]) -> None:
@@ -607,10 +606,7 @@ def train_cond_models(
     if not templates:
         raise ContextError("corpus yielded no templates")
     items = [(r.context, record_tree(r)) for r in records]
-
-    def rules_for(ctx: Context) -> RuleSet:
-        return build_cond_ruleset(templates, ctx)
-
+    rules_for = template_layer(templates).bind
     if model_kind == "uniform":
         return TrainedCond("uniform", templates)
     if model_kind == "frequency":

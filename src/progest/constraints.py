@@ -6,34 +6,28 @@ concrete type names; a candidate rule application survives only if the
 combined system stays satisfiable.  Satisfiability is an equality-only
 problem, so a union-find with constant tracking decides it exactly.
 
-A search step decides each candidate before it splices anything.  The
-``SearchStep`` of a search holds the offers of each rule group: per group
-key, target mark and whether the target is the root, each of the group's
-rules with its id in the searched set and its signature (whether its fresh
-nodes type-check among themselves, the type they force on the node the rule
-is applied to, and its size delta).  The step resolves a group's offers on
-the first expansion that meets that key and every later one reads them.
-The signatures come from one ``SignatureTable``, which compiles each on
-first use and keeps, besides, each group's tuple of signatures, so a step
-reads a whole group with one lookup.  Per expansion the state's own system
-is solved once, and each offer costs a size comparison and a type
-comparison.  A surviving candidate's ``Probe`` splices only when its tree or
-ids are first read, and instantiates its schema pins only when its
-``constraints`` are: a search reads those only for a state it expands, and
-it never expands a finished tree.  ``probe_rules`` gives the argument why
-this decides exactly what solving the whole system of each spliced tree
-decides, and why the offers' key is complete.
+A search step decides each candidate before it splices anything.  A rule
+group is the rules of one pattern, a symbol and a direction (creations are
+the group ``None``).  The ``SearchStep`` of a search holds the offers of
+each group: per pattern, target mark and whether the target is the root,
+each of the group's rules with its id in the searched set and its
+signature (whether its fresh nodes type-check among themselves, the type
+they force on the node the rule is applied to, and its size delta).  The
+step resolves a group's offers on the first expansion that meets that key
+and every later one reads them.  The signatures come from one
+``SignatureTable``, which compiles each on first use and keeps it per rule.
+Per expansion the state's own system is solved once, and each offer costs
+a size comparison and a type comparison.  A surviving candidate's
+``Probe`` splices only when its tree or ids are first read, and
+instantiates its schema pins only when its ``constraints`` are: a search
+reads those only for a state it expands, and it never expands a finished
+tree.  ``probe_rules`` gives the argument why this decides exactly what
+solving the whole system of each spliced tree decides.
 
 The table is keyed on values, so the condition rule sets of every context
-share one: a signature is compiled, and a group's tuple looked up, once for
-all the searches that agree on what it reads.  A group's key is complete
-because, under the table's promise that a rule key names one rule in every
-set it serves, the group's keys in order name its rules, and the key adds
-everything their signatures read: the mark, the rootedness, the result
-type, whether sizes are bounded, and the declared types of every
-identifier-shaped fresh leaf of the group's rules.  So a training replay,
-which meets each group once, reads the signatures of all the ``expr:``
-rules with one lookup.
+share one: a signature is compiled once for all the searches that agree on
+what it reads, and the table holds one entry per rule and per such
+agreement, however many contexts it serves.
 """
 
 from __future__ import annotations
@@ -42,15 +36,8 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Iterable, Mapping
 
-from .errors import ApplyError, SchemaError
-from .grammar import (
-    CREATION_GROUP,
-    Annotation,
-    GroupKey,
-    RewritingRule,
-    RuleSet,
-    RuleTree,
-)
+from .errors import SchemaError
+from .grammar import Annotation, Pattern, RewritingRule, RuleSet, RuleTree
 from .minilang import is_variable_token
 from .trees import AnnotatedAst, apply_rule_with_ids, check_applicable
 
@@ -249,16 +236,17 @@ def compute_size_bounds(rs: RuleSet) -> SizeBounds:
     """Least fixpoint of the per-direction completion costs."""
     down: dict[str, float] = {}
     up: dict[str, float] = {}
+    # the tables are keyed on names: a terminal and a nonterminal of one
+    # name share an entry, the least of their costs, which is still a bound
+    groups = [(pattern, rules) for pattern, rules in rs.groups.items() if pattern]
     changed = True
     while changed:
         changed = False
-        for (name, dirval), rules in rs.groups.items():
-            if dirval == "":
-                continue
-            table = down if dirval == Annotation.D.value else up
+        for (symbol, direction), rules in groups:
+            table = down if direction is Annotation.D else up
             best = min(_rule_cost(r, down, up) for r in rules)
-            if best < table.get(name, inf):
-                table[name] = best
+            if best < table.get(symbol.name, inf):
+                table[symbol.name] = best
                 changed = True
     return SizeBounds(down, up)
 
@@ -335,73 +323,40 @@ class SignatureTable:
     set it is attached to; ``_compile`` is a function of the rule and the
     rest of the key, so two searches that agree on the key compile the same
     signature and sharing it is exact.
-
-    ``signatures`` keeps, besides, each group's tuple of signatures, keyed
-    on the group's rule keys in order and on the same values: the mark, the
-    rootedness, the result type, whether sizes are bounded, and the
-    declared types of the identifier-shaped fresh leaves of all the group's
-    rules.  Under the promise the keys name the group's rules, and the
-    declared types are a superset of what each rule's own key reads, so the
-    group key decides every signature in the tuple and a search reads a
-    whole group with one lookup.
     """
 
     def __init__(self, bounds: SizeBounds | None) -> None:
         self.bounds = bounds
-        # the names of the declared leaves of each rule key, and of each
-        # group's tuple of rule keys
-        self._leaves: dict[str | tuple[str, ...], tuple[str, ...]] = {}
-        self._signatures: dict[tuple, _Signature] = {}
-        self._groups: dict[tuple, tuple[_Signature, ...]] = {}
-
-    def _key(
-        self, keys: str | tuple[str, ...], names: tuple[str, ...],
-        mark: Annotation | None, at_root: bool, step: "SearchStep",
-    ) -> tuple:
-        return (
-            keys,
-            mark,
-            at_root,
-            step.result_type,
-            step.bounds is not None,
-            tuple(map(step.var_types.get, names)) if names else (),
-        )
-
-    def signature(
-        self, rule: RewritingRule, mark: Annotation | None, at_root: bool,
-        step: "SearchStep",
-    ) -> _Signature:
-        names = self._leaves.get(rule.key)
-        if names is None:
-            names = self._leaves[rule.key] = tuple(
-                name for _, name in _declared_leaves(rule)
-            )
-        key = self._key(rule.key, names, mark, at_root, step)
-        sig = self._signatures.get(key)
-        if sig is None:
-            sig = self._signatures[key] = _compile(rule, mark, at_root, step)
-        return sig
+        # the names of the declared leaves of each rule key
+        self._leaves: dict[str, tuple[str, ...]] = {}
+        # per target mark, rootedness, result type and boundedness: the
+        # signature of each rule key and declared types of its leaves
+        self._signatures: dict[tuple, dict[tuple, _Signature]] = {}
 
     def signatures(
-        self, rules: tuple[RewritingRule, ...], mark: Annotation | None,
+        self, rules: Iterable[RewritingRule], mark: Annotation | None,
         at_root: bool, step: "SearchStep",
-    ) -> tuple[_Signature, ...]:
-        """The signature of each of a group's ``rules``, in order."""
-        keys = tuple(rule.key for rule in rules)
-        names = self._leaves.get(keys)
-        if names is None:
-            names = self._leaves[keys] = tuple(
-                dict.fromkeys(
-                    name for rule in rules for _, name in _declared_leaves(rule)
+    ) -> list[_Signature]:
+        """The signature of each of ``rules`` at one target in ``step``, in
+        order: the values the rules share are looked up once, and then each
+        rule's own entry."""
+        memo = self._signatures.setdefault(
+            (mark, at_root, step.result_type, step.bounds is not None), {}
+        )
+        leaves, declared = self._leaves, step.var_types.get
+        out = []
+        for rule in rules:
+            names = leaves.get(rule.key)
+            if names is None:
+                names = leaves[rule.key] = tuple(
+                    name for _, name in _declared_leaves(rule)
                 )
-            )
-        key = self._key(keys, names, mark, at_root, step)
-        sigs = self._groups.get(key)
-        if sigs is None:
-            sigs = self._groups[key] = tuple(
-                self.signature(rule, mark, at_root, step) for rule in rules
-            )
-        return sigs
+            key = (rule.key, tuple(map(declared, names)))
+            sig = memo.get(key)
+            if sig is None:
+                sig = memo[key] = _compile(rule, mark, at_root, step)
+            out.append(sig)
+        return out
 
 
 # a group's offers at one (mark, rootedness): each rule with its id in the
@@ -423,10 +378,10 @@ class SearchStep:
 
     The step holds each group's ``offers`` at each target mark and
     rootedness it has met, keyed on those values alone: the group's rules,
-    their ids from ``rs.id_of`` and their signatures, which come from one
-    group lookup in the table.  So a search looks each group up once per
-    key, and with a shared table a group met in an earlier search, such as
-    the ``expr:`` group of every training replay, compiles nothing.
+    their ids from ``rs.positions`` and their signatures, one table lookup
+    per rule.  So a search resolves each group once per key, and with a shared
+    table a group met in an earlier search, such as the ``expr:`` group of
+    every training replay, compiles nothing.
     """
 
     def __init__(self, rs: RuleSet, ctx=None, size_limit: int | None = None) -> None:
@@ -442,38 +397,26 @@ class SearchStep:
                 rs.shared.bounds if rs.shared is not None else compute_size_bounds(rs)
             )
         self.table = rs.shared if rs.shared is not None else SignatureTable(self.bounds)
-        self._offers: dict[tuple[GroupKey, Annotation | None, bool], Offers] = {}
+        self._offers: dict[tuple[Pattern, Annotation | None, bool], Offers] = {}
 
     def signature(
         self, rule: RewritingRule, mark: Annotation | None, at_root: bool
     ) -> _Signature:
-        return self.table.signature(rule, mark, at_root, self)
+        return self.table.signatures((rule,), mark, at_root, self)[0]
 
     def offers(
-        self, group: GroupKey, mark: Annotation | None, at_root: bool
+        self, group: Pattern, mark: Annotation | None, at_root: bool
     ) -> Offers:
         """What ``group`` offers at a target marked ``mark`` (None: the
-        empty tree) that is or is not the root, resolved on first use.
-
-        The caller has checked that the group's first rule fits the target.
-        A rule with another pattern then cannot fit it, since a node has one
-        symbol, so such a group raises ``ApplyError`` and is not kept."""
+        empty tree) that is or is not the root, resolved on first use."""
         key = (group, mark, at_root)
         offers = self._offers.get(key)
         if offers is None:
-            rs = self.rs
-            rules = rs.group(group)
-            first = rules[0].pattern if rules else None
-            for rule in rules:
-                if rule.pattern is not first and rule.pattern != first:
-                    raise ApplyError(
-                        f"rule {rule.key} has another pattern than {rules[0].key},"
-                        " which fits the target"
-                    )
+            rules = self.rs.group(group)
             offers = self._offers[key] = tuple(
                 zip(
                     rules,
-                    map(rs.id_of, rules),
+                    self.rs.positions(group),
                     self.table.signatures(rules, mark, at_root, self),
                 )
             )
@@ -555,7 +498,7 @@ class ProbeOutcome:
 def probe_rules(
     ast: AnnotatedAst,
     target: int | None,
-    group: GroupKey,
+    group: Pattern,
     step: SearchStep,
     base_constraints: Iterable[TypeConstraint] = (),
 ) -> ProbeOutcome:
@@ -601,9 +544,8 @@ def probe_rules(
     and the rootedness alone, and ``(group, mark, rootedness)`` decides
     every offer of the group.  The memo is keyed on those values and never
     on a tree or a node id.  Whether a group fits the target depends only
-    on the patterns its rules carry, so its first rule is checked before
-    any offer is resolved, and a group whose rules carry two patterns
-    fits no target.
+    on its pattern, which all its rules share, so its first rule is checked
+    before any offer is resolved.
     """
     if target is None:
         mark, at_root = None, True
@@ -658,10 +600,10 @@ def feasible_rules(
     step through here, so they agree on which candidates each step offers.
     """
     if ast.is_empty:
-        target, group = None, CREATION_GROUP
+        target, group = None, None
     else:
         target, direction = policy(ast)
-        group = (ast.nodes[target].symbol.name, direction.value)
+        group = (ast.nodes[target].symbol, direction)
     if not step.rs.group(group):
         return ProbeOutcome(target, (), 0, 0)
     return probe_rules(ast, target, group, step, base_constraints)

@@ -279,12 +279,21 @@ class PcaTransform:
 
     ``components`` may hold fewer rows than ``dims`` when the data ran out of
     variance; applying the transform pads with zeros so the output length is
-    always ``dims``.
+    always ``dims``.  Two transforms are equal when their arrays are.
     """
 
     mean: np.ndarray
     components: np.ndarray  # shape (kept, input dim)
     dims: int
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PcaTransform):
+            return NotImplemented
+        return (
+            self.dims == other.dims
+            and np.array_equal(self.mean, other.mean)
+            and np.array_equal(self.components, other.components)
+        )
 
     def to_params(self) -> dict:
         return {

@@ -402,11 +402,9 @@ class RewritingRule:
     semantic identifier used by learned models.  A rule has no id of its
     own: its id is its position in a ``RuleSet``, so one rule can sit in
     many sets.  A rule checks its own shape when it is made and raises
-    ``RuleError`` if that shape is bad.  ``group``, the key of the rule's
-    group in a set (``group_key_of``), is computed then, and ``block``, the
-    replacement compiled for splicing, on first use; both are derived from
-    the fields and computed once per rule, so equality, hashing and the
-    repr do not see them.
+    ``RuleError`` if that shape is bad.  ``block``, the replacement
+    compiled for splicing, is derived from the fields on first use and kept
+    once per rule, so equality, hashing and the repr do not see it.
     """
 
     pattern: tuple[Symbol, Annotation] | None
@@ -446,8 +444,6 @@ class RewritingRule:
         for pos, _atom in self.schema:
             if not 0 <= pos < len(nodes):
                 raise RuleError(f"rule {self.key}: schema position {pos} out of range")
-        # read by every set that holds the rule; not a field
-        object.__setattr__(self, "group", group_key_of(self))
 
     @functools.cached_property
     def block(self) -> RuleBlock:
@@ -478,16 +474,8 @@ class RewritingRule:
         return f"{sym}{mark} => {self.replacement}"
 
 
-GroupKey = tuple[str, str]
-
-CREATION_GROUP: GroupKey = ("<create>", "")
-
-
-def group_key_of(rule: RewritingRule) -> GroupKey:
-    if rule.pattern is None:
-        return CREATION_GROUP
-    sym, ann = rule.pattern
-    return (sym.name, ann.value)
+# the key of a rule group: the pattern its rules share, None for creations
+Pattern = tuple[Symbol, Annotation] | None
 
 
 class RuleSet:
@@ -495,10 +483,12 @@ class RuleSet:
 
     A rule's id is its position in the set (``id_of``; ``rs[id]`` is the
     rule).  Keys must be unique, and one key→position index serves both
-    ``id_of`` and ``by_key``.  Rules are grouped by their pattern, creation
-    rules form one extra group; the groups partition the set.  The rules
-    validated themselves when they were made, so a set neither copies nor
-    checks them again.
+    ``id_of`` and ``by_key``.  Rules are grouped by their pattern, so a
+    group is the candidates for one symbol in one direction, and the
+    creation rules form the group ``None``; the groups partition the set,
+    and ``positions`` gives each group's ids.  The rules validated
+    themselves when they were made, so a set neither copies nor checks
+    them again.
 
     ``shared`` is what was compiled once for every set built like this
     one (a ``constraints.SignatureTable``: the set's size bounds and its
@@ -515,11 +505,18 @@ class RuleSet:
             keys = [r.key for r in self.rules]
             dupes = sorted({k for k in keys if keys.count(k) > 1})
             raise RuleError(f"duplicate rule keys: {', '.join(dupes)}")
-        grouping: dict[GroupKey, list[RewritingRule]] = {}
-        for rule in self.rules:
-            grouping.setdefault(rule.group, []).append(rule)
-        self._groups: dict[GroupKey, tuple[RewritingRule, ...]] = {
-            k: tuple(v) for k, v in grouping.items()
+        grouping: dict[Pattern, list[int]] = {}
+        # a run of rules that share one pattern object, as a template
+        # layer's expr: rules do, hashes it once
+        pattern, members = object(), []
+        for position, rule in enumerate(self.rules):
+            if rule.pattern is not pattern:
+                pattern = rule.pattern
+                members = grouping.setdefault(pattern, [])
+            members.append(position)
+        self._positions = {k: tuple(v) for k, v in grouping.items()}
+        self._groups = {
+            k: tuple(self.rules[p] for p in v) for k, v in grouping.items()
         }
         self.shared = shared
 
@@ -544,21 +541,21 @@ class RuleSet:
         return position
 
     @property
-    def groups(self) -> dict[GroupKey, tuple[RewritingRule, ...]]:
+    def groups(self) -> dict[Pattern, tuple[RewritingRule, ...]]:
         return dict(self._groups)
 
-    def group(self, key: GroupKey) -> tuple[RewritingRule, ...]:
-        """The rules of the group ``key``, in set order; empty when the set
-        has none."""
-        return self._groups.get(key, ())
+    def group(self, pattern: Pattern) -> tuple[RewritingRule, ...]:
+        """The rules whose pattern is ``pattern``, in set order; empty when
+        the set has none."""
+        return self._groups.get(pattern, ())
+
+    def positions(self, pattern: Pattern) -> tuple[int, ...]:
+        """The ids of ``group(pattern)``'s rules, in the same order."""
+        return self._positions.get(pattern, ())
 
     @property
     def creation_rules(self) -> tuple[RewritingRule, ...]:
-        return self.group(CREATION_GROUP)
-
-    def rules_for(self, symbol: Symbol, direction: Annotation) -> tuple[RewritingRule, ...]:
-        """Candidate rules for expanding ``symbol`` in ``direction`` (D or U)."""
-        return self.group((symbol.name, direction.value))
+        return self.group(None)
 
 
 # --------------------------------------------------------------------------

@@ -45,8 +45,12 @@ from .trees import AnnotatedAst, DerivationStep, iter_derivations
 
 
 def group_str(rule: RewritingRule) -> str:
-    name, direction = rule.group
-    return f"{name}|{direction}"
+    """The model cell name of the rule's group: ``"E|D"`` for the pattern
+    ``E`` marked D, ``"<create>|"`` for the creations."""
+    if rule.pattern is None:
+        return "<create>|"
+    symbol, direction = rule.pattern
+    return f"{symbol.name}|{direction.value}"
 
 
 def _parent_key(ast: AnnotatedAst, node: int | None) -> str:
@@ -281,10 +285,6 @@ class SoftmaxCore:
         p = np.exp(z)
         p /= p.sum()
         return p
-
-    def distribution(self, x: np.ndarray) -> dict[str, float]:
-        p = self.probabilities(x)
-        return {c: float(p[i]) for c, i in self.column.items()}
 
     def to_params(self) -> dict:
         return {

@@ -212,7 +212,7 @@ def _completions(ast, rs, cap):
         yield ast
         return
     nid, direction = policy_leftmost(ast)
-    for rule in rs.rules_for(ast.nodes[nid].symbol, direction):
+    for rule in rs.group((ast.nodes[nid].symbol, direction)):
         grown = apply_rule(ast, nid, rule)
         if len(grown.nodes) <= cap:
             yield from _completions(grown, rs, cap)
@@ -258,7 +258,7 @@ def test_criterion_04_pruning_matches_brute_force():
                     break
                 target, direction = policy_leftmost(ast)
                 candidates = list(
-                    rs.rules_for(ast.nodes[target].symbol, direction)
+                    rs.group((ast.nodes[target].symbol, direction))
                 )
             outcome = feasible_rules(ast, step, policy_leftmost, pins)
             kept_keys = {p.rule.key for p in outcome.kept}
@@ -300,7 +300,7 @@ def _brute_min_completion(rs, symbol, mark, cap=12):
             continue
         seen.add(key)
         nid, direction = policy_leftmost(ast)
-        for rule in rs.rules_for(ast.nodes[nid].symbol, direction):
+        for rule in rs.group((ast.nodes[nid].symbol, direction)):
             grown = apply_rule(ast, nid, rule)
             if len(grown.nodes) <= cap:
                 counter += 1

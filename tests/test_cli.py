@@ -232,6 +232,20 @@ def test_check_rejects_a_repeated_production(capsys, tmp_path):
     assert (code, out, err) == (2, "", 'error: repeated production E -> "x"\n')
 
 
+def test_check_tells_a_terminal_from_a_nonterminal_of_its_name(capsys, tmp_path):
+    """The terminal "E" and the nonterminal E get rules of their own, so the
+    full rule set is certified, here as ambiguous with a witness."""
+    grammar = tmp_path / "collide.txt"
+    grammar.write_text('E -> "E" | E "+" E\n', encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        ["check", "--grammar", str(grammar), "--rules", "full", "--bound", "5"],
+    )
+    assert (code, err) == (1, "")
+    assert "ambiguous (bound 5)" in out
+    assert 'witness: "E" has two build histories' in out
+
+
 def test_missing_file_is_exit_2(capsys, data_dir):
     code, _, err = run(
         capsys,

@@ -36,7 +36,7 @@ from progest.datagen import generate_corpus
 from progest.errors import ContextError
 from progest.features import Context, FeaturePipeline, VariableInfo
 from progest.grammar import Annotation, derive_top_down_rules, nonterminal
-from progest.models import LogisticModel, UniformModel, feasible_derivation
+from progest.models import LogisticModel, UniformModel, feasible_derivation, group_str
 from progest.search import beam_search
 from progest.trees import (
     AnnotatedAst,
@@ -719,7 +719,7 @@ def test_encoder_and_predict_match_the_memo_free_reference(logistic_60, data):
     """Random contexts, with corpus and random templates: every decision of
     random builds encodes, bit for bit, to the reference rows, which keep
     nothing, and the model predicts what the reference predict does
-    through ``SoftmaxCore.distribution``.  Each decision is encoded in
+    through a class dict of its own.  Each decision is encoded in
     its own context, in that context with each variable repeated behind it
     under other statistics (the first of a name wins), or in no context;
     one encoder, on a fresh or a long-lived pipeline, serves them all in
@@ -767,8 +767,55 @@ def test_encoder_and_predict_match_the_memo_free_reference(logistic_60, data):
             )
 
 
-def _heldout(tmp_path, n):
-    return load_corpus(write_corpus(tmp_path, generate_corpus(n, seed="heldout-1")))
+def _heldout(tmp_path, n, seed="heldout-1"):
+    return load_corpus(write_corpus(tmp_path, generate_corpus(n, seed=seed)))
+
+
+def test_signature_tables_stop_growing_on_fresh_contexts(
+    monkeypatch, tmp_path, corpus_records
+):
+    """A layer's signature tables keep entries per rule and per what its
+    signature reads, never per context: after a corpus training and a pass
+    over 300 fresh held-out contexts, a pass over 300 other fresh contexts
+    adds no entry to any of the tables' memos."""
+    monkeypatch.setattr(
+        condsynth, "template_layer",
+        functools.lru_cache(maxsize=4)(condsynth.TemplateLayer),
+    )
+    trained = train_cond_models(corpus_records, model_kind="frequency")
+    layer = condsynth.template_layer(trained.templates)
+
+    def entries(memo):
+        return sum(
+            entries(value) if isinstance(value, dict) else 1
+            for value in memo.values()
+        )
+
+    def total():
+        return sum(entries(vars(table)) for table in layer._tables.values())
+
+    sizes = [total()]
+    for seed in ("heldout-1", "heldout-2"):
+        for record in _heldout(tmp_path, 300, seed):
+            synthesize_condition(
+                record.context, trained.templates, trained.model,
+                k=50, widths=(5, 200), size_limit=30,
+            )
+        sizes.append(total())
+    assert sizes[0] > 0 and sizes[2] == sizes[1], sizes
+
+
+def test_condition_groups_are_nonterminal_with_distinct_cells(corpus_records):
+    """Every pattern a condition rule set groups on is a nonterminal, so no
+    two of its groups share a model cell name (``group_str``): the
+    creations, ``expr:`` on V1, ``var2:`` on V2 and ``fin:`` on E."""
+    closed = Template(template_key(("done",), ()), ("done",), ())
+    templates = mine_templates(corpus_records) + (closed,)
+    for record in corpus_records[:20]:
+        rs = build_cond_ruleset(templates, record.context)
+        assert all(not symbol.is_terminal for symbol, _ in filter(None, rs.groups))
+        cells = {group_str(members[0]) for members in rs.groups.values()}
+        assert len(cells) == len(rs.groups) == 4, record.id
 
 
 def test_each_name_is_encoded_once_per_pipeline(monkeypatch, corpus_records):

@@ -36,7 +36,6 @@ from progest.grammar import (
     derive_bottom_up_rules,
     derive_creation_rules,
     derive_top_down_rules,
-    group_key_of,
     load_grammar,
     nonterminal,
     terminal,
@@ -231,7 +230,7 @@ def test_probe_prunes_by_size():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     step = SearchStep(rs, None, 2)
-    out = probe_rules(ast, ast.root, ("E", "D"), step)
+    out = probe_rules(ast, ast.root, (nonterminal("E"), Annotation.D), step)
     kept = {p.rule.key for p in out.kept}
     assert kept == {'td:E->"hours"', 'td:E->"value"'}
     assert out.size_pruned == 3
@@ -242,7 +241,7 @@ def test_probe_prunes_by_type():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     step = SearchStep(rs, context({"hours": "Int", "value": "Int"}, "Boolean"))
-    out = probe_rules(ast, ast.root, ("E", "D"), step)
+    out = probe_rules(ast, ast.root, (nonterminal("E"), Annotation.D), step)
     kept = {p.rule.key for p in out.kept}
     # leaf and addition rules would make the whole tree an Int
     assert kept == {'td:E->E "> 12"', 'td:E->E "> 0"'}
@@ -295,7 +294,7 @@ def test_probe_checks_each_candidate_fits_before_pruning():
     def probe_alone(ast, rule, ctx, size_limit):
         """Probe ``rule`` as the one rule of a set of its own."""
         step = SearchStep(RuleSet([rule]), ctx, size_limit)
-        return probe_rules(ast, ast.root, group_key_of(rule), step)
+        return probe_rules(ast, ast.root, rule.pattern, step)
 
     for ast, rule in misfits:
         for ctx, size_limit in steps:
@@ -307,10 +306,10 @@ def test_probe_checks_each_candidate_fits_before_pruning():
     assert probe_alone(root, fits, *steps[1]).constraint_pruned == 1
 
 
-def test_probe_refuses_a_group_that_mixes_patterns():
-    """A terminal and a nonterminal of one name share a group key, but a
-    node is one of them, so probing such a group raises whichever rule
-    comes first, as splicing each of its rules does."""
+def test_a_terminal_and_a_nonterminal_of_one_name_are_two_groups():
+    """Rules on a terminal and on a nonterminal of one name have two
+    patterns, so they sit in two groups, and a leaf of that terminal is
+    offered its own rule only, as the reference prober offers it."""
     e, t = nonterminal("E"), terminal("E")
     on_leaf = RewritingRule(
         (t, Annotation.U),
@@ -327,13 +326,15 @@ def test_probe_refuses_a_group_that_mixes_patterns():
     make_leaf = RewritingRule(None, RuleTree(t, Annotation.U), key="make-leaf:E")
     for group in ([on_leaf, on_node], [on_node, on_leaf]):
         rs = RuleSet([make_leaf, *group])
+        assert rs.group(on_leaf.pattern) == (on_leaf,)
+        assert rs.group(on_node.pattern) == (on_node,)
         leaf = apply_rule(AnnotatedAst.empty(), None, make_leaf)
-        assert group_key_of(on_leaf) == group_key_of(on_node)
         for step in (SearchStep(rs), SearchStep(rs, None, 5)):
-            with pytest.raises(ApplyError):
-                feasible_rules(leaf, step, policy_leftmost)
-            with reference_prober(), pytest.raises(ApplyError):
-                feasible_rules(leaf, step, policy_leftmost)
+            got = feasible_rules(leaf, step, policy_leftmost)
+            with reference_prober():
+                want = feasible_rules(leaf, step, policy_leftmost)
+            assert [p.rule for p in got.kept] == [on_leaf]
+            assert probe_fields(got) == probe_fields(want)
 
 
 def test_probe_lets_a_wrapping_rule_decide_the_root_type():
@@ -516,12 +517,7 @@ def test_shared_signatures_match_fresh_compiles_across_contexts(seed, rules, dat
             for group, members in shared.groups.items():
                 for mark, at_root in _marks_met(members[0]):
                     where = (group, mark, at_root, ctx)
-                    try:
-                        want = fresh.offers(group, mark, at_root)
-                    except ApplyError:
-                        with pytest.raises(ApplyError):
-                            step.offers(group, mark, at_root)
-                        continue
+                    want = fresh.offers(group, mark, at_root)
                     assert step.offers(group, mark, at_root) == want, where
             for rule in shared:
                 for mark, at_root in _marks_met(rule):
@@ -554,7 +550,7 @@ def test_step_refuses_a_rule_that_only_shares_a_key():
         shared.id_of(retyped)
     step = SearchStep(shared)
     root = apply_rule(AnnotatedAst.empty(), None, shared.by_key("make-root:E"))
-    out = probe_rules(root, root.root, group_key_of(rule), step)
+    out = probe_rules(root, root.root, rule.pattern, step)
     assert all(probe.rule is shared[probe.id] for probe in out.kept)
     (probe,) = [p for p in out.kept if p.rule.key == rule.key]
     assert probe.rule is rule and probe.id == shared.id_of(rule)

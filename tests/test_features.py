@@ -141,6 +141,22 @@ def test_pipeline_fit_round_trip():
     assert again.vocab == pipe.vocab
 
 
+def test_pipeline_equals_its_reloaded_params():
+    """A pipeline and its PCA compare by value, arrays included."""
+    pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
+    again = FeaturePipeline.from_params(pipe.to_params())
+    assert again.pca is not pipe.pca
+    assert again == pipe and again.pca == pipe.pca
+    pca = pipe.pca
+    for changed in (
+        dataclasses.replace(pca, mean=pca.mean + 1.0),
+        dataclasses.replace(pca, components=pca.components[:-1]),
+        dataclasses.replace(pca, dims=pca.dims + 1),
+    ):
+        assert changed != pca
+        assert FeaturePipeline(changed, pipe.vocab) != pipe
+
+
 def test_pipeline_window_vec():
     pipe = FeaturePipeline.fit(make_contexts(), dims=2, seed=1)
     vec = pipe.window_vec(("if", "("))

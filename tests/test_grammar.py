@@ -17,7 +17,6 @@ from progest.grammar import (
     derive_bottom_up_rules,
     derive_creation_rules,
     derive_top_down_rules,
-    group_key_of,
     load_grammar,
     nonterminal,
     terminal,
@@ -206,8 +205,10 @@ def test_ruleset_ids_are_positions_and_groups():
     total = sum(len(v) for v in groups.values())
     assert total == len(rs)
     assert len(rs.creation_rules) == 1
-    assert len(rs.rules_for(nonterminal("E"), Annotation.D)) == 3
-    assert rs.rules_for(nonterminal("E"), Annotation.U) == ()
+    assert len(rs.group((nonterminal("E"), Annotation.D))) == 3
+    assert rs.group((nonterminal("E"), Annotation.U)) == ()
+    for pattern, members in groups.items():
+        assert [rs[p] for p in rs.positions(pattern)] == list(members)
 
 
 def test_ruleset_rejects_duplicate_keys():
@@ -217,12 +218,23 @@ def test_ruleset_rejects_duplicate_keys():
         RuleSet([*rs, *rs])
 
 
-def test_group_key_of():
-    g = load_grammar(SIMPLE)
-    td = derive_top_down_rules(g)
-    assert group_key_of(td[0]) == ("E", "D")
-    creation = derive_creation_rules(g, [CreationMode.ROOT])
-    assert group_key_of(creation[0]) == ("<create>", "")
+def test_group_key_is_the_pattern():
+    """A set groups its rules on their own patterns, creations under None,
+    so a terminal and a nonterminal of one name are two groups."""
+    g = load_grammar('E -> "E" | E "+" E\n')
+    rs = RuleSet(
+        [*derive_top_down_rules(g), *derive_bottom_up_rules(g),
+         *derive_creation_rules(g, [CreationMode.ROOT])]
+    )
+    assert rs.groups == {
+        pattern: tuple(r for r in rs if r.pattern == pattern)
+        for pattern in dict.fromkeys(r.pattern for r in rs)
+    }
+    assert [r.key for r in rs.group(None)] == ["make-root:E"]
+    assert [r.key for r in rs.group((terminal("E"), Annotation.U))] == ['bu0:E->"E"']
+    assert [r.key for r in rs.group((nonterminal("E"), Annotation.U))] == [
+        'bu0:E->E "+" E', 'bu2:E->E "+" E', "fin:E",
+    ]
 
 
 def test_rule_validation_rejects_bad_shapes():

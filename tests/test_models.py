@@ -206,8 +206,8 @@ def test_softmax_core_separable_data():
     core = SoftmaxCore.fit(X, labels)
     hits = 0
     for x, want in zip(X, labels):
-        dist = core.distribution(x)
-        hits += max(dist, key=dist.get) == want
+        p = core.probabilities(x)
+        hits += p.argmax() == core.column[want]
     assert hits == len(labels)
 
 
@@ -216,9 +216,10 @@ def test_softmax_distribution_sums_to_one():
     X = rng.standard_normal((30, 4))
     labels = [("a", "b", "c")[i % 3] for i in range(30)]
     core = SoftmaxCore.fit(X, labels)
-    dist = core.distribution(rng.standard_normal(4))
-    assert sum(dist.values()) == pytest.approx(1.0)
-    assert set(dist) == {"a", "b", "c"}
+    p = core.probabilities(rng.standard_normal(4))
+    assert p.sum() == pytest.approx(1.0)
+    assert set(core.column) == {"a", "b", "c"}
+    assert sorted(core.column.values()) == list(range(len(p)))
 
 
 def test_softmax_params_round_trip():
@@ -228,7 +229,8 @@ def test_softmax_params_round_trip():
     core = SoftmaxCore.fit(X, labels)
     again = SoftmaxCore.from_params(core.to_params())
     x = rng.standard_normal(3)
-    assert again.distribution(x) == core.distribution(x)
+    assert again.column == core.column
+    assert np.array_equal(again.probabilities(x), core.probabilities(x))
 
 
 def test_softmax_core_refuses_a_repeated_class():

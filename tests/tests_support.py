@@ -777,15 +777,16 @@ def reference_rows(templates, pipe, ctx, ast, node, candidates):
 
 def reference_logistic_predict(model, templates, pipe, ctx, ast, node, candidates):
     """``LogisticModel.predict`` over the ``reference_rows``, reading the
-    expression classes through ``SoftmaxCore.distribution``, a dict over
-    every class, instead of the core's column index."""
+    expression classes through a dict built from the core's ``classes``
+    instead of its column index."""
     k = len(candidates)
     if k == 0:
         return []
     uniform = [1.0 / k] * k
     kind, rows = reference_rows(templates, pipe, ctx, ast, node, candidates)
     if kind == "expression" and model.expression is not None:
-        dist = model.expression.distribution(rows[0])
+        core = model.expression
+        dist = dict(zip(core.classes, map(float, core.probabilities(rows[0]))))
         raw = [dist.get(r.key, 0.0) for r in candidates]
         mass = sum(raw)
         return [p / mass for p in raw] if mass > 0.0 else uniform
