@@ -46,6 +46,7 @@ from .grammar import (
     terminal,
 )
 from .minilang import (
+    Expr,
     join_tokens,
     parse_condition,
     split_logic_ops,
@@ -77,9 +78,17 @@ _VAR_RULE_RE = re.compile(r"^var(\d+):")
 
 @dataclass(frozen=True)
 class CorpusRecord:
+    """One corpus atom.  ``expr`` is its condition parsed on first use and
+    kept, so loading, mining and replaying it parse it once; equality and
+    hashing read only the three fields."""
+
     id: str
     condition: str
     context: Context
+
+    @functools.cached_property
+    def expr(self) -> Expr:
+        return parse_condition(self.condition)
 
 
 def load_corpus(path: str) -> list[CorpusRecord]:
@@ -87,7 +96,9 @@ def load_corpus(path: str) -> list[CorpusRecord]:
 
     Conditions built from ``&&``/``||`` are split into their atoms, each
     atom becoming its own record with an ``#n`` id suffix.  Every atom must
-    parse and typecheck Boolean under its context; ids must be unique.
+    parse and typecheck Boolean under its context; ids must be unique, the
+    derived ones too: a record ``a#1`` and the first atom of a record ``a``
+    clash in either order.
     """
     records: list[CorpusRecord] = []
     seen_ids: set[str] = set()
@@ -110,22 +121,27 @@ def load_corpus(path: str) -> list[CorpusRecord]:
                 raise ContextError(f"line {line_no}: bad record ({err})") from None
             if rec_id in seen_ids:
                 raise ContextError(f"line {line_no}: duplicate id {rec_id!r}")
-            seen_ids.add(rec_id)
             try:
                 atoms = split_logic_ops(condition)
             except MiniLangError as err:
                 raise ContextError(f"line {line_no}: {err}") from None
             for atom_idx, atom in enumerate(atoms, start=1):
-                derived_id = rec_id if len(atoms) == 1 else f"{rec_id}#{atom_idx}"
+                record = CorpusRecord(
+                    rec_id if len(atoms) == 1 else f"{rec_id}#{atom_idx}", atom, ctx
+                )
+                if record.id in seen_ids:
+                    raise ContextError(f"line {line_no}: duplicate id {record.id!r}")
+                seen_ids.add(record.id)
                 try:
-                    result = typecheck(parse_condition(atom), ctx.variable_types)
+                    result = typecheck(record.expr, ctx.variable_types)
                 except (MiniLangError, MiniTypeError) as err:
                     raise ContextError(f"line {line_no}: {atom!r}: {err}") from None
                 if result != "Boolean":
                     raise ContextError(
                         f"line {line_no}: {atom!r} has type {result}, not Boolean"
                     )
-                records.append(CorpusRecord(derived_id, atom, ctx))
+                records.append(record)
+            seen_ids.add(rec_id)
     return records
 
 
@@ -174,9 +190,10 @@ class Template:
         return Template(key, tokens, types, count)
 
 
-def _abstract(condition: str, var_types: Mapping[str, str]):
+def _abstract(record: CorpusRecord):
     """Skeleton tokens, placeholder types, and variable names of one atom."""
-    tagged = tokens_with_vars(parse_condition(condition))
+    var_types = record.context.variable_types
+    tagged = tokens_with_vars(record.expr)
     skeleton: list[str] = []
     types: list[str] = []
     names: list[str] = []
@@ -198,7 +215,7 @@ def template_key(tokens: Sequence[str], types: Sequence[str]) -> str:
 
 
 def template_of(record: CorpusRecord) -> Template:
-    tokens, types, _names = _abstract(record.condition, record.context.variable_types)
+    tokens, types, _names = _abstract(record)
     return Template(template_key(tokens, types), tokens, types, 1)
 
 
@@ -434,9 +451,7 @@ def certification_bound(templates: Sequence[Template]) -> int:
 
 def record_tree(record: CorpusRecord) -> AnnotatedAst:
     """The finished tree the rule set would build for this record."""
-    tokens, types, names = _abstract(
-        record.condition, record.context.variable_types
-    )
+    tokens, types, names = _abstract(record)
     children = []
     slot = 0
     for token in tokens:
@@ -482,11 +497,11 @@ class CondEncoder:
     expression decision is a single classification over the templates, so
     it gets one row: the context and the first variable, read from under
     the V1 node, which every candidate shares.  A variable decision fills
-    slot p of one template: one row per candidate variable (a slot rule's
-    leaf), then what its candidates share: the variable under slot p-1,
-    the template named by the rule that introduced the slot, and p.  Any
-    other decision (``fin:``) gets no rows.  ``row_length`` gives each
-    kind's width.
+    slot p of one template: one row per candidate variable (named by a
+    slot rule's key, as a ``make-var:`` key names its own), then what its
+    candidates share: the variable under slot p-1, the template named by
+    the rule that introduced the slot, and p.  Any other decision
+    (``fin:``) gets no rows.  ``row_length`` gives each kind's width.
 
     The encoder keeps the ``ContextEncoding`` of the last context it
     encoded and reuses it while the next decision's context equals it, so
@@ -537,10 +552,7 @@ class CondEncoder:
             enc.expression_block(template),
             position_block(position),
         )
-        own = [
-            (enc.variable_block(r.replacement.children[0].symbol.name),)
-            for r in candidates
-        ]
+        own = [(enc.variable_block(r.key.partition(":")[2]),) for r in candidates]
         return "variable", extract_features(enc, own, shared)
 
     def _encoding_of(self, ctx: Context | None) -> ContextEncoding:
@@ -724,9 +736,7 @@ def evaluate_topk(
         unreachable = 0
         for i in test_idx:
             record = records[i]
-            target = join_tokens(
-                [t for t, _ in tokens_with_vars(parse_condition(record.condition))]
-            )
+            target = join_tokens([t for t, _ in tokens_with_vars(record.expr)])
             try:
                 t = template_of(record)
             except ContextError:

@@ -452,20 +452,6 @@ class RewritingRule:
         front would cost more than the search reads."""
         return _compile_block(self)
 
-    def anchor_path(self) -> tuple[int, ...] | None:
-        """Child-index path from the replacement root to the anchor."""
-
-        def walk(node: RuleTree, path: tuple[int, ...]):
-            if node.anchor:
-                return path
-            for idx, child in enumerate(node.children):
-                found = walk(child, path + (idx,))
-                if found is not None:
-                    return found
-            return None
-
-        return walk(self.replacement, ())
-
     def __str__(self) -> str:
         if self.pattern is None:
             return f"=> {self.replacement}"
@@ -481,14 +467,13 @@ Pattern = tuple[Symbol, Annotation] | None
 class RuleSet:
     """An indexed collection of rewriting rules.
 
-    A rule's id is its position in the set (``id_of``; ``rs[id]`` is the
-    rule).  Keys must be unique, and one key→position index serves both
-    ``id_of`` and ``by_key``.  Rules are grouped by their pattern, so a
-    group is the candidates for one symbol in one direction, and the
-    creation rules form the group ``None``; the groups partition the set,
-    and ``positions`` gives each group's ids.  The rules validated
-    themselves when they were made, so a set neither copies nor checks
-    them again.
+    A rule's id is its position in the set (``rs[id]`` is the rule).
+    Keys must be unique, and ``by_key`` reads a key→position index.  Rules
+    are grouped by their pattern, so a group is the candidates for one
+    symbol in one direction, and the creation rules form the group
+    ``None``; the groups partition the set, and ``positions`` gives each
+    group's ids.  The rules validated themselves when they were made, so a
+    set neither copies nor checks them again.
 
     ``shared`` is what was compiled once for every set built like this
     one (a ``constraints.SignatureTable``: the set's size bounds and its
@@ -532,14 +517,6 @@ class RuleSet:
     def by_key(self, key: str) -> RewritingRule:
         return self.rules[self._ids[key]]
 
-    def id_of(self, rule: RewritingRule) -> int:
-        """The position of this set's own ``rule``; ``RuleError`` for a rule
-        the set does not hold."""
-        position = self._ids.get(rule.key)
-        if position is None or self.rules[position] is not rule:
-            raise RuleError(f"rule {rule.key} is not in this rule set")
-        return position
-
     @property
     def groups(self) -> dict[Pattern, tuple[RewritingRule, ...]]:
         return dict(self._groups)
@@ -552,10 +529,6 @@ class RuleSet:
     def positions(self, pattern: Pattern) -> tuple[int, ...]:
         """The ids of ``group(pattern)``'s rules, in the same order."""
         return self._positions.get(pattern, ())
-
-    @property
-    def creation_rules(self) -> tuple[RewritingRule, ...]:
-        return self.group(None)
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,10 @@ after its subtree.  ``policy_leftmost``, ``expandable_nodes`` and
 
 ``iter_derivations`` is the one walk over a finished tree's derivations:
 it steps through a search step, so its first derivation is the search's
-build of the tree.
+build of the tree.  It matches each kept probe on the same block: the
+root lands where the anchor's target node climbs to by the block's
+parents, and each position's children land on its target node's children,
+so a rule is read in one form by the splice and by the walk.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .errors import ApplyError, IncompleteTreeError, UnderivableTreeError
 from .grammar import (
     Annotation,
     RewritingRule,
-    RuleTree,
     Symbol,
 )
 
@@ -304,75 +306,67 @@ class DerivationStep:
     choice: int  # the applied rule's index in ``outcome.kept``
 
 
-def _root_match(
-    target: AnnotatedAst, node: AstNode, tid: int, rule: RewritingRule
-) -> tuple[int, ...]:
-    """Where the replacement root of ``rule`` lands in ``target`` when its
-    anchor lands on ``tid``: one target id, or none where it may not land."""
-    root_tid: int | None = tid
-    for _ in rule.anchor_path() or ():
-        root_tid = target.nodes[root_tid].parent  # type: ignore[index]
-        if root_tid is None:
-            return ()
-    if node.parent is None:
-        # the splice result replaces the tree root here; once it can no
-        # longer grow upward it must already map to the target root
-        if rule.replacement.anchor:
-            still_up = node.annotation.without(rule.pattern[1]).needs_up  # type: ignore[index]
-        else:
-            still_up = rule.replacement.annotation.needs_up
-        if not still_up and root_tid != target.root:
-            return ()
-    return (root_tid,)
-
-
-def _match_replacement(
-    rule: RewritingRule,
+def _landings(
     target: AnnotatedAst,
-    root_tid: int,
-    anchor_tid: int | None,
-) -> list[tuple[int, int]] | None:
-    """Match the replacement tree downward at ``root_tid``.
+    order: list[int],
+    node: AstNode | None,
+    tid: int | None,
+    rule: RewritingRule,
+):
+    """Yield each way ``rule``'s block lands in ``target`` with its anchor
+    on ``tid`` (``node`` is the expanded node, None for a creation): the
+    target id of every block position, in block order.
 
-    Returns (preorder position, target id) pairs for every replacement node,
-    or None if the shapes disagree.  The anchor must land exactly on
-    ``anchor_tid`` and its subtree is not descended into.
+    The root lands where the anchor climbs to by ``block.parents``; a
+    creation's root lands anywhere in ``order`` when it is marked upward,
+    and else only on the target root.  Each position's children land
+    on its target node's children, except under the anchor, whose subtree
+    earlier steps matched, and under a downward mark, left to later steps.
     """
-    out: list[tuple[int, int]] = []
-    pos = -1
-
-    def walk(rt: RuleTree, tid: int) -> bool:
-        nonlocal pos
-        pos += 1
-        node = target.nodes[tid]
-        if node.symbol != rt.symbol:
-            return False
-        out.append((pos, tid))
-        if rt.anchor:
-            if tid != anchor_tid:
-                return False
-            if not rt.children:
-                # leaf anchor: the kept subtree was matched by earlier steps
-                return True
-            # fall through: a downward anchor declares the new children
-        elif rt.annotation.needs_down:
-            # subtree left for later steps
-            return True
-        if len(rt.children) != len(node.children):
-            return False
-        for sub, child_tid in zip(rt.children, node.children):
-            if not walk(sub, child_tid):
-                return False
-        return True
-
-    if not walk(rule.replacement, root_tid):
-        return None
-    if not rule.replacement.annotation.needs_up and anchor_tid is None:
-        # a creation without an upward mark can never gain ancestors, so it
-        # must already sit at the target root
-        if root_tid != target.root:
-            return None
-    return out
+    block = rule.block
+    symbols, marks, children, anchor = (
+        block.symbols, block.marks, block.children, block.anchor
+    )
+    nodes = target.nodes
+    if node is None:
+        # a creation without an upward mark can never gain ancestors
+        roots = order if marks[0].needs_up else [target.root]
+    else:
+        root, up = tid, block.parents[anchor]  # type: ignore[index]
+        while up is not None:
+            root = nodes[root].parent  # type: ignore[index]
+            if root is None:
+                return
+            up = block.parents[up]
+        if node.parent is None and root != target.root:
+            # the splice result replaces the tree root here; once it can
+            # no longer grow upward it must already map to the target root
+            left = marks[0]
+            if anchor == 0:
+                left = node.annotation.without(rule.pattern[1])  # type: ignore[index]
+            if not left.needs_up:
+                return
+        roots = [root]
+    for root in roots:
+        # a position's parent comes before it, so it is filled before read
+        lands = [root] * len(symbols)
+        for p, t in enumerate(lands):
+            here = nodes[t]
+            if here.symbol != symbols[p]:
+                break
+            if p == anchor:
+                if t != tid:
+                    break
+                if not children[p]:
+                    continue
+            elif marks[p].needs_down:
+                continue
+            if len(children[p]) != len(here.children):
+                break
+            for c, child in zip(children[p], here.children):
+                lands[c] = child
+        else:
+            yield lands
 
 
 def iter_derivations(
@@ -385,9 +379,9 @@ def iter_derivations(
 
     ``step(tree, pins)`` returns what a search step keeps at ``tree``, as
     ``constraints.feasible_rules`` does: the node its policy picks and the
-    probes of that node's rule group that survive.  The walk matches each
-    probe's rule against ``target`` and reads the probe's splice only once
-    its rule matches (a probe splices when first read); it reads the
+    probes of that node's rule group that survive.  The walk lands each
+    probe's rule block on ``target`` and reads the probe's splice only once
+    the block lands (a probe splices when first read); it reads the
     probe's pins only when it steps from the tree the probe made, so the
     last probe of a derivation instantiates none.  Probes are tried in the
     order the step keeps them, so the first derivation is the search's
@@ -419,18 +413,14 @@ def iter_derivations(
         progressed = False
         for choice, probe in enumerate(outcome.kept):
             rule = probe.rule
-            for root_tid in order if node is None else _root_match(target, node, tid, rule):
-                matched = _match_replacement(rule, target, root_tid, tid)
-                if matched is None:
-                    continue
-                ids = probe.ids
+            for lands in _landings(target, order, node, tid, rule):
                 new_mapping = dict(mapping)
                 fresh: list[int] = []
-                for pos, t in matched:
-                    if ids[pos] not in new_mapping:
-                        new_mapping[ids[pos]] = t
+                for nid, t in zip(probe.ids, lands):
+                    if nid not in new_mapping:
+                        new_mapping[nid] = t
                         fresh.append(t)
-                    elif new_mapping[ids[pos]] != t:
+                    elif new_mapping[nid] != t:
                         break
                 else:
                     progressed = True

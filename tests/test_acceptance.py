@@ -252,7 +252,7 @@ def test_criterion_04_pruning_matches_brute_force():
         for _ in range(3):
             if ast.is_empty:
                 target = None
-                candidates = list(rs.creation_rules)
+                candidates = list(rs.group(None))
             else:
                 if is_complete(ast):
                     break

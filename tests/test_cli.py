@@ -584,12 +584,20 @@ CORPUS_FREQUENCY_BUNDLE_SHA256 = (
 )
 
 
-def test_frequency_bundle_bytes_are_pinned(capsys, tmp_path, data_dir):
-    out_path = tmp_path / "freq.json"
-    code, _, _ = run(
+# stdout of the `train` command of README.md, byte for byte
+README_TRAIN_FREQUENCY = """\
+trained frequency on 590 atoms (46 templates)
+training instances: 7592 (0 items skipped)
+wrote freq.json
+"""
+
+
+def test_frequency_bundle_bytes_are_pinned(capsys, tmp_path, data_dir, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
         capsys,
         ["train", "--corpus", str(data_dir / "corpus.jsonl"),
-         "--bundle", str(out_path), "--model", "frequency"],
+         "--bundle", "freq.json", "--model", "frequency"],
     )
-    assert code == 0
-    assert sha256_of_file(str(out_path)) == CORPUS_FREQUENCY_BUNDLE_SHA256
+    assert (code, out, err) == (0, README_TRAIN_FREQUENCY, "")
+    assert sha256_of_file(str(tmp_path / "freq.json")) == CORPUS_FREQUENCY_BUNDLE_SHA256

@@ -30,6 +30,7 @@ from progest.condsynth import (
     train_cond_models,
 )
 from progest import condsynth, constraints, features, grammar
+from progest.cli import main
 from progest.constraints import SearchStep, feasible_rules
 from progest.ambiguity import check_unambiguous, enumerate_complete_trees
 from progest.datagen import generate_corpus
@@ -137,6 +138,52 @@ def test_load_corpus_rejects_missing_fields(tmp_path):
     path.write_text('{"id": "a", "condition": "x > 0"}\n')
     with pytest.raises(ContextError, match="bad record"):
         load_corpus(str(path))
+
+
+@pytest.mark.parametrize("first, second", [("a", "a#1"), ("a#1", "a")])
+def test_load_corpus_rejects_an_atom_id_that_repeats(tmp_path, capsys, first, second):
+    """Atom ids are unique too: a record ``a#1`` and the first atom of a
+    two-atom record ``a`` clash in either order, and ``train`` exits 2."""
+    conditions = {"a": "x > 0 && y > 0", "a#1": "x > 0"}
+    path = write_corpus(
+        tmp_path,
+        [
+            {"id": rec_id, "condition": conditions[rec_id],
+             "context": ctx_dict({"x": "Int", "y": "Int"})}
+            for rec_id in (first, second)
+        ],
+    )
+    with pytest.raises(ContextError, match="line 2: duplicate id 'a#1'"):
+        load_corpus(path)
+    code = main(["train", "--corpus", path, "--bundle", str(tmp_path / "x.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 2: duplicate id")
+
+
+def test_a_loaded_record_is_parsed_once(data_dir, monkeypatch):
+    """Loading parses each atom once and keeps the parse on its record, so
+    a frequency training and a held-out evaluation over loaded records
+    parse nothing; a record compares and hashes by its fields whether its
+    parse is kept or not."""
+    calls: list[str] = []
+    parse = condsynth.parse_condition
+    monkeypatch.setattr(
+        condsynth, "parse_condition", lambda text: calls.append(text) or parse(text)
+    )
+    records = load_corpus(data_dir / "corpus.jsonl")
+    assert calls == [r.condition for r in records]
+    calls.clear()
+    train_cond_models(records, model_kind="frequency")
+    evaluate_topk(records[:100], model_kind="frequency", seed=3)
+    assert calls == []
+
+    record = records[0]
+    fresh = CorpusRecord(record.id, record.condition, record.context)
+    assert fresh == record and hash(fresh) == hash(record)
+    assert "expr" in vars(record) and "expr" not in vars(fresh)
+    assert fresh.expr == record.expr
+    assert fresh == record and hash(fresh) == hash(record)
+    assert fresh != dataclasses.replace(fresh, id="other")
 
 
 def make_records():
@@ -348,11 +395,10 @@ def test_binding_alternating_variable_counts_matches_the_reference(
         assert got.groups == want.groups
         assert list(got.groups) == list(want.groups)
         assert all(
-            got.by_key(r.key) is r and got[i] is r and got.id_of(r) == i
-            for i, r in enumerate(got)
+            got.by_key(r.key) is r and got[i] is r for i, r in enumerate(got)
         )
         assert got.shared is not None
-    assert bool(layer.bind(none).creation_rules) is with_closed
+    assert bool(layer.bind(none).group(None)) is with_closed
 
 
 def test_variable_rules_are_made_once_per_name(corpus_records, monkeypatch):
@@ -410,7 +456,7 @@ def test_one_template_rule_sits_at_each_sets_own_place(corpus_records):
     sets = [build_cond_ruleset(templates, c) for c in (ctx, fewer)]
     rules = [rs.by_key(f"expr:{expr.key}") for rs in sets]
     assert rules[0] is rules[1]
-    ids = [rs.id_of(rule) for rs, rule in zip(sets, rules)]
+    ids = [rs.rules.index(rule) for rs, rule in zip(sets, rules)]
     assert ids[0] - ids[1] == len(ctx.variables) - 1
     for rs, rule_id in zip(sets, ids):
         assert rs[rule_id] is rules[0]

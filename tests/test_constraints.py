@@ -538,22 +538,22 @@ def test_shared_table_keys_every_declared_leaf():
 
 def test_step_refuses_a_rule_that_only_shares_a_key():
     """A table's signatures and a probe's id belong to the searched set's
-    own rule under a key: the set refuses a rule with that key and another
-    schema, and a step offers only the rules its set holds, so the set's
-    own rule under that key is probed as ever, at its place."""
+    own rule under a key: no set holds a rule with that key and another
+    schema beside it, and a step offers only the rules its set holds, so
+    the set's own rule under that key is probed as ever, at its place."""
     rs = full_rules(DEMO)
     table = SignatureTable(compute_size_bounds(rs))
     shared = RuleSet(rs.rules, shared=table)
     rule = shared.by_key('td:E->E "> 12"')
     retyped = dataclasses.replace(rule, schema=((0, TypeAtom("Str")),))
-    with pytest.raises(RuleError):
-        shared.id_of(retyped)
+    with pytest.raises(RuleError, match="duplicate"):
+        RuleSet([*shared, retyped], shared=table)
     step = SearchStep(shared)
     root = apply_rule(AnnotatedAst.empty(), None, shared.by_key("make-root:E"))
     out = probe_rules(root, root.root, rule.pattern, step)
     assert all(probe.rule is shared[probe.id] for probe in out.kept)
     (probe,) = [p for p in out.kept if p.rule.key == rule.key]
-    assert probe.rule is rule and probe.id == shared.id_of(rule)
+    assert probe.rule is rule and probe.id == shared.rules.index(rule)
 
 
 def test_step_takes_the_shared_tables_bounds():

@@ -1,7 +1,5 @@
 """Grammar text format, rule derivation, and rule set bookkeeping."""
 
-import dataclasses
-
 import pytest
 
 from progest.errors import GrammarError, RuleError
@@ -141,7 +139,7 @@ def test_top_down_rule_shape():
     assert root.anchor and root.annotation is Annotation.NONE
     assert root.children[0].annotation is Annotation.D  # fresh nonterminal
     assert root.children[1].annotation is Annotation.NONE  # terminal
-    assert rule.anchor_path() == ()
+    assert rule.block.anchor == 0 and rule.block.parents == (None, 0, 0)
 
 
 def test_top_down_schema_positions():
@@ -168,7 +166,9 @@ def test_bottom_up_rules_one_per_position():
     rule = rs.by_key('bu1:E->E "+" E')
     assert rule.pattern == (terminal("+"), Annotation.U)
     assert rule.replacement.annotation is Annotation.U
-    assert rule.anchor_path() == (1,)
+    # preorder: the root, then its three children; the anchor is the second
+    assert rule.block.anchor == 2 and rule.block.parents == (None, 0, 0, 0)
+    assert rule.block.children[0] == (1, 2, 3)
     fin = rs.by_key("fin:E")
     assert fin.pattern == (nonterminal("E"), Annotation.U)
     assert fin.replacement.anchor and not fin.replacement.children
@@ -196,15 +196,15 @@ def test_ruleset_ids_are_positions_and_groups():
     rs = RuleSet(
         [*derive_top_down_rules(g), *derive_creation_rules(g, [CreationMode.ROOT])]
     )
-    assert [rs.id_of(r) for r in rs] == list(range(len(rs)))
-    assert rs[rs.id_of(rs.rules[2])] is rs.rules[2]
-    # an id names the set's own rule, not an equal copy of it
-    with pytest.raises(RuleError):
-        rs.id_of(dataclasses.replace(rs.rules[2]))
+    assert [rs[i] for i in range(len(rs))] == list(rs.rules)
+    assert all(rs.by_key(r.key) is r for r in rs)
     groups = rs.groups
     total = sum(len(v) for v in groups.values())
     assert total == len(rs)
-    assert len(rs.creation_rules) == 1
+    assert sorted(p for pattern in groups for p in rs.positions(pattern)) == list(
+        range(len(rs))
+    )
+    assert len(rs.group(None)) == 1
     assert len(rs.group((nonterminal("E"), Annotation.D))) == 3
     assert rs.group((nonterminal("E"), Annotation.U)) == ()
     for pattern, members in groups.items():

@@ -1,13 +1,16 @@
 """Tree construction, splicing, rendering, and derivation replay."""
 
 from itertools import islice
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gramgen import full_set, random_typed_grammar
+from gramgen import full_set, random_typed_grammar, top_down_set
+from progest import trees
 from progest.ambiguity import enumerate_complete_trees
+from progest.condsynth import build_cond_ruleset, mine_templates, record_tree
 from progest.constraints import SearchStep, feasible_rules
 from progest.errors import ApplyError, IncompleteTreeError, UnderivableTreeError
 from progest.grammar import (
@@ -41,6 +44,8 @@ from tests_support import (
     reference_constraints_of_application,
     reference_expandable_nodes,
     reference_is_complete,
+    reference_landings,
+    reference_matcher,
     replay,
     untyped_derivations,
 )
@@ -294,3 +299,72 @@ def test_compiled_splice_matches_the_reference(seed, middle, hashed):
             frontier.append(probe.ast)
             spliced += 1
     assert spliced > 0
+
+
+def _walk_both_ways(target, rs, policy) -> tuple[list, list, int]:
+    """``untyped_derivations`` of ``target`` under the block matcher, with
+    every landing it computes checked against ``reference_landings``, and
+    under the reference matcher: each run's derivations as (application,
+    target node, introduced, choice) per step, or None where the walk
+    raises ``UnderivableTreeError``, and the number of landings checked."""
+    block_landings = trees._landings
+    checked = 0
+
+    def compared(target, order, node, tid, rule):
+        nonlocal checked
+        got = list(block_landings(target, order, node, tid, rule))
+        want = list(reference_landings(target, order, node, tid, rule))
+        assert got == want, (rule.key, tid)
+        checked += 1
+        return iter(got)
+
+    def derivations():
+        try:
+            return [
+                [(s.application, s.target_node, s.introduced, s.choice) for s in d]
+                for d in untyped_derivations(target, rs, policy)
+            ]
+        except UnderivableTreeError:
+            return None
+
+    with mock.patch.object(trees, "_landings", compared):
+        got = derivations()
+    with reference_matcher():
+        want = derivations()
+    return got, want, checked
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["full", "middle", "topdown"]),
+       st.booleans())
+@example(2, "full", False)  # spells its first operator "E"
+@example(8, "middle", True)  # spells its first operator "E"
+def test_block_matcher_matches_the_recursive_reference(seed, rules, hashed):
+    """The derivation walk's block matcher lands every kept probe where the
+    recursive matcher of the rule's tree does, at every step, and the walk
+    yields the same derivations under either.  Checked on the complete
+    trees of random typed grammars, about a third of which spell an
+    operator like their nonterminal, under top-down, full and full plus
+    middle-creation rule sets and two policies."""
+    g = random_typed_grammar(seed)
+    rs = top_down_set(g) if rules == "topdown" else full_set(g)
+    if rules == "middle":
+        rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
+    policy = make_hash_policy(seed) if hashed else policy_leftmost
+    checked = 0
+    for tree in islice(enumerate_complete_trees(g, 7), 12):
+        got, want, count = _walk_both_ways(tree, rs, policy)
+        assert got == want
+        checked += count
+    assert checked > 0
+
+
+def test_block_matcher_matches_the_reference_on_corpus_trees(corpus_records):
+    """The same comparison on the trees of corpus records, each under its
+    own context's condition rule set."""
+    templates = mine_templates(corpus_records)
+    for record in corpus_records[::10]:
+        rs = build_cond_ruleset(templates, record.context)
+        got, want, checked = _walk_both_ways(record_tree(record), rs, policy_leftmost)
+        assert got == want and got, record.id
+        assert checked >= len(got[0]), record.id

@@ -1,11 +1,11 @@
 """Hand-built fixtures for the worked two-variable comparison example, tree,
 grammar and policy helpers for the tests, and the reference paths that fast
 paths are checked against: the recursive splice and the rescanned frontier,
-the splice-then-solve prober, the restarting
-typed replay, the always-sorting beam, the depth-first exhaustive search,
-the per-tree certifier, the per-candidate reading of a decision and its
-feature vector and the memo-free rows and logistic predict built from
-them, and the per-context condition rule set."""
+the recursive matcher of the derivation walk, the splice-then-solve
+prober, the restarting typed replay, the always-sorting beam, the
+depth-first exhaustive search, the per-tree certifier, the per-candidate
+reading of a decision and its feature vector and the memo-free rows and
+logistic predict built from them, and the per-context condition rule set."""
 
 import contextlib
 import hashlib
@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from progest import constraints
+from progest import constraints, trees
 from progest.constraints import (
     ProbeOutcome,
     SearchStep,
@@ -260,8 +260,8 @@ def reference_probe_rules(
 ):
     """``constraints.probe_rules`` the slow way, with the same arguments.
 
-    Every rule of the group is spliced first, with its id looked up there;
-    the size bound is the new tree's whole ``tree_size``, and the
+    Every rule of the group is spliced first, with its id read off the
+    group's positions; the size bound is the new tree's whole ``tree_size``, and the
     constraint check solves a fresh system of the base pins, the
     candidate's schema and the full context constraints of the new tree.
     """
@@ -269,7 +269,7 @@ def reference_probe_rules(
     size_pruned = 0
     constraint_pruned = 0
     base = list(base_constraints)
-    for rule in step.rs.group(group):
+    for rule, rule_id in zip(step.rs.group(group), step.rs.positions(group)):
         new_ast, ids = apply_rule_with_ids(ast, target, rule)
         if (
             step.size_limit is not None
@@ -286,7 +286,7 @@ def reference_probe_rules(
             constraint_pruned += 1
             continue
         kept.append(
-            SplicedProbe(rule, step.rs.id_of(rule), new_ast, tuple(ids), tuple(schema))
+            SplicedProbe(rule, rule_id, new_ast, tuple(ids), tuple(schema))
         )
     return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
 
@@ -312,6 +312,109 @@ def untyped_derivations(target, rs, policy):
     return iter_derivations(
         target, lambda ast, pins: feasible_rules(ast, step, policy, pins)
     )
+
+
+def reference_anchor_path(rule: RewritingRule) -> tuple[int, ...] | None:
+    """Child-index path from the replacement root to the anchor, read by a
+    recursive walk of the rule's tree; None for a creation."""
+
+    def walk(node: RuleTree, path: tuple[int, ...]):
+        if node.anchor:
+            return path
+        for idx, child in enumerate(node.children):
+            found = walk(child, path + (idx,))
+            if found is not None:
+                return found
+        return None
+
+    return walk(rule.replacement, ())
+
+
+def reference_root_match(target: AnnotatedAst, node: AstNode, tid: int, rule):
+    """Where the replacement root of ``rule`` lands in ``target`` when its
+    anchor lands on ``tid``: one target id, or none where it may not land."""
+    root_tid = tid
+    for _ in reference_anchor_path(rule) or ():
+        root_tid = target.nodes[root_tid].parent
+        if root_tid is None:
+            return ()
+    if node.parent is None:
+        # the splice result replaces the tree root here; once it can no
+        # longer grow upward it must already map to the target root
+        if rule.replacement.anchor:
+            still_up = node.annotation.without(rule.pattern[1]).needs_up
+        else:
+            still_up = rule.replacement.annotation.needs_up
+        if not still_up and root_tid != target.root:
+            return ()
+    return (root_tid,)
+
+
+def reference_match_replacement(rule, target: AnnotatedAst, root_tid, anchor_tid):
+    """Match the replacement tree downward at ``root_tid`` by a recursive
+    walk of the rule's tree: (preorder position, target id) pairs for every
+    replacement node, or None if the shapes disagree.  The anchor must land
+    exactly on ``anchor_tid`` and its subtree is not descended into."""
+    out: list[tuple[int, int]] = []
+    pos = -1
+
+    def walk(rt: RuleTree, tid: int) -> bool:
+        nonlocal pos
+        pos += 1
+        node = target.nodes[tid]
+        if node.symbol != rt.symbol:
+            return False
+        out.append((pos, tid))
+        if rt.anchor:
+            if tid != anchor_tid:
+                return False
+            if not rt.children:
+                # leaf anchor: the kept subtree was matched by earlier steps
+                return True
+            # fall through: a downward anchor declares the new children
+        elif rt.annotation.needs_down:
+            # subtree left for later steps
+            return True
+        if len(rt.children) != len(node.children):
+            return False
+        for sub, child_tid in zip(rt.children, node.children):
+            if not walk(sub, child_tid):
+                return False
+        return True
+
+    if not walk(rule.replacement, root_tid):
+        return None
+    if not rule.replacement.annotation.needs_up and anchor_tid is None:
+        # a creation without an upward mark can never gain ancestors, so it
+        # must already sit at the target root
+        if root_tid != target.root:
+            return None
+    return out
+
+
+def reference_landings(target, order, node, tid, rule):
+    """``trees._landings`` the slow way, with the same arguments: the root
+    is found by the rule's anchor path (every node of ``order`` for a
+    creation) and the replacement tree is matched from there recursively."""
+    roots = order if node is None else reference_root_match(target, node, tid, rule)
+    for root_tid in roots:
+        matched = reference_match_replacement(rule, target, root_tid, tid)
+        if matched is not None:
+            assert [pos for pos, _ in matched] == list(range(len(matched)))
+            yield [t for _, t in matched]
+
+
+@contextlib.contextmanager
+def reference_matcher():
+    """Route every landing of the derivation walk through
+    ``reference_landings``: ``iter_derivations`` looks ``_landings`` up at
+    call time."""
+    saved = trees._landings
+    trees._landings = reference_landings
+    try:
+        yield
+    finally:
+        trees._landings = saved
 
 
 def reference_feasible_derivation(tree, rs, policy, ctx=None, *, size_limit=None):
