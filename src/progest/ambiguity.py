@@ -4,13 +4,15 @@ A rule set is unambiguous (up to a size bound) when no complete tree within
 the bound has two build histories.
 
 The check generates forward from the empty tree, as AMBER does (Schröer
-2001): one ``search.exhaustive_search`` over the rule set reaches every
-complete tree within the bound once per build, through the same step the
-beam takes.  The rules' type schemas are dropped first, so the check is
-untyped.  Under one policy two builds of a tree first differ at a step
-where the same node takes two different rules, so a tree reached twice has
-two distinct histories.  Each build is keyed by its tree's preorder
-``(name, is_terminal, arity)`` labels, which fix the tree.  The check then
+2001): the search loop at unbounded width (``search.finished_builds``)
+reaches every complete tree within the bound once per build, through the
+same step the beam takes.  The rules' type schemas are dropped first, so
+the check is untyped.  Under one policy two builds of a tree first differ
+at a step where the same node takes two different rules, so a tree reached
+twice has two distinct histories.  Each build is keyed by its tree's
+preorder ``(name, is_terminal, arity)`` labels, which fix the tree; they
+are read from the tree the last rule applies to and that rule's block
+(``trees.splice_labels``), so no build's tree is made.  The check then
 walks the grammar's complete trees, as the same labels, in size order: a
 tree with one build is a checked derivation, a tree with none is
 underivable, and the first tree with two ends the walk with a replayable
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 from math import inf
 
 from .grammar import Grammar, RuleSet, Symbol
-from .search import Candidate, exhaustive_search
+from .search import Build, finished_builds
 # iter_derivations is bound only so that the benchmark's tracer (perfbench)
 # can wrap it under this module's name; the check itself does not call it
 from .trees import (
@@ -116,25 +118,6 @@ def enumerate_complete_trees(g: Grammar, max_nodes: int):
         yield build_complete_ast(_shape(labels))
 
 
-def _tree_key(ast: AnnotatedAst) -> tuple:
-    """The preorder ``(name, is_terminal, arity)`` labels of a finished tree,
-    as ``tree_labels`` yields them.
-
-    This runs once per build, so it reads names and terminal flags and
-    hashes plain tuples; a ``Symbol`` hashes through Python code.
-    """
-    nodes = ast.nodes
-    out = []
-    stack = [ast.root]
-    while stack:
-        node = nodes[stack.pop()]
-        kids = node.children
-        sym = node.symbol
-        out.append((sym.name, sym.is_terminal, len(kids)))
-        stack.extend(reversed(kids))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Witness:
     """Two distinct build histories for the same tree.
@@ -165,29 +148,29 @@ class AmbiguityReport:
     witness: Witness | None = None
 
 
-def _walk_order(cand: Candidate):
+def _walk_order(build: Build):
     """Where a build comes when a tree's builds are walked depth first from
     the empty tree, as ``trees.iter_derivations`` walks them: by its creation
     rule, then by the preorder place in the tree of the node the creation
     makes (id 0), then by its later rules."""
-    first, *rest = cand.applications
-    return first.rule, cand.ast.preorder().index(0), [app.rule for app in rest]
+    probe, _, (first, *rest) = build
+    return first.rule, probe.ast.preorder().index(0), [app.rule for app in rest]
 
 
-def _witness(a: Candidate, b: Candidate, rs: RuleSet) -> Witness:
+def _witness(a: Build, b: Build, rs: RuleSet) -> Witness:
+    (probe, _, apps_a), (_, _, apps_b) = a, b
     # both builds end in a complete tree, so neither history is a prefix of
     # the other; where they part, one policy picked one node for both
-    app_a, app_b = next(
-        (x, y) for x, y in zip(a.applications, b.applications) if x != y
-    )
+    app_a, app_b = next((x, y) for x, y in zip(apps_a, apps_b) if x != y)
+    tree = probe.ast
     return Witness(
-        tree=a.ast,
-        rendered=render(a.ast),
+        tree=tree,
+        rendered=render(tree),
         node=0 if app_a.node is None else app_a.node,
         rule_a=rs[app_a.rule].key,
         rule_b=rs[app_b.rule].key,
-        derivation_a=a.applications,
-        derivation_b=b.applications,
+        derivation_a=apps_a,
+        derivation_b=apps_b,
     )
 
 
@@ -208,18 +191,23 @@ def check_unambiguous(
     one build counts as a derivation, each with none as underivable, and the
     first clashing tree ends the check: its first two builds in walk order
     make the witness and count as two derivations.
+
+    The builds are those of ``search.finished_builds`` at unbounded width,
+    with no model and no renderer, each keyed by ``Probe.labels``.  A clean
+    check makes no finished tree, so it splices once per expanded state
+    past the empty tree; a clash makes the clashing tree's builds.
     """
     untyped = RuleSet([replace(r, schema=()) for r in rs])
-    # no build's text is read but the witness's, which _witness renders; the
-    # search's rank order, which then falls back to rule ids, is not read
-    # either, since a clash sorts its builds by _walk_order
-    found = exhaustive_search(
-        untyped, None, policy=policy or policy_leftmost,
-        size_limit=max_nodes, step_cap=inf, renderer=lambda ast: "",
+    # the loop's builds, unranked and unspliced: each is keyed by the labels
+    # its probe's splice would make, and only a clashing tree's builds are
+    # spliced, to order them by _walk_order and make the witness
+    found, _ = finished_builds(
+        untyped, None, None, policy=policy or policy_leftmost, widths=(inf,),
+        size_limit=max_nodes, step_cap=inf,
     )
-    builds: dict[tuple, list[Candidate]] = {}
-    for cand in found.candidates:
-        builds.setdefault(_tree_key(cand.ast), []).append(cand)
+    builds: dict[tuple, list[Build]] = {}
+    for build in found:
+        builds.setdefault(build[0].labels, []).append(build)
     trees_checked = derivations_checked = underivable = 0
     for labels in tree_labels(grammar, max_nodes):
         trees_checked += 1

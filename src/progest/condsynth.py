@@ -79,8 +79,9 @@ _VAR_RULE_RE = re.compile(r"^var(\d+):")
 @dataclass(frozen=True)
 class CorpusRecord:
     """One corpus atom.  ``expr`` is its condition parsed on first use and
-    kept, so loading, mining and replaying it parse it once; equality and
-    hashing read only the three fields."""
+    kept, so loading, mining and replaying it parse it once, and
+    ``abstract`` is read from that parse once, for mining and replaying
+    alike; equality and hashing read only the three fields."""
 
     id: str
     condition: str
@@ -89,6 +90,28 @@ class CorpusRecord:
     @functools.cached_property
     def expr(self) -> Expr:
         return parse_condition(self.condition)
+
+    @functools.cached_property
+    def abstract(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """Skeleton tokens, placeholder types, and variable names of the
+        atom; an undeclared variable raises ``ContextError`` on every read."""
+        var_types = self.context.variable_types
+        skeleton: list[str] = []
+        types: list[str] = []
+        names: list[str] = []
+        for text, is_var in tokens_with_vars(self.expr):
+            if is_var:
+                declared = var_types.get(text)
+                if declared is None:
+                    raise ContextError(f"variable {text!r} is not declared")
+                types.append(declared)
+                names.append(text)
+                # every record keeps its skeleton, so they share one string
+                # per placeholder
+                skeleton.append(sys.intern(f"V{len(types)}"))
+            else:
+                skeleton.append(text)
+        return tuple(skeleton), tuple(types), tuple(names)
 
 
 def load_corpus(path: str) -> list[CorpusRecord]:
@@ -190,32 +213,12 @@ class Template:
         return Template(key, tokens, types, count)
 
 
-def _abstract(record: CorpusRecord):
-    """Skeleton tokens, placeholder types, and variable names of one atom."""
-    var_types = record.context.variable_types
-    tagged = tokens_with_vars(record.expr)
-    skeleton: list[str] = []
-    types: list[str] = []
-    names: list[str] = []
-    for text, is_var in tagged:
-        if is_var:
-            declared = var_types.get(text)
-            if declared is None:
-                raise ContextError(f"variable {text!r} is not declared")
-            types.append(declared)
-            names.append(text)
-            skeleton.append(f"V{len(types)}")
-        else:
-            skeleton.append(text)
-    return tuple(skeleton), tuple(types), tuple(names)
-
-
 def template_key(tokens: Sequence[str], types: Sequence[str]) -> str:
     return f"{' '.join(tokens)}::{','.join(types)}"
 
 
 def template_of(record: CorpusRecord) -> Template:
-    tokens, types, _names = _abstract(record)
+    tokens, types, _names = record.abstract
     return Template(template_key(tokens, types), tokens, types, 1)
 
 
@@ -451,7 +454,7 @@ def certification_bound(templates: Sequence[Template]) -> int:
 
 def record_tree(record: CorpusRecord) -> AnnotatedAst:
     """The finished tree the rule set would build for this record."""
-    tokens, types, names = _abstract(record)
+    tokens, types, names = record.abstract
     children = []
     slot = 0
     for token in tokens:

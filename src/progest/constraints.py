@@ -39,7 +39,13 @@ from typing import Callable, Iterable, Mapping
 from .errors import SchemaError
 from .grammar import Annotation, Pattern, RewritingRule, RuleSet, RuleTree
 from .minilang import is_variable_token
-from .trees import AnnotatedAst, apply_rule_with_ids, check_applicable
+from .trees import (
+    AnnotatedAst,
+    apply_rule_with_ids,
+    check_applicable,
+    splice_finishes,
+    splice_labels,
+)
 
 
 @dataclass(frozen=True)
@@ -430,7 +436,9 @@ class Probe:
     ids, by one splice, and ``constraints``, the schema constraints this
     application contributes, from those ids.  A caller that reads none of
     them splices nothing, and one that reads only the tree instantiates no
-    pins.  Two probes are equal when their rules, ids and these parts are.
+    pins.  ``finishes`` and ``labels`` read the new tree's completeness and
+    preorder labels from the tree and the rule's block, and splice nothing.
+    Two probes are equal when their rules, ids and made parts are.
 
     Callers that accept the candidate must carry ``constraints`` forward as
     part of the base system of later probes; schema pins die with the probe
@@ -464,6 +472,14 @@ class Probe:
     @property
     def ids(self) -> tuple[int, ...]:
         return self._splice()[1]
+
+    @property
+    def finishes(self) -> bool:
+        return splice_finishes(self.parent, self.target, self.rule)
+
+    @property
+    def labels(self) -> tuple:
+        return splice_labels(self.parent, self.target, self.rule)
 
     @property
     def constraints(self) -> tuple[TypeConstraint, ...]:

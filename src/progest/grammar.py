@@ -41,10 +41,26 @@ _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 @dataclass(frozen=True, order=True)
 class Symbol:
-    """A grammar symbol; terminals carry their token text as the name."""
+    """A grammar symbol; terminals carry their token text as the name.
+
+    Equality and hashing read the two fields, as the generated ones would,
+    but build no tuple: a search step looks up a rule group by a
+    ``(Symbol, Annotation)`` key several times per expansion.
+    """
 
     name: str
     is_terminal: bool = False
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.name == other.name  # type: ignore[attr-defined]
+            and self.is_terminal == other.is_terminal  # type: ignore[attr-defined]
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.name) ^ self.is_terminal
 
     def __str__(self) -> str:
         return f'"{self.name}"' if self.is_terminal else self.name
@@ -65,6 +81,10 @@ class Annotation(enum.Enum):
     D = "D"
     U = "U"
     UD = "UD"
+
+    # members are singletons compared by identity, so they hash by it, in C
+    # (``Enum.__hash__`` hashes the name in Python)
+    __hash__ = object.__hash__
 
     @property
     def needs_down(self) -> bool:
@@ -321,10 +341,13 @@ class RuleBlock:
     Position p is the p-th replacement node in preorder: ``symbols[p]`` and
     ``marks[p]`` are its symbol and mark, ``parents[p]`` its parent's
     position (None at the root) and ``children[p]`` its children's
-    positions.  ``anchor`` is the anchor's position, None in a creation.
-    The marked positions other than the anchor are split by where they
-    fall in preorder: ``before`` the anchor, ``under`` it, and ``after``
-    its subtree; a creation has no anchor, so all of them are ``before``.
+    positions.  ``labels[p]`` is position p's ``(name, is_terminal,
+    arity)`` in the replacement alone.  ``anchor`` is the anchor's
+    position, None in a creation, and ``end`` is one past the last
+    position of its subtree (0 in a creation).  The marked positions other
+    than the anchor are split by where they fall in preorder: ``before``
+    the anchor, ``under`` it, and ``after`` its subtree; a creation has no
+    anchor, so all of them are ``before``.
     The schema comes as ``pins``, (position, type name) for each concrete
     atom, and ``links``, (position, position) for each pair of consecutive
     positions of one schema variable, in schema order.
@@ -334,7 +357,9 @@ class RuleBlock:
     marks: tuple[Annotation, ...]
     parents: tuple[int | None, ...]
     children: tuple[tuple[int, ...], ...]
+    labels: tuple[tuple[str, bool, int], ...]
     anchor: int | None
+    end: int
     before: tuple[int, ...]
     under: tuple[int, ...]
     after: tuple[int, ...]
@@ -384,9 +409,13 @@ def _compile_block(rule: RewritingRule) -> RuleBlock:
     links = [
         link for positions in by_var.values() for link in zip(positions, positions[1:])
     ]
+    labels = tuple(
+        (sym.name, sym.is_terminal, len(kids)) for sym, kids in zip(symbols, children)
+    )
     return RuleBlock(
         tuple(symbols), tuple(marks), tuple(parents), tuple(map(tuple, children)),
-        anchor, tuple(before), tuple(under), tuple(after), tuple(pins), tuple(links),
+        labels, anchor, end, tuple(before), tuple(under), tuple(after), tuple(pins),
+        tuple(links),
     )
 
 

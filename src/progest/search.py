@@ -5,7 +5,10 @@ choices that built them.  Each round expands every live state at the node
 its policy picks, keeps the locally best successors, then truncates the pool
 to the round's beam width.  Widths are given per round; the last entry
 repeats, so ``(5, 200)`` means a tight first pick and a wide tail.  There is
-one search loop: exhaustive search is the beam at unbounded width.
+one search loop, ``finished_builds``: it hands out each finished build
+unspliced, and ``beam_search`` renders, screens and ranks them.  Exhaustive
+search is the beam at unbounded width, and the certifier reads the loop's
+builds directly.
 
 Every expansion is one call of ``constraints.feasible_rules``: the policy's
 node, its rule group, and the typed, size-bounded probe.  The scorer replays
@@ -41,7 +44,6 @@ from .models import feasible_derivation
 from .trees import (
     AnnotatedAst,
     Application,
-    is_complete,
     policy_leftmost,
     render,
     to_sexpr,
@@ -49,11 +51,18 @@ from .trees import (
 
 Policy = Callable[[AnnotatedAst], tuple[int, Annotation]]
 Renderer = Callable[[AnnotatedAst], str]
-# a search state: tree, log prob, applications so far, and its schema pins
-# in two parts, those of the state it grew from and the probe that grew it
-# (None for the empty tree); the probe's own pins are read only when the
-# state is expanded, so a finished tree never instantiates them
-State = tuple[AnnotatedAst, float, tuple[Application, ...], tuple, Probe | None]
+# a search state: the probe that made its tree (None for the empty tree),
+# log prob, applications so far, and the schema pins of the state it grew
+# from; the probe splices, and its own pins are read, only when the state
+# is expanded, so the loop never makes a finished tree and never
+# instantiates its pins
+State = tuple[Probe | None, float, tuple[Application, ...], tuple]
+
+
+# a finished tree as the search loop hands it out: the probe whose splice
+# makes it (``probe.ast``), the log probability of its rule choices, and its
+# applications from the empty tree
+Build = tuple[Probe, float, tuple[Application, ...]]
 
 
 # --------------------------------------------------------------------------
@@ -113,6 +122,97 @@ class SearchResult:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
+def finished_builds(
+    rs: RuleSet,
+    ctx: Context | None,
+    model,
+    *,
+    policy: Policy = policy_leftmost,
+    widths: Sequence[float] = (5, 200),
+    size_limit: int | None = 30,
+    step_cap: float = 100_000,
+) -> tuple[list[Build], SearchStats]:
+    """The search loop: every finished build the beam keeps, in the order
+    the rounds reach them, and the loop's counts.
+
+    Each state holds the probe that made its tree, which splices when the
+    state is expanded.  A state's build is finished when its probe finishes
+    the tree, read from the rule's block (``Probe.finishes``) in the round
+    after the one that made it, so a finished build takes its place in its
+    round's width as any state does, and is handed out unspliced.
+    ``model`` None scores every candidate 1 and calls nothing.
+
+    Each width must be an int of at least 1 or ``math.inf``, and
+    ``step_cap`` (expansions) an int of at least 0 or ``math.inf`` (bools
+    are neither); anything else raises ``ValueError`` before the search
+    starts.  Candidates and successors are sorted only when they outnumber
+    the width.  Both sort keys are total, so the states kept are those of a
+    full sort; only their order in a round differs, and with it what
+    ``step_cap`` cuts.
+    """
+    if not widths or not all(w == inf or _is_count(w, 1) for w in widths):
+        raise ValueError(
+            "widths must be a non-empty sequence of ints >= 1 or math.inf, "
+            f"got {widths!r}"
+        )
+    if not (step_cap == inf or _is_count(step_cap, 0)):
+        raise ValueError(f"step_cap must be an int >= 0 or math.inf, got {step_cap!r}")
+    stats = SearchStats()
+    step = SearchStep(rs, ctx, size_limit)
+    builds: list[Build] = []
+    states: list[State] = [(None, 0.0, (), ())]
+    round_idx = 0
+    while states:
+        width = widths[min(round_idx, len(widths) - 1)]
+        successors: list[State] = []
+        for grown_by, log_prob, apps, pins in states:
+            if grown_by is not None and grown_by.finishes:
+                builds.append((grown_by, log_prob, apps))
+                continue
+            if stats.expansions >= step_cap:
+                stats.step_cap_hit = True
+                continue
+            stats.expansions += 1
+            if grown_by is None:
+                ast = AnnotatedAst.empty()
+            else:
+                ast = grown_by.ast
+                pins += grown_by.constraints
+            outcome = feasible_rules(ast, step, policy, pins)
+            stats.size_pruned += outcome.size_pruned
+            stats.constraint_pruned += outcome.constraint_pruned
+            if not outcome.kept:
+                continue
+            node = outcome.target
+            if model is None:
+                scored = [(log_prob, probe) for probe in outcome.kept]
+            else:
+                probs = model.predict(ctx, ast, node, [p.rule for p in outcome.kept])
+                scored = []
+                for probe, p in zip(outcome.kept, probs):
+                    if p <= 0.0:
+                        stats.zero_prob_pruned += 1
+                        continue
+                    scored.append((log_prob + log(p), probe))
+            if len(scored) > width:
+                scored.sort(key=lambda item: (-item[0], item[1].id))
+                stats.beam_truncated += len(scored) - width
+                scored = scored[:width]
+            successors.extend(
+                (probe, new_log, apps + (Application(node, probe.id),), pins)
+                for new_log, probe in scored
+            )
+        if len(successors) > width:
+            successors.sort(
+                key=lambda s: (-s[1], to_sexpr(s[0].ast), tuple(a.rule for a in s[2]))
+            )
+            stats.beam_truncated += len(successors) - width
+            successors = successors[:width]
+        states = successors
+        round_idx += 1
+    return builds, stats
+
+
 def beam_search(
     rs: RuleSet,
     ctx: Context | None,
@@ -129,77 +229,28 @@ def beam_search(
     """Beam search for the ``k`` most probable finished trees.
 
     Probabilities multiply over steps exactly as the model reports them; the
-    fitted models normalize per candidate list, fixtures may not.  Finished
-    states leave the beam, get anti-pattern screened, and are ranked at the
-    end, so a slow completion can still outrank an early one.
+    fitted models normalize per candidate list, fixtures may not.  The
+    builds of ``finished_builds`` are rendered, anti-pattern screened and
+    ranked at the end, so a slow completion can still outrank an early one.
 
-    ``k`` must be an int of at least 0 and each width an int of at least 1
-    or ``math.inf`` (bools are neither); anything else raises
-    ``ValueError`` before the search starts.  Candidates and successors are
-    sorted only when they outnumber the width.  Both sort keys are total, so
-    the states kept, and so the ranking, are those of a full sort; only
-    their order in a round differs, and with it what ``step_cap``
-    (expansions) cuts.
+    ``k`` must be an int of at least 0; it, the widths and ``step_cap`` are
+    checked as ``finished_builds`` says, before the search starts.
     """
     if not _is_count(k, 0):
         raise ValueError(f"k must be an int >= 0, got {k!r}")
-    if not widths or not all(w == inf or _is_count(w, 1) for w in widths):
-        raise ValueError(
-            "widths must be a non-empty sequence of ints >= 1 or math.inf, "
-            f"got {widths!r}"
-        )
-    stats = SearchStats()
+    builds, stats = finished_builds(
+        rs, ctx, model, policy=policy, widths=widths, size_limit=size_limit,
+        step_cap=step_cap,
+    )
     render_fn = renderer or render
-    step = SearchStep(rs, ctx, size_limit)
     results: list[Candidate] = []
-    states: list[State] = [(AnnotatedAst.empty(), 0.0, (), (), None)]
-    round_idx = 0
-    while states:
-        width = widths[min(round_idx, len(widths) - 1)]
-        successors: list[State] = []
-        for ast, log_prob, apps, pins, grown_by in states:
-            if is_complete(ast):
-                text = render_fn(ast)
-                if anti_pattern_check(text, anti_patterns):
-                    results.append(Candidate(ast, text, log_prob, apps))
-                else:
-                    stats.anti_pattern_pruned += 1
-                continue
-            if stats.expansions >= step_cap:
-                stats.step_cap_hit = True
-                continue
-            stats.expansions += 1
-            if grown_by is not None:
-                pins += grown_by.constraints
-            outcome = feasible_rules(ast, step, policy, pins)
-            stats.size_pruned += outcome.size_pruned
-            stats.constraint_pruned += outcome.constraint_pruned
-            if not outcome.kept:
-                continue
-            node = outcome.target
-            probs = model.predict(ctx, ast, node, [p.rule for p in outcome.kept])
-            scored = []
-            for probe, p in zip(outcome.kept, probs):
-                if p <= 0.0:
-                    stats.zero_prob_pruned += 1
-                    continue
-                scored.append((log_prob + log(p), probe))
-            if len(scored) > width:
-                scored.sort(key=lambda item: (-item[0], item[1].id))
-                stats.beam_truncated += len(scored) - width
-                scored = scored[:width]
-            successors.extend(
-                (probe.ast, new_log, apps + (Application(node, probe.id),), pins, probe)
-                for new_log, probe in scored
-            )
-        if len(successors) > width:
-            successors.sort(
-                key=lambda s: (-s[1], to_sexpr(s[0]), tuple(a.rule for a in s[2]))
-            )
-            stats.beam_truncated += len(successors) - width
-            successors = successors[:width]
-        states = successors
-        round_idx += 1
+    for probe, log_prob, apps in builds:
+        ast = probe.ast
+        text = render_fn(ast)
+        if anti_pattern_check(text, anti_patterns):
+            results.append(Candidate(ast, text, log_prob, apps))
+        else:
+            stats.anti_pattern_pruned += 1
     results.sort(
         key=lambda c: (-c.log_prob, c.rendered, tuple(a.rule for a in c.applications))
     )
@@ -209,13 +260,6 @@ def beam_search(
 def _is_count(value, least: int) -> bool:
     """Whether ``value`` is an int (not a bool) of at least ``least``."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-class _Unscored:
-    """Scores every candidate 1, so every log probability stays 0."""
-
-    def predict(self, ctx, ast, node, candidates) -> list[float]:
-        return [1.0] * len(candidates)
 
 
 def exhaustive_search(
@@ -232,12 +276,14 @@ def exhaustive_search(
     """Every finished tree reachable under the pruning, in rank order: the
     beam at unbounded width, with no cut on the result count.
 
-    Suits bounded spaces: the certifier (``ambiguity.check_unambiguous``),
-    oracles and exactness checks.  Raises ``SearchOverflowError`` past
-    ``step_cap`` expansions; ``math.inf`` sets no cap.  Without a model every
-    step scores 1, so every log probability is zero.
+    Suits bounded spaces: oracles and exactness checks (the certifier,
+    ``ambiguity.check_unambiguous``, reads the same loop's unrendered builds
+    from ``finished_builds``).  Raises ``SearchOverflowError`` past
+    ``step_cap`` expansions; ``math.inf`` sets no cap, and any other value
+    that is not an int of at least 0 raises ``ValueError``.  Without a
+    model every step scores 1, so every log probability is zero.
     """
-    found = beam_search(rs, ctx, model or _Unscored(), policy=policy, widths=(inf,),
+    found = beam_search(rs, ctx, model, policy=policy, widths=(inf,),
                         k=maxsize, size_limit=size_limit, anti_patterns=anti_patterns,
                         step_cap=step_cap, renderer=renderer)
     if found.stats.step_cap_hit:

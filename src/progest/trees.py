@@ -30,6 +30,11 @@ other entries go right after the ones under the anchor and before the ones
 after its subtree.  ``policy_leftmost``, ``expandable_nodes`` and
 ``is_complete`` read ``open`` and never rescan the tree.
 
+A block is read a second way, without splicing: ``splice_finishes`` says
+whether a splice would leave ``open`` empty, and ``splice_labels`` gives
+the preorder labels of the tree it would make.  A search hands out
+finished builds by the first, and the certifier keys each by the second.
+
 ``iter_derivations`` is the one walk over a finished tree's derivations:
 it steps through a search step, so its first derivation is the search's
 build of the tree.  It matches each kept probe on the same block: the
@@ -222,6 +227,71 @@ def _splice(
     return AnnotatedAst(
         nodes, ast.root, (*open_[:at], *marked, *after, *open_[at + 1:])
     ), ids
+
+
+def splice_finishes(ast: AnnotatedAst, target: int | None, rule: RewritingRule) -> bool:
+    """Whether ``_splice(ast, target, rule)`` makes a finished tree, read
+    without making it.
+
+    The splice's ``open`` is the block's marked positions, the target while
+    its leftover mark is not empty, and the rest of ``ast.open``; so the
+    tree is finished when the block marks nothing, the target's mark is used
+    up and it was the tree's only marked node.  The target's mark holds the
+    rule's direction, so it is used up when it is that direction alone.
+    """
+    block = rule.block
+    if block.before or block.under or block.after:
+        return False
+    return target is None or (
+        ast.open == (target,)
+        and ast.nodes[target].annotation is rule.pattern[1]  # type: ignore[index]
+    )
+
+
+def splice_labels(ast: AnnotatedAst, target: int | None, rule: RewritingRule) -> tuple:
+    """The preorder ``(name, is_terminal, arity)`` labels of the tree
+    ``_splice(ast, target, rule)`` makes, read from ``ast`` and the rule's
+    block without making it.
+
+    The block's labels stand in for the target's: those before the anchor,
+    the anchor with its block children and the target's old ones, those
+    under it, then the target's old subtree, then those after the anchor's
+    subtree.  As in the splice, a target below the root is a leaf, so the
+    labels after the anchor's subtree follow at once; a target at the root
+    has the whole old tree under it, so they come last.
+    """
+    block = rule.block
+    labels = block.labels
+    if target is None:
+        return labels
+    nodes = ast.nodes
+    anchor, end = block.anchor, block.end
+    old = nodes[target]
+    symbol = block.symbols[anchor]  # type: ignore[index]
+    head = (
+        *labels[:anchor],
+        (symbol.name, symbol.is_terminal,
+         len(block.children[anchor]) + len(old.children)),  # type: ignore[index]
+        *labels[anchor + 1:end],  # type: ignore[operator]
+    )
+    tail = labels[end:]
+    out: list = []
+    stack = [ast.root]
+    while stack:
+        nid = stack.pop()
+        node = nodes[nid]
+        kids = node.children
+        if nid == target:
+            out += head
+            if old.parent is not None:
+                out += tail
+        else:
+            sym = node.symbol
+            out.append((sym.name, sym.is_terminal, len(kids)))
+        stack.extend(reversed(kids))
+    if old.parent is None:
+        out += tail
+    return tuple(out)
 
 
 def render(ast: AnnotatedAst) -> str:

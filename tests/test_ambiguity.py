@@ -16,7 +16,6 @@ from gramgen import (
 )
 from progest import ambiguity, search, trees
 from progest.ambiguity import (
-    _tree_key,
     check_unambiguous,
     enumerate_complete_trees,
     minimum_tree_sizes,
@@ -39,6 +38,7 @@ from tests_support import (
     make_hash_policy,
     reference_check_unambiguous,
     replay,
+    tree_key,
 )
 
 DEMO = 'E -> E "> 12" | E "> 0" | "hours" | "value" | E "+" E\n'
@@ -114,7 +114,7 @@ def test_tree_labels_fix_the_enumerated_trees(seed, family):
         assert len(set(labels)) == len(labels) == len(built), bound
         sizes = [len(t) for t in built]
         assert sizes == sorted(sizes) and all(n <= bound for n in sizes), bound
-        assert [_tree_key(t) for t in built] == labels, bound
+        assert [tree_key(t) for t in built] == labels, bound
 
 
 def test_top_down_set_is_unambiguous(demo):
@@ -218,6 +218,29 @@ def test_a_clean_check_lists_no_tree(demo_grammar, monkeypatch):
     assert _counts(check_unambiguous(both, demo_grammar, max_nodes=13)) == (
         True, 13, 746, 373, 373
     )
+
+
+@pytest.mark.parametrize("which, splices", [(0, 465), (1, 293)],
+                         ids=["topdown", "both"])
+def test_a_clean_check_splices_only_the_states_it_expands(
+    demo_grammar, monkeypatch, which, splices
+):
+    """A clean check makes no finished tree: it keys each build from the
+    block, so it splices once per expanded state past the empty tree (466
+    and 294 expansions on the criterion 06 sets at bound 13), where
+    splicing every build made 1 211 and 666 splices."""
+    made = 0
+    splice = trees._splice
+
+    def counted(*args):
+        nonlocal made
+        made += 1
+        return splice(*args)
+
+    monkeypatch.setattr(trees, "_splice", counted)
+    rs = _criterion_06_sets(demo_grammar)[which]
+    assert check_unambiguous(rs, demo_grammar, max_nodes=13).unambiguous
+    assert made == splices
 
 
 def _counts(report):

@@ -163,17 +163,24 @@ def test_load_corpus_rejects_an_atom_id_that_repeats(tmp_path, capsys, first, se
 def test_a_loaded_record_is_parsed_once(data_dir, monkeypatch):
     """Loading parses each atom once and keeps the parse on its record, so
     a frequency training and a held-out evaluation over loaded records
-    parse nothing; a record compares and hashes by its fields whether its
-    parse is kept or not."""
+    parse nothing; the training abstracts each record once, for mining and
+    for its tree alike; a record compares and hashes by its fields whether
+    its parse is kept or not."""
     calls: list[str] = []
     parse = condsynth.parse_condition
     monkeypatch.setattr(
         condsynth, "parse_condition", lambda text: calls.append(text) or parse(text)
     )
+    abstracted: list = []
+    walk = condsynth.tokens_with_vars
+    monkeypatch.setattr(
+        condsynth, "tokens_with_vars", lambda expr: abstracted.append(expr) or walk(expr)
+    )
     records = load_corpus(data_dir / "corpus.jsonl")
     assert calls == [r.condition for r in records]
     calls.clear()
     train_cond_models(records, model_kind="frequency")
+    assert abstracted == [r.expr for r in records]
     evaluate_topk(records[:100], model_kind="frequency", seed=3)
     assert calls == []
 

@@ -1,6 +1,8 @@
 """Grammar text format, rule derivation, and rule set bookkeeping."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from progest.errors import GrammarError, RuleError
 from progest.grammar import (
@@ -11,6 +13,7 @@ from progest.grammar import (
     RewritingRule,
     RuleSet,
     RuleTree,
+    Symbol,
     TypeAtom,
     derive_bottom_up_rules,
     derive_creation_rules,
@@ -20,6 +23,24 @@ from progest.grammar import (
     terminal,
 )
 from tests_support import serialize_grammar
+
+_SYMBOLS = st.builds(Symbol, st.sampled_from(["E", "F", "x", "> 12", ""]), st.booleans())
+
+
+@given(_SYMBOLS, _SYMBOLS)
+def test_symbols_compare_and_hash_by_their_fields(a, b):
+    """Equality, order and hash agree with those of the two fields, and a
+    symbol equals no plain tuple; marks hash as the members they are."""
+    fields_a, fields_b = (a.name, a.is_terminal), (b.name, b.is_terminal)
+    assert (a == b) == (fields_a == fields_b) == (not a != b)
+    assert (a < b) == (fields_a < fields_b) and (a <= b) == (fields_a <= fields_b)
+    groups = {(a, mark): mark for mark in Annotation}
+    if a == b:
+        assert hash(a) == hash(b)
+        assert all(groups[(b, mark)] is mark for mark in Annotation)
+    else:
+        assert not any((b, mark) in groups for mark in Annotation)
+    assert a != fields_a and (a, Annotation.D) != (fields_a, Annotation.D)
 
 
 SIMPLE = """

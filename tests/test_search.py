@@ -4,7 +4,7 @@ import functools
 import random
 from collections import Counter
 from dataclasses import asdict, replace
-from math import exp, inf, log
+from math import exp, inf, log, nan
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +43,7 @@ from progest.search import (
     anti_pattern_check,
     beam_search,
     exhaustive_search,
+    finished_builds,
     program_log_probability,
 )
 from progest.trees import (
@@ -161,6 +162,34 @@ def test_bad_k_and_widths_are_refused_up_front(worked_example, bad):
     kwargs = dict(widths=(5, 200), k=10, size_limit=9, anti_patterns=())
     with pytest.raises(ValueError):
         beam_search(worked_example.rules, None, uniform, **{**kwargs, **bad})
+
+
+@pytest.mark.parametrize(
+    "bad", [-1, 2.5, nan, -inf, True, False, "5", None], ids=repr
+)
+def test_bad_step_cap_is_refused_up_front(worked_example, bad):
+    """``step_cap`` is an int of at least 0 or ``math.inf``: ``nan`` does
+    not lift the cap, a string does not fail mid-search, and a bool is not
+    a count."""
+    uniform = UniformModel()
+    kwargs = dict(widths=(5, 200), k=10, size_limit=9, anti_patterns=())
+    with pytest.raises(ValueError):
+        beam_search(worked_example.rules, None, uniform, step_cap=bad, **kwargs)
+    with pytest.raises(ValueError):
+        exhaustive_search(worked_example.rules, None, size_limit=9, step_cap=bad)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 100_000, inf], ids=repr)
+def test_edge_step_caps_are_accepted(worked_example, cap):
+    """A cap stops the search after that many expansions, and only a cap
+    below what the search needs is hit."""
+    kwargs = dict(widths=(5, 200), k=10, size_limit=9, anti_patterns=())
+    uncapped = beam_search(worked_example.rules, None, UniformModel(),
+                           step_cap=inf, **kwargs).stats.expansions
+    res = beam_search(worked_example.rules, None, UniformModel(), step_cap=cap,
+                      **kwargs)
+    assert res.stats.expansions == min(cap, uncapped)
+    assert res.stats.step_cap_hit == (cap < uncapped)
 
 
 def test_edge_k_and_widths_are_accepted(worked_example):
@@ -426,13 +455,13 @@ def test_search_counts_are_pinned(demo_grammar, corpus_records, corpus_models):
     }
     for name, rs in zip(want, criterion_06_rule_sets(demo_grammar)):
         untyped = RuleSet([replace(r, schema=()) for r in rs])
-        found = exhaustive_search(
-            untyped, None, size_limit=13, step_cap=inf, renderer=lambda ast: ""
+        _, stats = finished_builds(
+            untyped, None, None, widths=(inf,), size_limit=13, step_cap=inf
         )
         report = check_unambiguous(rs, demo_grammar, max_nodes=13)
         assert report.unambiguous
         got = (
-            (found.stats.expansions, found.stats.size_pruned),
+            (stats.expansions, stats.size_pruned),
             (report.trees_checked, report.derivations_checked,
              report.underivable_trees),
         )

@@ -47,6 +47,7 @@ from tests_support import (
     reference_landings,
     reference_matcher,
     replay,
+    tree_key,
     untyped_derivations,
 )
 
@@ -299,6 +300,43 @@ def test_compiled_splice_matches_the_reference(seed, middle, hashed):
             frontier.append(probe.ast)
             spliced += 1
     assert spliced > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000),
+       st.sampled_from(["topdown", "bottomup", "full", "middle"]), st.booleans())
+@example(2, "full", False)  # spells its first operator "E"
+def test_block_reading_matches_the_built_tree(seed, rules, hashed):
+    """Read from the tree before a splice and the rule's block, whether the
+    splice finishes the tree is ``is_complete`` of the spliced tree, and
+    its labels are the spliced tree's key.  Checked on every probe a
+    bounded typed search keeps over a random typed grammar, with top-down
+    rules and a root creation, bottom-up rules and leaf creations, both,
+    and both plus middle creations, under two policies."""
+    g = random_typed_grammar(seed)
+    if rules == "topdown":
+        rs = top_down_set(g)
+    elif rules == "bottomup":
+        rs = RuleSet([*derive_bottom_up_rules(g),
+                      *derive_creation_rules(g, [CreationMode.LEAF])])
+    else:
+        rs = full_set(g)
+        if rules == "middle":
+            rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
+    policy = make_hash_policy(seed) if hashed else policy_leftmost
+    step = SearchStep(rs, None, 9)
+    frontier, finished, spliced = [AnnotatedAst.empty()], 0, 0
+    while frontier and spliced < 300:
+        ast = frontier.pop()
+        if is_complete(ast):
+            continue
+        for probe in feasible_rules(ast, step, policy).kept:
+            assert probe.labels == tree_key(probe.ast), probe
+            assert probe.finishes == is_complete(probe.ast), probe
+            finished += probe.finishes
+            frontier.append(probe.ast)
+            spliced += 1
+    assert 0 < finished < spliced
 
 
 def _walk_both_ways(target, rs, policy) -> tuple[list, list, int]:

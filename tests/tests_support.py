@@ -1,9 +1,9 @@
 """Hand-built fixtures for the worked two-variable comparison example, tree,
 grammar and policy helpers for the tests, and the reference paths that fast
 paths are checked against: the recursive splice and the rescanned frontier,
-the recursive matcher of the derivation walk, the splice-then-solve
-prober, the restarting typed replay, the always-sorting beam, the
-depth-first exhaustive search, the per-tree certifier, the per-candidate
+the built-tree key, the recursive matcher of the derivation walk, the
+splice-then-solve prober, the restarting typed replay, the always-sorting
+beam, the depth-first exhaustive search, the per-tree certifier, the per-candidate
 reading of a decision and its feature vector and the memo-free rows and
 logistic predict built from them, and the per-context condition rule set."""
 
@@ -168,6 +168,18 @@ def reference_is_complete(ast: AnnotatedAst) -> bool:
     )
 
 
+def tree_key(ast: AnnotatedAst) -> tuple:
+    """The preorder ``(name, is_terminal, arity)`` labels of a built tree,
+    as ``ambiguity.tree_labels`` yields them: the reference that
+    ``trees.splice_labels`` reads from the tree before a splice and the
+    rule's block."""
+    out = []
+    for nid in ast.preorder():
+        node = ast.nodes[nid]
+        out.append((node.symbol.name, node.symbol.is_terminal, len(node.children)))
+    return tuple(out)
+
+
 def reference_apply_rule_with_ids(ast: AnnotatedAst, target, rule: RewritingRule):
     """``trees.apply_rule_with_ids`` the slow way: the replacement is built
     by a recursive walk of the rule's tree, and the new tree's marked nodes
@@ -235,13 +247,18 @@ def reference_constraints_of_application(rule: RewritingRule, ids):
 @dataclass(frozen=True)
 class SplicedProbe:
     """A kept candidate as ``reference_probe_rules`` records it, spliced at
-    once: the fields a search reads of a ``constraints.Probe``."""
+    once: the fields a search reads of a ``constraints.Probe``, with
+    ``finishes`` read from the spliced tree."""
 
     rule: RewritingRule
     id: int
     ast: AnnotatedAst
     ids: tuple[int, ...]
     constraints: tuple[TypeConstraint, ...]
+
+    @property
+    def finishes(self) -> bool:
+        return reference_is_complete(self.ast)
 
 
 def probe_fields(outcome: ProbeOutcome):
