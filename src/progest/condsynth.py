@@ -611,7 +611,6 @@ def train_cond_models(
     pca_dims: int = 16,
     seed: int = 12345,
     size_limit: int = 30,
-    lr: float = 0.4,
     epochs: int = 450,
 ) -> TrainedCond:
     """Mine templates from the records and fit the requested model on them."""
@@ -639,7 +638,7 @@ def train_cond_models(
     extraction = extract_training_set(
         items, rules_for, policy_leftmost, encoder=encoder, size_limit=size_limit
     )
-    logistic = LogisticModel.train(extraction.decisions, encoder, lr=lr, epochs=epochs)
+    logistic = LogisticModel.train(extraction.decisions, encoder, epochs=epochs)
     return TrainedCond(
         "logistic", templates, pipeline=pipeline, logistic=logistic,
         extraction=extraction,
@@ -655,7 +654,6 @@ def synthesize_condition(
     widths: Sequence[int] = (5, 200),
     size_limit: int = 30,
     anti_patterns: Sequence = (),
-    step_cap: int = 100_000,
 ) -> SearchResult:
     """Rank condition candidates for one context."""
     rs = build_cond_ruleset(templates, ctx)
@@ -667,7 +665,6 @@ def synthesize_condition(
         k=k,
         size_limit=size_limit,
         anti_patterns=anti_patterns,
-        step_cap=step_cap,
         renderer=render_condition,
     )
 

@@ -6,9 +6,11 @@ concrete type names; a candidate rule application survives only if the
 combined system stays satisfiable.  Satisfiability is an equality-only
 problem, so a union-find with constant tracking decides it exactly.
 
-A search step decides each candidate before it splices anything.  A rule
-group is the rules of one pattern, a symbol and a direction (creations are
-the group ``None``).  The ``SearchStep`` of a search holds the offers of
+A search step decides each candidate before it splices anything, and it
+is the one gate of a search: ``probe_rules`` checks once that the group's
+pattern fits the target, and its probes splice unchecked.  A rule group is
+the rules of one pattern, a symbol and a direction (creations are the
+group ``None``).  The ``SearchStep`` of a search holds the offers of
 each group: per pattern, target mark and whether the target is the root,
 each of the group's rules with its id in the searched set and its
 signature (whether its fresh nodes type-check among themselves, the type
@@ -19,10 +21,12 @@ and every later one reads them.  The signatures come from one
 Per expansion the state's own system is solved once, and each offer costs
 a size comparison and a type comparison.  A surviving candidate's
 ``Probe`` splices only when its tree or ids are first read, and
-instantiates its schema pins only when its ``constraints`` are: a search
-reads those only for a state it expands, and it never expands a finished
-tree.  ``probe_rules`` gives the argument why this decides exactly what
-solving the whole system of each spliced tree decides.
+instantiates its schema pins only when its ``constraints`` are.  It keeps
+the pins it was probed with, so its ``pins`` are the base system of a step
+from its tree: a search reads them only for a state it expands, it never
+expands a finished tree, and no caller carries pins by hand.
+``probe_rules`` gives the argument why this decides exactly what solving
+the whole system of each spliced tree decides.
 
 The table is keyed on values, so the condition rule sets of every context
 share one: a signature is compiled once for all the searches that agree on
@@ -405,11 +409,6 @@ class SearchStep:
         self.table = rs.shared if rs.shared is not None else SignatureTable(self.bounds)
         self._offers: dict[tuple[Pattern, Annotation | None, bool], Offers] = {}
 
-    def signature(
-        self, rule: RewritingRule, mark: Annotation | None, at_root: bool
-    ) -> _Signature:
-        return self.table.signatures((rule,), mark, at_root, self)[0]
-
     def offers(
         self, group: Pattern, mark: Annotation | None, at_root: bool
     ) -> Offers:
@@ -431,31 +430,30 @@ class SearchStep:
 
 class Probe:
     """One surviving candidate: the rule, its id in the searched set, the
-    tree it is applied to and the target node there.  Its other parts are
-    made when first read: ``ast``, the new tree, and ``ids``, the splice
-    ids, by one splice, and ``constraints``, the schema constraints this
-    application contributes, from those ids.  A caller that reads none of
-    them splices nothing, and one that reads only the tree instantiates no
-    pins.  ``finishes`` and ``labels`` read the new tree's completeness and
-    preorder labels from the tree and the rule's block, and splice nothing.
-    Two probes are equal when their rules, ids and made parts are.
-
-    Callers that accept the candidate must carry ``constraints`` forward as
-    part of the base system of later probes; schema pins die with the probe
-    otherwise, and a later expansion could contradict them unnoticed.  A
-    search reads them when it expands the state the probe made, the first
-    time a later probe needs them.
+    tree it is applied to, the target node there and ``base``, the schema
+    pins that tree was probed with.  Its other parts are made when first
+    read: ``ast``, the new tree, and ``ids``, the splice ids, by one splice,
+    and ``constraints``, the schema constraints this application
+    contributes, from those ids.  ``pins``, the base system of a step from
+    the new tree, is ``base`` and ``constraints``.  A caller that reads none
+    of them splices nothing, and one that reads only the tree instantiates
+    no pins.  ``finishes`` and ``labels`` read the new tree's completeness
+    and preorder labels from the tree and the rule's block, and splice
+    nothing.  Two probes are equal when their rules, ids, bases and made
+    parts are.
     """
 
-    __slots__ = ("rule", "id", "parent", "target", "_spliced", "_constraints")
+    __slots__ = ("rule", "id", "parent", "target", "base", "_spliced", "_constraints")
 
     def __init__(
-        self, rule: RewritingRule, id: int, parent: AnnotatedAst, target: int | None
+        self, rule: RewritingRule, id: int, parent: AnnotatedAst, target: int | None,
+        base: tuple[TypeConstraint, ...],
     ) -> None:
         self.rule = rule
         self.id = id
         self.parent = parent
         self.target = target
+        self.base = base
         self._spliced: tuple[AnnotatedAst, tuple[int, ...]] | None = None
         self._constraints: tuple[TypeConstraint, ...] | None = None
 
@@ -487,12 +485,17 @@ class Probe:
             self._constraints = tuple(constraints_of_application(self.rule, self.ids))
         return self._constraints
 
+    @property
+    def pins(self) -> tuple[TypeConstraint, ...]:
+        return self.base + self.constraints
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Probe):
             return NotImplemented
         return (
             self.rule == other.rule
             and self.id == other.id
+            and self.base == other.base
             and self._splice() == other._splice()
             and self.constraints == other.constraints
         )
@@ -522,15 +525,16 @@ def probe_rules(
     the applications that stand.
 
     A group that does not fit the target raises ``ApplyError`` before any
-    pruning.  The size bound goes first because it is cheap and independent
+    pruning: the pattern all its rules share is checked once, and the kept
+    probes splice unchecked.  The size bound goes first because it is cheap and independent
     of typing; a candidate cut there is never charged to the constraint
     counter.  The constraint check asks whether three parts are satisfiable
     together: ``base_constraints`` (the schema pins of the applications
     that built ``ast``; they mention only its nodes), the candidate's
     schema, and the context constraints of the new tree.  The candidates
     that survive both come back as ``Probe``s in the group's order, each
-    carrying its id in ``step.rs`` and spliced when first read: a walk that
-    follows one of them splices only that one.
+    carrying its id in ``step.rs`` and the base pins, and spliced when
+    first read: a walk that follows one of them splices only that one.
 
     Why deciding before the splice is exact: the splice gives the fresh
     replacement nodes ids from ``len(ast.nodes)`` on, which neither the
@@ -559,24 +563,24 @@ def probe_rules(
     a rule's signature in one search is a function of the rule, the mark
     and the rootedness alone, and ``(group, mark, rootedness)`` decides
     every offer of the group.  The memo is keyed on those values and never
-    on a tree or a node id.  Whether a group fits the target depends only
-    on its pattern, which all its rules share, so its first rule is checked
-    before any offer is resolved.
+    on a tree or a node id, and it is the step's only lookup of the group.
     """
+    check_applicable(ast, target, group)
     if target is None:
         mark, at_root = None, True
     else:
-        node = ast.node(target)
+        node = ast.nodes[target]
         mark, at_root = node.annotation, node.parent is None
-    for rule in step.rs.group(group)[:1]:
-        check_applicable(ast, target, rule)
     offers = step.offers(group, mark, at_root)
+    if not offers:
+        return ProbeOutcome(target, (), 0, 0)
+    base = tuple(base_constraints)
     limit = step.size_limit if step.bounds is not None else None
     rest = step.bounds.tree_size(ast, skip=target) if limit is not None else 0.0
     solver = SolverState()
     tree_ok = solver.push(
         [
-            *base_constraints,
+            *base,
             *constraints_of_context(
                 step.var_types, ast, None if at_root else step.result_type
             ),
@@ -598,7 +602,7 @@ def probe_rules(
         ):
             constraint_pruned += 1
             continue
-        kept.append(Probe(rule, rule_id, ast, target))
+        kept.append(Probe(rule, rule_id, ast, target, base))
     return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
 
 
@@ -620,6 +624,4 @@ def feasible_rules(
     else:
         target, direction = policy(ast)
         group = (ast.nodes[target].symbol, direction)
-    if not step.rs.group(group):
-        return ProbeOutcome(target, (), 0, 0)
     return probe_rules(ast, target, group, step, base_constraints)

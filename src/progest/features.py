@@ -315,13 +315,16 @@ class PcaTransform:
         return PcaTransform(mean, components, dims)
 
 
+# a direction's power iteration stops once a step moves it less than
+# _PCA_TOL, or after _PCA_MAX_ITER steps
+_PCA_TOL, _PCA_MAX_ITER = 1e-13, 5000
+
+
 def pca_fit(
     vectors: Sequence[np.ndarray],
     dims: int,
     *,
     seed: int = 12345,
-    tol: float = 1e-13,
-    max_iter: int = 5000,
 ) -> PcaTransform:
     """Power iteration with deflation; deterministic under the seed.
 
@@ -341,13 +344,13 @@ def pca_fit(
         v = rng.standard_normal(data.shape[1])
         v /= np.linalg.norm(v)
         direction = None
-        for _ in range(max_iter):
+        for _ in range(_PCA_MAX_ITER):
             w = centered.T @ (centered @ v) / data.shape[0]
             scale = np.linalg.norm(w)
             if scale < 1e-12:
                 break
             w /= scale
-            if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < tol:
+            if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < _PCA_TOL:
                 direction = w
                 break
             v = w

@@ -83,7 +83,7 @@ class TableModel:
         self.default = default
 
     @staticmethod
-    def from_nested(nested: Mapping[str, Mapping[str, float]], default: float = 0.0) -> "TableModel":
+    def from_nested(nested: Mapping[str, Mapping[str, float]]) -> "TableModel":
         flat: dict[tuple[str, str], float] = {}
         for parent, row in nested.items():
             for key, p in row.items():
@@ -93,7 +93,7 @@ class TableModel:
                         f"entry of {key!r} must be a finite non-negative number"
                     )
                 flat[(parent, key)] = float(p)
-        return TableModel(flat, default)
+        return TableModel(flat)
 
     def predict(self, ctx, ast, node, candidates) -> list[float]:
         parent = _parent_key(ast, node)
@@ -165,6 +165,10 @@ class FrequencyModel:
 # --------------------------------------------------------------------------
 # logistic cores
 
+# the step size and the L2 weight of every full-batch gradient descent fit
+_LR, _L2 = 0.4, 1e-3
+
+
 def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = X.mean(axis=0)
     std = X.std(axis=0)
@@ -190,9 +194,7 @@ class BinaryLogisticCore:
         X: np.ndarray,
         y: np.ndarray,
         *,
-        lr: float = 0.4,
         epochs: int = 450,
-        l2: float = 1e-3,
     ) -> "BinaryLogisticCore":
         mean, std = _standardize_fit(X)
         Xs = (X - mean) / std
@@ -202,8 +204,8 @@ class BinaryLogisticCore:
         for _ in range(epochs):
             p = _sigmoid(Xs @ w + b)
             err = p - y
-            w -= lr * (Xs.T @ err / n + l2 * w)
-            b -= lr * float(err.mean())
+            w -= _LR * (Xs.T @ err / n + _L2 * w)
+            b -= _LR * float(err.mean())
         return BinaryLogisticCore(w, b, mean, std)
 
     def scores(self, X: np.ndarray) -> np.ndarray:
@@ -253,9 +255,7 @@ class SoftmaxCore:
         X: np.ndarray,
         labels: Sequence[str],
         *,
-        lr: float = 0.4,
         epochs: int = 450,
-        l2: float = 1e-3,
     ) -> "SoftmaxCore":
         classes = tuple(sorted(set(labels)))
         index = {c: i for i, c in enumerate(classes)}
@@ -273,8 +273,8 @@ class SoftmaxCore:
             P = np.exp(Z)
             P /= P.sum(axis=1, keepdims=True)
             err = P - Y
-            W -= lr * (Xs.T @ err / n + l2 * W)
-            b -= lr * err.mean(axis=0)
+            W -= _LR * (Xs.T @ err / n + _L2 * W)
+            b -= _LR * err.mean(axis=0)
         return SoftmaxCore(classes, W, b, mean, std)
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
@@ -344,9 +344,7 @@ class LogisticModel:
         decisions: Iterable["EncodedDecision"],
         encoder: StepEncoder,
         *,
-        lr: float = 0.4,
         epochs: int = 450,
-        l2: float = 1e-3,
     ) -> "LogisticModel":
         by_kind: dict[str, list[EncodedDecision]] = {}
         for decision in decisions:
@@ -359,13 +357,13 @@ class LogisticModel:
                 y = np.concatenate(
                     [np.arange(len(d.rows)) == d.chosen for d in found]
                 ).astype(float)
-                cores[kind] = BinaryLogisticCore.fit(X, y, lr=lr, epochs=epochs, l2=l2)
+                cores[kind] = BinaryLogisticCore.fit(X, y, epochs=epochs)
         expression = None
         found = by_kind.get("expression", [])
         if found:
             X = np.vstack([d.rows for d in found])
             labels = [d.applied_key for d in found]
-            expression = SoftmaxCore.fit(X, labels, lr=lr, epochs=epochs, l2=l2)
+            expression = SoftmaxCore.fit(X, labels, epochs=epochs)
         return LogisticModel(
             encoder,
             creation=cores.get("creation"),

@@ -10,8 +10,9 @@ unspliced, and ``beam_search`` renders, screens and ranks them.  Exhaustive
 search is the beam at unbounded width, and the certifier reads the loop's
 builds directly.
 
-Every expansion is one call of ``constraints.feasible_rules``: the policy's
-node, its rule group, and the typed, size-bounded probe.  The scorer replays
+Every expansion is one call of ``constraints.feasible_rules``, the one
+gate: the policy's node, the check that its rule group fits, and the typed,
+size-bounded probe, under the pins of the state's probe.  The scorer replays
 the search's build of a known tree, the first derivation of the typed walk
 (``models.feasible_derivation``), so it gives each tree the search's probability.
 
@@ -52,16 +53,15 @@ from .trees import (
 Policy = Callable[[AnnotatedAst], tuple[int, Annotation]]
 Renderer = Callable[[AnnotatedAst], str]
 # a search state: the probe that made its tree (None for the empty tree),
-# log prob, applications so far, and the schema pins of the state it grew
-# from; the probe splices, and its own pins are read, only when the state
-# is expanded, so the loop never makes a finished tree and never
-# instantiates its pins
-State = tuple[Probe | None, float, tuple[Application, ...], tuple]
+# log prob and applications so far; the probe splices, and its pins are
+# read, only when the state is expanded, so the loop never makes a finished
+# tree and never instantiates its pins
+State = tuple[Probe | None, float, tuple[Application, ...]]
 
 
-# a finished tree as the search loop hands it out: the probe whose splice
-# makes it (``probe.ast``), the log probability of its rule choices, and its
-# applications from the empty tree
+# a finished state as the search loop hands it out: the probe whose splice
+# makes its tree (``probe.ast``), the log probability of its rule choices,
+# and its applications from the empty tree
 Build = tuple[Probe, float, tuple[Application, ...]]
 
 
@@ -136,10 +136,11 @@ def finished_builds(
     the rounds reach them, and the loop's counts.
 
     Each state holds the probe that made its tree, which splices when the
-    state is expanded.  A state's build is finished when its probe finishes
-    the tree, read from the rule's block (``Probe.finishes``) in the round
-    after the one that made it, so a finished build takes its place in its
-    round's width as any state does, and is handed out unspliced.
+    state is expanded and carries the pins the state is expanded with.  A
+    state is finished when its probe finishes the tree, read from the
+    rule's block (``Probe.finishes``) in the round after the one that made
+    it, so a finished build takes its place in its round's width as any
+    state does, and is handed out unchanged and unspliced.
     ``model`` None scores every candidate 1 and calls nothing.
 
     Each width must be an int of at least 1 or ``math.inf``, and
@@ -160,24 +161,24 @@ def finished_builds(
     stats = SearchStats()
     step = SearchStep(rs, ctx, size_limit)
     builds: list[Build] = []
-    states: list[State] = [(None, 0.0, (), ())]
+    states: list[State] = [(None, 0.0, ())]
     round_idx = 0
     while states:
         width = widths[min(round_idx, len(widths) - 1)]
         successors: list[State] = []
-        for grown_by, log_prob, apps, pins in states:
+        for state in states:
+            grown_by, log_prob, apps = state
             if grown_by is not None and grown_by.finishes:
-                builds.append((grown_by, log_prob, apps))
+                builds.append(state)  # type: ignore[arg-type]
                 continue
             if stats.expansions >= step_cap:
                 stats.step_cap_hit = True
                 continue
             stats.expansions += 1
             if grown_by is None:
-                ast = AnnotatedAst.empty()
+                ast, pins = AnnotatedAst.empty(), ()
             else:
-                ast = grown_by.ast
-                pins += grown_by.constraints
+                ast, pins = grown_by.ast, grown_by.pins
             outcome = feasible_rules(ast, step, policy, pins)
             stats.size_pruned += outcome.size_pruned
             stats.constraint_pruned += outcome.constraint_pruned
@@ -199,7 +200,7 @@ def finished_builds(
                 stats.beam_truncated += len(scored) - width
                 scored = scored[:width]
             successors.extend(
-                (probe, new_log, apps + (Application(node, probe.id),), pins)
+                (probe, new_log, apps + (Application(node, probe.id),))
                 for new_log, probe in scored
             )
         if len(successors) > width:

@@ -14,11 +14,13 @@ consuming the expansion direction.  For a plain top-down rule (anchor at the
 root) that collapses to "keep the node, add children"; for a bottom-up rule
 it hangs the old root under a new one.
 
-A splice walks no tree.  It reads the rule's ``block``, its replacement
-flattened once in preorder (``grammar.RuleBlock``), copies the node dict and
-adds one node per block position: the anchor's position takes the target's
-id and every other position p the id ``len(ast.nodes)`` plus the number of
-non-anchor positions before p.  Nodes are tuples (``AstNode`` is a
+A splice checks nothing and walks no tree: ``apply_rule`` checks the
+rule's pattern first, and a search step checks its group's pattern once.
+It reads the rule's ``block``, its replacement flattened once in preorder
+(``grammar.RuleBlock``), copies the node dict and adds one node per block
+position: the anchor's position takes the target's id and every other
+position p the id ``len(ast.nodes)`` plus the number of non-anchor
+positions before p.  Nodes are tuples (``AstNode`` is a
 ``NamedTuple``), since a search builds many and reads them only by field.
 
 Every tree carries ``open``, the ids of its marked nodes in preorder.  A
@@ -51,12 +53,13 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from .errors import ApplyError, IncompleteTreeError, UnderivableTreeError
 from .grammar import (
     Annotation,
+    Pattern,
     RewritingRule,
     Symbol,
 )
 
 if TYPE_CHECKING:  # constraints imports this module
-    from .constraints import ProbeOutcome
+    from .constraints import Probe, ProbeOutcome
 
 
 class AstNode(NamedTuple):
@@ -128,24 +131,22 @@ def is_complete(ast: AnnotatedAst) -> bool:
 
 
 def check_applicable(
-    ast: AnnotatedAst, target: int | None, rule: RewritingRule
+    ast: AnnotatedAst, target: int | None, pattern: Pattern
 ) -> None:
-    """Raise ``ApplyError`` unless ``rule`` fits the node ``target`` of ``ast``:
-    its pattern symbol, its direction, and the node's place in the tree."""
-    if rule.pattern is None:
+    """Raise ``ApplyError`` unless the rules of ``pattern``, a group, fit the
+    node ``target`` of ``ast``: its symbol, its mark and its place in the tree."""
+    if pattern is None:
         if target is not None:
             raise ApplyError("creation rules take no target node")
         if not ast.is_empty:
             raise ApplyError("creation rule applied to a non-empty tree")
         return
+    sym, direction = pattern
     if target is None:
-        raise ApplyError(f"rule {rule.key} needs a target node")
+        raise ApplyError(f"a rule on {sym} needs a target node")
     node = ast.node(target)
-    sym, direction = rule.pattern
     if node.symbol != sym:
-        raise ApplyError(
-            f"rule {rule.key} expects symbol {sym}, node {target} is {node.symbol}"
-        )
+        raise ApplyError(f"a rule on {sym} does not fit node {target}, a {node.symbol}")
     if direction is Annotation.D and not node.annotation.needs_down:
         raise ApplyError(f"node {target} is not marked for downward expansion")
     if direction is Annotation.U and not node.annotation.needs_up:
@@ -156,25 +157,18 @@ def check_applicable(
         raise ApplyError(f"node {target} already has children")
 
 
-def apply_rule_with_ids(
-    ast: AnnotatedAst, target: int | None, rule: RewritingRule
-) -> tuple[AnnotatedAst, list[int]]:
-    """Apply ``rule`` and also report the node ids of the replacement tree.
-
-    The returned id list is aligned with the preorder positions of the rule's
-    replacement, which is what type schemas are written against.
-    """
-    check_applicable(ast, target, rule)
-    return _splice(ast, target, rule)
-
-
 def apply_rule(ast: AnnotatedAst, target: int | None, rule: RewritingRule) -> AnnotatedAst:
+    """Apply ``rule`` at ``target``; ``ApplyError`` when it does not fit."""
+    check_applicable(ast, target, rule.pattern)
     return apply_rule_with_ids(ast, target, rule)[0]
 
 
-def _splice(
+def apply_rule_with_ids(
     ast: AnnotatedAst, target: int | None, rule: RewritingRule
 ) -> tuple[AnnotatedAst, list[int]]:
+    """Splice ``rule`` at ``target`` unchecked, and also report the node ids
+    of the replacement tree, aligned with the preorder positions of the
+    rule's replacement, which is what type schemas are written against."""
     block = rule.block
     nodes = dict(ast.nodes)
     fresh = len(nodes)
@@ -230,7 +224,7 @@ def _splice(
 
 
 def splice_finishes(ast: AnnotatedAst, target: int | None, rule: RewritingRule) -> bool:
-    """Whether ``_splice(ast, target, rule)`` makes a finished tree, read
+    """Whether ``apply_rule_with_ids(ast, target, rule)`` makes a finished tree, read
     without making it.
 
     The splice's ``open`` is the block's marked positions, the target while
@@ -250,7 +244,7 @@ def splice_finishes(ast: AnnotatedAst, target: int | None, rule: RewritingRule) 
 
 def splice_labels(ast: AnnotatedAst, target: int | None, rule: RewritingRule) -> tuple:
     """The preorder ``(name, is_terminal, arity)`` labels of the tree
-    ``_splice(ast, target, rule)`` makes, read from ``ast`` and the rule's
+    ``apply_rule_with_ids(ast, target, rule)`` makes, read from ``ast`` and the rule's
     block without making it.
 
     The block's labels stand in for the target's: those before the anchor,
@@ -451,11 +445,11 @@ def iter_derivations(
     ``constraints.feasible_rules`` does: the node its policy picks and the
     probes of that node's rule group that survive.  The walk lands each
     probe's rule block on ``target`` and reads the probe's splice only once
-    the block lands (a probe splices when first read); it reads the
-    probe's pins only when it steps from the tree the probe made, so the
-    last probe of a derivation instantiates none.  Probes are tried in the
-    order the step keeps them, so the first derivation is the search's
-    build.  Raises ``UnderivableTreeError`` when the walk yields nothing.
+    the block lands (a probe splices when first read); it steps from the
+    tree a probe made with the probe's ``pins``, so the last probe of a
+    derivation instantiates none.  Probes are tried in the order the step
+    keeps them, so the first derivation is the search's build.  Raises
+    ``UnderivableTreeError`` when the walk yields nothing.
     """
     if not is_complete(target):
         raise IncompleteTreeError("derivations need a finished target tree")
@@ -463,19 +457,16 @@ def iter_derivations(
     produced = 0
     stuck: list[tuple[int, str]] = []
 
-    def walk(ast: AnnotatedAst, mapping: dict[int, int], steps: list, pins: tuple,
-             grown_by):
-        # ``pins`` are those of the tree that ``grown_by``, the probe that
-        # made ``ast``, grew from
+    def walk(grown_by: Probe | None, mapping: dict[int, int], steps: list):
+        # ``grown_by`` made the tree walked from; None for the empty tree
         nonlocal produced
+        ast = AnnotatedAst.empty() if grown_by is None else grown_by.ast
         if is_complete(ast):
             if mapping[ast.root] == target.root:
                 produced += 1
                 yield steps
             return
-        if grown_by is not None:
-            pins += grown_by.constraints
-        outcome = step(ast, pins)
+        outcome = step(ast, () if grown_by is None else grown_by.pins)
         node_id = outcome.target
         node = tid = None
         if node_id is not None:
@@ -499,14 +490,12 @@ def iter_derivations(
                         rule.pattern[1] if rule.pattern else None,
                         tid, tuple(fresh), ast, outcome, choice,
                     )
-                    yield from walk(
-                        probe.ast, new_mapping, steps + [taken], pins, probe
-                    )
+                    yield from walk(probe, new_mapping, steps + [taken])
         if not progressed:
             where = "the empty tree" if node is None else f"node {tid} ({node.symbol})"
             stuck.append((len(steps), where))
 
-    yield from walk(AnnotatedAst.empty(), {}, [], (), None)
+    yield from walk(None, {}, [])
     if produced == 0:
         raise UnderivableTreeError(
             "no derivation survives the step"

@@ -14,7 +14,7 @@ from gramgen import (
     spine_set,
     top_down_set,
 )
-from progest import ambiguity, search, trees
+from progest import ambiguity, constraints, search, trees
 from progest.ambiguity import (
     check_unambiguous,
     enumerate_complete_trees,
@@ -230,14 +230,14 @@ def test_a_clean_check_splices_only_the_states_it_expands(
     and 294 expansions on the criterion 06 sets at bound 13), where
     splicing every build made 1 211 and 666 splices."""
     made = 0
-    splice = trees._splice
+    splice = constraints.apply_rule_with_ids
 
     def counted(*args):
         nonlocal made
         made += 1
         return splice(*args)
 
-    monkeypatch.setattr(trees, "_splice", counted)
+    monkeypatch.setattr(constraints, "apply_rule_with_ids", counted)
     rs = _criterion_06_sets(demo_grammar)[which]
     assert check_unambiguous(rs, demo_grammar, max_nodes=13).unambiguous
     assert made == splices

@@ -316,8 +316,8 @@ def test_layered_rule_set_matches_the_per_context_reference(corpus_records, data
         assert step.bounds == fresh.bounds
         for rule, twin in zip(got, want):
             for mark, at_root in _marks_met(rule):
-                assert step.signature(rule, mark, at_root) == fresh.signature(
-                    twin, mark, at_root
+                assert step.table.signatures((rule,), mark, at_root, step) == (
+                    fresh.table.signatures((twin,), mark, at_root, fresh)
                 ), (rule.key, mark, at_root)
         model = UniformModel()
         beams = [
@@ -362,8 +362,9 @@ def test_variable_rule_signatures_are_shared_across_contexts(corpus_records, mon
         if rule.key.partition(":")[2] != var.name:
             continue
         for mark, at_root in _marks_met(rule):
-            sig = step.signature(rule, mark, at_root)
-            assert sig == fresh.signature(twin_rule, mark, at_root), rule.key
+            sig = step.table.signatures((rule,), mark, at_root, step)[0]
+            twin_sig = fresh.table.signatures((twin_rule,), mark, at_root, fresh)[0]
+            assert sig == twin_sig, rule.key
             anchor_types.add(sig.anchor_type)
     assert other in anchor_types
 

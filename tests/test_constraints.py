@@ -521,8 +521,9 @@ def test_shared_signatures_match_fresh_compiles_across_contexts(seed, rules, dat
                     assert step.offers(group, mark, at_root) == want, where
             for rule in shared:
                 for mark, at_root in _marks_met(rule):
-                    assert step.signature(rule, mark, at_root) == fresh.signature(
-                        rule, mark, at_root
+                    sig = step.table.signatures((rule,), mark, at_root, step)
+                    assert sig == fresh.table.signatures(
+                        (rule,), mark, at_root, fresh
                     ), (rule.key, mark, at_root, ctx)
 
 
@@ -533,7 +534,8 @@ def test_shared_table_keys_every_declared_leaf():
     shared = RuleSet(rs.rules, shared=SignatureTable(None))
     for y_type, ok in (("Int", True), ("Str", False), ("Int", True)):
         step = SearchStep(shared, context({"x": "Int", "y": y_type}, None))
-        assert step.signature(shared[0], Annotation.D, True).fresh_ok is ok
+        sig = step.table.signatures((shared[0],), Annotation.D, True, step)[0]
+        assert sig.fresh_ok is ok
 
 
 def test_step_refuses_a_rule_that_only_shares_a_key():

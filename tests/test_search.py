@@ -18,7 +18,7 @@ from gramgen import (
     random_typed_grammar,
     top_down_set,
 )
-from progest import condsynth, constraints, search
+from progest import condsynth, constraints, search, trees
 from progest.ambiguity import check_unambiguous
 from progest.condsynth import (
     build_cond_ruleset,
@@ -26,7 +26,7 @@ from progest.condsynth import (
     synthesize_condition,
     train_cond_models,
 )
-from progest.constraints import SignatureTable
+from progest.constraints import SearchStep, SignatureTable
 from progest.errors import SearchOverflowError
 from progest.features import Context
 from progest.grammar import (
@@ -486,6 +486,69 @@ def test_search_counts_are_pinned(demo_grammar, corpus_records, corpus_models):
             "beam_truncated": pinned[record.id][2],
         }, record.id
         assert len(result.candidates) == pinned[record.id][3], record.id
+
+
+def test_each_step_checks_its_group_once(
+    demo_grammar, corpus_records, corpus_models, monkeypatch
+):
+    """The step is the one gate.  Over the certifier's searches of the two
+    criterion 06 sets and the three pinned corpus predicts, a group's
+    pattern is checked once per ``probe_rules`` call and never inside a
+    splice, and a rule group is looked up only when the step's offers miss
+    their memo."""
+    counts: Counter = Counter()
+    inside: Counter = Counter()
+    check, splice = trees.check_applicable, constraints.apply_rule_with_ids
+    probe, offers, group = constraints.probe_rules, SearchStep.offers, RuleSet.group
+
+    def counted_check(*args):
+        assert not inside["splice"]
+        counts["check"] += 1
+        return check(*args)
+
+    def counted_splice(*args):
+        counts["splice"] += 1
+        inside["splice"] += 1
+        try:
+            return splice(*args)
+        finally:
+            inside["splice"] -= 1
+
+    def counted_probe(*args):
+        counts["probe"] += 1
+        return probe(*args)
+
+    def counted_offers(step, *key):
+        missed = key not in step._offers
+        counts["miss"] += missed
+        inside["miss"] += missed
+        try:
+            return offers(step, *key)
+        finally:
+            inside["miss"] -= missed
+
+    def counted_group(rs, pattern):
+        assert inside["miss"]
+        counts["group"] += 1
+        return group(rs, pattern)
+
+    for module in (trees, constraints):
+        monkeypatch.setattr(module, "check_applicable", counted_check)
+    monkeypatch.setattr(constraints, "apply_rule_with_ids", counted_splice)
+    monkeypatch.setattr(constraints, "probe_rules", counted_probe)
+    monkeypatch.setattr(SearchStep, "offers", counted_offers)
+    monkeypatch.setattr(RuleSet, "group", counted_group)
+    for rs in criterion_06_rule_sets(demo_grammar):
+        assert check_unambiguous(rs, demo_grammar, max_nodes=13).unambiguous
+    frequency = corpus_models[0]
+    for record in corpus_records[:3]:
+        assert synthesize_condition(
+            record.context, frequency.templates, frequency.model,
+            k=50, widths=(5, 200), size_limit=30,
+        ).candidates
+    assert counts["probe"] and counts["splice"] and counts["miss"]
+    assert counts["check"] == counts["probe"]
+    assert counts["group"] == counts["miss"]
 
 
 def test_each_offer_is_resolved_once_per_search(

@@ -183,8 +183,9 @@ def tree_key(ast: AnnotatedAst) -> tuple:
 def reference_apply_rule_with_ids(ast: AnnotatedAst, target, rule: RewritingRule):
     """``trees.apply_rule_with_ids`` the slow way: the replacement is built
     by a recursive walk of the rule's tree, and the new tree's marked nodes
-    come from ``reference_expandable_nodes``."""
-    check_applicable(ast, target, rule)
+    come from ``reference_expandable_nodes``, after the rule's pattern is
+    checked as ``apply_rule`` checks it."""
+    check_applicable(ast, target, rule.pattern)
     nodes = dict(ast.nodes)
     fresh = len(nodes)
     old = ast.nodes[target] if target is not None else None
@@ -248,17 +249,23 @@ def reference_constraints_of_application(rule: RewritingRule, ids):
 class SplicedProbe:
     """A kept candidate as ``reference_probe_rules`` records it, spliced at
     once: the fields a search reads of a ``constraints.Probe``, with
-    ``finishes`` read from the spliced tree."""
+    ``finishes`` read from the spliced tree and ``pins`` from the base
+    system it was probed with and its schema."""
 
     rule: RewritingRule
     id: int
     ast: AnnotatedAst
     ids: tuple[int, ...]
     constraints: tuple[TypeConstraint, ...]
+    base: tuple[TypeConstraint, ...]
 
     @property
     def finishes(self) -> bool:
         return reference_is_complete(self.ast)
+
+    @property
+    def pins(self) -> tuple[TypeConstraint, ...]:
+        return self.base + self.constraints
 
 
 def probe_fields(outcome: ProbeOutcome):
@@ -266,7 +273,7 @@ def probe_fields(outcome: ProbeOutcome):
     probes and the reference's records compare by what they hold."""
     return (
         outcome.target,
-        [(p.rule, p.id, p.ast, p.ids, p.constraints) for p in outcome.kept],
+        [(p.rule, p.id, p.ast, p.ids, p.constraints, p.pins) for p in outcome.kept],
         outcome.size_pruned,
         outcome.constraint_pruned,
     )
@@ -277,8 +284,8 @@ def reference_probe_rules(
 ):
     """``constraints.probe_rules`` the slow way, with the same arguments.
 
-    Every rule of the group is spliced first, with its id read off the
-    group's positions; the size bound is the new tree's whole ``tree_size``, and the
+    Every rule of the group is checked to fit and spliced first, with its
+    id read off the group's positions; the size bound is the new tree's whole ``tree_size``, and the
     constraint check solves a fresh system of the base pins, the
     candidate's schema and the full context constraints of the new tree.
     """
@@ -287,6 +294,7 @@ def reference_probe_rules(
     constraint_pruned = 0
     base = list(base_constraints)
     for rule, rule_id in zip(step.rs.group(group), step.rs.positions(group)):
+        check_applicable(ast, target, rule.pattern)
         new_ast, ids = apply_rule_with_ids(ast, target, rule)
         if (
             step.size_limit is not None
@@ -303,7 +311,7 @@ def reference_probe_rules(
             constraint_pruned += 1
             continue
         kept.append(
-            SplicedProbe(rule, rule_id, new_ast, tuple(ids), tuple(schema))
+            SplicedProbe(rule, rule_id, new_ast, tuple(ids), tuple(schema), tuple(base))
         )
     return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
 
