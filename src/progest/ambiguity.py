@@ -11,7 +11,8 @@ the check is untyped.  Under one policy two builds of a tree first differ
 at a step where the same node takes two different rules, so a tree reached
 twice has two distinct histories.  Each build is keyed by its tree's
 preorder ``(name, is_terminal, arity)`` labels, which fix the tree; they
-are read from the tree the last rule applies to and that rule's block
+are joined from the tree the last rule applies to, split at its target
+once for every rule applied there, and that rule's block
 (``trees.splice_labels``), so no build's tree is made.  The check then
 walks the grammar's complete trees, as the same labels, in size order: a
 tree with one build is a checked derivation, a tree with none is

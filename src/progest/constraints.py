@@ -14,19 +14,23 @@ group ``None``).  The ``SearchStep`` of a search holds the offers of
 each group: per pattern, target mark and whether the target is the root,
 each of the group's rules with its id in the searched set and its
 signature (whether its fresh nodes type-check among themselves, the type
-they force on the node the rule is applied to, and its size delta).  The
-step resolves a group's offers on the first expansion that meets that key
-and every later one reads them.  The signatures come from one
-``SignatureTable``, which compiles each on first use and keeps it per rule.
-Per expansion the state's own system is solved once, and each offer costs
-a size comparison and a type comparison.  A surviving candidate's
-``Probe`` splices only when its tree or ids are first read, and
-instantiates its schema pins only when its ``constraints`` are.  It keeps
-the pins it was probed with, so its ``pins`` are the base system of a step
-from its tree: a search reads them only for a state it expands, it never
-expands a finished tree, and no caller carries pins by hand.
-``probe_rules`` gives the argument why this decides exactly what solving
-the whole system of each spliced tree decides.
+they force on the node the rule is applied to, the classes of its fresh
+marked nodes, and its size delta).  The step resolves a group's offers on
+the first expansion that meets that key and every later one reads them.
+The signatures come from one ``SignatureTable``, which compiles each on
+first use and keeps it per rule.
+
+A step reads the tree it expands once and solves nothing of it: the probe
+that made the tree carries the tree's size bound and its classes, the type
+class of each marked node with the type forced on it, so each offer costs
+a size comparison and a type comparison.  Every probe an expansion keeps
+shares one ``Expansion`` record of the expanded tree, which also splits
+the tree's preorder labels at the target once, on first read.  A kept
+``Probe`` splices only when its tree or ids are first read, and merges its
+classes only when its state is expanded.  ``probe_rules`` gives the
+argument why this decides exactly what solving the whole system of each
+spliced tree decides.  A tree given whole, without the probe that made it,
+gets its facts from one whole-tree solve (``tree_state``).
 
 The table is keyed on values, so the condition rule sets of every context
 share one: a signature is compiled once for all the searches that agree on
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import SchemaError
 from .grammar import Annotation, Pattern, RewritingRule, RuleSet, RuleTree
@@ -49,6 +53,7 @@ from .trees import (
     check_applicable,
     splice_finishes,
     splice_labels,
+    split_labels,
 )
 
 
@@ -268,6 +273,10 @@ def compute_size_bounds(rs: RuleSet) -> SizeBounds:
 # signature; fresh replacement nodes are numbered by preorder position
 _ANCHOR = -1
 
+# a tree's type classes: each marked node's class, named by one node id in
+# it, and the type the class is forced to, if any
+Classes = dict[int, tuple[int, str | None]]
+
 
 @dataclass(frozen=True)
 class _Signature:
@@ -276,6 +285,10 @@ class _Signature:
     fresh_ok: bool  # its fresh part type-checks among itself
     anchor_type: str | None  # the type the fresh part forces on the anchor
     size_delta: float  # fresh nodes plus the anchor at its leftover mark
+    # (position, class, type) of the anchor (first; position _ANCHOR) and of
+    # each fresh marked position in the fresh part, a class named by its
+    # first position here: what the new tree's classes merge in
+    holes: tuple[tuple[int, int, str | None], ...]
 
 
 def _declared_leaves(rule: RewritingRule) -> tuple[tuple[int, str], ...]:
@@ -295,7 +308,9 @@ def _compile(
     """The fresh part of the system ``rule`` adds at a node marked ``mark``
     (None: a creation on the empty tree): its schema, the declared-type pins
     of its fresh leaves, and the result pin when it makes the root a
-    finished node.  The anchor is the variable ``_ANCHOR``."""
+    finished node.  The anchor is the variable ``_ANCHOR``.  The holes are
+    read with the result pin when the new root is closed and without it
+    while the root keeps a downward mark, as the classes hold it."""
     block = rule.block
     ids = [_ANCHOR if pos == block.anchor else pos for pos in range(len(block.symbols))]
     marks = list(block.marks)
@@ -307,16 +322,26 @@ def _compile(
         declared = step.var_types.get(name)
         if declared is not None:
             system.append(eq_const(pos, declared))
+    pin = []
     if at_root and step.result_type is not None and not marks[0].needs_up:
-        system.append(eq_const(ids[0], step.result_type))
+        pin.append(eq_const(ids[0], step.result_type))
+    held = marks[0] is not Annotation.NONE
     solver = SolverState()
-    ok = solver.push(system)
+    ok = solver.push(system if held else system + pin)
+    holes: list[tuple[int, int, str | None]] = []
+    if ok:
+        names: dict[int, int] = {}
+        anchor = () if block.anchor is None else (_ANCHOR,)
+        for var in (*anchor, *block.before, *block.under, *block.after):
+            name = names.setdefault(solver.find(var), var)
+            holes.append((var, name, solver.resolved(var)))
+    ok = ok and (not held or solver.push(pin))
     size = 0.0
     if step.bounds is not None:
         size = sum(
             step.bounds.of(sym.name, m) for sym, m in zip(block.symbols, marks)
         )
-    return _Signature(ok, solver.resolved(_ANCHOR) if ok else None, size)
+    return _Signature(ok, solver.resolved(_ANCHOR) if ok else None, size, tuple(holes))
 
 
 class SignatureTable:
@@ -428,38 +453,97 @@ class SearchStep:
         return offers
 
 
-class Probe:
-    """One surviving candidate: the rule, its id in the searched set, the
-    tree it is applied to, the target node there and ``base``, the schema
-    pins that tree was probed with.  Its other parts are made when first
-    read: ``ast``, the new tree, and ``ids``, the splice ids, by one splice,
-    and ``constraints``, the schema constraints this application
-    contributes, from those ids.  ``pins``, the base system of a step from
-    the new tree, is ``base`` and ``constraints``.  A caller that reads none
-    of them splices nothing, and one that reads only the tree instantiates
-    no pins.  ``finishes`` and ``labels`` read the new tree's completeness
-    and preorder labels from the tree and the rule's block, and splice
-    nothing.  Two probes are equal when their rules, ids, bases and made
-    parts are.
-    """
+class TreeState(NamedTuple):
+    """The facts a step reads of the tree it expands, for a tree given whole
+    rather than by the probe that made it (see ``tree_state``)."""
 
-    __slots__ = ("rule", "id", "parent", "target", "base", "_spliced", "_constraints")
+    ast: AnnotatedAst
+    size: float
+    classes: Classes | None  # None: the tree's system is unsatisfiable
+
+
+def tree_state(
+    ast: AnnotatedAst, step: SearchStep, pins: Iterable[TypeConstraint] = ()
+) -> TreeState:
+    """The facts of ``ast`` by one whole-tree solve: its size bound, and the
+    classes of its system, the schema ``pins`` of the applications that
+    built it and its context constraints, with the result pin held back
+    while the root keeps a downward mark (``probe_rules`` says why)."""
+    size = step.bounds.tree_size(ast) if step.bounds is not None else 0.0
+    if ast.is_empty:
+        return TreeState(ast, size, {})
+    closed = ast.nodes[ast.root].annotation is Annotation.NONE  # type: ignore[index]
+    solver = SolverState()
+    if not solver.push(
+        [
+            *pins,
+            *constraints_of_context(
+                step.var_types, ast, step.result_type if closed else None
+            ),
+        ]
+    ):
+        return TreeState(ast, size, None)
+    return TreeState(
+        ast, size, {nid: (solver.find(nid), solver.resolved(nid)) for nid in ast.open}
+    )
+
+
+class Expansion:
+    """One expansion, shared by every probe it keeps: the expanded tree, the
+    target and the tree's classes, and, made on first read, the tree's
+    preorder labels split at the target (``trees.split_labels``)."""
+
+    __slots__ = ("ast", "target", "classes", "_split")
 
     def __init__(
-        self, rule: RewritingRule, id: int, parent: AnnotatedAst, target: int | None,
-        base: tuple[TypeConstraint, ...],
+        self, ast: AnnotatedAst, target: int | None, classes: Classes | None
+    ) -> None:
+        self.ast = ast
+        self.target = target
+        self.classes = classes
+        self._split: tuple | None = None
+
+    @property
+    def split(self) -> tuple | None:
+        """None for a creation on the empty tree."""
+        if self._split is None and self.target is not None:
+            self._split = split_labels(self.ast, self.target)
+        return self._split
+
+
+class Probe:
+    """One surviving candidate: the rule, its id in the searched set, the
+    ``expansion`` that kept it, its ``signature`` there and ``size``, the
+    new tree's size bound.  Its other parts are made when first read:
+    ``ast``, the new tree, and ``ids``, the splice ids, by one splice, and
+    ``classes``, the new tree's, from the expansion's and the signature's
+    holes.  A caller that reads none of them splices nothing, and a search
+    reads the classes only of a state it expands.  ``finishes`` and
+    ``labels`` read the new tree's completeness and preorder labels from the
+    expansion and the rule's block, and splice nothing.  ``constraints``,
+    the schema constraints this application adds, serve a caller that
+    keeps a tree's pins itself; a search never reads them.  Two probes are
+    equal when their rules, ids, sizes and made parts are.
+    """
+
+    __slots__ = ("rule", "id", "expansion", "signature", "size", "_spliced", "_classes")
+
+    def __init__(
+        self, rule: RewritingRule, id: int, expansion: Expansion,
+        signature: _Signature, size: float,
     ) -> None:
         self.rule = rule
         self.id = id
-        self.parent = parent
-        self.target = target
-        self.base = base
+        self.expansion = expansion
+        self.signature = signature
+        self.size = size
         self._spliced: tuple[AnnotatedAst, tuple[int, ...]] | None = None
-        self._constraints: tuple[TypeConstraint, ...] | None = None
+        self._classes: Classes | None = None
 
     def _splice(self) -> tuple[AnnotatedAst, tuple[int, ...]]:
         if self._spliced is None:
-            ast, ids = apply_rule_with_ids(self.parent, self.target, self.rule)
+            exp = self.expansion
+            ast, ids = apply_rule_with_ids(exp.ast, exp.target, self.rule)
             self._spliced = (ast, tuple(ids))
         return self._spliced
 
@@ -473,21 +557,49 @@ class Probe:
 
     @property
     def finishes(self) -> bool:
-        return splice_finishes(self.parent, self.target, self.rule)
+        return splice_finishes(self.expansion.ast, self.expansion.target, self.rule)
 
     @property
     def labels(self) -> tuple:
-        return splice_labels(self.parent, self.target, self.rule)
+        return splice_labels(self.expansion.split, self.rule)
+
+    @property
+    def classes(self) -> Classes:
+        if self._classes is None:
+            self._classes = self._merge()
+        return self._classes
+
+    def _merge(self) -> Classes:
+        """The new tree's classes: the fresh part meets the expanded tree's
+        system only at the target, so the target's class takes the type the
+        fresh part forces on the anchor, the target leaves when its mark is
+        used up, and each fresh marked node joins the target's class or a
+        class of fresh nodes."""
+        exp = self.expansion
+        ast, ids = self._splice()
+        holes = self.signature.holes
+        target = exp.target
+        classes: Classes = {}
+        name = forced = None
+        if target is not None:
+            (_, _, fresh), holes = holes[0], holes[1:]
+            old: Classes = exp.classes  # type: ignore[assignment]
+            name, forced = old[target]
+            classes = dict(old)
+            if forced is None and fresh is not None:
+                forced = fresh
+                for nid, (other, _) in old.items():
+                    if other == name:
+                        classes[nid] = (name, forced)
+            if ast.nodes[target].annotation is Annotation.NONE:
+                del classes[target]
+        for pos, cls, typ in holes:
+            classes[ids[pos]] = (name, forced) if cls == _ANCHOR else (ids[cls], typ)
+        return classes  # type: ignore[return-value]
 
     @property
     def constraints(self) -> tuple[TypeConstraint, ...]:
-        if self._constraints is None:
-            self._constraints = tuple(constraints_of_application(self.rule, self.ids))
-        return self._constraints
-
-    @property
-    def pins(self) -> tuple[TypeConstraint, ...]:
-        return self.base + self.constraints
+        return tuple(constraints_of_application(self.rule, self.ids))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Probe):
@@ -495,15 +607,15 @@ class Probe:
         return (
             self.rule == other.rule
             and self.id == other.id
-            and self.base == other.base
+            and self.size == other.size
             and self._splice() == other._splice()
-            and self.constraints == other.constraints
+            and self.classes == other.classes
         )
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"Probe({self.rule.key!r} at {self.target!r})"
+        return f"Probe({self.rule.key!r} at {self.expansion.target!r})"
 
 
 @dataclass(frozen=True)
@@ -514,36 +626,40 @@ class ProbeOutcome:
     constraint_pruned: int
 
 
+# what a step expands: the probe that made the tree, None for the empty
+# tree, or a tree given whole
+Expandable = Probe | TreeState | None
+
+
 def probe_rules(
-    ast: AnnotatedAst,
+    state: Expandable,
     target: int | None,
     group: Pattern,
     step: SearchStep,
-    base_constraints: Iterable[TypeConstraint] = (),
 ) -> ProbeOutcome:
-    """Try the rules of ``step.rs``'s group ``group`` at ``target`` and keep
-    the applications that stand.
+    """Try the rules of ``step.rs``'s group ``group`` at ``target`` of the
+    tree of ``state`` and keep the applications that stand.
 
     A group that does not fit the target raises ``ApplyError`` before any
     pruning: the pattern all its rules share is checked once, and the kept
-    probes splice unchecked.  The size bound goes first because it is cheap and independent
-    of typing; a candidate cut there is never charged to the constraint
-    counter.  The constraint check asks whether three parts are satisfiable
-    together: ``base_constraints`` (the schema pins of the applications
-    that built ``ast``; they mention only its nodes), the candidate's
-    schema, and the context constraints of the new tree.  The candidates
-    that survive both come back as ``Probe``s in the group's order, each
-    carrying its id in ``step.rs`` and the base pins, and spliced when
-    first read: a walk that follows one of them splices only that one.
+    probes splice unchecked.  The size bound goes first because it is cheap
+    and independent of typing; a candidate cut there is never charged to the
+    constraint counter.  The constraint check asks whether the new tree's
+    whole system is satisfiable: the schema pins of every application that
+    built it and its context constraints.  The candidates that survive both
+    come back as ``Probe``s in the group's order, each carrying its id in
+    ``step.rs`` and its size, and spliced when first read: a walk that
+    follows one of them splices only that one.
 
-    Why deciding before the splice is exact: the splice gives the fresh
-    replacement nodes ids from ``len(ast.nodes)`` on, which neither the
-    pins nor the constraints of the old nodes mention.  The candidate's
-    system is therefore two systems that share one variable, the target's:
+    Nothing here solves or sums the whole tree: the state carries its size
+    bound and its classes, those of its marked nodes.  Why that decides
+    exactly what solving the whole system of each spliced tree decides: the
+    splice gives the fresh replacement nodes ids from ``len(ast.nodes)`` on,
+    which no constraint of the old nodes mentions.  The candidate's system
+    is therefore two systems that share one variable, the target's:
 
-    * the tree's own: the pins plus the context constraints of ``ast``,
-      without the root's result pin when the target is the root, since the
-      candidate decides what the new root is;
+    * the tree's own, without the root's result pin when the target is the
+      root, since the candidate decides what the new root is;
     * the rule's fresh part, its signature, which the step reads from its
       ``SignatureTable``.  That part reads nothing of the tree, only the
       rule, the mark, the rootedness, the result type, the bounds and the
@@ -553,9 +669,18 @@ def probe_rules(
 
     Union-find classes merge only through the shared variable, so the whole
     is satisfiable exactly when both parts are and they do not force two
-    different types on the target.  Likewise the new tree's size bound is
-    the old tree's without the target plus the rule's size delta.  The
-    tree's part is solved, and its size summed, once per call.
+    different types on the target.  The tree's part is satisfiable, as every
+    state a step keeps is, and the type it forces on the target is that of
+    the target's class.  Every later constraint mentions only fresh nodes
+    and a later target, which is a marked node, so the classes of the
+    marked nodes are all of the tree's system a later step reads: a kept
+    probe's classes are the expansion's with the signature's holes merged
+    in at the target (``Probe.classes``).  One pin is held back: while the
+    root keeps a downward mark, a step at the root may move it off the root
+    (a rule anchored below its replacement root), so its result pin is
+    applied here, when another node is the target, and enters the classes
+    only once the root is closed.  Likewise the new tree's size bound is the
+    old tree's less the target's part plus the rule's size delta.
 
     Why the step's offers may stand in for the group: the rest is fixed for
     the whole step.  The result type, the bounds and the declarations are
@@ -565,34 +690,48 @@ def probe_rules(
     every offer of the group.  The memo is keyed on those values and never
     on a tree or a node id, and it is the step's only lookup of the group.
     """
+    if state is None:
+        ast, size, classes = AnnotatedAst.empty(), 0.0, {}
+    else:
+        ast, size, classes = state.ast, state.size, state.classes
     check_applicable(ast, target, group)
+    tree_ok, forced = classes is not None, None
     if target is None:
         mark, at_root = None, True
     else:
         node = ast.nodes[target]
         mark, at_root = node.annotation, node.parent is None
+        result = step.result_type
+        if tree_ok:
+            name, forced = classes[target]  # type: ignore[index]
+            if (
+                not at_root
+                and result is not None
+                and ast.nodes[ast.root].annotation is Annotation.D  # type: ignore[index]
+            ):
+                # the root's held-back result pin
+                root_name, root_type = classes[ast.root]  # type: ignore[index]
+                tree_ok = root_type is None or root_type == result
+                if root_name == name:
+                    forced = result
     offers = step.offers(group, mark, at_root)
     if not offers:
         return ProbeOutcome(target, (), 0, 0)
-    base = tuple(base_constraints)
     limit = step.size_limit if step.bounds is not None else None
-    rest = step.bounds.tree_size(ast, skip=target) if limit is not None else 0.0
-    solver = SolverState()
-    tree_ok = solver.push(
-        [
-            *base,
-            *constraints_of_context(
-                step.var_types, ast, None if at_root else step.result_type
-            ),
-        ]
-    )
-    forced = solver.resolved(target) if tree_ok and target is not None else None
+    rest = size
+    if limit is not None and target is not None:
+        rest -= step.bounds.of(node.symbol.name, mark)  # type: ignore[union-attr]
+    expansion = Expansion(ast, target, classes)
 
     kept: list[Probe] = []
     size_pruned = 0
     constraint_pruned = 0
     for rule, rule_id, sig in offers:
-        if limit is not None and rest + sig.size_delta > limit:
+        new_size = rest + sig.size_delta
+        # "not <=" also prunes the NaN an infinite target leaves in the
+        # infinite size of a tree given whole; every offer's delta is then
+        # infinite too
+        if limit is not None and not new_size <= limit:
             size_pruned += 1
             continue
         if not (tree_ok and sig.fresh_ok) or (
@@ -602,26 +741,33 @@ def probe_rules(
         ):
             constraint_pruned += 1
             continue
-        kept.append(Probe(rule, rule_id, ast, target, base))
+        kept.append(Probe(rule, rule_id, expansion, sig, new_size))
     return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
 
 
 def feasible_rules(
-    ast: AnnotatedAst,
+    state: Expandable | AnnotatedAst,
     step: SearchStep,
     policy: Callable[[AnnotatedAst], tuple[int, Annotation]],
-    base_constraints: Iterable[TypeConstraint] = (),
+    pins: Iterable[TypeConstraint] = (),
 ) -> ProbeOutcome:
     """One search step: the single pruning gate every expansion goes through.
 
+    ``state`` is the probe that made the tree to expand, None for the empty
+    tree, or a tree given whole with ``pins``, the schema pins of the
+    applications that built it, whose facts one ``tree_state`` solve makes.
     The empty tree is offered the creation rules; otherwise ``policy`` picks
     the node and direction, and the rules of that group are probed there.
     Beam search, exhaustive search, the scorer and training extraction all
-    step through here, so they agree on which candidates each step offers.
+    step from probes through here, so they agree on which candidates each
+    step offers.
     """
-    if ast.is_empty:
+    if isinstance(state, AnnotatedAst):
+        state = tree_state(state, step, pins)
+    ast = None if state is None else state.ast
+    if ast is None or ast.is_empty:
         target, group = None, None
     else:
         target, direction = policy(ast)
         group = (ast.nodes[target].symbol, direction)
-    return probe_rules(ast, target, group, step, base_constraints)
+    return probe_rules(state, target, group, step)

@@ -471,7 +471,7 @@ def feasible_derivation(
     ``UnderivableTreeError`` when no derivation survives every step."""
     step = SearchStep(rs, ctx, size_limit)
     return next(iter_derivations(
-        tree, lambda ast, pins: feasible_rules(ast, step, policy, pins)
+        tree, lambda grown_by: feasible_rules(grown_by, step, policy)
     ))
 
 

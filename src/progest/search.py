@@ -12,7 +12,8 @@ builds directly.
 
 Every expansion is one call of ``constraints.feasible_rules``, the one
 gate: the policy's node, the check that its rule group fits, and the typed,
-size-bounded probe, under the pins of the state's probe.  The scorer replays
+size-bounded probe, handed the state's probe, whose carried size bound and
+type classes decide each candidate without solving the tree.  The scorer replays
 the search's build of a known tree, the first derivation of the typed walk
 (``models.feasible_derivation``), so it gives each tree the search's probability.
 
@@ -53,9 +54,9 @@ from .trees import (
 Policy = Callable[[AnnotatedAst], tuple[int, Annotation]]
 Renderer = Callable[[AnnotatedAst], str]
 # a search state: the probe that made its tree (None for the empty tree),
-# log prob and applications so far; the probe splices, and its pins are
-# read, only when the state is expanded, so the loop never makes a finished
-# tree and never instantiates its pins
+# log prob and applications so far; the probe splices, and merges its type
+# classes, only when the state is expanded, so the loop never makes a
+# finished tree or its classes
 State = tuple[Probe | None, float, tuple[Application, ...]]
 
 
@@ -136,7 +137,7 @@ def finished_builds(
     the rounds reach them, and the loop's counts.
 
     Each state holds the probe that made its tree, which splices when the
-    state is expanded and carries the pins the state is expanded with.  A
+    state is expanded and carries the facts the step reads there.  A
     state is finished when its probe finishes the tree, read from the
     rule's block (``Probe.finishes``) in the round after the one that made
     it, so a finished build takes its place in its round's width as any
@@ -175,11 +176,7 @@ def finished_builds(
                 stats.step_cap_hit = True
                 continue
             stats.expansions += 1
-            if grown_by is None:
-                ast, pins = AnnotatedAst.empty(), ()
-            else:
-                ast, pins = grown_by.ast, grown_by.pins
-            outcome = feasible_rules(ast, step, policy, pins)
+            outcome = feasible_rules(grown_by, step, policy)
             stats.size_pruned += outcome.size_pruned
             stats.constraint_pruned += outcome.constraint_pruned
             if not outcome.kept:
@@ -188,6 +185,7 @@ def finished_builds(
             if model is None:
                 scored = [(log_prob, probe) for probe in outcome.kept]
             else:
+                ast = AnnotatedAst.empty() if grown_by is None else grown_by.ast
                 probs = model.predict(ctx, ast, node, [p.rule for p in outcome.kept])
                 scored = []
                 for probe, p in zip(outcome.kept, probs):

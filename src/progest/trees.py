@@ -29,13 +29,15 @@ its preorder: those before the anchor, the anchor itself while it keeps a
 mark, those under it, and those after its subtree.  A bottom-up splice
 applies to the root, whose subtree is the whole tree, so the old tree's
 other entries go right after the ones under the anchor and before the ones
-after its subtree.  ``policy_leftmost``, ``expandable_nodes`` and
-``is_complete`` read ``open`` and never rescan the tree.
+after its subtree.  ``policy_leftmost`` and ``is_complete`` read
+``open`` and never rescan the tree.
 
 A block is read a second way, without splicing: ``splice_finishes`` says
 whether a splice would leave ``open`` empty, and ``splice_labels`` gives
-the preorder labels of the tree it would make.  A search hands out
-finished builds by the first, and the certifier keys each by the second.
+the preorder labels of the tree it would make from the tree's labels split
+at the target (``split_labels``), one walk that every rule applied at that
+target shares.  A search hands out finished builds by the first, and the
+certifier keys each by the second.
 
 ``iter_derivations`` is the one walk over a finished tree's derivations:
 it steps through a search step, so its first derivation is the search's
@@ -119,11 +121,6 @@ class Application:
 
     node: int | None
     rule: int
-
-
-def expandable_nodes(ast: AnnotatedAst) -> list[tuple[int, Annotation]]:
-    """Annotated nodes in stable preorder, with their current marks."""
-    return [(nid, ast.nodes[nid].annotation) for nid in ast.open]
 
 
 def is_complete(ast: AnnotatedAst) -> bool:
@@ -242,10 +239,37 @@ def splice_finishes(ast: AnnotatedAst, target: int | None, rule: RewritingRule) 
     )
 
 
-def splice_labels(ast: AnnotatedAst, target: int | None, rule: RewritingRule) -> tuple:
-    """The preorder ``(name, is_terminal, arity)`` labels of the tree
-    ``apply_rule_with_ids(ast, target, rule)`` makes, read from ``ast`` and the rule's
-    block without making it.
+def split_labels(ast: AnnotatedAst, target: int) -> tuple:
+    """The preorder ``(name, is_terminal, arity)`` labels of ``ast`` split at
+    ``target``, read in one walk, for ``splice_labels``: those before the
+    target, those after it, the target's child count and whether it is the
+    root.  A target below the root grows downward, so it is a leaf; a
+    target at the root comes first and has the whole tree after it."""
+    nodes = ast.nodes
+    labels: list = []
+    append = labels.append
+    at = 0
+    stack = [ast.root]
+    pop = stack.pop
+    while stack:
+        nid = pop()
+        node = nodes[nid]
+        kids = node.children
+        if nid == target:
+            at = len(labels)
+        else:
+            sym = node.symbol
+            append((sym.name, sym.is_terminal, len(kids)))
+        if kids:
+            stack += kids[::-1]
+    old = nodes[target]
+    return tuple(labels[:at]), tuple(labels[at:]), len(old.children), old.parent is None
+
+
+def splice_labels(split: tuple | None, rule: RewritingRule) -> tuple:
+    """The preorder labels of the tree ``apply_rule_with_ids(ast, target,
+    rule)`` makes, joined from ``split_labels(ast, target)`` (None for a
+    creation on the empty tree) and the rule's block without making it.
 
     The block's labels stand in for the target's: those before the anchor,
     the anchor with its block children and the target's old ones, those
@@ -256,36 +280,20 @@ def splice_labels(ast: AnnotatedAst, target: int | None, rule: RewritingRule) ->
     """
     block = rule.block
     labels = block.labels
-    if target is None:
+    if split is None:
         return labels
-    nodes = ast.nodes
+    before, after, kids, rooted = split
     anchor, end = block.anchor, block.end
-    old = nodes[target]
     symbol = block.symbols[anchor]  # type: ignore[index]
     head = (
+        *before,
         *labels[:anchor],
         (symbol.name, symbol.is_terminal,
-         len(block.children[anchor]) + len(old.children)),  # type: ignore[index]
+         len(block.children[anchor]) + kids),  # type: ignore[index]
         *labels[anchor + 1:end],  # type: ignore[operator]
     )
     tail = labels[end:]
-    out: list = []
-    stack = [ast.root]
-    while stack:
-        nid = stack.pop()
-        node = nodes[nid]
-        kids = node.children
-        if nid == target:
-            out += head
-            if old.parent is not None:
-                out += tail
-        else:
-            sym = node.symbol
-            out.append((sym.name, sym.is_terminal, len(kids)))
-        stack.extend(reversed(kids))
-    if old.parent is None:
-        out += tail
-    return tuple(out)
+    return head + after + tail if rooted else head + tail + after
 
 
 def render(ast: AnnotatedAst) -> str:
@@ -435,19 +443,21 @@ def _landings(
 
 def iter_derivations(
     target: AnnotatedAst,
-    step: Callable[[AnnotatedAst, tuple], ProbeOutcome],
+    step: Callable[[Probe | None], ProbeOutcome],
 ):
     """Yield every derivation of ``target`` through ``step``, depth first, as
     lists of ``DerivationStep``; replaying one from an empty tree rebuilds
     ``target`` up to node ids.
 
-    ``step(tree, pins)`` returns what a search step keeps at ``tree``, as
+    ``step(grown_by)`` returns what a search step keeps at the tree the
+    probe ``grown_by`` made (None: the empty tree), as
     ``constraints.feasible_rules`` does: the node its policy picks and the
     probes of that node's rule group that survive.  The walk lands each
     probe's rule block on ``target`` and reads the probe's splice only once
-    the block lands (a probe splices when first read); it steps from the
-    tree a probe made with the probe's ``pins``, so the last probe of a
-    derivation instantiates none.  Probes are tried in the order the step
+    the block lands (a probe splices when first read); it steps from a
+    probe's tree by handing the probe itself to ``step``, so the facts the
+    probe carries are read only for a tree the walk expands, never for the
+    last probe of a derivation.  Probes are tried in the order the step
     keeps them, so the first derivation is the search's build.  Raises
     ``UnderivableTreeError`` when the walk yields nothing.
     """
@@ -466,7 +476,7 @@ def iter_derivations(
                 produced += 1
                 yield steps
             return
-        outcome = step(ast, () if grown_by is None else grown_by.pins)
+        outcome = step(grown_by)
         node_id = outcome.target
         node = tid = None
         if node_id is not None:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gramgen import full_set, random_typed_grammar, top_down_set
 from progest import constraints
+from progest.condsynth import build_cond_ruleset, mine_templates
 from progest.constraints import (
     SearchStep,
     SignatureTable,
@@ -24,6 +25,7 @@ from progest.constraints import (
     feasible_rules,
     is_variable_token,
     probe_rules,
+    tree_state,
 )
 from progest.errors import ApplyError, RuleError, SchemaError
 from progest.grammar import (
@@ -48,7 +50,7 @@ from progest.trees import (
     policy_leftmost,
     to_sexpr,
 )
-from tests_support import make_hash_policy, probe_fields, reference_prober
+from tests_support import make_hash_policy, probe_fields, reference_feasible_rules
 
 DEMO = (
     'E -> E:Int "> 12" :: Boolean\n'
@@ -230,7 +232,9 @@ def test_probe_prunes_by_size():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     step = SearchStep(rs, None, 2)
-    out = probe_rules(ast, ast.root, (nonterminal("E"), Annotation.D), step)
+    out = probe_rules(
+        tree_state(ast, step), ast.root, (nonterminal("E"), Annotation.D), step
+    )
     kept = {p.rule.key for p in out.kept}
     assert kept == {'td:E->"hours"', 'td:E->"value"'}
     assert out.size_pruned == 3
@@ -241,7 +245,9 @@ def test_probe_prunes_by_type():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     step = SearchStep(rs, context({"hours": "Int", "value": "Int"}, "Boolean"))
-    out = probe_rules(ast, ast.root, (nonterminal("E"), Annotation.D), step)
+    out = probe_rules(
+        tree_state(ast, step), ast.root, (nonterminal("E"), Annotation.D), step
+    )
     kept = {p.rule.key for p in out.kept}
     # leaf and addition rules would make the whole tree an Int
     assert kept == {'td:E->E "> 12"', 'td:E->E "> 0"'}
@@ -294,7 +300,7 @@ def test_probe_checks_each_candidate_fits_before_pruning():
     def probe_alone(ast, rule, ctx, size_limit):
         """Probe ``rule`` as the one rule of a set of its own."""
         step = SearchStep(RuleSet([rule]), ctx, size_limit)
-        return probe_rules(ast, ast.root, rule.pattern, step)
+        return probe_rules(tree_state(ast, step), ast.root, rule.pattern, step)
 
     for ast, rule in misfits:
         for ctx, size_limit in steps:
@@ -331,15 +337,16 @@ def test_a_terminal_and_a_nonterminal_of_one_name_are_two_groups():
         leaf = apply_rule(AnnotatedAst.empty(), None, make_leaf)
         for step in (SearchStep(rs), SearchStep(rs, None, 5)):
             got = feasible_rules(leaf, step, policy_leftmost)
-            with reference_prober():
-                want = feasible_rules(leaf, step, policy_leftmost)
+            want = reference_feasible_rules(leaf, step, policy_leftmost)
             assert [p.rule for p in got.kept] == [on_leaf]
             assert probe_fields(got) == probe_fields(want)
 
 
 def test_probe_lets_a_wrapping_rule_decide_the_root_type():
     """A top-down rule anchored below its replacement root moves the target
-    off the root, so the target's result pin no longer binds it."""
+    off the root, so the target's result pin no longer binds it: the root's
+    pin is held back while it keeps a downward mark, from the tree given
+    whole and from the creation's probe alike."""
     e, w = nonterminal("E"), nonterminal("W")
     wrap = RewritingRule(
         (e, Annotation.D),
@@ -352,38 +359,126 @@ def test_probe_lets_a_wrapping_rule_decide_the_root_type():
     ast = apply_rule(AnnotatedAst.empty(), None, make_root)
     step = SearchStep(rs, context({}, "Int"))
     got = feasible_rules(ast, step, policy_leftmost)
-    with reference_prober():
-        want = feasible_rules(ast, step, policy_leftmost)
+    want = reference_feasible_rules(ast, step, policy_leftmost)
     assert probe_fields(got) == probe_fields(want)
     assert [p.rule.key for p in got.kept] == ["wrap"]
+    (created,) = feasible_rules(None, step, policy_leftmost).kept
+    assert probe_fields(feasible_rules(created, step, policy_leftmost)) == probe_fields(
+        want
+    )
+
+
+def test_a_downward_root_lends_its_result_pin_to_its_class():
+    """A root that keeps a downward mark holds its result pin back from the
+    classes, and a step at another node of the root's class reads the pin
+    all the same: from the probes and from the tree given whole, the
+    step keeps and prunes what the whole-tree solve does, and pins that
+    clash with the held-back pin prune every candidate."""
+    x, a, b = nonterminal("X"), terminal("a"), terminal("b")
+    make = RewritingRule(None, RuleTree(x, Annotation.UD), key="make-mid:X")
+    # grows the root upward into a root that keeps a downward mark, with a
+    # marked child of its own type
+    grow = RewritingRule(
+        (x, Annotation.U),
+        RuleTree(x, Annotation.NONE, True,
+                 (RuleTree(a), RuleTree(x, Annotation.D))),
+        key="grow",
+        schema=((0, TypeAtom("t")), (2, TypeAtom("t"))),
+    )
+    leaves = [
+        RewritingRule(
+            (x, Annotation.D), RuleTree(x, Annotation.NONE, True, (RuleTree(b),)),
+            key=f"b:{name}", schema=((0, TypeAtom(name)),),
+        )
+        for name in ("Int", "Str")
+    ]
+    rs = RuleSet([make, grow, *leaves])
+
+    def last_marked(ast):
+        nid = ast.open[-1]
+        up = ast.nodes[nid].annotation.needs_up
+        return nid, Annotation.U if up else Annotation.D
+
+    for size_limit in (None, 9):
+        step = SearchStep(rs, context({}, "Int"), size_limit)
+        state, pins = None, ()
+        for _ in range(2):
+            (state,) = feasible_rules(state, step, last_marked).kept
+            pins += state.constraints
+        ast = state.ast
+        assert ast.nodes[ast.root].annotation is Annotation.D
+        want = reference_feasible_rules(ast, step, last_marked, pins)
+        assert [p.rule.key for p in want.kept] == ["b:Int"]
+        assert probe_fields(feasible_rules(state, step, last_marked)) == probe_fields(want)
+        assert probe_fields(feasible_rules(ast, step, last_marked, pins)) == probe_fields(
+            want
+        )
+        clash = pins + (eq_const(ast.root, "Str"),)
+        got = feasible_rules(ast, step, last_marked, clash)
+        assert probe_fields(got) == probe_fields(
+            reference_feasible_rules(ast, step, last_marked, clash)
+        )
+        assert (got.kept, got.constraint_pruned) == ((), 2)
 
 
 _TYPES = ("Int", "Str", "Bool")
+
+
+def _walk_against_the_reference(step, policy, states):
+    """Step from each probe of a breadth-first walk of at most ``states``
+    states, reading the size bound and classes it carries, and check the
+    step against the reference prober, which splices every candidate and
+    solves the whole system of its tree from the threaded pins: the same
+    kept probes, with the reference's trees, ids, schema, sizes and
+    classes, and the same prune counts.  The tree given whole with its pins
+    steps the same.  Returns the number of probes kept."""
+    queue = deque([(None, ())])
+    kept = 0
+    for _ in range(states):
+        if not queue:
+            break
+        state, pins = queue.popleft()
+        ast = AnnotatedAst.empty() if state is None else state.ast
+        if not ast.is_empty and is_complete(ast):
+            continue
+        got = feasible_rules(state, step, policy)
+        want = probe_fields(reference_feasible_rules(ast, step, policy, pins))
+        where = to_sexpr(ast)
+        assert probe_fields(got) == want, where
+        assert probe_fields(feasible_rules(ast, step, policy, pins)) == want, where
+        if step.bounds is not None:
+            for probe in got.kept:
+                assert probe.size == step.bounds.tree_size(probe.ast), where
+        kept += len(got.kept)
+        queue.extend((p, pins + p.constraints) for p in got.kept)
+    return kept
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 10_000),
     st.booleans(),
-    st.sampled_from(["top-down", "full", "full+middle"]),
+    st.booleans(),
+    st.sets(st.sampled_from(list(CreationMode)), min_size=1),
     st.sampled_from([None, 5, 7, 9]),
     st.booleans(),
     st.data(),
 )
 def test_step_matches_reference_prober_on_typed_grammars(
-    seed, typed_leaves, rules, size_limit, hashed, data
+    seed, typed_leaves, upward, modes, size_limit, hashed, data
 ):
-    """The compiled step keeps, prunes and splices exactly what splicing
-    every candidate and solving its whole system does, at every state of a
-    breadth-first walk.  Middle creations bring marks that keep a direction
-    after a step."""
+    """The step over the facts its probes carry keeps, prunes and splices
+    exactly what splicing every candidate and solving its whole system
+    does, at every state of a breadth-first walk, and each kept probe
+    carries the size bound and classes of the whole-tree solve.  Top-down
+    rules, or rules in both directions, with every set of creation modes:
+    middle creations bring marks that keep a direction after a step."""
     g = random_typed_grammar(seed, typed_leaves=typed_leaves)
-    if rules == "top-down":
-        rs = top_down_set(g)
-    else:
-        rs = full_set(g)
-        if rules == "full+middle":
-            rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
+    rules = list(derive_top_down_rules(g))
+    if upward:
+        rules += derive_bottom_up_rules(g)
+    rules += derive_creation_rules(g, [m for m in CreationMode if m in modes])
+    rs = RuleSet(rules)
     var_types = {
         t.name: data.draw(st.sampled_from(_TYPES))
         for t in g.terminals
@@ -392,27 +487,20 @@ def test_step_matches_reference_prober_on_typed_grammars(
     result_type = data.draw(st.sampled_from((None,) + _TYPES))
     policy = make_hash_policy(seed) if hashed else policy_leftmost
     step = SearchStep(rs, context(var_types, result_type), size_limit)
-    queue = deque([(AnnotatedAst.empty(), ())])
-    for _ in range(150):
-        if not queue:
-            break
-        ast, pins = queue.popleft()
-        if not ast.is_empty and is_complete(ast):
-            continue
-        got = feasible_rules(ast, step, policy, pins)
-        with reference_prober():
-            want = feasible_rules(ast, step, policy, pins)
-        where = to_sexpr(ast)
-        assert got.target == want.target, where
-        assert [p.id for p in got.kept] == [p.id for p in want.kept], where
-        assert [(p.ast, p.ids, p.constraints) for p in got.kept] == [
-            (p.ast, p.ids, p.constraints) for p in want.kept
-        ], where
-        assert (got.size_pruned, got.constraint_pruned) == (
-            want.size_pruned,
-            want.constraint_pruned,
-        ), where
-        queue.extend((p.ast, pins + p.constraints) for p in got.kept)
+    _walk_against_the_reference(step, policy, 150)
+
+
+def test_step_matches_reference_prober_on_corpus_contexts(corpus_records):
+    """The same check on the condition rule sets of corpus contexts at the
+    evaluation size limit, where every tree grows up from a variable."""
+    records = corpus_records[:30]
+    templates = mine_templates(corpus_records)
+    kept = 0
+    for record in records:
+        rs = build_cond_ruleset(templates, record.context)
+        step = SearchStep(rs, record.context, 30)
+        kept += _walk_against_the_reference(step, policy_leftmost, 40)
+    assert kept > len(records)
 
 
 @contextlib.contextmanager
@@ -438,8 +526,9 @@ def counted_probe_splices():
 )
 def test_probes_splice_when_first_read(seed, rules, size_limit, data):
     """A step splices none of the candidates it keeps.  Each kept probe
-    splices once, the first time its tree, ids or constraints are read, and
-    the lazy outcome equals the reference prober's eagerly spliced one."""
+    splices once, the first time its tree, ids, constraints or classes are
+    read, and the lazy outcome equals the reference prober's eagerly
+    spliced one.  The walk steps from the probes themselves."""
     g = random_typed_grammar(seed, typed_leaves=True)
     rs = top_down_set(g) if rules == "top-down" else full_set(g)
     var_types = {
@@ -449,21 +538,21 @@ def test_probes_splice_when_first_read(seed, rules, size_limit, data):
     }
     result_type = data.draw(st.sampled_from((None,) + _TYPES))
     step = SearchStep(rs, context(var_types, result_type), size_limit)
-    queue = deque([(AnnotatedAst.empty(), ())])
+    queue = deque([(None, ())])
     for _ in range(60):
         if not queue:
             break
-        ast, pins = queue.popleft()
+        state, pins = queue.popleft()
+        ast = AnnotatedAst.empty() if state is None else state.ast
         if not ast.is_empty and is_complete(ast):
             continue
         with counted_probe_splices() as spliced:
-            got = feasible_rules(ast, step, policy_leftmost, pins)
-            with reference_prober():
-                want = feasible_rules(ast, step, policy_leftmost, pins)
+            got = feasible_rules(state, step, policy_leftmost)
+            want = reference_feasible_rules(ast, step, policy_leftmost, pins)
             assert spliced == []
             assert probe_fields(got) == probe_fields(want), to_sexpr(ast)
             assert spliced == [p.rule.key for p in got.kept]
-            queue.extend((p.ast, pins + p.constraints) for p in got.kept)
+            queue.extend((p, pins + p.constraints) for p in got.kept)
             assert len(spliced) == len(got.kept)
 
 
@@ -552,7 +641,7 @@ def test_step_refuses_a_rule_that_only_shares_a_key():
         RuleSet([*shared, retyped], shared=table)
     step = SearchStep(shared)
     root = apply_rule(AnnotatedAst.empty(), None, shared.by_key("make-root:E"))
-    out = probe_rules(root, root.root, rule.pattern, step)
+    out = probe_rules(tree_state(root, step), root.root, rule.pattern, step)
     assert all(probe.rule is shared[probe.id] for probe in out.kept)
     (probe,) = [p for p in out.kept if p.rule.key == rule.key]
     assert probe.rule is rule and probe.id == shared.rules.index(rule)

@@ -49,7 +49,6 @@ from progest.search import (
 from progest.trees import (
     AnnotatedAst,
     apply_rule,
-    is_complete,
     policy_leftmost,
     to_sexpr,
 )
@@ -598,33 +597,34 @@ def test_each_offer_is_resolved_once_per_search(
     assert compiled and max(compiled.values()) == 1
 
 
-def test_pins_are_read_only_for_expanded_states(
+def test_classes_are_made_only_for_expanded_states(
     corpus_records, corpus_models, monkeypatch
 ):
-    """A state's schema pins are instantiated when the state is expanded
-    and never for a finished tree: over corpus predicts, one
-    ``constraints_of_application`` call per expanded state past the empty
-    tree, each for the probe that made it, and the ranking still equals the
-    always-sorting reference beam's.  The scorer's replay of a corpus
-    tree instantiates the pins of every step but the last."""
-    schema = constraints.constraints_of_application
+    """A state's type classes are merged when the state is expanded and
+    never for a finished tree: over corpus predicts, one merge per expanded
+    state past the empty tree, for the probe that made it, in the order the
+    states are expanded, and no schema pins are instantiated at all; the
+    ranking still equals the always-sorting reference beam's.  The scorer's
+    replay of a corpus tree merges the classes of every step's probe but
+    the last."""
+    merge = constraints.Probe._merge
     feasible = search.feasible_rules
-    read_pins = constraints.Probe.constraints
-    instantiated: list = []
+    schema = constraints.constraints_of_application
+    merged: list = []
     expanded: list = []
-    pinned_trees: list = []
+    instantiated: list = []
+
+    def counted_merge(probe):
+        merged.append(probe)
+        return merge(probe)
+
+    def counted_feasible(state, *args):
+        expanded.append(state)
+        return feasible(state, *args)
 
     def counted_schema(rule, ids):
         instantiated.append(rule.key)
         return schema(rule, ids)
-
-    def counted_feasible(ast, *args):
-        expanded.append(ast)
-        return feasible(ast, *args)
-
-    def reading_pins(probe):
-        pinned_trees.append(probe.ast)
-        return read_pins.fget(probe)
 
     for trained in corpus_models:
         for record in corpus_records[:10]:
@@ -634,16 +634,17 @@ def test_pins_are_read_only_for_expanded_states(
                     k=50, widths=(5, 200), size_limit=30,
                 )
 
-            del instantiated[:], expanded[:], pinned_trees[:]
+            del merged[:], expanded[:], instantiated[:]
             with monkeypatch.context() as patch:
-                patch.setattr(constraints, "constraints_of_application", counted_schema)
+                patch.setattr(constraints.Probe, "_merge", counted_merge)
                 patch.setattr(search, "feasible_rules", counted_feasible)
-                patch.setattr(constraints.Probe, "constraints", property(reading_pins))
+                patch.setattr(constraints, "constraints_of_application", counted_schema)
                 ours = predict()
             assert len(expanded) == ours.stats.expansions, record.id
-            assert len(instantiated) == len(expanded) - 1, record.id
-            assert {id(t) for t in pinned_trees} == {id(t) for t in expanded[1:]}
-            assert not any(is_complete(t) for t in pinned_trees), record.id
+            assert expanded[0] is None, record.id
+            assert [id(p) for p in merged] == [id(p) for p in expanded[1:]], record.id
+            assert not any(p.finishes for p in merged), record.id
+            assert instantiated == [], record.id
             with monkeypatch.context() as patch:
                 patch.setattr(condsynth, "beam_search", reference_beam_search)
                 ref = predict()
@@ -652,11 +653,12 @@ def test_pins_are_read_only_for_expanded_states(
     templates = corpus_models[0].templates
     for record in corpus_records[:10]:
         rs = build_cond_ruleset(templates, record.context)
-        del instantiated[:]
+        del merged[:]
         with monkeypatch.context() as patch:
-            patch.setattr(constraints, "constraints_of_application", counted_schema)
+            patch.setattr(constraints.Probe, "_merge", counted_merge)
             steps = feasible_derivation(
                 record_tree(record), rs, policy_leftmost, record.context,
                 size_limit=30,
             )
-        assert len(instantiated) == len(steps) - 1, record.id
+        taken = [step.outcome.kept[step.choice] for step in steps]
+        assert [id(p) for p in merged] == [id(p) for p in taken[:-1]], record.id

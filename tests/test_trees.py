@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramgen import full_set, random_typed_grammar, top_down_set
-from progest import trees
+from progest import constraints, trees
 from progest.ambiguity import enumerate_complete_trees
 from progest.condsynth import build_cond_ruleset, mine_templates, record_tree
 from progest.constraints import SearchStep, feasible_rules
@@ -30,7 +30,6 @@ from progest.trees import (
     apply_rule,
     apply_rule_with_ids,
     build_complete_ast,
-    expandable_nodes,
     is_complete,
     leaf_tokens,
     policy_leftmost,
@@ -38,6 +37,7 @@ from progest.trees import (
     to_sexpr,
 )
 from tests_support import (
+    expandable_nodes,
     isomorphic,
     make_hash_policy,
     reference_apply_rule_with_ids,
@@ -309,10 +309,15 @@ def test_compiled_splice_matches_the_reference(seed, middle, hashed):
 def test_block_reading_matches_the_built_tree(seed, rules, hashed):
     """Read from the tree before a splice and the rule's block, whether the
     splice finishes the tree is ``is_complete`` of the spliced tree, and
-    its labels are the spliced tree's key.  Checked on every probe a
-    bounded typed search keeps over a random typed grammar, with top-down
-    rules and a root creation, bottom-up rules and leaf creations, both,
-    and both plus middle creations, under two policies."""
+    its labels, joined from the expansion's one split of the tree, are the
+    key of the tree the reference splice builds.  Checked on every probe a
+    bounded typed search keeps over a random typed grammar, stepping from
+    each probe as a search does, with top-down rules and a root creation,
+    bottom-up rules and leaf creations, both, and both plus middle
+    creations, under two policies: at creations, at targets below the root
+    unless the rules are bottom-up only, and at the root growing upward
+    unless they are top-down only.
+    Each expansion walks its tree once, however many probes it keeps."""
     g = random_typed_grammar(seed)
     if rules == "topdown":
         rs = top_down_set(g)
@@ -325,18 +330,35 @@ def test_block_reading_matches_the_built_tree(seed, rules, hashed):
             rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
     policy = make_hash_policy(seed) if hashed else policy_leftmost
     step = SearchStep(rs, None, 9)
-    frontier, finished, spliced = [AnnotatedAst.empty()], 0, 0
-    while frontier and spliced < 300:
-        ast = frontier.pop()
-        if is_complete(ast):
-            continue
-        for probe in feasible_rules(ast, step, policy).kept:
-            assert probe.labels == tree_key(probe.ast), probe
-            assert probe.finishes == is_complete(probe.ast), probe
-            finished += probe.finishes
-            frontier.append(probe.ast)
-            spliced += 1
+    frontier, finished, spliced = [None], 0, 0
+    met, expanded, walks = set(), 0, []
+    split = constraints.split_labels
+    with mock.patch.object(
+        constraints, "split_labels", lambda *a: walks.append(a) or split(*a)
+    ):
+        while frontier and spliced < 300:
+            state = frontier.pop()
+            if state is not None and is_complete(state.ast):
+                continue
+            ast = AnnotatedAst.empty() if state is None else state.ast
+            outcome = feasible_rules(state, step, policy)
+            target = outcome.target
+            for probe in outcome.kept:
+                want, _ = reference_apply_rule_with_ids(ast, target, probe.rule)
+                assert probe.labels == tree_key(want), probe
+                assert probe.finishes == is_complete(probe.ast), probe
+                finished += probe.finishes
+                frontier.append(probe)
+                spliced += 1
+            if outcome.kept:
+                expanded += target is not None
+                met.add("creation" if target is None else
+                        "root" if ast.nodes[target].parent is None else "leaf")
     assert 0 < finished < spliced
+    assert len(walks) == expanded
+    assert "creation" in met
+    assert rules == "bottomup" or "leaf" in met
+    assert rules == "topdown" or "root" in met
 
 
 def _walk_both_ways(target, rs, policy) -> tuple[list, list, int]:

@@ -75,7 +75,6 @@ from progest.trees import (
     apply_rule,
     apply_rule_with_ids,
     check_applicable,
-    expandable_nodes,
     iter_derivations,
     policy_leftmost,
     render,
@@ -151,9 +150,15 @@ def stub_rules_and_model(g: Grammar) -> tuple[RuleSet, TableModel, dict[str, str
     return rs, TableModel.from_nested(table), keys
 
 
+def expandable_nodes(ast: AnnotatedAst) -> list[tuple[int, Annotation]]:
+    """A tree's marked nodes in stable preorder, with their current marks,
+    read from ``ast.open``."""
+    return [(nid, ast.nodes[nid].annotation) for nid in ast.open]
+
+
 def reference_expandable_nodes(ast: AnnotatedAst) -> list[tuple[int, Annotation]]:
-    """``trees.expandable_nodes`` the slow way: a preorder rescan of the
-    whole tree for its marked nodes."""
+    """``expandable_nodes`` the slow way: a preorder rescan of the whole
+    tree for its marked nodes."""
     return [
         (nid, ast.nodes[nid].annotation)
         for nid in ast.preorder()
@@ -171,8 +176,8 @@ def reference_is_complete(ast: AnnotatedAst) -> bool:
 def tree_key(ast: AnnotatedAst) -> tuple:
     """The preorder ``(name, is_terminal, arity)`` labels of a built tree,
     as ``ambiguity.tree_labels`` yields them: the reference that
-    ``trees.splice_labels`` reads from the tree before a splice and the
-    rule's block."""
+    ``trees.splice_labels`` joins from the tree before a splice, split at
+    the target, and the rule's block."""
     out = []
     for nid in ast.preorder():
         node = ast.nodes[nid]
@@ -245,12 +250,43 @@ def reference_constraints_of_application(rule: RewritingRule, ids):
     return out
 
 
+def reference_classes(ast: AnnotatedAst, step: SearchStep, pins=()):
+    """The classes a search state carries, by a whole-tree solve: each
+    marked node of ``ast`` with its class in the system of the schema
+    ``pins`` and the context constraints, named by the class's union-find
+    root, and the class's forced type; None when the system is
+    unsatisfiable.  The root's result pin is left out while the root keeps
+    a mark, where ``constraints.probe_rules`` applies it itself."""
+    closed = not ast.is_empty and ast.nodes[ast.root].annotation is Annotation.NONE
+    solver = SolverState()
+    context = constraints_of_context(
+        step.var_types, ast, step.result_type if closed else None
+    )
+    if not solver.push([*pins, *context]):
+        return None
+    return {nid: (solver.find(nid), solver.resolved(nid)) for nid in ast.open}
+
+
+def canonical_classes(classes):
+    """Carried classes (node id -> (class name, type)) as a value that does
+    not depend on how the classes are named."""
+    if classes is None:
+        return None
+    members: dict = {}
+    for nid, (name, typ) in classes.items():
+        members.setdefault((name, typ), set()).add(nid)
+    return frozenset((frozenset(nids), typ) for (_, typ), nids in members.items())
+
+
 @dataclass(frozen=True)
 class SplicedProbe:
     """A kept candidate as ``reference_probe_rules`` records it, spliced at
     once: the fields a search reads of a ``constraints.Probe``, with
-    ``finishes`` read from the spliced tree and ``pins`` from the base
-    system it was probed with and its schema."""
+    ``finishes`` read from the spliced tree, ``size`` its whole
+    ``tree_size`` (0 when sizes are unbounded), ``classes`` from
+    ``reference_classes``, and ``pins``, the schema pins of every
+    application that built it, threaded from the pins it was probed
+    with."""
 
     rule: RewritingRule
     id: int
@@ -258,6 +294,8 @@ class SplicedProbe:
     ids: tuple[int, ...]
     constraints: tuple[TypeConstraint, ...]
     base: tuple[TypeConstraint, ...]
+    size: float
+    classes: dict | None
 
     @property
     def finishes(self) -> bool:
@@ -270,58 +308,86 @@ class SplicedProbe:
 
 def probe_fields(outcome: ProbeOutcome):
     """``outcome`` with each kept probe read field by field, so that lazy
-    probes and the reference's records compare by what they hold."""
+    probes and the reference's records compare by what they hold: the
+    carried classes compare as ``canonical_classes``."""
     return (
         outcome.target,
-        [(p.rule, p.id, p.ast, p.ids, p.constraints, p.pins) for p in outcome.kept],
+        [
+            (
+                p.rule, p.id, p.ast, p.ids, p.constraints, p.size,
+                canonical_classes(p.classes),
+            )
+            for p in outcome.kept
+        ],
         outcome.size_pruned,
         outcome.constraint_pruned,
     )
 
 
-def reference_probe_rules(
-    ast, target, group, step: SearchStep, base_constraints=()
-):
-    """``constraints.probe_rules`` the slow way, with the same arguments.
+def reference_probe_rules(ast, target, group, step: SearchStep, pins=()):
+    """``constraints.probe_rules`` the slow way, on ``ast`` built by
+    applications whose schema pins are ``pins``.
 
     Every rule of the group is checked to fit and spliced first, with its
-    id read off the group's positions; the size bound is the new tree's whole ``tree_size``, and the
-    constraint check solves a fresh system of the base pins, the
-    candidate's schema and the full context constraints of the new tree.
+    id read off the group's positions; the size bound is the new tree's
+    whole ``tree_size``, and the constraint check solves a fresh system of
+    the pins, the candidate's schema and the full context constraints of
+    the new tree.
     """
     kept = []
     size_pruned = 0
     constraint_pruned = 0
-    base = list(base_constraints)
+    base = tuple(pins)
     for rule, rule_id in zip(step.rs.group(group), step.rs.positions(group)):
         check_applicable(ast, target, rule.pattern)
         new_ast, ids = apply_rule_with_ids(ast, target, rule)
-        if (
-            step.size_limit is not None
-            and step.bounds is not None
-            and step.bounds.tree_size(new_ast) > step.size_limit
-        ):
-            size_pruned += 1
-            continue
-        schema = constraints_of_application(rule, ids)
-        system = base + schema + constraints_of_context(
+        size = 0.0
+        if step.size_limit is not None and step.bounds is not None:
+            size = step.bounds.tree_size(new_ast)
+            if size > step.size_limit:
+                size_pruned += 1
+                continue
+        schema = tuple(constraints_of_application(rule, ids))
+        system = [*base, *schema, *constraints_of_context(
             step.var_types, new_ast, step.result_type
-        )
+        )]
         if not SolverState().push(system):
             constraint_pruned += 1
             continue
         kept.append(
-            SplicedProbe(rule, rule_id, new_ast, tuple(ids), tuple(schema), tuple(base))
+            SplicedProbe(
+                rule, rule_id, new_ast, tuple(ids), schema, base, size,
+                reference_classes(new_ast, step, base + schema),
+            )
         )
     return ProbeOutcome(target, tuple(kept), size_pruned, constraint_pruned)
+
+
+def reference_feasible_rules(ast, step: SearchStep, policy, pins=()):
+    """``constraints.feasible_rules`` the slow way, on a tree given whole
+    with its pins: the policy's group at its node through
+    ``reference_probe_rules``."""
+    if ast.is_empty:
+        return reference_probe_rules(ast, None, None, step, pins)
+    target, direction = policy(ast)
+    group = (ast.nodes[target].symbol, direction)
+    return reference_probe_rules(ast, target, group, step, pins)
 
 
 @contextlib.contextmanager
 def reference_prober():
     """Route every probe of the block through ``reference_probe_rules``:
-    ``feasible_rules`` looks ``probe_rules`` up at call time."""
+    ``feasible_rules`` looks ``probe_rules`` up at call time.  A search
+    under it starts from the empty tree and hands back the reference's own
+    ``SplicedProbe`` states, whose pins the reference threads."""
     saved = constraints.probe_rules
-    constraints.probe_rules = reference_probe_rules
+
+    def probe(state, target, group, step):
+        if state is None:
+            return reference_probe_rules(AnnotatedAst.empty(), target, group, step)
+        return reference_probe_rules(state.ast, target, group, step, state.pins)
+
+    constraints.probe_rules = probe
     try:
         yield
     finally:
@@ -335,7 +401,7 @@ def untyped_derivations(target, rs, policy):
     the walk matches the whole group in rule order."""
     step = SearchStep(RuleSet([replace(r, schema=()) for r in rs]), None, None)
     return iter_derivations(
-        target, lambda ast, pins: feasible_rules(ast, step, policy, pins)
+        target, lambda grown_by: feasible_rules(grown_by, step, policy)
     )
 
 
