@@ -47,9 +47,10 @@ from .grammar import (
 )
 from .minilang import (
     Expr,
+    canonical_tokens,
     join_tokens,
+    logic_atoms,
     parse_condition,
-    split_logic_ops,
     tokens_with_vars,
     typecheck,
 )
@@ -79,9 +80,11 @@ _VAR_RULE_RE = re.compile(r"^var(\d+):")
 @dataclass(frozen=True)
 class CorpusRecord:
     """One corpus atom.  ``expr`` is its condition parsed on first use and
-    kept, so loading, mining and replaying it parse it once, and
-    ``abstract`` is read from that parse once, for mining and replaying
-    alike; equality and hashing read only the three fields."""
+    kept, so mining and replaying it parse it once, and ``abstract`` is
+    read from that parse once, for mining and replaying alike; equality and
+    hashing read only the three fields.  A record ``of_atom`` takes its
+    ``expr`` from the parse of the line it was split from, and parses
+    nothing."""
 
     id: str
     condition: str
@@ -90,6 +93,15 @@ class CorpusRecord:
     @functools.cached_property
     def expr(self) -> Expr:
         return parse_condition(self.condition)
+
+    @staticmethod
+    def of_atom(id: str, atom: Expr, context: Context) -> "CorpusRecord":
+        """The record of an atom already parsed: its condition is the atom's
+        canonical text, which parses back to ``atom``, and its ``expr`` is
+        ``atom`` itself."""
+        record = CorpusRecord(id, join_tokens(canonical_tokens(atom)), context)
+        vars(record)["expr"] = atom  # the value the cached property would parse
+        return record
 
     @functools.cached_property
     def abstract(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
@@ -145,23 +157,24 @@ def load_corpus(path: str) -> list[CorpusRecord]:
             if rec_id in seen_ids:
                 raise ContextError(f"line {line_no}: duplicate id {rec_id!r}")
             try:
-                atoms = split_logic_ops(condition)
+                atoms = logic_atoms(parse_condition(condition))
             except MiniLangError as err:
                 raise ContextError(f"line {line_no}: {err}") from None
             for atom_idx, atom in enumerate(atoms, start=1):
-                record = CorpusRecord(
+                record = CorpusRecord.of_atom(
                     rec_id if len(atoms) == 1 else f"{rec_id}#{atom_idx}", atom, ctx
                 )
                 if record.id in seen_ids:
                     raise ContextError(f"line {line_no}: duplicate id {record.id!r}")
                 seen_ids.add(record.id)
+                text = record.condition
                 try:
-                    result = typecheck(record.expr, ctx.variable_types)
+                    result = typecheck(atom, ctx.variable_types)
                 except (MiniLangError, MiniTypeError) as err:
-                    raise ContextError(f"line {line_no}: {atom!r}: {err}") from None
+                    raise ContextError(f"line {line_no}: {text!r}: {err}") from None
                 if result != "Boolean":
                     raise ContextError(
-                        f"line {line_no}: {atom!r} has type {result}, not Boolean"
+                        f"line {line_no}: {text!r} has type {result}, not Boolean"
                     )
                 records.append(record)
             seen_ids.add(rec_id)
@@ -342,9 +355,16 @@ class TemplateLayer:
     layer makes is built from the content of its own key: a ``make-var:``
     or ``varN:`` key names the slot and the variable, a ``make-expr:`` or
     ``expr:`` key the template, and ``fin:`` is one fixed rule.  So a
-    signature is compiled once per process, not once per search.  Every
-    pattern the layer's rules carry is a nonterminal (``E``, ``V1``,
-    ``V2``, ...), so no two groups of a bound set share a model cell name.
+    signature is compiled once per process, not once per search.
+
+    The ``expr:`` group (``V1^U``) and the ``fin:`` group (``E^U``) hold
+    the layer's own rules, in one order, in every set it binds, so the
+    table holds them ``fixed`` and resolves their offers once per key of
+    values, not once per search: the 590 training replays of the bundled
+    corpus read five resolutions of the ``expr:`` group, one per variable
+    count.  Every pattern the layer's rules carry is a nonterminal (``E``,
+    ``V1``, ``V2``, ...), so no two groups of a bound set share a model
+    cell name.
     """
 
     def __init__(self, templates: tuple[Template, ...]) -> None:
@@ -367,7 +387,8 @@ class TemplateLayer:
         if table is None:
             # this set's bounds are those of every set in its case
             table = self._tables[bool(names)] = SignatureTable(
-                compute_size_bounds(self._rule_set(names, None))
+                compute_size_bounds(self._rule_set(names, None)),
+                fixed=(_EXPAND_PATTERN, _FINISH.pattern),
             )
         return self._rule_set(names, table)
 

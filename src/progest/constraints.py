@@ -18,7 +18,8 @@ they force on the node the rule is applied to, the classes of its fresh
 marked nodes, and its size delta).  The step resolves a group's offers on
 the first expansion that meets that key and every later one reads them.
 The signatures come from one ``SignatureTable``, which compiles each on
-first use and keeps it per rule.
+first use and keeps it per rule, and which keeps the offers of the groups
+that every set it serves holds alike, so that searches share them too.
 
 A step reads the tree it expands once and solves nothing of it: the probe
 that made the tree carries the tree's size bound and its classes, the type
@@ -34,8 +35,10 @@ gets its facts from one whole-tree solve (``tree_state``).
 
 The table is keyed on values, so the condition rule sets of every context
 share one: a signature is compiled once for all the searches that agree on
-what it reads, and the table holds one entry per rule and per such
-agreement, however many contexts it serves.
+what it reads, the offers of a fixed group are resolved once for all the
+searches that agree on what its signatures read and on its ids, and the
+table holds one entry per rule or group and per such agreement, however
+many contexts it serves.
 """
 
 from __future__ import annotations
@@ -344,9 +347,15 @@ def _compile(
     return _Signature(ok, solver.resolved(_ANCHOR) if ok else None, size, tuple(holes))
 
 
+# a group's offers at one (mark, rootedness): each rule with its id in the
+# searched set and its signature there
+Offers = tuple[tuple[RewritingRule, int, _Signature], ...]
+
+
 class SignatureTable:
     """Rule signatures, compiled once and shared by every search over a rule
-    set the table is attached to (``RuleSet(rules, shared=table)``).
+    set the table is attached to (``RuleSet(rules, shared=table)``), and the
+    offers of the groups every such set holds alike.
 
     ``bounds`` are the size bounds of every such set.  A signature is keyed
     on the rule's key and on everything else ``_compile`` reads: the
@@ -358,15 +367,27 @@ class SignatureTable:
     set it is attached to; ``_compile`` is a function of the rule and the
     rest of the key, so two searches that agree on the key compile the same
     signature and sharing it is exact.
+
+    ``fixed`` names the patterns of the groups that hold the same rules, in
+    the same order, in every set the table is attached to; that is the
+    attacher's second promise.  The offers of such a group are resolved once
+    per key of values (``offers``) and not once per search.
     """
 
-    def __init__(self, bounds: SizeBounds | None) -> None:
+    def __init__(
+        self, bounds: SizeBounds | None, fixed: Iterable[Pattern] = ()
+    ) -> None:
         self.bounds = bounds
-        # the names of the declared leaves of each rule key
+        self.fixed = frozenset(fixed)
+        # the names of the declared leaves of each rule key, and of each
+        # fixed group's rules together
         self._leaves: dict[str, tuple[str, ...]] = {}
+        self._group_leaves: dict[Pattern, tuple[str, ...]] = {}
         # per target mark, rootedness, result type and boundedness: the
         # signature of each rule key and declared types of its leaves
         self._signatures: dict[tuple, dict[tuple, _Signature]] = {}
+        # the offers of a fixed group per the key ``offers`` gives
+        self._offers: dict[tuple, Offers] = {}
 
     def signatures(
         self, rules: Iterable[RewritingRule], mark: Annotation | None,
@@ -393,10 +414,38 @@ class SignatureTable:
             out.append(sig)
         return out
 
+    def offers(
+        self, rs: RuleSet, group: Pattern, mark: Annotation | None,
+        at_root: bool, step: "SearchStep",
+    ) -> Offers:
+        """What ``rs``'s group ``group`` offers at one target in ``step``:
+        each of its rules with its id in ``rs`` and its signature there.
 
-# a group's offers at one (mark, rootedness): each rule with its id in the
-# searched set and its signature there
-Offers = tuple[tuple[RewritingRule, int, _Signature], ...]
+        A fixed group's offers are memoised on values alone: the pattern
+        (which names the rules, by the promise), their ids, the mark, the
+        rootedness, the result type, whether sizes are bounded, and the
+        declared types of the identifier-shaped fresh leaves of all the
+        group's rules, a superset of what each signature reads.  So the
+        memo holds one entry per such agreement, however many contexts it
+        serves."""
+        rules, ids = rs.group(group), rs.positions(group)
+        if group not in self.fixed:
+            return tuple(zip(rules, ids, self.signatures(rules, mark, at_root, step)))
+        names = self._group_leaves.get(group)
+        if names is None:
+            names = self._group_leaves[group] = tuple(
+                sorted({name for rule in rules for _, name in _declared_leaves(rule)})
+            )
+        key = (
+            group, ids, mark, at_root, step.result_type, step.bounds is not None,
+            tuple(map(step.var_types.get, names)),
+        )
+        offers = self._offers.get(key)
+        if offers is None:
+            offers = self._offers[key] = tuple(
+                zip(rules, ids, self.signatures(rules, mark, at_root, step))
+            )
+        return offers
 
 
 class SearchStep:
@@ -413,10 +462,12 @@ class SearchStep:
 
     The step holds each group's ``offers`` at each target mark and
     rootedness it has met, keyed on those values alone: the group's rules,
-    their ids from ``rs.positions`` and their signatures, one table lookup
-    per rule.  So a search resolves each group once per key, and with a shared
-    table a group met in an earlier search, such as the ``expr:`` group of
-    every training replay, compiles nothing.
+    their ids from ``rs.positions`` and their signatures, as the table's
+    ``offers`` gives them.  So a search resolves each group once per key.
+    With a shared table, a signature compiled in an earlier search is
+    looked up, not compiled, and a group the table holds fixed, such as a
+    template layer's ``expr:`` group, is resolved once for every search
+    that agrees on the table's key for it.
     """
 
     def __init__(self, rs: RuleSet, ctx=None, size_limit: int | None = None) -> None:
@@ -442,13 +493,8 @@ class SearchStep:
         key = (group, mark, at_root)
         offers = self._offers.get(key)
         if offers is None:
-            rules = self.rs.group(group)
-            offers = self._offers[key] = tuple(
-                zip(
-                    rules,
-                    self.rs.positions(group),
-                    self.table.signatures(rules, mark, at_root, self),
-                )
+            offers = self._offers[key] = self.table.offers(
+                self.rs, group, mark, at_root, self
             )
         return offers
 
@@ -689,6 +735,9 @@ def probe_rules(
     and the rootedness alone, and ``(group, mark, rootedness)`` decides
     every offer of the group.  The memo is keyed on those values and never
     on a tree or a node id, and it is the step's only lookup of the group.
+    A fixed group's offers come from the table's memo, whose key adds the
+    values the step fixes (``SignatureTable.offers``), so they are the
+    offers this step would resolve itself.
     """
     if state is None:
         ast, size, classes = AnnotatedAst.empty(), 0.0, {}
@@ -758,9 +807,13 @@ def feasible_rules(
     applications that built it, whose facts one ``tree_state`` solve makes.
     The empty tree is offered the creation rules; otherwise ``policy`` picks
     the node and direction, and the rules of that group are probed there.
-    Beam search, exhaustive search, the scorer and training extraction all
-    step from probes through here, so they agree on which candidates each
-    step offers.
+    A node marked for a direction it can no longer take is a dead end, and
+    the step keeps nothing: a downward mark on a node that already has
+    children (a rule anchored at its replacement root with block children
+    leaves one, applied to a root marked both ways), or an upward mark below
+    the root.  Beam search, exhaustive search, the scorer and training
+    extraction all step from probes through here, so they agree on which
+    candidates each step offers.
     """
     if isinstance(state, AnnotatedAst):
         state = tree_state(state, step, pins)
@@ -769,5 +822,11 @@ def feasible_rules(
         target, group = None, None
     else:
         target, direction = policy(ast)
-        group = (ast.nodes[target].symbol, direction)
+        node = ast.nodes[target]
+        mark = node.annotation
+        if (node.children and direction is Annotation.D and mark.needs_down) or (
+            node.parent is not None and direction is Annotation.U and mark.needs_up
+        ):
+            return ProbeOutcome(target, (), 0, 0)
+        group = (node.symbol, direction)
     return probe_rules(state, target, group, step)

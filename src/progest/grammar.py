@@ -351,6 +351,10 @@ class RuleBlock:
     The schema comes as ``pins``, (position, type name) for each concrete
     atom, and ``links``, (position, position) for each pair of consecutive
     positions of one schema variable, in schema order.
+    ``head`` is what a tree node must carry for the root to land on it in
+    the derivation walk (``trees.iter_derivations``): the root's name and
+    terminality, then, unless the root is an anchor without block children
+    or is marked downward, its arity and each child's name and terminality.
     """
 
     symbols: tuple[Symbol, ...]
@@ -365,6 +369,7 @@ class RuleBlock:
     after: tuple[int, ...]
     pins: tuple[tuple[int, str], ...]
     links: tuple[tuple[int, int], ...]
+    head: tuple
 
 
 def _compile_block(rule: RewritingRule) -> RuleBlock:
@@ -412,10 +417,15 @@ def _compile_block(rule: RewritingRule) -> RuleBlock:
     labels = tuple(
         (sym.name, sym.is_terminal, len(kids)) for sym, kids in zip(symbols, children)
     )
+    head = labels[0][:2]
+    if children[0] if anchor == 0 else not marks[0].needs_down:
+        head += (len(children[0]),) + tuple(
+            part for c in children[0] for part in labels[c][:2]
+        )
     return RuleBlock(
         tuple(symbols), tuple(marks), tuple(parents), tuple(map(tuple, children)),
         labels, anchor, end, tuple(before), tuple(under), tuple(after), tuple(pins),
-        tuple(links),
+        tuple(links), head,
     )
 
 

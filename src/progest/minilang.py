@@ -400,13 +400,10 @@ def canonical(text: str) -> str:
     return join_tokens(canonical_tokens(parse_condition(text)))
 
 
-def split_logic_ops(text: str) -> list[str]:
-    """Atomic conditions of a composite one, negations stripped.
-
-    ``!(a && b) || c`` comes back as the canonical forms of ``a``, ``b``,
-    ``c``.  A condition without connectives yields itself.
-    """
-    atoms: list[str] = []
+def logic_atoms(expr: Expr) -> list[Expr]:
+    """The atomic subtrees of a parsed condition, left to right, with the
+    negations and ``&&``/``||`` connectives above them stripped."""
+    atoms: list[Expr] = []
 
     def walk(expr: Expr) -> None:
         if isinstance(expr, Unary) and expr.op == "!":
@@ -415,7 +412,17 @@ def split_logic_ops(text: str) -> list[str]:
             walk(expr.left)
             walk(expr.right)
         else:
-            atoms.append(join_tokens(canonical_tokens(expr)))
+            atoms.append(expr)
 
-    walk(parse_condition(text))
+    walk(expr)
     return atoms
+
+
+def split_logic_ops(text: str) -> list[str]:
+    """Atomic conditions of a composite one, negations stripped.
+
+    ``!(a && b) || c`` comes back as the canonical forms of ``a``, ``b``,
+    ``c``.  A condition without connectives yields itself.
+    """
+    atoms = logic_atoms(parse_condition(text))
+    return [join_tokens(canonical_tokens(atom)) for atom in atoms]

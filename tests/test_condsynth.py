@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -29,15 +30,22 @@ from progest.condsynth import (
     template_of,
     train_cond_models,
 )
-from progest import condsynth, constraints, features, grammar
+from progest import condsynth, constraints, features, grammar, minilang
 from progest.cli import main
-from progest.constraints import SearchStep, feasible_rules
+from progest.constraints import SearchStep, SignatureTable, feasible_rules
 from progest.ambiguity import check_unambiguous, enumerate_complete_trees
 from progest.datagen import generate_corpus
 from progest.errors import ContextError
 from progest.features import Context, FeaturePipeline, VariableInfo
 from progest.grammar import Annotation, derive_top_down_rules, nonterminal
-from progest.models import LogisticModel, UniformModel, feasible_derivation, group_str
+from progest.minilang import parse_condition, split_logic_ops
+from progest.models import (
+    LogisticModel,
+    UniformModel,
+    extract_training_set,
+    feasible_derivation,
+    group_str,
+)
 from progest.search import beam_search
 from progest.trees import (
     AnnotatedAst,
@@ -161,11 +169,11 @@ def test_load_corpus_rejects_an_atom_id_that_repeats(tmp_path, capsys, first, se
 
 
 def test_a_loaded_record_is_parsed_once(data_dir, monkeypatch):
-    """Loading parses each atom once and keeps the parse on its record, so
-    a frequency training and a held-out evaluation over loaded records
-    parse nothing; the training abstracts each record once, for mining and
-    for its tree alike; a record compares and hashes by its fields whether
-    its parse is kept or not."""
+    """Loading parses each corpus line once and keeps each atom's subtree
+    of that parse on its record, so a frequency training and a held-out
+    evaluation over loaded records parse nothing; the training abstracts
+    each record once, for mining and for its tree alike; a record compares
+    and hashes by its fields whether its parse is kept or not."""
     calls: list[str] = []
     parse = condsynth.parse_condition
     monkeypatch.setattr(
@@ -177,7 +185,8 @@ def test_a_loaded_record_is_parsed_once(data_dir, monkeypatch):
         condsynth, "tokens_with_vars", lambda expr: abstracted.append(expr) or walk(expr)
     )
     records = load_corpus(data_dir / "corpus.jsonl")
-    assert calls == [r.condition for r in records]
+    lines = (data_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    assert calls == [json.loads(line)["condition"] for line in lines if line.strip()]
     calls.clear()
     train_cond_models(records, model_kind="frequency")
     assert abstracted == [r.expr for r in records]
@@ -191,6 +200,35 @@ def test_a_loaded_record_is_parsed_once(data_dir, monkeypatch):
     assert fresh.expr == record.expr
     assert fresh == record and hash(fresh) == hash(record)
     assert fresh != dataclasses.replace(fresh, id="other")
+
+
+@pytest.mark.parametrize("corpus", ["bundled", "datagen"])
+def test_each_corpus_line_is_parsed_once(data_dir, tmp_path, monkeypatch, corpus):
+    """Loading a corpus parses each line once, under either name the parser
+    is called by, and hands each atom's record its subtree of that parse:
+    the parse of the record's condition, the canonical text of the atom
+    ``split_logic_ops`` gives."""
+    path = data_dir / "corpus.jsonl"
+    if corpus == "datagen":
+        path = write_corpus(tmp_path, generate_corpus(300, seed="heldout-1"))
+    lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
+    conditions = [json.loads(line)["condition"] for line in lines if line.strip()]
+    calls: list[str] = []
+    for module in (condsynth, minilang):
+        monkeypatch.setattr(
+            module, "parse_condition",
+            lambda text, parse=parse_condition: calls.append(text) or parse(text),
+        )
+    records = load_corpus(path)
+    assert calls == conditions
+    monkeypatch.undo()
+    assert len(records) > len(conditions)
+    assert [r.condition for r in records] == [
+        atom for condition in conditions for atom in split_logic_ops(condition)
+    ]
+    for record in records:
+        assert "expr" in vars(record)
+        assert record.expr == parse_condition(record.condition), record.id
 
 
 def make_records():
@@ -367,6 +405,154 @@ def test_variable_rule_signatures_are_shared_across_contexts(corpus_records, mon
             assert sig == twin_sig, rule.key
             anchor_types.add(sig.anchor_type)
     assert other in anchor_types
+
+
+# the identifier-shaped tokens of the corpus templates
+_TOKENS = ("size", "length", "isEmpty")
+
+
+def _draw_templates(data, mined):
+    """Some mined templates, at least one of them holding an identifier-shaped
+    token, maybe with variable-free ones, in a drawn order."""
+    tokened = [t for t in mined if set(_TOKENS) & set(t.tokens)]
+    picked = data.draw(
+        st.lists(st.sampled_from(tokened), min_size=1, max_size=3, unique=True)
+    )
+    picked += data.draw(st.lists(st.sampled_from(mined), max_size=6, unique=True))
+    closed = data.draw(st.lists(st.sampled_from(_CLOSED), max_size=2, unique=True))
+    return tuple(data.draw(st.permutations(list(dict.fromkeys(picked)) + closed)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_offers_match_resolution_per_step(corpus_records, data):
+    """The offers a template layer's table shares for the groups every bound
+    set holds alike (``expr:``, ``fin:``) are those a step over the
+    per-context reference set, which shares nothing, resolves for itself:
+    every group, at every mark and rootedness a search meets it, with the
+    same rules, ids and signatures.  Several contexts go through one fresh
+    layer in turn, so a stale shared entry shows: they declare variables
+    named like the templates' identifier-shaped tokens, or none at all,
+    with Boolean or Int results, and sizes bounded at 30 or not."""
+    templates = _draw_templates(data, mine_templates(corpus_records))
+    layer = TemplateLayer(templates)
+    types = sorted({ty for t in templates for ty in t.placeholder_types} | {"Int"})
+    for _ in range(data.draw(st.integers(2, 4))):
+        names = data.draw(st.lists(st.sampled_from(_NAMES), max_size=4, unique=True))
+        ctx = Context(
+            variables=tuple(
+                VariableInfo(name, data.draw(st.sampled_from(types))) for name in names
+            ),
+            result_type=data.draw(st.sampled_from(("Boolean", "Int"))),
+        )
+        size_limit = data.draw(st.sampled_from((None, 30)))
+        step = SearchStep(layer.bind(ctx), ctx, size_limit)
+        fresh = SearchStep(reference_build_cond_ruleset(templates, ctx), ctx, size_limit)
+        assert step.rs.shared.fixed and fresh.rs.shared is None
+        for group, members in fresh.rs.groups.items():
+            for mark, at_root in _marks_met(members[0]):
+                assert step.offers(group, mark, at_root) == fresh.offers(
+                    group, mark, at_root
+                ), (group, mark, at_root, ctx, size_limit)
+
+
+def test_a_corpus_training_resolves_the_expr_group_once_per_key(
+    corpus_records, monkeypatch, tmp_path
+):
+    """From a fresh template layer, a frequency training on the corpus
+    resolves the offers of the ``expr:`` group once per key of values, one
+    per variable count of its contexts (4 to 8), not once per replayed
+    record (590).  The memo holds those five entries, and ranking the holes
+    of two fresh held-out corpora adds none."""
+    monkeypatch.setattr(
+        condsynth, "template_layer",
+        functools.lru_cache(maxsize=4)(condsynth.TemplateLayer),
+    )
+    signatures = SignatureTable.signatures
+    resolved: list[str] = []
+
+    def counted(self, rules, mark, at_root, step):
+        resolved.extend(rule.key.partition(":")[0] for rule in rules[:1])
+        return signatures(self, rules, mark, at_root, step)
+
+    monkeypatch.setattr(SignatureTable, "signatures", counted)
+    trained = train_cond_models(corpus_records, model_kind="frequency")
+    counts = {len(r.context.variables) for r in corpus_records}
+    assert len(corpus_records) == 590 and counts == {4, 5, 6, 7, 8}
+    assert resolved.count("expr") == 5
+    layer = condsynth.template_layer(trained.templates)
+
+    def entries():
+        return sum(len(table._offers) for table in layer._tables.values())
+
+    assert entries() == 5
+    for seed in ("heldout-1", "heldout-2"):
+        for record in _heldout(tmp_path, 300, seed):
+            synthesize_condition(
+                record.context, trained.templates, trained.model,
+                k=50, widths=(5, 200), size_limit=30,
+            )
+    assert entries() == 5
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_training_through_the_layer_equals_training_over_reference_sets(
+    corpus_records, data
+):
+    """``extract_training_set`` over a template layer's binds, which share
+    one table and its offers, gives the instances, audits, skips and
+    encoded decisions it gives over per-context reference sets that share
+    nothing.  Corpus records are drawn, some given a variable named like an
+    identifier-shaped template token, some an Int result (their replays
+    fail the result type and are skipped), beside variable-free conditions
+    in contexts with no variables."""
+    picked = data.draw(
+        st.lists(st.sampled_from(corpus_records), min_size=1, max_size=12,
+                 unique_by=lambda r: r.id)
+    )
+    records = []
+    for record in picked:
+        ctx = record.context
+        change = data.draw(st.sampled_from(("keep", "token", "int")))
+        if change == "token":
+            name = data.draw(st.sampled_from(_TOKENS))
+            if name not in ctx.variable_types:
+                kind = data.draw(st.sampled_from(("Int", "Boolean", "String")))
+                ctx = dataclasses.replace(
+                    ctx, variables=(*ctx.variables, VariableInfo(name, kind))
+                )
+        elif change == "int":
+            ctx = dataclasses.replace(ctx, result_type="Int")
+        records.append(CorpusRecord(record.id, record.condition, ctx))
+    for i in range(data.draw(st.integers(0, 2))):
+        result = data.draw(st.sampled_from(("Boolean", "Int")))
+        condition = data.draw(st.sampled_from(("true", "false")))
+        closed = CorpusRecord(f"closed{i}", condition, Context(result_type=result))
+        records.append(closed)
+    templates = mine_templates(records)
+    items = [(r.context, record_tree(r)) for r in records]
+    size_limit = data.draw(st.sampled_from((None, 30)))
+    pipeline = FeaturePipeline.fit((r.context for r in records), 4, 0)
+    layer = TemplateLayer(templates)
+    got, want = (
+        extract_training_set(
+            items, rules_for, policy_leftmost,
+            encoder=CondEncoder(templates, pipeline), size_limit=size_limit,
+        )
+        for rules_for in (
+            layer.bind, lambda ctx: reference_build_cond_ruleset(templates, ctx)
+        )
+    )
+    assert got.instances == want.instances
+    assert got.steps_audited == want.steps_audited
+    assert got.skipped == want.skipped
+    assert len(got.decisions) == len(want.decisions)
+    for ours, theirs in zip(got.decisions, want.decisions):
+        assert (ours.kind, ours.chosen, ours.applied_key) == (
+            theirs.kind, theirs.chosen, theirs.applied_key
+        )
+        assert np.array_equal(ours.rows, theirs.rows)
 
 
 @pytest.mark.parametrize("with_closed", [False, True])

@@ -26,15 +26,20 @@ from progest.condsynth import (
     synthesize_condition,
     train_cond_models,
 )
-from progest.constraints import SearchStep, SignatureTable
-from progest.errors import SearchOverflowError
+from progest.constraints import SearchStep, SignatureTable, probe_rules, tree_state
+from progest.errors import ApplyError, SearchOverflowError
 from progest.features import Context
 from progest.grammar import (
+    Annotation,
     CreationMode,
+    RewritingRule,
     RuleSet,
+    RuleTree,
     derive_creation_rules,
     derive_top_down_rules,
     load_grammar,
+    nonterminal,
+    terminal,
 )
 from progest.models import TableModel, UniformModel, feasible_derivation
 from progest.search import (
@@ -662,3 +667,38 @@ def test_classes_are_made_only_for_expanded_states(
             )
         taken = [step.outcome.kept[step.choice] for step in steps]
         assert [id(p) for p in merged] == [id(p) for p in taken[:-1]], record.id
+
+
+def test_a_mark_the_node_can_no_longer_take_is_a_dead_end():
+    """A rule anchored at its replacement root with block children, applied
+    to a root marked both ways, leaves a root marked D that already has
+    children.  The policy picks it first; the step keeps nothing there, so
+    the search meets a dead end instead of raising.  A splice or a probe of
+    a group that does not fit the node still raises."""
+    x = nonterminal("X")
+    make_mid = RewritingRule(None, RuleTree(x, Annotation.UD), key="make-mid:X")
+    grow = RewritingRule(
+        (x, Annotation.U),
+        RuleTree(x, Annotation.NONE, True,
+                 (RuleTree(terminal("a")), RuleTree(x, Annotation.D))),
+        key="grow",
+    )
+    fill = RewritingRule(
+        (x, Annotation.D),
+        RuleTree(x, Annotation.NONE, True, (RuleTree(terminal("b")),)),
+        key="fill",
+    )
+    rs = RuleSet([make_mid, grow, fill])
+    for size_limit in (9, None):
+        found = beam_search(rs, None, None, size_limit=size_limit)
+        assert found.candidates == [] and found.stats.expansions == 3
+        assert exhaustive_search(rs, size_limit=size_limit).candidates == []
+    stuck = apply_rule(apply_rule(AnnotatedAst.empty(), None, make_mid), 0, grow)
+    assert stuck.open[0] == stuck.root and stuck.nodes[stuck.root].children
+    step = SearchStep(rs, None, 9)
+    outcome = constraints.feasible_rules(stuck, step, policy_leftmost)
+    assert outcome.target == stuck.root and outcome.kept == ()
+    with pytest.raises(ApplyError, match="already has children"):
+        apply_rule(stuck, stuck.root, fill)
+    with pytest.raises(ApplyError, match="already has children"):
+        probe_rules(tree_state(stuck, step), stuck.root, fill.pattern, step)

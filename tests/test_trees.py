@@ -25,8 +25,10 @@ from progest.grammar import (
     terminal,
 )
 from progest.models import feasible_derivation
+from progest.condsynth import train_cond_models
 from progest.trees import (
     AnnotatedAst,
+    AstNode,
     apply_rule,
     apply_rule_with_ids,
     build_complete_ast,
@@ -428,3 +430,89 @@ def test_block_matcher_matches_the_reference_on_corpus_trees(corpus_records):
         got, want, checked = _walk_both_ways(record_tree(record), rs, policy_leftmost)
         assert got == want and got, record.id
         assert checked >= len(got[0]), record.id
+
+
+def _every_landing_agrees(target, rules) -> int:
+    """``trees._landings`` of each of ``rules`` on ``target``, indexed by the
+    target's heads, against ``reference_landings``: a creation once, and
+    any other rule with its anchor on each node of its symbol, expanded at
+    the rule's own mark or a mark both ways, at the root or below it.
+    Returns how many of these land."""
+    heads = trees._heads(target)
+    order = target.preorder()
+    assert list(heads) == order
+    landed = 0
+    for rule in rules:
+        cases = [(None, None)]
+        if rule.pattern is not None:
+            symbol, direction = rule.pattern
+            cases = [
+                (AstNode(tid, symbol, mark, parent), tid)
+                for tid in order
+                if target.nodes[tid].symbol == symbol
+                for mark in (direction, Annotation.UD)
+                for parent in (None, -1)
+            ]
+        for node, tid in cases:
+            got = list(trees._landings(target, heads, node, tid, rule))
+            want = list(reference_landings(target, order, node, tid, rule))
+            assert got == want, (rule.key, tid, node)
+            landed += bool(want)
+    return landed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["full", "middle", "topdown"]))
+def test_indexed_landings_match_the_reference_for_every_rule(seed, rules):
+    """The head index refuses only blocks that cannot land: on the complete
+    trees of random typed grammars, every rule of the set, at every node
+    it could be anchored on, lands where the recursive reference lands it,
+    whether or not a search would keep it there."""
+    g = random_typed_grammar(seed)
+    rs = top_down_set(g) if rules == "topdown" else full_set(g)
+    if rules == "middle":
+        rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
+    trees_ = islice(enumerate_complete_trees(g, 7), 12)
+    landed = sum(_every_landing_agrees(tree, rs) for tree in trees_)
+    assert landed > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_indexed_landings_match_the_reference_on_corpus_contexts(corpus_records, data):
+    """The same comparison on the trees of corpus records, under the
+    condition rule set of the record's context or of another record's."""
+    templates = mine_templates(corpus_records)
+    record, other = data.draw(
+        st.lists(st.sampled_from(corpus_records), min_size=2, max_size=2)
+    )
+    ctx = data.draw(st.sampled_from((record.context, other.context)))
+    rs = build_cond_ruleset(templates, ctx)
+    landed = _every_landing_agrees(record_tree(record), rs)
+    assert landed > 0 or ctx != record.context
+
+
+def test_a_corpus_training_matches_blocks_only_where_they_land(
+    corpus_records, monkeypatch
+):
+    """A frequency training on the corpus lands 3 785 kept probes, of which
+    1 306 land, one per build step; the head index refuses every other one
+    before its block is matched, so the block matcher runs 1 306 times."""
+    calls = {"landings": 0, "landed": 0, "match": 0}
+    landings, match = trees._landings, trees._match
+
+    def counted_landings(*args):
+        calls["landings"] += 1
+        found = list(landings(*args))
+        calls["landed"] += bool(found)
+        return iter(found)
+
+    def counted_match(*args):
+        calls["match"] += 1
+        return match(*args)
+
+    monkeypatch.setattr(trees, "_landings", counted_landings)
+    monkeypatch.setattr(trees, "_match", counted_match)
+    trained = train_cond_models(corpus_records, model_kind="frequency")
+    assert len(trained.extraction.steps_audited) == 1306
+    assert calls == {"landings": 3785, "landed": 1306, "match": 1306}

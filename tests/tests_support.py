@@ -486,7 +486,9 @@ def reference_match_replacement(rule, target: AnnotatedAst, root_tid, anchor_tid
 def reference_landings(target, order, node, tid, rule):
     """``trees._landings`` the slow way, with the same arguments: the root
     is found by the rule's anchor path (every node of ``order`` for a
-    creation) and the replacement tree is matched from there recursively."""
+    creation) and the replacement tree is matched from there recursively.
+    ``order`` is anything that iterates over the target's ids in preorder,
+    such as the heads ``_landings`` takes; no head is read here."""
     roots = order if node is None else reference_root_match(target, node, tid, rule)
     for root_tid in roots:
         matched = reference_match_replacement(rule, target, root_tid, tid)
