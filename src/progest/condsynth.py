@@ -739,6 +739,11 @@ def evaluate_topk(
     solved = {c: 0 for c in cutoffs}
     unreachable_total = 0
     n_test = max(1, round(len(records) * split_ratio))
+    if n_test >= len(records):
+        raise ContextError(
+            f"split {split_ratio:g} holds out {n_test} of {len(records)} atoms, "
+            "which leaves none to train on"
+        )
     for rep in range(repeats):
         rng = random.Random(seed + rep)
         order = list(range(len(records)))

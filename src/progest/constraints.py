@@ -30,8 +30,8 @@ the tree's preorder labels at the target once, on first read.  A kept
 ``Probe`` splices only when its tree or ids are first read, and merges its
 classes only when its state is expanded.  ``probe_rules`` gives the
 argument why this decides exactly what solving the whole system of each
-spliced tree decides.  A tree given whole, without the probe that made it,
-gets its facts from one whole-tree solve (``tree_state``).
+spliced tree decides.  The probe, or None for the empty tree, is the only
+state a step reads.
 
 The table is keyed on values, so the condition rule sets of every context
 share one: a signature is compiled once for all the searches that agree on
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 from .errors import SchemaError
 from .grammar import Annotation, Pattern, RewritingRule, RuleSet, RuleTree
@@ -499,41 +499,6 @@ class SearchStep:
         return offers
 
 
-class TreeState(NamedTuple):
-    """The facts a step reads of the tree it expands, for a tree given whole
-    rather than by the probe that made it (see ``tree_state``)."""
-
-    ast: AnnotatedAst
-    size: float
-    classes: Classes | None  # None: the tree's system is unsatisfiable
-
-
-def tree_state(
-    ast: AnnotatedAst, step: SearchStep, pins: Iterable[TypeConstraint] = ()
-) -> TreeState:
-    """The facts of ``ast`` by one whole-tree solve: its size bound, and the
-    classes of its system, the schema ``pins`` of the applications that
-    built it and its context constraints, with the result pin held back
-    while the root keeps a downward mark (``probe_rules`` says why)."""
-    size = step.bounds.tree_size(ast) if step.bounds is not None else 0.0
-    if ast.is_empty:
-        return TreeState(ast, size, {})
-    closed = ast.nodes[ast.root].annotation is Annotation.NONE  # type: ignore[index]
-    solver = SolverState()
-    if not solver.push(
-        [
-            *pins,
-            *constraints_of_context(
-                step.var_types, ast, step.result_type if closed else None
-            ),
-        ]
-    ):
-        return TreeState(ast, size, None)
-    return TreeState(
-        ast, size, {nid: (solver.find(nid), solver.resolved(nid)) for nid in ast.open}
-    )
-
-
 class Expansion:
     """One expansion, shared by every probe it keeps: the expanded tree, the
     target and the tree's classes, and, made on first read, the tree's
@@ -542,7 +507,7 @@ class Expansion:
     __slots__ = ("ast", "target", "classes", "_split")
 
     def __init__(
-        self, ast: AnnotatedAst, target: int | None, classes: Classes | None
+        self, ast: AnnotatedAst, target: int | None, classes: Classes
     ) -> None:
         self.ast = ast
         self.target = target
@@ -566,10 +531,7 @@ class Probe:
     holes.  A caller that reads none of them splices nothing, and a search
     reads the classes only of a state it expands.  ``finishes`` and
     ``labels`` read the new tree's completeness and preorder labels from the
-    expansion and the rule's block, and splice nothing.  ``constraints``,
-    the schema constraints this application adds, serve a caller that
-    keeps a tree's pins itself; a search never reads them.  Two probes are
-    equal when their rules, ids, sizes and made parts are.
+    expansion and the rule's block, and splice nothing.
     """
 
     __slots__ = ("rule", "id", "expansion", "signature", "size", "_spliced", "_classes")
@@ -629,7 +591,7 @@ class Probe:
         name = forced = None
         if target is not None:
             (_, _, fresh), holes = holes[0], holes[1:]
-            old: Classes = exp.classes  # type: ignore[assignment]
+            old = exp.classes
             name, forced = old[target]
             classes = dict(old)
             if forced is None and fresh is not None:
@@ -643,23 +605,6 @@ class Probe:
             classes[ids[pos]] = (name, forced) if cls == _ANCHOR else (ids[cls], typ)
         return classes  # type: ignore[return-value]
 
-    @property
-    def constraints(self) -> tuple[TypeConstraint, ...]:
-        return tuple(constraints_of_application(self.rule, self.ids))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Probe):
-            return NotImplemented
-        return (
-            self.rule == other.rule
-            and self.id == other.id
-            and self.size == other.size
-            and self._splice() == other._splice()
-            and self.classes == other.classes
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return f"Probe({self.rule.key!r} at {self.expansion.target!r})"
 
@@ -672,13 +617,8 @@ class ProbeOutcome:
     constraint_pruned: int
 
 
-# what a step expands: the probe that made the tree, None for the empty
-# tree, or a tree given whole
-Expandable = Probe | TreeState | None
-
-
 def probe_rules(
-    state: Expandable,
+    state: Probe | None,
     target: int | None,
     group: Pattern,
     step: SearchStep,
@@ -697,7 +637,8 @@ def probe_rules(
     ``step.rs`` and its size, and spliced when first read: a walk that
     follows one of them splices only that one.
 
-    Nothing here solves or sums the whole tree: the state carries its size
+    ``state`` is the probe that made the tree, None for the empty tree.
+    Nothing here solves or sums the whole tree: the probe carries its size
     bound and its classes, those of its marked nodes.  Why that decides
     exactly what solving the whole system of each spliced tree decides: the
     splice gives the fresh replacement nodes ids from ``len(ast.nodes)`` on,
@@ -744,25 +685,24 @@ def probe_rules(
     else:
         ast, size, classes = state.ast, state.size, state.classes
     check_applicable(ast, target, group)
-    tree_ok, forced = classes is not None, None
+    tree_ok, forced = True, None
     if target is None:
         mark, at_root = None, True
     else:
         node = ast.nodes[target]
         mark, at_root = node.annotation, node.parent is None
         result = step.result_type
-        if tree_ok:
-            name, forced = classes[target]  # type: ignore[index]
-            if (
-                not at_root
-                and result is not None
-                and ast.nodes[ast.root].annotation is Annotation.D  # type: ignore[index]
-            ):
-                # the root's held-back result pin
-                root_name, root_type = classes[ast.root]  # type: ignore[index]
-                tree_ok = root_type is None or root_type == result
-                if root_name == name:
-                    forced = result
+        name, forced = classes[target]
+        if (
+            not at_root
+            and result is not None
+            and ast.nodes[ast.root].annotation is Annotation.D  # type: ignore[index]
+        ):
+            # the root's held-back result pin
+            root_name, root_type = classes[ast.root]  # type: ignore[index]
+            tree_ok = root_type is None or root_type == result
+            if root_name == name:
+                forced = result
     offers = step.offers(group, mark, at_root)
     if not offers:
         return ProbeOutcome(target, (), 0, 0)
@@ -777,10 +717,8 @@ def probe_rules(
     constraint_pruned = 0
     for rule, rule_id, sig in offers:
         new_size = rest + sig.size_delta
-        # "not <=" also prunes the NaN an infinite target leaves in the
-        # infinite size of a tree given whole; every offer's delta is then
-        # infinite too
-        if limit is not None and not new_size <= limit:
+        # finite for every kept probe: an infinite delta is pruned here
+        if limit is not None and new_size > limit:
             size_pruned += 1
             continue
         if not (tree_ok and sig.fresh_ok) or (
@@ -795,18 +733,17 @@ def probe_rules(
 
 
 def feasible_rules(
-    state: Expandable | AnnotatedAst,
+    state: Probe | None,
     step: SearchStep,
     policy: Callable[[AnnotatedAst], tuple[int, Annotation]],
-    pins: Iterable[TypeConstraint] = (),
 ) -> ProbeOutcome:
     """One search step: the single pruning gate every expansion goes through.
 
     ``state`` is the probe that made the tree to expand, None for the empty
-    tree, or a tree given whole with ``pins``, the schema pins of the
-    applications that built it, whose facts one ``tree_state`` solve makes.
-    The empty tree is offered the creation rules; otherwise ``policy`` picks
-    the node and direction, and the rules of that group are probed there.
+    tree; it carries the tree's size bound and type classes, so the step
+    solves nothing of the tree.  The empty tree is offered the creation
+    rules; otherwise ``policy`` picks the node and direction, and the rules
+    of that group are probed there.
     A node marked for a direction it can no longer take is a dead end, and
     the step keeps nothing: a downward mark on a node that already has
     children (a rule anchored at its replacement root with block children
@@ -815,12 +752,10 @@ def feasible_rules(
     extraction all step from probes through here, so they agree on which
     candidates each step offers.
     """
-    if isinstance(state, AnnotatedAst):
-        state = tree_state(state, step, pins)
-    ast = None if state is None else state.ast
-    if ast is None or ast.is_empty:
+    if state is None:
         target, group = None, None
     else:
+        ast = state.ast
         target, direction = policy(ast)
         node = ast.nodes[target]
         mark = node.annotation

@@ -71,16 +71,13 @@ class UniformModel:
 class TableModel:
     """Raw lookup of (introducing rule of the target, candidate rule).
 
-    Entries are returned as-is, unnormalized; missing entries fall back to
-    ``default``.  Meant for hand-built fixtures and demo bundles where the
-    arithmetic should be visible, not for trained use.
+    Entries are returned as-is, unnormalized; a missing entry scores 0.
+    Meant for hand-built fixtures and demo bundles where the arithmetic
+    should be visible, not for trained use.
     """
 
-    def __init__(
-        self, table: Mapping[tuple[str, str], float], default: float = 0.0
-    ) -> None:
+    def __init__(self, table: Mapping[tuple[str, str], float]) -> None:
         self.table = dict(table)
-        self.default = default
 
     @staticmethod
     def from_nested(nested: Mapping[str, Mapping[str, float]]) -> "TableModel":
@@ -97,7 +94,7 @@ class TableModel:
 
     def predict(self, ctx, ast, node, candidates) -> list[float]:
         parent = _parent_key(ast, node)
-        return [self.table.get((parent, r.key), self.default) for r in candidates]
+        return [self.table.get((parent, r.key), 0.0) for r in candidates]
 
 
 class FrequencyModel:
@@ -477,13 +474,14 @@ def feasible_derivation(
 
 def extract_training_set(
     items: Sequence[tuple[Context, AnnotatedAst]],
-    rules_for: RuleSet | Callable[[Context], RuleSet],
+    rules_for: Callable[[Context], RuleSet],
     policy,
     *,
     encoder: StepEncoder | None = None,
     size_limit: int | None = None,
 ) -> ExtractionResult:
-    """Replay each finished tree and label every decision along the way.
+    """Replay each finished tree, in the rule set ``rules_for`` gives for its
+    context, and label every decision along the way.
 
     Each step contributes one positive instance (the rule that was applied)
     and one negative per other feasible candidate; with an ``encoder``, each
@@ -497,7 +495,7 @@ def extract_training_set(
     # corpus makes 7 592, of which 1 057 differ), so each is made once
     made: dict[tuple, TrainingInstance] = {}
     for item_idx, (ctx, tree) in enumerate(items):
-        rs = rules_for(ctx) if callable(rules_for) else rules_for
+        rs = rules_for(ctx)
         try:
             steps = feasible_derivation(tree, rs, policy, ctx, size_limit=size_limit)
         except UnderivableTreeError as err:

@@ -247,8 +247,7 @@ def test_criterion_04_pruning_matches_brute_force():
             rs, SimpleNamespace(variable_types={}, result_type=result_type), 7
         )
 
-        ast = AnnotatedAst.empty()
-        pins: tuple = ()
+        state, ast = None, AnnotatedAst.empty()
         for _ in range(3):
             if ast.is_empty:
                 target = None
@@ -260,7 +259,7 @@ def test_criterion_04_pruning_matches_brute_force():
                 candidates = list(
                     rs.group((ast.nodes[target].symbol, direction))
                 )
-            outcome = feasible_rules(ast, step, policy_leftmost, pins)
+            outcome = feasible_rules(state, step, policy_leftmost)
             kept_keys = {p.rule.key for p in outcome.kept}
             for rule in candidates:
                 expected = _has_typed_completion(
@@ -274,9 +273,8 @@ def test_criterion_04_pruning_matches_brute_force():
             constraint_pruned_total += outcome.constraint_pruned
             if not outcome.kept:
                 break
-            probe = rng.choice(outcome.kept)
-            ast = probe.ast
-            pins = pins + probe.constraints
+            state = rng.choice(outcome.kept)
+            ast = state.ast
     assert kept_total > 0
     assert pruned_total > 0
     assert constraint_pruned_total > 0

@@ -63,17 +63,22 @@ def test_train_empty_corpus(capsys, tmp_path):
     assert "corpus is empty" in err
 
 
+# stdout of the `predict` command of README.md, byte for byte
+README_PREDICT_DEMO = """\
+1\t0.240000\thours > 12
+2\t0.120000\tvalue > 0
+3\t0.080000\thours > 0
+4\t0.060000\tvalue > 12
+"""
+
+
 def test_predict_demo(capsys, data_dir):
-    code, out, _ = run(
+    code, out, err = run(
         capsys,
         ["predict", str(data_dir / "demo" / "demo_context.json"),
          "--bundle", str(data_dir / "demo" / "demo_bundle.json")],
     )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "1\t0.240000\thours > 12"
-    probs = [float(line.split("\t")[1]) for line in lines]
-    assert probs == sorted(probs, reverse=True)
+    assert (code, out, err) == (0, README_PREDICT_DEMO, "")
 
 
 def test_predict_k_zero(capsys, data_dir):
@@ -128,6 +133,27 @@ def test_eval_with_csv(capsys, tmp_path, small_corpus):
     assert rows[0] == "model,cutoff,solved,tested,precision"
     assert all(row.startswith("frequency,") for row in rows[1:])
     assert len(rows) > 1
+
+
+@pytest.mark.parametrize("atoms, split", [(1, 0.1), (2, 0.9), (3, 0.9)])
+def test_eval_refuses_a_split_that_leaves_nothing_to_train(
+    capsys, tmp_path, small_corpus, atoms, split
+):
+    """A split that holds out every atom is refused before training, with
+    the counts, rather than as a corpus that yielded no templates."""
+    path = tmp_path / "tiny.jsonl"
+    path.write_text("".join(
+        json.dumps({**json.loads(line), "condition": "true"}) + "\n"
+        for line in small_corpus.read_text().splitlines()[:atoms]
+    ))
+    code, out, err = run(
+        capsys, ["eval", "--corpus", str(path), "--split", str(split)]
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: split {split:g} holds out {atoms} of {atoms} atoms, "
+        "which leaves none to train on\n"
+    )
 
 
 def test_eval_uniform(capsys, small_corpus):

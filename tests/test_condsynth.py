@@ -942,14 +942,14 @@ def _random_build(data, rs, ctx):
     each step applies a kept rule drawn from ``data``, as the search would
     expand it, until the tree is finished or the step keeps nothing."""
     step = SearchStep(rs, ctx, 30)
-    ast, pins, decisions = AnnotatedAst.empty(), (), []
+    state, ast, decisions = None, AnnotatedAst.empty(), []
     while not is_complete(ast):
-        outcome = feasible_rules(ast, step, policy_leftmost, pins)
+        outcome = feasible_rules(state, step, policy_leftmost)
         if not outcome.kept:
             break
         decisions.append((ast, outcome.target, [p.rule for p in outcome.kept]))
-        probe = outcome.kept[data.draw(st.integers(0, len(outcome.kept) - 1))]
-        ast, pins = probe.ast, pins + probe.constraints
+        state = outcome.kept[data.draw(st.integers(0, len(outcome.kept) - 1))]
+        ast = state.ast
     return decisions
 
 

@@ -25,7 +25,6 @@ from progest.constraints import (
     feasible_rules,
     is_variable_token,
     probe_rules,
-    tree_state,
 )
 from progest.errors import ApplyError, RuleError, SchemaError
 from progest.grammar import (
@@ -50,7 +49,13 @@ from progest.trees import (
     policy_leftmost,
     to_sexpr,
 )
-from tests_support import make_hash_policy, probe_fields, reference_feasible_rules
+from tests_support import (
+    make_hash_policy,
+    probe_fields,
+    probe_pins,
+    reference_feasible_rules,
+    whole_tree_state,
+)
 
 DEMO = (
     'E -> E:Int "> 12" :: Boolean\n'
@@ -233,7 +238,7 @@ def test_probe_prunes_by_size():
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     step = SearchStep(rs, None, 2)
     out = probe_rules(
-        tree_state(ast, step), ast.root, (nonterminal("E"), Annotation.D), step
+        whole_tree_state(ast, step), ast.root, (nonterminal("E"), Annotation.D), step
     )
     kept = {p.rule.key for p in out.kept}
     assert kept == {'td:E->"hours"', 'td:E->"value"'}
@@ -246,7 +251,7 @@ def test_probe_prunes_by_type():
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
     step = SearchStep(rs, context({"hours": "Int", "value": "Int"}, "Boolean"))
     out = probe_rules(
-        tree_state(ast, step), ast.root, (nonterminal("E"), Annotation.D), step
+        whole_tree_state(ast, step), ast.root, (nonterminal("E"), Annotation.D), step
     )
     kept = {p.rule.key for p in out.kept}
     # leaf and addition rules would make the whole tree an Int
@@ -256,7 +261,7 @@ def test_probe_prunes_by_type():
 
 def test_feasible_rules_on_empty_tree_offers_creations():
     rs = full_rules(DEMO)
-    out = feasible_rules(AnnotatedAst.empty(), SearchStep(rs), policy_leftmost)
+    out = feasible_rules(None, SearchStep(rs), policy_leftmost)
     keys = {p.rule.key for p in out.kept}
     assert "make-root:E" in keys
     assert "make-leaf:hours" in keys
@@ -266,8 +271,9 @@ def test_feasible_rules_on_empty_tree_offers_creations():
 def test_feasible_rules_respects_base_constraints():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
+    step = SearchStep(rs)
     pinned = [eq_const(ast.root, "Int")]
-    out = feasible_rules(ast, SearchStep(rs), policy_leftmost, pinned)
+    out = feasible_rules(whole_tree_state(ast, step, pinned), step, policy_leftmost)
     kept = {p.rule.key for p in out.kept}
     # comparisons would force the root Boolean against the pin
     assert 'td:E->E "> 12"' not in kept
@@ -277,10 +283,11 @@ def test_feasible_rules_respects_base_constraints():
 def test_probe_constraints_carry_schema_only():
     rs = full_rules(DEMO)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key("make-root:E"))
-    out = feasible_rules(ast, SearchStep(rs), policy_leftmost)
+    step = SearchStep(rs)
+    out = feasible_rules(whole_tree_state(ast, step), step, policy_leftmost)
     by_key = {p.rule.key: p for p in out.kept}
     gt = by_key['td:E->E "> 12"']
-    assert set(gt.constraints) == {
+    assert set(constraints_of_application(gt.rule, gt.ids)) == {
         eq_const(gt.ids[0], "Boolean"),
         eq_const(gt.ids[1], "Int"),
     }
@@ -297,10 +304,16 @@ def test_probe_checks_each_candidate_fits_before_pruning():
     ]
     steps = [(None, 1), (context({"hours": "Str"}, "Str"), None)]
 
+    # under its own bounds a set of one rule cannot finish an E, so every
+    # tree here would have an infinite size bound, which no state a step
+    # keeps has; the set takes the whole set's bounds instead
+    bounds = compute_size_bounds(rs)
+
     def probe_alone(ast, rule, ctx, size_limit):
         """Probe ``rule`` as the one rule of a set of its own."""
-        step = SearchStep(RuleSet([rule]), ctx, size_limit)
-        return probe_rules(tree_state(ast, step), ast.root, rule.pattern, step)
+        alone = RuleSet([rule], shared=SignatureTable(bounds))
+        step = SearchStep(alone, ctx, size_limit)
+        return probe_rules(whole_tree_state(ast, step), ast.root, rule.pattern, step)
 
     for ast, rule in misfits:
         for ctx, size_limit in steps:
@@ -336,7 +349,7 @@ def test_a_terminal_and_a_nonterminal_of_one_name_are_two_groups():
         assert rs.group(on_node.pattern) == (on_node,)
         leaf = apply_rule(AnnotatedAst.empty(), None, make_leaf)
         for step in (SearchStep(rs), SearchStep(rs, None, 5)):
-            got = feasible_rules(leaf, step, policy_leftmost)
+            got = feasible_rules(whole_tree_state(leaf, step), step, policy_leftmost)
             want = reference_feasible_rules(leaf, step, policy_leftmost)
             assert [p.rule for p in got.kept] == [on_leaf]
             assert probe_fields(got) == probe_fields(want)
@@ -358,7 +371,7 @@ def test_probe_lets_a_wrapping_rule_decide_the_root_type():
     rs = RuleSet([wrap, make_root])
     ast = apply_rule(AnnotatedAst.empty(), None, make_root)
     step = SearchStep(rs, context({}, "Int"))
-    got = feasible_rules(ast, step, policy_leftmost)
+    got = feasible_rules(whole_tree_state(ast, step), step, policy_leftmost)
     want = reference_feasible_rules(ast, step, policy_leftmost)
     assert probe_fields(got) == probe_fields(want)
     assert [p.rule.key for p in got.kept] == ["wrap"]
@@ -404,17 +417,16 @@ def test_a_downward_root_lends_its_result_pin_to_its_class():
         state, pins = None, ()
         for _ in range(2):
             (state,) = feasible_rules(state, step, last_marked).kept
-            pins += state.constraints
+            pins += probe_pins(state)
         ast = state.ast
         assert ast.nodes[ast.root].annotation is Annotation.D
         want = reference_feasible_rules(ast, step, last_marked, pins)
         assert [p.rule.key for p in want.kept] == ["b:Int"]
         assert probe_fields(feasible_rules(state, step, last_marked)) == probe_fields(want)
-        assert probe_fields(feasible_rules(ast, step, last_marked, pins)) == probe_fields(
-            want
-        )
+        whole = whole_tree_state(ast, step, pins)
+        assert probe_fields(feasible_rules(whole, step, last_marked)) == probe_fields(want)
         clash = pins + (eq_const(ast.root, "Str"),)
-        got = feasible_rules(ast, step, last_marked, clash)
+        got = feasible_rules(whole_tree_state(ast, step, clash), step, last_marked)
         assert probe_fields(got) == probe_fields(
             reference_feasible_rules(ast, step, last_marked, clash)
         )
@@ -431,7 +443,7 @@ def _walk_against_the_reference(step, policy, states):
     solves the whole system of its tree from the threaded pins: the same
     kept probes, with the reference's trees, ids, schema, sizes and
     classes, and the same prune counts.  The tree given whole with its pins
-    steps the same.  Returns the number of probes kept."""
+    (``whole_tree_state``) steps the same.  Returns the number of probes kept."""
     queue = deque([(None, ())])
     kept = 0
     for _ in range(states):
@@ -445,12 +457,13 @@ def _walk_against_the_reference(step, policy, states):
         want = probe_fields(reference_feasible_rules(ast, step, policy, pins))
         where = to_sexpr(ast)
         assert probe_fields(got) == want, where
-        assert probe_fields(feasible_rules(ast, step, policy, pins)) == want, where
+        whole = whole_tree_state(ast, step, pins)
+        assert probe_fields(feasible_rules(whole, step, policy)) == want, where
         if step.bounds is not None:
             for probe in got.kept:
                 assert probe.size == step.bounds.tree_size(probe.ast), where
         kept += len(got.kept)
-        queue.extend((p, pins + p.constraints) for p in got.kept)
+        queue.extend((p, pins + probe_pins(p)) for p in got.kept)
     return kept
 
 
@@ -526,8 +539,7 @@ def counted_probe_splices():
 )
 def test_probes_splice_when_first_read(seed, rules, size_limit, data):
     """A step splices none of the candidates it keeps.  Each kept probe
-    splices once, the first time its tree, ids, constraints or classes are
-    read, and the lazy outcome equals the reference prober's eagerly
+    splices once, the first time its tree, ids or classes are read, and the lazy outcome equals the reference prober's eagerly
     spliced one.  The walk steps from the probes themselves."""
     g = random_typed_grammar(seed, typed_leaves=True)
     rs = top_down_set(g) if rules == "top-down" else full_set(g)
@@ -552,7 +564,7 @@ def test_probes_splice_when_first_read(seed, rules, size_limit, data):
             assert spliced == []
             assert probe_fields(got) == probe_fields(want), to_sexpr(ast)
             assert spliced == [p.rule.key for p in got.kept]
-            queue.extend((p, pins + p.constraints) for p in got.kept)
+            queue.extend((p, pins + probe_pins(p)) for p in got.kept)
             assert len(spliced) == len(got.kept)
 
 
@@ -641,7 +653,7 @@ def test_step_refuses_a_rule_that_only_shares_a_key():
         RuleSet([*shared, retyped], shared=table)
     step = SearchStep(shared)
     root = apply_rule(AnnotatedAst.empty(), None, shared.by_key("make-root:E"))
-    out = probe_rules(tree_state(root, step), root.root, rule.pattern, step)
+    out = probe_rules(whole_tree_state(root, step), root.root, rule.pattern, step)
     assert all(probe.rule is shared[probe.id] for probe in out.kept)
     (probe,) = [p for p in out.kept if p.rule.key == rule.key]
     assert probe.rule is rule and probe.id == shared.rules.index(rule)

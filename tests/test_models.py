@@ -44,6 +44,7 @@ from progest.trees import (
 )
 from tests_support import (
     make_hash_policy,
+    probe_pins,
     reference_feasible_derivation,
     untyped_derivations,
 )
@@ -89,12 +90,6 @@ def test_table_model_is_raw_and_unnormalized(rules, rooted):
     model = TableModel({("make-root:E", gt12.key): 0.4, ("make-root:E", hours.key): 0.4})
     probs = model.predict(None, rooted, rooted.root, [gt12, hours])
     assert probs == [0.4, 0.4]
-
-
-def test_table_model_default_fills_gaps(rules, rooted):
-    hours = rules.by_key('td:E->"hours"')
-    model = TableModel({}, default=0.125)
-    assert model.predict(None, rooted, rooted.root, [hours]) == [0.125]
 
 
 def test_group_str(rules):
@@ -259,7 +254,7 @@ def test_extraction_labels_every_step(rules):
     target = apply_rule(target, target.root, rules.by_key('td:E->E "> 12"'))
     operand = target.nodes[target.root].children[0]
     target = apply_rule(target, operand, rules.by_key('td:E->"hours"'))
-    result = extract_training_set([(None, target)], rules, policy_leftmost)
+    result = extract_training_set([(None, target)], lambda _: rules, policy_leftmost)
     assert result.skipped == []
     assert len(result.steps_audited) == 3
     # creation offers 1 rule, each expansion offers the 3 grammar rules
@@ -282,7 +277,7 @@ def test_tree_without_a_build_scores_minus_inf_and_is_skipped(rules, rooted):
     assert program_log_probability(stray, rules, UniformModel()) == -inf
     hours = apply_rule(rooted, rooted.root, rules.by_key('td:E->"hours"'))
     result = extract_training_set(
-        [(None, stray), (None, hours)], rules, policy_leftmost
+        [(None, stray), (None, hours)], lambda _: rules, policy_leftmost
     )
     assert result.skipped == [(0, str(err.value))]
     assert {a.item for a in result.steps_audited} == {1}
@@ -304,7 +299,7 @@ def _assert_same_replay(got, want):
         assert step.choice == choice
         assert step.application == Application(outcome.target, outcome.kept[choice].id)
         assert pins == want_pins
-        pins = pins + step.outcome.kept[step.choice].constraints
+        pins = pins + probe_pins(step.outcome.kept[step.choice])
 
 
 _TYPES = ("Int", "Str", "Bool")

@@ -26,7 +26,7 @@ from progest.condsynth import (
     synthesize_condition,
     train_cond_models,
 )
-from progest.constraints import SearchStep, SignatureTable, probe_rules, tree_state
+from progest.constraints import SearchStep, SignatureTable, probe_rules
 from progest.errors import ApplyError, SearchOverflowError
 from progest.features import Context
 from progest.grammar import (
@@ -62,6 +62,7 @@ from tests_support import (
     make_hash_policy,
     reference_beam_search,
     reference_exhaustive_search,
+    whole_tree_state,
 )
 
 
@@ -696,9 +697,11 @@ def test_a_mark_the_node_can_no_longer_take_is_a_dead_end():
     stuck = apply_rule(apply_rule(AnnotatedAst.empty(), None, make_mid), 0, grow)
     assert stuck.open[0] == stuck.root and stuck.nodes[stuck.root].children
     step = SearchStep(rs, None, 9)
-    outcome = constraints.feasible_rules(stuck, step, policy_leftmost)
+    outcome = constraints.feasible_rules(
+        whole_tree_state(stuck, step), step, policy_leftmost
+    )
     assert outcome.target == stuck.root and outcome.kept == ()
     with pytest.raises(ApplyError, match="already has children"):
         apply_rule(stuck, stuck.root, fill)
     with pytest.raises(ApplyError, match="already has children"):
-        probe_rules(tree_state(stuck, step), stuck.root, fill.pattern, step)
+        probe_rules(whole_tree_state(stuck, step), stuck.root, fill.pattern, step)

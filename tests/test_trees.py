@@ -11,7 +11,7 @@ from gramgen import full_set, random_typed_grammar, top_down_set
 from progest import constraints, trees
 from progest.ambiguity import enumerate_complete_trees
 from progest.condsynth import build_cond_ruleset, mine_templates, record_tree
-from progest.constraints import SearchStep, feasible_rules
+from progest.constraints import SearchStep, constraints_of_application, feasible_rules
 from progest.errors import ApplyError, IncompleteTreeError, UnderivableTreeError
 from progest.grammar import (
     Annotation,
@@ -246,14 +246,15 @@ def test_built_trees_number_their_nodes_in_order(seed, middle):
     if middle:
         rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
     step = SearchStep(rs, None, 7)
-    frontier, spliced = [AnnotatedAst.empty()], 0
+    frontier, spliced = [None], 0
     while frontier and spliced < 300:
-        ast = frontier.pop()
+        state = frontier.pop()
+        ast = AnnotatedAst.empty() if state is None else state.ast
         if is_complete(ast):
             continue
-        for probe in feasible_rules(ast, step, policy_leftmost).kept:
+        for probe in feasible_rules(state, step, policy_leftmost).kept:
             _assert_spliced_in_order(ast, probe)
-            frontier.append(probe.ast)
+            frontier.append(probe)
             spliced += 1
     assert spliced > 0
     for tree in islice(enumerate_complete_trees(g, 7), 20):
@@ -282,24 +283,25 @@ def test_compiled_splice_matches_the_reference(seed, middle, hashed):
         rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
     policy = make_hash_policy(seed) if hashed else policy_leftmost
     step = SearchStep(rs, None, 9)
-    frontier, spliced = [AnnotatedAst.empty()], 0
+    frontier, spliced = [None], 0
     while frontier and spliced < 300:
-        ast = frontier.pop()
+        state = frontier.pop()
+        ast = AnnotatedAst.empty() if state is None else state.ast
         assert is_complete(ast) == reference_is_complete(ast)
         assert expandable_nodes(ast) == reference_expandable_nodes(ast)
         if is_complete(ast):
             continue
-        outcome = feasible_rules(ast, step, policy)
+        outcome = feasible_rules(state, step, policy)
         for probe in outcome.kept:
             want, ids = reference_apply_rule_with_ids(ast, outcome.target, probe.rule)
             assert probe.ast.nodes == want.nodes
             assert probe.ast.root == want.root
             assert probe.ast.open == want.open
             assert list(probe.ids) == ids
-            assert list(probe.constraints) == reference_constraints_of_application(
-                probe.rule, ids
-            )
-            frontier.append(probe.ast)
+            assert constraints_of_application(
+                probe.rule, probe.ids
+            ) == reference_constraints_of_application(probe.rule, ids)
+            frontier.append(probe)
             spliced += 1
     assert spliced > 0
 

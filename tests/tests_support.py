@@ -1,5 +1,6 @@
 """Hand-built fixtures for the worked two-variable comparison example, tree,
-grammar and policy helpers for the tests, and the reference paths that fast
+grammar and policy helpers for the tests, a whole-tree stand-in for the
+probe that made a hand-built tree, and the reference paths that fast
 paths are checked against: the recursive splice and the rescanned frontier,
 the built-tree key, the recursive matcher of the derivation walk, the
 splice-then-solve prober, the restarting typed replay, the always-sorting
@@ -12,6 +13,7 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 from math import log
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -267,6 +269,26 @@ def reference_classes(ast: AnnotatedAst, step: SearchStep, pins=()):
     return {nid: (solver.find(nid), solver.resolved(nid)) for nid in ast.open}
 
 
+def whole_tree_state(ast: AnnotatedAst, step: SearchStep, pins=()):
+    """A stand-in for the probe that made ``ast``, for a test that starts
+    from a tree it built: None for the empty tree, and otherwise the fields
+    a step reads of its state, the tree, its whole ``tree_size`` (0 when
+    sizes are unbounded) and its ``reference_classes`` under the schema
+    ``pins`` of the applications that built it."""
+    if ast.is_empty:
+        return None
+    size = step.bounds.tree_size(ast) if step.bounds is not None else 0.0
+    return SimpleNamespace(
+        ast=ast, size=size, classes=reference_classes(ast, step, pins)
+    )
+
+
+def probe_pins(probe) -> tuple[TypeConstraint, ...]:
+    """The schema pins a kept probe's application adds, read off its rule's
+    schema at its splice ids, for a reference that threads a tree's pins."""
+    return tuple(reference_constraints_of_application(probe.rule, probe.ids))
+
+
 def canonical_classes(classes):
     """Carried classes (node id -> (class name, type)) as a value that does
     not depend on how the classes are named."""
@@ -309,13 +331,13 @@ class SplicedProbe:
 def probe_fields(outcome: ProbeOutcome):
     """``outcome`` with each kept probe read field by field, so that lazy
     probes and the reference's records compare by what they hold: the
-    carried classes compare as ``canonical_classes``."""
+    carried classes compare as ``canonical_classes``.  A probe's schema
+    constraints are a function of its rule and ids, so they are not read."""
     return (
         outcome.target,
         [
             (
-                p.rule, p.id, p.ast, p.ids, p.constraints, p.size,
-                canonical_classes(p.classes),
+                p.rule, p.id, p.ast, p.ids, p.size, canonical_classes(p.classes),
             )
             for p in outcome.kept
         ],
@@ -526,14 +548,14 @@ def reference_feasible_derivation(tree, rs, policy, ctx=None, *, size_limit=None
             ast = AnnotatedAst.empty()
             pins = ()
             for derived in derivation:
-                outcome = feasible_rules(ast, step, policy, pins)
+                outcome = feasible_rules(whole_tree_state(ast, step, pins), step, policy)
                 rule_ids = [p.id for p in outcome.kept]
                 if derived.application.rule not in rule_ids:
                     break
                 choice = rule_ids.index(derived.application.rule)
                 steps.append((ast, outcome, choice, pins))
                 ast = outcome.kept[choice].ast
-                pins = pins + outcome.kept[choice].constraints
+                pins = pins + probe_pins(outcome.kept[choice])
             else:
                 return steps
     except UnderivableTreeError:
@@ -583,7 +605,7 @@ def reference_beam_search(
                 stats.step_cap_hit = True
                 continue
             stats.expansions += 1
-            outcome = feasible_rules(ast, step, policy, pins)
+            outcome = feasible_rules(whole_tree_state(ast, step, pins), step, policy)
             stats.size_pruned += outcome.size_pruned
             stats.constraint_pruned += outcome.constraint_pruned
             if not outcome.kept:
@@ -606,7 +628,7 @@ def reference_beam_search(
                         probe.ast,
                         new_log,
                         apps + (Application(node, probe.id),),
-                        pins + probe.constraints,
+                        pins + probe_pins(probe),
                     )
                 )
         successors.sort(
@@ -661,7 +683,7 @@ def reference_exhaustive_search(
                 stats.anti_pattern_pruned += 1
             continue
         stats.expansions += 1
-        outcome = feasible_rules(ast, step, policy, pins)
+        outcome = feasible_rules(whole_tree_state(ast, step, pins), step, policy)
         stats.size_pruned += outcome.size_pruned
         stats.constraint_pruned += outcome.constraint_pruned
         if not outcome.kept:
@@ -681,7 +703,7 @@ def reference_exhaustive_search(
                     probe.ast,
                     new_log,
                     apps + (Application(node, probe.id),),
-                    pins + probe.constraints,
+                    pins + probe_pins(probe),
                 )
             )
     results.sort(
