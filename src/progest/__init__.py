@@ -5,180 +5,9 @@ rules; annotated ASTs grow one rule application at a time under learned
 per-step probabilities, with type constraints and size bounds pruning the
 beam.  The ``condsynth`` layer instantiates the engine for ranking guard
 conditions mined from a code corpus.
+
+The package root binds only ``__version__``: every other name is imported
+from its module (``from progest.condsynth import load_corpus``).
 """
 
-from .ambiguity import AmbiguityReport, Witness, check_unambiguous, enumerate_complete_trees
-from .bundle import Bundle, bundle_of, canonical_json, load_bundle, save_bundle
-from .condsynth import (
-    CorpusRecord,
-    EvalReport,
-    Template,
-    TrainedCond,
-    build_cond_grammar,
-    build_cond_ruleset,
-    certification_bound,
-    evaluate_topk,
-    load_corpus,
-    mine_templates,
-    record_tree,
-    render_condition,
-    synthesize_condition,
-    train_cond_models,
-)
-from .constraints import (
-    SearchStep,
-    SizeBounds,
-    SolverState,
-    TypeConstraint,
-    compute_size_bounds,
-    constraints_of_context,
-    feasible_rules,
-    probe_rules,
-)
-from .errors import (
-    ApplyError,
-    BundleError,
-    ContextError,
-    GrammarError,
-    MiniLangError,
-    MiniTypeError,
-    ProgestError,
-    RuleError,
-    SchemaError,
-    SearchOverflowError,
-    UnderivableTreeError,
-)
-from .features import Context, FeaturePipeline, VariableInfo, pca_apply, pca_fit
-from .grammar import (
-    Annotation,
-    CreationMode,
-    Grammar,
-    Production,
-    RewritingRule,
-    RuleSet,
-    Symbol,
-    derive_bottom_up_rules,
-    derive_creation_rules,
-    derive_top_down_rules,
-    load_grammar,
-    nonterminal,
-    terminal,
-)
-from .minilang import canonical, parse_condition, split_logic_ops, typecheck
-from .models import (
-    ExtractionResult,
-    FrequencyModel,
-    LogisticModel,
-    TableModel,
-    UniformModel,
-    extract_training_set,
-)
-from .search import (
-    DEFAULT_ANTI_PATTERNS,
-    Candidate,
-    SearchResult,
-    beam_search,
-    exhaustive_search,
-    program_log_probability,
-)
-from .trees import (
-    AnnotatedAst,
-    Application,
-    apply_rule,
-    build_complete_ast,
-    is_complete,
-    iter_derivations,
-    policy_leftmost,
-    render,
-    to_sexpr,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbiguityReport",
-    "AnnotatedAst",
-    "Annotation",
-    "ApplyError",
-    "Application",
-    "Bundle",
-    "BundleError",
-    "Candidate",
-    "Context",
-    "ContextError",
-    "CorpusRecord",
-    "CreationMode",
-    "DEFAULT_ANTI_PATTERNS",
-    "EvalReport",
-    "ExtractionResult",
-    "FeaturePipeline",
-    "FrequencyModel",
-    "Grammar",
-    "GrammarError",
-    "LogisticModel",
-    "MiniLangError",
-    "MiniTypeError",
-    "ProgestError",
-    "Production",
-    "RewritingRule",
-    "RuleError",
-    "RuleSet",
-    "SchemaError",
-    "SearchOverflowError",
-    "SearchResult",
-    "SearchStep",
-    "SizeBounds",
-    "SolverState",
-    "Symbol",
-    "TableModel",
-    "Template",
-    "TrainedCond",
-    "TypeConstraint",
-    "UnderivableTreeError",
-    "UniformModel",
-    "VariableInfo",
-    "Witness",
-    "apply_rule",
-    "beam_search",
-    "build_complete_ast",
-    "build_cond_grammar",
-    "build_cond_ruleset",
-    "bundle_of",
-    "canonical",
-    "canonical_json",
-    "certification_bound",
-    "check_unambiguous",
-    "compute_size_bounds",
-    "constraints_of_context",
-    "derive_bottom_up_rules",
-    "derive_creation_rules",
-    "derive_top_down_rules",
-    "enumerate_complete_trees",
-    "evaluate_topk",
-    "exhaustive_search",
-    "extract_training_set",
-    "feasible_rules",
-    "is_complete",
-    "iter_derivations",
-    "load_corpus",
-    "load_grammar",
-    "load_bundle",
-    "mine_templates",
-    "nonterminal",
-    "parse_condition",
-    "pca_apply",
-    "pca_fit",
-    "policy_leftmost",
-    "probe_rules",
-    "program_log_probability",
-    "record_tree",
-    "render",
-    "render_condition",
-    "save_bundle",
-    "split_logic_ops",
-    "synthesize_condition",
-    "terminal",
-    "to_sexpr",
-    "train_cond_models",
-    "typecheck",
-]

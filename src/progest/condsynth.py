@@ -36,8 +36,6 @@ from .features import (
 )
 from .grammar import (
     Annotation,
-    Grammar,
-    Production,
     RewritingRule,
     RuleSet,
     RuleTree,
@@ -223,6 +221,17 @@ class Template:
                 f"template {key!r}: placeholders {slots} do not number its "
                 f"{len(types)} slot types"
             )
+        # and the tokens are a condition: the canonical tokens of their own
+        # parse, Boolean when each slot holds a variable of its type
+        try:
+            expr = parse_condition(join_tokens(tokens))
+            result = typecheck(expr, {f"V{i}": t for i, t in enumerate(types, 1)})
+        except MiniLangError as err:
+            raise ValueError(f"template {key!r}: {err}") from None
+        if tuple(canonical_tokens(expr)) != tokens:
+            raise ValueError(f"template {key!r}: its tokens are not canonical")
+        if result != "Boolean":
+            raise ValueError(f"template {key!r} has type {result}, not Boolean")
         return Template(key, tokens, types, count)
 
 
@@ -434,42 +443,11 @@ def build_cond_ruleset(templates: Sequence[Template], ctx: Context) -> RuleSet:
     return template_layer(tuple(templates)).bind(ctx)
 
 
-def build_cond_grammar(
-    templates: Sequence[Template], variable_names: Sequence[str]
-) -> Grammar:
-    """Companion grammar generating exactly the instantiable conditions.
-
-    Used to enumerate complete trees when certifying that the compiled rule
-    set builds each of them one way only.
-    """
-    if not templates:
-        raise ContextError("no templates")
-    max_arity = max(t.arity for t in templates)
-    productions: list[Production] = []
-    for t in templates:
-        rhs = []
-        slot = 0
-        for token in t.tokens:
-            if _PLACEHOLDER_RE.match(token):
-                slot += 1
-                rhs.append(nonterminal(f"V{slot}"))
-            else:
-                rhs.append(terminal(token))
-        production = Production(nonterminal(EXPR_ROOT), tuple(rhs))
-        # templates that differ only in slot types share one production
-        if production not in productions:
-            productions.append(production)
-    for position in range(1, max_arity + 1):
-        for name in variable_names:
-            productions.append(
-                Production(nonterminal(f"V{position}"), (terminal(name),))
-            )
-    return Grammar(tuple(productions), nonterminal(EXPR_ROOT))
-
-
 def certification_bound(templates: Sequence[Template]) -> int:
     """Node count of the largest single-template tree; trees past one
-    template per condition cannot exist in this rule space."""
+    template per condition cannot exist in this rule space, so the search
+    of a compiled set at this size limit meets every tree the set builds,
+    and checking its builds for two of one tree is a full proof."""
     return max(1 + len(t.tokens) + t.arity for t in templates)
 
 

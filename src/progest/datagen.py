@@ -417,6 +417,8 @@ def main(argv=None) -> int:
     parser.add_argument("--demo-dir", default=None,
                         help="also write the demo fixtures to this directory")
     args = parser.parse_args(argv)
+    if args.n < 1:
+        parser.error(f"argument --n: {args.n} is not 1 or more")
     records = generate_corpus(args.n, args.seed)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     write_corpus(args.out, records)

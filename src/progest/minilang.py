@@ -402,7 +402,12 @@ def canonical(text: str) -> str:
 
 def logic_atoms(expr: Expr) -> list[Expr]:
     """The atomic subtrees of a parsed condition, left to right, with the
-    negations and ``&&``/``||`` connectives above them stripped."""
+    negations and ``&&``/``||`` connectives above them stripped.
+
+    ``!(a && b) || c`` gives the subtrees ``a``, ``b`` and ``c``; a
+    condition without connectives gives itself.  ``load_corpus`` makes one
+    record of each atom.
+    """
     atoms: list[Expr] = []
 
     def walk(expr: Expr) -> None:
@@ -416,13 +421,3 @@ def logic_atoms(expr: Expr) -> list[Expr]:
 
     walk(expr)
     return atoms
-
-
-def split_logic_ops(text: str) -> list[str]:
-    """Atomic conditions of a composite one, negations stripped.
-
-    ``!(a && b) || c`` comes back as the canonical forms of ``a``, ``b``,
-    ``c``.  A condition without connectives yields itself.
-    """
-    atoms = logic_atoms(parse_condition(text))
-    return [join_tokens(canonical_tokens(atom)) for atom in atoms]

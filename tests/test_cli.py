@@ -135,6 +135,27 @@ def test_eval_with_csv(capsys, tmp_path, small_corpus):
     assert len(rows) > 1
 
 
+# stdout of the `eval` command of README.md, byte for byte
+README_EVAL_FREQUENCY = """\
+model: frequency
+records: 590 atoms, 531 train / 59 test per repeat
+repeats: 2  split: 0.1  seed: 0  k: 50
+tested: 118 (0 unreachable)
+precision@1 = 0.1271
+precision@10 = 0.6441
+precision@50 = 0.9068
+"""
+
+
+def test_eval_output_is_pinned(capsys, data_dir):
+    code, out, err = run(
+        capsys,
+        ["eval", "--corpus", str(data_dir / "corpus.jsonl"), "--model", "frequency",
+         "--repeats", "2"],
+    )
+    assert (code, out, err) == (0, README_EVAL_FREQUENCY, "")
+
+
 @pytest.mark.parametrize("atoms, split", [(1, 0.1), (2, 0.9), (3, 0.9)])
 def test_eval_refuses_a_split_that_leaves_nothing_to_train(
     capsys, tmp_path, small_corpus, atoms, split
@@ -311,6 +332,14 @@ def _set_entry(*path_and_value):
     return edit
 
 
+def _set_template(tokens, types):
+    """Give the first template these tokens and slot types."""
+
+    def edit(data):
+        data["templates"][0].update(tokens=tokens, types=types)
+    return edit
+
+
 def _repeat_first(*path):
     """Overwrite the second entry of the list at a key path with its first."""
 
@@ -364,6 +393,13 @@ def _stringify(*path):
                      id="template-types-empty"),
         pytest.param("demo", _set_entry("templates", 0, "types", ["Int", "Int"]),
                      id="template-types-extra"),
+        pytest.param("demo", _set_template([], []), id="template-empty"),
+        pytest.param("demo", _set_template(["V1", ")", "(", "+"], ["Int"]),
+                     id="template-not-a-parse"),
+        pytest.param("demo", _set_template(["V1", "+", "0"], ["Int"]),
+                     id="template-not-boolean"),
+        pytest.param("demo", _set_template(["(", "V1", ">", "0", ")"], ["Int"]),
+                     id="template-not-canonical"),
         pytest.param("demo", _set_entry("model", "table", 5), id="table-number"),
         pytest.param("demo", _set_entry("model", "table", {"": 5}), id="table-row-number"),
         pytest.param("demo", _set_entry("model", "table", {"": {"make-var:hours": "x"}}),

@@ -2,8 +2,10 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import pathlib
+from math import inf
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from progest.condsynth import (
     CorpusRecord,
     Template,
     TemplateLayer,
-    build_cond_grammar,
     build_cond_ruleset,
     certification_bound,
     evaluate_topk,
@@ -33,12 +34,11 @@ from progest.condsynth import (
 from progest import condsynth, constraints, features, grammar, minilang
 from progest.cli import main
 from progest.constraints import SearchStep, SignatureTable, feasible_rules
-from progest.ambiguity import check_unambiguous, enumerate_complete_trees
 from progest.datagen import generate_corpus
 from progest.errors import ContextError
 from progest.features import Context, FeaturePipeline, VariableInfo
-from progest.grammar import Annotation, derive_top_down_rules, nonterminal
-from progest.minilang import parse_condition, split_logic_ops
+from progest.grammar import Annotation, nonterminal
+from progest.minilang import canonical_tokens, join_tokens, logic_atoms, parse_condition
 from progest.models import (
     LogisticModel,
     UniformModel,
@@ -46,7 +46,7 @@ from progest.models import (
     feasible_derivation,
     group_str,
 )
-from progest.search import beam_search
+from progest.search import beam_search, finished_builds
 from progest.trees import (
     AnnotatedAst,
     apply_rule,
@@ -207,7 +207,7 @@ def test_each_corpus_line_is_parsed_once(data_dir, tmp_path, monkeypatch, corpus
     """Loading a corpus parses each line once, under either name the parser
     is called by, and hands each atom's record its subtree of that parse:
     the parse of the record's condition, the canonical text of the atom
-    ``split_logic_ops`` gives."""
+    ``logic_atoms`` gives."""
     path = data_dir / "corpus.jsonl"
     if corpus == "datagen":
         path = write_corpus(tmp_path, generate_corpus(300, seed="heldout-1"))
@@ -224,7 +224,9 @@ def test_each_corpus_line_is_parsed_once(data_dir, tmp_path, monkeypatch, corpus
     monkeypatch.undo()
     assert len(records) > len(conditions)
     assert [r.condition for r in records] == [
-        atom for condition in conditions for atom in split_logic_ops(condition)
+        join_tokens(canonical_tokens(atom))
+        for condition in conditions
+        for atom in logic_atoms(parse_condition(condition))
     ]
     for record in records:
         assert "expr" in vars(record)
@@ -699,28 +701,40 @@ def test_certification_bound():
     assert certification_bound(templates) == 6
 
 
-def test_compiled_rules_certify_unambiguous():
-    records = make_records()
-    templates = mine_templates(records)
-    rs = build_cond_ruleset(templates, records[0].context)
-    g = build_cond_grammar(templates, ["count", "total"])
-    report = check_unambiguous(rs, g, max_nodes=certification_bound(templates))
-    assert report.unambiguous
+def well_typed_instantiations(templates, ctx: Context) -> list[str]:
+    """Each template with every declared variable of each slot's type."""
+    out = []
+    for t in templates:
+        pools = [
+            [v.name for v in ctx.variables if v.type == slot_type]
+            for slot_type in t.placeholder_types
+        ]
+        for names in itertools.product(*pools):
+            slots = {f"V{i}": name for i, name in enumerate(names, 1)}
+            out.append(join_tokens(slots.get(token, token) for token in t.tokens))
+    return out
 
 
-def test_cond_grammar_emits_each_production_once(corpus_records):
+def test_compiled_rules_certify_unambiguous(corpus_records):
+    """The typed certificate of the corpus templates: in every distinct
+    corpus context, the search at unbounded width, the certification bound
+    and no step cap builds each tree once, and builds exactly the
+    templates instantiated with declared variables of the slot types."""
     templates = mine_templates(corpus_records)
-    names = [v.name for v in corpus_records[0].context.variables]
-    g = build_cond_grammar(templates, names)
-    # 46 templates, 30 token shapes, plus two slot positions of 7 variables
-    assert len(templates) == 46
-    assert len(g.productions) == len(set(g.productions)) == 30 + 2 * 7
-    assert len(derive_top_down_rules(g)) == len(g.productions)
-    trees = [
-        to_sexpr(t)
-        for t in enumerate_complete_trees(g, certification_bound(templates))
-    ]
-    assert len(trees) == len(set(trees)) == 630
+    contexts = dict.fromkeys(r.context for r in corpus_records)
+    bound = certification_bound(templates)
+    trees = 0
+    for ctx in contexts:
+        builds, _ = finished_builds(
+            build_cond_ruleset(templates, ctx), ctx, None,
+            widths=(inf,), size_limit=bound, step_cap=inf,
+        )
+        keys = {probe.labels for probe, _, _ in builds}
+        assert len(keys) == len(builds), ctx
+        rendered = sorted(render_condition(probe.ast) for probe, _, _ in builds)
+        assert rendered == sorted(well_typed_instantiations(templates, ctx)), ctx
+        trees += len(builds)
+    assert (len(contexts), trees) == (560, 38_620)
 
 
 def test_train_and_synthesize_frequency():

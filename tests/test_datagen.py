@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from progest.bundle import load_bundle
 from progest.condsynth import load_corpus
 from progest.datagen import (
@@ -79,3 +81,13 @@ def test_main_writes_requested_size(tmp_path):
     out = tmp_path / "small.jsonl"
     assert main(["--out", str(out), "--n", "20", "--seed", "3"]) == 0
     assert len(out.read_text().splitlines()) == 20
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_main_refuses_a_size_below_one(tmp_path, capsys, n):
+    out = tmp_path / "empty.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--out", str(out), "--n", n])
+    assert exit_info.value.code == 2
+    assert f"argument --n: {n} is not 1 or more" in capsys.readouterr().err
+    assert not out.exists()

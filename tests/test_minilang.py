@@ -11,10 +11,12 @@ from progest.minilang import (
     Unary,
     Var,
     canonical,
+    canonical_tokens,
     classify_type,
     element_type,
+    join_tokens,
+    logic_atoms,
     parse_condition,
-    split_logic_ops,
     tokenize,
     tokens_with_vars,
     typecheck,
@@ -171,7 +173,15 @@ def test_tokens_with_vars_tags_variables_only():
 
 
 def test_split_logic_ops():
-    assert split_logic_ops("count > 0 && done") == ["count > 0", "done"]
-    assert split_logic_ops("!(count > 0 || done)") == ["count > 0", "done"]
-    assert split_logic_ops("count>0") == ["count > 0"]
-    assert split_logic_ops("!done") == ["done"]
+    """``logic_atoms`` splits a condition at its connectives and descends
+    under its negations."""
+
+    def atoms(text):
+        return [
+            join_tokens(canonical_tokens(a)) for a in logic_atoms(parse_condition(text))
+        ]
+
+    assert atoms("count > 0 && done") == ["count > 0", "done"]
+    assert atoms("!(count > 0 || done)") == ["count > 0", "done"]
+    assert atoms("count>0") == ["count > 0"]
+    assert atoms("!done") == ["done"]
