@@ -158,6 +158,7 @@ def load_corpus(path: str) -> list[CorpusRecord]:
                 atoms = logic_atoms(parse_condition(condition))
             except MiniLangError as err:
                 raise ContextError(f"line {line_no}: {err}") from None
+            var_types = ctx.variable_types
             for atom_idx, atom in enumerate(atoms, start=1):
                 record = CorpusRecord.of_atom(
                     rec_id if len(atoms) == 1 else f"{rec_id}#{atom_idx}", atom, ctx
@@ -167,7 +168,7 @@ def load_corpus(path: str) -> list[CorpusRecord]:
                 seen_ids.add(record.id)
                 text = record.condition
                 try:
-                    result = typecheck(atom, ctx.variable_types)
+                    result = typecheck(atom, var_types)
                 except (MiniLangError, MiniTypeError) as err:
                     raise ContextError(f"line {line_no}: {text!r}: {err}") from None
                 if result != "Boolean":
@@ -232,6 +233,12 @@ class Template:
             raise ValueError(f"template {key!r}: its tokens are not canonical")
         if result != "Boolean":
             raise ValueError(f"template {key!r} has type {result}, not Boolean")
+        # the model's tables are keyed on the key, so a key that is not the
+        # tokens' own would leave the template's rules without a row
+        if key != template_key(tokens, types):
+            raise ValueError(
+                f"template {key!r}: its key is not {template_key(tokens, types)!r}"
+            )
         return Template(key, tokens, types, count)
 
 

@@ -15,6 +15,9 @@ import argparse
 import json
 import os
 import random
+from bisect import bisect_left
+from itertools import accumulate
+from typing import NamedTuple
 
 from .bundle import Bundle, save_bundle
 from .features import Context, VariableInfo
@@ -164,21 +167,38 @@ _VERBS = ["load", "update", "refresh", "init", "validate", "merge", "emit"]
 _AFTER_STMTS = ["return", "continue", "break", "throw"]
 
 
-def _pick(rng: random.Random, weighted):
-    total = sum(w for _, w in weighted)
-    roll = rng.random() * total
-    acc = 0.0
-    for item, w in weighted:
-        acc += w
-        if roll <= acc:
-            return item
-    return weighted[-1][0]
+class _Weighted(NamedTuple):
+    """A pool to draw from: its ``(item, weight)`` pairs in order, their
+    running weight sums and their total, each added once per pool."""
+
+    pairs: tuple
+    sums: tuple[float, ...]
+    total: float
 
 
-def _weighted_name(rng: random.Random, entries):
-    """Zipf-ish draw: earlier pool entries are far more likely subjects."""
-    weighted = [(e, 1.0 / (1 + i) ** 1.1) for i, e in enumerate(entries)]
-    return _pick(rng, weighted)
+def _weighted(pairs) -> _Weighted:
+    """The pool of ``pairs``.  Its sums are the additions that a draw once
+    made on every call, in the same order, so each roll meets the same
+    floats and every corpus byte stays as it was."""
+    weights = [w for _, w in pairs]
+    return _Weighted(tuple(pairs), tuple(accumulate(weights)), sum(weights))
+
+
+def _pick(rng: random.Random, pool: _Weighted):
+    """The first item whose running sum reaches a uniform roll below the
+    total; the last item if rounding leaves the roll above every sum."""
+    i = bisect_left(pool.sums, rng.random() * pool.total)
+    return pool.pairs[min(i, len(pool.pairs) - 1)][0]
+
+
+# Zipf-ish subject draws: earlier pool entries are far more likely
+_NAME_DRAWS = {
+    type_name: _weighted([(e, 1.0 / (1 + i) ** 1.1) for i, e in enumerate(entries)])
+    for type_name, entries in _NAME_POOL.items()
+}
+_FOCUS_DRAW = _weighted(_FOCUS_TYPES)
+_EXTRA_DRAW = _weighted(_EXTRA_TYPES)
+_RECIPE_DRAWS = {role: _weighted(recipes) for role, recipes in _RECIPES.items()}
 
 
 def _other_int(rng: random.Random, variables, exclude: str) -> str | None:
@@ -227,8 +247,8 @@ def _token_windows(rng: random.Random, focus: str, others) -> tuple[tuple, tuple
 
 def _build_context(rng: random.Random):
     """One context plus its focus variable and that variable's role."""
-    focus_type = _pick(rng, _FOCUS_TYPES)
-    focus_name, focus_role = _weighted_name(rng, _NAME_POOL[focus_type])
+    focus_type = _pick(rng, _FOCUS_DRAW)
+    focus_name, focus_role = _pick(rng, _NAME_DRAWS[focus_type])
     in_loop = rng.random() < (0.7 if focus_role == "index" else 0.3)
 
     chosen: dict[str, tuple[str, str]] = {focus_name: (focus_type, focus_role)}
@@ -238,7 +258,7 @@ def _build_context(rng: random.Random):
         name, role = rng.choice(pool)
         chosen[name] = ("Int", role)
     for _ in range(rng.randint(3, 6)):
-        t = _pick(rng, _EXTRA_TYPES)
+        t = _pick(rng, _EXTRA_DRAW)
         candidates = [(n, r) for n, r in _NAME_POOL[t] if n not in chosen]
         if candidates:
             name, role = rng.choice(candidates)
@@ -273,13 +293,13 @@ def _build_context(rng: random.Random):
 
 
 def _condition_for(rng: random.Random, ctx: Context, focus: str, role: str) -> str | None:
-    recipes = list(_RECIPES[role])
-    while recipes:
+    recipes = _RECIPE_DRAWS[role]
+    while recipes.pairs:
         shape = _pick(rng, recipes)
         if "{oi}" in shape:
             other = _other_int(rng, ctx.variables, focus)
             if other is None:
-                recipes = [(s, w) for s, w in recipes if s != shape]
+                recipes = _weighted([(s, w) for s, w in recipes.pairs if s != shape])
                 continue
             return shape.format(v=focus, oi=other)
         return shape.format(v=focus)

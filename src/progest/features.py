@@ -22,9 +22,10 @@ out read-only arrays, so no caller can change what the next one reads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,9 +38,13 @@ if TYPE_CHECKING:  # condsynth imports this module
 # --------------------------------------------------------------------------
 # context data
 
-@dataclass(frozen=True)
-class VariableInfo:
-    """One declared variable near the hole, with cheap static statistics."""
+class VariableInfo(NamedTuple):
+    """One declared variable near the hole, with cheap static statistics.
+
+    A ``NamedTuple``, as ``trees.AstNode`` is: a corpus load builds one per
+    declared variable, and a tuple is built several times faster than a
+    frozen dataclass.  It compares and hashes as the tuple of its fields;
+    ``_replace`` makes a changed copy."""
 
     name: str
     type: str
@@ -72,36 +77,31 @@ class VariableInfo:
 
     @staticmethod
     def from_dict(data: dict) -> "VariableInfo":
+        """The variable of a JSON entry, or a ``ContextError`` naming the
+        first fault: a missing ``name``, then a missing ``type``, then the
+        first scalar field (in the entry's order) that is not of its JSON
+        kind, then ``def_sites`` that is not a list of integers, then a name
+        that cannot name a variable.  Each field is read and checked once,
+        in one pass over the entry."""
         if not isinstance(data, dict):
             raise ContextError("variable entry must be an object")
-        for key in ("name", "type"):
-            if key not in data:
-                raise ContextError(f"variable entry missing {key!r}")
-        bad = _bad_field(data, _VARIABLE_KINDS)
-        def_sites = data.get("def_sites", ())
+        parts, bad = _read_fields(data, _VARIABLE_SLOTS, _VARIABLE_DEFAULTS)
+        name = parts[0]
+        if name is _MISSING:
+            raise ContextError("variable entry missing 'name'")
+        if parts[1] is _MISSING:
+            raise ContextError("variable entry missing 'type'")
+        sites = parts[_DEF_SITES]
         if bad is None and not (
-            isinstance(def_sites, (list, tuple))
-            and all(type(x) is int for x in def_sites)
+            isinstance(sites, (list, tuple)) and set(map(type, sites)) <= _INT_KIND
         ):
             bad = "'def_sites' must be a list of integers"
-        if bad is None and not is_variable_token(data["name"]):
+        if bad is None and not is_variable_token(name):
             bad = "'name' must be an identifier other than null, true or false"
         if bad is not None:
-            raise ContextError(f"variable {data['name']!r}: {bad}")
-        return VariableInfo(
-            name=data["name"],
-            type=data["type"],
-            is_final=data.get("final", False),
-            is_static=data.get("static", False),
-            in_loop=data.get("in_loop", False),
-            has_initializer=data.get("has_init", False),
-            init_is_zero=data.get("init_zero", False),
-            decl_distance=data.get("decl_distance", 0),
-            def_sites=tuple(def_sites),
-            usage_count=data.get("usages", 0),
-            usages_before=data.get("usages_before", 0),
-            usages_after=data.get("usages_after", 0),
-        )
+            raise ContextError(f"variable {name!r}: {bad}")
+        parts[_DEF_SITES] = tuple(sites)
+        return VariableInfo._make(parts)
 
 
 @dataclass(frozen=True)
@@ -153,59 +153,71 @@ class Context:
 
     @staticmethod
     def from_dict(data: dict) -> "Context":
+        """The context of a JSON object, or a ``ContextError`` naming the
+        first fault: the first scalar field (in the object's order) that is
+        not of its JSON kind, then ``variables`` that is not a list, then
+        the first bad variable entry, then two variables of one name, then
+        ``before`` and ``after`` that are not lists of strings.  Each field
+        is read and checked once, in one pass over the object."""
         if not isinstance(data, dict):
             raise ContextError("context must be an object")
-        bad = _bad_field(data, _CONTEXT_KINDS)
+        parts, bad = _read_fields(data, _CONTEXT_SLOTS, _CONTEXT_DEFAULTS)
         if bad is not None:
             raise ContextError(f"context: {bad}")
-        entries = data.get("variables", ())
+        entries = parts[0]
         if not isinstance(entries, (list, tuple)):
             raise ContextError("context: 'variables' must be a list")
-        variables = tuple(VariableInfo.from_dict(v) for v in entries)
-        names = [v.name for v in variables]
-        if len(set(names)) != len(names):
+        variables = tuple(map(VariableInfo.from_dict, entries))
+        if len({v.name for v in variables}) != len(variables):
             raise ContextError("duplicate variable names in context")
+        parts[0] = variables
         try:
-            before = string_tuple(data.get("before", ()), "context 'before'")
-            after = string_tuple(data.get("after", ()), "context 'after'")
+            parts[_BEFORE] = string_tuple(parts[_BEFORE], "context 'before'")
+            parts[_AFTER] = string_tuple(parts[_AFTER], "context 'after'")
         except TypeError as err:
             raise ContextError(str(err)) from None
-        return Context(
-            variables=variables,
-            result_type=data.get("result", "Boolean"),
-            class_name=data.get("class", ""),
-            superclass_name=data.get("superclass", ""),
-            method_name=data.get("method", ""),
-            method_params=data.get("params", 0),
-            method_is_static=data.get("static", False),
-            in_loop=data.get("in_loop", False),
-            before_tokens=before,
-            after_tokens=after,
-        )
+        return Context(*parts)
 
 
-# the JSON kind of each scalar field of a variable entry and of a context;
+# where each JSON key of a variable entry and of a context goes in the
+# record, and the JSON kind of its value (None for a list, checked apart);
 # kinds compare exactly, so a boolean is no integer
-_VARIABLE_KINDS = {
-    "name": str, "type": str, "final": bool, "static": bool, "in_loop": bool,
-    "has_init": bool, "init_zero": bool, "decl_distance": int, "usages": int,
-    "usages_before": int, "usages_after": int,
+_MISSING = object()
+_VARIABLE_SLOTS = {
+    "name": (0, str), "type": (1, str), "final": (2, bool), "static": (3, bool),
+    "in_loop": (4, bool), "has_init": (5, bool), "init_zero": (6, bool),
+    "decl_distance": (7, int), "def_sites": (8, None), "usages": (9, int),
+    "usages_before": (10, int), "usages_after": (11, int),
 }
-_CONTEXT_KINDS = {
-    "result": str, "class": str, "superclass": str, "method": str,
-    "params": int, "static": bool, "in_loop": bool,
+_DEF_SITES = 8
+_VARIABLE_DEFAULTS = (_MISSING, _MISSING, *VariableInfo._field_defaults.values())
+_CONTEXT_SLOTS = {
+    "variables": (0, None), "result": (1, str), "class": (2, str),
+    "superclass": (3, str), "method": (4, str), "params": (5, int),
+    "static": (6, bool), "in_loop": (7, bool), "before": (8, None),
+    "after": (9, None),
 }
+_BEFORE, _AFTER = 8, 9
+_CONTEXT_DEFAULTS = tuple(f.default for f in fields(Context))
 _KIND_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
+_INT_KIND = frozenset({int})
 
 
-def _bad_field(data: dict, kinds: dict[str, type]) -> str | None:
-    """What is wrong with the first field of ``data`` whose value is not of
-    its kind in ``kinds``, or None when every field fits."""
+def _read_fields(data: dict, slots: dict, defaults: tuple) -> tuple[list, str | None]:
+    """The record's fields from one pass over a JSON object: each known
+    key's value at its slot, the default where a key is absent, and what is
+    wrong with the first scalar field (in the object's order) whose value
+    is not of its kind, or None when every one fits."""
+    parts = list(defaults)
+    bad = None
     for key, value in data.items():
-        kind = kinds.get(key)
-        if kind is not None and type(value) is not kind:
-            return f"{key!r} must be {_KIND_NAMES[kind]}"
-    return None
+        slot = slots.get(key)
+        if slot is not None:
+            index, kind = slot
+            parts[index] = value
+            if type(value) is not kind and bad is None and kind is not None:
+                bad = f"{key!r} must be {_KIND_NAMES[kind]}"
+    return parts, bad
 
 
 def string_tuple(values, what: str) -> tuple[str, ...]:
@@ -221,17 +233,25 @@ def string_tuple(values, what: str) -> tuple[str, ...]:
 def number_array(values, what: str) -> np.ndarray:
     """A JSON number, or nested lists of them, as a float array;
     ``TypeError`` naming ``what`` for any entry that is not an int or a
-    float, or is a bool, which ``np.asarray`` would silently convert."""
+    float, or is a bool, which ``np.asarray`` would silently convert.
 
-    def check(value) -> None:
-        if isinstance(value, list):
-            for item in value:
-                check(item)
-        elif type(value) is not int and type(value) is not float:
+    The entries are checked one nesting level at a time, by the set of
+    their types, not by one Python call per number."""
+    level = [values]
+    while level:
+        kinds = set(map(type, level))
+        if kinds == {list}:
+            level = list(chain.from_iterable(level))
+        elif kinds <= _NUMBER_KINDS:
+            break
+        elif kinds <= _NUMBER_KINDS | {list}:  # ragged: np.asarray refuses it
+            level = [x for item in level if type(item) is list for x in item]
+        else:
             raise TypeError(f"{what} must hold numbers only")
-
-    check(values)
     return np.asarray(values, dtype=float)
+
+
+_NUMBER_KINDS = frozenset({int, float})
 
 
 # --------------------------------------------------------------------------

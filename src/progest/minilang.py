@@ -112,6 +112,12 @@ _ATOM_PREC = 9
 
 
 class _Parser:
+    """Recursive descent over a token list.  Binary operators are parsed by
+    precedence climbing: one ``binary`` loop takes every operator at least
+    as tight as its bound, left-associatively, using ``_PRECEDENCE``, so a
+    parse makes one ``binary`` call per operand instead of one per
+    precedence level."""
+
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
@@ -132,19 +138,22 @@ class _Parser:
             raise MiniLangError(f"expected {token!r}, got {got!r}")
 
     def parse(self) -> Expr:
-        expr = self.binary(0)
+        expr = self.binary()
         if self.peek() is not None:
             raise MiniLangError(f"trailing input at {self.peek()!r}")
         return expr
 
-    def binary(self, level: int) -> Expr:
-        if level >= len(_LEVELS):
-            return self.unary()
-        expr = self.binary(level + 1)
-        while self.peek() in _LEVELS[level]:
+    def binary(self, bound: int = 1) -> Expr:
+        """An operand followed by any binary operators of precedence
+        ``bound`` or tighter; each right operand takes only operators
+        tighter than its own, so equal precedences associate left."""
+        expr = self.unary()
+        prec = _PRECEDENCE.get(self.peek())
+        while prec is not None and prec >= bound:
             op = self.take()
-            right = self.binary(level + 1)
+            right = self.binary(prec + 1)
             expr = Binary(op, expr, right)
+            prec = _PRECEDENCE.get(self.peek())
         return expr
 
     def unary(self) -> Expr:
@@ -159,7 +168,7 @@ class _Parser:
             token = self.peek()
             if token == "[":
                 self.take()
-                index = self.binary(0)
+                index = self.binary()
                 self.expect("]")
                 expr = Index(expr, index)
             elif token == ".":
@@ -176,14 +185,14 @@ class _Parser:
     def primary(self) -> Expr:
         token = self.take()
         if token == "(":
-            expr = self.binary(0)
+            expr = self.binary()
             self.expect(")")
             return expr
         if token[0].isdigit():
             return Lit(token)
         if token in _KEYWORD_LITERALS:
             return Lit(token)
-        if re.fullmatch(r"[A-Za-z_$][A-Za-z0-9_$]*", token):
+        if _NAME_RE.fullmatch(token):
             return Var(token)
         raise MiniLangError(f"unexpected token {token!r}")
 

@@ -400,6 +400,9 @@ def _stringify(*path):
                      id="template-not-boolean"),
         pytest.param("demo", _set_template(["(", "V1", ">", "0", ")"], ["Int"]),
                      id="template-not-canonical"),
+        # the tokens still read V1 > 0: the model's rows for it go unread
+        pytest.param("demo", _set_entry("templates", 0, "key", "V1 < 0::Int"),
+                     id="template-key-renamed"),
         pytest.param("demo", _set_entry("model", "table", 5), id="table-number"),
         pytest.param("demo", _set_entry("model", "table", {"": 5}), id="table-row-number"),
         pytest.param("demo", _set_entry("model", "table", {"": {"make-var:hours": "x"}}),
@@ -449,6 +452,10 @@ def _stringify(*path):
                      id="creation-w-strings"),
         pytest.param("logistic", _set_entry("model", "variable", "mean", 0, True),
                      id="variable-mean-bool"),
+        pytest.param("logistic", _set_entry("pipeline", "pca", "components", 1, 2, False),
+                     id="pca-components-nested-bool"),
+        pytest.param("logistic", _set_entry("model", "expression", "W", 1, 0, "0.5"),
+                     id="expression-W-nested-string"),
         # the fixture keeps 4 pca dims: these are its own value, retyped
         pytest.param("logistic", _set_entry("pipeline", "pca", "dims", "4"),
                      id="pca-dims-string"),

@@ -845,7 +845,7 @@ def test_encoding_follows_the_context_of_each_decision(corpus_records, logistic_
     a = corpus_records[0]
     b = next(r for r in corpus_records if r.context != a.context)
     first = a.context.variables[0]
-    changed = dataclasses.replace(first, usage_count=first.usage_count + 7)
+    changed = first._replace(usage_count=first.usage_count + 7)
     a_changed = dataclasses.replace(
         a.context, variables=(changed,) + a.context.variables[1:]
     )
@@ -993,7 +993,7 @@ def test_encoder_and_predict_match_the_memo_free_reference(logistic_60, data):
     again = dataclasses.replace(
         first,
         variables=tuple(
-            dataclasses.replace(v, usage_count=v.usage_count + 1, type="Shadow")
+            v._replace(usage_count=v.usage_count + 1, type="Shadow")
             for v in first.variables
         ),
     )
@@ -1001,7 +1001,7 @@ def test_encoder_and_predict_match_the_memo_free_reference(logistic_60, data):
         shadowed = dataclasses.replace(
             ctx,
             variables=ctx.variables + tuple(
-                dataclasses.replace(v, decl_distance=v.decl_distance + 9)
+                v._replace(decl_distance=v.decl_distance + 9)
                 for v in ctx.variables
             ),
         )

@@ -1,5 +1,6 @@
 """Synthetic corpus generator and demo fixtures."""
 
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,16 @@ def test_bundled_corpus_matches_generator(tmp_path, data_dir):
     path = tmp_path / "regen.jsonl"
     write_corpus(str(path), generate_corpus(DEFAULT_SIZE, DEFAULT_SEED))
     assert path.read_bytes() == (data_dir / "corpus.jsonl").read_bytes()
+
+
+def test_heldout_corpus_bytes_are_pinned(tmp_path):
+    """The 300 held-out records of seed "heldout-1", which the benchmark
+    sessions rank, keep every byte: a faster draw must roll the same."""
+    path = tmp_path / "heldout.jsonl"
+    write_corpus(str(path), generate_corpus(300, "heldout-1"))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "eb73139bb97223e990d71c35a0ec4ad5e63bf2aa3271e30d08f54fea54248eac"
+    )
 
 
 def test_record_shape():

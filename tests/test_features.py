@@ -4,8 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from progest.condsynth import Template
+from progest.errors import ContextError
 from progest.features import (
     BIGRAM_DIM,
     Context,
@@ -20,12 +23,15 @@ from progest.features import (
     extract_features,
     last_word,
     name_words,
+    number_array,
     pca_apply,
     pca_fit,
     position_block,
     variable_block,
     variable_block_length,
 )
+
+from tests_support import reference_context_from_dict
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789_$"
 
@@ -330,3 +336,157 @@ def test_context_rejects_duplicate_variables():
     data["variables"] = data["variables"] * 2
     with pytest.raises(ContextError):
         Context.from_dict(data)
+
+
+# --------------------------------------------------------------------------
+# the one-pass context loader against the field-by-field reference
+
+_VARIABLE_SCALARS = {
+    "final": st.booleans(), "static": st.booleans(), "in_loop": st.booleans(),
+    "has_init": st.booleans(), "init_zero": st.booleans(),
+    "decl_distance": st.integers(0, 40), "usages": st.integers(0, 9),
+    "usages_before": st.integers(0, 9), "usages_after": st.integers(0, 9),
+}
+_CONTEXT_SCALARS = {
+    "result": st.sampled_from(["Boolean", "Int"]), "class": st.text(max_size=3),
+    "superclass": st.text(max_size=3), "method": st.text(max_size=3),
+    "params": st.integers(0, 4), "static": st.booleans(), "in_loop": st.booleans(),
+}
+_NAMES = ("count", "idx", "done", "items", "$x", "_y")
+# values of every JSON kind, a bool and a float among them
+_ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 40), st.floats(-2, 2),
+    st.sampled_from(["", "x", "3", "null"]), st.lists(st.integers(0, 3), max_size=2),
+    st.lists(st.sampled_from(["a", "("]), max_size=2), st.just({}), st.just({"k": 1}),
+)
+_BAD_NAMES = ("null", "true", "false", "", "1x", "a b", "a-b")
+_BAD_DEF_SITES = (["3"], [True], [1.5], [1, None], 5, None, "12", {}, [[1]])
+
+
+def _shuffled(data, entry: dict) -> dict:
+    """The entry with its keys in a drawn order, which decides the field a
+    loader reports first."""
+    keys = data.draw(st.permutations(list(entry)))
+    return {key: entry[key] for key in keys}
+
+
+def _mutate(data, entry: dict, scalars: dict) -> None:
+    """One drawn fault in a variable entry or a context, in place."""
+    keys = sorted(entry) or ["name"]
+    kind = data.draw(st.sampled_from(
+        ["kind", "kind", "bool-for-int", "missing", "extra", "name", "def_sites", "list"]
+    ))
+    if kind == "kind":
+        entry[data.draw(st.sampled_from(keys))] = data.draw(_ANY_JSON)
+    elif kind == "bool-for-int":
+        ints = [k for k in scalars if k in entry and type(entry[k]) is int]
+        if ints:
+            entry[data.draw(st.sampled_from(ints))] = data.draw(st.booleans())
+    elif kind == "missing":
+        entry.pop(data.draw(st.sampled_from(keys + ["name", "type"])), None)
+    elif kind == "extra":
+        entry[data.draw(st.sampled_from(["note", "Name", "usage"]))] = data.draw(_ANY_JSON)
+    elif kind == "name":
+        entry["name"] = data.draw(st.sampled_from(_BAD_NAMES))
+    elif kind == "def_sites":
+        entry["def_sites"] = data.draw(st.sampled_from(_BAD_DEF_SITES))
+    elif kind == "list":
+        lists = [k for k in ("variables", "before", "after", "def_sites") if k in entry]
+        if lists:
+            entry[data.draw(st.sampled_from(lists))] = data.draw(_ANY_JSON)
+
+
+def _variable_entry(data, name: str, mutate: bool) -> dict:
+    entry = {"name": name, "type": data.draw(st.sampled_from(["Int", "Str", "ItemList"]))}
+    for key, values in _VARIABLE_SCALARS.items():
+        if data.draw(st.booleans()):
+            entry[key] = data.draw(values)
+    if data.draw(st.booleans()):
+        entry["def_sites"] = data.draw(st.lists(st.integers(1, 40), max_size=3))
+    for _ in range(data.draw(st.integers(1, 3)) if mutate else 0):
+        _mutate(data, entry, _VARIABLE_SCALARS)
+    return _shuffled(data, entry)
+
+
+def _load(loader, data):
+    try:
+        return loader(data)
+    except Exception as err:  # noqa: BLE001 - both loaders must fail alike
+        return type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_context_loader_matches_the_field_by_field_reference(data):
+    """Over valid and mutated JSON contexts (wrong kinds, bools for ints,
+    missing and extra keys, reserved names, bad ``def_sites``, repeated
+    names, in any key order), ``Context.from_dict`` gives the reference's
+    equal context or the same ``ContextError`` message."""
+    mutate = data.draw(st.booleans())
+    names = data.draw(st.permutations(_NAMES))[: data.draw(st.integers(0, 4))]
+    entries = [_variable_entry(data, name, mutate and data.draw(st.booleans()))
+               for name in names]
+    if mutate and len(entries) > 1 and data.draw(st.integers(0, 4)) == 3:
+        entries[-1]["name"] = entries[0].get("name", "count")
+    ctx = {"variables": entries}
+    for key, values in _CONTEXT_SCALARS.items():
+        if data.draw(st.booleans()):
+            ctx[key] = data.draw(values)
+    for key in ("before", "after"):
+        if data.draw(st.booleans()):
+            ctx[key] = data.draw(st.lists(st.sampled_from(["if", "(", "x"]), max_size=3))
+    for _ in range(data.draw(st.integers(0, 2)) if mutate else 0):
+        _mutate(data, ctx, _CONTEXT_SCALARS)
+    if mutate and data.draw(st.integers(0, 9)) == 7:
+        ctx = data.draw(st.sampled_from([[ctx], "ctx", None]))
+    ctx = _shuffled(data, ctx) if isinstance(ctx, dict) else ctx
+    got = _load(Context.from_dict, ctx)
+    want = _load(reference_context_from_dict, ctx)
+    assert got == want
+    if isinstance(want, Context):
+        assert all(type(v) is VariableInfo for v in got.variables)
+        assert [tuple(v) for v in got.variables] == [tuple(v) for v in want.variables]
+    else:
+        assert want[0] is ContextError
+
+
+def test_context_loader_reports_the_first_fault_of_an_entry():
+    """A variable entry's first fault is reported: a missing name before a
+    missing type, either before a field of the wrong kind, the first such
+    field in the entry's order, then ``def_sites``, then the name."""
+    cases = [
+        ({"type": 5}, "variable entry missing 'name'"),
+        ({"name": "a", "usages": True}, "variable entry missing 'type'"),
+        ({"usages": "x", "name": "a", "type": 1, "def_sites": "x"},
+         "variable 'a': 'usages' must be an integer"),
+        ({"type": 1, "usages": "x", "name": "a"}, "variable 'a': 'type' must be a string"),
+        ({"name": "null", "type": "Int", "def_sites": [1, "2"]},
+         "variable 'null': 'def_sites' must be a list of integers"),
+        ({"name": "null", "type": "Int"},
+         "variable 'null': 'name' must be an identifier other than null, true or false"),
+        ({"name": 5, "type": "Int"}, "variable 5: 'name' must be a string"),
+    ]
+    for entry, message in cases:
+        for loader in (Context.from_dict, reference_context_from_dict):
+            with pytest.raises(ContextError) as raised:
+                loader({"static": False, "variables": [entry]})
+            assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "values", [True, "1", None, {}, [1, True], [[1.0, 2], [3, "4"]], [[[0]], [[None]]],
+               [1, [2, {}]]],
+)
+def test_number_array_refuses_a_non_number_at_any_depth(values):
+    with pytest.raises(TypeError, match="^w must hold numbers only$"):
+        number_array(values, "w")
+
+
+@pytest.mark.parametrize(
+    "values, shape", [(3, ()), (2.5, ()), ([], (0,)), ([[1, 2.5], [3, 4]], (2, 2)),
+                      ([[[1]], [[2]]], (2, 1, 1))],
+)
+def test_number_array_reads_nested_numbers(values, shape):
+    out = number_array(values, "w")
+    assert out.dtype == float and out.shape == shape
+    assert out.tolist() == np.asarray(values, dtype=float).tolist()

@@ -1,11 +1,14 @@
 """Condition language: lexing, parsing, typing, canonical re-emission."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from progest.errors import MiniLangError, MiniTypeError
 from progest.minilang import (
     Binary,
     Call,
+    Expr,
     Index,
     Lit,
     Unary,
@@ -20,7 +23,9 @@ from progest.minilang import (
     tokenize,
     tokens_with_vars,
     typecheck,
+    _Parser,
 )
+from tests_support import ReferenceParser
 
 TYPES = {
     "count": "Int",
@@ -185,3 +190,82 @@ def test_split_logic_ops():
     assert atoms("!(count > 0 || done)") == ["count > 0", "done"]
     assert atoms("count>0") == ["count > 0"]
     assert atoms("!done") == ["done"]
+
+
+# --------------------------------------------------------------------------
+# the precedence-climbing parser against the level-recursive reference
+
+_BINARY_OPS = ("||", "&&", "==", "!=", "<", ">", "<=", ">=", "+", "-", "*", "/", "%")
+_VOCABULARY = _BINARY_OPS + (
+    "a", "b", "x1", "$v", "_w", "0", "12", "1.5", "true", "false", "null",
+    "(", ")", "[", "]", ".", "!", "size", "isEmpty", "1x", "@", "",
+)
+_OPERANDS = st.sampled_from([
+    ["a"], ["b"], ["0"], ["12"], ["1.5"], ["true"], ["null"],
+    ["items", ".", "size", "(", ")"], ["data", "[", "0", "]"],
+])
+
+
+def _compound(parts):
+    """Operands built from ``parts``, joined by binary operators."""
+    operand = st.one_of(
+        parts,
+        parts.map(lambda p: ["!"] + p),
+        parts.map(lambda p: ["("] + p + [")"]),
+        st.tuples(parts, parts).map(lambda t: t[0] + ["["] + t[1] + ["]"]),
+        parts.map(lambda p: ["("] + p + [")", ".", "isEmpty", "(", ")"]),
+    )
+    tail = st.lists(st.tuples(st.sampled_from(_BINARY_OPS), operand), max_size=4)
+    return st.tuples(operand, tail).map(
+        lambda t: t[0] + [token for op, right in t[1] for token in [op] + right]
+    )
+
+
+_EXPRESSIONS = st.recursive(_OPERANDS, _compound, max_leaves=10)
+
+
+@st.composite
+def _token_lists(draw):
+    """The tokens of a well-formed condition, with up to two tokens dropped
+    or put in, or a list of arbitrary tokens."""
+    if draw(st.integers(0, 3)) == 3:
+        return draw(st.lists(st.sampled_from(_VOCABULARY), max_size=12))
+    tokens = list(draw(_EXPRESSIONS))  # the operands are shared lists
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        if draw(st.booleans()) and at < len(tokens):
+            del tokens[at]
+        else:
+            tokens.insert(at, draw(st.sampled_from(_VOCABULARY)))
+    return tokens
+
+
+def _parse_with(parser_class, tokens):
+    try:
+        return parser_class(list(tokens)).parse()
+    except Exception as err:  # noqa: BLE001 - both parsers must fail alike
+        return type(err), str(err)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_token_lists())
+def test_parser_matches_the_level_recursive_reference(tokens):
+    """Over random token sequences, the precedence-climbing parser gives
+    the reference's equal tree or the same ``MiniLangError`` message."""
+    got = _parse_with(_Parser, tokens)
+    want = _parse_with(ReferenceParser, tokens)
+    assert got == want
+    if not isinstance(want, Expr):
+        assert want[0] in (MiniLangError, IndexError)  # IndexError: the "" token
+
+
+def test_parser_makes_one_binary_call_per_operand(monkeypatch):
+    """Precedence climbing calls ``binary`` once for the whole condition
+    and once for each operand right of an operator, not once per level."""
+    calls = []
+    climb = _Parser.binary
+    monkeypatch.setattr(
+        _Parser, "binary", lambda self, *bound: calls.append(bound) or climb(self, *bound)
+    )
+    parse_condition("a + 1 > 12 && !done || b")
+    assert len(calls) == 1 + 4

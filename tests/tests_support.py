@@ -6,7 +6,8 @@ the built-tree key, the recursive matcher of the derivation walk, the
 splice-then-solve prober, the restarting typed replay, the always-sorting
 beam, the depth-first exhaustive search, the per-tree certifier, the per-candidate
 reading of a decision and its feature vector and the memo-free rows and
-logistic predict built from them, and the per-context condition rule set."""
+logistic predict built from them, the per-context condition rule set, the
+field-by-field context loader and the level-recursive condition parser."""
 
 import contextlib
 import hashlib
@@ -30,7 +31,12 @@ from progest.constraints import (
 )
 from progest.ambiguity import AmbiguityReport, Witness, enumerate_complete_trees
 from progest.condsynth import Template
-from progest.errors import ContextError, SearchOverflowError, UnderivableTreeError
+from progest.errors import (
+    ContextError,
+    MiniLangError,
+    SearchOverflowError,
+    UnderivableTreeError,
+)
 from progest.features import (
     WINDOW_VOCAB_SIZE,
     Context,
@@ -59,6 +65,7 @@ from progest.grammar import (
     nonterminal,
     terminal,
 )
+from progest.minilang import Binary, Call, Expr, Index, Lit, Unary, Var, is_variable_token
 from progest.models import TableModel
 from progest.search import (
     DEFAULT_ANTI_PATTERNS,
@@ -1166,3 +1173,191 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
             )
         )
     return RuleSet(rules)
+
+
+# --------------------------------------------------------------------------
+# the field-by-field context loader: a kind scan of the entry, then one
+# ``dict.get`` per field and a keyword-built record
+
+_REFERENCE_VARIABLE_KINDS = {
+    "name": str, "type": str, "final": bool, "static": bool, "in_loop": bool,
+    "has_init": bool, "init_zero": bool, "decl_distance": int, "usages": int,
+    "usages_before": int, "usages_after": int,
+}
+_REFERENCE_CONTEXT_KINDS = {
+    "result": str, "class": str, "superclass": str, "method": str,
+    "params": int, "static": bool, "in_loop": bool,
+}
+_REFERENCE_KIND_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def _reference_bad_field(data: dict, kinds: dict) -> str | None:
+    for key, value in data.items():
+        kind = kinds.get(key)
+        if kind is not None and type(value) is not kind:
+            return f"{key!r} must be {_REFERENCE_KIND_NAMES[kind]}"
+    return None
+
+
+def _reference_string_tuple(values, what: str) -> tuple:
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(v, str) for v in values
+    ):
+        raise TypeError(f"{what} must be a list of strings")
+    return tuple(values)
+
+
+def reference_variable_from_dict(data: dict) -> VariableInfo:
+    if not isinstance(data, dict):
+        raise ContextError("variable entry must be an object")
+    for key in ("name", "type"):
+        if key not in data:
+            raise ContextError(f"variable entry missing {key!r}")
+    bad = _reference_bad_field(data, _REFERENCE_VARIABLE_KINDS)
+    def_sites = data.get("def_sites", ())
+    if bad is None and not (
+        isinstance(def_sites, (list, tuple))
+        and all(type(x) is int for x in def_sites)
+    ):
+        bad = "'def_sites' must be a list of integers"
+    if bad is None and not is_variable_token(data["name"]):
+        bad = "'name' must be an identifier other than null, true or false"
+    if bad is not None:
+        raise ContextError(f"variable {data['name']!r}: {bad}")
+    return VariableInfo(
+        name=data["name"],
+        type=data["type"],
+        is_final=data.get("final", False),
+        is_static=data.get("static", False),
+        in_loop=data.get("in_loop", False),
+        has_initializer=data.get("has_init", False),
+        init_is_zero=data.get("init_zero", False),
+        decl_distance=data.get("decl_distance", 0),
+        def_sites=tuple(def_sites),
+        usage_count=data.get("usages", 0),
+        usages_before=data.get("usages_before", 0),
+        usages_after=data.get("usages_after", 0),
+    )
+
+
+def reference_context_from_dict(data: dict) -> Context:
+    if not isinstance(data, dict):
+        raise ContextError("context must be an object")
+    bad = _reference_bad_field(data, _REFERENCE_CONTEXT_KINDS)
+    if bad is not None:
+        raise ContextError(f"context: {bad}")
+    entries = data.get("variables", ())
+    if not isinstance(entries, (list, tuple)):
+        raise ContextError("context: 'variables' must be a list")
+    variables = tuple(reference_variable_from_dict(v) for v in entries)
+    names = [v.name for v in variables]
+    if len(set(names)) != len(names):
+        raise ContextError("duplicate variable names in context")
+    try:
+        before = _reference_string_tuple(data.get("before", ()), "context 'before'")
+        after = _reference_string_tuple(data.get("after", ()), "context 'after'")
+    except TypeError as err:
+        raise ContextError(str(err)) from None
+    return Context(
+        variables=variables,
+        result_type=data.get("result", "Boolean"),
+        class_name=data.get("class", ""),
+        superclass_name=data.get("superclass", ""),
+        method_name=data.get("method", ""),
+        method_params=data.get("params", 0),
+        method_is_static=data.get("static", False),
+        in_loop=data.get("in_loop", False),
+        before_tokens=before,
+        after_tokens=after,
+    )
+
+
+# --------------------------------------------------------------------------
+# the level-recursive condition parser: one ``binary`` call per precedence
+# level per operand
+
+_REFERENCE_LEVELS = (
+    ("||",),
+    ("&&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">="),
+    ("+", "-"),
+    ("*", "/", "%"),
+)
+
+
+class ReferenceParser:
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> str:
+        token = self.peek()
+        if token is None:
+            raise MiniLangError("unexpected end of input")
+        self.pos += 1
+        return token
+
+    def expect(self, token: str) -> None:
+        got = self.take()
+        if got != token:
+            raise MiniLangError(f"expected {token!r}, got {got!r}")
+
+    def parse(self) -> Expr:
+        expr = self.binary(0)
+        if self.peek() is not None:
+            raise MiniLangError(f"trailing input at {self.peek()!r}")
+        return expr
+
+    def binary(self, level: int) -> Expr:
+        if level >= len(_REFERENCE_LEVELS):
+            return self.unary()
+        expr = self.binary(level + 1)
+        while self.peek() in _REFERENCE_LEVELS[level]:
+            op = self.take()
+            right = self.binary(level + 1)
+            expr = Binary(op, expr, right)
+        return expr
+
+    def unary(self) -> Expr:
+        if self.peek() == "!":
+            self.take()
+            return Unary("!", self.unary())
+        return self.postfix()
+
+    def postfix(self) -> Expr:
+        expr = self.primary()
+        while True:
+            token = self.peek()
+            if token == "[":
+                self.take()
+                index = self.binary(0)
+                self.expect("]")
+                expr = Index(expr, index)
+            elif token == ".":
+                self.take()
+                method = self.take()
+                if not method[:1].isalpha() and method[:1] not in "_$":
+                    raise MiniLangError(f"bad method name {method!r}")
+                self.expect("(")
+                self.expect(")")
+                expr = Call(expr, method)
+            else:
+                return expr
+
+    def primary(self) -> Expr:
+        token = self.take()
+        if token == "(":
+            expr = self.binary(0)
+            self.expect(")")
+            return expr
+        if token[0].isdigit():
+            return Lit(token)
+        if token in ("true", "false", "null"):
+            return Lit(token)
+        if re.fullmatch(r"[A-Za-z_$][A-Za-z0-9_$]*", token):
+            return Var(token)
+        raise MiniLangError(f"unexpected token {token!r}")
