@@ -28,10 +28,10 @@ from .features import (
     ContextEncoding,
     FeaturePipeline,
     context_block_length,
-    expression_block_length,
     extract_features,
     position_block,
     string_tuple,
+    type_class_scalar,
     variable_block_length,
 )
 from .grammar import (
@@ -484,6 +484,50 @@ def render_condition(ast: AnnotatedAst) -> str:
 # --------------------------------------------------------------------------
 # encoding decision points as feature rows
 
+_CMP_OPS = ("<", ">", "<=", ">=", "==", "!=")
+_ARITH_OPS = ("+", "-", "*", "/", "%")
+
+
+def expression_block(tpl: Template | None, pipe: FeaturePipeline) -> np.ndarray:
+    """The block of a template, read off its skeleton alone; zeros for
+    None."""
+    p = pipe.dims
+    if tpl is None:
+        return np.zeros(expression_block_length(p))
+    tokens = tpl.tokens
+    method = ""
+    for i, token in enumerate(tokens):
+        if token == "." and i + 1 < len(tokens):
+            method = tokens[i + 1]
+            break
+    type_scalars = [0.0, 0.0, 0.0]
+    for i, type_name in enumerate(tpl.placeholder_types[:3]):
+        type_scalars[i] = type_class_scalar(type_name)
+    cmp_flags = [1.0 if op in tokens else 0.0 for op in _CMP_OPS]
+    arith_flags = [1.0 if op in tokens else 0.0 for op in _ARITH_OPS]
+    num_count = sum(1 for t in tokens if t[:1].isdigit())
+    scalars = np.array(
+        [tpl.arity / 4.0]
+        + type_scalars
+        + [1.0 if method else 0.0]
+    )
+    tail = np.array(
+        cmp_flags
+        + arith_flags
+        + [
+            num_count / 3.0,
+            1.0 if "null" in tokens else 0.0,
+            1.0 if "[" in tokens else 0.0,
+            1.0,
+        ]
+    )
+    return np.concatenate([scalars, pipe.embed_name(method), tail])
+
+
+def expression_block_length(p: int) -> int:
+    return p + 20
+
+
 def row_length(kind: str, p: int) -> int:
     """Width of a ``kind`` decision's feature rows at PCA width ``p``."""
     head = context_block_length(p) + variable_block_length(p)
@@ -517,8 +561,10 @@ class CondEncoder:
     the decisions of one predict, or of one training item, compute each
     context and variable block once; a variable is read by its name
     through the encoding.  A context that differs in any value replaces
-    it; only one is kept.  Template blocks and name embeddings come from
-    the pipeline's memos, once per pipeline.
+    it; only one is kept.  The encoder memoises each template's block,
+    keyed on the template key (None for the absent template), so each is
+    computed once per encoder; name embeddings come from the pipeline's
+    memo, once per pipeline.
 
     A tree holds at most one node of each slot symbol ``V{p}`` with
     children, the slot's variable leaf, so a slot's bound variable is read
@@ -529,6 +575,7 @@ class CondEncoder:
         self.pipeline = pipeline
         self._templates = {t.key: t for t in templates}
         self._encoding: ContextEncoding | None = None
+        self._expressions: dict[str | None, np.ndarray] = {}
 
     def __call__(
         self,
@@ -558,7 +605,7 @@ class CondEncoder:
             template = self._templates.get(origin[len("expr:"):])
         shared = (
             enc.variable_block(_bound_var(ast, f"V{position - 1}")),
-            enc.expression_block(template),
+            self.expression_block(template),
             position_block(position),
         )
         own = [(enc.variable_block(r.key.partition(":")[2]),) for r in candidates]
@@ -570,11 +617,20 @@ class CondEncoder:
             enc = self._encoding = ContextEncoding(ctx, self.pipeline)
         return enc
 
+    def expression_block(self, tpl: Template | None) -> np.ndarray:
+        """The read-only block of ``tpl``, computed once per template key."""
+        key = None if tpl is None else tpl.key
+        block = self._expressions.get(key)
+        if block is None:
+            block = self._expressions[key] = expression_block(tpl, self.pipeline)
+            block.flags.writeable = False
+        return block
+
     def _creation_blocks(self, enc: ContextEncoding, key: str):
         head, _, name = key.partition(":")
         if head == "make-var":
-            return enc.variable_block(name), enc.expression_block(None)
-        return enc.variable_block(None), enc.expression_block(self._templates.get(name))
+            return enc.variable_block(name), self.expression_block(None)
+        return enc.variable_block(None), self.expression_block(self._templates.get(name))
 
 
 def _bound_var(ast: AnnotatedAst, symbol_name: str) -> str | None:

@@ -48,7 +48,7 @@ from math import inf
 from typing import Callable, Iterable, Mapping
 
 from .errors import SchemaError
-from .grammar import Annotation, Pattern, RewritingRule, RuleSet, RuleTree
+from .grammar import Annotation, Pattern, RewritingRule, RuleSet
 from .minilang import is_variable_token
 from .trees import (
     AnnotatedAst,
@@ -235,18 +235,16 @@ class SizeBounds:
 
 
 def _rule_cost(rule: RewritingRule, down: dict[str, float], up: dict[str, float]) -> float:
+    """The least node count of the rule's replacement: 1 at the anchor and
+    each other node's bound, summed in preorder.  It reads the tree, not
+    ``rule.block``: bounds are computed for whole sets, most of whose
+    blocks a search never compiles."""
     total = 0.0
-
-    def walk(rt: RuleTree) -> None:
-        nonlocal total
-        if rt.anchor:
+    for node in rule.replacement.preorder():
+        if node.anchor:
             total += 1.0
         else:
-            total += _contribution(rt.symbol.name, rt.annotation, down, up)
-        for child in rt.children:
-            walk(child)
-
-    walk(rule.replacement)
+            total += _contribution(node.symbol.name, node.annotation, down, up)
     return total
 
 

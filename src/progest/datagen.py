@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="progest-datagen", description="generate the synthetic corpus"
     )
-    parser.add_argument("--out", default="data/corpus.jsonl")
+    parser.add_argument("--out", required=True)
     parser.add_argument("--n", type=int, default=DEFAULT_SIZE)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--demo-dir", default=None,

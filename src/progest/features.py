@@ -8,13 +8,13 @@ time; token windows use a small vocabulary learned alongside.
 
 A decision's feature rows are assembled from fixed-width blocks, so their
 layout depends only on the PCA width and on which blocks the caller picks
-(``condsynth.CondEncoder`` picks them for each decision).  Optional inputs
-encode as zeros plus a trailing presence flag of 0, never as a shifted
-layout.
+(``condsynth.CondEncoder`` picks them for each decision, and builds the
+block of a template itself: this module knows no template).  Optional
+inputs encode as zeros plus a trailing presence flag of 0, never as a
+shifted layout.
 
 What reads no context is computed once per pipeline: a ``FeaturePipeline``
-memoises each name's embedding, keyed on the name, and each template's
-expression block, keyed on the ``Template`` value.  What reads the context
+memoises each name's embedding, keyed on the name.  What reads the context
 is computed once per context, by a ``ContextEncoding``.  Every memo hands
 out read-only arrays, so no caller can change what the next one reads.
 """
@@ -25,15 +25,12 @@ import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ContextError
 from .minilang import TYPE_CLASSES, classify_type, is_variable_token
-
-if TYPE_CHECKING:  # condsynth imports this module
-    from .condsynth import Template
 
 # --------------------------------------------------------------------------
 # context data
@@ -404,18 +401,14 @@ WINDOW_VOCAB_SIZE = 32
 @dataclass(frozen=True)
 class FeaturePipeline:
     """The fitted name PCA and window vocabulary, with what the pipeline
-    has computed from them alone: the embedding of each name and the
-    expression block of each template it has met, each kept by value for
-    as long as the pipeline lives.  The memos are bounded by the distinct
-    names and templates met, are read-only, and take no part in the
+    has computed from them alone: the embedding of each name it has met,
+    kept by name for as long as the pipeline lives.  The memo is bounded
+    by the distinct names met, is read-only, and takes no part in the
     pipeline's ``==``, ``repr`` or ``to_params``."""
 
     pca: PcaTransform
     vocab: tuple[str, ...]
     _names: dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    _expressions: dict[Template | None, np.ndarray] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -429,13 +422,6 @@ class FeaturePipeline:
             vec = _read_only(pca_apply(self.pca, encode_name_2gram(name)))
             self._names[name] = vec
         return vec
-
-    def expression_block(self, tpl: Template | None) -> np.ndarray:
-        block = self._expressions.get(tpl)
-        if block is None:
-            block = _read_only(expression_block(tpl, self))
-            self._expressions[tpl] = block
-        return block
 
     @cached_property
     def _vocab_index(self) -> dict[str, int]:
@@ -503,7 +489,7 @@ _CLASS_INDEX = {name: i for i, name in enumerate(TYPE_CLASSES)}
 _BOOL_PREFIXES = ("is", "has", "can", "should")
 
 
-def _type_class_scalar(type_name: str) -> float:
+def type_class_scalar(type_name: str) -> float:
     return _CLASS_INDEX[classify_type(type_name)] / (len(TYPE_CLASSES) - 1)
 
 
@@ -556,7 +542,7 @@ def variable_block(var: VariableInfo | None, pipe: FeaturePipeline) -> np.ndarra
     scalars = np.array(
         [
             len(var.name) / 10.0,
-            _type_class_scalar(var.type),
+            type_class_scalar(var.type),
             1.0
             if (word and word in var.type.lower())
             or (last_word(var.type) and last_word(var.type) in var.name.lower())
@@ -590,48 +576,6 @@ def variable_block_length(p: int) -> int:
     return 3 * p + 16
 
 
-_CMP_OPS = ("<", ">", "<=", ">=", "==", "!=")
-_ARITH_OPS = ("+", "-", "*", "/", "%")
-
-
-def expression_block(tpl: Template | None, pipe: FeaturePipeline) -> np.ndarray:
-    p = pipe.dims
-    if tpl is None:
-        return np.zeros(expression_block_length(p))
-    tokens = tpl.tokens
-    method = ""
-    for i, token in enumerate(tokens):
-        if token == "." and i + 1 < len(tokens):
-            method = tokens[i + 1]
-            break
-    type_scalars = [0.0, 0.0, 0.0]
-    for i, type_name in enumerate(tpl.placeholder_types[:3]):
-        type_scalars[i] = _type_class_scalar(type_name)
-    cmp_flags = [1.0 if op in tokens else 0.0 for op in _CMP_OPS]
-    arith_flags = [1.0 if op in tokens else 0.0 for op in _ARITH_OPS]
-    num_count = sum(1 for t in tokens if t[:1].isdigit())
-    scalars = np.array(
-        [tpl.arity / 4.0]
-        + type_scalars
-        + [1.0 if method else 0.0]
-    )
-    tail = np.array(
-        cmp_flags
-        + arith_flags
-        + [
-            num_count / 3.0,
-            1.0 if "null" in tokens else 0.0,
-            1.0 if "[" in tokens else 0.0,
-            1.0,
-        ]
-    )
-    return np.concatenate([scalars, pipe.embed_name(method), tail])
-
-
-def expression_block_length(p: int) -> int:
-    return p + 20
-
-
 def position_block(position: int | None) -> np.ndarray:
     return np.array([0.0 if position is None else position / 5.0])
 
@@ -652,12 +596,11 @@ class ContextEncoding:
     every decision over this context reads the same arrays.  A name is
     looked up in a dict made once per encoding; the context's first
     variable of a name wins, and a name it does not declare reads the
-    absent variable's block.  Expression blocks read no context: they are
-    read from the pipeline's memo.  Every block is read-only: a row is
-    always a new array assembled from them (``extract_features``).  The
-    blocks are this context's only; a caller holding an encoding across
-    decisions checks ``context`` before it reuses it
-    (``condsynth.CondEncoder`` does).
+    absent variable's block.  Every block is read-only: a row is always a
+    new array assembled from them (``extract_features``).  The blocks are
+    this context's only; a caller holding an encoding across decisions
+    checks ``context`` before it reuses it (``condsynth.CondEncoder``
+    does).
     """
 
     def __init__(self, context: Context | None, pipe: FeaturePipeline) -> None:
@@ -686,9 +629,6 @@ class ContextEncoding:
                 block = _read_only(variable_block(var, self.pipeline))
             self._variable_blocks[name] = block
         return block
-
-    def expression_block(self, tpl: Template | None) -> np.ndarray:
-        return self.pipeline.expression_block(tpl)
 
 
 def extract_features(

@@ -6,15 +6,16 @@ candidate.  The fitted models normalize over exactly that list; the fixture
 ``TableModel`` intentionally returns its raw table entries so hand-written
 scenarios multiply out to predictable figures.
 
-Training data comes from replaying known-good trees with
-``feasible_derivation``, the one replay the scorer in ``search`` uses too: the
-first derivation of ``trees.iter_derivations``, a walk that steps through
-``constraints.feasible_rules`` exactly as the search does.  Every replay step
-turns into one positive instance for the applied rule and one negative for
-each feasible sibling.  With an encoder, each step a model core scores is
-also stored once as an ``EncodedDecision``: its feature rows, built by the
-same encoder (``condsynth.CondEncoder``) that the logistic model predicts
-through.
+Known trees are replayed with ``feasible_derivation``, the first derivation
+of ``trees.iter_derivations``, a walk that steps through
+``constraints.feasible_rules`` exactly as the search does.  The scorer
+(``program_log_probability``) multiplies a model's scores along it, so it
+gives each tree the search's probability without importing ``search``.
+For training, every replay step turns into one positive instance for the
+applied rule and one negative for each feasible sibling.  With an
+encoder, each step a model core scores is also stored once as an
+``EncodedDecision``: its feature rows, built by the same encoder
+(``condsynth.CondEncoder``) that the logistic model predicts through.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import UnderivableTreeError
 from .features import Context, extract_features, number_array, string_tuple
 from .grammar import RewritingRule, RuleSet
 # iter_derivations is called by this name so that the tracer counts replays
-from .trees import AnnotatedAst, DerivationStep, iter_derivations
+from .trees import AnnotatedAst, DerivationStep, iter_derivations, policy_leftmost
 
 
 def group_str(rule: RewritingRule) -> str:
@@ -470,6 +471,37 @@ def feasible_derivation(
     return next(iter_derivations(
         tree, lambda grown_by: feasible_rules(grown_by, step, policy)
     ))
+
+
+def program_log_probability(
+    tree: AnnotatedAst,
+    rs: RuleSet,
+    model,
+    ctx: Context | None = None,
+    *,
+    policy=policy_leftmost,
+    size_limit: int | None = None,
+) -> float:
+    """Log probability the model assigns to the build of ``tree`` the search
+    makes.
+
+    Replays ``feasible_derivation`` and multiplies the model's scores over
+    the candidates each step offers, so a tree the search outputs gets the
+    probability the search gave it.  Comes back ``-inf`` when the search
+    cannot build the tree or some step of its build is scored zero.
+    """
+    try:
+        steps = feasible_derivation(tree, rs, policy, ctx, size_limit=size_limit)
+    except UnderivableTreeError:
+        return -math.inf
+    total = 0.0
+    for step in steps:
+        kept = [p.rule for p in step.outcome.kept]
+        p = model.predict(ctx, step.ast, step.outcome.target, kept)[step.choice]
+        if p <= 0.0:
+            return -math.inf
+        total += math.log(p)
+    return total
 
 
 def extract_training_set(

@@ -13,9 +13,10 @@ builds directly.
 Every expansion is one call of ``constraints.feasible_rules``, the one
 gate: the policy's node, the check that its rule group fits, and the typed,
 size-bounded probe, handed the state's probe, whose carried size bound and
-type classes decide each candidate without solving the tree.  The scorer replays
-the search's build of a known tree, the first derivation of the typed walk
-(``models.feasible_derivation``), so it gives each tree the search's probability.
+type classes decide each candidate without solving the tree.  A model is
+any object with ``predict``, plugged into each step as an estimator: this
+module imports no model, no feature layer and no numpy.  The scorer of a
+known tree, ``models.program_log_probability``, lives with the models.
 
 All tie-breaking is total and value-based (never by node identity), which
 keeps results reproducible across runs and processes.
@@ -27,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from math import exp, inf, log
 from sys import maxsize
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 # compute_size_bounds and probe_rules are bound only so that the benchmark's
 # tracer (perfbench) can wrap them under this module's name; every step comes
@@ -39,10 +40,8 @@ from .constraints import (
     feasible_rules,
     probe_rules,
 )
-from .errors import SearchOverflowError, UnderivableTreeError
-from .features import Context
+from .errors import SearchOverflowError
 from .grammar import Annotation, RuleSet
-from .models import feasible_derivation
 from .trees import (
     AnnotatedAst,
     Application,
@@ -50,6 +49,9 @@ from .trees import (
     render,
     to_sexpr,
 )
+
+if TYPE_CHECKING:  # features loads numpy; a search passes a context through
+    from .features import Context
 
 Policy = Callable[[AnnotatedAst], tuple[int, Annotation]]
 Renderer = Callable[[AnnotatedAst], str]
@@ -288,35 +290,3 @@ def exhaustive_search(
     if found.stats.step_cap_hit:
         raise SearchOverflowError(f"exhaustive search exceeded {step_cap} expansions")
     return found
-
-
-def program_log_probability(
-    tree: AnnotatedAst,
-    rs: RuleSet,
-    model,
-    ctx: Context | None = None,
-    *,
-    policy: Policy = policy_leftmost,
-    size_limit: int | None = None,
-) -> float:
-    """Log probability the model assigns to the build of ``tree`` the search
-    makes.
-
-    Replays ``models.feasible_derivation`` and multiplies the model's scores
-    over the candidates each step offers, so a tree the search outputs gets
-    the probability the search gave it.  Comes back ``-inf`` when the search
-    cannot build the tree or some step of its build is scored zero.
-    """
-    try:
-        steps = feasible_derivation(tree, rs, policy, ctx, size_limit=size_limit)
-    except UnderivableTreeError:
-        return -inf
-    total = 0.0
-    for step in steps:
-        kept = [p.rule for p in step.outcome.kept]
-        p = model.predict(ctx, step.ast, step.outcome.target, kept)[step.choice]
-        if p <= 0.0:
-            return -inf
-        total += log(p)
-    return total
-

@@ -45,8 +45,8 @@ from progest.grammar import (
     RewritingRule,
     RuleTree,
 )
-from progest.models import TableModel
-from progest.search import beam_search, program_log_probability
+from progest.models import TableModel, program_log_probability
+from progest.search import beam_search
 from progest.trees import (
     AnnotatedAst,
     apply_rule,

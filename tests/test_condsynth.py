@@ -1103,7 +1103,8 @@ def test_each_name_is_encoded_once_per_pipeline(monkeypatch, corpus_records):
 
 def test_a_second_pass_over_known_names_adds_no_memo_entry(tmp_path, logistic_60):
     """A second held-out pass meets only names and templates the first one
-    met: the pipeline's memos keep the same entries, the same arrays."""
+    met: the pipeline's and the encoder's memos keep the same entries,
+    the same arrays."""
     fitted = logistic_60.logistic.encoder.pipeline
     pipe = FeaturePipeline(fitted.pca, fitted.vocab)
     model = LogisticModel.from_params(
@@ -1116,7 +1117,7 @@ def test_a_second_pass_over_known_names_adds_no_memo_entry(tmp_path, logistic_60
             synthesize_condition(record.context, logistic_60.templates, model)
         snapshots.append(
             ({n: id(v) for n, v in pipe._names.items()},
-             {t: id(v) for t, v in pipe._expressions.items()})
+             {t: id(v) for t, v in model.encoder._expressions.items()})
         )
     assert snapshots[0] == snapshots[1]
     assert len(snapshots[0][0]) > 20 and len(snapshots[0][1]) > 5

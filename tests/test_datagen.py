@@ -102,3 +102,16 @@ def test_main_refuses_a_size_below_one(tmp_path, capsys, n):
     assert exit_info.value.code == 2
     assert f"argument --n: {n} is not 1 or more" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_requires_an_output_path(tmp_path, monkeypatch, capsys, data_dir):
+    """Without ``--out`` nothing is written, the bundled corpus least of
+    all: an output path is never assumed."""
+    bundled = (data_dir / "corpus.jsonl").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--n", "3"])
+    assert exit_info.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert (data_dir / "corpus.jsonl").read_bytes() == bundled

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from progest.condsynth import Template
+from progest.condsynth import (
+    CondEncoder,
+    Template,
+    expression_block,
+    expression_block_length,
+)
 from progest.errors import ContextError
 from progest.features import (
     BIGRAM_DIM,
@@ -18,8 +23,6 @@ from progest.features import (
     context_block,
     context_block_length,
     encode_name_2gram,
-    expression_block,
-    expression_block_length,
     extract_features,
     last_word,
     name_words,
@@ -202,8 +205,8 @@ def test_extract_features_lays_out_context_own_then_shared_blocks():
     tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
     enc = ContextEncoding(ctx, pipe)
     own = [
-        (enc.variable_block(var.name), enc.expression_block(None)),
-        (enc.variable_block(None), enc.expression_block(tpl)),
+        (enc.variable_block(var.name), expression_block(None, pipe)),
+        (enc.variable_block(None), expression_block(tpl, pipe)),
     ]
     shared = (variable_block(var, pipe), position_block(2))
     rows = extract_features(enc, own, shared)
@@ -221,17 +224,20 @@ def test_extract_features_lays_out_context_own_then_shared_blocks():
 
 
 def test_encoding_hands_out_read_only_blocks_kept_by_value():
+    """A context's blocks, kept by its encoding, and a template's, kept by
+    the condition encoder."""
     pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
     ctx = make_contexts()[1]
     var = ctx.variables[0]
     tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
     enc = ContextEncoding(ctx, pipe)
+    coder = CondEncoder([tpl], pipe)
     blocks = [
         enc.context_block(),
         enc.variable_block(var.name),
         enc.variable_block(None),
-        enc.expression_block(tpl),
-        enc.expression_block(None),
+        coder.expression_block(tpl),
+        coder.expression_block(None),
     ]
     for block in blocks:
         with pytest.raises(ValueError):
@@ -245,7 +251,8 @@ def test_encoding_hands_out_read_only_blocks_kept_by_value():
     # name the context does not declare reads the absent variable's block
     assert enc.variable_block("total") is blocks[1]
     assert enc.variable_block("undeclared") is blocks[2]
-    assert enc.expression_block(dataclasses.replace(tpl)) is blocks[3]
+    assert coder.expression_block(dataclasses.replace(tpl)) is blocks[3]
+    assert np.array_equal(blocks[3], expression_block(tpl, pipe))
     # rows are new arrays: writing one leaves the kept blocks as they were
     rows = extract_features(enc, [(blocks[1], blocks[3])])
     rows[:] = 0.0
@@ -254,23 +261,26 @@ def test_encoding_hands_out_read_only_blocks_kept_by_value():
 
 
 def fill_memos(pipe):
-    """Encode every block of the test contexts, and two templates, through
-    ``pipe``'s memos."""
+    """Encode every block of the test contexts through ``pipe``'s memo, and
+    two templates through the memo of a condition encoder over ``pipe``,
+    which is returned."""
     tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
+    coder = CondEncoder([tpl], pipe)
     for ctx in make_contexts():
         enc = ContextEncoding(ctx, pipe)
         enc.context_block()
-        enc.expression_block(tpl)
-        enc.expression_block(None)
+        coder.expression_block(tpl)
+        coder.expression_block(None)
         for v in ctx.variables:
             enc.variable_block(v.name)
+    return coder
 
 
 def test_pipeline_memos_hand_out_read_only_arrays():
     pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
-    fill_memos(pipe)
-    memo = [*pipe._names.values(), *pipe._expressions.values()]
-    assert len(pipe._names) > 5 and len(pipe._expressions) == 2
+    coder = fill_memos(pipe)
+    memo = [*pipe._names.values(), *coder._expressions.values()]
+    assert len(pipe._names) > 5 and len(coder._expressions) == 2
     for array in memo:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -285,11 +295,13 @@ def test_pipelines_never_share_a_memo_entry():
     other = dataclasses.replace(
         one, pca=pca_fit([np.eye(BIGRAM_DIM)[i] for i in range(5)], 3)
     )
-    assert not other._names and not other._expressions
-    fill_memos(one)
-    fill_memos(other)
+    assert not other._names
+    coders = fill_memos(one), fill_memos(other)
     assert not {id(a) for a in one._names.values()} & {
         id(a) for a in other._names.values()
+    }
+    assert not {id(a) for a in coders[0]._expressions.values()} & {
+        id(a) for a in coders[1]._expressions.values()
     }
     for pipe in (one, other):
         for name, vec in pipe._names.items():

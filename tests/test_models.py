@@ -33,8 +33,8 @@ from progest.models import (
     extract_training_set,
     feasible_derivation,
     group_str,
+    program_log_probability,
 )
-from progest.search import program_log_probability
 from progest.trees import (
     AnnotatedAst,
     Application,

@@ -41,7 +41,12 @@ from progest.grammar import (
     nonterminal,
     terminal,
 )
-from progest.models import TableModel, UniformModel, feasible_derivation
+from progest.models import (
+    TableModel,
+    UniformModel,
+    feasible_derivation,
+    program_log_probability,
+)
 from progest.search import (
     AntiPattern,
     SearchStats,
@@ -49,7 +54,6 @@ from progest.search import (
     beam_search,
     exhaustive_search,
     finished_builds,
-    program_log_probability,
 )
 from progest.trees import (
     AnnotatedAst,

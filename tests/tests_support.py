@@ -30,7 +30,7 @@ from progest.constraints import (
     feasible_rules,
 )
 from progest.ambiguity import AmbiguityReport, Witness, enumerate_complete_trees
-from progest.condsynth import Template
+from progest.condsynth import Template, expression_block
 from progest.errors import (
     ContextError,
     MiniLangError,
@@ -45,7 +45,6 @@ from progest.features import (
     context_block,
     context_block_length,
     encode_name_2gram,
-    expression_block,
     pca_apply,
     position_block,
     variable_block,
