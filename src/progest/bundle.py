@@ -59,7 +59,7 @@ class Bundle:
             return UniformModel()
         try:
             if self.model_kind == "table":
-                return TableModel.from_nested(self.model_params.get("table", {}))
+                return TableModel.from_nested(self.model_params["table"])
             if self.model_kind == "frequency":
                 return FrequencyModel.from_params(self.model_params)
             pipeline = FeaturePipeline.from_params(self.pipeline_params)
@@ -96,9 +96,11 @@ class Bundle:
             raise BundleError(f"unknown model kind {kind!r}")
         try:
             templates = tuple(Template.from_dict(t) for t in data["templates"])
-            model_params = dict(data["model"])
+            model_params = data["model"]
         except (KeyError, TypeError, ValueError) as err:
             raise BundleError(f"malformed bundle: {err}") from None
+        if not isinstance(model_params, dict):
+            raise BundleError("malformed bundle: model must be an object")
         config = data.get("config")
         if config is None:
             config = {}
@@ -112,7 +114,7 @@ class Bundle:
         return Bundle(
             model_kind=kind,
             templates=templates,
-            model_params=model_params,
+            model_params=dict(model_params),
             pipeline_params=data.get("pipeline"),
             config=dict(config),
             corpus_sha256=corpus_sha256,

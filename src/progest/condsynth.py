@@ -210,9 +210,9 @@ class Template:
         if not isinstance(key, str):
             raise TypeError("template key must be a string")
         count = data.get("count", 0)
-        # a bool is no integer
-        if type(count) is not int:
-            raise TypeError("template count must be an integer")
+        # a corpus count: a bool is no integer, and none is negative
+        if type(count) is not int or count < 0:
+            raise ValueError("template count must be a non-negative integer")
         tokens = string_tuple(data["tokens"], "template tokens")
         types = string_tuple(data["types"], "template types")
         # the placeholders mine_templates writes: V1..Vk in order, k slot types
@@ -685,24 +685,22 @@ def train_cond_models(
     rules_for = template_layer(templates).bind
     if model_kind == "uniform":
         return TrainedCond("uniform", templates)
-    if model_kind == "frequency":
-        extraction = extract_training_set(
-            items, rules_for, policy_leftmost, size_limit=size_limit
-        )
-        return TrainedCond(
-            "frequency",
-            templates,
-            frequency=FrequencyModel.fit(extraction.instances),
-            extraction=extraction,
-        )
-    pipeline = FeaturePipeline.fit((r.context for r in records), pca_dims, seed)
-    encoder = CondEncoder(templates, pipeline)
+    pipeline = encoder = None
+    if model_kind == "logistic":
+        pipeline = FeaturePipeline.fit((r.context for r in records), pca_dims, seed)
+        encoder = CondEncoder(templates, pipeline)
     extraction = extract_training_set(
         items, rules_for, policy_leftmost, encoder=encoder, size_limit=size_limit
     )
-    logistic = LogisticModel.train(extraction.decisions, encoder, epochs=epochs)
+    steps = extraction.steps_audited
+    if encoder is None:
+        return TrainedCond(
+            "frequency", templates, frequency=FrequencyModel.fit(steps),
+            extraction=extraction,
+        )
     return TrainedCond(
-        "logistic", templates, pipeline=pipeline, logistic=logistic,
+        "logistic", templates, pipeline=pipeline,
+        logistic=LogisticModel.train(steps, encoder, epochs=epochs),
         extraction=extraction,
     )
 

@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -57,20 +58,7 @@ class VariableInfo(NamedTuple):
     usages_after: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "type": self.type,
-            "final": self.is_final,
-            "static": self.is_static,
-            "in_loop": self.in_loop,
-            "has_init": self.has_initializer,
-            "init_zero": self.init_is_zero,
-            "decl_distance": self.decl_distance,
-            "def_sites": list(self.def_sites),
-            "usages": self.usage_count,
-            "usages_before": self.usages_before,
-            "usages_after": self.usages_after,
-        }
+        return _write_fields(self, _VARIABLE_SLOTS)
 
     @staticmethod
     def from_dict(data: dict) -> "VariableInfo":
@@ -135,18 +123,9 @@ class Context:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "class": self.class_name,
-            "superclass": self.superclass_name,
-            "method": self.method_name,
-            "params": self.method_params,
-            "static": self.method_is_static,
-            "in_loop": self.in_loop,
-            "before": list(self.before_tokens),
-            "after": list(self.after_tokens),
-            "result": self.result_type,
-            "variables": [v.to_dict() for v in self.variables],
-        }
+        data = _write_fields(_context_fields(self), _CONTEXT_SLOTS)
+        data["variables"] = [v.to_dict() for v in self.variables]
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "Context":
@@ -178,7 +157,8 @@ class Context:
 
 # where each JSON key of a variable entry and of a context goes in the
 # record, and the JSON kind of its value (None for a list, checked apart);
-# kinds compare exactly, so a boolean is no integer
+# kinds compare exactly, so a boolean is no integer.  Both readers and
+# writers go by these tables, so each record names its JSON keys once.
 _MISSING = object()
 _VARIABLE_SLOTS = {
     "name": (0, str), "type": (1, str), "final": (2, bool), "static": (3, bool),
@@ -189,13 +169,14 @@ _VARIABLE_SLOTS = {
 _DEF_SITES = 8
 _VARIABLE_DEFAULTS = (_MISSING, _MISSING, *VariableInfo._field_defaults.values())
 _CONTEXT_SLOTS = {
-    "variables": (0, None), "result": (1, str), "class": (2, str),
-    "superclass": (3, str), "method": (4, str), "params": (5, int),
-    "static": (6, bool), "in_loop": (7, bool), "before": (8, None),
-    "after": (9, None),
+    "class": (2, str), "superclass": (3, str), "method": (4, str),
+    "params": (5, int), "static": (6, bool), "in_loop": (7, bool),
+    "before": (8, None), "after": (9, None), "result": (1, str),
+    "variables": (0, None),
 }
 _BEFORE, _AFTER = 8, 9
 _CONTEXT_DEFAULTS = tuple(f.default for f in fields(Context))
+_context_fields = attrgetter(*(f.name for f in fields(Context)))
 _KIND_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
 _INT_KIND = frozenset({int})
 
@@ -215,6 +196,15 @@ def _read_fields(data: dict, slots: dict, defaults: tuple) -> tuple[list, str | 
             if type(value) is not kind and bad is None and kind is not None:
                 bad = f"{key!r} must be {_KIND_NAMES[kind]}"
     return parts, bad
+
+
+def _write_fields(parts: Sequence, slots: dict) -> dict:
+    """The JSON object of a record's fields, one key per slot, in the
+    table's order; a list field's tuple is written as a list."""
+    return {
+        key: list(parts[index]) if kind is None else parts[index]
+        for key, (index, kind) in slots.items()
+    }
 
 
 def string_tuple(values, what: str) -> tuple[str, ...]:

@@ -11,11 +11,11 @@ of ``trees.iter_derivations``, a walk that steps through
 ``constraints.feasible_rules`` exactly as the search does.  The scorer
 (``program_log_probability``) multiplies a model's scores along it, so it
 gives each tree the search's probability without importing ``search``.
-For training, every replay step turns into one positive instance for the
-applied rule and one negative for each feasible sibling.  With an
-encoder, each step a model core scores is also stored once as an
-``EncodedDecision``: its feature rows, built by the same encoder
-(``condsynth.CondEncoder``) that the logistic model predicts through.
+For training, every replay step is recorded once, as a ``StepAudit``
+that both fitted models train from; with an encoder it carries the step's
+kind and feature rows, built by the same encoder (``condsynth.CondEncoder``)
+that the logistic model predicts through.  Each step also yields one
+labelled instance per feasible candidate, the applied one positive.
 """
 
 from __future__ import annotations
@@ -116,12 +116,10 @@ class FrequencyModel:
             self._cell_totals[cell] = self._cell_totals.get(cell, 0) + n
 
     @staticmethod
-    def fit(instances: Iterable["TrainingInstance"]) -> "FrequencyModel":
+    def fit(steps: Iterable["StepAudit"]) -> "FrequencyModel":
         counts: dict[tuple[str, str, str], int] = {}
-        for inst in instances:
-            if not inst.polarity:
-                continue
-            key = (inst.group, inst.parent, inst.label)
+        for s in steps:
+            key = (s.group, s.parent, s.applied_key)
             counts[key] = counts.get(key, 0) + 1
         return FrequencyModel(counts)
 
@@ -148,7 +146,7 @@ class FrequencyModel:
     @staticmethod
     def from_params(data: Mapping) -> "FrequencyModel":
         counts: dict[tuple[str, str, str], int] = {}
-        for group, parents in data.get("counts", {}).items():
+        for group, parents in data["counts"].items():
             for parent, row in parents.items():
                 for key, n in row.items():
                     # a count is a non-negative integer; a bool is none
@@ -339,28 +337,31 @@ class LogisticModel:
 
     @staticmethod
     def train(
-        decisions: Iterable["EncodedDecision"],
+        steps: Iterable["StepAudit"],
         encoder: StepEncoder,
         *,
         epochs: int = 450,
     ) -> "LogisticModel":
-        by_kind: dict[str, list[EncodedDecision]] = {}
-        for decision in decisions:
-            by_kind.setdefault(decision.kind, []).append(decision)
+        """Fit each core on the rows of the replayed steps of its kind, in
+        replay order; steps without rows (no core scores them) are skipped."""
+        by_kind: dict[str, list[StepAudit]] = {}
+        for s in steps:
+            if s.rows is not None:
+                by_kind.setdefault(s.kind, []).append(s)
         cores: dict[str, BinaryLogisticCore] = {}
         for kind in ("creation", "variable"):
             found = by_kind.get(kind, [])
             if found:
-                X = np.vstack([d.rows for d in found])
+                X = np.vstack([s.rows for s in found])
                 y = np.concatenate(
-                    [np.arange(len(d.rows)) == d.chosen for d in found]
+                    [np.arange(len(s.rows)) == s.choice for s in found]
                 ).astype(float)
                 cores[kind] = BinaryLogisticCore.fit(X, y, epochs=epochs)
         expression = None
         found = by_kind.get("expression", [])
         if found:
-            X = np.vstack([d.rows for d in found])
-            labels = [d.applied_key for d in found]
+            X = np.vstack([s.rows for s in found])
+            labels = [s.applied_key for s in found]
             expression = SoftmaxCore.fit(X, labels, epochs=epochs)
         return LogisticModel(
             encoder,
@@ -404,8 +405,8 @@ class LogisticModel:
     @staticmethod
     def from_params(data: Mapping, encoder: StepEncoder) -> "LogisticModel":
         def load(name, loader):
-            block = data.get(name)
-            return loader(block) if block else None
+            block = data[name]
+            return None if block is None else loader(block)
 
         return LogisticModel(
             encoder,
@@ -426,19 +427,13 @@ class TrainingInstance:
     polarity: bool
 
 
-@dataclass(frozen=True)
-class EncodedDecision:
-    """One scored decision as model input: its rows (see
-    ``condsynth.CondEncoder``) and which candidate the build applied."""
-
-    kind: str
-    rows: np.ndarray
-    chosen: int
-    applied_key: str
-
-
 @dataclass(frozen=True, slots=True)
 class StepAudit:
+    """One replayed step, the record both fitted models train from.
+    ``choice`` indexes the applied rule among the ``feasible`` kept; ``kind``
+    and ``rows`` are what the encoder gives the step (None without one, rows
+    None where no core scores it).  Rows take no part in equality."""
+
     item: int
     step: int
     group: str
@@ -446,6 +441,9 @@ class StepAudit:
     candidates: int
     feasible: int
     applied_key: str
+    choice: int
+    kind: str | None
+    rows: np.ndarray | None = field(compare=False)
 
 
 @dataclass
@@ -453,7 +451,6 @@ class ExtractionResult:
     instances: list[TrainingInstance] = field(default_factory=list)
     skipped: list[tuple[int, str]] = field(default_factory=list)
     steps_audited: list[StepAudit] = field(default_factory=list)
-    decisions: list[EncodedDecision] = field(default_factory=list)
 
 
 def feasible_derivation(
@@ -515,9 +512,10 @@ def extract_training_set(
     """Replay each finished tree, in the rule set ``rules_for`` gives for its
     context, and label every decision along the way.
 
-    Each step contributes one positive instance (the rule that was applied)
-    and one negative per other feasible candidate; with an ``encoder``, each
-    step it gives rows for is also stored once as an ``EncodedDecision``.
+    Each step is recorded once as a ``StepAudit``, carrying the kind and
+    rows the ``encoder`` gives it when there is one, and contributes one
+    positive instance (the rule that was applied) and one negative per
+    other feasible candidate.
     The build replayed is ``feasible_derivation``'s, the one the search
     would make; items without one are skipped whole with the walk's reason,
     never partially emitted.
@@ -537,12 +535,9 @@ def extract_training_set(
             outcome = step.outcome
             kept = [p.rule for p in outcome.kept]
             applied = kept[step.choice]
+            kind = rows = None
             if encoder is not None:
                 kind, rows = encoder(ctx, step.ast, outcome.target, kept)
-                if rows is not None:
-                    result.decisions.append(
-                        EncodedDecision(kind, rows, step.choice, applied.key)
-                    )
             gstr = group_str(applied)
             parent = _parent_key(step.ast, outcome.target)
             result.steps_audited.append(
@@ -554,6 +549,9 @@ def extract_training_set(
                     len(kept) + outcome.size_pruned + outcome.constraint_pruned,
                     len(kept),
                     applied.key,
+                    step.choice,
+                    kind,
+                    rows,
                 )
             )
             for idx, cand in enumerate(kept):

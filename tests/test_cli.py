@@ -332,6 +332,17 @@ def _set_entry(*path_and_value):
     return edit
 
 
+def _drop_entry(*path):
+    """Delete the entry at a key path, e.g. ("model", "creation")."""
+    *path, last = path
+
+    def edit(data):
+        for step in path:
+            data = data[step]
+        del data[last]
+    return edit
+
+
 def _set_template(tokens, types):
     """Give the first template these tokens and slot types."""
 
@@ -383,6 +394,8 @@ def _stringify(*path):
                      id="template-count-bool"),
         pytest.param("demo", _set_entry("templates", 0, "count", "7"),
                      id="template-count-string"),
+        pytest.param("demo", _set_entry("templates", 0, "count", -3),
+                     id="template-count-negative"),
         pytest.param("demo", _set_entry("templates", 0, "tokens", ["V1", ">", "V2"]),
                      id="template-placeholder-without-type"),
         pytest.param("demo", _set_entry("templates", 0, "tokens", ["V2", ">", "0"]),
@@ -403,6 +416,22 @@ def _stringify(*path):
         # the tokens still read V1 > 0: the model's rows for it go unread
         pytest.param("demo", _set_entry("templates", 0, "key", "V1 < 0::Int"),
                      id="template-key-renamed"),
+        # a model section is an object holding every key training writes;
+        # a list, even of key/value pairs, or a missing key is no empty model
+        pytest.param("demo", _set_entry("model", []), id="table-model-list"),
+        pytest.param("demo", _set_entry("model", {}), id="table-missing"),
+        pytest.param("demo", _set_sections("frequency", [], None),
+                     id="frequency-model-list"),
+        pytest.param("demo", _set_sections("frequency", [["counts", {}]], None),
+                     id="frequency-model-pairs"),
+        pytest.param("demo", _set_sections("frequency", {}, None),
+                     id="frequency-counts-missing"),
+        pytest.param("logistic", _set_entry("model", []), id="logistic-model-list"),
+        *(
+            pytest.param("logistic", _drop_entry("model", core),
+                         id=f"logistic-{core}-missing")
+            for core in ("creation", "variable", "expression")
+        ),
         pytest.param("demo", _set_entry("model", "table", 5), id="table-number"),
         pytest.param("demo", _set_entry("model", "table", {"": 5}), id="table-row-number"),
         pytest.param("demo", _set_entry("model", "table", {"": {"make-var:hours": "x"}}),

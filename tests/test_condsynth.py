@@ -1,5 +1,6 @@
 """Corpus ingestion, template mining, rule compilation, and synthesis."""
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -40,6 +41,7 @@ from progest.features import Context, FeaturePipeline, VariableInfo
 from progest.grammar import Annotation, nonterminal
 from progest.minilang import canonical_tokens, join_tokens, logic_atoms, parse_condition
 from progest.models import (
+    FrequencyModel,
     LogisticModel,
     UniformModel,
     extract_training_set,
@@ -504,7 +506,7 @@ def test_training_through_the_layer_equals_training_over_reference_sets(
 ):
     """``extract_training_set`` over a template layer's binds, which share
     one table and its offers, gives the instances, audits, skips and
-    encoded decisions it gives over per-context reference sets that share
+    encoded rows it gives over per-context reference sets that share
     nothing.  Corpus records are drawn, some given a variable named like an
     identifier-shaped template token, some an Int result (their replays
     fail the result type and are skipped), beside variable-free conditions
@@ -549,12 +551,71 @@ def test_training_through_the_layer_equals_training_over_reference_sets(
     assert got.instances == want.instances
     assert got.steps_audited == want.steps_audited
     assert got.skipped == want.skipped
-    assert len(got.decisions) == len(want.decisions)
-    for ours, theirs in zip(got.decisions, want.decisions):
-        assert (ours.kind, ours.chosen, ours.applied_key) == (
-            theirs.kind, theirs.chosen, theirs.applied_key
+    for ours, theirs in zip(got.steps_audited, want.steps_audited):
+        assert same_rows(ours.rows, theirs.rows)
+
+
+def same_rows(a, b) -> bool:
+    """Both None, or equal arrays."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_the_step_audit_is_the_one_training_record(corpus_records, data):
+    """Over a drawn corpus subset, with and without variable-free
+    conditions: the frequency counts fitted from the audited steps are the
+    positives of the instances, an encoder changes no step but its kind and
+    rows, and exactly the steps the encoder scores carry rows, equal to the
+    per-payload reference rows of that step."""
+    records = data.draw(
+        st.lists(st.sampled_from(corpus_records), min_size=1, max_size=10,
+                 unique_by=lambda r: r.id)
+    )
+    for i in range(data.draw(st.integers(0, 2))):
+        condition = data.draw(st.sampled_from(("true", "false")))
+        records.append(CorpusRecord(f"closed{i}", condition, Context()))
+    size_limit = data.draw(st.sampled_from((None, 30)))
+    templates = mine_templates(records)
+    pipe = FeaturePipeline.fit((r.context for r in records), 4, 0)
+    items = [(r.context, record_tree(r)) for r in records]
+    rules_for = TemplateLayer(templates).bind
+    plain, encoded = (
+        extract_training_set(
+            items, rules_for, policy_leftmost, encoder=encoder, size_limit=size_limit
         )
-        assert np.array_equal(ours.rows, theirs.rows)
+        for encoder in (None, CondEncoder(templates, pipe))
+    )
+    positives = collections.Counter(
+        (i.group, i.parent, i.label) for i in plain.instances if i.polarity
+    )
+    assert FrequencyModel.fit(plain.steps_audited).counts == dict(positives)
+    assert all(s.kind is None and s.rows is None for s in plain.steps_audited)
+    assert encoded.instances == plain.instances
+    assert encoded.skipped == plain.skipped
+    assert [
+        dataclasses.replace(s, kind=None, rows=None) for s in encoded.steps_audited
+    ] == plain.steps_audited
+
+    audits = iter(encoded.steps_audited)
+    skipped = {item for item, _reason in encoded.skipped}
+    for item, (ctx, tree) in enumerate(items):
+        if item in skipped:
+            continue
+        steps = feasible_derivation(
+            tree, rules_for(ctx), policy_leftmost, ctx, size_limit=size_limit
+        )
+        for step in steps:
+            audit = next(audits)
+            kept = [p.rule for p in step.outcome.kept]
+            kind, rows = reference_rows(
+                templates, pipe, ctx, step.ast, step.outcome.target, kept
+            )
+            assert (audit.item, audit.kind) == (item, kind)
+            assert same_rows(audit.rows, rows), (item, audit.step)
+    assert next(audits, None) is None
 
 
 @pytest.mark.parametrize("with_closed", [False, True])
@@ -772,7 +833,7 @@ def test_decision_rows_match_the_per_payload_reference(corpus_records):
     """Each decision of the first 60 corpus items encodes, once per decision,
     to the per-payload reference vectors: stacked for creation and variable
     steps, the candidate-independent prefix for an expression step.
-    Training stored exactly these decisions."""
+    Training's step audit holds exactly these rows, one record per step."""
     records = corpus_records[:60]
     trained = train_cond_models(records, model_kind="logistic", epochs=5)
     model = trained.logistic
@@ -795,13 +856,11 @@ def test_decision_rows_match_the_per_payload_reference(corpus_records):
             assert np.array_equal(rows, want[1]), record.id
             encoded.append((kind, rows, step.choice, kept[step.choice].key))
     assert kinds == {"creation", "expression", "variable"}
-    stored = trained.extraction.decisions
+    stored = trained.extraction.steps_audited
     assert len(stored) == len(encoded)
-    for decision, (kind, rows, chosen, key) in zip(stored, encoded):
-        assert (decision.kind, decision.chosen, decision.applied_key) == (
-            kind, chosen, key
-        )
-        assert np.array_equal(decision.rows, rows)
+    for audit, (kind, rows, chosen, key) in zip(stored, encoded):
+        assert (audit.kind, audit.choice, audit.applied_key) == (kind, chosen, key)
+        assert np.array_equal(audit.rows, rows)
 
     # the corpus has no variable-free template, so its builds never reach
     # the fin step, a decision that no core scores

@@ -27,8 +27,8 @@ from progest.models import (
     BinaryLogisticCore,
     FrequencyModel,
     SoftmaxCore,
+    StepAudit,
     TableModel,
-    TrainingInstance,
     UniformModel,
     extract_training_set,
     feasible_derivation,
@@ -133,13 +133,16 @@ def test_frequency_single_candidate(rules, rooted):
 
 
 def test_frequency_fit_counts_positives_only():
-    instances = [
-        TrainingInstance("E|D", "make-root:E", "a", True),
-        TrainingInstance("E|D", "make-root:E", "b", False),
-        TrainingInstance("E|D", "make-root:E", "a", True),
+    """Each step counts the rule it applied, never its feasible siblings."""
+    steps = [
+        StepAudit(0, 0, "E|D", "make-root:E", 3, 2, "a", 0, None, None),
+        StepAudit(1, 0, "E|D", "make-root:E", 2, 2, "a", 1, None, None),
+        StepAudit(1, 1, "E|U", "make-root:E", 1, 1, "b", 0, None, None),
     ]
-    model = FrequencyModel.fit(instances)
-    assert model.counts == {("E|D", "make-root:E", "a"): 2}
+    model = FrequencyModel.fit(steps)
+    assert model.counts == {
+        ("E|D", "make-root:E", "a"): 2, ("E|U", "make-root:E", "b"): 1
+    }
 
 
 def test_frequency_params_round_trip():
