@@ -25,7 +25,6 @@ from .grammar import (
     derive_top_down_rules,
     load_grammar,
 )
-from .search import DEFAULT_ANTI_PATTERNS
 
 
 def _ranged(cast, ok, what: str):
@@ -140,7 +139,6 @@ def cmd_predict(args) -> int:
     with open(args.context, "r", encoding="utf-8") as handle:
         ctx = Context.from_dict(json.load(handle))
     model = bundle.build_model()
-    anti = () if args.no_anti_patterns else DEFAULT_ANTI_PATTERNS
     result = synthesize_condition(
         ctx,
         bundle.templates,
@@ -148,9 +146,9 @@ def cmd_predict(args) -> int:
         k=args.k,
         widths=(args.beam, args.beam2),
         size_limit=args.size_limit,
-        anti_patterns=anti,
+        screen_null_checks=not args.no_anti_patterns,
     )
-    for rank, cand in enumerate(result.candidates[: args.k], start=1):
+    for rank, cand in enumerate(result.candidates, start=1):
         print(f"{rank}\t{cand.prob:.6f}\t{cand.rendered}")
     if args.k > 0 and not result.candidates:
         print("error: no candidates survived the search", file=sys.stderr)
@@ -242,10 +240,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProgestError as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ProgestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,12 @@ them for a new context with the tree-search machinery.
 A template is a condition with its variable occurrences abstracted into
 numbered placeholder slots, typed by the declarations they were mined from.
 For one target context the templates and the declared variables compile into
-a rewriting-rule set; synthesis then runs the ordinary beam search over it.
-The decision structure is fixed: pick the first variable (creation), pick
-the template around it (upward expansion), fill the remaining slots left to
-right (downward expansions).
+a rewriting-rule set; synthesis then runs the ordinary beam search over it,
+which ranks every finished build, and takes the top k.  Asked to, it first
+drops the bare null checks: screening anti-patterns is repair policy, so it
+lives here and not in the search.  The decision structure is fixed: pick
+the first variable (creation), pick the template around it (upward
+expansion), fill the remaining slots left to right (downward expansions).
 """
 
 from __future__ import annotations
@@ -681,10 +683,10 @@ def train_cond_models(
     templates = mine_templates(records)
     if not templates:
         raise ContextError("corpus yielded no templates")
-    items = [(r.context, record_tree(r)) for r in records]
-    rules_for = template_layer(templates).bind
     if model_kind == "uniform":
         return TrainedCond("uniform", templates)
+    items = [(r.context, record_tree(r)) for r in records]
+    rules_for = template_layer(templates).bind
     pipeline = encoder = None
     if model_kind == "logistic":
         pipeline = FeaturePipeline.fit((r.context for r in records), pca_dims, seed)
@@ -705,6 +707,11 @@ def train_cond_models(
     )
 
 
+# a bare null check is almost never the condition being looked for: the one
+# anti-pattern (a rendering search-based repair should not offer) screened
+BARE_NULL_CHECK = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*\s*!=\s*null$")
+
+
 def synthesize_condition(
     ctx: Context,
     templates: Sequence[Template],
@@ -713,20 +720,26 @@ def synthesize_condition(
     k: int = 50,
     widths: Sequence[int] = (5, 200),
     size_limit: int = 30,
-    anti_patterns: Sequence = (),
+    screen_null_checks: bool = False,
 ) -> SearchResult:
-    """Rank condition candidates for one context."""
+    """The ``k`` best-ranked condition candidates for one context.
+
+    The beam ranks every finished build; with ``screen_null_checks`` the
+    bare null checks (``BARE_NULL_CHECK``) are dropped before the cut, so a
+    screened candidate never takes one of the ``k`` places.  ``k`` must be
+    an int of at least 0 (a bool is none), checked before the search.
+    """
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError(f"k must be an int >= 0, got {k!r}")
     rs = build_cond_ruleset(templates, ctx)
-    return beam_search(
-        rs,
-        ctx,
-        model,
-        widths=widths,
-        k=k,
-        size_limit=size_limit,
-        anti_patterns=anti_patterns,
+    found = beam_search(
+        rs, ctx, model, widths=widths, size_limit=size_limit,
         renderer=render_condition,
     )
+    candidates = found.candidates
+    if screen_null_checks:
+        candidates = [c for c in candidates if not BARE_NULL_CHECK.search(c.rendered)]
+    return SearchResult(candidates[:k], found.stats)
 
 
 # --------------------------------------------------------------------------

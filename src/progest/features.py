@@ -108,20 +108,6 @@ class Context:
     def variable_types(self) -> dict[str, str]:
         return {v.name: v.type for v in self.variables}
 
-    def variable(self, name: str) -> VariableInfo:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise ContextError(f"no variable {name!r} in context")
-
-    @staticmethod
-    def simple(types: Mapping[str, str], result_type: str = "Boolean") -> "Context":
-        """Bare context from a name -> type mapping, for demos and tests."""
-        return Context(
-            variables=tuple(VariableInfo(n, t) for n, t in types.items()),
-            result_type=result_type,
-        )
-
     def to_dict(self) -> dict:
         data = _write_fields(_context_fields(self), _CONTEXT_SLOTS)
         data["variables"] = [v.to_dict() for v in self.variables]

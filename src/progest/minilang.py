@@ -2,9 +2,9 @@
 
 Covers what shows up in guard conditions: comparisons, arithmetic, boolean
 connectives, negation, array indexing, and zero-argument method calls.  The
-parser builds a plain expression tree; ``canonical`` re-emits it with minimal
-parentheses so that differently written but structurally equal conditions
-collapse to one string.
+parser builds a plain expression tree; ``canonical_tokens`` re-emits it with
+minimal parentheses so that differently written but structurally equal
+conditions collapse to one token list.
 """
 
 from __future__ import annotations
@@ -402,11 +402,6 @@ def join_tokens(tokens) -> str:
         prev2 = prev
         prev = token
     return "".join(out)
-
-
-def canonical(text: str) -> str:
-    """Parse and re-render with minimal parentheses and fixed spacing."""
-    return join_tokens(canonical_tokens(parse_condition(text)))
 
 
 def logic_atoms(expr: Expr) -> list[Expr]:

@@ -6,7 +6,9 @@ its policy picks, keeps the locally best successors, then truncates the pool
 to the round's beam width.  Widths are given per round; the last entry
 repeats, so ``(5, 200)`` means a tight first pick and a wide tail.  There is
 one search loop, ``finished_builds``: it hands out each finished build
-unspliced, and ``beam_search`` renders, screens and ranks them.  Exhaustive
+unspliced, and ``beam_search`` renders and ranks them all.  Which
+renderings to drop and how many to keep is the caller's policy: the
+condition layer screens anti-patterns and cuts to its top k.  Exhaustive
 search is the beam at unbounded width, and the certifier reads the loop's
 builds directly.
 
@@ -24,10 +26,8 @@ keeps results reproducible across runs and processes.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from math import exp, inf, log
-from sys import maxsize
 from typing import TYPE_CHECKING, Callable, Sequence
 
 # compute_size_bounds and probe_rules are bound only so that the benchmark's
@@ -69,31 +69,6 @@ Build = tuple[Probe, float, tuple[Application, ...]]
 
 
 # --------------------------------------------------------------------------
-# result filtering
-
-@dataclass(frozen=True)
-class AntiPattern:
-    """A rendered form to suppress from final candidates."""
-
-    name: str
-    pattern: str
-
-    def matches(self, rendered: str) -> bool:
-        return re.search(self.pattern, rendered) is not None
-
-
-# a bare null check is almost never the condition being looked for
-DEFAULT_ANTI_PATTERNS: tuple[AntiPattern, ...] = (
-    AntiPattern("bare-null-check", r"^[A-Za-z_$][A-Za-z0-9_$]*\s*!=\s*null$"),
-)
-
-
-def anti_pattern_check(rendered: str, patterns: Sequence[AntiPattern]) -> bool:
-    """True when the rendered candidate is acceptable (matches nothing)."""
-    return not any(p.matches(rendered) for p in patterns)
-
-
-# --------------------------------------------------------------------------
 # search state
 
 @dataclass
@@ -102,7 +77,6 @@ class SearchStats:
     constraint_pruned: int = 0
     size_pruned: int = 0
     zero_prob_pruned: int = 0
-    anti_pattern_pruned: int = 0
     beam_truncated: int = 0
     step_cap_hit: bool = False
 
@@ -221,24 +195,21 @@ def beam_search(
     *,
     policy: Policy = policy_leftmost,
     widths: Sequence[float] = (5, 200),
-    k: int = 10,
     size_limit: int | None = 30,
-    anti_patterns: Sequence[AntiPattern] = DEFAULT_ANTI_PATTERNS,
     step_cap: float = 100_000,
     renderer: Renderer | None = None,
 ) -> SearchResult:
-    """Beam search for the ``k`` most probable finished trees.
+    """Every finished tree the beam keeps, rendered and ranked.
 
     Probabilities multiply over steps exactly as the model reports them; the
     fitted models normalize per candidate list, fixtures may not.  The
-    builds of ``finished_builds`` are rendered, anti-pattern screened and
-    ranked at the end, so a slow completion can still outrank an early one.
-
-    ``k`` must be an int of at least 0; it, the widths and ``step_cap`` are
-    checked as ``finished_builds`` says, before the search starts.
+    builds of ``finished_builds`` are rendered and ranked at the end, so a
+    slow completion can still outrank an early one.  No candidate is
+    dropped and none is cut: a caller screens the renderings and takes its
+    top k (``condsynth.synthesize_condition``).  The widths and
+    ``step_cap`` are checked as ``finished_builds`` says, before the search
+    starts.
     """
-    if not _is_count(k, 0):
-        raise ValueError(f"k must be an int >= 0, got {k!r}")
     builds, stats = finished_builds(
         rs, ctx, model, policy=policy, widths=widths, size_limit=size_limit,
         step_cap=step_cap,
@@ -247,15 +218,11 @@ def beam_search(
     results: list[Candidate] = []
     for probe, log_prob, apps in builds:
         ast = probe.ast
-        text = render_fn(ast)
-        if anti_pattern_check(text, anti_patterns):
-            results.append(Candidate(ast, text, log_prob, apps))
-        else:
-            stats.anti_pattern_pruned += 1
+        results.append(Candidate(ast, render_fn(ast), log_prob, apps))
     results.sort(
         key=lambda c: (-c.log_prob, c.rendered, tuple(a.rule for a in c.applications))
     )
-    return SearchResult(results[:k], stats)
+    return SearchResult(results, stats)
 
 
 def _is_count(value, least: int) -> bool:
@@ -271,11 +238,10 @@ def exhaustive_search(
     size_limit: int | None = None,
     step_cap: float = 1_000_000,
     model=None,
-    anti_patterns: Sequence[AntiPattern] = (),
     renderer: Renderer | None = None,
 ) -> SearchResult:
     """Every finished tree reachable under the pruning, in rank order: the
-    beam at unbounded width, with no cut on the result count.
+    beam at unbounded width.
 
     Suits bounded spaces: oracles and exactness checks (the certifier,
     ``ambiguity.check_unambiguous``, reads the same loop's unrendered builds
@@ -285,8 +251,7 @@ def exhaustive_search(
     model every step scores 1, so every log probability is zero.
     """
     found = beam_search(rs, ctx, model, policy=policy, widths=(inf,),
-                        k=maxsize, size_limit=size_limit, anti_patterns=anti_patterns,
-                        step_cap=step_cap, renderer=renderer)
+                        size_limit=size_limit, step_cap=step_cap, renderer=renderer)
     if found.stats.step_cap_hit:
         raise SearchOverflowError(f"exhaustive search exceeded {step_cap} expansions")
     return found

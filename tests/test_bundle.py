@@ -14,12 +14,12 @@ from progest.bundle import (
 )
 from progest.condsynth import CorpusRecord, train_cond_models
 from progest.errors import BundleError
-from progest.features import Context
 from progest.models import FrequencyModel, TableModel, UniformModel
+from tests_support import simple_context
 
 
 def records():
-    ctx = Context.simple({"count": "Int", "total": "Int"})
+    ctx = simple_context({"count": "Int", "total": "Int"})
     return [
         CorpusRecord("a", "count > 0", ctx),
         CorpusRecord("b", "total > 0", ctx),

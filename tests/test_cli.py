@@ -6,6 +6,7 @@ import pytest
 
 from progest.bundle import load_bundle, sha256_of_file
 from progest.cli import main
+from progest.condsynth import BARE_NULL_CHECK, load_corpus
 from progest.datagen import demo_context, generate_corpus, write_corpus
 from progest.features import Context, VariableInfo
 
@@ -117,6 +118,28 @@ def test_predict_no_anti_patterns_flag(capsys, data_dir):
     )
     assert code == 0
     assert out.splitlines()[0] == "1\t0.240000\thours > 12"
+
+
+def test_predict_screens_bare_null_checks_unless_told_not_to(
+    capsys, tmp_path, small_corpus
+):
+    """On a corpus context whose likeliest condition is a bare null check,
+    the default output drops each such check before it cuts to k, and
+    ``--no-anti-patterns`` keeps them."""
+    bundle = tmp_path / "freq.json"
+    assert main(["train", "--corpus", str(small_corpus), "--bundle", str(bundle)]) == 0
+    ctx_path = tmp_path / "ctx.json"
+    ctx_path.write_text(json.dumps(load_corpus(str(small_corpus))[0].context.to_dict()))
+    capsys.readouterr()
+    argv = ["predict", str(ctx_path), "--bundle", str(bundle), "--k", "10"]
+    screened = run(capsys, argv)
+    kept = run(capsys, [*argv, "--no-anti-patterns"])
+    assert screened[0] == kept[0] == 0
+    kept_lines = [line.split("\t") for line in kept[1].splitlines()]
+    assert kept_lines[0][1:] == ["0.222222", "holder != null"]
+    assert [r for *_, r in kept_lines if not BARE_NULL_CHECK.search(r)][:10] == [
+        line.split("\t")[2] for line in screened[1].splitlines()
+    ]
 
 
 def test_eval_with_csv(capsys, tmp_path, small_corpus):
@@ -301,6 +324,25 @@ def test_missing_file_is_exit_2(capsys, data_dir):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "{demo}/demo_context.json", "--bundle", "{bad}"],
+        ["predict", "{bad}", "--bundle", "{demo}/demo_bundle.json"],
+        ["train", "--corpus", "{bad}", "--bundle", "{tmp}/out.json"],
+        ["check", "--grammar", "{bad}"],
+    ],
+    ids=["bundle", "context", "corpus", "grammar"],
+)
+def test_an_input_that_is_not_utf8_is_exit_2(capsys, tmp_path, data_dir, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    paths = dict(bad=bad, demo=data_dir / "demo", tmp=tmp_path)
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "can't decode" in err
 
 
 def test_invalid_context_json_is_exit_2(capsys, tmp_path, data_dir):

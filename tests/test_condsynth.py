@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progest.condsynth import (
+    BARE_NULL_CHECK,
     CondEncoder,
     CorpusRecord,
     Template,
@@ -62,11 +63,12 @@ from tests_support import (
     reference_payloads,
     reference_prober,
     reference_rows,
+    simple_context,
 )
 
 
 def ctx_dict(types):
-    return Context.simple(types).to_dict()
+    return simple_context(types).to_dict()
 
 
 def write_corpus(tmp_path, rows):
@@ -236,8 +238,8 @@ def test_each_corpus_line_is_parsed_once(data_dir, tmp_path, monkeypatch, corpus
 
 
 def make_records():
-    ints = Context.simple({"count": "Int", "total": "Int"})
-    flags = Context.simple({"done": "Boolean"})
+    ints = simple_context({"count": "Int", "total": "Int"})
+    flags = simple_context({"done": "Boolean"})
     rows = [
         ("a", "count > 0", ints),
         ("b", "total > 0", ints),
@@ -291,7 +293,7 @@ def test_build_ruleset_key_families():
 
 
 def test_variable_free_templates_get_fin_rule():
-    ctx = Context.simple({"count": "Int"})
+    ctx = simple_context({"count": "Int"})
     records = [CorpusRecord("a", "true", ctx)]
     templates = mine_templates(records)
     assert templates[0].arity == 0
@@ -303,7 +305,7 @@ def test_variable_free_templates_get_fin_rule():
 
 def test_build_ruleset_needs_templates():
     with pytest.raises(ContextError):
-        build_cond_ruleset([], Context.simple({"a": "Int"}))
+        build_cond_ruleset([], simple_context({"a": "Int"}))
 
 
 def _marks_met(rule):
@@ -363,8 +365,7 @@ def test_layered_rule_set_matches_the_per_context_reference(corpus_records, data
                 ), (rule.key, mark, at_root)
         model = UniformModel()
         beams = [
-            beam_search(rs, ctx, model, widths=(5, 40), k=20,
-                        size_limit=size_limit, anti_patterns=())
+            beam_search(rs, ctx, model, widths=(5, 40), size_limit=size_limit)
             for rs in (got, want)
         ]
         assert beams[0].candidates == beams[1].candidates
@@ -666,8 +667,8 @@ def test_variable_rules_are_made_once_per_name(corpus_records, monkeypatch):
     templates = mine_templates(corpus_records)
     layer = TemplateLayer(templates)
     assert layer.max_arity >= 2
-    first = layer.bind(Context.simple({"x": "Int", "y": "Int"}))
-    second = layer.bind(Context.simple({"z": "String", "x": "Int"}))
+    first = layer.bind(simple_context({"x": "Int", "y": "Int"}))
+    second = layer.bind(simple_context({"z": "String", "x": "Int"}))
     for key in ("make-var:x", "var2:x"):
         assert first.by_key(key) is second.by_key(key)
 
@@ -718,8 +719,7 @@ def test_one_template_rule_sits_at_each_sets_own_place(corpus_records):
     for rs, rule_id in zip(sets, ids):
         assert rs[rule_id] is rules[0]
     for c, rs in zip((ctx, fewer), sets):
-        found = beam_search(rs, c, UniformModel(), widths=(5, 40), k=20,
-                            anti_patterns=())
+        found = beam_search(rs, c, UniformModel(), widths=(5, 40))
         assert found.candidates
         for cand in found.candidates:
             ast = AnnotatedAst.empty()
@@ -810,6 +810,36 @@ def test_train_and_synthesize_frequency():
     assert "count > 0" in rendered
     # every candidate is well typed in context by construction
     assert all(">" in r or r for r in rendered)
+
+
+def test_the_screen_drops_bare_null_checks_before_the_cut():
+    """A screened synthesis drops each bare null check before it cuts to
+    ``k``, so a dropped check takes none of the ``k`` places; unscreened,
+    the likelier null check ranks first."""
+    ctx = simple_context({"owner": "String", "count": "Int"})
+    rows = [("a", "owner != null"), ("b", "owner != null"), ("c", "count > 0")]
+    records = [CorpusRecord(i, condition, ctx) for i, condition in rows]
+    trained = train_cond_models(records, model_kind="frequency")
+
+    def top(k, screen):
+        found = synthesize_condition(
+            ctx, trained.templates, trained.model, k=k, screen_null_checks=screen
+        )
+        return [c.rendered for c in found.candidates]
+
+    assert top(1, False) == ["owner != null"]
+    assert top(1, True) == ["count > 0"]
+    assert top(50, True) == [r for r in top(50, False) if r != "owner != null"]
+
+
+def test_the_bare_null_check_pattern():
+    """The screen matches one variable compared unequal to null, and no
+    condition that does more than that."""
+    for text in ("value != null", "$x!=null", "_a1 != null"):
+        assert BARE_NULL_CHECK.search(text), text
+    for text in ("value != null && done", "data[0] != null", "value == null",
+                 "value.next != null", "anything"):
+        assert not BARE_NULL_CHECK.search(text), text
 
 
 def test_beam_matches_reference_prober_on_corpus_atoms(corpus_records):
@@ -1299,6 +1329,18 @@ def test_train_uniform_has_no_extraction():
     assert trained.model_kind == "uniform"
     probs = trained.model.predict(None, None, None, ["x", "y"])
     assert probs == [0.5, 0.5]
+
+
+def test_uniform_training_makes_no_tree_and_no_layer(monkeypatch):
+    """A uniform model reads neither the records' trees nor the template
+    layer, so a uniform training makes neither."""
+    def refuse(*args):
+        raise AssertionError("a uniform training made a tree or a layer")
+
+    monkeypatch.setattr(condsynth, "record_tree", refuse)
+    monkeypatch.setattr(condsynth, "template_layer", refuse)
+    trained = train_cond_models(make_records(), model_kind="uniform")
+    assert trained.model_kind == "uniform" and trained.extraction is None
 
 
 def test_evaluate_topk_smoke():

@@ -34,7 +34,7 @@ from progest.features import (
     variable_block_length,
 )
 
-from tests_support import reference_context_from_dict
+from tests_support import context_variable, reference_context_from_dict, simple_context
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789_$"
 
@@ -129,7 +129,7 @@ def test_pca_apply_pads_and_zeroes():
 
 def make_contexts():
     return [
-        Context.simple({"count": "Int", "items": "ItemList"}),
+        simple_context({"count": "Int", "items": "ItemList"}),
         Context(
             variables=(VariableInfo("total", "Int"),),
             class_name="ReportBuilder",
@@ -337,14 +337,14 @@ def test_context_round_trip_and_lookup():
     ctx = make_contexts()[1]
     again = Context.from_dict(ctx.to_dict())
     assert again == ctx
-    assert again.variable("total").type == "Int"
+    assert context_variable(again, "total").type == "Int"
     assert again.variable_types == {"total": "Int"}
 
 
 def test_context_rejects_duplicate_variables():
     from progest.errors import ContextError
 
-    data = Context.simple({"a": "Int"}).to_dict()
+    data = simple_context({"a": "Int"}).to_dict()
     data["variables"] = data["variables"] * 2
     with pytest.raises(ContextError):
         Context.from_dict(data)

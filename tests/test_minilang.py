@@ -13,7 +13,6 @@ from progest.minilang import (
     Lit,
     Unary,
     Var,
-    canonical,
     canonical_tokens,
     classify_type,
     element_type,
@@ -25,7 +24,7 @@ from progest.minilang import (
     typecheck,
     _Parser,
 )
-from tests_support import ReferenceParser
+from tests_support import ReferenceParser, canonical
 
 TYPES = {
     "count": "Int",

@@ -21,14 +21,16 @@ from gramgen import (
 from progest import condsynth, constraints, search, trees
 from progest.ambiguity import check_unambiguous
 from progest.condsynth import (
+    BARE_NULL_CHECK,
     build_cond_ruleset,
+    mine_templates,
     record_tree,
+    render_condition,
     synthesize_condition,
     train_cond_models,
 )
 from progest.constraints import SearchStep, SignatureTable, probe_rules
 from progest.errors import ApplyError, SearchOverflowError
-from progest.features import Context
 from progest.grammar import (
     Annotation,
     CreationMode,
@@ -48,9 +50,7 @@ from progest.models import (
     program_log_probability,
 )
 from progest.search import (
-    AntiPattern,
     SearchStats,
-    anti_pattern_check,
     beam_search,
     exhaustive_search,
     finished_builds,
@@ -66,6 +66,7 @@ from tests_support import (
     make_hash_policy,
     reference_beam_search,
     reference_exhaustive_search,
+    simple_context,
     whole_tree_state,
 )
 
@@ -73,7 +74,7 @@ from tests_support import (
 def test_worked_example_wide_beam(worked_example):
     res = beam_search(
         worked_example.rules, None, worked_example.model,
-        widths=(2,), k=2, size_limit=9, anti_patterns=(),
+        widths=(2,), size_limit=9,
     )
     assert [c.rendered for c in res.candidates] == ["hours > 12", "value > 0"]
     assert res.candidates[0].prob == pytest.approx(0.24, abs=1e-12)
@@ -83,7 +84,7 @@ def test_worked_example_wide_beam(worked_example):
 def test_worked_example_narrow_beam_flips_the_winner(worked_example):
     res = beam_search(
         worked_example.rules, None, worked_example.model,
-        widths=(1,), k=2, size_limit=9, anti_patterns=(),
+        widths=(1,), size_limit=9,
     )
     # the greedy first step locks in the likelier root and loses the
     # globally best finish
@@ -94,7 +95,7 @@ def test_worked_example_narrow_beam_flips_the_winner(worked_example):
 def test_zero_probability_rules_are_pruned(worked_example):
     res = beam_search(
         worked_example.rules, None, worked_example.model,
-        widths=(50,), k=50, size_limit=9, anti_patterns=(),
+        widths=(50,), size_limit=9,
     )
     # the stub table scores addition steps zero, so nothing with + survives
     assert all("+" not in c.rendered for c in res.candidates)
@@ -105,42 +106,23 @@ def test_beam_widths_repeat_last_entry(worked_example):
     # rounds count from the creation step; the last width repeats forever
     loose_then_tight = beam_search(
         worked_example.rules, None, worked_example.model,
-        widths=(2, 1), k=2, size_limit=9, anti_patterns=(),
+        widths=(2, 1), size_limit=9,
     )
     assert loose_then_tight.candidates[0].rendered == "value > 0"
     tight_then_loose = beam_search(
         worked_example.rules, None, worked_example.model,
-        widths=(1, 2), k=2, size_limit=9, anti_patterns=(),
+        widths=(1, 2), size_limit=9,
     )
     assert tight_then_loose.candidates[0].rendered == "hours > 12"
 
 
 def test_search_is_deterministic(worked_example):
-    kwargs = dict(widths=(3,), k=5, size_limit=9, anti_patterns=())
+    kwargs = dict(widths=(3,), size_limit=9)
     a = beam_search(worked_example.rules, None, worked_example.model, **kwargs)
     b = beam_search(worked_example.rules, None, worked_example.model, **kwargs)
     assert [(c.rendered, c.log_prob) for c in a.candidates] == [
         (c.rendered, c.log_prob) for c in b.candidates
     ]
-
-
-def test_anti_patterns_screen_results():
-    g = load_grammar('E -> "owner" "!= null" | "count" "> 0"\n')
-    rs = RuleSet(
-        [*derive_top_down_rules(g), *derive_creation_rules(g, [CreationMode.ROOT])]
-    )
-    screen = AntiPattern("bare-null-check", r"!= null$")
-    res = beam_search(rs, None, UniformModel(), widths=(4,), k=4,
-                      anti_patterns=(screen,))
-    assert [c.rendered for c in res.candidates] == ["count > 0"]
-    assert res.stats.anti_pattern_pruned == 1
-
-
-def test_anti_pattern_check():
-    screen = AntiPattern("x", r"^value != null$")
-    assert anti_pattern_check("value != null && done", (screen,))
-    assert not anti_pattern_check("value != null", (screen,))
-    assert anti_pattern_check("anything", ())
 
 
 def test_invalid_widths_rejected(worked_example):
@@ -163,14 +145,16 @@ def test_invalid_widths_rejected(worked_example):
     ],
     ids=repr,
 )
-def test_bad_k_and_widths_are_refused_up_front(worked_example, bad):
-    """``k`` is an int of at least 0 and a width an int of at least 1 or
-    ``math.inf``; anything else is refused before any search, not cut
-    short or failed on once a round truncates."""
-    uniform = UniformModel()
-    kwargs = dict(widths=(5, 200), k=10, size_limit=9, anti_patterns=())
+def test_bad_k_and_widths_are_refused_up_front(corpus_records, bad):
+    """A synthesis's ``k`` is an int of at least 0 and a width an int of at
+    least 1 or ``math.inf``; anything else is refused before any search,
+    not cut short or failed on once a round truncates."""
+    templates = mine_templates(corpus_records[:30])
+    kwargs = dict(k=10, widths=(5, 200))
     with pytest.raises(ValueError):
-        beam_search(worked_example.rules, None, uniform, **{**kwargs, **bad})
+        synthesize_condition(
+            corpus_records[0].context, templates, UniformModel(), **{**kwargs, **bad}
+        )
 
 
 @pytest.mark.parametrize(
@@ -181,7 +165,7 @@ def test_bad_step_cap_is_refused_up_front(worked_example, bad):
     not lift the cap, a string does not fail mid-search, and a bool is not
     a count."""
     uniform = UniformModel()
-    kwargs = dict(widths=(5, 200), k=10, size_limit=9, anti_patterns=())
+    kwargs = dict(widths=(5, 200), size_limit=9)
     with pytest.raises(ValueError):
         beam_search(worked_example.rules, None, uniform, step_cap=bad, **kwargs)
     with pytest.raises(ValueError):
@@ -192,7 +176,7 @@ def test_bad_step_cap_is_refused_up_front(worked_example, bad):
 def test_edge_step_caps_are_accepted(worked_example, cap):
     """A cap stops the search after that many expansions, and only a cap
     below what the search needs is hit."""
-    kwargs = dict(widths=(5, 200), k=10, size_limit=9, anti_patterns=())
+    kwargs = dict(widths=(5, 200), size_limit=9)
     uncapped = beam_search(worked_example.rules, None, UniformModel(),
                            step_cap=inf, **kwargs).stats.expansions
     res = beam_search(worked_example.rules, None, UniformModel(), step_cap=cap,
@@ -201,24 +185,27 @@ def test_edge_step_caps_are_accepted(worked_example, cap):
     assert res.stats.step_cap_hit == (cap < uncapped)
 
 
-def test_edge_k_and_widths_are_accepted(worked_example):
-    uniform = UniformModel()
-    kwargs = dict(size_limit=9, anti_patterns=())
-    every = beam_search(worked_example.rules, None, uniform, widths=(inf,),
-                        k=1_000, **kwargs)
-    assert len(every.candidates) > 1
-    none = beam_search(worked_example.rules, None, uniform, widths=(inf,), k=0,
-                       **kwargs)
-    assert none.candidates == []
-    one = beam_search(worked_example.rules, None, uniform, widths=(1, inf), k=1,
-                      **kwargs)
-    assert len(one.candidates) == 1
+def test_edge_k_and_widths_are_accepted(worked_example, corpus_records):
+    templates = mine_templates(corpus_records[:30])
+
+    def top(k):
+        return synthesize_condition(
+            corpus_records[0].context, templates, UniformModel(), k=k, widths=(inf,)
+        ).candidates
+
+    every = top(1_000)
+    assert len(every) > 1
+    assert top(0) == []
+    assert top(1) == every[:1]
+    one = beam_search(worked_example.rules, None, UniformModel(), widths=(1, inf),
+                      size_limit=9)
+    assert one.candidates
 
 
 def test_step_cap_reported_not_raised(worked_example):
     res = beam_search(
         worked_example.rules, None, worked_example.model,
-        widths=(2,), k=2, size_limit=9, anti_patterns=(), step_cap=2,
+        widths=(2,), size_limit=9, step_cap=2,
     )
     assert res.stats.step_cap_hit
 
@@ -226,13 +213,13 @@ def test_step_cap_reported_not_raised(worked_example):
 def test_exhaustive_matches_wide_beam(worked_example):
     wide = beam_search(
         worked_example.rules, None, worked_example.model,
-        widths=(10_000,), k=100, size_limit=9, anti_patterns=(),
+        widths=(10_000,), size_limit=9,
     )
     full = reference_exhaustive_search(
         worked_example.rules, None, size_limit=9, model=worked_example.model,
     )
     assert [(c.rendered, c.log_prob) for c in wide.candidates] == [
-        (c.rendered, c.log_prob) for c in full.candidates[:100]
+        (c.rendered, c.log_prob) for c in full.candidates
     ]
 
 
@@ -257,8 +244,7 @@ def test_exhaustive_overflow():
 
 def test_program_log_probability_worked_example(worked_example):
     rules, model = worked_example.rules, worked_example.model
-    res = beam_search(rules, None, model, widths=(2,), k=2, size_limit=9,
-                      anti_patterns=())
+    res = beam_search(rules, None, model, widths=(2,), size_limit=9)
     best = res.candidates[0]
     lp = program_log_probability(best.ast, rules, model, size_limit=9)
     assert lp == pytest.approx(log(0.24), abs=1e-12)
@@ -287,7 +273,7 @@ def _result_context(g, pick):
             if p.result_atom is not None and not p.result_atom.is_schema_var
         }
     )
-    return Context.simple({}, result_type=types[pick % len(types)])
+    return simple_context({}, result_type=types[pick % len(types)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,7 +316,7 @@ def test_hash_policy_still_finishes_builds(worked_example):
     rules, model = worked_example.rules, worked_example.model
     res = beam_search(
         rules, None, model, policy=make_hash_policy(9),
-        widths=(2,), k=2, size_limit=9, anti_patterns=(),
+        widths=(2,), size_limit=9,
     )
     assert res.candidates[0].rendered == "hours > 12"
     assert res.candidates[0].prob == pytest.approx(0.24, abs=1e-12)
@@ -372,8 +358,6 @@ def _search_case(family, seed, full, hashed, model_kind):
     return rs, ctx, policy, model
 
 
-# a single token is screened out, so the anti-pattern count is exercised too
-_ONE_TOKEN = (AntiPattern("one-token", r"^\S+$"),)
 _FAMILIES = st.sampled_from(["dag", "recursive", "typed"])
 
 
@@ -392,8 +376,7 @@ def test_exhaustive_search_equals_the_depth_first_reference(
     """The beam at unbounded width finds what the depth-first walk finds,
     with the same log probabilities, builds and counts."""
     rs, ctx, policy, model = _search_case(family, seed, full, hashed, model_kind)
-    kwargs = dict(policy=policy, size_limit=size_limit, model=model,
-                  anti_patterns=_ONE_TOKEN)
+    kwargs = dict(policy=policy, size_limit=size_limit, model=model)
     ours = exhaustive_search(rs, ctx, **kwargs)
     ref = reference_exhaustive_search(rs, ctx, **kwargs)
     assert _result_fields(ours) == _result_fields(ref)
@@ -415,8 +398,7 @@ def test_beam_equals_the_always_sorting_reference(
     every round keeps.  The uniform model ties every step, so its cuts fall
     to the ``to_sexpr`` and rule-id tie-breaks."""
     rs, ctx, policy, model = _search_case(family, seed, full, hashed, model_kind)
-    kwargs = dict(policy=policy, widths=widths, k=10, size_limit=7,
-                  anti_patterns=_ONE_TOKEN)
+    kwargs = dict(policy=policy, widths=widths, size_limit=7)
     ours = beam_search(rs, ctx, model, **kwargs)
     ref = reference_beam_search(rs, ctx, model, **kwargs)
     assert not ref.stats.step_cap_hit
@@ -449,6 +431,29 @@ def test_beam_equals_the_reference_on_corpus_contexts(
                 patch.setattr(condsynth, "beam_search", reference_beam_search)
                 ref = predict()
             assert _result_fields(ours) == _result_fields(ref), record.id
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.booleans(), st.sampled_from([0, 1, 10, 50]))
+def test_synthesis_equals_the_screen_then_cut_reference(
+    corpus_records, corpus_models, data, screen, k
+):
+    """The condition layer screens and cuts what the search ranks: over
+    corpus contexts and both trained models, ``synthesize_condition`` hands
+    back, candidate for candidate, what the always-sorting beam keeps once
+    it drops each bare null check as it finishes and cuts to ``k``."""
+    trained = data.draw(st.sampled_from(corpus_models))
+    record = data.draw(st.sampled_from(corpus_records))
+    ours = synthesize_condition(
+        record.context, trained.templates, trained.model,
+        k=k, widths=(5, 200), size_limit=30, screen_null_checks=screen,
+    )
+    ref = reference_beam_search(
+        build_cond_ruleset(trained.templates, record.context), record.context,
+        trained.model, widths=(5, 200), size_limit=30, renderer=render_condition,
+        screen=(BARE_NULL_CHECK.pattern,) if screen else (), k=k,
+    )
+    assert _result_fields(ours) == _result_fields(ref), record.id
 
 
 def test_search_counts_are_pinned(demo_grammar, corpus_records, corpus_models):

@@ -1,10 +1,12 @@
-"""Hand-built fixtures for the worked two-variable comparison example, tree,
-grammar and policy helpers for the tests, a whole-tree stand-in for the
-probe that made a hand-built tree, and the reference paths that fast
-paths are checked against: the recursive splice and the rescanned frontier,
-the built-tree key, the recursive matcher of the derivation walk, the
-splice-then-solve prober, the restarting typed replay, the always-sorting
-beam, the depth-first exhaustive search, the per-tree certifier, the per-candidate
+"""Hand-built fixtures for the worked two-variable comparison example, a
+bare context, a context's variable by name and the canonical re-rendering of
+a condition, tree, grammar and policy helpers for the tests, a whole-tree
+stand-in for the probe that made a hand-built tree, and the reference paths
+that fast paths are checked against: the recursive splice and the rescanned
+frontier, the built-tree key, the recursive matcher of the derivation walk,
+the splice-then-solve prober, the restarting typed replay, the
+always-sorting beam (with the condition layer's screen and cut), the
+depth-first exhaustive search, the per-tree certifier, the per-candidate
 reading of a decision and its feature vector and the memo-free rows and
 logistic predict built from them, the per-context condition rule set, the
 field-by-field context loader and the level-recursive condition parser."""
@@ -64,17 +66,26 @@ from progest.grammar import (
     nonterminal,
     terminal,
 )
-from progest.minilang import Binary, Call, Expr, Index, Lit, Unary, Var, is_variable_token
+from progest.minilang import (
+    Binary,
+    Call,
+    Expr,
+    Index,
+    Lit,
+    Unary,
+    Var,
+    canonical_tokens,
+    is_variable_token,
+    join_tokens,
+    parse_condition,
+)
 from progest.models import TableModel
 from progest.search import (
-    DEFAULT_ANTI_PATTERNS,
-    AntiPattern,
     Candidate,
     Policy,
     Renderer,
     SearchResult,
     SearchStats,
-    anti_pattern_check,
 )
 from progest.trees import (
     AnnotatedAst,
@@ -88,6 +99,24 @@ from progest.trees import (
     render,
     to_sexpr,
 )
+
+
+def simple_context(types: dict[str, str], result_type: str = "Boolean") -> Context:
+    """A bare context from a name -> type mapping."""
+    return Context(
+        variables=tuple(VariableInfo(n, t) for n, t in types.items()),
+        result_type=result_type,
+    )
+
+
+def context_variable(ctx: Context, name: str) -> VariableInfo | None:
+    """The first variable of ``ctx`` named ``name``, or None."""
+    return next((v for v in ctx.variables if v.name == name), None)
+
+
+def canonical(text: str) -> str:
+    """Parse and re-render with minimal parentheses and fixed spacing."""
+    return join_tokens(canonical_tokens(parse_condition(text)))
 
 
 def classify_demo_rules(rs: RuleSet) -> dict[str, str]:
@@ -576,15 +605,19 @@ def reference_beam_search(
     *,
     policy: Policy = policy_leftmost,
     widths: Sequence[int] = (5, 200),
-    k: int = 10,
     size_limit: int | None = 30,
-    anti_patterns: Sequence[AntiPattern] = DEFAULT_ANTI_PATTERNS,
     step_cap: int = 100_000,
     renderer: Renderer | None = None,
+    screen: Sequence[str] = (),
+    k: int | None = None,
 ) -> SearchResult:
     """``search.beam_search`` the slow way, with the same arguments: every
     state's scored candidates and every round's successors are sorted,
-    whether or not the width truncates them."""
+    whether or not the width truncates them.  With its own two extra
+    arguments it is also the screen-then-cut pipeline of
+    ``condsynth.synthesize_condition``: a finished tree whose rendering
+    matches any regex of ``screen`` is dropped as it finishes, and the
+    ranking is cut to ``k`` (None keeps all)."""
     if not widths or any(w < 1 for w in widths):
         raise ValueError("widths must be a non-empty sequence of positive ints")
     stats = SearchStats()
@@ -602,10 +635,8 @@ def reference_beam_search(
         for ast, log_prob, apps, pins in states:
             if reference_is_complete(ast):
                 text = render_fn(ast)
-                if anti_pattern_check(text, anti_patterns):
+                if not any(re.search(pattern, text) for pattern in screen):
                     results.append(Candidate(ast, text, log_prob, apps))
-                else:
-                    stats.anti_pattern_pruned += 1
                 continue
             if stats.expansions >= step_cap:
                 stats.step_cap_hit = True
@@ -659,7 +690,6 @@ def reference_exhaustive_search(
     size_limit: int | None = None,
     state_cap: float = 1_000_000,
     model=None,
-    anti_patterns: Sequence[AntiPattern] = (),
     renderer: Renderer | None = None,
 ) -> SearchResult:
     """``search.exhaustive_search`` as a loop of its own: a depth-first walk
@@ -682,11 +712,7 @@ def reference_exhaustive_search(
                 f"exhaustive search exceeded {state_cap} states"
             )
         if reference_is_complete(ast):
-            text = render_fn(ast)
-            if anti_pattern_check(text, anti_patterns):
-                results.append(Candidate(ast, text, log_prob, apps))
-            else:
-                stats.anti_pattern_pruned += 1
+            results.append(Candidate(ast, render_fn(ast), log_prob, apps))
             continue
         stats.expansions += 1
         outcome = feasible_rules(whole_tree_state(ast, step, pins), step, policy)
@@ -872,12 +898,7 @@ def reference_payloads(templates, ctx, ast, node, candidates):
     by_key = {t.key: t for t in templates}
 
     def var(name):
-        if ctx is None:
-            return None
-        try:
-            return ctx.variable(name)
-        except ContextError:
-            return None
+        return None if ctx is None else context_variable(ctx, name)
 
     def bound(symbol_name):
         for nid in ast.preorder():
