@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .condsynth import CondEncoder, Template, TrainedCond, row_length
-from .errors import BundleError
+from .errors import BundleError, reading
 from .features import BIGRAM_DIM, FeaturePipeline
 from .models import FrequencyModel, LogisticModel, TableModel, UniformModel
 
@@ -198,11 +198,8 @@ def save_bundle(path: str, bundle: Bundle) -> None:
 
 
 def load_bundle(path: str) -> Bundle:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as err:
-        raise BundleError(f"{path}: not valid JSON ({err})") from None
+    with reading(path, BundleError), open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
     if not isinstance(data, dict):
         raise BundleError(f"{path}: bundle must be a JSON object")
     return Bundle.from_dict(data)

@@ -15,7 +15,7 @@ from .ambiguity import check_unambiguous
 from .bundle import bundle_of, load_bundle, save_bundle, sha256_of_file
 from .condsynth import evaluate_topk, load_corpus, synthesize_condition, train_cond_models
 from .constraints import compute_size_bounds
-from .errors import ProgestError
+from .errors import ContextError, GrammarError, ProgestError, reading
 from .features import Context
 from .grammar import (
     CreationMode,
@@ -136,8 +136,9 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     bundle = load_bundle(args.bundle)
-    with open(args.context, "r", encoding="utf-8") as handle:
-        ctx = Context.from_dict(json.load(handle))
+    with reading(args.context, ContextError):
+        with open(args.context, "r", encoding="utf-8") as handle:
+            ctx = Context.from_dict(json.load(handle))
     model = bundle.build_model()
     result = synthesize_condition(
         ctx,
@@ -200,8 +201,9 @@ def _fmt_application(app, rs: RuleSet) -> str:
 
 
 def cmd_check(args) -> int:
-    with open(args.grammar, "r", encoding="utf-8") as handle:
-        grammar = load_grammar(handle.read())
+    with reading(args.grammar, GrammarError):
+        with open(args.grammar, "r", encoding="utf-8") as handle:
+            grammar = load_grammar(handle.read())
     rules = list(derive_top_down_rules(grammar))
     modes = [CreationMode.ROOT]
     if args.rules == "full":
@@ -240,7 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ProgestError) as exc:
+    except (OSError, ProgestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .constraints import SignatureTable, compute_size_bounds
-from .errors import ContextError, MiniLangError, MiniTypeError
+from .errors import ContextError, MiniLangError, MiniTypeError, reading
 from .features import (
     Context,
     ContextEncoding,
@@ -137,7 +137,7 @@ def load_corpus(path: str) -> list[CorpusRecord]:
     """
     records: list[CorpusRecord] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    with reading(path, ContextError), open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
@@ -145,7 +145,9 @@ def load_corpus(path: str) -> list[CorpusRecord]:
             try:
                 data = json.loads(line)
             except json.JSONDecodeError as err:
-                raise ContextError(f"line {line_no}: bad JSON ({err})") from None
+                raise ContextError(
+                    f"{path}: line {line_no}: not valid JSON ({err})"
+                ) from None
             try:
                 rec_id = str(data["id"])
                 condition = data["condition"]

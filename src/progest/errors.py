@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule by which an
+input file's reader names the file."""
+
+import json
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class ProgestError(Exception):
@@ -57,3 +62,15 @@ class SearchOverflowError(ProgestError):
 
 class BundleError(ProgestError):
     """A model bundle is missing, corrupt, or has the wrong version."""
+
+
+@contextmanager
+def reading(path: str, error: type[ProgestError]) -> Iterator[None]:
+    """Raise a file that is not UTF-8 text, or not JSON, as ``error`` led by
+    its ``path``, so that the message tells which input to mend."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not valid UTF-8 ({err})") from None
+    except json.JSONDecodeError as err:
+        raise error(f"{path}: not valid JSON ({err})") from None

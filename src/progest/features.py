@@ -321,21 +321,28 @@ def pca_fit(
 ) -> PcaTransform:
     """Power iteration with deflation; deterministic under the seed.
 
-    Needs at least two sample vectors; directions stop early once the
-    residual variance is numerically zero.
+    The iteration runs over the columns some sample touches: a column every
+    sample leaves at zero stays zero once centred, so it takes no part in any
+    step and is exactly zero in every component.  Needs at least two sample
+    vectors; directions stop early once the residual variance is numerically
+    zero.
     """
     data = np.asarray(list(vectors), dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         width = data.shape[1] if data.ndim == 2 else BIGRAM_DIM
         return PcaTransform(np.zeros(width), np.zeros((0, width)), dims)
     mean = data.mean(axis=0)
-    centered = data - mean
+    live = np.flatnonzero(data.any(axis=0))
+    centered = data[:, live] - mean[live]
     rng = np.random.default_rng(seed)
     kept: list[np.ndarray] = []
     limit = min(dims, min(data.shape))
     for _ in range(limit):
+        # drawn and normalised at full width, then restricted: each step
+        # computes what it would over every column, up to rounding, and the
+        # seed fixes each direction's sign as it would there
         v = rng.standard_normal(data.shape[1])
-        v /= np.linalg.norm(v)
+        v = v[live] / np.linalg.norm(v)
         direction = None
         for _ in range(_PCA_MAX_ITER):
             w = centered.T @ (centered @ v) / data.shape[0]
@@ -354,7 +361,9 @@ def pca_fit(
         kept.append(direction)
         projected = centered @ direction
         centered = centered - np.outer(projected, direction)
-    components = np.array(kept) if kept else np.zeros((0, data.shape[1]))
+    components = np.zeros((len(kept), data.shape[1]))
+    if kept:
+        components[:, live] = kept
     return PcaTransform(mean, components, dims)
 
 

@@ -326,35 +326,42 @@ def test_missing_file_is_exit_2(capsys, data_dir):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["predict", "{demo}/demo_context.json", "--bundle", "{bad}"],
-        ["predict", "{bad}", "--bundle", "{demo}/demo_bundle.json"],
-        ["train", "--corpus", "{bad}", "--bundle", "{tmp}/out.json"],
-        ["check", "--grammar", "{bad}"],
-    ],
-    ids=["bundle", "context", "corpus", "grammar"],
-)
-def test_an_input_that_is_not_utf8_is_exit_2(capsys, tmp_path, data_dir, argv):
+# each reader of an input file, in a command that also reads good files
+READERS = {
+    "bundle": ["predict", "{demo}/demo_context.json", "--bundle", "{bad}"],
+    "context": ["predict", "{bad}", "--bundle", "{demo}/demo_bundle.json"],
+    "corpus": ["train", "--corpus", "{bad}", "--bundle", "{tmp}/out.json"],
+    "eval-corpus": ["eval", "--corpus", "{bad}"],
+    "grammar": ["check", "--grammar", "{bad}"],
+}
+
+
+def _run_reader(capsys, tmp_path, data_dir, reader, content: bytes):
     bad = tmp_path / "bad.json"
-    bad.write_bytes(b"\xff\xfe{}")
+    bad.write_bytes(content)
     paths = dict(bad=bad, demo=data_dir / "demo", tmp=tmp_path)
-    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    code, out, err = run(capsys, [arg.format(**paths) for arg in READERS[reader]])
     assert (code, out) == (2, "")
-    assert err.startswith("error:") and "can't decode" in err
+    return err, bad
 
 
-def test_invalid_context_json_is_exit_2(capsys, tmp_path, data_dir):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    code, _, err = run(
-        capsys,
-        ["predict", str(bad),
-         "--bundle", str(data_dir / "demo" / "demo_bundle.json")],
-    )
-    assert code == 2
-    assert err.startswith("error:")
+@pytest.mark.parametrize("reader", list(READERS))
+def test_an_input_that_is_not_utf8_is_exit_2(capsys, tmp_path, data_dir, reader):
+    """Whichever file is not UTF-8, the message names it."""
+    err, bad = _run_reader(capsys, tmp_path, data_dir, reader, b"\xff\xfe{}")
+    assert err.startswith(f"error: {bad}: not valid UTF-8 (") and "can't decode" in err
+
+
+@pytest.mark.parametrize(
+    "reader, where",
+    [("bundle", ""), ("context", ""), ("corpus", " line 1:"), ("eval-corpus", " line 1:")],
+    ids=["bundle", "context", "corpus", "eval-corpus"],
+)
+def test_an_input_that_is_not_json_names_it(capsys, tmp_path, data_dir, reader, where):
+    """A context, bundle or corpus line that does not parse as JSON is
+    reported with its file's path (and a corpus line with its number)."""
+    err, bad = _run_reader(capsys, tmp_path, data_dir, reader, b"{nope\n")
+    assert err.startswith(f"error: {bad}:{where} not valid JSON (Expecting property name")
 
 
 def _set_sections(kind, model, pipeline):

@@ -1,11 +1,13 @@
 """Name encodings, the PCA, and the fixed-layout feature blocks."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from progest.condsynth import (
     CondEncoder,
@@ -34,7 +36,12 @@ from progest.features import (
     variable_block_length,
 )
 
-from tests_support import context_variable, reference_context_from_dict, simple_context
+from tests_support import (
+    context_variable,
+    reference_context_from_dict,
+    reference_pca_fit,
+    simple_context,
+)
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789_$"
 
@@ -125,6 +132,77 @@ def test_pca_apply_pads_and_zeroes():
     assert np.all(out[3:] == 0.0)
     # the zero vector is the absent-name marker and stays put
     assert np.array_equal(pca_apply(t, np.zeros(3)), np.zeros(5))
+
+
+@st.composite
+def bigram_like(draw):
+    """Rows of small bigram counts: most cells zero, some columns zero in
+    every row, and some rows repeated."""
+    rows = draw(st.integers(2, 10))
+    width = draw(st.integers(1, 24))
+    data = draw(arrays(np.float64, (rows, width),
+                       elements=st.sampled_from((0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0))))
+    data[:, draw(st.lists(st.integers(0, width - 1), max_size=width))] = 0.0
+    return np.vstack([data, data[draw(st.lists(st.integers(0, rows - 1), max_size=3))]])
+
+
+def _captured(centered: np.ndarray, component: np.ndarray) -> float:
+    return float(np.mean((centered @ component) ** 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=bigram_like(), dims=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_pca_matches_the_full_width_fit(data, dims, seed):
+    """The fit over the touched columns keeps the directions the fit over
+    every column keeps, with the same signs and captured variances, the same
+    components where the eigengap allows telling them apart, and exact zeros
+    in every column no sample touches; ``dims`` reaches past the rank."""
+    fast = pca_fit(list(data), dims, seed=seed)
+    slow = reference_pca_fit(list(data), dims, seed=seed)
+    assert fast.components.shape == slow.components.shape
+    assert np.array_equal(fast.mean, slow.mean) and fast.dims == slow.dims
+    assert np.all(fast.components[:, ~data.any(axis=0)] == 0.0)
+    centered = data - data.mean(axis=0)
+    eigvals = np.linalg.eigvalsh(centered.T @ centered / len(data))[::-1]
+    for i, (a, b) in enumerate(zip(fast.components, slow.components)):
+        assert a @ b > 0.0
+        assert _captured(centered, a) == pytest.approx(_captured(centered, b), rel=1e-9)
+        gap = min((abs(eigvals[i] - e) for j, e in enumerate(eigvals) if j != i),
+                  default=np.inf)
+        if gap >= 1e-3:
+            assert np.abs(a - b).max() <= 1e-6
+
+
+def _one_column(rows: int, width: int, column: int) -> list[np.ndarray]:
+    data = np.zeros((rows, width))
+    data[:, column] = np.arange(rows) % 3
+    return list(data)
+
+
+@pytest.mark.parametrize(
+    "vectors, dims, kept",
+    [
+        pytest.param([np.zeros(BIGRAM_DIM)] * 6, 4, 0, id="no-column-touched"),
+        pytest.param(_one_column(7, 12, 5), 3, 1, id="one-column-touched"),
+        pytest.param([np.eye(10)[i] * (i + 1) for i in (2, 4, 7, 7)], 6, 2,
+                     id="fewer-touched-columns-than-dims"),
+        pytest.param([], 2, 0, id="no-sample"),
+    ],
+)
+def test_pca_edge_cases_match_the_full_width_fit(vectors, dims, kept):
+    """Edge cases of the touched columns give what the fit over every
+    column gives, without a warning (no empty vector is normalised)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = pca_fit(vectors, dims)
+    slow = reference_pca_fit(vectors, dims)
+    assert fast.components.shape == slow.components.shape
+    assert fast.components.shape[0] == kept
+    assert np.array_equal(fast.mean, slow.mean) and fast.dims == slow.dims
+    assert np.allclose(fast.components, slow.components, rtol=0.0, atol=1e-12)
+    # every sample is nonnegative, so a zero mean marks an untouched column
+    assert np.all(fast.components[:, fast.mean == 0.0] == 0.0)
+    assert pca_apply(fast, np.ones(fast.mean.shape[0])).shape == (dims,)
 
 
 def make_contexts():

@@ -6,10 +6,11 @@ that fast paths are checked against: the recursive splice and the rescanned
 frontier, the built-tree key, the recursive matcher of the derivation walk,
 the splice-then-solve prober, the restarting typed replay, the
 always-sorting beam (with the condition layer's screen and cut), the
-depth-first exhaustive search, the per-tree certifier, the per-candidate
-reading of a decision and its feature vector and the memo-free rows and
-logistic predict built from them, the per-context condition rule set, the
-field-by-field context loader and the level-recursive condition parser."""
+depth-first exhaustive search, the per-tree certifier, the full-width PCA
+fit, the per-candidate reading of a decision and its feature vector and the
+memo-free rows and logistic predict built from them, the per-context
+condition rule set, the field-by-field context loader and the
+level-recursive condition parser."""
 
 import contextlib
 import hashlib
@@ -40,6 +41,9 @@ from progest.errors import (
     UnderivableTreeError,
 )
 from progest.features import (
+    _PCA_MAX_ITER,
+    _PCA_TOL,
+    BIGRAM_DIM,
     WINDOW_VOCAB_SIZE,
     Context,
     PcaTransform,
@@ -942,6 +946,50 @@ def reference_payloads(templates, ctx, ast, node, candidates):
             )
         )
     return "variable", payloads
+
+
+def reference_pca_fit(
+    vectors: Sequence[np.ndarray],
+    dims: int,
+    *,
+    seed: int = 12345,
+) -> PcaTransform:
+    """``features.pca_fit`` over every column: power iteration with
+    deflation on the full-width centred data, each step's two mat-vecs
+    summing over the columns no sample touches too.  The path the
+    touched-column iteration replaces."""
+    data = np.asarray(list(vectors), dtype=float)
+    if data.ndim != 2 or data.shape[0] < 2:
+        width = data.shape[1] if data.ndim == 2 else BIGRAM_DIM
+        return PcaTransform(np.zeros(width), np.zeros((0, width)), dims)
+    mean = data.mean(axis=0)
+    centered = data - mean
+    rng = np.random.default_rng(seed)
+    kept: list[np.ndarray] = []
+    limit = min(dims, min(data.shape))
+    for _ in range(limit):
+        v = rng.standard_normal(data.shape[1])
+        v /= np.linalg.norm(v)
+        direction = None
+        for _ in range(_PCA_MAX_ITER):
+            w = centered.T @ (centered @ v) / data.shape[0]
+            scale = np.linalg.norm(w)
+            if scale < 1e-12:
+                break
+            w /= scale
+            if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < _PCA_TOL:
+                direction = w
+                break
+            v = w
+        else:
+            direction = v
+        if direction is None:
+            break
+        kept.append(direction)
+        projected = centered @ direction
+        centered = centered - np.outer(projected, direction)
+    components = np.array(kept) if kept else np.zeros((0, data.shape[1]))
+    return PcaTransform(mean, components, dims)
 
 
 @dataclass(frozen=True)
