@@ -198,8 +198,10 @@ def save_bundle(path: str, bundle: Bundle) -> None:
 
 
 def load_bundle(path: str) -> Bundle:
-    with reading(path, BundleError), open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise BundleError(f"{path}: bundle must be a JSON object")
-    return Bundle.from_dict(data)
+    """The bundle at ``path``; a ``BundleError`` names the file."""
+    with reading(path, BundleError):
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        if not isinstance(data, dict):
+            raise BundleError("bundle must be a JSON object")
+        return Bundle.from_dict(data)

@@ -15,7 +15,7 @@ from .ambiguity import check_unambiguous
 from .bundle import bundle_of, load_bundle, save_bundle, sha256_of_file
 from .condsynth import evaluate_topk, load_corpus, synthesize_condition, train_cond_models
 from .constraints import compute_size_bounds
-from .errors import ContextError, GrammarError, ProgestError, reading
+from .errors import BundleError, ContextError, GrammarError, ProgestError, reading
 from .features import Context
 from .grammar import (
     CreationMode,
@@ -139,7 +139,8 @@ def cmd_predict(args) -> int:
     with reading(args.context, ContextError):
         with open(args.context, "r", encoding="utf-8") as handle:
             ctx = Context.from_dict(json.load(handle))
-    model = bundle.build_model()
+    with reading(args.bundle, BundleError):
+        model = bundle.build_model()
     result = synthesize_condition(
         ctx,
         bundle.templates,

@@ -55,6 +55,8 @@ from .minilang import (
     typecheck,
 )
 from .models import (
+    Decision,
+    EncodedRound,
     ExtractionResult,
     FrequencyModel,
     LogisticModel,
@@ -545,34 +547,37 @@ def row_length(kind: str, p: int) -> int:
 
 
 class CondEncoder:
-    """Turns a decision point into its kind and its feature rows, reading
-    everything off the rules and the current tree; one encoder serves
-    training extraction and prediction alike.
+    """Turns decision points into their kind and their feature rows,
+    reading everything off the rules and the current tree; one encoder
+    serves training extraction and prediction alike.
 
     A creation decision gets one row per candidate: the variable of a
     ``make-var:`` rule, or the template of a ``make-expr:`` rule.  An
     expression decision is a single classification over the templates, so
-    it gets one row: the context and the first variable, read from under
-    the V1 node, which every candidate shares.  A variable decision fills
-    slot p of one template: one row per candidate variable (named by a
-    slot rule's key, as a ``make-var:`` key names its own), then what its
-    candidates share: the variable under slot p-1, the template named by
-    the rule that introduced the slot, and p.  Any other decision
-    (``fin:``) gets no rows.  ``row_length`` gives each kind's width.
+    it gets one row: the context and the first variable, the leaf under
+    the V1 node it targets, which every candidate shares.  A variable
+    decision fills slot p of one template: one row per candidate variable
+    (named by a slot rule's key, as a ``make-var:`` key names its own),
+    then what its candidates share: the variable under slot p-1, the
+    template named by the rule that introduced the slot, and p.  Any other
+    decision (``fin:``) gets no rows.  ``row_length`` gives each kind's
+    width.  Every slot node is a child of the template's root, and only a
+    filled one has children, so slot p-1 is read off the target's
+    siblings.
 
-    The encoder keeps the ``ContextEncoding`` of the last context it
-    encoded and reuses it while the next decision's context equals it, so
-    the decisions of one predict, or of one training item, compute each
-    context and variable block once; a variable is read by its name
-    through the encoding.  A context that differs in any value replaces
-    it; only one is kept.  The encoder memoises each template's block,
-    keyed on the template key (None for the absent template), so each is
-    computed once per encoder; name embeddings come from the pipeline's
-    memo, once per pipeline.
-
-    A tree holds at most one node of each slot symbol ``V{p}`` with
-    children, the slot's variable leaf, so a slot's bound variable is read
-    from the one such node a scan of the nodes meets, in any order.
+    ``encode_round`` encodes a search round's decisions, all in one
+    context, into one matrix per kind (``features.extract_features``);
+    a decision's rows are those it gets in a round of its own, which is
+    what calling the encoder on one decision gives.  The encoder keeps the
+    ``ContextEncoding`` of the last context it encoded and reuses it while
+    the next round's context is that object or equals it, so the rounds of
+    one predict, or the steps of one training item, compute each context
+    and variable block once; a variable is read by its name through the
+    encoding.  A context that differs in any value replaces it; only one
+    is kept.  The encoder memoises each template's block, keyed on the
+    template key (None for the absent template), so each is computed once
+    per encoder; name embeddings come from the pipeline's memo, once per
+    pipeline.
     """
 
     def __init__(self, templates: Sequence[Template], pipeline: FeaturePipeline):
@@ -588,36 +593,54 @@ class CondEncoder:
         node: int | None,
         candidates: Sequence[RewritingRule],
     ) -> tuple[str, np.ndarray | None]:
-        key = candidates[0].key if candidates else ""
-        if key.startswith(("make-var:", "make-expr:")):
-            enc = self._encoding_of(ctx)
-            return "creation", extract_features(
-                enc, [self._creation_blocks(enc, r.key) for r in candidates]
-            )
-        if key.startswith("expr:"):
-            enc = self._encoding_of(ctx)
-            chosen = _bound_var(ast, "V1")
-            return "expression", extract_features(enc, [(enc.variable_block(chosen),)])
-        slot = _VAR_RULE_RE.match(key)
-        if slot is None:
-            return "other", None
-        enc = self._encoding_of(ctx)
-        position = int(slot.group(1))
-        origin = ast.nodes[node].origin if node is not None else None
-        template = None
-        if origin and origin.startswith("expr:"):
-            template = self._templates.get(origin[len("expr:"):])
-        shared = (
-            enc.variable_block(_bound_var(ast, f"V{position - 1}")),
-            self.expression_block(template),
-            position_block(position),
-        )
-        own = [(enc.variable_block(r.key.partition(":")[2]),) for r in candidates]
-        return "variable", extract_features(enc, own, shared)
+        """One decision's kind and rows (None when no core scores it): the
+        round of that decision alone."""
+        rows, ((kind, _, _),) = self.encode_round(ctx, [(ast, node, candidates)])
+        return kind, rows.get(kind)
+
+    def encode_round(
+        self, ctx: Context | None, decisions: Sequence[Decision]
+    ) -> EncodedRound:
+        """The rows of a round's decisions in the context ``ctx``: one
+        matrix per kind, each decision's rows a contiguous range of its
+        kind's, in the order the decisions come."""
+        enc = None
+        parts: dict[str, list] = {}
+        used: dict[str, int] = {}  # rows per kind so far
+        spans: list[tuple[str, int, int]] = []
+        for ast, node, candidates in decisions:
+            key = candidates[0].key if candidates else ""
+            if key.startswith(("make-var:", "make-expr:")):
+                kind = "creation"
+            elif key.startswith("expr:"):
+                kind = "expression"
+            else:
+                slot = _VAR_RULE_RE.match(key)
+                if slot is None:
+                    spans.append(("other", 0, 0))
+                    continue
+                kind = "variable"
+            if enc is None:
+                enc = self._encoding_of(ctx)
+            if kind == "creation":
+                own = self._creation_blocks(enc, candidates)
+                shared: tuple = ()
+            elif kind == "expression":
+                own, shared = ([enc.variable_block(_filled_by(ast, node))],), ()
+            else:
+                names = [r.key.partition(":")[2] for r in candidates]
+                own = (enc.variable_blocks(names),)
+                shared = self._slot_blocks(enc, ast, node, int(slot.group(1)))
+            start = used.get(kind, 0)
+            used[kind] = start + len(own[0])
+            parts.setdefault(kind, []).append((own, shared))
+            spans.append((kind, start, start + len(own[0])))
+        rows = {kind: extract_features(enc, made) for kind, made in parts.items()}
+        return EncodedRound(rows, spans)
 
     def _encoding_of(self, ctx: Context | None) -> ContextEncoding:
         enc = self._encoding
-        if enc is None or enc.context != ctx:
+        if enc is None or (enc.context is not ctx and enc.context != ctx):
             enc = self._encoding = ContextEncoding(ctx, self.pipeline)
         return enc
 
@@ -630,21 +653,46 @@ class CondEncoder:
             block.flags.writeable = False
         return block
 
-    def _creation_blocks(self, enc: ContextEncoding, key: str):
-        head, _, name = key.partition(":")
-        if head == "make-var":
-            return enc.variable_block(name), self.expression_block(None)
-        return enc.variable_block(None), self.expression_block(self._templates.get(name))
+    def _creation_blocks(self, enc: ContextEncoding, candidates: Sequence[RewritingRule]):
+        """Each creation candidate's variable block and template block, as
+        two lists: a ``make-var:`` rule's variable and no template, or a
+        ``make-expr:`` rule's template and no variable."""
+        variables, templates = [], []
+        for rule in candidates:
+            head, _, name = rule.key.partition(":")
+            if head == "make-var":
+                variables.append(enc.variable_block(name))
+                templates.append(self.expression_block(None))
+            else:
+                variables.append(enc.variable_block(None))
+                templates.append(self.expression_block(self._templates.get(name)))
+        return variables, templates
+
+    def _slot_blocks(self, enc: ContextEncoding, ast: AnnotatedAst, node: int, position: int):
+        """What every candidate for slot ``position`` at ``node`` shares."""
+        nodes = ast.nodes
+        target = nodes[node]
+        template = None
+        if target.origin and target.origin.startswith("expr:"):
+            template = self._templates.get(target.origin[len("expr:"):])
+        previous = f"V{position - 1}"
+        filled = None
+        for sibling in nodes[target.parent].children:
+            if nodes[sibling].children and nodes[sibling].symbol.name == previous:
+                filled = _filled_by(ast, sibling)
+                break
+        return (
+            enc.variable_block(filled),
+            self.expression_block(template),
+            position_block(position),
+        )
 
 
-def _bound_var(ast: AnnotatedAst, symbol_name: str) -> str | None:
-    """The name of the variable leaf under the node of slot ``symbol_name``
-    that has children, or None when the slot is not filled yet."""
-    symbol = nonterminal(symbol_name)
-    for node in ast.nodes.values():
-        if node.children and node.symbol == symbol:
-            return ast.nodes[node.children[0]].symbol.name
-    return None
+def _filled_by(ast: AnnotatedAst, slot: int) -> str | None:
+    """The name of the variable leaf under the slot node ``slot``, or None
+    when the slot is not filled yet."""
+    children = ast.nodes[slot].children
+    return ast.nodes[children[0]].symbol.name if children else None
 
 
 # --------------------------------------------------------------------------

@@ -67,10 +67,17 @@ class BundleError(ProgestError):
 @contextmanager
 def reading(path: str, error: type[ProgestError]) -> Iterator[None]:
     """Raise a file that is not UTF-8 text, or not JSON, as ``error`` led by
-    its ``path``, so that the message tells which input to mend."""
+    its ``path``, and lead any ``ProgestError`` raised while reading it (a
+    bad record, context or grammar line) with its ``path`` too, once: so
+    that the message tells which input to mend."""
     try:
         yield
     except UnicodeDecodeError as err:
         raise error(f"{path}: not valid UTF-8 ({err})") from None
     except json.JSONDecodeError as err:
         raise error(f"{path}: not valid JSON ({err})") from None
+    except ProgestError as err:
+        lead = f"{path}: "
+        if not str(err).startswith(lead):
+            err.args = (lead + str(err),)
+        raise

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -258,6 +258,8 @@ def name_words(name: str) -> list[str]:
     return [w.lower() for w in _WORD_SPLIT.split(name) if w]
 
 
+# names and types repeat across contexts, and every block reads a few
+@lru_cache(maxsize=4096)
 def last_word(name: str) -> str:
     words = name_words(name)
     return words[-1] if words else ""
@@ -523,6 +525,7 @@ def variable_block(var: VariableInfo | None, pipe: FeaturePipeline) -> np.ndarra
     if var is None:
         return np.zeros(variable_block_length(p))
     word = last_word(var.name)
+    type_word = last_word(var.type)
     sites = list(var.def_sites[:3]) + [0] * (3 - len(var.def_sites[:3]))
     scalars = np.array(
         [
@@ -530,7 +533,7 @@ def variable_block(var: VariableInfo | None, pipe: FeaturePipeline) -> np.ndarra
             type_class_scalar(var.type),
             1.0
             if (word and word in var.type.lower())
-            or (last_word(var.type) and last_word(var.type) in var.name.lower())
+            or (type_word and type_word in var.name.lower())
             else 0.0,
             1.0 if var.is_final else 0.0,
             1.0 if var.is_static else 0.0,
@@ -602,6 +605,15 @@ class ContextEncoding:
             self._context_block = _read_only(block)
         return self._context_block
 
+    def variable_blocks(self, names: Sequence[str | None]) -> list[np.ndarray]:
+        """``variable_block`` of each name, in order."""
+        kept = self._variable_blocks
+        blocks = []
+        for name in names:
+            block = kept.get(name)
+            blocks.append(self.variable_block(name) if block is None else block)
+        return blocks
+
     def variable_block(self, name: str | None) -> np.ndarray:
         """The block of the context's variable ``name``; for None, or a
         name the context does not declare, the absent variable's block."""
@@ -618,25 +630,37 @@ class ContextEncoding:
 
 def extract_features(
     enc: ContextEncoding,
-    candidates: Sequence[Sequence[np.ndarray]],
-    shared: Sequence[np.ndarray] = (),
+    decisions: Sequence[tuple[Sequence[Sequence[np.ndarray]], Sequence[np.ndarray]]],
 ) -> np.ndarray:
-    """Feature rows of one decision over the context of ``enc``: row i is
-    the context block, then candidate i's blocks, then the ``shared``
-    blocks, which every candidate of the decision reads alike.  Every
-    candidate has blocks of the same widths; the rows are one new array,
-    written one column range per block."""
+    """Feature rows of decisions of one kind over the context of ``enc``,
+    stacked in the order given.  A decision is its own blocks, one list
+    per block position holding each candidate's block there, and the
+    blocks its candidates share; its row i is the context block, then
+    candidate i's own blocks, then the shared blocks.  Every decision has
+    blocks of the same widths.  The rows are one new array, written one
+    column range per block: the context block once, each own block
+    position once over all the rows, and each shared block once per
+    decision."""
     head = enc.context_block()
-    widths = [block.shape[0] for block in candidates[0]]
+    own, shared = decisions[0]
+    widths = [blocks[0].shape[0] for blocks in own]
     col = head.shape[0]
     rows = np.empty(
-        (len(candidates), col + sum(widths) + sum(b.shape[0] for b in shared))
+        (
+            sum(len(own[0]) for own, _ in decisions),
+            col + sum(widths) + sum(b.shape[0] for b in shared),
+        )
     )
     rows[:, :col] = head
     for i, width in enumerate(widths):
-        rows[:, col : col + width] = [own[i] for own in candidates]
+        rows[:, col : col + width] = [b for own, _ in decisions for b in own[i]]
         col += width
-    for block in shared:
-        rows[:, col : col + block.shape[0]] = block
-        col += block.shape[0]
+    if shared:
+        start = 0
+        for own, shared in decisions:
+            stop, at = start + len(own[0]), col
+            for block in shared:
+                rows[start:stop, at : at + block.shape[0]] = block
+                at += block.shape[0]
+            start = stop
     return rows

@@ -1,10 +1,15 @@
 """Probability models over candidate rules, and training-set extraction.
 
-A model sees the context, the current tree, the targeted node, and the list
-of candidate rules that survived pruning, and returns one probability per
-candidate.  The fitted models normalize over exactly that list; the fixture
-``TableModel`` intentionally returns its raw table entries so hand-written
-scenarios multiply out to predictable figures.
+A model's one entry, ``predict``, takes the context and a search round's
+decisions, each the current tree, the targeted node and the list of
+candidate rules that survived pruning (a ``Decision``), and returns one
+probability list per decision, one probability per candidate.  The fitted
+models normalize over exactly that list; the fixture ``TableModel``
+intentionally returns its raw table entries so hand-written scenarios
+multiply out to predictable figures.  A decision's probabilities do not
+depend on the other decisions of its round: the logistic model scores a
+round with one encoding and one pass of each core, and gives each
+decision, bit for bit, what a round of that decision alone gives.
 
 Known trees are replayed with ``feasible_derivation``, the first derivation
 of ``trees.iter_derivations``, a walk that steps through
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -64,9 +69,14 @@ def _uniform(n: int) -> list[float]:
     return [1.0 / n] * n if n else []
 
 
+# one decision of a search round: the current tree, the targeted node (None
+# for the empty tree) and the candidate rules that survived pruning
+Decision = tuple[AnnotatedAst, int | None, Sequence[RewritingRule]]
+
+
 class UniformModel:
-    def predict(self, ctx, ast, node, candidates) -> list[float]:
-        return _uniform(len(candidates))
+    def predict(self, ctx, decisions: Sequence[Decision]) -> list[list[float]]:
+        return [_uniform(len(candidates)) for _ast, _node, candidates in decisions]
 
 
 class TableModel:
@@ -93,9 +103,13 @@ class TableModel:
                 flat[(parent, key)] = float(p)
         return TableModel(flat)
 
-    def predict(self, ctx, ast, node, candidates) -> list[float]:
-        parent = _parent_key(ast, node)
-        return [self.table.get((parent, r.key), 0.0) for r in candidates]
+    def predict(self, ctx, decisions: Sequence[Decision]) -> list[list[float]]:
+        table = self.table
+        found = []
+        for ast, node, candidates in decisions:
+            parent = _parent_key(ast, node)
+            found.append([table.get((parent, r.key), 0.0) for r in candidates])
+        return found
 
 
 class FrequencyModel:
@@ -123,19 +137,24 @@ class FrequencyModel:
             counts[key] = counts.get(key, 0) + 1
         return FrequencyModel(counts)
 
-    def predict(self, ctx, ast, node, candidates) -> list[float]:
-        if not candidates:
-            return []
-        group = group_str(candidates[0])
-        parent = _parent_key(ast, node)
-        total = self._cell_totals.get((group, parent), 0)
-        k = len(candidates)
-        raw = [
-            (self.counts.get((group, parent, r.key), 0) + 1.0) / (total + k)
-            for r in candidates
-        ]
-        mass = sum(raw)
-        return [p / mass for p in raw]
+    def predict(self, ctx, decisions: Sequence[Decision]) -> list[list[float]]:
+        counts = self.counts
+        found = []
+        for ast, node, candidates in decisions:
+            if not candidates:
+                found.append([])
+                continue
+            group = group_str(candidates[0])
+            parent = _parent_key(ast, node)
+            total = self._cell_totals.get((group, parent), 0)
+            k = len(candidates)
+            raw = [
+                (counts.get((group, parent, r.key), 0) + 1.0) / (total + k)
+                for r in candidates
+            ]
+            mass = sum(raw)
+            found.append([p / mass for p in raw])
+        return found
 
     def to_params(self) -> dict:
         nested: dict[str, dict[str, dict[str, int]]] = {}
@@ -204,9 +223,17 @@ class BinaryLogisticCore:
             b -= _LR * float(err.mean())
         return BinaryLogisticCore(w, b, mean, std)
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
+    def scores(self, X: np.ndarray, spans: Sequence[tuple[int, int]]) -> np.ndarray:
+        """The score of each row of ``X`` that a span covers.  Each
+        ``(start, stop)`` span of rows takes its own product with ``w``, so
+        a row scores as it does in a matrix of its span's rows alone (one
+        product over rows of several spans may round differently); the
+        rest is elementwise."""
         Xs = (X - self.mean) / self.std
-        return _sigmoid(Xs @ self.w + self.b)
+        z = np.empty(len(Xs))
+        for start, stop in spans:
+            z[start:stop] = Xs[start:stop] @ self.w
+        return _sigmoid(z + self.b)
 
     def to_params(self) -> dict:
         return {
@@ -273,14 +300,19 @@ class SoftmaxCore:
             b -= _LR * err.mean(axis=0)
         return SoftmaxCore(classes, W, b, mean, std)
 
-    def probabilities(self, x: np.ndarray) -> np.ndarray:
-        """The probability of each class, in ``classes`` order."""
-        xs = (x - self.mean) / self.std
-        z = xs @ self.W + self.b
-        z -= z.max()
-        p = np.exp(z)
-        p /= p.sum()
-        return p
+    def probabilities(self, X: np.ndarray) -> np.ndarray:
+        """The probability of each class, in ``classes`` order, for each row
+        of ``X``.  Each row takes its own product with ``W``, so it gets what
+        it gets alone; the softmax is elementwise and row-wise."""
+        Xs = (X - self.mean) / self.std
+        Z = np.empty((len(Xs), len(self.classes)))
+        for i, xs in enumerate(Xs):
+            Z[i] = xs @ self.W
+        Z += self.b
+        Z -= Z.max(axis=1, keepdims=True)
+        P = np.exp(Z)
+        P /= P.sum(axis=1, keepdims=True)
+        return P
 
     def to_params(self) -> dict:
         return {
@@ -302,12 +334,32 @@ class SoftmaxCore:
         )
 
 
-# encoder: maps a decision point to its kind and its feature rows, or None
-# for a decision no core scores (``condsynth.CondEncoder``)
-StepEncoder = Callable[
-    [Context | None, AnnotatedAst, int | None, Sequence[RewritingRule]],
-    tuple[str, np.ndarray | None],
-]
+class EncodedRound(NamedTuple):
+    """A round's feature rows: one matrix per decision kind, and for each
+    decision its kind and the ``(start, stop)`` range of its rows in that
+    kind's matrix (``("other", 0, 0)`` for a decision no core scores)."""
+
+    rows: dict[str, np.ndarray]
+    spans: list[tuple[str, int, int]]
+
+
+class StepEncoder(Protocol):
+    """Maps decision points to their kind and feature rows
+    (``condsynth.CondEncoder``): a round at once, or one decision, as a
+    round of one, with its kind and its rows (None where no core scores
+    it)."""
+
+    def encode_round(
+        self, ctx: Context | None, decisions: Sequence[Decision]
+    ) -> EncodedRound: ...
+
+    def __call__(
+        self,
+        ctx: Context | None,
+        ast: AnnotatedAst,
+        node: int | None,
+        candidates: Sequence[RewritingRule],
+    ) -> tuple[str, np.ndarray | None]: ...
 
 
 class LogisticModel:
@@ -370,30 +422,46 @@ class LogisticModel:
             expression=expression,
         )
 
-    def predict(self, ctx, ast, node, candidates) -> list[float]:
-        k = len(candidates)
-        if k == 0:
-            return []
-        kind, rows = self.encoder(ctx, ast, node, candidates)
-        if kind == "expression" and self.expression is not None:
-            p = self.expression.probabilities(rows[0])
-            column = self.expression.column
-            raw = [
-                float(p[column[r.key]]) if r.key in column else 0.0
-                for r in candidates
-            ]
-            mass = sum(raw)
-            if mass <= 0.0:
-                return _uniform(k)
-            return [p / mass for p in raw]
-        core = {"creation": self.creation, "variable": self.variable}.get(kind)
-        if core is None:
-            return _uniform(k)
-        scores = core.scores(rows)
-        mass = float(scores.sum())
-        if mass <= 0.0:
-            return _uniform(k)
-        return [float(s) / mass for s in scores]
+    def predict(self, ctx, decisions: Sequence[Decision]) -> list[list[float]]:
+        """One probability list per decision of the round.
+
+        The round is encoded into one matrix per kind, and each core
+        standardizes its matrix once.  A creation or variable decision's
+        rows take their product with the weights on their own row range
+        (``BinaryLogisticCore.scores``) and are normalized over the
+        decision; an expression decision's one row is a class distribution
+        whose entries are looked up by each candidate's rule key.  A
+        decision whose core is missing, the encoder gives no rows, or
+        whose scores have no mass, gets the uniform distribution.
+        """
+        rows, spans = self.encoder.encode_round(ctx, decisions)
+        scored: dict[str, tuple[np.ndarray, list[float]]] = {}
+        for kind, core in (("creation", self.creation), ("variable", self.variable)):
+            if kind in rows and core is not None:
+                ranges = [(start, stop) for k, start, stop in spans if k == kind]
+                scores = core.scores(rows[kind], ranges)
+                scored[kind] = scores, scores.tolist()
+        expression = self.expression if "expression" in rows else None
+        if expression is not None:
+            dists = expression.probabilities(rows["expression"]).tolist()
+            column = expression.column
+        found = []
+        for (kind, start, stop), (_ast, _node, candidates) in zip(spans, decisions):
+            k = len(candidates)
+            if kind in scored:
+                scores, listed = scored[kind]
+                raw = listed[start:stop]
+                # numpy's sum, as a decision scored alone is summed
+                mass = float(scores[start:stop].sum())
+            elif kind == "expression" and expression is not None:
+                p = dists[start]
+                raw = [p[column[r.key]] if r.key in column else 0.0 for r in candidates]
+                mass = sum(raw)
+            else:
+                found.append(_uniform(k))
+                continue
+            found.append([p / mass for p in raw] if mass > 0.0 else _uniform(k))
+        return found
 
     def to_params(self) -> dict:
         return {
@@ -494,7 +562,8 @@ def program_log_probability(
     total = 0.0
     for step in steps:
         kept = [p.rule for p in step.outcome.kept]
-        p = model.predict(ctx, step.ast, step.outcome.target, kept)[step.choice]
+        decision = (step.ast, step.outcome.target, kept)
+        p = model.predict(ctx, [decision])[0][step.choice]
         if p <= 0.0:
             return -math.inf
         total += math.log(p)

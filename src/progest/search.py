@@ -16,8 +16,11 @@ Every expansion is one call of ``constraints.feasible_rules``, the one
 gate: the policy's node, the check that its rule group fits, and the typed,
 size-bounded probe, handed the state's probe, whose carried size bound and
 type classes decide each candidate without solving the tree.  A model is
-any object with ``predict``, plugged into each step as an estimator: this
-module imports no model, no feature layer and no numpy.  The scorer of a
+any object with ``predict(ctx, decisions)``, the estimator of every step:
+a round expands each of its live states first, then hands the model the
+round's decisions, each a tree, its target node and its kept candidate
+rules, in one call, and reads back one probability list per decision.
+This module imports no model, no feature layer and no numpy.  The scorer of a
 known tree, ``models.program_log_probability``, lives with the models.
 
 All tie-breaking is total and value-based (never by node identity), which
@@ -35,6 +38,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 # from SearchStep and every probe goes through feasible_rules
 from .constraints import (
     Probe,
+    ProbeOutcome,
     SearchStep,
     compute_size_bounds,
     feasible_rules,
@@ -117,8 +121,13 @@ def finished_builds(
     state is finished when its probe finishes the tree, read from the
     rule's block (``Probe.finishes``) in the round after the one that made
     it, so a finished build takes its place in its round's width as any
-    state does, and is handed out unchanged and unspliced.
-    ``model`` None scores every candidate 1 and calls nothing.
+    state does, and is handed out unchanged and unspliced.  Each round
+    expands its states in order, makes one ``model.predict`` call over
+    the decisions of those that kept candidates, and then scores and cuts
+    each state's candidates in the same order, so the counts, what
+    ``step_cap`` cuts and the successors' order are those of scoring each
+    state as it is expanded.  ``model`` None scores every candidate 1 and
+    calls nothing.
 
     Each width must be an int of at least 1 or ``math.inf``, and
     ``step_cap`` (expansions) an int of at least 0 or ``math.inf`` (bools
@@ -142,9 +151,9 @@ def finished_builds(
     round_idx = 0
     while states:
         width = widths[min(round_idx, len(widths) - 1)]
-        successors: list[State] = []
+        expanded: list[tuple[State, ProbeOutcome]] = []
         for state in states:
-            grown_by, log_prob, apps = state
+            grown_by = state[0]
             if grown_by is not None and grown_by.finishes:
                 builds.append(state)  # type: ignore[arg-type]
                 continue
@@ -155,16 +164,25 @@ def finished_builds(
             outcome = feasible_rules(grown_by, step, policy)
             stats.size_pruned += outcome.size_pruned
             stats.constraint_pruned += outcome.constraint_pruned
-            if not outcome.kept:
-                continue
+            if outcome.kept:
+                expanded.append((state, outcome))
+        if model is not None and expanded:
+            round_probs = model.predict(ctx, [
+                (
+                    AnnotatedAst.empty() if state[0] is None else state[0].ast,
+                    outcome.target,
+                    [p.rule for p in outcome.kept],
+                )
+                for state, outcome in expanded
+            ])
+        successors: list[State] = []
+        for i, ((_, log_prob, apps), outcome) in enumerate(expanded):
             node = outcome.target
             if model is None:
                 scored = [(log_prob, probe) for probe in outcome.kept]
             else:
-                ast = AnnotatedAst.empty() if grown_by is None else grown_by.ast
-                probs = model.predict(ctx, ast, node, [p.rule for p in outcome.kept])
                 scored = []
-                for probe, p in zip(outcome.kept, probs):
+                for probe, p in zip(outcome.kept, round_probs[i]):
                     if p <= 0.0:
                         stats.zero_prob_pruned += 1
                         continue

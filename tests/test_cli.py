@@ -299,7 +299,7 @@ def test_check_rejects_a_repeated_production(capsys, tmp_path):
     grammar = tmp_path / "repeat.txt"
     grammar.write_text('E -> "x" | "x"\n', encoding="utf-8")
     code, out, err = run(capsys, ["check", "--grammar", str(grammar)])
-    assert (code, out, err) == (2, "", 'error: repeated production E -> "x"\n')
+    assert (code, out, err) == (2, "", f'error: {grammar}: repeated production E -> "x"\n')
 
 
 def test_check_tells_a_terminal_from_a_nonterminal_of_its_name(capsys, tmp_path):
@@ -556,7 +556,7 @@ def test_malformed_bundle_is_exit_2(capsys, tmp_path, data_dir, request, source,
     code, out, err = run(capsys, ["predict", str(ctx_path), "--bundle", str(bad)])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: malformed bundle: ")
+    assert err.startswith(f"error: {bad}: malformed bundle: ")
 
 
 @pytest.mark.parametrize(
@@ -573,7 +573,7 @@ def test_malformed_corpus_record_is_exit_2(capsys, tmp_path, condition):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: line 1: bad record (")
+    assert err.startswith(f"error: {corpus}: line 1: bad record (")
 
 
 @pytest.mark.parametrize(
@@ -625,7 +625,7 @@ def test_malformed_context_is_exit_2(capsys, tmp_path, data_dir, edit):
     bundle = data_dir / "demo" / "demo_bundle.json"
     code, out, err = run(capsys, ["predict", str(ctx_path), "--bundle", str(bundle)])
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {ctx_path}: ")
     corpus = tmp_path / "bad.jsonl"
     corpus.write_text(json.dumps(record) + "\n")
     code, out, err = run(
@@ -633,7 +633,7 @@ def test_malformed_context_is_exit_2(capsys, tmp_path, data_dir, edit):
         ["train", "--corpus", str(corpus), "--bundle", str(tmp_path / "x.json")],
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: line 1: bad record (")
+    assert err.startswith(f"error: {corpus}: line 1: bad record (")
 
 
 @pytest.fixture(scope="module")
@@ -682,7 +682,7 @@ def test_logistic_bundle_with_misfit_arrays_is_exit_2(
     code, out, err = run(capsys, ["predict", str(ctx_path), "--bundle", str(bad)])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: malformed bundle: logistic ")
+    assert err.startswith(f"error: {bad}: malformed bundle: logistic ")
 
 
 def test_pca_dims_out_of_range(capsys, small_corpus, tmp_path):

@@ -169,7 +169,7 @@ def test_load_corpus_rejects_an_atom_id_that_repeats(tmp_path, capsys, first, se
         load_corpus(path)
     code = main(["train", "--corpus", path, "--bundle", str(tmp_path / "x.json")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: line 2: duplicate id")
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 2: duplicate id")
 
 
 def test_a_loaded_record_is_parsed_once(data_dir, monkeypatch):
@@ -900,7 +900,7 @@ def test_decision_rows_match_the_per_payload_reference(corpus_records):
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key(f"make-expr:{closed.key}"))
     fin = [rs.by_key("fin:E")]
     assert model.encoder(ctx, ast, ast.root, fin) == ("other", None)
-    assert model.predict(ctx, ast, ast.root, fin) == [1.0]
+    assert model.predict(ctx, [(ast, ast.root, fin)]) == [[1.0]]
 
 
 @pytest.fixture(scope="module")
@@ -1105,9 +1105,9 @@ def test_encoder_and_predict_match_the_memo_free_reference(logistic_60, data):
             else:
                 assert rows.shape == want.shape and rows.dtype == want.dtype
                 assert np.array_equal(rows, want), kind
-            assert model.predict(seen, ast, node, kept) == reference_logistic_predict(
-                model, templates, pipe, seen, ast, node, kept
-            )
+            assert model.predict(seen, [(ast, node, kept)]) == [
+                reference_logistic_predict(model, templates, pipe, seen, ast, node, kept)
+            ]
 
 
 def _heldout(tmp_path, n, seed="heldout-1"):
@@ -1215,16 +1215,17 @@ def test_a_second_pass_over_known_names_adds_no_memo_entry(tmp_path, logistic_60
 def test_each_tree_fills_each_slot_at_most_once(monkeypatch, tmp_path, corpus_records):
     """Every tree the encoder reads, over a logistic training and held-out
     predicts, and every tree those predicts rank, holds at most one node
-    of each slot symbol with children: the node ``CondEncoder`` reads a
-    slot's variable from, whatever order it scans the nodes in."""
+    of each slot symbol with children, and every slot node but the root
+    is a child of the root: so ``CondEncoder`` reads slot p-1's variable
+    off the siblings of the slot p it targets."""
     seen = []
-    encode = CondEncoder.__call__
+    encode = CondEncoder.encode_round
 
-    def recording(self, ctx, ast, node, candidates):
-        seen.append(ast)
-        return encode(self, ctx, ast, node, candidates)
+    def recording(self, ctx, decisions):
+        seen.extend(ast for ast, _node, _candidates in decisions)
+        return encode(self, ctx, decisions)
 
-    monkeypatch.setattr(CondEncoder, "__call__", recording)
+    monkeypatch.setattr(CondEncoder, "encode_round", recording)
     trained = train_cond_models(
         corpus_records, model_kind="logistic", pca_dims=2, epochs=1
     )
@@ -1236,6 +1237,8 @@ def test_each_tree_fills_each_slot_at_most_once(monkeypatch, tmp_path, corpus_re
     for ast in seen:
         counts = {}
         for node in ast.nodes.values():
+            if node.symbol in filled and node.id != ast.root:
+                assert node.parent == ast.root, to_sexpr(ast)
             if node.children and node.symbol in filled:
                 counts[node.symbol] = counts.get(node.symbol, 0) + 1
         assert all(n == 1 for n in counts.values()), to_sexpr(ast)
@@ -1278,22 +1281,23 @@ def test_one_predict_encodes_each_block_once(monkeypatch, corpus_records, logist
     scores once, however many decisions read them."""
     model = fresh_model(logistic_60)
     scored = set()
-    encode = model.encoder
+    encode = model.encoder.encode_round
 
-    def recording_encoder(ctx, ast, node, candidates):
-        kind, payloads = reference_payloads(
-            logistic_60.templates, ctx, ast, node, candidates
-        )
-        for p in payloads:
-            if kind == "creation":
-                scored.add(p.variable)
-            elif kind == "expression":
-                scored.add(p.chosen)
-            elif kind == "variable":
-                scored.update((p.variable, p.previous))
-        return encode(ctx, ast, node, candidates)
+    def recording_encoder(ctx, decisions):
+        for ast, node, candidates in decisions:
+            kind, payloads = reference_payloads(
+                logistic_60.templates, ctx, ast, node, candidates
+            )
+            for p in payloads:
+                if kind == "creation":
+                    scored.add(p.variable)
+                elif kind == "expression":
+                    scored.add(p.chosen)
+                elif kind == "variable":
+                    scored.update((p.variable, p.previous))
+        return encode(ctx, decisions)
 
-    model.encoder = recording_encoder
+    monkeypatch.setattr(model.encoder, "encode_round", recording_encoder)
     contexts = counting(monkeypatch, features, "context_block")
     variables = counting(monkeypatch, features, "variable_block")
     record = corpus_records[0]
@@ -1327,8 +1331,8 @@ def test_train_rejects_unknown_kind():
 def test_train_uniform_has_no_extraction():
     trained = train_cond_models(make_records(), model_kind="uniform")
     assert trained.model_kind == "uniform"
-    probs = trained.model.predict(None, None, None, ["x", "y"])
-    assert probs == [0.5, 0.5]
+    probs = trained.model.predict(None, [(None, None, ["x", "y"])])
+    assert probs == [[0.5, 0.5]]
 
 
 def test_uniform_training_makes_no_tree_and_no_layer(monkeypatch):

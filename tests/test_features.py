@@ -275,8 +275,9 @@ def test_absent_parts_encode_as_zeros():
 
 
 def test_extract_features_lays_out_context_own_then_shared_blocks():
-    """Row i is the context block, then candidate i's own blocks, then the
-    blocks every candidate shares, in the order given."""
+    """Row i of a decision is the context block, then candidate i's own
+    blocks, then the blocks every candidate shares, in the order given;
+    the decisions of a round are stacked in order, each its own rows."""
     pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
     ctx = make_contexts()[1]
     var = ctx.variables[0]
@@ -287,7 +288,7 @@ def test_extract_features_lays_out_context_own_then_shared_blocks():
         (enc.variable_block(None), expression_block(tpl, pipe)),
     ]
     shared = (variable_block(var, pipe), position_block(2))
-    rows = extract_features(enc, own, shared)
+    rows = extract_features(enc, [(list(zip(*own)), shared)])
     ctx_len = context_block_length(3)
     var_len = variable_block_length(3)
     expr_len = expression_block_length(3)
@@ -296,9 +297,13 @@ def test_extract_features_lays_out_context_own_then_shared_blocks():
     for row, blocks in zip(rows, own):
         assert np.array_equal(row, np.concatenate([head, *blocks, *shared]))
     # no shared blocks: each row ends with its candidate's own blocks
-    alone = extract_features(enc, [(enc.variable_block(var.name),)])
+    alone = extract_features(enc, [([[enc.variable_block(var.name)]], ())])
     assert alone.shape == (1, ctx_len + var_len)
     assert np.array_equal(alone[0, ctx_len:], variable_block(var, pipe))
+    # two decisions in one round: the rows of each, in order
+    other = ([[own[1][0]], [own[1][1]]], (variable_block(None, pipe), position_block(3)))
+    both = extract_features(enc, [(list(zip(*own)), shared), other])
+    assert np.array_equal(both, np.vstack([rows, extract_features(enc, [other])]))
 
 
 def test_encoding_hands_out_read_only_blocks_kept_by_value():
@@ -332,7 +337,7 @@ def test_encoding_hands_out_read_only_blocks_kept_by_value():
     assert coder.expression_block(dataclasses.replace(tpl)) is blocks[3]
     assert np.array_equal(blocks[3], expression_block(tpl, pipe))
     # rows are new arrays: writing one leaves the kept blocks as they were
-    rows = extract_features(enc, [(blocks[1], blocks[3])])
+    rows = extract_features(enc, [([[blocks[1]], [blocks[3]]], ())])
     rows[:] = 0.0
     assert np.array_equal(enc.context_block(), context_block(ctx, pipe))
     assert np.array_equal(blocks[1], variable_block(var, pipe))

@@ -67,9 +67,9 @@ def rooted(rules):
 
 def test_uniform_model(rules, rooted):
     model = UniformModel()
-    probs = model.predict(None, rooted, rooted.root, list(rules)[:4])
+    probs = model.predict(None, [(rooted, rooted.root, list(rules)[:4])])[0]
     assert probs == [0.25] * 4
-    assert model.predict(None, rooted, rooted.root, []) == []
+    assert model.predict(None, [(rooted, rooted.root, [])])[0] == []
 
 
 def test_table_model_lookup_by_origin(rules, rooted):
@@ -79,16 +79,17 @@ def test_table_model_lookup_by_origin(rules, rooted):
         {"": {"make-root:E": 1.0}, "make-root:E": {gt12.key: 0.3}}
     )
     # creation step: parent key is empty
-    assert model.predict(None, AnnotatedAst.empty(), None, [rules.by_key("make-root:E")]) == [1.0]
+    creation = (AnnotatedAst.empty(), None, [rules.by_key("make-root:E")])
+    assert model.predict(None, [creation])[0] == [1.0]
     # expansion step: parent key is the rule that made the node
-    assert model.predict(None, rooted, rooted.root, [gt12, hours]) == [0.3, 0.0]
+    assert model.predict(None, [(rooted, rooted.root, [gt12, hours])])[0] == [0.3, 0.0]
 
 
 def test_table_model_is_raw_and_unnormalized(rules, rooted):
     gt12 = rules.by_key('td:E->E "> 12"')
     hours = rules.by_key('td:E->"hours"')
     model = TableModel({("make-root:E", gt12.key): 0.4, ("make-root:E", hours.key): 0.4})
-    probs = model.predict(None, rooted, rooted.root, [gt12, hours])
+    probs = model.predict(None, [(rooted, rooted.root, [gt12, hours])])[0]
     assert probs == [0.4, 0.4]
 
 
@@ -103,7 +104,7 @@ def test_frequency_laplace_numbers(rules, rooted):
     model = FrequencyModel(
         {("E|D", "make-root:E", gt12.key): 6, ("E|D", "make-root:E", hours.key): 2}
     )
-    probs = model.predict(None, rooted, rooted.root, [gt12, hours])
+    probs = model.predict(None, [(rooted, rooted.root, [gt12, hours])])[0]
     # (6+1)/(8+2) and (2+1)/(8+2) already sum to one
     assert probs == pytest.approx([0.7, 0.3])
 
@@ -113,7 +114,7 @@ def test_frequency_unseen_cell_is_uniform(rules, rooted):
     hours = rules.by_key('td:E->"hours"')
     value = rules.by_key('td:E->"value"')
     model = FrequencyModel({})
-    probs = model.predict(None, rooted, rooted.root, [gt12, hours, value])
+    probs = model.predict(None, [(rooted, rooted.root, [gt12, hours, value])])[0]
     assert probs == pytest.approx([1 / 3] * 3)
 
 
@@ -124,12 +125,12 @@ def test_frequency_renormalizes_over_the_offered_list(rules, rooted):
         {("E|D", "make-root:E", gt12.key): 6, ("E|D", "make-root:E", hours.key): 2}
     )
     # part of the cell mass belongs to a pruned rule; the rest renormalizes
-    assert model.predict(None, rooted, rooted.root, [gt12]) == [1.0]
+    assert model.predict(None, [(rooted, rooted.root, [gt12])])[0] == [1.0]
 
 
 def test_frequency_single_candidate(rules, rooted):
     hours = rules.by_key('td:E->"hours"')
-    assert FrequencyModel({}).predict(None, rooted, rooted.root, [hours]) == [1.0]
+    assert FrequencyModel({}).predict(None, [(rooted, rooted.root, [hours])])[0] == [1.0]
 
 
 def test_frequency_fit_counts_positives_only():
@@ -166,7 +167,7 @@ def test_frequency_always_normalizes(counts, parent_salt):
     }
     ast_rules = derive_creation_rules(g, [CreationMode.ROOT])
     ast = apply_rule(AnnotatedAst.empty(), None, ast_rules[0])
-    probs = FrequencyModel(table).predict(None, ast, ast.root, cands)
+    probs = FrequencyModel(table).predict(None, [(ast, ast.root, cands)])[0]
     assert all(p > 0 for p in probs)
     assert sum(probs) == pytest.approx(1.0)
 
@@ -176,7 +177,7 @@ def test_binary_core_separable_data():
     X = np.concatenate([rng.normal(-2, 0.3, (60, 3)), rng.normal(2, 0.3, (60, 3))])
     y = np.concatenate([np.zeros(60), np.ones(60)])
     core = BinaryLogisticCore.fit(X, y)
-    predicted = (core.scores(X) > 0.5).astype(float)
+    predicted = (core.scores(X, [(0, len(X))]) > 0.5).astype(float)
     assert (predicted == y).mean() == 1.0
 
 
@@ -184,7 +185,7 @@ def test_binary_core_constant_features_learn_the_base_rate():
     X = np.ones((40, 2))
     y = np.array([1.0] * 30 + [0.0] * 10)
     core = BinaryLogisticCore.fit(X, y, epochs=4000)
-    assert core.scores(X[:1])[0] == pytest.approx(0.75, abs=1e-3)
+    assert core.scores(X[:1], [(0, 1)])[0] == pytest.approx(0.75, abs=1e-3)
 
 
 def test_binary_core_params_round_trip():
@@ -192,7 +193,8 @@ def test_binary_core_params_round_trip():
     y = (X[:, 0] > 0).astype(float)
     core = BinaryLogisticCore.fit(X, y)
     again = BinaryLogisticCore.from_params(core.to_params())
-    assert np.array_equal(again.scores(X), core.scores(X))
+    spans = [(0, 5), (5, len(X))]
+    assert np.array_equal(again.scores(X, spans), core.scores(X, spans))
 
 
 def test_softmax_core_separable_data():
@@ -204,7 +206,7 @@ def test_softmax_core_separable_data():
     core = SoftmaxCore.fit(X, labels)
     hits = 0
     for x, want in zip(X, labels):
-        p = core.probabilities(x)
+        p = core.probabilities(x[None])[0]
         hits += p.argmax() == core.column[want]
     assert hits == len(labels)
 
@@ -214,7 +216,7 @@ def test_softmax_distribution_sums_to_one():
     X = rng.standard_normal((30, 4))
     labels = [("a", "b", "c")[i % 3] for i in range(30)]
     core = SoftmaxCore.fit(X, labels)
-    p = core.probabilities(rng.standard_normal(4))
+    p = core.probabilities(rng.standard_normal((1, 4)))[0]
     assert p.sum() == pytest.approx(1.0)
     assert set(core.column) == {"a", "b", "c"}
     assert sorted(core.column.values()) == list(range(len(p)))
@@ -226,7 +228,7 @@ def test_softmax_params_round_trip():
     labels = [("u", "v")[i % 2] for i in range(24)]
     core = SoftmaxCore.fit(X, labels)
     again = SoftmaxCore.from_params(core.to_params())
-    x = rng.standard_normal(3)
+    x = rng.standard_normal((2, 3))
     assert again.column == core.column
     assert np.array_equal(again.probabilities(x), core.probabilities(x))
 

@@ -8,7 +8,8 @@ the splice-then-solve prober, the restarting typed replay, the
 always-sorting beam (with the condition layer's screen and cut), the
 depth-first exhaustive search, the per-tree certifier, the full-width PCA
 fit, the per-candidate reading of a decision and its feature vector and the
-memo-free rows and logistic predict built from them, the per-context
+memo-free rows and logistic predict built from them, the logistic model's
+per-decision predict, a model that records its rounds, the per-context
 condition rule set, the field-by-field context loader and the
 level-recursive condition parser."""
 
@@ -652,7 +653,8 @@ def reference_beam_search(
             if not outcome.kept:
                 continue
             node = outcome.target
-            probs = model.predict(ctx, ast, node, [p.rule for p in outcome.kept])
+            decision = (ast, node, [p.rule for p in outcome.kept])
+            probs = model.predict(ctx, [decision])[0]
             scored = []
             for probe, p in zip(outcome.kept, probs):
                 if p <= 0.0:
@@ -726,7 +728,7 @@ def reference_exhaustive_search(
             continue
         node = outcome.target
         if model is not None:
-            probs = model.predict(ctx, ast, node, [p.rule for p in outcome.kept])
+            probs = model.predict(ctx, [(ast, node, [p.rule for p in outcome.kept])])[0]
         else:
             probs = [1.0] * len(outcome.kept)
         for probe, p in reversed(list(zip(outcome.kept, probs))):
@@ -1069,26 +1071,59 @@ def reference_rows(templates, pipe, ctx, ast, node, candidates):
 
 
 def reference_logistic_predict(model, templates, pipe, ctx, ast, node, candidates):
-    """``LogisticModel.predict`` over the ``reference_rows``, reading the
-    expression classes through a dict built from the core's ``classes``
-    instead of its column index."""
+    """``per_decision_logistic_predict`` over the ``reference_rows``, reading
+    the expression classes through a dict built from the core's
+    ``classes`` instead of its column index."""
+    kind, rows = reference_rows(templates, pipe, ctx, ast, node, candidates)
+    return per_decision_logistic_predict(model, kind, rows, candidates, by_class=True)
+
+
+def per_decision_logistic_predict(model, kind, rows, candidates, *, by_class=False):
+    """``LogisticModel.predict`` one decision at a time, as it was before a
+    round was scored at once: the decision's ``kind`` and ``rows`` (what
+    its encoder gives it) go through each core's math on their own, one
+    product over the whole row matrix (the expression row a vector).
+    ``by_class`` reads the expression classes through a dict of the
+    core's ``classes`` instead of its column index."""
     k = len(candidates)
     if k == 0:
         return []
     uniform = [1.0 / k] * k
-    kind, rows = reference_rows(templates, pipe, ctx, ast, node, candidates)
     if kind == "expression" and model.expression is not None:
         core = model.expression
-        dist = dict(zip(core.classes, map(float, core.probabilities(rows[0]))))
-        raw = [dist.get(r.key, 0.0) for r in candidates]
+        xs = (rows[0] - core.mean) / core.std
+        z = xs @ core.W + core.b
+        z -= z.max()
+        p = np.exp(z)
+        p /= p.sum()
+        if by_class:
+            dist = dict(zip(core.classes, map(float, p)))
+            raw = [dist.get(r.key, 0.0) for r in candidates]
+        else:
+            column = core.column
+            raw = [float(p[column[r.key]]) if r.key in column else 0.0 for r in candidates]
         mass = sum(raw)
         return [p / mass for p in raw] if mass > 0.0 else uniform
     core = {"creation": model.creation, "variable": model.variable}.get(kind)
     if core is None:
         return uniform
-    scores = core.scores(rows)
+    xs = (rows - core.mean) / core.std
+    scores = 1.0 / (1.0 + np.exp(-np.clip(xs @ core.w + core.b, -40.0, 40.0)))
     mass = float(scores.sum())
     return [float(s) / mass for s in scores] if mass > 0.0 else uniform
+
+
+class RecordingModel:
+    """A model that keeps the decisions of each round it is asked to score,
+    and passes the round on to ``model``."""
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self.rounds: list = []
+
+    def predict(self, ctx, decisions):
+        self.rounds.append(list(decisions))
+        return self.model.predict(ctx, decisions)
 
 
 def serialize_grammar(g: Grammar) -> str:
