@@ -348,11 +348,15 @@ def pca_fit(
         direction = None
         for _ in range(_PCA_MAX_ITER):
             w = centered.T @ (centered @ v) / data.shape[0]
-            scale = np.linalg.norm(w)
+            # np.linalg.norm of a vector is this square root, bit for bit
+            scale = np.sqrt(w.dot(w))
             if scale < 1e-12:
                 break
             w /= scale
-            if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < _PCA_TOL:
+            # of w - v and w + v, the one not taken is at least sqrt(2)
+            # long, so only the shorter can pass the stopping test
+            gap = w - v if w.dot(v) > 0 else w + v
+            if np.sqrt(gap.dot(gap)) < _PCA_TOL:
                 direction = w
                 break
             v = w

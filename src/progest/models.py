@@ -183,16 +183,36 @@ class FrequencyModel:
 # the step size and the L2 weight of every full-batch gradient descent fit
 _LR, _L2 = 0.4, 1e-3
 
+# OpenBLAS (0.3.31, as numpy's wheels ship it) runs a product on one thread,
+# whatever thread count it is given, when the product is small: a
+# matrix-vector product of fewer than 460 800 matrix entries, a matrix
+# product whose m·n·k is at most 262 144.  A larger one is split at points
+# that depend on the thread count, and an output next to a split is summed
+# in another order, so the fits take every product in row blocks within
+# these bounds: each of their sums then has one order at any thread count
+# (a block is at least one row, so a row wider than a bound is not covered)
+_MATVEC_ENTRIES, _MATMUL_VOLUME = 460_799, 262_144
 
-def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column's mean and spread, a spread under 1e-12 read as 1, and
+    which columns are live: those whose spread is not."""
     mean = X.mean(axis=0)
     std = X.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return mean, std
+    live = std >= 1e-12
+    return mean, np.where(live, std, 1.0), live
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x``, one product per block of rows within ``_MATVEC_ENTRIES``."""
+    rows = max(1, _MATVEC_ENTRIES // max(1, A.shape[1]))
+    if rows >= len(A):
+        return A @ x
+    return np.concatenate([A[i : i + rows] @ x for i in range(0, len(A), rows)])
 
 
 @dataclass
@@ -208,19 +228,43 @@ class BinaryLogisticCore:
     def fit(
         X: np.ndarray,
         y: np.ndarray,
+        steps: np.ndarray,
         *,
         epochs: int = 450,
     ) -> "BinaryLogisticCore":
-        mean, std = _standardize_fit(X)
-        Xs = (X - mean) / std
-        n, d = Xs.shape
-        w = np.zeros(d)
+        """Gradient descent on the rows of ``X`` labelled ``y``, where
+        ``steps`` labels each row with its decision.
+
+        A live column that holds one value in every row of each decision
+        (the context block, say) is shared: it is standardized and
+        multiplied once per decision, and its gradient is summed over each
+        decision (``np.bincount``) before one product.  Only the other live
+        columns are read per row, and a column that is not live keeps its
+        weight at exactly 0.  The fit computes what gradient descent on
+        the standardized row matrix computes, up to rounding, and sums in
+        one order at any BLAS thread count (``_matvec``)."""
+        mean, std, live = _standardize_fit(X)
+        _, first, decision = np.unique(steps, return_index=True, return_inverse=True)
+        heads = X[first]
+        in_step = (X == heads[decision]).all(axis=0)
+        shared = np.flatnonzero(live & in_step)
+        own = np.flatnonzero(live & ~in_step)
+        G = (heads[:, shared] - mean[shared]) / std[shared]
+        Xo = (X[:, own] - mean[own]) / std[own]
+        GT, XoT = np.ascontiguousarray(G.T), np.ascontiguousarray(Xo.T)
+        n = len(X)
+        ws, wo = np.zeros(len(shared)), np.zeros(len(own))
         b = 0.0
         for _ in range(epochs):
-            p = _sigmoid(Xs @ w + b)
+            p = _sigmoid(_matvec(Xo, wo) + _matvec(G, ws)[decision] + b)
             err = p - y
-            w -= _LR * (Xs.T @ err / n + _L2 * w)
+            summed = np.bincount(decision, weights=err, minlength=len(first))
+            ws -= _LR * (_matvec(GT, summed) / n + _L2 * ws)
+            wo -= _LR * (_matvec(XoT, err) / n + _L2 * wo)
             b -= _LR * float(err.mean())
+        w = np.zeros(X.shape[1])
+        w[shared] = ws
+        w[own] = wo
         return BinaryLogisticCore(w, b, mean, std)
 
     def scores(self, X: np.ndarray, spans: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -280,25 +324,45 @@ class SoftmaxCore:
         *,
         epochs: int = 450,
     ) -> "SoftmaxCore":
+        """Gradient descent on the rows of ``X`` labelled with their classes,
+        over the live columns only: a column that is not live keeps its
+        weights at exactly 0.  Both products of an epoch are taken in
+        blocks of rows small enough for one BLAS thread, the gradient's
+        added block by block in row order, so the sums have one order at
+        any thread count."""
         classes = tuple(sorted(set(labels)))
         index = {c: i for i, c in enumerate(classes)}
-        mean, std = _standardize_fit(X)
-        Xs = (X - mean) / std
+        mean, std, live = _standardize_fit(X)
+        cols = np.flatnonzero(live)
+        Xs = (X[:, cols] - mean[cols]) / std[cols]
         n, d = Xs.shape
         Y = np.zeros((n, len(classes)))
         for row, label in enumerate(labels):
             Y[row, index[label]] = 1.0
         W = np.zeros((d, len(classes)))
         b = np.zeros(len(classes))
+        step = max(1, _MATMUL_VOLUME // max(1, d * len(classes)))
+        blocks = [slice(i, i + step) for i in range(0, n, step)]
+        # one buffer an epoch: the scores, then in place their softmax, then
+        # its difference from Y
+        err = np.empty((n, len(classes)))
+        grad, part = np.empty_like(W), np.empty_like(W)
         for _ in range(epochs):
-            Z = Xs @ W + b
-            Z -= Z.max(axis=1, keepdims=True)
-            P = np.exp(Z)
-            P /= P.sum(axis=1, keepdims=True)
-            err = P - Y
-            W -= _LR * (Xs.T @ err / n + _L2 * W)
+            for rows in blocks:
+                np.matmul(Xs[rows], W, out=err[rows])
+            err += b
+            err -= err.max(axis=1, keepdims=True)
+            np.exp(err, out=err)
+            err /= err.sum(axis=1, keepdims=True)
+            err -= Y
+            grad.fill(0.0)
+            for rows in blocks:
+                grad += np.matmul(Xs[rows].T, err[rows], out=part)
+            W -= _LR * (grad / n + _L2 * W)
             b -= _LR * err.mean(axis=0)
-        return SoftmaxCore(classes, W, b, mean, std)
+        full = np.zeros((X.shape[1], len(classes)))
+        full[cols] = W
+        return SoftmaxCore(classes, full, b, mean, std)
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:
         """The probability of each class, in ``classes`` order, for each row
@@ -408,7 +472,8 @@ class LogisticModel:
                 y = np.concatenate(
                     [np.arange(len(s.rows)) == s.choice for s in found]
                 ).astype(float)
-                cores[kind] = BinaryLogisticCore.fit(X, y, epochs=epochs)
+                of_step = np.repeat(np.arange(len(found)), [len(s.rows) for s in found])
+                cores[kind] = BinaryLogisticCore.fit(X, y, of_step, epochs=epochs)
         expression = None
         found = by_kind.get("expression", [])
         if found:

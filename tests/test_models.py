@@ -1,8 +1,13 @@
 """Probability models: table lookup, smoothed counts, logistic cores."""
 
+import os
+import subprocess
+import sys
 from itertools import islice
 from math import inf
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramgen import full_set, random_typed_grammar, with_overloads
+from progest import models
 from progest.ambiguity import enumerate_complete_trees
 from progest.condsynth import build_cond_ruleset, mine_templates, record_tree
 from progest.constraints import is_variable_token
@@ -45,10 +51,13 @@ from progest.trees import (
 from tests_support import (
     make_hash_policy,
     probe_pins,
+    reference_binary_fit,
     reference_feasible_derivation,
+    reference_softmax_fit,
     untyped_derivations,
 )
 
+REPO = Path(__file__).resolve().parent.parent
 GRAMMAR = 'E -> E "> 12" | "hours" | "value"\n'
 
 
@@ -176,7 +185,7 @@ def test_binary_core_separable_data():
     rng = np.random.default_rng(0)
     X = np.concatenate([rng.normal(-2, 0.3, (60, 3)), rng.normal(2, 0.3, (60, 3))])
     y = np.concatenate([np.zeros(60), np.ones(60)])
-    core = BinaryLogisticCore.fit(X, y)
+    core = BinaryLogisticCore.fit(X, y, np.arange(len(X)) // 4)
     predicted = (core.scores(X, [(0, len(X))]) > 0.5).astype(float)
     assert (predicted == y).mean() == 1.0
 
@@ -184,14 +193,14 @@ def test_binary_core_separable_data():
 def test_binary_core_constant_features_learn_the_base_rate():
     X = np.ones((40, 2))
     y = np.array([1.0] * 30 + [0.0] * 10)
-    core = BinaryLogisticCore.fit(X, y, epochs=4000)
+    core = BinaryLogisticCore.fit(X, y, np.arange(len(X)) // 4, epochs=4000)
     assert core.scores(X[:1], [(0, 1)])[0] == pytest.approx(0.75, abs=1e-3)
 
 
 def test_binary_core_params_round_trip():
     X = np.random.default_rng(1).standard_normal((20, 2))
     y = (X[:, 0] > 0).astype(float)
-    core = BinaryLogisticCore.fit(X, y)
+    core = BinaryLogisticCore.fit(X, y, np.arange(len(X)) // 4)
     again = BinaryLogisticCore.from_params(core.to_params())
     spans = [(0, 5), (5, len(X))]
     assert np.array_equal(again.scores(X, spans), core.scores(X, spans))
@@ -249,9 +258,106 @@ def test_fit_is_deterministic():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((30, 3))
     y = (X[:, 1] > 0).astype(float)
-    a = BinaryLogisticCore.fit(X, y)
-    b = BinaryLogisticCore.fit(X, y)
+    a = BinaryLogisticCore.fit(X, y, np.arange(len(X)) // 4)
+    b = BinaryLogisticCore.fit(X, y, np.arange(len(X)) // 4)
     assert np.array_equal(a.w, b.w) and a.b == b.b
+
+
+@st.composite
+def decision_rows(draw):
+    """Rows of decisions of 1 to 8 rows each, in shuffled order: columns
+    shared by the rows of each decision, columns of each row's own, and
+    columns of one value; labels of both kinds once there are two rows.
+    Each row's decision is labelled by a number that is not its index."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=12))
+    widths = draw(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)))
+    if not any(widths):
+        widths = (1, 0, 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_shared, n_own, n_constant = widths
+    n = sum(sizes)
+    decision = np.repeat(np.arange(len(sizes)), sizes)
+    X = np.hstack([
+        rng.standard_normal((len(sizes), n_shared))[decision],
+        rng.standard_normal((n, n_own)) * rng.uniform(0.1, 10.0, n_own),
+        np.repeat(rng.uniform(-5.0, 5.0, (1, n_constant)), n, axis=0),
+    ])[:, rng.permutation(sum(widths))]
+    y = rng.integers(0, 2, n).astype(float)
+    if n > 1:
+        y[:2] = (1.0, 0.0)
+    order = rng.permutation(n)
+    steps = (rng.permutation(len(sizes)) * 3 + 7)[decision]
+    return X[order], y[order], steps[order]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=decision_rows(),
+    entries=st.sampled_from([1, 5, 17, models._MATVEC_ENTRIES]),
+)
+def test_binary_fit_by_decision_matches_the_row_matrix_fit(data, entries):
+    """The fit over decisions, whatever its row blocks, computes the row
+    matrix fit's weights and bias to 1e-12 and its standardization
+    exactly; a column of one value keeps weight 0 exactly."""
+    X, y, steps = data
+    with mock.patch.object(models, "_MATVEC_ENTRIES", entries):
+        core = BinaryLogisticCore.fit(X, y, steps, epochs=15)
+    ref = reference_binary_fit(X, y, epochs=15)
+    assert np.array_equal(core.mean, ref.mean) and np.array_equal(core.std, ref.std)
+    assert np.abs(core.w - ref.w).max() <= 1e-12
+    assert abs(core.b - ref.b) <= 1e-12
+    assert (core.w[X.std(axis=0) < 1e-12] == 0.0).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 60), st.integers(0, 5), st.integers(0, 2)),
+    classes=st.integers(1, 5),
+    volume=st.sampled_from([1, 7, 40, models._MATMUL_VOLUME]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_softmax_fit_matches_the_row_matrix_fit(shape, classes, volume, seed):
+    """The softmax fit over the live columns, in row blocks of any size,
+    computes the row matrix fit's weights and biases to 1e-12; a column
+    of one value keeps its weights at 0 exactly."""
+    n, live, constant = shape
+    rng = np.random.default_rng(seed)
+    X = np.hstack([
+        rng.standard_normal((n, live)),
+        np.repeat(rng.uniform(-5.0, 5.0, (1, constant)), n, axis=0),
+    ])[:, rng.permutation(live + constant)]
+    labels = [f"c{i}" for i in rng.integers(0, classes, n)]
+    with mock.patch.object(models, "_MATMUL_VOLUME", volume):
+        core = SoftmaxCore.fit(X, labels, epochs=15)
+    ref = reference_softmax_fit(X, labels, epochs=15)
+    assert core.classes == ref.classes
+    assert np.array_equal(core.mean, ref.mean) and np.array_equal(core.std, ref.std)
+    assert np.abs(core.W - ref.W).max(initial=0.0) <= 1e-12
+    assert np.abs(core.b - ref.b).max() <= 1e-12
+    assert (core.W[X.std(axis=0) < 1e-12] == 0.0).all()
+
+
+def test_logistic_bundle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``progest train --model logistic`` on the bundled corpus writes the
+    same bytes in child interpreters whose BLAS runs 1 and 2 threads, a
+    setting read only when numpy loads."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    written = []
+    for threads in ("1", "2"):
+        bundle = tmp_path / f"logistic-{threads}.json"
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "progest", "train",
+                "--corpus", str(REPO / "data" / "corpus.jsonl"),
+                "--model", "logistic", "--bundle", str(bundle),
+            ],
+            cwd=tmp_path,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+            capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        written.append(bundle.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_extraction_labels_every_step(rules):

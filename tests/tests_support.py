@@ -9,9 +9,9 @@ always-sorting beam (with the condition layer's screen and cut), the
 depth-first exhaustive search, the per-tree certifier, the full-width PCA
 fit, the per-candidate reading of a decision and its feature vector and the
 memo-free rows and logistic predict built from them, the logistic model's
-per-decision predict, a model that records its rounds, the per-context
-condition rule set, the field-by-field context loader and the
-level-recursive condition parser."""
+per-decision predict, the row-matrix logistic fits, a model that records
+its rounds, the per-context condition rule set, the field-by-field context
+loader and the level-recursive condition parser."""
 
 import contextlib
 import hashlib
@@ -84,7 +84,14 @@ from progest.minilang import (
     join_tokens,
     parse_condition,
 )
-from progest.models import TableModel
+from progest.models import (
+    _L2,
+    _LR,
+    BinaryLogisticCore,
+    SoftmaxCore,
+    TableModel,
+    _sigmoid,
+)
 from progest.search import (
     Candidate,
     Policy,
@@ -1111,6 +1118,57 @@ def per_decision_logistic_predict(model, kind, rows, candidates, *, by_class=Fal
     scores = 1.0 / (1.0 + np.exp(-np.clip(xs @ core.w + core.b, -40.0, 40.0)))
     mass = float(scores.sum())
     return [float(s) / mass for s in scores] if mass > 0.0 else uniform
+
+
+def _reference_standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    return mean, std
+
+
+def reference_binary_fit(
+    X: np.ndarray, y: np.ndarray, *, epochs: int = 450
+) -> BinaryLogisticCore:
+    """``BinaryLogisticCore.fit`` as one loop over the standardized row
+    matrix, every column read in every row."""
+    mean, std = _reference_standardize_fit(X)
+    Xs = (X - mean) / std
+    n, d = Xs.shape
+    w = np.zeros(d)
+    b = 0.0
+    for _ in range(epochs):
+        p = _sigmoid(Xs @ w + b)
+        err = p - y
+        w -= _LR * (Xs.T @ err / n + _L2 * w)
+        b -= _LR * float(err.mean())
+    return BinaryLogisticCore(w, b, mean, std)
+
+
+def reference_softmax_fit(
+    X: np.ndarray, labels: Sequence[str], *, epochs: int = 450
+) -> SoftmaxCore:
+    """``SoftmaxCore.fit`` as one product of the whole standardized row
+    matrix each way per epoch, every column read."""
+    classes = tuple(sorted(set(labels)))
+    index = {c: i for i, c in enumerate(classes)}
+    mean, std = _reference_standardize_fit(X)
+    Xs = (X - mean) / std
+    n, d = Xs.shape
+    Y = np.zeros((n, len(classes)))
+    for row, label in enumerate(labels):
+        Y[row, index[label]] = 1.0
+    W = np.zeros((d, len(classes)))
+    b = np.zeros(len(classes))
+    for _ in range(epochs):
+        Z = Xs @ W + b
+        Z -= Z.max(axis=1, keepdims=True)
+        P = np.exp(Z)
+        P /= P.sum(axis=1, keepdims=True)
+        err = P - Y
+        W -= _LR * (Xs.T @ err / n + _L2 * W)
+        b -= _LR * err.mean(axis=0)
+    return SoftmaxCore(classes, W, b, mean, std)
 
 
 class RecordingModel:
