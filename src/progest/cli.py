@@ -128,7 +128,9 @@ def cmd_train(args) -> int:
     print(f"trained {args.model} on {len(records)} atoms "
           f"({len(trained.templates)} templates)")
     if ex is not None:
-        print(f"training instances: {len(ex.instances)} "
+        # one instance per feasible candidate of each replayed step
+        instances = sum(audit.feasible for audit in ex.steps_audited)
+        print(f"training instances: {instances} "
               f"({len(ex.skipped)} items skipped)")
     print(f"wrote {args.bundle}")
     return 0

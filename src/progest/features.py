@@ -310,9 +310,27 @@ class PcaTransform:
         return PcaTransform(mean, components, dims)
 
 
-# a direction's power iteration stops once a step moves it less than
-# _PCA_TOL, or after _PCA_MAX_ITER steps
-_PCA_TOL, _PCA_MAX_ITER = 1e-13, 5000
+# OpenBLAS (0.3.31, as numpy's wheels ship it) runs a product on one thread,
+# whatever thread count it is given, when the product is small: a
+# matrix-vector product of fewer than 460 800 matrix entries, a matrix
+# product whose m·n·k is at most 262 144.  A larger one is split at points
+# that depend on the thread count, and an output next to a split is summed
+# in another order, so the PCA and the fits (``models``) take every product
+# in row blocks within these bounds: each of their sums then has one order
+# at any thread count (a block is at least one row, so a row wider than a
+# bound is not covered)
+_MATVEC_ENTRIES, _MATMUL_VOLUME = 460_799, 262_144
+
+# the PCA's block holds _PCA_OVERSAMPLE directions beyond the dims it may
+# keep, and the iteration stops once every kept direction q with Ritz value
+# θ has ‖Cq − θq‖ under _PCA_TOL, or after _PCA_MAX_ITER rounds
+_PCA_OVERSAMPLE, _PCA_TOL, _PCA_MAX_ITER = 8, 1e-13, 5000
+
+
+def _row_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B``, one product per block of rows within ``_MATMUL_VOLUME``."""
+    rows = max(1, _MATMUL_VOLUME // max(1, A.shape[1] * B.shape[1]))
+    return np.concatenate([A[i : i + rows] @ B for i in range(0, len(A), rows)])
 
 
 def pca_fit(
@@ -321,55 +339,63 @@ def pca_fit(
     *,
     seed: int = 12345,
 ) -> PcaTransform:
-    """Power iteration with deflation; deterministic under the seed.
+    """Subspace iteration with a Rayleigh–Ritz step; deterministic under the
+    seed.
 
     The iteration runs over the columns some sample touches: a column every
     sample leaves at zero stays zero once centred, so it takes no part in any
-    step and is exactly zero in every component.  Needs at least two sample
-    vectors; directions stop early once the residual variance is numerically
-    zero.
+    product and is exactly zero in every component.  The block starts from
+    ``dims + _PCA_OVERSAMPLE`` seeded draws, the first ``dims`` of them the
+    starts of power iteration with deflation, and keeps what that iteration
+    converges to: each direction takes the sign of its start, and the
+    directions of one eigenvalue are the Gram–Schmidt of their starts'
+    projections onto its eigenspace.  Needs at least two sample vectors; the
+    directions end at the first whose variance is numerically zero.
     """
     data = np.asarray(list(vectors), dtype=float)
-    if data.ndim != 2 or data.shape[0] < 2:
+    # the mean of samples that touch no column is zero
+    if data.ndim != 2 or data.shape[0] < 2 or not data.any():
         width = data.shape[1] if data.ndim == 2 else BIGRAM_DIM
         return PcaTransform(np.zeros(width), np.zeros((0, width)), dims)
+    n, width = data.shape
     mean = data.mean(axis=0)
     live = np.flatnonzero(data.any(axis=0))
     centered = data[:, live] - mean[live]
-    rng = np.random.default_rng(seed)
-    kept: list[np.ndarray] = []
-    limit = min(dims, min(data.shape))
-    for _ in range(limit):
-        # drawn and normalised at full width, then restricted: each step
-        # computes what it would over every column, up to rounding, and the
-        # seed fixes each direction's sign as it would there
-        v = rng.standard_normal(data.shape[1])
-        v = v[live] / np.linalg.norm(v)
-        direction = None
-        for _ in range(_PCA_MAX_ITER):
-            w = centered.T @ (centered @ v) / data.shape[0]
-            # np.linalg.norm of a vector is this square root, bit for bit
-            scale = np.sqrt(w.dot(w))
-            if scale < 1e-12:
-                break
-            w /= scale
-            # of w - v and w + v, the one not taken is at least sqrt(2)
-            # long, so only the shorter can pass the stopping test
-            gap = w - v if w.dot(v) > 0 else w + v
-            if np.sqrt(gap.dot(gap)) < _PCA_TOL:
-                direction = w
-                break
-            v = w
-        else:
-            direction = v
-        if direction is None:
+    size = min(dims + _PCA_OVERSAMPLE, len(live), n)
+    # drawn at full width, then restricted: the seed fixes each direction's
+    # sign as it would over every column
+    starts = np.random.default_rng(seed).standard_normal((size, width))[:, live].T
+    step = max(1, _MATMUL_VOLUME // max(1, len(live) * size))
+    basis = starts
+    for _ in range(_PCA_MAX_ITER):
+        # qr and eigh act on at most dims + 8 columns, where each BLAS call
+        # LAPACK makes sums in one order at any thread count
+        basis = np.linalg.qr(basis)[0]
+        # the centred covariance times the block, summed in row order
+        image = np.zeros_like(basis)
+        for i in range(0, n, step):
+            part = centered[i : i + step]
+            image += part.T @ (part @ basis)
+        image /= n
+        theta, turn = np.linalg.eigh(_row_blocks(basis.T, image))
+        theta, turn = theta[::-1], turn[:, ::-1]
+        ritz, basis = _row_blocks(basis, turn), _row_blocks(image, turn)
+        kept = int(np.count_nonzero(theta[:dims] >= 1e-12))
+        residual = basis[:, :kept] - ritz[:, :kept] * theta[:kept]
+        if not (np.linalg.norm(residual, axis=0) >= _PCA_TOL).any():
             break
-        kept.append(direction)
-        projected = centered @ direction
-        centered = centered - np.outer(projected, direction)
-    components = np.zeros((len(kept), data.shape[1]))
-    if kept:
-        components[:, live] = kept
+    first = 0
+    while first < kept:
+        # a run of Ritz values equal up to rounding spans one eigenspace
+        last = first + 1
+        while last < size and theta[first] - theta[last] <= 1e-10 * theta[0]:
+            last += 1
+        span = ritz[:, first:last]
+        q, r = np.linalg.qr(_row_blocks(span.T, starts[:, first:last]))
+        ritz[:, first:last] = _row_blocks(span, q * np.sign(np.diag(r)))
+        first = last
+    components = np.zeros((kept, width))
+    components[:, live] = ritz[:, :kept].T
     return PcaTransform(mean, components, dims)
 
 

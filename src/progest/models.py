@@ -45,6 +45,9 @@ from .errors import UnderivableTreeError
 # can wrap it under this module's name; every decision is encoded by the
 # encoder a LogisticModel keeps, which calls it from condsynth
 from .features import Context, extract_features, number_array, string_tuple
+# every product of the fits is taken in row blocks within these one-thread
+# bounds (see features)
+from .features import _MATMUL_VOLUME, _MATVEC_ENTRIES
 from .grammar import RewritingRule, RuleSet
 # iter_derivations is called by this name so that the tracer counts replays
 from .trees import AnnotatedAst, DerivationStep, iter_derivations, policy_leftmost
@@ -182,16 +185,6 @@ class FrequencyModel:
 
 # the step size and the L2 weight of every full-batch gradient descent fit
 _LR, _L2 = 0.4, 1e-3
-
-# OpenBLAS (0.3.31, as numpy's wheels ship it) runs a product on one thread,
-# whatever thread count it is given, when the product is small: a
-# matrix-vector product of fewer than 460 800 matrix entries, a matrix
-# product whose m·n·k is at most 262 144.  A larger one is split at points
-# that depend on the thread count, and an output next to a split is summed
-# in another order, so the fits take every product in row blocks within
-# these bounds: each of their sums then has one order at any thread count
-# (a block is at least one row, so a row wider than a bound is not covered)
-_MATVEC_ENTRIES, _MATMUL_VOLUME = 460_799, 262_144
 
 
 def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

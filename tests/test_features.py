@@ -173,6 +173,28 @@ def test_pca_matches_the_full_width_fit(data, dims, seed):
             assert np.abs(a - b).max() <= 1e-6
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=bigram_like(), dims=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_pca_components_are_eigenvectors_of_the_covariance(data, dims, seed):
+    """The components are orthonormal to 1e-12, each q meets ‖Cq − λq‖ ≤
+    1e-10 of the largest eigenvalue of the full-width centred covariance C
+    for its captured variance λ, and the captured variances are C's top
+    eigenvalues to a relative 1e-10, as many as ``dims`` allows and C has
+    above zero."""
+    fit = pca_fit(list(data), dims, seed=seed)
+    components = fit.components
+    centered = data - data.mean(axis=0)
+    cov = centered.T @ centered / len(data)
+    eigvals = np.linalg.eigvalsh(cov)[::-1]
+    assert len(components) == min(dims, np.count_nonzero(eigvals > 1e-9))
+    gram = components @ components.T
+    assert np.abs(gram - np.eye(len(components))).max(initial=0.0) <= 1e-12
+    for q, value in zip(components, eigvals):
+        captured = _captured(centered, q)
+        assert np.linalg.norm(cov @ q - captured * q) <= 1e-10 * eigvals[0]
+        assert captured == pytest.approx(value, rel=1e-10)
+
+
 def _one_column(rows: int, width: int, column: int) -> list[np.ndarray]:
     data = np.zeros((rows, width))
     data[:, column] = np.arange(rows) % 3

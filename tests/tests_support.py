@@ -6,8 +6,8 @@ that fast paths are checked against: the recursive splice and the rescanned
 frontier, the built-tree key, the recursive matcher of the derivation walk,
 the splice-then-solve prober, the restarting typed replay, the
 always-sorting beam (with the condition layer's screen and cut), the
-depth-first exhaustive search, the per-tree certifier, the full-width PCA
-fit, the per-candidate reading of a decision and its feature vector and the
+depth-first exhaustive search, the per-tree certifier, the full-width
+power-iteration PCA fit, the per-candidate reading of a decision and its feature vector and the
 memo-free rows and logistic predict built from them, the logistic model's
 per-decision predict, the row-matrix logistic fits, a model that records
 its rounds, the per-context condition rule set, the field-by-field context
@@ -42,8 +42,6 @@ from progest.errors import (
     UnderivableTreeError,
 )
 from progest.features import (
-    _PCA_MAX_ITER,
-    _PCA_TOL,
     BIGRAM_DIM,
     WINDOW_VOCAB_SIZE,
     Context,
@@ -963,10 +961,11 @@ def reference_pca_fit(
     *,
     seed: int = 12345,
 ) -> PcaTransform:
-    """``features.pca_fit`` over every column: power iteration with
-    deflation on the full-width centred data, each step's two mat-vecs
-    summing over the columns no sample touches too.  The path the
-    touched-column iteration replaces."""
+    """Power iteration with deflation on the full-width centred data, each
+    step's two mat-vecs summing over the columns no sample touches too: the
+    fit ``features.pca_fit`` replaces with subspace iteration over the
+    touched columns.  A direction stops once a step moves it less than
+    1e-13, or after 5 000 steps."""
     data = np.asarray(list(vectors), dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         width = data.shape[1] if data.ndim == 2 else BIGRAM_DIM
@@ -980,13 +979,13 @@ def reference_pca_fit(
         v = rng.standard_normal(data.shape[1])
         v /= np.linalg.norm(v)
         direction = None
-        for _ in range(_PCA_MAX_ITER):
+        for _ in range(5000):
             w = centered.T @ (centered @ v) / data.shape[0]
             scale = np.linalg.norm(w)
             if scale < 1e-12:
                 break
             w /= scale
-            if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < _PCA_TOL:
+            if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < 1e-13:
                 direction = w
                 break
             v = w
