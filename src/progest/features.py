@@ -318,7 +318,11 @@ class PcaTransform:
 # in another order, so the PCA and the fits (``models``) take every product
 # in row blocks within these bounds: each of their sums then has one order
 # at any thread count (a block is at least one row, so a row wider than a
-# bound is not covered)
+# bound is not covered).  Not every BLAS call that looks small keeps to
+# them: numpy hands ``A.T @ A`` to ``syrk``, and LAPACK's ``eigh`` and
+# ``qr`` of the bundled corpus's 193-wide expression rows gave other bytes
+# at 2 threads than at 1, so the softmax fit builds the basis of their span
+# from bounded matrix-vector products alone (``models._row_basis``)
 _MATVEC_ENTRIES, _MATMUL_VOLUME = 460_799, 262_144
 
 # the PCA's block holds _PCA_OVERSAMPLE directions beyond the dims it may
@@ -330,7 +334,17 @@ _PCA_OVERSAMPLE, _PCA_TOL, _PCA_MAX_ITER = 8, 1e-13, 5000
 def _row_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``A @ B``, one product per block of rows within ``_MATMUL_VOLUME``."""
     rows = max(1, _MATMUL_VOLUME // max(1, A.shape[1] * B.shape[1]))
+    if rows >= len(A):
+        return A @ B
     return np.concatenate([A[i : i + rows] @ B for i in range(0, len(A), rows)])
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x``, one product per block of rows within ``_MATVEC_ENTRIES``."""
+    rows = max(1, _MATVEC_ENTRIES // max(1, A.shape[1]))
+    if rows >= len(A):
+        return A @ x
+    return np.concatenate([A[i : i + rows] @ x for i in range(0, len(A), rows)])
 
 
 def pca_fit(

@@ -46,8 +46,8 @@ from .errors import UnderivableTreeError
 # encoder a LogisticModel keeps, which calls it from condsynth
 from .features import Context, extract_features, number_array, string_tuple
 # every product of the fits is taken in row blocks within these one-thread
-# bounds (see features)
-from .features import _MATMUL_VOLUME, _MATVEC_ENTRIES
+# bounds, by these helpers (see features)
+from .features import _MATMUL_VOLUME, _matvec, _row_blocks
 from .grammar import RewritingRule, RuleSet
 # iter_derivations is called by this name so that the tracer counts replays
 from .trees import AnnotatedAst, DerivationStep, iter_derivations, policy_leftmost
@@ -200,12 +200,30 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
 
 
-def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A @ x``, one product per block of rows within ``_MATVEC_ENTRIES``."""
-    rows = max(1, _MATVEC_ENTRIES // max(1, A.shape[1]))
-    if rows >= len(A):
-        return A @ x
-    return np.concatenate([A[i : i + rows] @ x for i in range(0, len(A), rows)])
+# a row joins the basis of the rows' span when what Gram–Schmidt leaves of
+# it is above this fraction of its norm (on the bundled corpus what is left
+# of a joining row is at least 2e-3 of it, of any other at most 1e-12)
+_SPAN_TOL = 1e-9
+
+
+def _row_basis(X: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the span of the rows of ``X``, as the columns
+    of the returned (width × rank) matrix.
+
+    Classical Gram–Schmidt, applied twice to each row in turn ("twice is
+    enough"), from matrix-vector products within ``_MATVEC_ENTRIES`` alone,
+    so its sums have one order at any BLAS thread count (see features)."""
+    B = np.empty((min(X.shape), X.shape[1]))
+    r = 0
+    for x in X:
+        u = x.copy()
+        for _ in range(2):
+            u -= _matvec(B[:r].T, _matvec(B[:r], u))
+        norm = math.sqrt(u @ u)
+        if norm > _SPAN_TOL * math.sqrt(x @ x):
+            B[r] = u / norm
+            r += 1
+    return B[:r].T
 
 
 @dataclass
@@ -319,30 +337,36 @@ class SoftmaxCore:
     ) -> "SoftmaxCore":
         """Gradient descent on the rows of ``X`` labelled with their classes,
         over the live columns only: a column that is not live keeps its
-        weights at exactly 0.  Both products of an epoch are taken in
-        blocks of rows small enough for one BLAS thread, the gradient's
-        added block by block in row order, so the sums have one order at
-        any thread count."""
+        weights at exactly 0.  Descent from 0 keeps ``W`` in the span of
+        the standardized rows, so the epochs run on the rows' coordinates
+        ``Z`` in an orthonormal basis ``V`` of it (``_row_basis``), with
+        ``W = V·A``: the same iterates up to rounding, rank rather than
+        live columns wide.  Every product is taken in blocks of rows
+        small enough for one BLAS thread, the gradient's added block by
+        block in row order, so the sums have one order at any thread
+        count."""
         classes = tuple(sorted(set(labels)))
         index = {c: i for i, c in enumerate(classes)}
         mean, std, live = _standardize_fit(X)
         cols = np.flatnonzero(live)
         Xs = (X[:, cols] - mean[cols]) / std[cols]
-        n, d = Xs.shape
+        V = _row_basis(Xs)
+        Z = _row_blocks(Xs, V)
+        n, d = Z.shape
         Y = np.zeros((n, len(classes)))
         for row, label in enumerate(labels):
             Y[row, index[label]] = 1.0
-        W = np.zeros((d, len(classes)))
+        A = np.zeros((d, len(classes)))
         b = np.zeros(len(classes))
         step = max(1, _MATMUL_VOLUME // max(1, d * len(classes)))
         blocks = [slice(i, i + step) for i in range(0, n, step)]
         # one buffer an epoch: the scores, then in place their softmax, then
         # its difference from Y
         err = np.empty((n, len(classes)))
-        grad, part = np.empty_like(W), np.empty_like(W)
+        grad, part = np.empty_like(A), np.empty_like(A)
         for _ in range(epochs):
             for rows in blocks:
-                np.matmul(Xs[rows], W, out=err[rows])
+                np.matmul(Z[rows], A, out=err[rows])
             err += b
             err -= err.max(axis=1, keepdims=True)
             np.exp(err, out=err)
@@ -350,11 +374,11 @@ class SoftmaxCore:
             err -= Y
             grad.fill(0.0)
             for rows in blocks:
-                grad += np.matmul(Xs[rows].T, err[rows], out=part)
-            W -= _LR * (grad / n + _L2 * W)
+                grad += np.matmul(Z[rows].T, err[rows], out=part)
+            A -= _LR * (grad / n + _L2 * A)
             b -= _LR * err.mean(axis=0)
         full = np.zeros((X.shape[1], len(classes)))
-        full[cols] = W
+        full[cols] = _row_blocks(V, A)
         return SoftmaxCore(classes, full, b, mean, std)
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:

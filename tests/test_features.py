@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from progest import features
 from progest.condsynth import (
     CondEncoder,
     Template,
@@ -22,6 +24,8 @@ from progest.features import (
     ContextEncoding,
     FeaturePipeline,
     VariableInfo,
+    _matvec,
+    _row_blocks,
     context_block,
     context_block_length,
     encode_name_2gram,
@@ -225,6 +229,25 @@ def test_pca_edge_cases_match_the_full_width_fit(vectors, dims, kept):
     # every sample is nonnegative, so a zero mean marks an untouched column
     assert np.all(fast.components[:, fast.mean == 0.0] == 0.0)
     assert pca_apply(fast, np.ones(fast.mean.shape[0])).shape == (dims,)
+
+
+@pytest.mark.parametrize("volume, entries", [(1, 1), (7, 5), (40, 17)])
+@pytest.mark.parametrize("rows, inner", [(0, 0), (0, 3), (1, 0), (5, 3), (9, 4)])
+def test_blocked_products_are_the_products_even_of_no_rows(rows, inner, volume, entries):
+    """``_row_blocks`` and ``_matvec`` give what ``A @ B`` and ``A @ x``
+    give, shape included, in row blocks of any size and for an ``A`` of no
+    rows (the softmax fit of a core with no live column asks that)."""
+    rng = np.random.default_rng(rows * 10 + inner)
+    A = rng.standard_normal((rows, inner))
+    B, x = rng.standard_normal((inner, 4)), rng.standard_normal(inner)
+    with (
+        mock.patch.object(features, "_MATMUL_VOLUME", volume),
+        mock.patch.object(features, "_MATVEC_ENTRIES", entries),
+    ):
+        product, image = _row_blocks(A, B), _matvec(A, x)
+    assert product.shape == (rows, 4) and image.shape == (rows,)
+    assert np.allclose(product, A @ B, rtol=0.0, atol=1e-12)
+    assert np.allclose(image, A @ x, rtol=0.0, atol=1e-12)
 
 
 def make_contexts():

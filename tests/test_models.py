@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramgen import full_set, random_typed_grammar, with_overloads
-from progest import models
+from progest import features, models
 from progest.ambiguity import enumerate_complete_trees
 from progest.condsynth import build_cond_ruleset, mine_templates, record_tree
 from progest.constraints import is_variable_token
@@ -293,14 +293,14 @@ def decision_rows(draw):
 @settings(max_examples=80, deadline=None)
 @given(
     data=decision_rows(),
-    entries=st.sampled_from([1, 5, 17, models._MATVEC_ENTRIES]),
+    entries=st.sampled_from([1, 5, 17, features._MATVEC_ENTRIES]),
 )
 def test_binary_fit_by_decision_matches_the_row_matrix_fit(data, entries):
     """The fit over decisions, whatever its row blocks, computes the row
     matrix fit's weights and bias to 1e-12 and its standardization
     exactly; a column of one value keeps weight 0 exactly."""
     X, y, steps = data
-    with mock.patch.object(models, "_MATVEC_ENTRIES", entries):
+    with mock.patch.object(features, "_MATVEC_ENTRIES", entries):
         core = BinaryLogisticCore.fit(X, y, steps, epochs=15)
     ref = reference_binary_fit(X, y, epochs=15)
     assert np.array_equal(core.mean, ref.mean) and np.array_equal(core.std, ref.std)
@@ -335,6 +335,90 @@ def test_blocked_softmax_fit_matches_the_row_matrix_fit(shape, classes, volume, 
     assert np.abs(core.W - ref.W).max(initial=0.0) <= 1e-12
     assert np.abs(core.b - ref.b).max() <= 1e-12
     assert (core.W[X.std(axis=0) < 1e-12] == 0.0).all()
+
+
+@st.composite
+def dependent_columns(draw):
+    """Rows whose live columns are linearly dependent once standardized:
+    independent normal columns of any scale, then copies of some, sums of
+    two, a one-hot group and columns of one value, in shuffled order, with
+    labels of 1 to 5 classes.  The rows are often fewer than the live
+    columns."""
+    n = draw(st.integers(1, 30))
+    base, copies, sums, group, constant = draw(st.tuples(
+        st.integers(1, 6), st.integers(0, 3), st.integers(0, 3),
+        st.integers(0, 4), st.integers(0, 2),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.standard_normal((n, base)) * rng.uniform(0.1, 10.0, base)
+
+    def pick(k):
+        return B[:, rng.integers(0, base, k)]
+
+    X = np.hstack([
+        B,
+        pick(copies),
+        pick(sums) + pick(sums),
+        np.eye(group)[rng.integers(0, group, n)] if group else np.zeros((n, 0)),
+        np.repeat(rng.uniform(-5.0, 5.0, (1, constant)), n, axis=0),
+    ])[:, rng.permutation(base + copies + sums + group + constant)]
+    labels = [f"c{i}" for i in rng.integers(0, draw(st.integers(1, 5)), n)]
+    return X, labels
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=dependent_columns(),
+    volume=st.sampled_from([1, 7, 40, features._MATMUL_VOLUME]),
+    entries=st.sampled_from([1, 5, 17, features._MATVEC_ENTRIES]),
+)
+def test_softmax_fit_in_the_row_space_matches_the_row_matrix_fit(data, volume, entries):
+    """On rows whose standardized columns are dependent, so that their span
+    is narrower than the live columns, the fit in that span computes the
+    full-width row matrix fit's weights and biases to 1e-12, whatever its
+    row blocks; a column of one value keeps its weights at 0 exactly."""
+    X, labels = data
+    with (
+        mock.patch.object(models, "_MATMUL_VOLUME", volume),
+        mock.patch.object(features, "_MATMUL_VOLUME", volume),
+        mock.patch.object(features, "_MATVEC_ENTRIES", entries),
+    ):
+        core = SoftmaxCore.fit(X, labels, epochs=15)
+    ref = reference_softmax_fit(X, labels, epochs=15)
+    assert core.classes == ref.classes
+    assert np.array_equal(core.mean, ref.mean) and np.array_equal(core.std, ref.std)
+    assert np.abs(core.W - ref.W).max(initial=0.0) <= 1e-12
+    assert np.abs(core.b - ref.b).max() <= 1e-12
+    assert (core.W[X.std(axis=0) < 1e-12] == 0.0).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 12), st.integers(0, 12)),
+    entries=st.sampled_from([1, 5, 17, features._MATVEC_ENTRIES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_basis_is_an_orthonormal_basis_of_the_rows(shape, entries, seed):
+    """On rows of rank k, each a combination of k orthonormal directions
+    with weights in [1e-4, 1] (a clear gap between the k singular values
+    and rounding, narrow enough that one Gram–Schmidt pass loses
+    orthogonality), scaled by 1e-3 to 1e3 and three repeated, the basis
+    has k orthonormal columns to 1e-12 and rebuilds each row to 1e-10 of
+    its norm, whatever its row blocks."""
+    n, width, rank = shape
+    rank = min(rank, n, width)
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    Q = np.linalg.qr(rng.standard_normal((width, rank)))[0]
+    X = (U * 10.0 ** rng.uniform(-4.0, 0.0, rank)) @ Q.T
+    X *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    X = np.vstack([X, X[rng.integers(0, n, 3)]])[rng.permutation(n + 3)]
+    with mock.patch.object(features, "_MATVEC_ENTRIES", entries):
+        V = models._row_basis(X)
+    assert V.shape == (width, rank)
+    assert np.abs(V.T @ V - np.eye(rank)).max(initial=0.0) <= 1e-12
+    rebuilt = np.linalg.norm(X - (X @ V) @ V.T, axis=1)
+    assert (rebuilt <= 1e-10 * np.linalg.norm(X, axis=1)).all()
 
 
 def test_logistic_bundle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
