@@ -565,19 +565,20 @@ class CondEncoder:
     filled one has children, so slot p-1 is read off the target's
     siblings.
 
-    ``encode_round`` encodes a search round's decisions, all in one
-    context, into one matrix per kind (``features.extract_features``);
-    a decision's rows are those it gets in a round of its own, which is
-    what calling the encoder on one decision gives.  The encoder keeps the
+    ``encode_rounds``, the encoder's one entry, encodes rounds of
+    decisions, each round one context and its decisions, into one matrix
+    per kind (``features.extract_features``): a predict passes its search
+    round, training one round per replayed item.  A decision's rows are
+    those it gets in a round of its own.  The encoder keeps the
     ``ContextEncoding`` of the last context it encoded and reuses it while
     the next round's context is that object or equals it, so the rounds of
-    one predict, or the steps of one training item, compute each context
-    and variable block once; a variable is read by its name through the
-    encoding.  A context that differs in any value replaces it; only one
-    is kept.  The encoder memoises each template's block, keyed on the
-    template key (None for the absent template), so each is computed once
-    per encoder; name embeddings come from the pipeline's memo, once per
-    pipeline.
+    one predict, or of training items that share a context, compute each
+    context and variable block once; a variable is read by its name
+    through the encoding.  A context that differs in any value replaces
+    it; only one is kept.  The encoder memoises each template's block,
+    keyed on the template key (None for the absent template), so each is
+    computed once per encoder; name embeddings come from the pipeline's
+    memo, once per pipeline.
     """
 
     def __init__(self, templates: Sequence[Template], pipeline: FeaturePipeline):
@@ -586,56 +587,49 @@ class CondEncoder:
         self._encoding: ContextEncoding | None = None
         self._expressions: dict[str | None, np.ndarray] = {}
 
-    def __call__(
-        self,
-        ctx: Context | None,
-        ast: AnnotatedAst,
-        node: int | None,
-        candidates: Sequence[RewritingRule],
-    ) -> tuple[str, np.ndarray | None]:
-        """One decision's kind and rows (None when no core scores it): the
-        round of that decision alone."""
-        rows, ((kind, _, _),) = self.encode_round(ctx, [(ast, node, candidates)])
-        return kind, rows.get(kind)
-
-    def encode_round(
-        self, ctx: Context | None, decisions: Sequence[Decision]
+    def encode_rounds(
+        self, rounds: Sequence[tuple[Context | None, Sequence[Decision]]]
     ) -> EncodedRound:
-        """The rows of a round's decisions in the context ``ctx``: one
-        matrix per kind, each decision's rows a contiguous range of its
-        kind's, in the order the decisions come."""
-        enc = None
-        parts: dict[str, list] = {}
+        """The rows of the rounds' decisions, each round's in its context:
+        one matrix per kind, each decision's rows a contiguous range of its
+        kind's, in the order the rounds and their decisions come."""
+        # per kind, runs of decisions' blocks, each run in one encoding
+        parts: dict[str, list[tuple[ContextEncoding, list]]] = {}
         used: dict[str, int] = {}  # rows per kind so far
         spans: list[tuple[str, int, int]] = []
-        for ast, node, candidates in decisions:
-            key = candidates[0].key if candidates else ""
-            if key.startswith(("make-var:", "make-expr:")):
-                kind = "creation"
-            elif key.startswith("expr:"):
-                kind = "expression"
-            else:
-                slot = _VAR_RULE_RE.match(key)
-                if slot is None:
-                    spans.append(("other", 0, 0))
-                    continue
-                kind = "variable"
-            if enc is None:
-                enc = self._encoding_of(ctx)
-            if kind == "creation":
-                own = self._creation_blocks(enc, candidates)
-                shared: tuple = ()
-            elif kind == "expression":
-                own, shared = ([enc.variable_block(_filled_by(ast, node))],), ()
-            else:
-                names = [r.key.partition(":")[2] for r in candidates]
-                own = (enc.variable_blocks(names),)
-                shared = self._slot_blocks(enc, ast, node, int(slot.group(1)))
-            start = used.get(kind, 0)
-            used[kind] = start + len(own[0])
-            parts.setdefault(kind, []).append((own, shared))
-            spans.append((kind, start, start + len(own[0])))
-        rows = {kind: extract_features(enc, made) for kind, made in parts.items()}
+        for ctx, decisions in rounds:
+            enc = None
+            for ast, node, candidates in decisions:
+                key = candidates[0].key if candidates else ""
+                if key.startswith(("make-var:", "make-expr:")):
+                    kind = "creation"
+                elif key.startswith("expr:"):
+                    kind = "expression"
+                else:
+                    slot = _VAR_RULE_RE.match(key)
+                    if slot is None:
+                        spans.append(("other", 0, 0))
+                        continue
+                    kind = "variable"
+                if enc is None:
+                    enc = self._encoding_of(ctx)
+                if kind == "creation":
+                    own = self._creation_blocks(enc, candidates)
+                    shared: tuple = ()
+                elif kind == "expression":
+                    own, shared = ([enc.variable_block(_filled_by(ast, node))],), ()
+                else:
+                    names = [r.key.partition(":")[2] for r in candidates]
+                    own = (enc.variable_blocks(names),)
+                    shared = self._slot_blocks(enc, ast, node, int(slot.group(1)))
+                runs = parts.setdefault(kind, [])
+                if not runs or runs[-1][0] is not enc:
+                    runs.append((enc, []))
+                runs[-1][1].append((own, shared))
+                start = used.get(kind, 0)
+                used[kind] = start + len(own[0])
+                spans.append((kind, start, start + len(own[0])))
+        rows = {kind: extract_features(runs) for kind, runs in parts.items()}
         return EncodedRound(rows, spans)
 
     def _encoding_of(self, ctx: Context | None) -> ContextEncoding:
@@ -700,7 +694,9 @@ def _filled_by(ast: AnnotatedAst, slot: int) -> str | None:
 
 @dataclass
 class TrainedCond:
-    """Everything needed to synthesize: templates plus a fitted model."""
+    """Everything needed to synthesize: templates plus a fitted model, and
+    the replay's record (``extraction``) without its encoded rows, which
+    only the fits read."""
 
     model_kind: str
     templates: tuple[Template, ...]
@@ -744,16 +740,16 @@ def train_cond_models(
     extraction = extract_training_set(
         items, rules_for, policy_leftmost, encoder=encoder, size_limit=size_limit
     )
-    steps = extraction.steps_audited
     if encoder is None:
         return TrainedCond(
-            "frequency", templates, frequency=FrequencyModel.fit(steps),
+            "frequency", templates,
+            frequency=FrequencyModel.fit(extraction.steps_audited),
             extraction=extraction,
         )
     return TrainedCond(
         "logistic", templates, pipeline=pipeline,
-        logistic=LogisticModel.train(steps, encoder, epochs=epochs),
-        extraction=extraction,
+        logistic=LogisticModel.train(extraction, encoder, epochs=epochs),
+        extraction=replace(extraction, encoded=None),
     )
 
 

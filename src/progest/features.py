@@ -8,10 +8,10 @@ time; token windows use a small vocabulary learned alongside.
 
 A decision's feature rows are assembled from fixed-width blocks, so their
 layout depends only on the PCA width and on which blocks the caller picks
-(``condsynth.CondEncoder`` picks them for each decision, and builds the
-block of a template itself: this module knows no template).  Optional
-inputs encode as zeros plus a trailing presence flag of 0, never as a
-shifted layout.
+(``condsynth.CondEncoder`` picks them for each decision of each round it
+encodes, and builds the block of a template itself: this module knows no
+template).  Optional inputs encode as zeros plus a trailing presence flag
+of 0, never as a shifted layout.
 
 What reads no context is computed once per pipeline: a ``FeaturePipeline``
 memoises each name's embedding, keyed on the name.  What reads the context
@@ -347,6 +347,16 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([A[i : i + rows] @ x for i in range(0, len(A), rows)])
 
 
+def _tmatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A.T @ B``, summed over blocks of rows within ``_MATMUL_VOLUME``,
+    in row order."""
+    rows = max(1, _MATMUL_VOLUME // max(1, A.shape[1] * B.shape[1]))
+    out = np.zeros((A.shape[1], B.shape[1]))
+    for i in range(0, len(A), rows):
+        out += A[i : i + rows].T @ B[i : i + rows]
+    return out
+
+
 def pca_fit(
     vectors: Sequence[np.ndarray],
     dims: int,
@@ -379,18 +389,13 @@ def pca_fit(
     # drawn at full width, then restricted: the seed fixes each direction's
     # sign as it would over every column
     starts = np.random.default_rng(seed).standard_normal((size, width))[:, live].T
-    step = max(1, _MATMUL_VOLUME // max(1, len(live) * size))
     basis = starts
     for _ in range(_PCA_MAX_ITER):
         # qr and eigh act on at most dims + 8 columns, where each BLAS call
         # LAPACK makes sums in one order at any thread count
         basis = np.linalg.qr(basis)[0]
-        # the centred covariance times the block, summed in row order
-        image = np.zeros_like(basis)
-        for i in range(0, n, step):
-            part = centered[i : i + step]
-            image += part.T @ (part @ basis)
-        image /= n
+        # the centred covariance times the block
+        image = _tmatmul(centered, _row_blocks(centered, basis)) / n
         theta, turn = np.linalg.eigh(_row_blocks(basis.T, image))
         theta, turn = theta[::-1], turn[:, ::-1]
         ritz, basis = _row_blocks(basis, turn), _row_blocks(image, turn)
@@ -474,9 +479,13 @@ class FeaturePipeline:
 
     @staticmethod
     def from_params(data: Mapping) -> "FeaturePipeline":
-        return FeaturePipeline(
-            PcaTransform.from_params(data["pca"]), string_tuple(data["vocab"], "vocab")
-        )
+        """The pipeline of a bundle's section; ``ValueError`` for a vocab
+        that ``window_vec`` cannot index: more than ``WINDOW_VOCAB_SIZE``
+        tokens, or one token twice."""
+        vocab = string_tuple(data["vocab"], "vocab")
+        if len(vocab) > WINDOW_VOCAB_SIZE or len(set(vocab)) != len(vocab):
+            raise ValueError(f"vocab must be at most {WINDOW_VOCAB_SIZE} distinct tokens")
+        return FeaturePipeline(PcaTransform.from_params(data["pca"]), vocab)
 
     @staticmethod
     def fit(
@@ -672,30 +681,32 @@ class ContextEncoding:
         return block
 
 
-def extract_features(
-    enc: ContextEncoding,
-    decisions: Sequence[tuple[Sequence[Sequence[np.ndarray]], Sequence[np.ndarray]]],
-) -> np.ndarray:
-    """Feature rows of decisions of one kind over the context of ``enc``,
-    stacked in the order given.  A decision is its own blocks, one list
-    per block position holding each candidate's block there, and the
-    blocks its candidates share; its row i is the context block, then
-    candidate i's own blocks, then the shared blocks.  Every decision has
-    blocks of the same widths.  The rows are one new array, written one
-    column range per block: the context block once, each own block
-    position once over all the rows, and each shared block once per
-    decision."""
-    head = enc.context_block()
+def extract_features(runs: Sequence[tuple[ContextEncoding, list]]) -> np.ndarray:
+    """Feature rows of decisions of one kind, stacked in the order given.
+    A run is the encoding of a context and decisions of this kind in it
+    (one round's, or those of rounds in a row that share the encoding).  A
+    decision is its own blocks, one list per block position holding each
+    candidate's block there, and the blocks its candidates share; its row i
+    is its run's context block, then candidate i's own blocks, then the
+    shared blocks.  Every decision has blocks of the same widths.  The rows
+    are one new array, written one column range per block: each run's
+    context block once over that run's rows, each own block position once
+    over all the rows, and each shared block once per decision."""
+    decisions = [decision for _, run in runs for decision in run]
     own, shared = decisions[0]
     widths = [blocks[0].shape[0] for blocks in own]
-    col = head.shape[0]
+    col = runs[0][0].context_block().shape[0]
     rows = np.empty(
         (
             sum(len(own[0]) for own, _ in decisions),
             col + sum(widths) + sum(b.shape[0] for b in shared),
         )
     )
-    rows[:, :col] = head
+    start = 0
+    for enc, run in runs:
+        stop = start + sum(len(own[0]) for own, _ in run)
+        rows[start:stop, :col] = enc.context_block()
+        start = stop
     for i, width in enumerate(widths):
         rows[:, col : col + width] = [b for own, _ in decisions for b in own[i]]
         col += width

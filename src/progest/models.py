@@ -17,10 +17,12 @@ of ``trees.iter_derivations``, a walk that steps through
 (``program_log_probability``) multiplies a model's scores along it, so it
 gives each tree the search's probability without importing ``search``.
 For training, every replay step is recorded once, as a ``StepAudit``
-that both fitted models train from; with an encoder it carries the step's
-kind and feature rows, built by the same encoder (``condsynth.CondEncoder``)
-that the logistic model predicts through.  Each step also yields one
-labelled instance per feasible candidate, the applied one positive.
+that both fitted models train from.  With an encoder, each item's steps
+form one round in its context, and one call of the same encoder
+(``condsynth.CondEncoder``) that the logistic model predicts through
+turns all the rounds into one matrix per kind, a span per step, which
+the logistic cores fit on directly.  Each step also yields one labelled
+instance per feasible candidate, the applied one positive.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import UnderivableTreeError
 from .features import Context, extract_features, number_array, string_tuple
 # every product of the fits is taken in row blocks within these one-thread
 # bounds, by these helpers (see features)
-from .features import _MATMUL_VOLUME, _matvec, _row_blocks
+from .features import _matvec, _row_blocks, _tmatmul
 from .grammar import RewritingRule, RuleSet
 # iter_derivations is called by this name so that the tracer counts replays
 from .trees import AnnotatedAst, DerivationStep, iter_derivations, policy_leftmost
@@ -358,24 +360,16 @@ class SoftmaxCore:
             Y[row, index[label]] = 1.0
         A = np.zeros((d, len(classes)))
         b = np.zeros(len(classes))
-        step = max(1, _MATMUL_VOLUME // max(1, d * len(classes)))
-        blocks = [slice(i, i + step) for i in range(0, n, step)]
-        # one buffer an epoch: the scores, then in place their softmax, then
-        # its difference from Y
-        err = np.empty((n, len(classes)))
-        grad, part = np.empty_like(A), np.empty_like(A)
         for _ in range(epochs):
-            for rows in blocks:
-                np.matmul(Z[rows], A, out=err[rows])
+            # the scores, then in place their softmax, then its difference
+            # from Y
+            err = _row_blocks(Z, A)
             err += b
             err -= err.max(axis=1, keepdims=True)
             np.exp(err, out=err)
             err /= err.sum(axis=1, keepdims=True)
             err -= Y
-            grad.fill(0.0)
-            for rows in blocks:
-                grad += np.matmul(Z[rows].T, err[rows], out=part)
-            A -= _LR * (grad / n + _L2 * A)
+            A -= _LR * (_tmatmul(Z, err) / n + _L2 * A)
             b -= _LR * err.mean(axis=0)
         full = np.zeros((X.shape[1], len(classes)))
         full[cols] = _row_blocks(V, A)
@@ -416,31 +410,23 @@ class SoftmaxCore:
 
 
 class EncodedRound(NamedTuple):
-    """A round's feature rows: one matrix per decision kind, and for each
-    decision its kind and the ``(start, stop)`` range of its rows in that
-    kind's matrix (``("other", 0, 0)`` for a decision no core scores)."""
+    """The feature rows of rounds of decisions: one matrix per decision
+    kind, and for each decision, in the order the rounds and their
+    decisions come, its kind and the ``(start, stop)`` range of its rows
+    in that kind's matrix (``("other", 0, 0)`` for a decision no core
+    scores)."""
 
     rows: dict[str, np.ndarray]
     spans: list[tuple[str, int, int]]
 
 
 class StepEncoder(Protocol):
-    """Maps decision points to their kind and feature rows
-    (``condsynth.CondEncoder``): a round at once, or one decision, as a
-    round of one, with its kind and its rows (None where no core scores
-    it)."""
+    """Maps rounds of decisions, each a context and its decisions, to
+    their feature rows (``condsynth.CondEncoder``)."""
 
-    def encode_round(
-        self, ctx: Context | None, decisions: Sequence[Decision]
+    def encode_rounds(
+        self, rounds: Sequence[tuple[Context | None, Sequence[Decision]]]
     ) -> EncodedRound: ...
-
-    def __call__(
-        self,
-        ctx: Context | None,
-        ast: AnnotatedAst,
-        node: int | None,
-        candidates: Sequence[RewritingRule],
-    ) -> tuple[str, np.ndarray | None]: ...
 
 
 class LogisticModel:
@@ -470,33 +456,32 @@ class LogisticModel:
 
     @staticmethod
     def train(
-        steps: Iterable["StepAudit"],
+        extraction: "ExtractionResult",
         encoder: StepEncoder,
         *,
         epochs: int = 450,
     ) -> "LogisticModel":
-        """Fit each core on the rows of the replayed steps of its kind, in
-        replay order; steps without rows (no core scores them) are skipped."""
-        by_kind: dict[str, list[StepAudit]] = {}
-        for s in steps:
-            if s.rows is not None:
-                by_kind.setdefault(s.kind, []).append(s)
+        """Fit each core on its kind's matrix of the extraction's encoded
+        rows, whose spans follow the audited steps: a binary core's rows
+        labelled 1 at each step's choice, the softmax's labelled with the
+        applied rules.  A kind with no rows leaves its core missing."""
+        rows, spans = extraction.encoded
+        steps = extraction.steps_audited
         cores: dict[str, BinaryLogisticCore] = {}
         for kind in ("creation", "variable"):
-            found = by_kind.get(kind, [])
-            if found:
-                X = np.vstack([s.rows for s in found])
-                y = np.concatenate(
-                    [np.arange(len(s.rows)) == s.choice for s in found]
-                ).astype(float)
-                of_step = np.repeat(np.arange(len(found)), [len(s.rows) for s in found])
+            X = rows.get(kind)
+            if X is not None:
+                y, of_step = np.zeros(len(X)), np.empty(len(X), dtype=int)
+                for i, (audit, (found, start, stop)) in enumerate(zip(steps, spans)):
+                    if found == kind:
+                        y[start + audit.choice] = 1.0
+                        of_step[start:stop] = i
                 cores[kind] = BinaryLogisticCore.fit(X, y, of_step, epochs=epochs)
         expression = None
-        found = by_kind.get("expression", [])
-        if found:
-            X = np.vstack([s.rows for s in found])
-            labels = [s.applied_key for s in found]
-            expression = SoftmaxCore.fit(X, labels, epochs=epochs)
+        if "expression" in rows:
+            labels = [s.applied_key for s, (kind, _, _) in zip(steps, spans)
+                      if kind == "expression"]
+            expression = SoftmaxCore.fit(rows["expression"], labels, epochs=epochs)
         return LogisticModel(
             encoder,
             creation=cores.get("creation"),
@@ -516,7 +501,7 @@ class LogisticModel:
         decision whose core is missing, the encoder gives no rows, or
         whose scores have no mass, gets the uniform distribution.
         """
-        rows, spans = self.encoder.encode_round(ctx, decisions)
+        rows, spans = self.encoder.encode_rounds([(ctx, decisions)])
         scored: dict[str, tuple[np.ndarray, list[float]]] = {}
         for kind, core in (("creation", self.creation), ("variable", self.variable)):
             if kind in rows and core is not None:
@@ -580,9 +565,7 @@ class TrainingInstance:
 @dataclass(frozen=True, slots=True)
 class StepAudit:
     """One replayed step, the record both fitted models train from.
-    ``choice`` indexes the applied rule among the ``feasible`` kept; ``kind``
-    and ``rows`` are what the encoder gives the step (None without one, rows
-    None where no core scores it).  Rows take no part in equality."""
+    ``choice`` indexes the applied rule among the ``feasible`` kept."""
 
     item: int
     step: int
@@ -592,15 +575,18 @@ class StepAudit:
     feasible: int
     applied_key: str
     choice: int
-    kind: str | None
-    rows: np.ndarray | None = field(compare=False)
 
 
 @dataclass
 class ExtractionResult:
+    """What a replay of the training items gives: the instances, the
+    skipped items, an audit per step and, with an encoder, the steps'
+    rows, one span per audited step."""
+
     instances: list[TrainingInstance] = field(default_factory=list)
     skipped: list[tuple[int, str]] = field(default_factory=list)
     steps_audited: list[StepAudit] = field(default_factory=list)
+    encoded: EncodedRound | None = None
 
 
 def feasible_derivation(
@@ -663,10 +649,11 @@ def extract_training_set(
     """Replay each finished tree, in the rule set ``rules_for`` gives for its
     context, and label every decision along the way.
 
-    Each step is recorded once as a ``StepAudit``, carrying the kind and
-    rows the ``encoder`` gives it when there is one, and contributes one
+    Each step is recorded once as a ``StepAudit`` and contributes one
     positive instance (the rule that was applied) and one negative per
-    other feasible candidate.
+    other feasible candidate.  With an ``encoder``, each item's steps are
+    kept as one round in its context, and the rounds of all the items are
+    encoded in one call after the replay.
     The build replayed is ``feasible_derivation``'s, the one the search
     would make; items without one are skipped whole with the walk's reason,
     never partially emitted.
@@ -675,6 +662,7 @@ def extract_training_set(
     # instances are values and most repeat across items (the bundled
     # corpus makes 7 592, of which 1 057 differ), so each is made once
     made: dict[tuple, TrainingInstance] = {}
+    rounds = []
     for item_idx, (ctx, tree) in enumerate(items):
         rs = rules_for(ctx)
         try:
@@ -682,13 +670,12 @@ def extract_training_set(
         except UnderivableTreeError as err:
             result.skipped.append((item_idx, str(err)))
             continue
+        decisions = []
         for step_idx, step in enumerate(steps):
             outcome = step.outcome
             kept = [p.rule for p in outcome.kept]
             applied = kept[step.choice]
-            kind = rows = None
-            if encoder is not None:
-                kind, rows = encoder(ctx, step.ast, outcome.target, kept)
+            decisions.append((step.ast, outcome.target, kept))
             gstr = group_str(applied)
             parent = _parent_key(step.ast, outcome.target)
             result.steps_audited.append(
@@ -701,8 +688,6 @@ def extract_training_set(
                     len(kept),
                     applied.key,
                     step.choice,
-                    kind,
-                    rows,
                 )
             )
             for idx, cand in enumerate(kept):
@@ -711,4 +696,8 @@ def extract_training_set(
                 if instance is None:
                     instance = made[fields] = TrainingInstance(*fields)
                 result.instances.append(instance)
+        if encoder is not None:
+            rounds.append((ctx, decisions))
+    if encoder is not None:
+        result.encoded = encoder.encode_rounds(rounds)
     return result

@@ -516,6 +516,16 @@ def _stringify(*path):
                      id="pipeline-vocab-list"),
         pytest.param("logistic", _set_entry("pipeline", "vocab", 0, 5),
                      id="pipeline-vocab-number"),
+        # a window bag has WINDOW_VOCAB_SIZE token slots, then UNK and the
+        # presence flag: a longer vocab, or one token twice, indexes past them
+        *(
+            pytest.param("logistic",
+                         _set_entry("pipeline", "vocab", [f"t{i}" for i in range(n)]),
+                         id=f"pipeline-vocab-{n}-tokens")
+            for n in (33, 40)
+        ),
+        pytest.param("logistic", _repeat_first("pipeline", "vocab"),
+                     id="pipeline-vocab-repeated"),
         pytest.param("logistic", _set_entry("model", "expression", "classes", 0, ["x"]),
                      id="expression-classes-list"),
         pytest.param("logistic", _set_entry("model", "expression", "classes", 0, 5),

@@ -58,11 +58,13 @@ from progest.trees import (
     to_sexpr,
 )
 from tests_support import (
+    encoded_rows,
     reference_build_cond_ruleset,
     reference_logistic_predict,
     reference_payloads,
     reference_prober,
     reference_rows,
+    rows_alone,
     simple_context,
 )
 
@@ -507,8 +509,8 @@ def test_training_through_the_layer_equals_training_over_reference_sets(
 ):
     """``extract_training_set`` over a template layer's binds, which share
     one table and its offers, gives the instances, audits, skips and
-    encoded rows it gives over per-context reference sets that share
-    nothing.  Corpus records are drawn, some given a variable named like an
+    encoded rows and spans it gives over per-context reference sets that
+    share nothing.  Corpus records are drawn, some given a variable named like an
     identifier-shaped template token, some an Int result (their replays
     fail the result type and are skipped), beside variable-free conditions
     in contexts with no variables."""
@@ -552,8 +554,10 @@ def test_training_through_the_layer_equals_training_over_reference_sets(
     assert got.instances == want.instances
     assert got.steps_audited == want.steps_audited
     assert got.skipped == want.skipped
-    for ours, theirs in zip(got.steps_audited, want.steps_audited):
-        assert same_rows(ours.rows, theirs.rows)
+    assert got.encoded.spans == want.encoded.spans
+    assert got.encoded.rows.keys() == want.encoded.rows.keys()
+    for kind, rows in got.encoded.rows.items():
+        assert np.array_equal(rows, want.encoded.rows[kind]), kind
 
 
 def same_rows(a, b) -> bool:
@@ -568,9 +572,10 @@ def same_rows(a, b) -> bool:
 def test_the_step_audit_is_the_one_training_record(corpus_records, data):
     """Over a drawn corpus subset, with and without variable-free
     conditions: the frequency counts fitted from the audited steps are the
-    positives of the instances, an encoder changes no step but its kind and
-    rows, and exactly the steps the encoder scores carry rows, equal to the
-    per-payload reference rows of that step."""
+    positives of the instances, an encoder changes no step and adds the
+    encoded rows, with one span per audited step, and exactly the steps
+    the encoder scores have rows, equal to the per-payload reference rows
+    of that step."""
     records = data.draw(
         st.lists(st.sampled_from(corpus_records), min_size=1, max_size=10,
                  unique_by=lambda r: r.id)
@@ -593,14 +598,13 @@ def test_the_step_audit_is_the_one_training_record(corpus_records, data):
         (i.group, i.parent, i.label) for i in plain.instances if i.polarity
     )
     assert FrequencyModel.fit(plain.steps_audited).counts == dict(positives)
-    assert all(s.kind is None and s.rows is None for s in plain.steps_audited)
+    assert plain.encoded is None
     assert encoded.instances == plain.instances
     assert encoded.skipped == plain.skipped
-    assert [
-        dataclasses.replace(s, kind=None, rows=None) for s in encoded.steps_audited
-    ] == plain.steps_audited
+    assert encoded.steps_audited == plain.steps_audited
+    assert len(encoded.encoded.spans) == len(encoded.steps_audited)
 
-    audits = iter(encoded.steps_audited)
+    audits = iter(enumerate(encoded.steps_audited))
     skipped = {item for item, _reason in encoded.skipped}
     for item, (ctx, tree) in enumerate(items):
         if item in skipped:
@@ -609,13 +613,14 @@ def test_the_step_audit_is_the_one_training_record(corpus_records, data):
             tree, rules_for(ctx), policy_leftmost, ctx, size_limit=size_limit
         )
         for step in steps:
-            audit = next(audits)
+            index, audit = next(audits)
             kept = [p.rule for p in step.outcome.kept]
             kind, rows = reference_rows(
                 templates, pipe, ctx, step.ast, step.outcome.target, kept
             )
-            assert (audit.item, audit.kind) == (item, kind)
-            assert same_rows(audit.rows, rows), (item, audit.step)
+            got_kind, got_rows = encoded_rows(encoded.encoded, index)
+            assert (audit.item, got_kind) == (item, kind)
+            assert same_rows(got_rows, rows), (item, audit.step)
     assert next(audits, None) is None
 
 
@@ -859,13 +864,25 @@ def test_beam_matches_reference_prober_on_corpus_atoms(corpus_records):
         assert got.stats == want.stats, record.id
 
 
-def test_decision_rows_match_the_per_payload_reference(corpus_records):
-    """Each decision of the first 60 corpus items encodes, once per decision,
-    to the per-payload reference vectors: stacked for creation and variable
-    steps, the candidate-independent prefix for an expression step.
-    Training's step audit holds exactly these rows, one record per step."""
+def test_decision_rows_match_the_per_payload_reference(corpus_records, monkeypatch):
+    """Each decision of the first 60 corpus items encodes, in a round of its
+    own, to the per-payload reference vectors: stacked for creation and
+    variable steps, the candidate-independent prefix for an expression
+    step.  The encoded rows training fits the cores on hold exactly these
+    rows, one span per audited step, which records the decision's choice
+    and applied rule; the kept training record holds no rows."""
+    fitted = []
+    train = LogisticModel.train
+
+    def recording(extraction, *args, **kwargs):
+        fitted.append(extraction.encoded)
+        return train(extraction, *args, **kwargs)
+
+    monkeypatch.setattr(LogisticModel, "train", staticmethod(recording))
     records = corpus_records[:60]
     trained = train_cond_models(records, model_kind="logistic", epochs=5)
+    (fit_rows,) = fitted
+    assert trained.extraction.encoded is None
     model = trained.logistic
     pipe = model.encoder.pipeline
     encoded = []
@@ -879,7 +896,7 @@ def test_decision_rows_match_the_per_payload_reference(corpus_records):
         for step in steps:
             node = step.outcome.target
             kept = [p.rule for p in step.outcome.kept]
-            kind, rows = model.encoder(ctx, step.ast, node, kept)
+            kind, rows = rows_alone(model.encoder, ctx, step.ast, node, kept)
             kinds.add(kind)
             want = reference_rows(trained.templates, pipe, ctx, step.ast, node, kept)
             assert kind == want[0], record.id
@@ -887,10 +904,11 @@ def test_decision_rows_match_the_per_payload_reference(corpus_records):
             encoded.append((kind, rows, step.choice, kept[step.choice].key))
     assert kinds == {"creation", "expression", "variable"}
     stored = trained.extraction.steps_audited
-    assert len(stored) == len(encoded)
-    for audit, (kind, rows, chosen, key) in zip(stored, encoded):
-        assert (audit.kind, audit.choice, audit.applied_key) == (kind, chosen, key)
-        assert np.array_equal(audit.rows, rows)
+    assert len(stored) == len(fit_rows.spans) == len(encoded)
+    for i, (audit, (kind, rows, chosen, key)) in enumerate(zip(stored, encoded)):
+        got_kind, got_rows = encoded_rows(fit_rows, i)
+        assert (got_kind, audit.choice, audit.applied_key) == (kind, chosen, key)
+        assert np.array_equal(got_rows, rows)
 
     # the corpus has no variable-free template, so its builds never reach
     # the fin step, a decision that no core scores
@@ -899,7 +917,7 @@ def test_decision_rows_match_the_per_payload_reference(corpus_records):
     rs = build_cond_ruleset(trained.templates + (closed,), ctx)
     ast = apply_rule(AnnotatedAst.empty(), None, rs.by_key(f"make-expr:{closed.key}"))
     fin = [rs.by_key("fin:E")]
-    assert model.encoder(ctx, ast, ast.root, fin) == ("other", None)
+    assert rows_alone(model.encoder, ctx, ast, ast.root, fin) == ("other", None)
     assert model.predict(ctx, [(ast, ast.root, fin)]) == [[1.0]]
 
 
@@ -926,9 +944,10 @@ def replayed_decisions(templates, ctx, tree):
 
 
 def test_encoding_follows_the_context_of_each_decision(corpus_records, logistic_60):
-    """One model encodes the builds of contexts A, B, A and then of A with one
-    variable's usage count changed: every row is the per-payload reference
-    of its own context, never a block kept from the one before."""
+    """One model encodes, in one call, the builds of contexts A, B, A and
+    then of A with one variable's usage count changed, a round each: every
+    row is the per-payload reference of its own context, never a block
+    kept from the one before."""
     model = fresh_model(logistic_60)
     pipe = model.encoder.pipeline
     a = corpus_records[0]
@@ -938,22 +957,23 @@ def test_encoding_follows_the_context_of_each_decision(corpus_records, logistic_
     a_changed = dataclasses.replace(
         a.context, variables=(changed,) + a.context.variables[1:]
     )
+    rounds = [
+        (name, ctx, replayed_decisions(logistic_60.templates, ctx, record_tree(record)))
+        for name, ctx, record in (
+            ("A", a.context, a), ("B", b.context, b), ("A", a.context, a),
+            ("A'", a_changed, a),
+        )
+    ]
+    encoded = model.encoder.encode_rounds([(ctx, made) for _, ctx, made in rounds])
+    flat = [(name, ctx, decision) for name, ctx, made in rounds for decision in made]
     rows_of = {}
-    for name, ctx, record in (
-        ("A", a.context, a), ("B", b.context, b), ("A", a.context, a),
-        ("A'", a_changed, a),
-    ):
-        got = []
-        for ast, node, kept in replayed_decisions(
-            logistic_60.templates, ctx, record_tree(record)
-        ):
-            kind, reference = reference_rows(
-                logistic_60.templates, pipe, ctx, ast, node, kept
-            )
-            _, rows = model.encoder(ctx, ast, node, kept)
-            assert np.array_equal(rows, reference), (name, kind)
-            got.append(rows)
-        rows_of.setdefault(name, got)
+    for i, (name, ctx, (ast, node, kept)) in enumerate(flat):
+        kind, reference = reference_rows(
+            logistic_60.templates, pipe, ctx, ast, node, kept
+        )
+        _, rows = encoded_rows(encoded, i)
+        assert np.array_equal(rows, reference), (name, kind)
+        rows_of.setdefault(name, []).append(rows)
     # the changed usage count reaches the rows, so a block kept by name
     # instead of by value would have been caught above
     assert any(
@@ -969,20 +989,24 @@ def test_encoder_matches_the_reference_on_generated_corpora(
     tmp_path_factory, seed, n, dims
 ):
     """On a generated corpus, every step of the search's build of every atom
-    encodes to its per-payload reference rows.  One encoder serves every
-    record in turn, so a block kept from another context would show."""
+    encodes to its per-payload reference rows.  One encoder call encodes
+    every record's build as a round, as training does, so a block kept
+    from another context would show."""
     folder = tmp_path_factory.mktemp("corpus")
     records = load_corpus(write_corpus(folder, generate_corpus(n, seed=seed)))
     templates = mine_templates(records)
     pipe = FeaturePipeline.fit([r.context for r in records], dims, seed)
-    encoder = CondEncoder(templates, pipe)
-    for record in records:
-        ctx = record.context
-        for ast, node, kept in replayed_decisions(templates, ctx, record_tree(record)):
-            kind, rows = encoder(ctx, ast, node, kept)
-            want_kind, reference = reference_rows(templates, pipe, ctx, ast, node, kept)
-            assert kind == want_kind, record.id
-            assert np.array_equal(rows, reference), (record.id, kind)
+    rounds = [
+        (r.context, replayed_decisions(templates, r.context, record_tree(r)))
+        for r in records
+    ]
+    encoded = CondEncoder(templates, pipe).encode_rounds(rounds)
+    flat = [(r, ctx, d) for r, (ctx, made) in zip(records, rounds) for d in made]
+    for i, (record, ctx, (ast, node, kept)) in enumerate(flat):
+        kind, rows = encoded_rows(encoded, i)
+        want_kind, reference = reference_rows(templates, pipe, ctx, ast, node, kept)
+        assert kind == want_kind, record.id
+        assert np.array_equal(rows, reference), (record.id, kind)
 
 
 # names the encoder must take as they come: empty, one character, outside
@@ -1097,7 +1121,7 @@ def test_encoder_and_predict_match_the_memo_free_reference(logistic_60, data):
         rs = build_cond_ruleset(templates, ctx)
         for ast, node, kept in _random_build(data, rs, ctx):
             seen = data.draw(st.sampled_from((ctx, shadowed, None)))
-            kind, rows = encoder(seen, ast, node, kept)
+            kind, rows = rows_alone(encoder, seen, ast, node, kept)
             want_kind, want = reference_rows(templates, pipe, seen, ast, node, kept)
             assert kind == want_kind
             if want is None:
@@ -1219,13 +1243,13 @@ def test_each_tree_fills_each_slot_at_most_once(monkeypatch, tmp_path, corpus_re
     is a child of the root: so ``CondEncoder`` reads slot p-1's variable
     off the siblings of the slot p it targets."""
     seen = []
-    encode = CondEncoder.encode_round
+    encode = CondEncoder.encode_rounds
 
-    def recording(self, ctx, decisions):
-        seen.extend(ast for ast, _node, _candidates in decisions)
-        return encode(self, ctx, decisions)
+    def recording(self, rounds):
+        seen.extend(ast for _ctx, decisions in rounds for ast, _node, _kept in decisions)
+        return encode(self, rounds)
 
-    monkeypatch.setattr(CondEncoder, "encode_round", recording)
+    monkeypatch.setattr(CondEncoder, "encode_rounds", recording)
     trained = train_cond_models(
         corpus_records, model_kind="logistic", pca_dims=2, epochs=1
     )
@@ -1256,7 +1280,7 @@ def test_row_length_is_the_width_of_each_kind():
     for record in records:
         ctx = record.context
         for ast, node, kept in replayed_decisions(templates, ctx, record_tree(record)):
-            kind, rows = encoder(ctx, ast, node, kept)
+            kind, rows = rows_alone(encoder, ctx, ast, node, kept)
             widths.setdefault(kind, set()).add(rows.shape[1])
     assert widths == {
         kind: {row_length(kind, 3)} for kind in ("creation", "expression", "variable")
@@ -1281,23 +1305,24 @@ def test_one_predict_encodes_each_block_once(monkeypatch, corpus_records, logist
     scores once, however many decisions read them."""
     model = fresh_model(logistic_60)
     scored = set()
-    encode = model.encoder.encode_round
+    encode = model.encoder.encode_rounds
 
-    def recording_encoder(ctx, decisions):
-        for ast, node, candidates in decisions:
-            kind, payloads = reference_payloads(
-                logistic_60.templates, ctx, ast, node, candidates
-            )
-            for p in payloads:
-                if kind == "creation":
-                    scored.add(p.variable)
-                elif kind == "expression":
-                    scored.add(p.chosen)
-                elif kind == "variable":
-                    scored.update((p.variable, p.previous))
-        return encode(ctx, decisions)
+    def recording_encoder(rounds):
+        for ctx, decisions in rounds:
+            for ast, node, candidates in decisions:
+                kind, payloads = reference_payloads(
+                    logistic_60.templates, ctx, ast, node, candidates
+                )
+                for p in payloads:
+                    if kind == "creation":
+                        scored.add(p.variable)
+                    elif kind == "expression":
+                        scored.add(p.chosen)
+                    elif kind == "variable":
+                        scored.update((p.variable, p.previous))
+        return encode(rounds)
 
-    monkeypatch.setattr(model.encoder, "encode_round", recording_encoder)
+    monkeypatch.setattr(model.encoder, "encode_rounds", recording_encoder)
     contexts = counting(monkeypatch, features, "context_block")
     variables = counting(monkeypatch, features, "variable_block")
     record = corpus_records[0]

@@ -26,6 +26,7 @@ from progest.features import (
     VariableInfo,
     _matvec,
     _row_blocks,
+    _tmatmul,
     context_block,
     context_block_length,
     encode_name_2gram,
@@ -234,20 +235,24 @@ def test_pca_edge_cases_match_the_full_width_fit(vectors, dims, kept):
 @pytest.mark.parametrize("volume, entries", [(1, 1), (7, 5), (40, 17)])
 @pytest.mark.parametrize("rows, inner", [(0, 0), (0, 3), (1, 0), (5, 3), (9, 4)])
 def test_blocked_products_are_the_products_even_of_no_rows(rows, inner, volume, entries):
-    """``_row_blocks`` and ``_matvec`` give what ``A @ B`` and ``A @ x``
-    give, shape included, in row blocks of any size and for an ``A`` of no
-    rows (the softmax fit of a core with no live column asks that)."""
+    """``_row_blocks``, ``_matvec`` and ``_tmatmul`` give what ``A @ B``,
+    ``A @ x`` and ``A.T @ C`` give, shape included, in row blocks of any
+    size and for an ``A`` of no rows (the softmax fit of a core with no
+    live column asks that)."""
     rng = np.random.default_rng(rows * 10 + inner)
     A = rng.standard_normal((rows, inner))
     B, x = rng.standard_normal((inner, 4)), rng.standard_normal(inner)
+    C = rng.standard_normal((rows, 3))
     with (
         mock.patch.object(features, "_MATMUL_VOLUME", volume),
         mock.patch.object(features, "_MATVEC_ENTRIES", entries),
     ):
-        product, image = _row_blocks(A, B), _matvec(A, x)
+        product, image, summed = _row_blocks(A, B), _matvec(A, x), _tmatmul(A, C)
     assert product.shape == (rows, 4) and image.shape == (rows,)
+    assert summed.shape == (inner, 3)
     assert np.allclose(product, A @ B, rtol=0.0, atol=1e-12)
     assert np.allclose(image, A @ x, rtol=0.0, atol=1e-12)
+    assert np.allclose(summed, A.T @ C, rtol=0.0, atol=1e-12)
 
 
 def make_contexts():
@@ -320,9 +325,10 @@ def test_absent_parts_encode_as_zeros():
 
 
 def test_extract_features_lays_out_context_own_then_shared_blocks():
-    """Row i of a decision is the context block, then candidate i's own
-    blocks, then the blocks every candidate shares, in the order given;
-    the decisions of a round are stacked in order, each its own rows."""
+    """Row i of a decision is its round's context block, then candidate i's
+    own blocks, then the blocks every candidate shares, in the order given;
+    the decisions of a round, and the rounds, are stacked in order, each
+    decision its own rows."""
     pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
     ctx = make_contexts()[1]
     var = ctx.variables[0]
@@ -333,7 +339,7 @@ def test_extract_features_lays_out_context_own_then_shared_blocks():
         (enc.variable_block(None), expression_block(tpl, pipe)),
     ]
     shared = (variable_block(var, pipe), position_block(2))
-    rows = extract_features(enc, [(list(zip(*own)), shared)])
+    rows = extract_features([(enc, [(list(zip(*own)), shared)])])
     ctx_len = context_block_length(3)
     var_len = variable_block_length(3)
     expr_len = expression_block_length(3)
@@ -342,13 +348,21 @@ def test_extract_features_lays_out_context_own_then_shared_blocks():
     for row, blocks in zip(rows, own):
         assert np.array_equal(row, np.concatenate([head, *blocks, *shared]))
     # no shared blocks: each row ends with its candidate's own blocks
-    alone = extract_features(enc, [([[enc.variable_block(var.name)]], ())])
+    alone = extract_features([(enc, [([[enc.variable_block(var.name)]], ())])])
     assert alone.shape == (1, ctx_len + var_len)
     assert np.array_equal(alone[0, ctx_len:], variable_block(var, pipe))
     # two decisions in one round: the rows of each, in order
     other = ([[own[1][0]], [own[1][1]]], (variable_block(None, pipe), position_block(3)))
-    both = extract_features(enc, [(list(zip(*own)), shared), other])
-    assert np.array_equal(both, np.vstack([rows, extract_features(enc, [other])]))
+    both = extract_features([(enc, [(list(zip(*own)), shared), other])])
+    assert np.array_equal(both, np.vstack([rows, extract_features([(enc, [other])])]))
+    # a round in another context between two in this one: each round's
+    # rows start with its own context block
+    there = ContextEncoding(make_contexts()[0], pipe)
+    three = extract_features([(enc, [other]), (there, [other]), (enc, [other])])
+    assert np.array_equal(three[:, ctx_len:], np.vstack([both[2:, ctx_len:]] * 3))
+    heads = [head, context_block(make_contexts()[0], pipe), head]
+    assert np.array_equal(three[:, :ctx_len], np.vstack(heads))
+    assert not np.array_equal(heads[0], heads[1])
 
 
 def test_encoding_hands_out_read_only_blocks_kept_by_value():
@@ -382,7 +396,7 @@ def test_encoding_hands_out_read_only_blocks_kept_by_value():
     assert coder.expression_block(dataclasses.replace(tpl)) is blocks[3]
     assert np.array_equal(blocks[3], expression_block(tpl, pipe))
     # rows are new arrays: writing one leaves the kept blocks as they were
-    rows = extract_features(enc, [([[blocks[1]], [blocks[3]]], ())])
+    rows = extract_features([(enc, [([[blocks[1]], [blocks[3]]], ())])])
     rows[:] = 0.0
     assert np.array_equal(enc.context_block(), context_block(ctx, pipe))
     assert np.array_equal(blocks[1], variable_block(var, pipe))

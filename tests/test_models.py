@@ -145,9 +145,9 @@ def test_frequency_single_candidate(rules, rooted):
 def test_frequency_fit_counts_positives_only():
     """Each step counts the rule it applied, never its feasible siblings."""
     steps = [
-        StepAudit(0, 0, "E|D", "make-root:E", 3, 2, "a", 0, None, None),
-        StepAudit(1, 0, "E|D", "make-root:E", 2, 2, "a", 1, None, None),
-        StepAudit(1, 1, "E|U", "make-root:E", 1, 1, "b", 0, None, None),
+        StepAudit(0, 0, "E|D", "make-root:E", 3, 2, "a", 0),
+        StepAudit(1, 0, "E|D", "make-root:E", 2, 2, "a", 1),
+        StepAudit(1, 1, "E|U", "make-root:E", 1, 1, "b", 0),
     ]
     model = FrequencyModel.fit(steps)
     assert model.counts == {
@@ -313,7 +313,7 @@ def test_binary_fit_by_decision_matches_the_row_matrix_fit(data, entries):
 @given(
     shape=st.tuples(st.integers(1, 60), st.integers(0, 5), st.integers(0, 2)),
     classes=st.integers(1, 5),
-    volume=st.sampled_from([1, 7, 40, models._MATMUL_VOLUME]),
+    volume=st.sampled_from([1, 7, 40, features._MATMUL_VOLUME]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_blocked_softmax_fit_matches_the_row_matrix_fit(shape, classes, volume, seed):
@@ -327,7 +327,7 @@ def test_blocked_softmax_fit_matches_the_row_matrix_fit(shape, classes, volume, 
         np.repeat(rng.uniform(-5.0, 5.0, (1, constant)), n, axis=0),
     ])[:, rng.permutation(live + constant)]
     labels = [f"c{i}" for i in rng.integers(0, classes, n)]
-    with mock.patch.object(models, "_MATMUL_VOLUME", volume):
+    with mock.patch.object(features, "_MATMUL_VOLUME", volume):
         core = SoftmaxCore.fit(X, labels, epochs=15)
     ref = reference_softmax_fit(X, labels, epochs=15)
     assert core.classes == ref.classes
@@ -379,7 +379,6 @@ def test_softmax_fit_in_the_row_space_matches_the_row_matrix_fit(data, volume, e
     row blocks; a column of one value keeps its weights at 0 exactly."""
     X, labels = data
     with (
-        mock.patch.object(models, "_MATMUL_VOLUME", volume),
         mock.patch.object(features, "_MATMUL_VOLUME", volume),
         mock.patch.object(features, "_MATVEC_ENTRIES", entries),
     ):

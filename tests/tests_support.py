@@ -1076,6 +1076,18 @@ def reference_rows(templates, pipe, ctx, ast, node, candidates):
     return kind, rows
 
 
+def encoded_rows(encoded, i):
+    """Decision ``i``'s kind and rows in an ``EncodedRound``: its span of
+    its kind's matrix, or None for a decision no core scores."""
+    kind, start, stop = encoded.spans[i]
+    return kind, encoded.rows[kind][start:stop] if kind in encoded.rows else None
+
+
+def rows_alone(encoder, ctx, ast, node, candidates):
+    """One decision's kind and rows, encoded as a round of its own."""
+    return encoded_rows(encoder.encode_rounds([(ctx, [(ast, node, candidates)])]), 0)
+
+
 def reference_logistic_predict(model, templates, pipe, ctx, ast, node, candidates):
     """``per_decision_logistic_predict`` over the ``reference_rows``, reading
     the expression classes through a dict built from the core's
