@@ -101,6 +101,14 @@ class Bundle:
             raise BundleError(f"malformed bundle: {err}") from None
         if not isinstance(model_params, dict):
             raise BundleError("malformed bundle: model must be an object")
+        # the templates compile into one rule set, a rule each, keys apart
+        if not templates:
+            raise BundleError("malformed bundle: no templates")
+        keys = set()
+        for t in templates:
+            if t.key in keys:
+                raise BundleError(f"malformed bundle: templates repeat the key {t.key!r}")
+            keys.add(t.key)
         config = data.get("config")
         if config is None:
             config = {}

@@ -23,12 +23,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import features
 from .constraints import SignatureTable, compute_size_bounds
 from .errors import ContextError, MiniLangError, MiniTypeError, reading
 from .features import (
     Context,
-    ContextEncoding,
     FeaturePipeline,
+    VariableInfo,
+    _read_only,
     context_block_length,
     extract_features,
     position_block,
@@ -569,23 +571,24 @@ class CondEncoder:
     decisions, each round one context and its decisions, into one matrix
     per kind (``features.extract_features``): a predict passes its search
     round, training one round per replayed item.  A decision's rows are
-    those it gets in a round of its own.  The encoder keeps the
-    ``ContextEncoding`` of the last context it encoded and reuses it while
-    the next round's context is that object or equals it, so the rounds of
-    one predict, or of training items that share a context, compute each
-    context and variable block once; a variable is read by its name
-    through the encoding.  A context that differs in any value replaces
-    it; only one is kept.  The encoder memoises each template's block,
-    keyed on the template key (None for the absent template), so each is
-    computed once per encoder; name embeddings come from the pipeline's
-    memo, once per pipeline.
+    those it gets in a round of its own.  The encoder owns its blocks,
+    each read-only: each template's, made with the encoder and keyed on
+    the template key (None, or a key it does not know, reads zeros), and
+    the last context's and its variables', kept while the next round's
+    context is that object or equals it.  A variable is read by name: the
+    context's first of that name, or the absent variable's block for a
+    name it does not declare.
     """
 
     def __init__(self, templates: Sequence[Template], pipeline: FeaturePipeline):
         self.pipeline = pipeline
-        self._templates = {t.key: t for t in templates}
-        self._encoding: ContextEncoding | None = None
-        self._expressions: dict[str | None, np.ndarray] = {}
+        self._expressions = {None: _read_only(expression_block(None, pipeline))}
+        for tpl in templates:
+            self._expressions[tpl.key] = _read_only(expression_block(tpl, pipeline))
+        self._context: Context | None = None
+        self._context_block: np.ndarray | None = None
+        self._declared: dict[str, VariableInfo] = {}
+        self._variables: dict[str | None, np.ndarray] = {}
 
     def encode_rounds(
         self, rounds: Sequence[tuple[Context | None, Sequence[Decision]]]
@@ -593,12 +596,12 @@ class CondEncoder:
         """The rows of the rounds' decisions, each round's in its context:
         one matrix per kind, each decision's rows a contiguous range of its
         kind's, in the order the rounds and their decisions come."""
-        # per kind, runs of decisions' blocks, each run in one encoding
-        parts: dict[str, list[tuple[ContextEncoding, list]]] = {}
+        # per kind, runs of decisions' blocks, each run under one context block
+        parts: dict[str, list[tuple[np.ndarray, list]]] = {}
         used: dict[str, int] = {}  # rows per kind so far
         spans: list[tuple[str, int, int]] = []
         for ctx, decisions in rounds:
-            enc = None
+            head = None
             for ast, node, candidates in decisions:
                 key = candidates[0].key if candidates else ""
                 if key.startswith(("make-var:", "make-expr:")):
@@ -611,20 +614,19 @@ class CondEncoder:
                         spans.append(("other", 0, 0))
                         continue
                     kind = "variable"
-                if enc is None:
-                    enc = self._encoding_of(ctx)
+                if head is None:
+                    head = self._context_block_of(ctx)
                 if kind == "creation":
-                    own = self._creation_blocks(enc, candidates)
+                    own = self._creation_blocks(candidates)
                     shared: tuple = ()
                 elif kind == "expression":
-                    own, shared = ([enc.variable_block(_filled_by(ast, node))],), ()
+                    own, shared = ([self._variable(_filled_by(ast, node))],), ()
                 else:
-                    names = [r.key.partition(":")[2] for r in candidates]
-                    own = (enc.variable_blocks(names),)
-                    shared = self._slot_blocks(enc, ast, node, int(slot.group(1)))
+                    own = ([self._variable(r.key.partition(":")[2]) for r in candidates],)
+                    shared = self._slot_blocks(ast, node, int(slot.group(1)))
                 runs = parts.setdefault(kind, [])
-                if not runs or runs[-1][0] is not enc:
-                    runs.append((enc, []))
+                if not runs or runs[-1][0] is not head:
+                    runs.append((head, []))
                 runs[-1][1].append((own, shared))
                 start = used.get(kind, 0)
                 used[kind] = start + len(own[0])
@@ -632,43 +634,54 @@ class CondEncoder:
         rows = {kind: extract_features(runs) for kind, runs in parts.items()}
         return EncodedRound(rows, spans)
 
-    def _encoding_of(self, ctx: Context | None) -> ContextEncoding:
-        enc = self._encoding
-        if enc is None or (enc.context is not ctx and enc.context != ctx):
-            enc = self._encoding = ContextEncoding(ctx, self.pipeline)
-        return enc
+    def _context_block_of(self, ctx: Context | None) -> np.ndarray:
+        """The block of ``ctx``, which becomes the kept context unless it
+        is that context already."""
+        kept = self._context
+        if self._context_block is None or (kept is not ctx and kept != ctx):
+            self._context = ctx
+            self._context_block = _read_only(features.context_block(ctx, self.pipeline))
+            variables = ctx.variables if ctx is not None else ()
+            self._declared = {v.name: v for v in reversed(variables)}
+            self._variables = {}
+        return self._context_block
 
-    def expression_block(self, tpl: Template | None) -> np.ndarray:
-        """The read-only block of ``tpl``, computed once per template key."""
-        key = None if tpl is None else tpl.key
-        block = self._expressions.get(key)
+    def _variable(self, name: str | None) -> np.ndarray:
+        """The block of the kept context's variable ``name``; for None, or
+        a name the context does not declare, the absent variable's block."""
+        block = self._variables.get(name)
         if block is None:
-            block = self._expressions[key] = expression_block(tpl, self.pipeline)
-            block.flags.writeable = False
+            var = self._declared.get(name)
+            if var is None and name is not None:
+                block = self._variable(None)
+            else:
+                block = _read_only(features.variable_block(var, self.pipeline))
+            self._variables[name] = block
         return block
 
-    def _creation_blocks(self, enc: ContextEncoding, candidates: Sequence[RewritingRule]):
+    def _creation_blocks(self, candidates: Sequence[RewritingRule]):
         """Each creation candidate's variable block and template block, as
         two lists: a ``make-var:`` rule's variable and no template, or a
         ``make-expr:`` rule's template and no variable."""
+        absent = self._expressions[None]
         variables, templates = [], []
         for rule in candidates:
             head, _, name = rule.key.partition(":")
             if head == "make-var":
-                variables.append(enc.variable_block(name))
-                templates.append(self.expression_block(None))
+                variables.append(self._variable(name))
+                templates.append(absent)
             else:
-                variables.append(enc.variable_block(None))
-                templates.append(self.expression_block(self._templates.get(name)))
+                variables.append(self._variable(None))
+                templates.append(self._expressions.get(name, absent))
         return variables, templates
 
-    def _slot_blocks(self, enc: ContextEncoding, ast: AnnotatedAst, node: int, position: int):
+    def _slot_blocks(self, ast: AnnotatedAst, node: int, position: int):
         """What every candidate for slot ``position`` at ``node`` shares."""
         nodes = ast.nodes
         target = nodes[node]
         template = None
         if target.origin and target.origin.startswith("expr:"):
-            template = self._templates.get(target.origin[len("expr:"):])
+            template = target.origin[len("expr:"):]
         previous = f"V{position - 1}"
         filled = None
         for sibling in nodes[target.parent].children:
@@ -676,8 +689,8 @@ class CondEncoder:
                 filled = _filled_by(ast, sibling)
                 break
         return (
-            enc.variable_block(filled),
-            self.expression_block(template),
+            self._variable(filled),
+            self._expressions.get(template, self._expressions[None]),
             position_block(position),
         )
 

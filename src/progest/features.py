@@ -9,14 +9,11 @@ time; token windows use a small vocabulary learned alongside.
 A decision's feature rows are assembled from fixed-width blocks, so their
 layout depends only on the PCA width and on which blocks the caller picks
 (``condsynth.CondEncoder`` picks them for each decision of each round it
-encodes, and builds the block of a template itself: this module knows no
-template).  Optional inputs encode as zeros plus a trailing presence flag
-of 0, never as a shifted layout.
-
-What reads no context is computed once per pipeline: a ``FeaturePipeline``
-memoises each name's embedding, keyed on the name.  What reads the context
-is computed once per context, by a ``ContextEncoding``.  Every memo hands
-out read-only arrays, so no caller can change what the next one reads.
+encodes, keeps each context's blocks, and builds the block of a template
+itself: this module knows no template).  Optional inputs encode as zeros
+plus a trailing presence flag of 0, never as a shifted layout.  A
+``FeaturePipeline`` memoises each name's embedding, keyed on the name, and
+hands out read-only arrays, so no caller can change what the next reads.
 """
 
 from __future__ import annotations
@@ -316,10 +313,11 @@ class PcaTransform:
 # product whose m·n·k is at most 262 144.  A larger one is split at points
 # that depend on the thread count, and an output next to a split is summed
 # in another order, so the PCA and the fits (``models``) take every product
-# in row blocks within these bounds: each of their sums then has one order
-# at any thread count (a block is at least one row, so a row wider than a
-# bound is not covered).  Not every BLAS call that looks small keeps to
-# them: numpy hands ``A.T @ A`` to ``syrk``, and LAPACK's ``eigh`` and
+# in row blocks within these bounds, by one helper for a matrix or a vector
+# (``_row_blocks``): each of their sums then has one order at any thread
+# count (a block is at least one row, so a row wider than a bound is not
+# covered).  Not every BLAS call that looks small keeps to them: numpy
+# hands ``A.T @ A`` to ``syrk``, and LAPACK's ``eigh`` and
 # ``qr`` of the bundled corpus's 193-wide expression rows gave other bytes
 # at 2 threads than at 1, so the softmax fit builds the basis of their span
 # from bounded matrix-vector products alone (``models._row_basis``)
@@ -332,19 +330,15 @@ _PCA_OVERSAMPLE, _PCA_TOL, _PCA_MAX_ITER = 8, 1e-13, 5000
 
 
 def _row_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``A @ B``, one product per block of rows within ``_MATMUL_VOLUME``."""
-    rows = max(1, _MATMUL_VOLUME // max(1, A.shape[1] * B.shape[1]))
+    """``A @ B``, one product per block of rows within ``_MATMUL_VOLUME``,
+    or within ``_MATVEC_ENTRIES`` for a vector ``B``."""
+    if B.ndim == 1:
+        rows = max(1, _MATVEC_ENTRIES // max(1, A.shape[1]))
+    else:
+        rows = max(1, _MATMUL_VOLUME // max(1, A.shape[1] * B.shape[1]))
     if rows >= len(A):
         return A @ B
     return np.concatenate([A[i : i + rows] @ B for i in range(0, len(A), rows)])
-
-
-def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A @ x``, one product per block of rows within ``_MATVEC_ENTRIES``."""
-    rows = max(1, _MATVEC_ENTRIES // max(1, A.shape[1]))
-    if rows >= len(A):
-        return A @ x
-    return np.concatenate([A[i : i + rows] @ x for i in range(0, len(A), rows)])
 
 
 def _tmatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -432,6 +426,11 @@ def pca_apply(transform: PcaTransform, vec: np.ndarray) -> np.ndarray:
 # fitted pipeline: shared PCA plus a token-window vocabulary
 
 WINDOW_VOCAB_SIZE = 32
+
+
+def _read_only(block: np.ndarray) -> np.ndarray:
+    block.flags.writeable = False
+    return block
 
 
 @dataclass(frozen=True)
@@ -622,69 +621,12 @@ def position_block(position: int | None) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# one context's blocks and the rows assembled from them
+# rows assembled from blocks
 
-def _read_only(block: np.ndarray) -> np.ndarray:
-    block.flags.writeable = False
-    return block
-
-
-class ContextEncoding:
-    """The feature blocks of one context, each computed at most once.
-
-    The context block and the variable block of each declared name are
-    computed on first use by the module's block functions and kept, so
-    every decision over this context reads the same arrays.  A name is
-    looked up in a dict made once per encoding; the context's first
-    variable of a name wins, and a name it does not declare reads the
-    absent variable's block.  Every block is read-only: a row is always a
-    new array assembled from them (``extract_features``).  The blocks are
-    this context's only; a caller holding an encoding across decisions
-    checks ``context`` before it reuses it (``condsynth.CondEncoder``
-    does).
-    """
-
-    def __init__(self, context: Context | None, pipe: FeaturePipeline) -> None:
-        self.context = context
-        self.pipeline = pipe
-        self._context_block: np.ndarray | None = None
-        variables = context.variables if context is not None else ()
-        self._variables = {v.name: v for v in reversed(variables)}
-        self._variable_blocks: dict[str | None, np.ndarray] = {}
-
-    def context_block(self) -> np.ndarray:
-        if self._context_block is None:
-            block = context_block(self.context, self.pipeline)
-            self._context_block = _read_only(block)
-        return self._context_block
-
-    def variable_blocks(self, names: Sequence[str | None]) -> list[np.ndarray]:
-        """``variable_block`` of each name, in order."""
-        kept = self._variable_blocks
-        blocks = []
-        for name in names:
-            block = kept.get(name)
-            blocks.append(self.variable_block(name) if block is None else block)
-        return blocks
-
-    def variable_block(self, name: str | None) -> np.ndarray:
-        """The block of the context's variable ``name``; for None, or a
-        name the context does not declare, the absent variable's block."""
-        block = self._variable_blocks.get(name)
-        if block is None:
-            var = self._variables.get(name)
-            if var is None and name is not None:
-                block = self.variable_block(None)
-            else:
-                block = _read_only(variable_block(var, self.pipeline))
-            self._variable_blocks[name] = block
-        return block
-
-
-def extract_features(runs: Sequence[tuple[ContextEncoding, list]]) -> np.ndarray:
+def extract_features(runs: Sequence[tuple[np.ndarray, list]]) -> np.ndarray:
     """Feature rows of decisions of one kind, stacked in the order given.
-    A run is the encoding of a context and decisions of this kind in it
-    (one round's, or those of rounds in a row that share the encoding).  A
+    A run is the block of a context and decisions of this kind in it (one
+    round's, or those of rounds in a row that share the context).  A
     decision is its own blocks, one list per block position holding each
     candidate's block there, and the blocks its candidates share; its row i
     is its run's context block, then candidate i's own blocks, then the
@@ -695,7 +637,7 @@ def extract_features(runs: Sequence[tuple[ContextEncoding, list]]) -> np.ndarray
     decisions = [decision for _, run in runs for decision in run]
     own, shared = decisions[0]
     widths = [blocks[0].shape[0] for blocks in own]
-    col = runs[0][0].context_block().shape[0]
+    col = runs[0][0].shape[0]
     rows = np.empty(
         (
             sum(len(own[0]) for own, _ in decisions),
@@ -703,9 +645,9 @@ def extract_features(runs: Sequence[tuple[ContextEncoding, list]]) -> np.ndarray
         )
     )
     start = 0
-    for enc, run in runs:
+    for head, run in runs:
         stop = start + sum(len(own[0]) for own, _ in run)
-        rows[start:stop, :col] = enc.context_block()
+        rows[start:stop, :col] = head
         start = stop
     for i, width in enumerate(widths):
         rows[:, col : col + width] = [b for own, _ in decisions for b in own[i]]

@@ -49,7 +49,7 @@ from .errors import UnderivableTreeError
 from .features import Context, extract_features, number_array, string_tuple
 # every product of the fits is taken in row blocks within these one-thread
 # bounds, by these helpers (see features)
-from .features import _matvec, _row_blocks, _tmatmul
+from .features import _row_blocks, _tmatmul
 from .grammar import RewritingRule, RuleSet
 # iter_derivations is called by this name so that the tracer counts replays
 from .trees import AnnotatedAst, DerivationStep, iter_derivations, policy_leftmost
@@ -220,7 +220,7 @@ def _row_basis(X: np.ndarray) -> np.ndarray:
     for x in X:
         u = x.copy()
         for _ in range(2):
-            u -= _matvec(B[:r].T, _matvec(B[:r], u))
+            u -= _row_blocks(B[:r].T, _row_blocks(B[:r], u))
         norm = math.sqrt(u @ u)
         if norm > _SPAN_TOL * math.sqrt(x @ x):
             B[r] = u / norm
@@ -241,12 +241,13 @@ class BinaryLogisticCore:
     def fit(
         X: np.ndarray,
         y: np.ndarray,
-        steps: np.ndarray,
+        starts: np.ndarray,
         *,
         epochs: int = 450,
     ) -> "BinaryLogisticCore":
-        """Gradient descent on the rows of ``X`` labelled ``y``, where
-        ``steps`` labels each row with its decision.
+        """Gradient descent on the rows of ``X`` labelled ``y``, where each
+        decision's rows are contiguous and ``starts`` holds the first row
+        of each, in order.
 
         A live column that holds one value in every row of each decision
         (the context block, say) is shared: it is standardized and
@@ -255,25 +256,30 @@ class BinaryLogisticCore:
         columns are read per row, and a column that is not live keeps its
         weight at exactly 0.  The fit computes what gradient descent on
         the standardized row matrix computes, up to rounding, and sums in
-        one order at any BLAS thread count (``_matvec``)."""
+        one order at any BLAS thread count (``_row_blocks``)."""
         mean, std, live = _standardize_fit(X)
-        _, first, decision = np.unique(steps, return_index=True, return_inverse=True)
-        heads = X[first]
-        in_step = (X == heads[decision]).all(axis=0)
+        decision = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(X)))
+        # a column is shared when no row differs from the one before it
+        # within its decision
+        differs = X[1:] != X[:-1]
+        differs[starts[1:] - 1] = False
+        in_step = ~differs.any(axis=0)
         shared = np.flatnonzero(live & in_step)
         own = np.flatnonzero(live & ~in_step)
-        G = (heads[:, shared] - mean[shared]) / std[shared]
+        # column-major, as the heads' columns always were: a row-major G
+        # (np.ix_) takes other BLAS kernels and rounds the weights apart
+        G = (X[starts][:, shared] - mean[shared]) / std[shared]
         Xo = (X[:, own] - mean[own]) / std[own]
         GT, XoT = np.ascontiguousarray(G.T), np.ascontiguousarray(Xo.T)
         n = len(X)
         ws, wo = np.zeros(len(shared)), np.zeros(len(own))
         b = 0.0
         for _ in range(epochs):
-            p = _sigmoid(_matvec(Xo, wo) + _matvec(G, ws)[decision] + b)
+            p = _sigmoid(_row_blocks(Xo, wo) + _row_blocks(G, ws)[decision] + b)
             err = p - y
-            summed = np.bincount(decision, weights=err, minlength=len(first))
-            ws -= _LR * (_matvec(GT, summed) / n + _L2 * ws)
-            wo -= _LR * (_matvec(XoT, err) / n + _L2 * wo)
+            summed = np.bincount(decision, weights=err, minlength=len(starts))
+            ws -= _LR * (_row_blocks(GT, summed) / n + _L2 * ws)
+            wo -= _LR * (_row_blocks(XoT, err) / n + _L2 * wo)
             b -= _LR * float(err.mean())
         w = np.zeros(X.shape[1])
         w[shared] = ws
@@ -463,24 +469,23 @@ class LogisticModel:
     ) -> "LogisticModel":
         """Fit each core on its kind's matrix of the extraction's encoded
         rows, whose spans follow the audited steps: a binary core's rows
-        labelled 1 at each step's choice, the softmax's labelled with the
-        applied rules.  A kind with no rows leaves its core missing."""
+        labelled 1 at each step's choice, with each step's first row as a
+        decision start, the softmax's labelled with the applied rules.  A
+        kind with no rows leaves its core missing."""
         rows, spans = extraction.encoded
-        steps = extraction.steps_audited
+        steps: dict[str, list] = {}  # per kind, each step's first row and audit
+        for audit, (kind, start, _) in zip(extraction.steps_audited, spans):
+            steps.setdefault(kind, []).append((start, audit))
         cores: dict[str, BinaryLogisticCore] = {}
         for kind in ("creation", "variable"):
-            X = rows.get(kind)
-            if X is not None:
-                y, of_step = np.zeros(len(X)), np.empty(len(X), dtype=int)
-                for i, (audit, (found, start, stop)) in enumerate(zip(steps, spans)):
-                    if found == kind:
-                        y[start + audit.choice] = 1.0
-                        of_step[start:stop] = i
-                cores[kind] = BinaryLogisticCore.fit(X, y, of_step, epochs=epochs)
+            if kind in steps:
+                starts = np.array([start for start, _ in steps[kind]])
+                y = np.zeros(len(rows[kind]))
+                y[[start + audit.choice for start, audit in steps[kind]]] = 1.0
+                cores[kind] = BinaryLogisticCore.fit(rows[kind], y, starts, epochs=epochs)
         expression = None
-        if "expression" in rows:
-            labels = [s.applied_key for s, (kind, _, _) in zip(steps, spans)
-                      if kind == "expression"]
+        if "expression" in steps:
+            labels = [audit.applied_key for _, audit in steps["expression"]]
             expression = SoftmaxCore.fit(rows["expression"], labels, epochs=epochs)
         return LogisticModel(
             encoder,

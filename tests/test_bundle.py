@@ -1,6 +1,7 @@
 """Bundle serialization: canonical output, round trips, validation."""
 
 import json
+import re
 
 import pytest
 
@@ -101,9 +102,24 @@ def test_from_dict_rejects_bad_version():
 
 
 def test_from_dict_reads_an_absent_or_null_config_as_empty():
-    data = {"version": 1, "model_kind": "uniform", "templates": [], "model": {}}
+    template = {"key": "V1 > 0::Int", "tokens": ["V1", ">", "0"], "types": ["Int"]}
+    data = {"version": 1, "model_kind": "uniform", "templates": [template], "model": {}}
     assert Bundle.from_dict(data).config == {}
     assert Bundle.from_dict({**data, "config": None}).config == {}
+
+
+def test_from_dict_rejects_templates_that_compile_into_no_rule_set():
+    """No template, or two of one key, can never compile into a rule set:
+    the bundle is malformed, whatever its model."""
+    data = bundle_of(train_cond_models(records(), model_kind="frequency"), {}).to_dict()
+    assert len(data["templates"]) > 1
+    with pytest.raises(BundleError, match="malformed bundle: no templates"):
+        Bundle.from_dict({**data, "templates": []})
+    twice = [data["templates"][0], *data["templates"]]
+    key = twice[0]["key"]
+    with pytest.raises(BundleError, match=re.escape(f"repeat the key {key!r}")):
+        Bundle.from_dict({**data, "templates": twice})
+    assert Bundle.from_dict(data).templates
 
 
 def test_from_dict_rejects_unknown_kind():

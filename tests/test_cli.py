@@ -456,6 +456,9 @@ def _stringify(*path):
         pytest.param("demo", _set_entry("templates", 0, "types", ["Int", "Int"]),
                      id="template-types-extra"),
         pytest.param("demo", _set_template([], []), id="template-empty"),
+        # a rule set compiles from at least one template, with keys apart
+        pytest.param("demo", _set_entry("templates", []), id="templates-none"),
+        pytest.param("demo", _repeat_first("templates"), id="templates-key-repeated"),
         pytest.param("demo", _set_template(["V1", ")", "(", "+"], ["Int"]),
                      id="template-not-a-parse"),
         pytest.param("demo", _set_template(["V1", "+", "0"], ["Int"]),

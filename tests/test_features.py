@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,10 +22,8 @@ from progest.errors import ContextError
 from progest.features import (
     BIGRAM_DIM,
     Context,
-    ContextEncoding,
     FeaturePipeline,
     VariableInfo,
-    _matvec,
     _row_blocks,
     _tmatmul,
     context_block,
@@ -235,10 +234,12 @@ def test_pca_edge_cases_match_the_full_width_fit(vectors, dims, kept):
 @pytest.mark.parametrize("volume, entries", [(1, 1), (7, 5), (40, 17)])
 @pytest.mark.parametrize("rows, inner", [(0, 0), (0, 3), (1, 0), (5, 3), (9, 4)])
 def test_blocked_products_are_the_products_even_of_no_rows(rows, inner, volume, entries):
-    """``_row_blocks``, ``_matvec`` and ``_tmatmul`` give what ``A @ B``,
-    ``A @ x`` and ``A.T @ C`` give, shape included, in row blocks of any
-    size and for an ``A`` of no rows (the softmax fit of a core with no
-    live column asks that)."""
+    """``_row_blocks`` and ``_tmatmul`` give what ``A @ B``, ``A @ x`` and
+    ``A.T @ C`` give, shape included, in row blocks of any size and for an
+    ``A`` of no rows (the softmax fit of a core with no live column asks
+    that).  A vector's product is cut into blocks of rows within
+    ``_MATVEC_ENTRIES`` entries, each block's product the same bits as
+    ``A[i:i+rows] @ x``."""
     rng = np.random.default_rng(rows * 10 + inner)
     A = rng.standard_normal((rows, inner))
     B, x = rng.standard_normal((inner, 4)), rng.standard_normal(inner)
@@ -247,12 +248,15 @@ def test_blocked_products_are_the_products_even_of_no_rows(rows, inner, volume, 
         mock.patch.object(features, "_MATMUL_VOLUME", volume),
         mock.patch.object(features, "_MATVEC_ENTRIES", entries),
     ):
-        product, image, summed = _row_blocks(A, B), _matvec(A, x), _tmatmul(A, C)
+        product, image, summed = _row_blocks(A, B), _row_blocks(A, x), _tmatmul(A, C)
     assert product.shape == (rows, 4) and image.shape == (rows,)
     assert summed.shape == (inner, 3)
     assert np.allclose(product, A @ B, rtol=0.0, atol=1e-12)
     assert np.allclose(image, A @ x, rtol=0.0, atol=1e-12)
     assert np.allclose(summed, A.T @ C, rtol=0.0, atol=1e-12)
+    step = max(1, entries // max(1, inner))
+    blocks = [A[i : i + step] @ x for i in range(0, rows, step)]
+    assert (image == np.concatenate([np.zeros(0), *blocks])).all()
 
 
 def make_contexts():
@@ -325,62 +329,63 @@ def test_absent_parts_encode_as_zeros():
 
 
 def test_extract_features_lays_out_context_own_then_shared_blocks():
-    """Row i of a decision is its round's context block, then candidate i's
+    """Row i of a decision is its run's context block, then candidate i's
     own blocks, then the blocks every candidate shares, in the order given;
-    the decisions of a round, and the rounds, are stacked in order, each
+    the decisions of a run, and the runs, are stacked in order, each
     decision its own rows."""
     pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
     ctx = make_contexts()[1]
     var = ctx.variables[0]
     tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
-    enc = ContextEncoding(ctx, pipe)
+    head = context_block(ctx, pipe)
     own = [
-        (enc.variable_block(var.name), expression_block(None, pipe)),
-        (enc.variable_block(None), expression_block(tpl, pipe)),
+        (variable_block(var, pipe), expression_block(None, pipe)),
+        (variable_block(None, pipe), expression_block(tpl, pipe)),
     ]
     shared = (variable_block(var, pipe), position_block(2))
-    rows = extract_features([(enc, [(list(zip(*own)), shared)])])
+    rows = extract_features([(head, [(list(zip(*own)), shared)])])
     ctx_len = context_block_length(3)
     var_len = variable_block_length(3)
     expr_len = expression_block_length(3)
     assert rows.shape == (2, ctx_len + 2 * var_len + expr_len + 1)
-    head = context_block(ctx, pipe)
     for row, blocks in zip(rows, own):
         assert np.array_equal(row, np.concatenate([head, *blocks, *shared]))
     # no shared blocks: each row ends with its candidate's own blocks
-    alone = extract_features([(enc, [([[enc.variable_block(var.name)]], ())])])
+    alone = extract_features([(head, [([[variable_block(var, pipe)]], ())])])
     assert alone.shape == (1, ctx_len + var_len)
     assert np.array_equal(alone[0, ctx_len:], variable_block(var, pipe))
-    # two decisions in one round: the rows of each, in order
+    # two decisions in one run: the rows of each, in order
     other = ([[own[1][0]], [own[1][1]]], (variable_block(None, pipe), position_block(3)))
-    both = extract_features([(enc, [(list(zip(*own)), shared), other])])
-    assert np.array_equal(both, np.vstack([rows, extract_features([(enc, [other])])]))
-    # a round in another context between two in this one: each round's
-    # rows start with its own context block
-    there = ContextEncoding(make_contexts()[0], pipe)
-    three = extract_features([(enc, [other]), (there, [other]), (enc, [other])])
+    both = extract_features([(head, [(list(zip(*own)), shared), other])])
+    assert np.array_equal(both, np.vstack([rows, extract_features([(head, [other])])]))
+    # a run in another context between two in this one: each run's rows
+    # start with its own context block
+    there = context_block(make_contexts()[0], pipe)
+    three = extract_features([(head, [other]), (there, [other]), (head, [other])])
     assert np.array_equal(three[:, ctx_len:], np.vstack([both[2:, ctx_len:]] * 3))
-    heads = [head, context_block(make_contexts()[0], pipe), head]
-    assert np.array_equal(three[:, :ctx_len], np.vstack(heads))
-    assert not np.array_equal(heads[0], heads[1])
+    assert np.array_equal(three[:, :ctx_len], np.vstack([head, there, head]))
+    assert not np.array_equal(head, there)
+
+
+def creation_round(ctx, *keys):
+    """A round in ``ctx`` of one creation decision over rules of these
+    keys; a creation row reads nothing of a rule but its key."""
+    return ctx, [(None, None, [SimpleNamespace(key=key) for key in keys])]
 
 
 def test_encoding_hands_out_read_only_blocks_kept_by_value():
-    """A context's blocks, kept by its encoding, and a template's, kept by
-    the condition encoder."""
+    """The blocks the condition encoder keeps, of its context and of each
+    variable it read, are read-only and are the module's blocks; rows are
+    new arrays assembled from them."""
     pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
     ctx = make_contexts()[1]
     var = ctx.variables[0]
     tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
-    enc = ContextEncoding(ctx, pipe)
     coder = CondEncoder([tpl], pipe)
-    blocks = [
-        enc.context_block(),
-        enc.variable_block(var.name),
-        enc.variable_block(None),
-        coder.expression_block(tpl),
-        coder.expression_block(None),
-    ]
+    rows = coder.encode_rounds(
+        [creation_round(ctx, "make-var:total", f"make-expr:{tpl.key}")]
+    ).rows["creation"]
+    blocks = [coder._context_block, coder._variables["total"], coder._variables[None]]
     for block in blocks:
         with pytest.raises(ValueError):
             block[0] = 1.0
@@ -388,18 +393,94 @@ def test_encoding_hands_out_read_only_blocks_kept_by_value():
             block += 1.0
     assert np.array_equal(blocks[0], context_block(ctx, pipe))
     assert np.array_equal(blocks[1], variable_block(var, pipe))
-    assert not blocks[2].any() and not blocks[4].any()
-    # a name, or an equal template, is the same block, computed once; a
-    # name the context does not declare reads the absent variable's block
-    assert enc.variable_block("total") is blocks[1]
-    assert enc.variable_block("undeclared") is blocks[2]
-    assert coder.expression_block(dataclasses.replace(tpl)) is blocks[3]
-    assert np.array_equal(blocks[3], expression_block(tpl, pipe))
-    # rows are new arrays: writing one leaves the kept blocks as they were
-    rows = extract_features([(enc, [([[blocks[1]], [blocks[3]]], ())])])
+    assert not blocks[2].any()
+    ctx_len = context_block_length(3)
+    assert np.array_equal(rows[0, ctx_len : ctx_len + len(blocks[1])], blocks[1])
+    # writing the rows leaves the kept blocks as they were
     rows[:] = 0.0
-    assert np.array_equal(enc.context_block(), context_block(ctx, pipe))
+    assert np.array_equal(coder._context_block, context_block(ctx, pipe))
     assert np.array_equal(blocks[1], variable_block(var, pipe))
+
+
+def test_encoder_computes_each_block_once_per_context(monkeypatch):
+    """Rounds whose context is the kept one, or equals it, reuse its
+    blocks: the context's is computed once and each variable's once, and a
+    name the context does not declare reads the absent variable's block.
+    A context that differs replaces the kept one and its variables'
+    blocks."""
+    pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
+    ctx, there = make_contexts()[1], make_contexts()[0]
+    var = ctx.variables[0]
+    calls = {"context_block": [], "variable_block": []}
+
+    def counted(name):
+        raw = getattr(features, name)
+
+        def block(first, pipe):
+            calls[name].append(first)
+            return raw(first, pipe)
+
+        monkeypatch.setattr(features, name, block)
+
+    counted("context_block")
+    counted("variable_block")
+    coder = CondEncoder([], pipe)
+    keys = ("make-var:total", "make-var:undeclared", "make-var:total")
+    coder.encode_rounds(
+        [creation_round(ctx, *keys), creation_round(dataclasses.replace(ctx), *keys)]
+    )
+    assert calls == {"context_block": [ctx], "variable_block": [var, None]}
+    assert coder._variables["undeclared"] is coder._variables[None]
+    kept = coder._variables["total"]
+    coder.encode_rounds([creation_round(ctx, *keys)])
+    assert coder._variables["total"] is kept
+    assert calls["context_block"] == [ctx]
+    coder.encode_rounds([creation_round(there, "make-var:count")])
+    assert calls["context_block"] == [ctx, there]
+    assert np.array_equal(coder._context_block, context_block(there, pipe))
+    assert set(coder._variables) == {"count"}
+    coder.encode_rounds([creation_round(ctx, "make-var:total")])
+    assert calls["context_block"] == [ctx, there, ctx]
+    assert calls["variable_block"] == [var, None, there.variables[0], var]
+
+
+def test_encoder_reads_the_first_variable_of_a_name():
+    pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
+    first, second = VariableInfo("total", "Int"), VariableInfo("total", "ItemList")
+    ctx = Context(variables=(first, second))
+    rows = CondEncoder([], pipe).encode_rounds(
+        [creation_round(ctx, "make-var:total")]
+    ).rows["creation"]
+    ctx_len, var_len = context_block_length(3), variable_block_length(3)
+    read = rows[0, ctx_len : ctx_len + var_len]
+    assert np.array_equal(read, variable_block(first, pipe))
+    assert not np.array_equal(variable_block(first, pipe), variable_block(second, pipe))
+
+
+def test_encoder_keeps_one_read_only_block_per_template_key():
+    """Each template's block is computed when the encoder is made, one per
+    key; None and a key the encoder does not know read the zero block."""
+    pipe = FeaturePipeline.fit(make_contexts(), dims=3, seed=1)
+    tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
+    call = Template(
+        "V1 . isEmpty ( )::ItemList", ("V1", ".", "isEmpty", "(", ")"), ("ItemList",)
+    )
+    coder = CondEncoder([tpl, call, dataclasses.replace(tpl)], pipe)
+    assert set(coder._expressions) == {None, tpl.key, call.key}
+    for key, block in coder._expressions.items():
+        with pytest.raises(ValueError):
+            block[0] = 1.0
+        template = {tpl.key: tpl, call.key: call}.get(key)
+        assert np.array_equal(block, expression_block(template, pipe))
+    assert not coder._expressions[None].any()
+    ctx = make_contexts()[1]
+    rows = coder.encode_rounds(
+        [creation_round(ctx, f"make-expr:{call.key}", "make-expr:V1 < 7::Int")]
+    ).rows["creation"]
+    expr_len = expression_block_length(3)
+    assert np.array_equal(rows[0, -expr_len:], coder._expressions[call.key])
+    assert not rows[1, -expr_len:].any()
+    assert set(coder._expressions) == {None, tpl.key, call.key}
 
 
 def fill_memos(pipe):
@@ -409,12 +490,8 @@ def fill_memos(pipe):
     tpl = Template("V1 > 0::Int", ("V1", ">", "0"), ("Int",))
     coder = CondEncoder([tpl], pipe)
     for ctx in make_contexts():
-        enc = ContextEncoding(ctx, pipe)
-        enc.context_block()
-        coder.expression_block(tpl)
-        coder.expression_block(None)
-        for v in ctx.variables:
-            enc.variable_block(v.name)
+        keys = [f"make-var:{v.name}" for v in ctx.variables]
+        coder.encode_rounds([creation_round(ctx, *keys, f"make-expr:{tpl.key}")])
     return coder
 
 

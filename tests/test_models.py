@@ -185,7 +185,7 @@ def test_binary_core_separable_data():
     rng = np.random.default_rng(0)
     X = np.concatenate([rng.normal(-2, 0.3, (60, 3)), rng.normal(2, 0.3, (60, 3))])
     y = np.concatenate([np.zeros(60), np.ones(60)])
-    core = BinaryLogisticCore.fit(X, y, np.arange(len(X)) // 4)
+    core = BinaryLogisticCore.fit(X, y, np.arange(0, len(X), 4))
     predicted = (core.scores(X, [(0, len(X))]) > 0.5).astype(float)
     assert (predicted == y).mean() == 1.0
 
@@ -193,14 +193,14 @@ def test_binary_core_separable_data():
 def test_binary_core_constant_features_learn_the_base_rate():
     X = np.ones((40, 2))
     y = np.array([1.0] * 30 + [0.0] * 10)
-    core = BinaryLogisticCore.fit(X, y, np.arange(len(X)) // 4, epochs=4000)
+    core = BinaryLogisticCore.fit(X, y, np.arange(0, len(X), 4), epochs=4000)
     assert core.scores(X[:1], [(0, 1)])[0] == pytest.approx(0.75, abs=1e-3)
 
 
 def test_binary_core_params_round_trip():
     X = np.random.default_rng(1).standard_normal((20, 2))
     y = (X[:, 0] > 0).astype(float)
-    core = BinaryLogisticCore.fit(X, y, np.arange(len(X)) // 4)
+    core = BinaryLogisticCore.fit(X, y, np.arange(0, len(X), 4))
     again = BinaryLogisticCore.from_params(core.to_params())
     spans = [(0, 5), (5, len(X))]
     assert np.array_equal(again.scores(X, spans), core.scores(X, spans))
@@ -258,17 +258,17 @@ def test_fit_is_deterministic():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((30, 3))
     y = (X[:, 1] > 0).astype(float)
-    a = BinaryLogisticCore.fit(X, y, np.arange(len(X)) // 4)
-    b = BinaryLogisticCore.fit(X, y, np.arange(len(X)) // 4)
+    a = BinaryLogisticCore.fit(X, y, np.arange(0, len(X), 4))
+    b = BinaryLogisticCore.fit(X, y, np.arange(0, len(X), 4))
     assert np.array_equal(a.w, b.w) and a.b == b.b
 
 
 @st.composite
 def decision_rows(draw):
-    """Rows of decisions of 1 to 8 rows each, in shuffled order: columns
-    shared by the rows of each decision, columns of each row's own, and
-    columns of one value; labels of both kinds once there are two rows.
-    Each row's decision is labelled by a number that is not its index."""
+    """Rows of decisions of 1 to 8 rows each, each decision's rows in a
+    row, with the first row of each: columns shared by the rows of each
+    decision, columns of each row's own, and columns of one value; labels
+    of both kinds once there are two rows."""
     sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=12))
     widths = draw(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)))
     if not any(widths):
@@ -285,9 +285,7 @@ def decision_rows(draw):
     y = rng.integers(0, 2, n).astype(float)
     if n > 1:
         y[:2] = (1.0, 0.0)
-    order = rng.permutation(n)
-    steps = (rng.permutation(len(sizes)) * 3 + 7)[decision]
-    return X[order], y[order], steps[order]
+    return X, y, np.cumsum([0, *sizes[:-1]])
 
 
 @settings(max_examples=80, deadline=None)
@@ -299,9 +297,9 @@ def test_binary_fit_by_decision_matches_the_row_matrix_fit(data, entries):
     """The fit over decisions, whatever its row blocks, computes the row
     matrix fit's weights and bias to 1e-12 and its standardization
     exactly; a column of one value keeps weight 0 exactly."""
-    X, y, steps = data
+    X, y, starts = data
     with mock.patch.object(features, "_MATVEC_ENTRIES", entries):
-        core = BinaryLogisticCore.fit(X, y, steps, epochs=15)
+        core = BinaryLogisticCore.fit(X, y, starts, epochs=15)
     ref = reference_binary_fit(X, y, epochs=15)
     assert np.array_equal(core.mean, ref.mean) and np.array_equal(core.std, ref.std)
     assert np.abs(core.w - ref.w).max() <= 1e-12
