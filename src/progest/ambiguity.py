@@ -63,53 +63,60 @@ def tree_labels(g: Grammar, max_nodes: int):
     """
     mins = minimum_tree_sizes(g)
     memo: dict[tuple[Symbol, int], list] = {}
-
-    def trees(sym: Symbol, n: int) -> list:
-        key = (sym, n)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        out: list = []
-        if sym.is_terminal:
-            if n == 1:
-                out.append(((sym.name, True, 0),))
-        else:
-            for prod in g.productions_for(sym):
-                head = ((sym.name, False, len(prod.rhs)),)
-                out.extend(head + kids for kids in fill(prod.rhs, n - 1))
-        memo[key] = out
-        return out
-
-    def fill(symbols: tuple[Symbol, ...], budget: int) -> list:
-        if not symbols:
-            return [()] if budget == 0 else []
-        first, rest = symbols[0], symbols[1:]
-        first_min = mins[first]
-        rest_min = sum(mins[s] for s in rest)
-        if first_min == inf or rest_min == inf:
-            return []
-        results: list = []
-        for take in range(int(first_min), int(budget - rest_min) + 1):
-            heads = trees(first, take)
-            if not heads:
-                continue
-            for tail in fill(rest, budget - take):
-                results.extend(head + tail for head in heads)
-        return results
-
     for n in range(1, max_nodes + 1):
-        yield from trees(g.root, n)
+        yield from _trees(g, mins, memo, g.root, n)
+
+
+# the two halves of tree_labels' recursion, at module level so that the
+# memo they share is freed with the walk, not left in a reference cycle
+
+def _trees(g: Grammar, mins: dict, memo: dict, sym: Symbol, n: int) -> list:
+    """The labels of every tree of ``sym`` with exactly ``n`` nodes."""
+    key = (sym, n)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    out: list = []
+    if sym.is_terminal:
+        if n == 1:
+            out.append(((sym.name, True, 0),))
+    else:
+        for prod in g.productions_for(sym):
+            head = ((sym.name, False, len(prod.rhs)),)
+            out.extend(head + kids for kids in _fill(g, mins, memo, prod.rhs, n - 1))
+    memo[key] = out
+    return out
+
+
+def _fill(g: Grammar, mins: dict, memo: dict, symbols: tuple[Symbol, ...],
+          budget: int) -> list:
+    """The labels of every sequence of trees, one per symbol of
+    ``symbols``, with ``budget`` nodes in all."""
+    if not symbols:
+        return [()] if budget == 0 else []
+    first, rest = symbols[0], symbols[1:]
+    first_min = mins[first]
+    rest_min = sum(mins[s] for s in rest)
+    if first_min == inf or rest_min == inf:
+        return []
+    results: list = []
+    for take in range(int(first_min), int(budget - rest_min) + 1):
+        heads = _trees(g, mins, memo, first, take)
+        if not heads:
+            continue
+        for tail in _fill(g, mins, memo, rest, budget - take):
+            results.extend(head + tail for head in heads)
+    return results
 
 
 def _shape(labels: tuple) -> tuple:
     """The nested ``(Symbol, children)`` tuples of a tree's preorder labels."""
-    rest = iter(labels)
+    return _node(iter(labels))
 
-    def node():
-        name, is_terminal, arity = next(rest)
-        return Symbol(name, is_terminal), tuple(node() for _ in range(arity))
 
-    return node()
+def _node(rest) -> tuple:
+    name, is_terminal, arity = next(rest)
+    return Symbol(name, is_terminal), tuple(_node(rest) for _ in range(arity))
 
 
 def enumerate_complete_trees(g: Grammar, max_nodes: int):

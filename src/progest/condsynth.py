@@ -4,12 +4,14 @@ them for a new context with the tree-search machinery.
 A template is a condition with its variable occurrences abstracted into
 numbered placeholder slots, typed by the declarations they were mined from.
 For one target context the templates and the declared variables compile into
-a rewriting-rule set; synthesis then runs the ordinary beam search over it,
-which ranks every finished build, and takes the top k.  Asked to, it first
-drops the bare null checks: screening anti-patterns is repair policy, so it
-lives here and not in the search.  The decision structure is fixed: pick
-the first variable (creation), pick the template around it (upward
-expansion), fill the remaining slots left to right (downward expansions).
+a rewriting-rule set; synthesis then runs the ordinary beam search over it
+for the top k, which the beam cuts before it renders: a build below the
+k-th survivor's log p is never rendered.  Asked to, it has the beam drop
+the bare null checks before the cut: screening anti-patterns is repair
+policy, so the pattern lives here and the search only applies it.  The
+decision structure is fixed: pick the first variable (creation), pick the
+template around it (upward expansion), fill the remaining slots left to
+right (downward expansions).
 """
 
 from __future__ import annotations
@@ -783,22 +785,22 @@ def synthesize_condition(
 ) -> SearchResult:
     """The ``k`` best-ranked condition candidates for one context.
 
-    The beam ranks every finished build; with ``screen_null_checks`` the
-    bare null checks (``BARE_NULL_CHECK``) are dropped before the cut, so a
-    screened candidate never takes one of the ``k`` places.  ``k`` must be
-    an int of at least 0 (a bool is none), checked before the search.
+    The beam makes the cut: it ranks the finished builds and renders only
+    those that can reach the top ``k``, so a build below the k-th
+    survivor's log p is never rendered.  With ``screen_null_checks`` the
+    beam drops the bare null checks (``BARE_NULL_CHECK``) before the cut,
+    so a screened candidate never takes one of the ``k`` places.  ``k``
+    must be an int of at least 0 (a bool is none), checked before the
+    search.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError(f"k must be an int >= 0, got {k!r}")
     rs = build_cond_ruleset(templates, ctx)
-    found = beam_search(
+    return beam_search(
         rs, ctx, model, widths=widths, size_limit=size_limit,
-        renderer=render_condition,
+        renderer=render_condition, k=k,
+        screen=(BARE_NULL_CHECK.pattern,) if screen_null_checks else (),
     )
-    candidates = found.candidates
-    if screen_null_checks:
-        candidates = [c for c in candidates if not BARE_NULL_CHECK.search(c.rendered)]
-    return SearchResult(candidates[:k], found.stats)
 
 
 # --------------------------------------------------------------------------

@@ -62,9 +62,10 @@ class VariableInfo(NamedTuple):
         """The variable of a JSON entry, or a ``ContextError`` naming the
         first fault: a missing ``name``, then a missing ``type``, then the
         first scalar field (in the entry's order) that is not of its JSON
-        kind, then ``def_sites`` that is not a list of integers, then a name
-        that cannot name a variable.  Each field is read and checked once,
-        in one pass over the entry."""
+        kind or is an integer no float can hold, then ``def_sites`` that is
+        not a list of such integers, then a name that cannot name a
+        variable.  Each field is read and checked once, in one pass over
+        the entry."""
         if not isinstance(data, dict):
             raise ContextError("variable entry must be an object")
         parts, bad = _read_fields(data, _VARIABLE_SLOTS, _VARIABLE_DEFAULTS)
@@ -78,6 +79,10 @@ class VariableInfo(NamedTuple):
             isinstance(sites, (list, tuple)) and set(map(type, sites)) <= _INT_KIND
         ):
             bad = "'def_sites' must be a list of integers"
+        if bad is None and sites and not (
+            _FLOAT_INT_FLOOR < min(sites) and max(sites) < _FLOAT_INT_LIMIT
+        ):
+            bad = "'def_sites' must hold integers a float can hold"
         if bad is None and not is_variable_token(name):
             bad = "'name' must be an identifier other than null, true or false"
         if bad is not None:
@@ -114,10 +119,11 @@ class Context:
     def from_dict(data: dict) -> "Context":
         """The context of a JSON object, or a ``ContextError`` naming the
         first fault: the first scalar field (in the object's order) that is
-        not of its JSON kind, then ``variables`` that is not a list, then
-        the first bad variable entry, then two variables of one name, then
-        ``before`` and ``after`` that are not lists of strings.  Each field
-        is read and checked once, in one pass over the object."""
+        not of its JSON kind or is an integer no float can hold, then
+        ``variables`` that is not a list, then the first bad variable entry,
+        then two variables of one name, then ``before`` and ``after`` that
+        are not lists of strings.  Each field is read and checked once, in
+        one pass over the object."""
         if not isinstance(data, dict):
             raise ContextError("context must be an object")
         parts, bad = _read_fields(data, _CONTEXT_SLOTS, _CONTEXT_DEFAULTS)
@@ -162,13 +168,18 @@ _CONTEXT_DEFAULTS = tuple(f.default for f in fields(Context))
 _context_fields = attrgetter(*(f.name for f in fields(Context)))
 _KIND_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
 _INT_KIND = frozenset({int})
+# the least integer magnitude that ``float()`` refuses: the logistic
+# encoder divides every integer field by a float, so a reader refuses it
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
+_FLOAT_INT_FLOOR = -_FLOAT_INT_LIMIT
 
 
 def _read_fields(data: dict, slots: dict, defaults: tuple) -> tuple[list, str | None]:
     """The record's fields from one pass over a JSON object: each known
     key's value at its slot, the default where a key is absent, and what is
     wrong with the first scalar field (in the object's order) whose value
-    is not of its kind, or None when every one fits."""
+    is not of its kind, or is an integer no float can hold, or None when
+    every one fits."""
     parts = list(defaults)
     bad = None
     for key, value in data.items():
@@ -176,8 +187,12 @@ def _read_fields(data: dict, slots: dict, defaults: tuple) -> tuple[list, str | 
         if slot is not None:
             index, kind = slot
             parts[index] = value
-            if type(value) is not kind and bad is None and kind is not None:
-                bad = f"{key!r} must be {_KIND_NAMES[kind]}"
+            if type(value) is not kind:
+                if bad is None and kind is not None:
+                    bad = f"{key!r} must be {_KIND_NAMES[kind]}"
+            elif kind is int and not _FLOAT_INT_FLOOR < value < _FLOAT_INT_LIMIT:
+                if bad is None:
+                    bad = f"{key!r} must be an integer a float can hold"
     return parts, bad
 
 

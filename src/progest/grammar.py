@@ -379,9 +379,15 @@ def _compile_block(rule: RewritingRule) -> RuleBlock:
     children: list[list[int]] = []
     anchor: int | None = None
     end = 0  # one past the last position of the anchor's subtree
-
-    def walk(rt: RuleTree, parent: int | None) -> None:
-        nonlocal anchor, end
+    # a preorder walk on an explicit stack; None, pushed under the anchor's
+    # children, is popped once its whole subtree is laid out
+    stack: list[tuple[RuleTree, int | None] | None] = [(rule.replacement, None)]
+    while stack:
+        entry = stack.pop()
+        if entry is None:
+            end = len(symbols)
+            continue
+        rt, parent = entry
         pos = len(symbols)
         symbols.append(rt.symbol)
         marks.append(rt.annotation)
@@ -389,12 +395,10 @@ def _compile_block(rule: RewritingRule) -> RuleBlock:
         children.append([])
         if parent is not None:
             children[parent].append(pos)
-        for child in rt.children:
-            walk(child, pos)
         if rt.anchor:
-            anchor, end = pos, len(symbols)
-
-    walk(rule.replacement, None)
+            anchor = pos
+            stack.append(None)
+        stack.extend((child, pos) for child in reversed(rt.children))
     marked = [
         p for p, m in enumerate(marks) if m is not Annotation.NONE and p != anchor
     ]

@@ -6,11 +6,14 @@ its policy picks, keeps the locally best successors, then truncates the pool
 to the round's beam width.  Widths are given per round; the last entry
 repeats, so ``(5, 200)`` means a tight first pick and a wide tail.  There is
 one search loop, ``finished_builds``: it hands out each finished build
-unspliced, and ``beam_search`` renders and ranks them all.  Which
-renderings to drop and how many to keep is the caller's policy: the
-condition layer screens anti-patterns and cuts to its top k.  Exhaustive
-search is the beam at unbounded width, and the certifier reads the loop's
-builds directly.
+unspliced, and ``beam_search`` renders and ranks them.  Which renderings to
+drop and how many to keep is the caller's policy, passed to the beam as a
+screen of regexes and a cut ``k``: the beam renders its builds from the
+likeliest down, one equal-log-p group at a time, and stops once ``k``
+renderings have passed the screen, so a build below the k-th survivor's
+log p is never spliced or rendered.  Exhaustive search is the beam at
+unbounded width with no cut, and the certifier reads the loop's builds
+directly.
 
 Every expansion is one call of ``constraints.feasible_rules``, the one
 gate: the policy's node, the check that its rule group fits, and the typed,
@@ -29,8 +32,11 @@ keeps results reproducible across runs and processes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import exp, inf, log
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 # compute_size_bounds and probe_rules are bound only so that the benchmark's
@@ -94,7 +100,14 @@ class Candidate:
 
     @property
     def prob(self) -> float:
-        return exp(self.log_prob) if self.log_prob > -inf else 0.0
+        """``exp(log_prob)``: 0 at -inf, and inf past the range of ``exp``,
+        which a model's odds above 1 can reach."""
+        if not self.log_prob > -inf:
+            return 0.0
+        try:
+            return exp(self.log_prob)
+        except OverflowError:
+            return inf
 
 
 @dataclass
@@ -216,31 +229,52 @@ def beam_search(
     size_limit: int | None = 30,
     step_cap: float = 100_000,
     renderer: Renderer | None = None,
+    k: int | None = None,
+    screen: Sequence[str] = (),
 ) -> SearchResult:
-    """Every finished tree the beam keeps, rendered and ranked.
+    """The ``k`` best finished trees the beam keeps whose renderings match
+    no regex of ``screen``, ranked by ``(-log p, rendering, rule ids)``;
+    ``k`` None keeps every one.
 
     Probabilities multiply over steps exactly as the model reports them; the
     fitted models normalize per candidate list, fixtures may not.  The
-    builds of ``finished_builds`` are rendered and ranked at the end, so a
-    slow completion can still outrank an early one.  No candidate is
-    dropped and none is cut: a caller screens the renderings and takes its
-    top k (``condsynth.synthesize_condition``).  The widths and
-    ``step_cap`` are checked as ``finished_builds`` says, before the search
-    starts.
+    builds of ``finished_builds`` are ranked at the end, so a slow
+    completion can still outrank an early one.  The cut happens before
+    rendering: the builds are taken from the likeliest down, one group of
+    equal log p at a time, each rendered and screened, until ``k``
+    renderings have passed the screen.  Only the rendered builds are sorted
+    by the full key and cut to ``k``, so no build whose log p is below the
+    k-th survivor's is spliced or rendered, and the list is the one that
+    rendering, screening and ranking every build, then cutting, would give.
+    ``k`` must be None or an int of at least 0, and the widths and
+    ``step_cap`` are checked as ``finished_builds`` says, all before the
+    search starts.
     """
+    if not (k is None or _is_count(k, 0)):
+        raise ValueError(f"k must be None or an int >= 0, got {k!r}")
     builds, stats = finished_builds(
         rs, ctx, model, policy=policy, widths=widths, size_limit=size_limit,
         step_cap=step_cap,
     )
     render_fn = renderer or render
+    screens = [re.compile(pattern) for pattern in screen]
+    keep = len(builds) if k is None else k
+    builds.sort(key=lambda build: -build[1])
     results: list[Candidate] = []
-    for probe, log_prob, apps in builds:
-        ast = probe.ast
-        results.append(Candidate(ast, render_fn(ast), log_prob, apps))
+    # a group below the k-th survivor's log p cannot reach the top k, and
+    # the ties at it can, so whole groups are rendered
+    for _, group in groupby(builds, key=itemgetter(1)):
+        if len(results) >= keep:
+            break
+        for probe, log_prob, apps in group:
+            ast = probe.ast
+            text = render_fn(ast)
+            if not any(s.search(text) for s in screens):
+                results.append(Candidate(ast, text, log_prob, apps))
     results.sort(
         key=lambda c: (-c.log_prob, c.rendered, tuple(a.rule for a in c.applications))
     )
-    return SearchResult(results, stats)
+    return SearchResult(results[:keep], stats)
 
 
 def _is_count(value, least: int) -> bool:

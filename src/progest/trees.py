@@ -53,6 +53,7 @@ that cannot land is mostly refused by one comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ApplyError, IncompleteTreeError, UnderivableTreeError
@@ -343,19 +344,19 @@ def to_sexpr(ast: AnnotatedAst) -> str:
 def build_complete_ast(shape) -> AnnotatedAst:
     """Build a finished tree from nested (Symbol, children) tuples."""
     nodes: dict[int, AstNode] = {}
-    counter = 0
-
-    def walk(item, parent: int | None) -> int:
-        nonlocal counter
-        sym, children = item
-        nid = counter
-        counter += 1
-        child_ids = tuple(walk(c, nid) for c in children)
-        nodes[nid] = AstNode(nid, sym, Annotation.NONE, parent, child_ids, None)
-        return nid
-
-    root = walk(shape, None)
+    root = _build_node(shape, None, nodes, count())
     return AnnotatedAst(nodes, root)
+
+
+def _build_node(item, parent: int | None, nodes: dict[int, AstNode], ids) -> int:
+    """Add the subtree of ``item`` to ``nodes``, ids in preorder from
+    ``ids``, and return its root's id; a module-level recursion, so that
+    the tree is not held in a reference cycle."""
+    sym, children = item
+    nid = next(ids)
+    child_ids = tuple(_build_node(c, nid, nodes, ids) for c in children)
+    nodes[nid] = AstNode(nid, sym, Annotation.NONE, parent, child_ids, None)
+    return nid
 
 
 def policy_leftmost(ast: AnnotatedAst) -> tuple[int, Annotation]:

@@ -1,5 +1,6 @@
 """Bounded tree enumeration and two-history detection."""
 
+import gc
 import hashlib
 from math import inf
 
@@ -241,6 +242,24 @@ def test_a_clean_check_splices_only_the_states_it_expands(
     rs = _criterion_06_sets(demo_grammar)[which]
     assert check_unambiguous(rs, demo_grammar, max_nodes=13).unambiguous
     assert made == splices
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["topdown", "both"])
+def test_a_check_leaves_no_reference_cycle(demo_grammar, which):
+    """A check, and a walk of the grammar's trees, leave nothing that only
+    the cyclic collector frees: with the collector off, a collection right
+    after them finds no unreachable object."""
+    rs = _criterion_06_sets(demo_grammar)[which]
+    check_unambiguous(rs, demo_grammar, max_nodes=13)
+    gc.collect()
+    gc.disable()
+    try:
+        check_unambiguous(rs, demo_grammar, max_nodes=13)
+        for _ in enumerate_complete_trees(demo_grammar, 9):
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _counts(report):

@@ -92,6 +92,26 @@ def test_predict_k_zero(capsys, data_dir):
     assert out == ""
 
 
+def test_predict_prints_inf_where_the_probability_overflows(
+    capsys, tmp_path, data_dir
+):
+    """A table bundle may hold any finite odds, so a tree's log p can pass
+    what ``exp`` can raise to: its probability prints as inf, not a
+    traceback."""
+    demo = data_dir / "demo"
+    data = json.loads((demo / "demo_bundle.json").read_text())
+    table = data["model"]["table"]
+    table[""]["make-var:hours"] = 1e300
+    table["make-var:hours"]["expr:V1 > 12::Int"] = 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, ["predict", str(demo / "demo_context.json"), "--bundle", str(path)]
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "1\tinf\thours > 12"
+
+
 def test_predict_no_candidates(capsys, tmp_path, data_dir):
     ctx = Context(
         variables=(VariableInfo("flag", "Boolean"),),
@@ -624,13 +644,20 @@ def test_malformed_corpus_record_is_exit_2(capsys, tmp_path, condition):
         pytest.param(_set_entry("context", "static", 1), id="static-number"),
         pytest.param(_set_entry("context", "variables", 0, "final", "no"),
                      id="final-string"),
+        pytest.param(_set_entry("context", "params", 10**400), id="params-huge"),
+        pytest.param(_set_entry("context", "variables", 0, "decl_distance", 10**400),
+                     id="distance-huge"),
+        pytest.param(_set_entry("context", "variables", 0, "usages", -(10**400)),
+                     id="usages-huge-negative"),
+        pytest.param(_set_entry("context", "variables", 0, "def_sites", [1, 10**400]),
+                     id="def-sites-huge"),
     ],
 )
 def test_malformed_context_is_exit_2(capsys, tmp_path, data_dir, edit):
-    """A context field of the wrong JSON type, or a variable name that is
-    not an identifier or is a keyword literal, is an input error for both
-    the context of a predict and a corpus record, not a traceback or a
-    guess."""
+    """A context field of the wrong JSON type, an integer that no float can
+    hold, or a variable name that is not an identifier or is a keyword
+    literal, is an input error for both the context of a predict and a
+    corpus record, not a traceback or a guess."""
     record = generate_corpus(1, seed=2)[0]
     edit(record)
     ctx_path = tmp_path / "ctx.json"

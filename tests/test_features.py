@@ -591,7 +591,12 @@ _ANY_JSON = st.one_of(
     st.lists(st.sampled_from(["a", "("]), max_size=2), st.just({}), st.just({"k": 1}),
 )
 _BAD_NAMES = ("null", "true", "false", "", "1x", "a b", "a-b")
-_BAD_DEF_SITES = (["3"], [True], [1.5], [1, None], 5, None, "12", {}, [[1]])
+_BAD_DEF_SITES = (["3"], [True], [1.5], [1, None], 5, None, "12", {}, [[1]],
+                  [1, 10**400], [-(2**1024 - 2**970)])
+# integers at and past the edge of what a float can hold: the first two
+# convert, the rest do not
+_EDGE_INTS = (2**1024 - 2**970 - 1, -(2**1024 - 2**970 - 1), 2**1024 - 2**970,
+              -(2**1024 - 2**970), 10**400)
 
 
 def _shuffled(data, entry: dict) -> dict:
@@ -605,7 +610,8 @@ def _mutate(data, entry: dict, scalars: dict) -> None:
     """One drawn fault in a variable entry or a context, in place."""
     keys = sorted(entry) or ["name"]
     kind = data.draw(st.sampled_from(
-        ["kind", "kind", "bool-for-int", "missing", "extra", "name", "def_sites", "list"]
+        ["kind", "kind", "bool-for-int", "huge-int", "missing", "extra", "name",
+         "def_sites", "list"]
     ))
     if kind == "kind":
         entry[data.draw(st.sampled_from(keys))] = data.draw(_ANY_JSON)
@@ -613,6 +619,10 @@ def _mutate(data, entry: dict, scalars: dict) -> None:
         ints = [k for k in scalars if k in entry and type(entry[k]) is int]
         if ints:
             entry[data.draw(st.sampled_from(ints))] = data.draw(st.booleans())
+    elif kind == "huge-int":
+        ints = [k for k in scalars if k in entry and type(entry[k]) is int]
+        if ints:
+            entry[data.draw(st.sampled_from(ints))] = data.draw(st.sampled_from(_EDGE_INTS))
     elif kind == "missing":
         entry.pop(data.draw(st.sampled_from(keys + ["name", "type"])), None)
     elif kind == "extra":
@@ -650,9 +660,10 @@ def _load(loader, data):
 @given(st.data())
 def test_context_loader_matches_the_field_by_field_reference(data):
     """Over valid and mutated JSON contexts (wrong kinds, bools for ints,
-    missing and extra keys, reserved names, bad ``def_sites``, repeated
-    names, in any key order), ``Context.from_dict`` gives the reference's
-    equal context or the same ``ContextError`` message."""
+    integers at the edge of float range, missing and extra keys, reserved
+    names, bad ``def_sites``, repeated names, in any key order),
+    ``Context.from_dict`` gives the reference's equal context or the same
+    ``ContextError`` message."""
     mutate = data.draw(st.booleans())
     names = data.draw(st.permutations(_NAMES))[: data.draw(st.integers(0, 4))]
     entries = [_variable_entry(data, name, mutate and data.draw(st.booleans()))

@@ -405,6 +405,54 @@ def test_beam_equals_the_always_sorting_reference(
     assert _result_fields(ours) == _result_fields(ref)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["none", "uniform", "table"]),
+    st.sampled_from([(1,), (2,), (3,), (1, 2), (5, 200)]),
+    st.sampled_from(["none", "one", "all", "more"]),
+    st.booleans(),
+)
+def test_beam_cuts_before_rendering_what_the_reference_cuts_after(
+    seed, full, hashed, model_kind, widths, cut, screened
+):
+    """Over typed grammars, with random models and the tie-heavy model None
+    (every log p 0), the beam that cuts to ``k`` before it renders keeps,
+    candidate for candidate and in its counts, what the reference keeps
+    when it renders and screens every finished tree, ranks them and then
+    cuts.  It renders exactly the builds whose log p is at least the k-th
+    survivor's: none at ``k`` 0, every one when fewer than ``k`` survive,
+    and every one under model None."""
+    rs, ctx, policy, model = _search_case("typed", seed, full, hashed, model_kind)
+    kwargs = dict(policy=policy, widths=widths, size_limit=7)
+    builds, _ = finished_builds(rs, ctx, model, **kwargs)
+    k = {"none": 0, "one": 1, "all": len(builds), "more": len(builds) + 3}[cut]
+    # drops the renderings that end in a leaf numbered 0
+    screen = (r"0$",) if screened else ()
+    rendered = []
+
+    def counting(ast):
+        rendered.append(ast)
+        return trees.render(ast)
+
+    ours = beam_search(rs, ctx, model, renderer=counting, k=k, screen=screen, **kwargs)
+    ref = reference_beam_search(rs, ctx, model, k=k, screen=screen, **kwargs)
+    assert _result_fields(ours) == _result_fields(ref)
+    survivors = ref.candidates
+    if k == 0:
+        want = 0
+    elif len(survivors) < k:
+        want = len(builds)
+    else:
+        least = survivors[k - 1].log_prob
+        want = sum(log_prob >= least for _, log_prob, _ in builds)
+    assert len(rendered) == want
+    if model is None and k:
+        assert len(rendered) == len(builds)
+
+
 @pytest.fixture(scope="module")
 def corpus_models(corpus_records):
     return [

@@ -5,7 +5,8 @@ stand-in for the probe that made a hand-built tree, and the reference paths
 that fast paths are checked against: the recursive splice and the rescanned
 frontier, the built-tree key, the recursive matcher of the derivation walk,
 the splice-then-solve prober, the restarting typed replay, the
-always-sorting beam (with the condition layer's screen and cut), the
+always-sorting beam that renders every finished tree, then screens and
+cuts (where the beam cuts before rendering), the
 depth-first exhaustive search, the per-tree certifier, the full-width
 power-iteration PCA fit, the per-candidate reading of a decision and its feature vector and the
 memo-free rows and logistic predict built from them, the logistic model's
@@ -623,11 +624,12 @@ def reference_beam_search(
 ) -> SearchResult:
     """``search.beam_search`` the slow way, with the same arguments: every
     state's scored candidates and every round's successors are sorted,
-    whether or not the width truncates them.  With its own two extra
-    arguments it is also the screen-then-cut pipeline of
-    ``condsynth.synthesize_condition``: a finished tree whose rendering
-    matches any regex of ``screen`` is dropped as it finishes, and the
-    ranking is cut to ``k`` (None keeps all)."""
+    whether or not the width truncates them, and every finished tree is
+    rendered as it finishes.  A finished tree whose rendering matches any
+    regex of ``screen`` is dropped then, and the full ranking is cut to
+    ``k`` (None keeps all) only at the end, so it is also the
+    screen-then-cut pipeline of ``condsynth.synthesize_condition``.
+    ``model`` None scores every candidate 1, as the search does."""
     if not widths or any(w < 1 for w in widths):
         raise ValueError("widths must be a non-empty sequence of positive ints")
     stats = SearchStats()
@@ -659,7 +661,10 @@ def reference_beam_search(
                 continue
             node = outcome.target
             decision = (ast, node, [p.rule for p in outcome.kept])
-            probs = model.predict(ctx, [decision])[0]
+            if model is None:
+                probs = [1.0] * len(outcome.kept)
+            else:
+                probs = model.predict(ctx, [decision])[0]
             scored = []
             for probe, p in zip(outcome.kept, probs):
                 if p <= 0.0:
@@ -1348,8 +1353,9 @@ def reference_build_cond_ruleset(templates, ctx) -> RuleSet:
 
 
 # --------------------------------------------------------------------------
-# the field-by-field context loader: a kind scan of the entry, then one
-# ``dict.get`` per field and a keyword-built record
+# the field-by-field context loader: a kind scan of the entry, which asks
+# ``float()`` whether each integer converts, then one ``dict.get`` per field
+# and a keyword-built record
 
 _REFERENCE_VARIABLE_KINDS = {
     "name": str, "type": str, "final": bool, "static": bool, "in_loop": bool,
@@ -1368,7 +1374,17 @@ def _reference_bad_field(data: dict, kinds: dict) -> str | None:
         kind = kinds.get(key)
         if kind is not None and type(value) is not kind:
             return f"{key!r} must be {_REFERENCE_KIND_NAMES[kind]}"
+        if kind is int and not _reference_floats(value):
+            return f"{key!r} must be an integer a float can hold"
     return None
+
+
+def _reference_floats(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _reference_string_tuple(values, what: str) -> tuple:
@@ -1392,6 +1408,8 @@ def reference_variable_from_dict(data: dict) -> VariableInfo:
         and all(type(x) is int for x in def_sites)
     ):
         bad = "'def_sites' must be a list of integers"
+    if bad is None and not all(map(_reference_floats, def_sites)):
+        bad = "'def_sites' must hold integers a float can hold"
     if bad is None and not is_variable_token(data["name"]):
         bad = "'name' must be an identifier other than null, true or false"
     if bad is not None:
