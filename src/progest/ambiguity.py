@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from math import inf
 
 from .grammar import Grammar, RuleSet, Symbol
-from .search import Build, finished_builds
+from .search import Build, applications, finished_builds
 # iter_derivations is bound only so that the benchmark's tracer (perfbench)
 # can wrap it under this module's name; the check itself does not call it
 from .trees import (
@@ -62,15 +62,22 @@ def tree_labels(g: Grammar, max_nodes: int):
     production order, so runs are reproducible.
     """
     mins = minimum_tree_sizes(g)
+    # each production's root label, made once for the walk and shared by
+    # every tree it heads
+    heads: dict[Symbol, list] = {}
+    for prod in g.productions:
+        heads.setdefault(prod.lhs, []).append(
+            (((prod.lhs.name, False, len(prod.rhs)),), prod.rhs)
+        )
     memo: dict[tuple[Symbol, int], list] = {}
     for n in range(1, max_nodes + 1):
-        yield from _trees(g, mins, memo, g.root, n)
+        yield from _trees(heads, mins, memo, g.root, n)
 
 
 # the two halves of tree_labels' recursion, at module level so that the
 # memo they share is freed with the walk, not left in a reference cycle
 
-def _trees(g: Grammar, mins: dict, memo: dict, sym: Symbol, n: int) -> list:
+def _trees(heads: dict, mins: dict, memo: dict, sym: Symbol, n: int) -> list:
     """The labels of every tree of ``sym`` with exactly ``n`` nodes."""
     key = (sym, n)
     cached = memo.get(key)
@@ -81,14 +88,13 @@ def _trees(g: Grammar, mins: dict, memo: dict, sym: Symbol, n: int) -> list:
         if n == 1:
             out.append(((sym.name, True, 0),))
     else:
-        for prod in g.productions_for(sym):
-            head = ((sym.name, False, len(prod.rhs)),)
-            out.extend(head + kids for kids in _fill(g, mins, memo, prod.rhs, n - 1))
+        for head, rhs in heads[sym]:
+            out.extend(head + kids for kids in _fill(heads, mins, memo, rhs, n - 1))
     memo[key] = out
     return out
 
 
-def _fill(g: Grammar, mins: dict, memo: dict, symbols: tuple[Symbol, ...],
+def _fill(heads: dict, mins: dict, memo: dict, symbols: tuple[Symbol, ...],
           budget: int) -> list:
     """The labels of every sequence of trees, one per symbol of
     ``symbols``, with ``budget`` nodes in all."""
@@ -101,11 +107,11 @@ def _fill(g: Grammar, mins: dict, memo: dict, symbols: tuple[Symbol, ...],
         return []
     results: list = []
     for take in range(int(first_min), int(budget - rest_min) + 1):
-        heads = _trees(g, mins, memo, first, take)
-        if not heads:
+        firsts = _trees(heads, mins, memo, first, take)
+        if not firsts:
             continue
-        for tail in _fill(g, mins, memo, rest, budget - take):
-            results.extend(head + tail for head in heads)
+        for tail in _fill(heads, mins, memo, rest, budget - take):
+            results.extend(head + tail for head in firsts)
     return results
 
 
@@ -161,16 +167,16 @@ def _walk_order(build: Build):
     the empty tree, as ``trees.iter_derivations`` walks them: by its creation
     rule, then by the preorder place in the tree of the node the creation
     makes (id 0), then by its later rules."""
-    probe, _, (first, *rest) = build
-    return first.rule, probe.ast.preorder().index(0), [app.rule for app in rest]
+    history = build.history
+    return history[1], build.ast.preorder().index(0), history[3::2]
 
 
 def _witness(a: Build, b: Build, rs: RuleSet) -> Witness:
-    (probe, _, apps_a), (_, _, apps_b) = a, b
+    apps_a, apps_b = applications(a.history), applications(b.history)
     # both builds end in a complete tree, so neither history is a prefix of
     # the other; where they part, one policy picked one node for both
     app_a, app_b = next((x, y) for x, y in zip(apps_a, apps_b) if x != y)
-    tree = probe.ast
+    tree = a.ast
     return Witness(
         tree=tree,
         rendered=render(tree),
@@ -213,19 +219,24 @@ def check_unambiguous(
         untyped, None, None, policy=policy or policy_leftmost, widths=(inf,),
         size_limit=max_nodes, step_cap=inf,
     )
-    builds: dict[tuple, list[Build]] = {}
+    # the first build of each tree, and every build of a tree built twice
+    builds: dict[tuple, Build] = {}
+    clashes: dict[tuple, list[Build]] = {}
     for build in found:
-        builds.setdefault(build[0].labels, []).append(build)
+        labels = build.labels
+        first = builds.setdefault(labels, build)
+        if first is not build:
+            clashes.setdefault(labels, [first]).append(build)
     trees_checked = derivations_checked = underivable = 0
     for labels in tree_labels(grammar, max_nodes):
         trees_checked += 1
-        same = builds.get(labels, ())
-        if len(same) > 1:
+        same = clashes.get(labels)
+        if same is not None:
             a, b = sorted(same, key=_walk_order)[:2]
             return AmbiguityReport(False, max_nodes, trees_checked,
                                    derivations_checked + 2, underivable,
                                    _witness(a, b, rs))
-        if same:
+        if labels in builds:
             derivations_checked += 1
         else:
             underivable += 1

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import SchemaError
 from .grammar import Annotation, Pattern, RewritingRule, RuleSet
@@ -274,9 +274,10 @@ def compute_size_bounds(rs: RuleSet) -> SizeBounds:
 # signature; fresh replacement nodes are numbered by preorder position
 _ANCHOR = -1
 
-# a tree's type classes: each marked node's class, named by one node id in
-# it, and the type the class is forced to, if any
-Classes = dict[int, tuple[int, str | None]]
+# a tree's type classes, one entry per marked node: the type its class is
+# forced to, or, while none is, the id of one node that names the class.
+# Its values are atoms, so the collector never tracks the dict.
+Classes = dict[int, int | str]
 
 
 @dataclass(frozen=True)
@@ -482,6 +483,9 @@ class SearchStep:
             )
         self.table = rs.shared if rs.shared is not None else SignatureTable(self.bounds)
         self._offers: dict[tuple[Pattern, Annotation | None, bool], Offers] = {}
+        # one ``(name, is_terminal, arity)`` label per value, for every
+        # labels read in this search (``trees.split_labels``)
+        self.labels: dict[tuple, tuple] = {}
 
     def offers(
         self, group: Pattern, mark: Annotation | None, at_root: bool
@@ -499,25 +503,32 @@ class SearchStep:
 
 class Expansion:
     """One expansion, shared by every probe it keeps: the expanded tree, the
-    target and the tree's classes, and, made on first read, the tree's
-    preorder labels split at the target (``trees.split_labels``)."""
+    target, the tree's classes, the search's ``labels`` (``SearchStep``)
+    and, made on first read, the tree's preorder labels and the target's
+    place among them (``trees.split_labels``), kept apart so that neither
+    is a tuple inside a tuple."""
 
-    __slots__ = ("ast", "target", "classes", "_split")
+    __slots__ = ("ast", "target", "classes", "labels", "_preorder", "_at")
 
     def __init__(
-        self, ast: AnnotatedAst, target: int | None, classes: Classes
+        self, ast: AnnotatedAst, target: int | None, classes: Classes,
+        labels: dict[tuple, tuple],
     ) -> None:
         self.ast = ast
         self.target = target
         self.classes = classes
-        self._split: tuple | None = None
+        self.labels = labels
+        self._preorder: tuple | None = None
+        self._at = 0
 
     @property
-    def split(self) -> tuple | None:
+    def split(self) -> tuple[tuple, int] | None:
         """None for a creation on the empty tree."""
-        if self._split is None and self.target is not None:
-            self._split = split_labels(self.ast, self.target)
-        return self._split
+        if self.target is None:
+            return None
+        if self._preorder is None:
+            self._preorder, self._at = split_labels(self.ast, self.target, self.labels)
+        return self._preorder, self._at
 
 
 class Probe:
@@ -529,10 +540,19 @@ class Probe:
     holes.  A caller that reads none of them splices nothing, and a search
     reads the classes only of a state it expands.  ``finishes`` and
     ``labels`` read the new tree's completeness and preorder labels from the
-    expansion and the rule's block, and splice nothing.
+    expansion and the rule's block, and splice nothing; the labels are made
+    on first read, of the search's one label per value, so the tuple a
+    caller keeps holds only tuples of atoms.
+
+    A probe that a search keeps is that search's state: the loop sets its
+    ``log_prob`` and ``history`` (``search.History``), which a probe no
+    search keeps does not have.
     """
 
-    __slots__ = ("rule", "id", "expansion", "signature", "size", "_spliced", "_classes")
+    __slots__ = (
+        "rule", "id", "expansion", "signature", "size", "log_prob", "history",
+        "_ast", "_ids", "_classes", "_labels",
+    )
 
     def __init__(
         self, rule: RewritingRule, id: int, expansion: Expansion,
@@ -543,23 +563,27 @@ class Probe:
         self.expansion = expansion
         self.signature = signature
         self.size = size
-        self._spliced: tuple[AnnotatedAst, tuple[int, ...]] | None = None
+        self._ast: AnnotatedAst | None = None
+        self._ids: tuple[int, ...] = ()
         self._classes: Classes | None = None
+        self._labels: tuple | None = None
 
-    def _splice(self) -> tuple[AnnotatedAst, tuple[int, ...]]:
-        if self._spliced is None:
-            exp = self.expansion
-            ast, ids = apply_rule_with_ids(exp.ast, exp.target, self.rule)
-            self._spliced = (ast, tuple(ids))
-        return self._spliced
+    def _splice(self) -> None:
+        exp = self.expansion
+        self._ast, ids = apply_rule_with_ids(exp.ast, exp.target, self.rule)
+        self._ids = tuple(ids)
 
     @property
     def ast(self) -> AnnotatedAst:
-        return self._splice()[0]
+        if self._ast is None:
+            self._splice()
+        return self._ast  # type: ignore[return-value]
 
     @property
     def ids(self) -> tuple[int, ...]:
-        return self._splice()[1]
+        if self._ast is None:
+            self._splice()
+        return self._ids
 
     @property
     def finishes(self) -> bool:
@@ -567,7 +591,10 @@ class Probe:
 
     @property
     def labels(self) -> tuple:
-        return splice_labels(self.expansion.split, self.rule)
+        if self._labels is None:
+            exp = self.expansion
+            self._labels = splice_labels(exp.split, self.rule, exp.labels)
+        return self._labels
 
     @property
     def classes(self) -> Classes:
@@ -582,33 +609,38 @@ class Probe:
         used up, and each fresh marked node joins the target's class or a
         class of fresh nodes."""
         exp = self.expansion
-        ast, ids = self._splice()
+        ast, ids = self.ast, self._ids
         holes = self.signature.holes
         target = exp.target
         classes: Classes = {}
-        name = forced = None
+        mine = None  # the target's class
         if target is not None:
             (_, _, fresh), holes = holes[0], holes[1:]
             old = exp.classes
-            name, forced = old[target]
+            mine = old[target]
             classes = dict(old)
-            if forced is None and fresh is not None:
-                forced = fresh
-                for nid, (other, _) in old.items():
-                    if other == name:
-                        classes[nid] = (name, forced)
+            if fresh is not None and mine.__class__ is int:
+                for nid, other in old.items():
+                    if other == mine:
+                        classes[nid] = fresh
+                mine = fresh
             if ast.nodes[target].annotation is Annotation.NONE:
                 del classes[target]
         for pos, cls, typ in holes:
-            classes[ids[pos]] = (name, forced) if cls == _ANCHOR else (ids[cls], typ)
-        return classes  # type: ignore[return-value]
+            if cls == _ANCHOR:
+                classes[ids[pos]] = mine  # type: ignore[assignment]
+            else:
+                classes[ids[pos]] = ids[cls] if typ is None else typ
+        return classes
 
     def __repr__(self) -> str:
         return f"Probe({self.rule.key!r} at {self.expansion.target!r})"
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
+class ProbeOutcome(NamedTuple):
+    """What one step keeps: its target (None for a creation), the kept
+    probes in their group's order and the two prune counts."""
+
     target: int | None
     kept: tuple[Probe, ...]
     size_pruned: int
@@ -690,16 +722,20 @@ def probe_rules(
         node = ast.nodes[target]
         mark, at_root = node.annotation, node.parent is None
         result = step.result_type
-        name, forced = classes[target]
+        mine = classes[target]
+        if mine.__class__ is str:
+            forced = mine
         if (
             not at_root
             and result is not None
             and ast.nodes[ast.root].annotation is Annotation.D  # type: ignore[index]
         ):
-            # the root's held-back result pin
-            root_name, root_type = classes[ast.root]  # type: ignore[index]
-            tree_ok = root_type is None or root_type == result
-            if root_name == name:
+            # the root's held-back result pin: a forced root class must
+            # agree with it, and an unforced one forces it on its members
+            root = classes[ast.root]  # type: ignore[index]
+            if root.__class__ is str:
+                tree_ok = root == result
+            elif root == mine:
                 forced = result
     offers = step.offers(group, mark, at_root)
     if not offers:
@@ -708,7 +744,7 @@ def probe_rules(
     rest = size
     if limit is not None and target is not None:
         rest -= step.bounds.of(node.symbol.name, mark)  # type: ignore[union-attr]
-    expansion = Expansion(ast, target, classes)
+    expansion = Expansion(ast, target, classes, step.labels)
 
     kept: list[Probe] = []
     size_pruned = 0

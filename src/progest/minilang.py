@@ -413,15 +413,17 @@ def logic_atoms(expr: Expr) -> list[Expr]:
     record of each atom.
     """
     atoms: list[Expr] = []
-
-    def walk(expr: Expr) -> None:
-        if isinstance(expr, Unary) and expr.op == "!":
-            walk(expr.operand)
-        elif isinstance(expr, Binary) and expr.op in ("&&", "||"):
-            walk(expr.left)
-            walk(expr.right)
-        else:
-            atoms.append(expr)
-
-    walk(expr)
+    _add_atoms(expr, atoms)
     return atoms
+
+
+def _add_atoms(expr: Expr, atoms: list[Expr]) -> None:
+    """Append the atoms of ``expr`` to ``atoms``, left to right; a
+    module-level recursion, so that no call leaves a reference cycle."""
+    if isinstance(expr, Unary) and expr.op == "!":
+        _add_atoms(expr.operand, atoms)
+    elif isinstance(expr, Binary) and expr.op in ("&&", "||"):
+        _add_atoms(expr.left, atoms)
+        _add_atoms(expr.right, atoms)
+    else:
+        atoms.append(expr)

@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import groupby
 from math import exp, inf, log
-from operator import itemgetter
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 # compute_size_bounds and probe_rules are bound only so that the benchmark's
@@ -65,17 +65,28 @@ if TYPE_CHECKING:  # features loads numpy; a search passes a context through
 
 Policy = Callable[[AnnotatedAst], tuple[int, Annotation]]
 Renderer = Callable[[AnnotatedAst], str]
-# a search state: the probe that made its tree (None for the empty tree),
-# log prob and applications so far; the probe splices, and merges its type
-# classes, only when the state is expanded, so the loop never makes a
-# finished tree or its classes
-State = tuple[Probe | None, float, tuple[Application, ...]]
+# the rule choices of a state from the empty tree, flat: the node (None for
+# the creation) and the rule id of each application in turn.  A tuple of
+# atoms, so the cyclic collector stops tracking it after one pass;
+# ``applications`` reads it as ``Application`` values.
+History = tuple[int | None, ...]
+# a search state: the probe that made its tree, None for the empty tree.
+# The loop that keeps a probe sets its ``log_prob``, the log probability of
+# its rule choices, and its ``history``, so a state is one object; the
+# probe splices, and merges its type classes, only when the state is
+# expanded, so the loop never makes a finished tree or its classes
+State = Probe | None
 
 
 # a finished state as the search loop hands it out: the probe whose splice
-# makes its tree (``probe.ast``), the log probability of its rule choices,
-# and its applications from the empty tree
-Build = tuple[Probe, float, tuple[Application, ...]]
+# makes its tree (``probe.ast``), with its ``log_prob`` and ``history``
+Build = Probe
+
+
+def applications(history: History) -> tuple[Application, ...]:
+    """The applications of a history, in order."""
+    pairs = iter(history)
+    return tuple(map(Application, pairs, pairs))
 
 
 # --------------------------------------------------------------------------
@@ -93,10 +104,18 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class Candidate:
+    """A ranked finished tree: its rendering, the log probability of its
+    rule choices and its build's ``history``, which ``applications`` reads
+    as ``Application`` values when asked, so a ranking makes none."""
+
     ast: AnnotatedAst
     rendered: str
     log_prob: float
-    applications: tuple[Application, ...]
+    history: History
+
+    @property
+    def applications(self) -> tuple[Application, ...]:
+        return applications(self.history)
 
     @property
     def prob(self) -> float:
@@ -160,21 +179,20 @@ def finished_builds(
     stats = SearchStats()
     step = SearchStep(rs, ctx, size_limit)
     builds: list[Build] = []
-    states: list[State] = [(None, 0.0, ())]
+    states: list[State] = [None]
     round_idx = 0
     while states:
         width = widths[min(round_idx, len(widths) - 1)]
         expanded: list[tuple[State, ProbeOutcome]] = []
         for state in states:
-            grown_by = state[0]
-            if grown_by is not None and grown_by.finishes:
-                builds.append(state)  # type: ignore[arg-type]
+            if state is not None and state.finishes:
+                builds.append(state)
                 continue
             if stats.expansions >= step_cap:
                 stats.step_cap_hit = True
                 continue
             stats.expansions += 1
-            outcome = feasible_rules(grown_by, step, policy)
+            outcome = feasible_rules(state, step, policy)
             stats.size_pruned += outcome.size_pruned
             stats.constraint_pruned += outcome.constraint_pruned
             if outcome.kept:
@@ -182,35 +200,40 @@ def finished_builds(
         if model is not None and expanded:
             round_probs = model.predict(ctx, [
                 (
-                    AnnotatedAst.empty() if state[0] is None else state[0].ast,
+                    AnnotatedAst.empty() if state is None else state.ast,
                     outcome.target,
                     [p.rule for p in outcome.kept],
                 )
                 for state, outcome in expanded
             ])
-        successors: list[State] = []
-        for i, ((_, log_prob, apps), outcome) in enumerate(expanded):
-            node = outcome.target
+        successors: list[Probe] = []
+        for i, (state, outcome) in enumerate(expanded):
+            log_prob, history = (0.0, ()) if state is None else (
+                state.log_prob, state.history
+            )
             if model is None:
-                scored = [(log_prob, probe) for probe in outcome.kept]
+                scored = list(outcome.kept)
+                for probe in scored:
+                    probe.log_prob = log_prob
             else:
                 scored = []
                 for probe, p in zip(outcome.kept, round_probs[i]):
                     if p <= 0.0:
                         stats.zero_prob_pruned += 1
                         continue
-                    scored.append((log_prob + log(p), probe))
+                    probe.log_prob = log_prob + log(p)
+                    scored.append(probe)
             if len(scored) > width:
-                scored.sort(key=lambda item: (-item[0], item[1].id))
+                scored.sort(key=lambda probe: (-probe.log_prob, probe.id))
                 stats.beam_truncated += len(scored) - width
                 scored = scored[:width]
-            successors.extend(
-                (probe, new_log, apps + (Application(node, probe.id),))
-                for new_log, probe in scored
-            )
+            node = outcome.target
+            for probe in scored:
+                probe.history = history + (node, probe.id)
+            successors += scored
         if len(successors) > width:
             successors.sort(
-                key=lambda s: (-s[1], to_sexpr(s[0].ast), tuple(a.rule for a in s[2]))
+                key=lambda s: (-s.log_prob, to_sexpr(s.ast), s.history[1::2])
             )
             stats.beam_truncated += len(successors) - width
             successors = successors[:width]
@@ -259,22 +282,22 @@ def beam_search(
     render_fn = renderer or render
     screens = [re.compile(pattern) for pattern in screen]
     keep = len(builds) if k is None else k
-    builds.sort(key=lambda build: -build[1])
-    results: list[Candidate] = []
+    builds.sort(key=lambda build: -build.log_prob)
+    rendered: list[tuple[Build, str]] = []
     # a group below the k-th survivor's log p cannot reach the top k, and
     # the ties at it can, so whole groups are rendered
-    for _, group in groupby(builds, key=itemgetter(1)):
-        if len(results) >= keep:
+    for _, group in groupby(builds, key=attrgetter("log_prob")):
+        if len(rendered) >= keep:
             break
-        for probe, log_prob, apps in group:
-            ast = probe.ast
-            text = render_fn(ast)
+        for build in group:
+            text = render_fn(build.ast)
             if not any(s.search(text) for s in screens):
-                results.append(Candidate(ast, text, log_prob, apps))
-    results.sort(
-        key=lambda c: (-c.log_prob, c.rendered, tuple(a.rule for a in c.applications))
-    )
-    return SearchResult(results[:keep], stats)
+                rendered.append((build, text))
+    rendered.sort(key=lambda item: (-item[0].log_prob, item[1], item[0].history[1::2]))
+    return SearchResult([
+        Candidate(build.ast, text, build.log_prob, build.history)
+        for build, text in rendered[:keep]
+    ], stats)
 
 
 def _is_count(value, least: int) -> bool:

@@ -20,8 +20,19 @@ It reads the rule's ``block``, its replacement flattened once in preorder
 (``grammar.RuleBlock``), copies the node dict and adds one node per block
 position: the anchor's position takes the target's id and every other
 position p the id ``len(ast.nodes)`` plus the number of non-anchor
-positions before p.  Nodes are tuples (``AstNode`` is a
-``NamedTuple``), since a search builds many and reads them only by field.
+positions before p.  Nodes are named tuples (``AstNode``), since a search
+builds many and reads them only by field.
+
+What a search keeps for a whole operation is made so that the cyclic
+collector pays for it once: it is an exact tuple of atoms, which the
+collector stops tracking after one pass, or one object shared by all its
+uses.  A named tuple stays tracked, so a search keeps each state's
+history as one flat tuple of node and rule ids (``search.History``) and
+makes ``Application`` values only when a caller reads them.  The labels
+of a search are shared: one ``(name, is_terminal, arity)`` tuple per
+value.  No walk recurses through a nested function that names itself,
+which would leave each call's tree in a reference cycle until the
+collector ran.
 
 Every tree carries ``open``, the ids of its marked nodes in preorder.  A
 splice replaces the target's entry with the block's marked positions, in
@@ -119,10 +130,11 @@ class AnnotatedAst:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class Application:
+class Application(NamedTuple):
     """One recorded rule application: ``rule`` is the rule's id in its set,
-    ``node`` is None for creation steps."""
+    ``node`` is None for creation steps.  A named tuple, cheap to make and
+    compared and hashed by its fields; the collector never stops tracking
+    one, so a search keeps flat histories and makes these for output."""
 
     node: int | None
     rule: int
@@ -244,13 +256,14 @@ def splice_finishes(ast: AnnotatedAst, target: int | None, rule: RewritingRule) 
     )
 
 
-def split_labels(ast: AnnotatedAst, target: int) -> tuple:
-    """The preorder ``(name, is_terminal, arity)`` labels of ``ast`` split at
-    ``target``, read in one walk, for ``splice_labels``: those before the
-    target, those after it, the target's child count and whether it is the
-    root.  A target below the root grows downward, so it is a leaf; a
-    target at the root comes first and has the whole tree after it."""
+def split_labels(ast: AnnotatedAst, target: int, shared: dict) -> tuple[tuple, int]:
+    """The preorder ``(name, is_terminal, arity)`` labels of ``ast``, read in
+    one walk, and the place of ``target`` among them, for
+    ``splice_labels``.  ``shared`` holds one label per value (a search's
+    ``SearchStep.labels``): each label is taken from there, so the labels
+    tuple is flat over labels that are themselves tuples of atoms."""
     nodes = ast.nodes
+    intern = shared.setdefault
     labels: list = []
     append = labels.append
     at = 0
@@ -262,43 +275,43 @@ def split_labels(ast: AnnotatedAst, target: int) -> tuple:
         kids = node.children
         if nid == target:
             at = len(labels)
-        else:
-            sym = node.symbol
-            append((sym.name, sym.is_terminal, len(kids)))
+        sym = node.symbol
+        label = (sym.name, sym.is_terminal, len(kids))
+        append(intern(label, label))
         if kids:
             stack += kids[::-1]
-    old = nodes[target]
-    return tuple(labels[:at]), tuple(labels[at:]), len(old.children), old.parent is None
+    return tuple(labels), at
 
 
-def splice_labels(split: tuple | None, rule: RewritingRule) -> tuple:
+def splice_labels(
+    split: tuple[tuple, int] | None, rule: RewritingRule, shared: dict
+) -> tuple:
     """The preorder labels of the tree ``apply_rule_with_ids(ast, target,
-    rule)`` makes, joined from ``split_labels(ast, target)`` (None for a
-    creation on the empty tree) and the rule's block without making it.
+    rule)`` makes, joined from ``split_labels(ast, target, shared)`` (None
+    for a creation on the empty tree) and the rule's block without making
+    it, each label taken from ``shared``.
 
-    The block's labels stand in for the target's: those before the anchor,
-    the anchor with its block children and the target's old ones, those
-    under it, then the target's old subtree, then those after the anchor's
-    subtree.  As in the splice, a target below the root is a leaf, so the
-    labels after the anchor's subtree follow at once; a target at the root
-    has the whole old tree under it, so they come last.
+    The block's labels stand in for the target's, the anchor's arity grown
+    by the target's old children.  As in the splice, a target below the
+    root is a leaf, so the block takes its place; a target at the root has
+    the whole old tree under it, so the old tree's other labels follow the
+    anchor's subtree and come before the block's labels after it.
     """
     block = rule.block
-    labels = block.labels
+    intern = shared.setdefault
+    new = [intern(label, label) for label in block.labels]
     if split is None:
-        return labels
-    before, after, kids, rooted = split
-    anchor, end = block.anchor, block.end
-    symbol = block.symbols[anchor]  # type: ignore[index]
-    head = (
-        *before,
-        *labels[:anchor],
-        (symbol.name, symbol.is_terminal,
-         len(block.children[anchor]) + kids),  # type: ignore[index]
-        *labels[anchor + 1:end],  # type: ignore[operator]
-    )
-    tail = labels[end:]
-    return head + after + tail if rooted else head + tail + after
+        return tuple(new)
+    labels, at = split
+    kids = labels[at][2]
+    if kids:
+        name, is_terminal, arity = new[block.anchor]  # type: ignore[index]
+        label = (name, is_terminal, arity + kids)
+        new[block.anchor] = intern(label, label)  # type: ignore[index]
+    if at:
+        return (*labels[:at], *new, *labels[at + 1:])
+    end = block.end
+    return (*new[:end], *labels[1:], *new[end:])
 
 
 def render(ast: AnnotatedAst) -> str:
@@ -327,18 +340,19 @@ def to_sexpr(ast: AnnotatedAst) -> str:
     """Debug form, annotations as ^ suffixes: (E (E "hours") "> 12")."""
     if ast.is_empty:
         return "()"
+    return _sexpr(ast.nodes, ast.root)  # type: ignore[arg-type]
 
-    def walk(nid: int) -> str:
-        node = ast.nodes[nid]
-        label = str(node.symbol)
-        if node.annotation is not Annotation.NONE:
-            label += f"^{node.annotation}"
-        if not node.children:
-            return label
-        inner = " ".join(walk(c) for c in node.children)
-        return f"({label} {inner})"
 
-    return walk(ast.root)  # type: ignore[arg-type]
+def _sexpr(nodes: dict[int, AstNode], nid: int) -> str:
+    """The debug form of the subtree at ``nid``; a module-level recursion,
+    so that no call leaves its tree in a reference cycle."""
+    node = nodes[nid]
+    label = str(node.symbol)
+    if node.annotation is not Annotation.NONE:
+        label += f"^{node.annotation}"
+    if not node.children:
+        return label
+    return f"({label} {' '.join([_sexpr(nodes, c) for c in node.children])})"
 
 
 def build_complete_ast(shape) -> AnnotatedAst:
@@ -510,51 +524,66 @@ def iter_derivations(
     """
     if not is_complete(target):
         raise IncompleteTreeError("derivations need a finished target tree")
-    heads = _heads(target)
-    produced = 0
     stuck: list[tuple[int, str]] = []
-
-    def walk(grown_by: Probe | None, mapping: dict[int, int], steps: list):
-        # ``grown_by`` made the tree walked from; None for the empty tree
-        nonlocal produced
-        ast = AnnotatedAst.empty() if grown_by is None else grown_by.ast
-        if is_complete(ast):
-            if mapping[ast.root] == target.root:
-                produced += 1
-                yield steps
-            return
-        outcome = step(grown_by)
-        node_id = outcome.target
-        node = tid = None
-        if node_id is not None:
-            node, tid = ast.nodes[node_id], mapping[node_id]
-        progressed = False
-        for choice, probe in enumerate(outcome.kept):
-            rule = probe.rule
-            for lands in _landings(target, heads, node, tid, rule):
-                new_mapping = dict(mapping)
-                fresh: list[int] = []
-                for nid, t in zip(probe.ids, lands):
-                    if nid not in new_mapping:
-                        new_mapping[nid] = t
-                        fresh.append(t)
-                    elif new_mapping[nid] != t:
-                        break
-                else:
-                    progressed = True
-                    taken = DerivationStep(
-                        Application(node_id, probe.id),
-                        rule.pattern[1] if rule.pattern else None,
-                        tid, tuple(fresh), ast, outcome, choice,
-                    )
-                    yield from walk(probe, new_mapping, steps + [taken])
-        if not progressed:
-            where = "the empty tree" if node is None else f"node {tid} ({node.symbol})"
-            stuck.append((len(steps), where))
-
-    yield from walk(None, {}, [])
+    produced = yield from _derivations(
+        target, _heads(target), step, None, {}, [], stuck
+    )
     if produced == 0:
         raise UnderivableTreeError(
             "no derivation survives the step"
             + (f"; stuck at {max(stuck)[1]}" if stuck else "")
         )
+
+
+def _derivations(
+    target: AnnotatedAst,
+    heads: dict[int, tuple[tuple, tuple]],
+    step: Callable[[Probe | None], ProbeOutcome],
+    grown_by: Probe | None,
+    mapping: dict[int, int],
+    steps: list,
+    stuck: list[tuple[int, str]],
+):
+    """Yield the derivations of ``target`` that extend ``steps``, from the
+    tree ``grown_by`` made (None: the empty tree) with its node ids mapped
+    to the target's by ``mapping``, and return how many it yielded; a step
+    where no probe lands adds its depth and place to ``stuck``.  A
+    module-level recursion, so that no walk leaves a reference cycle."""
+    ast = AnnotatedAst.empty() if grown_by is None else grown_by.ast
+    if is_complete(ast):
+        if mapping[ast.root] == target.root:
+            yield steps
+            return 1
+        return 0
+    outcome = step(grown_by)
+    node_id = outcome.target
+    node = tid = None
+    if node_id is not None:
+        node, tid = ast.nodes[node_id], mapping[node_id]
+    produced = 0
+    progressed = False
+    for choice, probe in enumerate(outcome.kept):
+        rule = probe.rule
+        for lands in _landings(target, heads, node, tid, rule):
+            new_mapping = dict(mapping)
+            fresh: list[int] = []
+            for nid, t in zip(probe.ids, lands):
+                if nid not in new_mapping:
+                    new_mapping[nid] = t
+                    fresh.append(t)
+                elif new_mapping[nid] != t:
+                    break
+            else:
+                progressed = True
+                taken = DerivationStep(
+                    Application(node_id, probe.id),
+                    rule.pattern[1] if rule.pattern else None,
+                    tid, tuple(fresh), ast, outcome, choice,
+                )
+                produced += yield from _derivations(
+                    target, heads, step, probe, new_mapping, steps + [taken], stuck
+                )
+    if not progressed:
+        where = "the empty tree" if node is None else f"node {tid} ({node.symbol})"
+        stuck.append((len(steps), where))
+    return produced

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+from dataclasses import replace
 from math import inf
 
 import pytest
@@ -35,6 +36,7 @@ from progest.grammar import (
 )
 from progest.trees import policy_leftmost, render, to_sexpr
 from tests_support import (
+    cyclic_garbage,
     isomorphic,
     make_hash_policy,
     reference_check_unambiguous,
@@ -250,16 +252,37 @@ def test_a_check_leaves_no_reference_cycle(demo_grammar, which):
     the cyclic collector frees: with the collector off, a collection right
     after them finds no unreachable object."""
     rs = _criterion_06_sets(demo_grammar)[which]
-    check_unambiguous(rs, demo_grammar, max_nodes=13)
-    gc.collect()
-    gc.disable()
-    try:
+
+    def check():
         check_unambiguous(rs, demo_grammar, max_nodes=13)
         for _ in enumerate_complete_trees(demo_grammar, 9):
             pass
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+
+    assert cyclic_garbage(check) == 0
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["topdown", "both"])
+def test_what_the_certifier_keeps_is_untracked(demo_grammar, which):
+    """The labels a check keys its builds by are tuples of labels, and each
+    label is one tuple of atoms per value, shared by every build whose tree
+    holds it: a collection untracks the labels, and the next the tuples
+    that hold them, so the collector does not promote them.  Checked on
+    the builds of the check's own search over a criterion 06 set."""
+    rs = _criterion_06_sets(demo_grammar)[which]
+    untyped = RuleSet([replace(r, schema=()) for r in rs])
+    builds, _ = search.finished_builds(
+        untyped, None, None, widths=(inf,), size_limit=9, step_cap=inf
+    )
+    keys = [build.labels for build in builds]
+    assert all(build.labels is key for build, key in zip(builds, keys))
+    shared: dict = {}
+    for key in keys:
+        for label in key:
+            assert shared.setdefault(label, label) is label
+    gc.collect()
+    assert not any(gc.is_tracked(label) for label in shared)
+    gc.collect()
+    assert not any(gc.is_tracked(key) for key in keys)
 
 
 def _counts(report):

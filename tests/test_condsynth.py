@@ -58,6 +58,7 @@ from progest.trees import (
     to_sexpr,
 )
 from tests_support import (
+    cyclic_garbage,
     encoded_rows,
     reference_build_cond_ruleset,
     reference_logistic_predict,
@@ -795,9 +796,9 @@ def test_compiled_rules_certify_unambiguous(corpus_records):
             build_cond_ruleset(templates, ctx), ctx, None,
             widths=(inf,), size_limit=bound, step_cap=inf,
         )
-        keys = {probe.labels for probe, _, _ in builds}
+        keys = {probe.labels for probe in builds}
         assert len(keys) == len(builds), ctx
-        rendered = sorted(render_condition(probe.ast) for probe, _, _ in builds)
+        rendered = sorted(render_condition(probe.ast) for probe in builds)
         assert rendered == sorted(well_typed_instantiations(templates, ctx)), ctx
         trees += len(builds)
     assert (len(contexts), trees) == (560, 38_620)
@@ -924,6 +925,47 @@ def test_decision_rows_match_the_per_payload_reference(corpus_records, monkeypat
 @pytest.fixture(scope="module")
 def logistic_60(corpus_records):
     return train_cond_models(corpus_records[:60], model_kind="logistic", epochs=5)
+
+
+def test_loading_the_corpus_leaves_no_reference_cycle(data_dir):
+    """Loading a corpus, which splits each condition into its atoms, leaves
+    nothing that only the cyclic collector frees."""
+    assert cyclic_garbage(lambda: load_corpus(data_dir / "corpus.jsonl")) == 0
+
+
+@pytest.mark.parametrize("encoded", [False, True], ids=["frequency", "logistic"])
+def test_replaying_the_corpus_leaves_no_reference_cycle(corpus_records, encoded):
+    """Extracting a training set, a derivation walk per record through a
+    template layer's sets, with and without an encoder, leaves nothing
+    that only the cyclic collector frees."""
+    records = corpus_records[:100]
+    templates = mine_templates(records)
+    items = [(r.context, record_tree(r)) for r in records]
+    pipeline = FeaturePipeline.fit((r.context for r in records), 4, 0)
+
+    def extract():
+        extract_training_set(
+            items, template_layer(templates).bind, policy_leftmost,
+            encoder=CondEncoder(templates, pipeline) if encoded else None,
+            size_limit=30,
+        )
+
+    assert cyclic_garbage(extract) == 0
+
+
+@pytest.mark.parametrize("kind", ["frequency", "logistic"])
+def test_synthesis_leaves_no_reference_cycle(corpus_records, logistic_60, kind):
+    """Ranking conditions for held-out contexts leaves nothing that only the
+    cyclic collector frees, with either fitted model."""
+    trained = logistic_60
+    if kind == "frequency":
+        trained = train_cond_models(corpus_records[:60], model_kind="frequency")
+
+    def synthesize():
+        for record in corpus_records[60:80]:
+            synthesize_condition(record.context, trained.templates, trained.model)
+
+    assert cyclic_garbage(synthesize) == 0
 
 
 def fresh_model(trained):

@@ -447,7 +447,7 @@ def test_beam_cuts_before_rendering_what_the_reference_cuts_after(
         want = len(builds)
     else:
         least = survivors[k - 1].log_prob
-        want = sum(log_prob >= least for _, log_prob, _ in builds)
+        want = sum(build.log_prob >= least for build in builds)
     assert len(rendered) == want
     if model is None and k:
         assert len(rendered) == len(builds)

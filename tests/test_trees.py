@@ -39,6 +39,7 @@ from progest.trees import (
     to_sexpr,
 )
 from tests_support import (
+    cyclic_garbage,
     expandable_nodes,
     isomorphic,
     make_hash_policy,
@@ -154,6 +155,14 @@ def test_to_sexpr_shows_marks_and_ignores_ids(rules):
         ["make-root:E", 'td:E->E "+" E', 'td:E->"hours"', 'td:E->"value"'],
     )
     assert to_sexpr(done) == '(E (E "hours") "+" (E "value"))'
+
+
+def test_to_sexpr_leaves_no_reference_cycle(demo_grammar, rules):
+    """Debug forms of finished and marked trees leave nothing that only the
+    cyclic collector frees."""
+    shown = [*enumerate_complete_trees(demo_grammar, 9),
+             build_top_down(rules, ["make-root:E", 'td:E->E "+" E'])]
+    assert cyclic_garbage(lambda: [to_sexpr(ast) for ast in shown]) == 0
 
 
 def test_isomorphic_ignores_build_route(rules):

@@ -15,6 +15,7 @@ its rounds, the per-context condition rule set, the field-by-field context
 loader and the level-recursive condition parser."""
 
 import contextlib
+import gc
 import hashlib
 import re
 from dataclasses import dataclass, replace
@@ -214,6 +215,27 @@ def reference_expandable_nodes(ast: AnnotatedAst) -> list[tuple[int, Annotation]
     ]
 
 
+def history_of(apps) -> tuple:
+    """Applications as the flat history a ``search.Candidate`` holds: each
+    one's node and rule id in turn."""
+    return tuple(part for app in apps for part in app)
+
+
+def cyclic_garbage(fn) -> int:
+    """How many objects ``fn()`` leaves that only the cyclic collector frees.
+    ``fn`` runs once to make what it makes on first use, and then again
+    with the collector off; a collection right after counts what the second
+    run left unreachable."""
+    fn()
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
 def reference_is_complete(ast: AnnotatedAst) -> bool:
     """``trees.is_complete`` the slow way: every node's mark is read."""
     return not ast.is_empty and all(
@@ -300,11 +322,11 @@ def reference_constraints_of_application(rule: RewritingRule, ids):
 
 def reference_classes(ast: AnnotatedAst, step: SearchStep, pins=()):
     """The classes a search state carries, by a whole-tree solve: each
-    marked node of ``ast`` with its class in the system of the schema
-    ``pins`` and the context constraints, named by the class's union-find
-    root, and the class's forced type; None when the system is
-    unsatisfiable.  The root's result pin is left out while the root keeps
-    a mark, where ``constraints.probe_rules`` applies it itself."""
+    marked node of ``ast`` with the type forced on its class in the system
+    of the schema ``pins`` and the context constraints, or, while none is,
+    the class's union-find root; None when the system is unsatisfiable.
+    The root's result pin is left out while the root keeps a mark, where
+    ``constraints.probe_rules`` applies it itself."""
     closed = not ast.is_empty and ast.nodes[ast.root].annotation is Annotation.NONE
     solver = SolverState()
     context = constraints_of_context(
@@ -312,7 +334,10 @@ def reference_classes(ast: AnnotatedAst, step: SearchStep, pins=()):
     )
     if not solver.push([*pins, *context]):
         return None
-    return {nid: (solver.find(nid), solver.resolved(nid)) for nid in ast.open}
+    return {
+        nid: solver.find(nid) if solver.resolved(nid) is None else solver.resolved(nid)
+        for nid in ast.open
+    }
 
 
 def whole_tree_state(ast: AnnotatedAst, step: SearchStep, pins=()):
@@ -336,17 +361,21 @@ def probe_pins(probe) -> tuple[TypeConstraint, ...]:
 
 
 def canonical_classes(classes):
-    """Carried classes (node id -> (class name, type)) as a value that does
-    not depend on how the classes are named."""
+    """Carried classes (node id -> the type forced on its class, or the id
+    naming an unforced class) as a value that does not depend on how the
+    unforced classes are named."""
     if classes is None:
         return None
     members: dict = {}
-    for nid, (name, typ) in classes.items():
-        members.setdefault((name, typ), set()).add(nid)
-    return frozenset((frozenset(nids), typ) for (_, typ), nids in members.items())
+    for nid, value in classes.items():
+        members.setdefault(value, set()).add(nid)
+    return frozenset(
+        (frozenset(nids), value if isinstance(value, str) else None)
+        for value, nids in members.items()
+    )
 
 
-@dataclass(frozen=True)
+@dataclass
 class SplicedProbe:
     """A kept candidate as ``reference_probe_rules`` records it, spliced at
     once: the fields a search reads of a ``constraints.Probe``, with
@@ -354,7 +383,8 @@ class SplicedProbe:
     ``tree_size`` (0 when sizes are unbounded), ``classes`` from
     ``reference_classes``, and ``pins``, the schema pins of every
     application that built it, threaded from the pins it was probed
-    with."""
+    with.  A search loop that keeps the record sets its ``log_prob`` and
+    ``history``, as it does a probe's."""
 
     rule: RewritingRule
     id: int
@@ -648,7 +678,7 @@ def reference_beam_search(
             if reference_is_complete(ast):
                 text = render_fn(ast)
                 if not any(re.search(pattern, text) for pattern in screen):
-                    results.append(Candidate(ast, text, log_prob, apps))
+                    results.append(Candidate(ast, text, log_prob, history_of(apps)))
                 continue
             if stats.expansions >= step_cap:
                 stats.step_cap_hit = True
@@ -728,7 +758,7 @@ def reference_exhaustive_search(
                 f"exhaustive search exceeded {state_cap} states"
             )
         if reference_is_complete(ast):
-            results.append(Candidate(ast, render_fn(ast), log_prob, apps))
+            results.append(Candidate(ast, render_fn(ast), log_prob, history_of(apps)))
             continue
         stats.expansions += 1
         outcome = feasible_rules(whole_tree_state(ast, step, pins), step, policy)
