@@ -1,4 +1,4 @@
-"""Seeded synthetic corpus generation, plus the small demo fixtures.
+"""Seeded synthetic corpus generation.
 
 No real guard-condition corpus ships with the package, so this module
 fabricates one with the correlations the models are supposed to learn:
@@ -19,7 +19,6 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import NamedTuple
 
-from .bundle import Bundle, save_bundle
 from .features import Context, VariableInfo
 
 DEFAULT_SEED = 20250817
@@ -357,76 +356,6 @@ def write_corpus(path: str, records) -> None:
             handle.write("\n")
 
 
-# --------------------------------------------------------------------------
-# demo fixtures
-
-DEMO_GRAMMAR = """# toy comparison grammar over two integer variables
-E -> E:Int "> 12" :: Boolean
-E -> E:Int "> 0" :: Boolean
-E -> "hours" :: Int
-E -> "value" :: Int
-E -> E:Int "+" E:Int :: Int
-"""
-
-
-def demo_context() -> Context:
-    return Context(
-        variables=(
-            VariableInfo(
-                "hours", "Int", has_initializer=True, decl_distance=3,
-                usage_count=4, usages_before=2,
-            ),
-            VariableInfo(
-                "value", "Int", has_initializer=True, init_is_zero=True,
-                decl_distance=7, usage_count=6, usages_before=3,
-            ),
-        ),
-        result_type="Boolean",
-        class_name="ShiftPlanner",
-        method_name="needsOvertime",
-        before_tokens=("hours", "=", "sumShifts", "(", ")", ";", "if", "("),
-        after_tokens=(")", "{", "return", ";", "}"),
-    )
-
-
-def demo_bundle() -> Bundle:
-    """Fixture bundle: hand-set table odds over the two demo templates."""
-    from .condsynth import mine_templates, CorpusRecord
-
-    ctx = demo_context()
-    templates = mine_templates(
-        [
-            CorpusRecord("d1", "hours > 12", ctx),
-            CorpusRecord("d2", "value > 0", ctx),
-        ]
-    )
-    table = {
-        "": {"make-var:hours": 0.4, "make-var:value": 0.6},
-        "make-var:hours": {"expr:V1 > 12::Int": 0.6, "expr:V1 > 0::Int": 0.2},
-        "make-var:value": {"expr:V1 > 0::Int": 0.2, "expr:V1 > 12::Int": 0.1},
-    }
-    return Bundle(
-        model_kind="table",
-        templates=templates,
-        model_params={"table": table},
-        config={"note": "hand-set fixture odds for the worked demo"},
-    )
-
-
-def write_demo_files(outdir: str) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    with open(
-        os.path.join(outdir, "demo_grammar.txt"), "w", encoding="utf-8", newline="\n"
-    ) as handle:
-        handle.write(DEMO_GRAMMAR)
-    with open(
-        os.path.join(outdir, "demo_context.json"), "w", encoding="utf-8", newline="\n"
-    ) as handle:
-        json.dump(demo_context().to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    save_bundle(os.path.join(outdir, "demo_bundle.json"), demo_bundle())
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="progest-datagen", description="generate the synthetic corpus"
@@ -434,8 +363,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--n", type=int, default=DEFAULT_SIZE)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--demo-dir", default=None,
-                        help="also write the demo fixtures to this directory")
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error(f"argument --n: {args.n} is not 1 or more")
@@ -443,9 +370,6 @@ def main(argv=None) -> int:
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     write_corpus(args.out, records)
     print(f"wrote {len(records)} records to {args.out}")
-    if args.demo_dir:
-        write_demo_files(args.demo_dir)
-        print(f"wrote demo fixtures to {args.demo_dir}")
     return 0
 
 

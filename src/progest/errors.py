@@ -31,10 +31,6 @@ class ApplyError(ProgestError):
 class UnderivableTreeError(ProgestError):
     """No application sequence of the rule set produces the given tree."""
 
-    def __init__(self, message: str, node: int | None = None):
-        super().__init__(message)
-        self.node = node
-
 
 class IncompleteTreeError(ProgestError):
     """An operation that needs a finished tree was given a partial one."""

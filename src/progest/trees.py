@@ -81,7 +81,8 @@ if TYPE_CHECKING:  # constraints imports this module
 
 
 class AstNode(NamedTuple):
-    id: int
+    """One node of a tree; its id is its key in the tree's ``nodes``."""
+
     symbol: Symbol
     annotation: Annotation = Annotation.NONE
     parent: int | None = None
@@ -207,10 +208,10 @@ def apply_rule_with_ids(
             # a downward target is childless and a leaf anchor declares
             # nothing, so these never both contribute
             nodes[nid] = AstNode(
-                nid, symbol, leftover, parent, child_ids + old.children, old.origin
+                symbol, leftover, parent, child_ids + old.children, old.origin
             )
         else:
-            nodes[nid] = AstNode(nid, symbol, mark, parent, child_ids, key)
+            nodes[nid] = AstNode(symbol, mark, parent, child_ids, key)
 
     # the replacement's marked nodes, in preorder up to the end of the
     # anchor's subtree, and the ones after it
@@ -369,7 +370,7 @@ def _build_node(item, parent: int | None, nodes: dict[int, AstNode], ids) -> int
     sym, children = item
     nid = next(ids)
     child_ids = tuple(_build_node(c, nid, nodes, ids) for c in children)
-    nodes[nid] = AstNode(nid, sym, Annotation.NONE, parent, child_ids, None)
+    nodes[nid] = AstNode(sym, Annotation.NONE, parent, child_ids, None)
     return nid
 
 

@@ -6,7 +6,6 @@ import pathlib
 import pytest
 
 from progest.condsynth import load_corpus
-from progest.datagen import demo_context
 from progest.grammar import Grammar, RuleSet, load_grammar
 from progest.models import TableModel
 from tests_support import stub_rules_and_model
@@ -19,11 +18,6 @@ DEMO_GRAMMAR = DATA / "demo" / "demo_grammar.txt"
 @pytest.fixture(scope="session")
 def demo_grammar() -> Grammar:
     return load_grammar(DEMO_GRAMMAR.read_text())
-
-
-@pytest.fixture(scope="session")
-def demo_ctx():
-    return demo_context()
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,15 @@
 """Command-line interface, driven in process through cli.main."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from progest.bundle import load_bundle, sha256_of_file
 from progest.cli import main
 from progest.condsynth import BARE_NULL_CHECK, load_corpus
-from progest.datagen import demo_context, generate_corpus, write_corpus
+from progest.datagen import generate_corpus, write_corpus
 from progest.features import Context, VariableInfo
 
 
@@ -64,22 +66,63 @@ def test_train_empty_corpus(capsys, tmp_path):
     assert "corpus is empty" in err
 
 
-# stdout of the `predict` command of README.md, byte for byte
-README_PREDICT_DEMO = """\
-1\t0.240000\thours > 12
-2\t0.120000\tvalue > 0
-3\t0.080000\thours > 0
-4\t0.060000\tvalue > 12
-"""
+REPO = Path(__file__).resolve().parent.parent
 
 
-def test_predict_demo(capsys, data_dir):
-    code, out, err = run(
-        capsys,
-        ["predict", str(data_dir / "demo" / "demo_context.json"),
-         "--bundle", str(data_dir / "demo" / "demo_bundle.json")],
+def readme_transcripts() -> dict[str, str]:
+    """Each ``$ progest …`` command in README.md's code fences, mapped to
+    the lines printed under it, up to the next command or the fence's end,
+    less the blank lines that part one command from the next."""
+    transcripts: dict[str, list[str]] = {}
+    command = None
+    in_fence = False
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_fence = not in_fence
+            command = None
+        elif in_fence and line.startswith("$ progest "):
+            command = line[2:]
+            transcripts[command] = []
+        elif command is not None:
+            transcripts[command].append(line)
+    return {
+        command: "\n".join(lines).rstrip("\n") + "\n"
+        for command, lines in transcripts.items()
+    }
+
+
+README = readme_transcripts()
+
+# the `$ progest` commands of README.md
+README_CHECK = "progest check --grammar data/demo/demo_grammar.txt"
+README_CHECK_FULL = README_CHECK + " --rules full"
+README_PREDICT = (
+    "progest predict data/demo/demo_context.json --bundle data/demo/demo_bundle.json"
+)
+README_TRAIN = "progest train --corpus data/corpus.jsonl --bundle freq.json"
+README_EVAL = "progest eval --corpus data/corpus.jsonl --model frequency --repeats 2"
+
+
+def test_every_readme_command_is_run():
+    assert sorted(README) == sorted(
+        [README_CHECK, README_CHECK_FULL, README_PREDICT, README_TRAIN, README_EVAL]
     )
-    assert (code, out, err) == (0, README_PREDICT_DEMO, "")
+
+
+def assert_readme_transcript(capsys, monkeypatch, tmp_path, command, want_code=0):
+    """Run a README command from ``tmp_path``, its ``data/…`` arguments
+    read from this repository, and compare its exit code and its stdout,
+    byte for byte, with what README.md shows."""
+    monkeypatch.chdir(tmp_path)
+    argv = [
+        str(REPO / arg) if arg.startswith("data/") else arg
+        for arg in shlex.split(command)[1:]
+    ]
+    assert run(capsys, argv) == (want_code, README[command], "")
+
+
+def test_predict_demo(capsys, monkeypatch, tmp_path):
+    assert_readme_transcript(capsys, monkeypatch, tmp_path, README_PREDICT)
 
 
 def test_predict_k_zero(capsys, data_dir):
@@ -178,25 +221,8 @@ def test_eval_with_csv(capsys, tmp_path, small_corpus):
     assert len(rows) > 1
 
 
-# stdout of the `eval` command of README.md, byte for byte
-README_EVAL_FREQUENCY = """\
-model: frequency
-records: 590 atoms, 531 train / 59 test per repeat
-repeats: 2  split: 0.1  seed: 0  k: 50
-tested: 118 (0 unreachable)
-precision@1 = 0.1271
-precision@10 = 0.6441
-precision@50 = 0.9068
-"""
-
-
-def test_eval_output_is_pinned(capsys, data_dir):
-    code, out, err = run(
-        capsys,
-        ["eval", "--corpus", str(data_dir / "corpus.jsonl"), "--model", "frequency",
-         "--repeats", "2"],
-    )
-    assert (code, out, err) == (0, README_EVAL_FREQUENCY, "")
+def test_eval_output_is_pinned(capsys, monkeypatch, tmp_path):
+    assert_readme_transcript(capsys, monkeypatch, tmp_path, README_EVAL)
 
 
 @pytest.mark.parametrize("atoms, split", [(1, 0.1), (2, 0.9), (3, 0.9)])
@@ -255,52 +281,15 @@ def test_check_full_reports_ambiguity(capsys, data_dir):
     assert "  E^U = 1" in out
 
 
-# stdout of the two `check` commands of README.md, byte for byte
-README_CHECK_TOPDOWN = """\
-rules: 6 (topdown)
-unambiguous (bound 9)
-checked 58 trees, 58 derivations, 0 underivable
-size bounds:
-  E^D = 2
-  E^U = inf
-"""
-
-README_CHECK_FULL = """\
-rules: 21 (full)
-ambiguous (bound 9)
-witness: "hours" has two build histories (node 0: make-root:E vs make-leaf:hours)
-history a: make-root:E@- td:E->"hours"@0
-history b: make-leaf:hours@- bu0:E->"hours"@0 fin:E@1
-checked 1 trees, 2 derivations, 0 underivable
-size bounds:
-  +^D = inf
-  +^U = 6
-  > 0^D = inf
-  > 0^U = 4
-  > 12^D = inf
-  > 12^U = 4
-  E^D = 2
-  E^U = 1
-  hours^D = inf
-  hours^U = 2
-  value^D = inf
-  value^U = 2
-"""
-
-
 @pytest.mark.parametrize(
-    "extra, want_code, want_out",
+    "command, want_code",
     [
-        pytest.param([], 0, README_CHECK_TOPDOWN, id="topdown"),
-        pytest.param(["--rules", "full"], 1, README_CHECK_FULL, id="full"),
+        pytest.param(README_CHECK, 0, id="topdown"),
+        pytest.param(README_CHECK_FULL, 1, id="full"),
     ],
 )
-def test_check_output_is_pinned(capsys, data_dir, extra, want_code, want_out):
-    code, out, err = run(
-        capsys,
-        ["check", "--grammar", str(data_dir / "demo" / "demo_grammar.txt"), *extra],
-    )
-    assert (code, out, err) == (want_code, want_out, "")
+def test_check_output_is_pinned(capsys, monkeypatch, tmp_path, command, want_code):
+    assert_readme_transcript(capsys, monkeypatch, tmp_path, command, want_code)
 
 
 def test_check_below_the_smallest_tree_certifies_nothing(capsys, data_dir):
@@ -771,20 +760,6 @@ CORPUS_FREQUENCY_BUNDLE_SHA256 = (
 )
 
 
-# stdout of the `train` command of README.md, byte for byte
-README_TRAIN_FREQUENCY = """\
-trained frequency on 590 atoms (46 templates)
-training instances: 7592 (0 items skipped)
-wrote freq.json
-"""
-
-
-def test_frequency_bundle_bytes_are_pinned(capsys, tmp_path, data_dir, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(
-        capsys,
-        ["train", "--corpus", str(data_dir / "corpus.jsonl"),
-         "--bundle", "freq.json", "--model", "frequency"],
-    )
-    assert (code, out, err) == (0, README_TRAIN_FREQUENCY, "")
+def test_frequency_bundle_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    assert_readme_transcript(capsys, monkeypatch, tmp_path, README_TRAIN)
     assert sha256_of_file(str(tmp_path / "freq.json")) == CORPUS_FREQUENCY_BUNDLE_SHA256

@@ -1302,8 +1302,8 @@ def test_each_tree_fills_each_slot_at_most_once(monkeypatch, tmp_path, corpus_re
     slots = 0
     for ast in seen:
         counts = {}
-        for node in ast.nodes.values():
-            if node.symbol in filled and node.id != ast.root:
+        for nid, node in ast.nodes.items():
+            if node.symbol in filled and nid != ast.root:
                 assert node.parent == ast.root, to_sexpr(ast)
             if node.children and node.symbol in filled:
                 counts[node.symbol] = counts.get(node.symbol, 0) + 1

@@ -1,4 +1,4 @@
-"""Synthetic corpus generator and demo fixtures."""
+"""Synthetic corpus generator, and the demo fixtures committed under data/demo."""
 
 import hashlib
 import json
@@ -10,12 +10,9 @@ from progest.condsynth import load_corpus
 from progest.datagen import (
     DEFAULT_SEED,
     DEFAULT_SIZE,
-    demo_bundle,
-    demo_context,
     generate_corpus,
     main,
     write_corpus,
-    write_demo_files,
 )
 from progest.features import Context
 from progest.grammar import load_grammar
@@ -61,31 +58,19 @@ def test_record_shape():
     assert ctx.variables
 
 
-def test_demo_context_round_trip():
-    ctx = demo_context()
-    assert Context.from_dict(ctx.to_dict()) == ctx
+def test_demo_files_load(data_dir):
+    """The demo's grammar, context and table bundle are hand-written files,
+    and each loads."""
+    demo = data_dir / "demo"
+    load_grammar((demo / "demo_grammar.txt").read_text())
+    data = json.loads((demo / "demo_context.json").read_text())
+    ctx = Context.from_dict(data)
+    assert ctx.to_dict() == data
     assert [v.name for v in ctx.variables] == ["hours", "value"]
-
-
-def test_demo_bundle_builds():
-    bundle = demo_bundle()
-    assert bundle.model_kind == "table"
-    model = bundle.build_model()
-    keys = {key for _, key in model.table}
-    assert "make-var:hours" in keys
-
-
-def test_write_demo_files_matches_checked_in(tmp_path, data_dir):
-    write_demo_files(str(tmp_path))
-    for name in ("demo_grammar.txt", "demo_context.json", "demo_bundle.json"):
-        assert (tmp_path / name).read_bytes() == (data_dir / "demo" / name).read_bytes()
-    load_grammar((tmp_path / "demo_grammar.txt").read_text())
-    bundle = load_bundle(str(tmp_path / "demo_bundle.json"))
-    assert bundle.templates
-    ctx = Context.from_dict(
-        json.loads((tmp_path / "demo_context.json").read_text())
-    )
     assert ctx.method_name == "needsOvertime"
+    bundle = load_bundle(str(demo / "demo_bundle.json"))
+    assert bundle.model_kind == "table"
+    assert "make-var:hours" in {key for _, key in bundle.build_model().table}
 
 
 def test_main_writes_requested_size(tmp_path):

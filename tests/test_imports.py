@@ -50,13 +50,18 @@ print(*sorted(k for k in sys.modules if k == "numpy" or k.startswith("progest.")
 """
 
 # what importing each module must not load: the search takes any model as
-# an estimator and loads none, and the feature layer knows no template
+# an estimator and loads none, the feature layer knows no template, and the
+# corpus generator writes contexts and conditions without the engine
 ENGINE_ONLY = {"numpy", "progest.models", "progest.features", "progest.condsynth"}
 MUST_NOT_LOAD = {
     "search": ENGINE_ONLY,
     "ambiguity": ENGINE_ONLY,
     "features": {"progest.condsynth"},
     "models": {"progest.search"},
+    "datagen": {
+        "progest.bundle", "progest.condsynth", "progest.constraints",
+        "progest.grammar", "progest.models", "progest.search", "progest.trees",
+    },
 }
 
 

@@ -231,7 +231,6 @@ def test_underivable_tree_raises():
 
 def _assert_numbered(ast):
     assert sorted(ast.nodes) == list(range(len(ast.nodes)))
-    assert all(node.id == nid for nid, node in ast.nodes.items())
 
 
 def _assert_spliced_in_order(old, probe):
@@ -458,7 +457,7 @@ def _every_landing_agrees(target, rules) -> int:
         if rule.pattern is not None:
             symbol, direction = rule.pattern
             cases = [
-                (AstNode(tid, symbol, mark, parent), tid)
+                (AstNode(symbol, mark, parent), tid)
                 for tid in order
                 if target.nodes[tid].symbol == symbol
                 for mark in (direction, Annotation.UD)

@@ -273,18 +273,18 @@ def reference_apply_rule_with_ids(ast: AnnotatedAst, target, rule: RewritingRule
     def build(rt: RuleTree, parent):
         nonlocal fresh
         if rt.anchor:
-            nid = old.id
+            nid = target
             ids.append(nid)
             declared = tuple(build(c, nid) for c in rt.children)
             nodes[nid] = AstNode(
-                nid, old.symbol, leftover, parent, declared + old.children, old.origin
+                old.symbol, leftover, parent, declared + old.children, old.origin
             )
             return nid
         nid = fresh
         fresh += 1
         ids.append(nid)
         child_ids = tuple(build(c, nid) for c in rt.children)
-        nodes[nid] = AstNode(nid, rt.symbol, rt.annotation, parent, child_ids, rule.key)
+        nodes[nid] = AstNode(rt.symbol, rt.annotation, parent, child_ids, rule.key)
         return nid
 
     old_parent = old.parent if old is not None else None
@@ -293,7 +293,7 @@ def reference_apply_rule_with_ids(ast: AnnotatedAst, target, rule: RewritingRule
         parent_node = nodes[old_parent]
         nodes[old_parent] = parent_node._replace(
             children=tuple(
-                new_root_id if cid == old.id else cid for cid in parent_node.children
+                new_root_id if cid == target else cid for cid in parent_node.children
             )
         )
         root = ast.root
