@@ -58,19 +58,27 @@ def test_record_shape():
     assert ctx.variables
 
 
-def test_demo_files_load(data_dir):
-    """The demo's grammar, context and table bundle are hand-written files,
-    and each loads."""
-    demo = data_dir / "demo"
-    load_grammar((demo / "demo_grammar.txt").read_text())
-    data = json.loads((demo / "demo_context.json").read_text())
+def test_demo_grammar_loads(data_dir):
+    """The demo's grammar, context and table bundle are hand-written files
+    under data/demo; the grammar parses."""
+    load_grammar((data_dir / "demo" / "demo_grammar.txt").read_text())
+
+
+def test_demo_context_round_trip(data_dir):
+    data = json.loads((data_dir / "demo" / "demo_context.json").read_text())
     ctx = Context.from_dict(data)
     assert ctx.to_dict() == data
+    assert Context.from_dict(ctx.to_dict()) == ctx
     assert [v.name for v in ctx.variables] == ["hours", "value"]
     assert ctx.method_name == "needsOvertime"
-    bundle = load_bundle(str(demo / "demo_bundle.json"))
+
+
+def test_demo_bundle_builds(data_dir):
+    bundle = load_bundle(str(data_dir / "demo" / "demo_bundle.json"))
     assert bundle.model_kind == "table"
-    assert "make-var:hours" in {key for _, key in bundle.build_model().table}
+    assert bundle.templates
+    keys = {key for _, key in bundle.build_model().table}
+    assert "make-var:hours" in keys
 
 
 def test_main_writes_requested_size(tmp_path):
