@@ -20,8 +20,10 @@ It reads the rule's ``block``, its replacement flattened once in preorder
 (``grammar.RuleBlock``), copies the node dict and adds one node per block
 position: the anchor's position takes the target's id and every other
 position p the id ``len(ast.nodes)`` plus the number of non-anchor
-positions before p.  Nodes are named tuples (``AstNode``), since a search
-builds many and reads them only by field.
+positions before p.  A search builds many trees and reads them only by
+field, so a tree is a slotted record (``AnnotatedAst``) and the splice
+writes each node once, as an ``AstNode`` named tuple built straight from
+its five fields.
 
 What a search keeps for a whole operation is made so that the cyclic
 collector pays for it once: it is an exact tuple of atoms, which the
@@ -63,7 +65,7 @@ that cannot land is mostly refused by one comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -93,14 +95,36 @@ class AstNode(NamedTuple):
     origin: str | None = None
 
 
-@dataclass(frozen=True)
 class AnnotatedAst:
     """A tree: its nodes by id, its root, and ``open``, the ids of its
-    marked nodes in preorder."""
+    marked nodes in preorder.
 
-    nodes: dict[int, AstNode] = field(default_factory=dict)
-    root: int | None = None
-    open: tuple[int, ...] = ()
+    A slotted record, made once per splice, which writes each of its new
+    nodes once as an ``AstNode`` tuple.  Equal by value on all three
+    fields and unhashable (``nodes`` is a dict); nothing assigns a field
+    after construction."""
+
+    __slots__ = ("nodes", "root", "open")
+
+    def __init__(
+        self,
+        nodes: dict[int, AstNode] | None = None,
+        root: int | None = None,
+        open: tuple[int, ...] = (),
+    ) -> None:
+        self.nodes = {} if nodes is None else nodes
+        self.root = root
+        self.open = open
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nodes, self.root, self.open) == (other.nodes, other.root, other.open)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"AnnotatedAst(nodes={self.nodes!r}, root={self.root!r}, open={self.open!r})"
 
     @staticmethod
     def empty() -> "AnnotatedAst":
@@ -119,12 +143,15 @@ class AnnotatedAst:
     def preorder(self) -> list[int]:
         if self.root is None:
             return []
+        nodes = self.nodes
         out: list[int] = []
         stack = [self.root]
         while stack:
             nid = stack.pop()
             out.append(nid)
-            stack.extend(reversed(self.nodes[nid].children))
+            kids = nodes[nid].children
+            if kids:
+                stack += kids[::-1]
         return out
 
     def __len__(self) -> int:
@@ -185,7 +212,7 @@ def apply_rule_with_ids(
     of the replacement tree, aligned with the preorder positions of the
     rule's replacement, which is what type schemas are written against."""
     block = rule.block
-    nodes = dict(ast.nodes)
+    nodes = ast.nodes.copy()
     fresh = len(nodes)
     size = len(block.symbols)
     if target is None:
@@ -199,19 +226,22 @@ def apply_rule_with_ids(
         outer = old.parent
         leftover = old.annotation.without(rule.pattern[1])  # type: ignore[index]
     key = rule.key
+    # each node is given all five fields, so it is made as the tuple itself:
+    # NamedTuple's Python-level __new__ would only pass them on
+    make = tuple.__new__
     for nid, symbol, mark, up, kids in zip(
         ids, block.symbols, block.marks, block.parents, block.children
     ):
         parent = outer if up is None else ids[up]
-        child_ids = tuple([ids[c] for c in kids])
+        child_ids = tuple([ids[c] for c in kids]) if kids else ()
         if nid == target:
             # a downward target is childless and a leaf anchor declares
             # nothing, so these never both contribute
-            nodes[nid] = AstNode(
+            nodes[nid] = make(AstNode, (
                 symbol, leftover, parent, child_ids + old.children, old.origin
-            )
+            ))
         else:
-            nodes[nid] = AstNode(symbol, mark, parent, child_ids, key)
+            nodes[nid] = make(AstNode, (symbol, mark, parent, child_ids, key))
 
     # the replacement's marked nodes, in preorder up to the end of the
     # anchor's subtree, and the ones after it
@@ -333,7 +363,9 @@ def leaf_tokens(ast: AnnotatedAst) -> list[str]:
         node = nodes[stack.pop()]
         if node.symbol.is_terminal:
             out.append(node.symbol.name)
-        stack.extend(reversed(node.children))
+        kids = node.children
+        if kids:
+            stack += kids[::-1]
     return out
 
 
@@ -370,7 +402,7 @@ def _build_node(item, parent: int | None, nodes: dict[int, AstNode], ids) -> int
     sym, children = item
     nid = next(ids)
     child_ids = tuple(_build_node(c, nid, nodes, ids) for c in children)
-    nodes[nid] = AstNode(sym, Annotation.NONE, parent, child_ids, None)
+    nodes[nid] = tuple.__new__(AstNode, (sym, Annotation.NONE, parent, child_ids, None))
     return nid
 
 

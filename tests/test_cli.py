@@ -256,31 +256,6 @@ def test_eval_uniform(capsys, small_corpus):
     assert "model: uniform" in out
 
 
-def test_check_topdown(capsys, data_dir):
-    code, out, _ = run(
-        capsys,
-        ["check", "--grammar", str(data_dir / "demo" / "demo_grammar.txt")],
-    )
-    assert code == 0
-    assert "unambiguous (bound 9)" in out
-    assert "  E^D = 2" in out
-    assert "  E^U = inf" in out
-
-
-def test_check_full_reports_ambiguity(capsys, data_dir):
-    code, out, _ = run(
-        capsys,
-        ["check", "--grammar", str(data_dir / "demo" / "demo_grammar.txt"),
-         "--rules", "full"],
-    )
-    assert code == 1
-    assert "ambiguous" in out
-    assert "witness:" in out
-    assert "history a: " in out
-    assert "history b: " in out
-    assert "  E^U = 1" in out
-
-
 @pytest.mark.parametrize(
     "command, want_code",
     [

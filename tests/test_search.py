@@ -125,6 +125,25 @@ def test_search_is_deterministic(worked_example):
     ]
 
 
+def test_trees_and_candidates_compare_by_value(worked_example):
+    """Trees and candidates are equal when their fields are, from two
+    searches that share no object, and neither can be hashed."""
+    kwargs = dict(widths=(2,), size_limit=9)
+    a = beam_search(worked_example.rules, None, worked_example.model, **kwargs)
+    b = beam_search(worked_example.rules, None, worked_example.model, **kwargs)
+    first, again = a.candidates[0], b.candidates[0]
+    assert first.ast is not again.ast
+    assert first.ast == AnnotatedAst(dict(again.ast.nodes), again.ast.root, again.ast.open)
+    assert first.ast != AnnotatedAst(first.ast.nodes, first.ast.root, (first.ast.root,))
+    assert first == search.Candidate(
+        again.ast, again.rendered, again.log_prob, again.history
+    )
+    assert first != a.candidates[1]
+    for record in (first.ast, first):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
 def test_invalid_widths_rejected(worked_example):
     with pytest.raises(ValueError):
         beam_search(worked_example.rules, None, worked_example.model, widths=())

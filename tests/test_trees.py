@@ -276,6 +276,13 @@ def test_built_trees_number_their_nodes_in_order(seed, middle):
             _assert_spliced_in_order(taken.ast, taken.outcome.kept[taken.choice])
 
 
+def _shape(ast, nid):
+    """The subtree at ``nid`` as nested (Symbol, children) tuples, the
+    input of ``build_complete_ast``."""
+    node = ast.nodes[nid]
+    return node.symbol, [_shape(ast, c) for c in node.children]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.booleans(), st.booleans())
 def test_compiled_splice_matches_the_reference(seed, middle, hashed):
@@ -284,7 +291,10 @@ def test_compiled_splice_matches_the_reference(seed, middle, hashed):
     rescan's marked nodes in preorder.  Checked on every probe of a bounded
     search over a random typed grammar, top-down and bottom-up rules and
     creations alike, under the leftmost policy and under one that picks
-    nodes anywhere in the tree."""
+    nodes anywhere in the tree.  Every node the splice makes, and every
+    node ``build_complete_ast`` makes of a finished tree's shape, is
+    exactly an ``AstNode``: both skip its constructor, and a plain tuple
+    would still compare equal."""
     g = random_typed_grammar(seed)
     rs = full_set(g)
     if middle:
@@ -298,10 +308,14 @@ def test_compiled_splice_matches_the_reference(seed, middle, hashed):
         assert is_complete(ast) == reference_is_complete(ast)
         assert expandable_nodes(ast) == reference_expandable_nodes(ast)
         if is_complete(ast):
+            built = build_complete_ast(_shape(ast, ast.root))
+            assert to_sexpr(built) == to_sexpr(ast)
+            assert all(type(node) is AstNode for node in built.nodes.values())
             continue
         outcome = feasible_rules(state, step, policy)
         for probe in outcome.kept:
             want, ids = reference_apply_rule_with_ids(ast, outcome.target, probe.rule)
+            assert all(type(node) is AstNode for node in probe.ast.nodes.values())
             assert probe.ast.nodes == want.nodes
             assert probe.ast.root == want.root
             assert probe.ast.open == want.open
