@@ -43,7 +43,7 @@ many contexts it serves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -501,25 +501,22 @@ class SearchStep:
         return offers
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class Expansion:
     """One expansion, shared by every probe it keeps: the expanded tree, the
     target, the tree's classes, the search's ``labels`` (``SearchStep``)
     and, made on first read, the tree's preorder labels and the target's
     place among them (``trees.split_labels``), kept apart so that neither
-    is a tuple inside a tuple."""
+    is a tuple inside a tuple.
 
-    __slots__ = ("ast", "target", "classes", "labels", "_preorder", "_at")
+    A slotted dataclass, equal only to itself and hashed by identity."""
 
-    def __init__(
-        self, ast: AnnotatedAst, target: int | None, classes: Classes,
-        labels: dict[tuple, tuple],
-    ) -> None:
-        self.ast = ast
-        self.target = target
-        self.classes = classes
-        self.labels = labels
-        self._preorder: tuple | None = None
-        self._at = 0
+    ast: AnnotatedAst
+    target: int | None
+    classes: Classes
+    labels: dict[tuple, tuple]
+    _preorder: tuple | None = field(init=False, default=None)
+    _at: int = field(init=False, default=0)
 
     @property
     def split(self) -> tuple[tuple, int] | None:
@@ -531,6 +528,7 @@ class Expansion:
         return self._preorder, self._at
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class Probe:
     """One surviving candidate: the rule, its id in the searched set, the
     ``expansion`` that kept it, its ``signature`` there and ``size``, the
@@ -546,27 +544,21 @@ class Probe:
 
     A probe that a search keeps is that search's state: the loop sets its
     ``log_prob`` and ``history`` (``search.History``), which a probe no
-    search keeps does not have.
+    search keeps does not have.  A slotted dataclass, equal only to itself
+    and hashed by identity.
     """
 
-    __slots__ = (
-        "rule", "id", "expansion", "signature", "size", "log_prob", "history",
-        "_ast", "_ids", "_classes", "_labels",
-    )
-
-    def __init__(
-        self, rule: RewritingRule, id: int, expansion: Expansion,
-        signature: _Signature, size: float,
-    ) -> None:
-        self.rule = rule
-        self.id = id
-        self.expansion = expansion
-        self.signature = signature
-        self.size = size
-        self._ast: AnnotatedAst | None = None
-        self._ids: tuple[int, ...] = ()
-        self._classes: Classes | None = None
-        self._labels: tuple | None = None
+    rule: RewritingRule
+    id: int
+    expansion: Expansion
+    signature: _Signature
+    size: float
+    log_prob: float = field(init=False)
+    history: tuple[int | None, ...] = field(init=False)
+    _ast: AnnotatedAst | None = field(init=False, default=None)
+    _ids: tuple[int, ...] = field(init=False, default=())
+    _classes: Classes | None = field(init=False, default=None)
+    _labels: tuple | None = field(init=False, default=None)
 
     def _splice(self) -> None:
         exp = self.expansion
@@ -740,7 +732,7 @@ def probe_rules(
     offers = step.offers(group, mark, at_root)
     if not offers:
         return ProbeOutcome(target, (), 0, 0)
-    limit = step.size_limit if step.bounds is not None else None
+    limit = step.size_limit
     rest = size
     if limit is not None and target is not None:
         rest -= step.bounds.of(node.symbol.name, mark)  # type: ignore[union-attr]

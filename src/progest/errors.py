@@ -62,16 +62,19 @@ class BundleError(ProgestError):
 
 @contextmanager
 def reading(path: str, error: type[ProgestError]) -> Iterator[None]:
-    """Raise a file that is not UTF-8 text, or not JSON, as ``error`` led by
-    its ``path``, and lead any ``ProgestError`` raised while reading it (a
-    bad record, context or grammar line) with its ``path`` too, once: so
-    that the message tells which input to mend."""
+    """Raise a file that is not UTF-8 text, or not JSON, or nested deeper
+    than its recursive readers reach, as ``error`` led by its ``path``, and
+    lead any ``ProgestError`` raised while reading it (a bad record,
+    context or grammar line) with its ``path`` too, once: so that the
+    message tells which input to mend."""
     try:
         yield
     except UnicodeDecodeError as err:
         raise error(f"{path}: not valid UTF-8 ({err})") from None
     except json.JSONDecodeError as err:
         raise error(f"{path}: not valid JSON ({err})") from None
+    except RecursionError:
+        raise error(f"{path}: nested too deeply to read") from None
     except ProgestError as err:
         lead = f"{path}: "
         if not str(err).startswith(lead):

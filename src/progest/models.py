@@ -28,7 +28,7 @@ instance per feasible candidate, the applied one positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -435,6 +435,7 @@ class StepEncoder(Protocol):
     ) -> EncodedRound: ...
 
 
+@dataclass(eq=False, repr=False)
 class LogisticModel:
     """Learned model: binary scorers for creation and variable-slot steps,
     one multinomial over the expression alternatives.
@@ -445,20 +446,16 @@ class LogisticModel:
     variable); candidates are then looked up by their rule key in the class
     distribution.  A decision the encoder gives no rows, or whose core is
     missing, gets the uniform distribution.
+
+    A dataclass: ``encoder`` is positional, the three cores keyword-only
+    and None by default; it is equal only to itself.
     """
 
-    def __init__(
-        self,
-        encoder: StepEncoder,
-        *,
-        creation: BinaryLogisticCore | None = None,
-        variable: BinaryLogisticCore | None = None,
-        expression: SoftmaxCore | None = None,
-    ) -> None:
-        self.encoder = encoder
-        self.creation = creation
-        self.variable = variable
-        self.expression = expression
+    encoder: StepEncoder
+    _: KW_ONLY
+    creation: BinaryLogisticCore | None = None
+    variable: BinaryLogisticCore | None = None
+    expression: SoftmaxCore | None = None
 
     @staticmethod
     def train(
@@ -576,7 +573,6 @@ class StepAudit:
     step: int
     group: str
     parent: str
-    candidates: int
     feasible: int
     applied_key: str
     choice: int
@@ -689,7 +685,6 @@ def extract_training_set(
                     step_idx,
                     gstr,
                     parent,
-                    len(kept) + outcome.size_pruned + outcome.constraint_pruned,
                     len(kept),
                     applied.key,
                     step.choice,

@@ -102,38 +102,19 @@ class SearchStats:
     step_cap_hit: bool = False
 
 
+@dataclass(slots=True)
 class Candidate:
     """A ranked finished tree: its rendering, the log probability of its
     rule choices and its build's ``history``, which ``applications`` reads
     as ``Application`` values when asked, so a ranking makes none.
 
-    A slotted record, made once per ranked build: equal by value on its
+    A slotted dataclass, made once per ranked build: equal by value on its
     four fields and unhashable, as its tree is."""
 
-    __slots__ = ("ast", "rendered", "log_prob", "history")
-
-    def __init__(
-        self, ast: AnnotatedAst, rendered: str, log_prob: float, history: History
-    ) -> None:
-        self.ast = ast
-        self.rendered = rendered
-        self.log_prob = log_prob
-        self.history = history
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ast, self.rendered, self.log_prob, self.history) == (
-            other.ast, other.rendered, other.log_prob, other.history
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return (
-            f"Candidate(ast={self.ast!r}, rendered={self.rendered!r}, "
-            f"log_prob={self.log_prob!r}, history={self.history!r})"
-        )
+    ast: AnnotatedAst
+    rendered: str
+    log_prob: float
+    history: History
 
     @property
     def applications(self) -> tuple[Application, ...]:

@@ -21,7 +21,7 @@ It reads the rule's ``block``, its replacement flattened once in preorder
 position: the anchor's position takes the target's id and every other
 position p the id ``len(ast.nodes)`` plus the number of non-anchor
 positions before p.  A search builds many trees and reads them only by
-field, so a tree is a slotted record (``AnnotatedAst``) and the splice
+field, so a tree is a slotted dataclass (``AnnotatedAst``) and the splice
 writes each node once, as an ``AstNode`` named tuple built straight from
 its five fields.
 
@@ -65,7 +65,7 @@ that cannot land is mostly refused by one comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -89,42 +89,25 @@ class AstNode(NamedTuple):
     annotation: Annotation = Annotation.NONE
     parent: int | None = None
     children: tuple[int, ...] = ()
-    # key of the rule whose application introduced this node; None for
-    # nodes seeded by nothing (never happens in practice) and kept across
-    # later expansions of the node itself.
+    # key of the rule whose application introduced this node, kept across
+    # later expansions of the node itself; None for a node no splice made,
+    # as every node of a tree that ``build_complete_ast`` builds is.
     origin: str | None = None
 
 
+@dataclass(slots=True)
 class AnnotatedAst:
     """A tree: its nodes by id, its root, and ``open``, the ids of its
     marked nodes in preorder.
 
-    A slotted record, made once per splice, which writes each of its new
-    nodes once as an ``AstNode`` tuple.  Equal by value on all three
+    A slotted dataclass, made once per splice, which writes each of its
+    new nodes once as an ``AstNode`` tuple.  Equal by value on all three
     fields and unhashable (``nodes`` is a dict); nothing assigns a field
     after construction."""
 
-    __slots__ = ("nodes", "root", "open")
-
-    def __init__(
-        self,
-        nodes: dict[int, AstNode] | None = None,
-        root: int | None = None,
-        open: tuple[int, ...] = (),
-    ) -> None:
-        self.nodes = {} if nodes is None else nodes
-        self.root = root
-        self.open = open
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nodes, self.root, self.open) == (other.nodes, other.root, other.open)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"AnnotatedAst(nodes={self.nodes!r}, root={self.root!r}, open={self.open!r})"
+    nodes: dict[int, AstNode] = field(default_factory=dict)
+    root: int | None = None
+    open: tuple[int, ...] = ()
 
     @staticmethod
     def empty() -> "AnnotatedAst":

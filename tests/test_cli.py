@@ -348,6 +348,29 @@ def test_an_input_that_is_not_json_names_it(capsys, tmp_path, data_dir, reader, 
     assert err.startswith(f"error: {bad}:{where} not valid JSON (Expecting property name")
 
 
+@pytest.mark.parametrize(
+    "reader, condition",
+    [
+        ("bundle", None),
+        ("context", None),
+        ("corpus", "(" * 5_000 + "hours > 0" + ")" * 5_000),
+        ("corpus", " && ".join(["hours > 0"] * 3_000)),
+    ],
+    ids=["bundle", "context", "corpus-parens", "corpus-conjuncts"],
+)
+def test_an_input_nested_too_deeply_names_it(capsys, tmp_path, data_dir, reader, condition):
+    """An input deeper than its recursive readers reach is bad input: exit
+    2 with its file's path, not a ``RecursionError`` traceback.  In the
+    corpus line it is the condition that nests, not the JSON."""
+    if condition is None:
+        content = b"[" * 100_000
+    else:
+        ctx = json.loads((data_dir / "demo" / "demo_context.json").read_text())
+        content = json.dumps({"id": "deep", "condition": condition, "context": ctx}).encode()
+    err, bad = _run_reader(capsys, tmp_path, data_dir, reader, content)
+    assert err == f"error: {bad}: nested too deeply to read\n"
+
+
 def _set_sections(kind, model, pipeline):
     def edit(data):
         data.update(model_kind=kind, model=model, pipeline=pipeline)

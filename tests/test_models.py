@@ -145,9 +145,9 @@ def test_frequency_single_candidate(rules, rooted):
 def test_frequency_fit_counts_positives_only():
     """Each step counts the rule it applied, never its feasible siblings."""
     steps = [
-        StepAudit(0, 0, "E|D", "make-root:E", 3, 2, "a", 0),
-        StepAudit(1, 0, "E|D", "make-root:E", 2, 2, "a", 1),
-        StepAudit(1, 1, "E|U", "make-root:E", 1, 1, "b", 0),
+        StepAudit(0, 0, "E|D", "make-root:E", 2, "a", 0),
+        StepAudit(1, 0, "E|D", "make-root:E", 2, "a", 1),
+        StepAudit(1, 1, "E|U", "make-root:E", 1, "b", 0),
     ]
     model = FrequencyModel.fit(steps)
     assert model.counts == {

@@ -127,7 +127,9 @@ def test_search_is_deterministic(worked_example):
 
 def test_trees_and_candidates_compare_by_value(worked_example):
     """Trees and candidates are equal when their fields are, from two
-    searches that share no object, and neither can be hashed."""
+    searches that share no object, and neither can be hashed; a kept probe
+    and its expansion are each equal only to itself and hash.  All four
+    are slotted."""
     kwargs = dict(widths=(2,), size_limit=9)
     a = beam_search(worked_example.rules, None, worked_example.model, **kwargs)
     b = beam_search(worked_example.rules, None, worked_example.model, **kwargs)
@@ -142,6 +144,20 @@ def test_trees_and_candidates_compare_by_value(worked_example):
     for record in (first.ast, first):
         with pytest.raises(TypeError):
             hash(record)
+    builds, _ = finished_builds(
+        worked_example.rules, None, worked_example.model, **kwargs
+    )
+    probe = builds[0]
+    exp = probe.expansion
+    twins = (
+        constraints.Probe(probe.rule, probe.id, exp, probe.signature, probe.size),
+        constraints.Expansion(exp.ast, exp.target, exp.classes, exp.labels),
+    )
+    for record, twin in zip((probe, exp), twins):
+        assert record == record and record != twin
+        assert len({record, twin}) == 2
+    for record in (first.ast, first, probe, exp):
+        assert not hasattr(record, "__dict__")
 
 
 def test_invalid_widths_rejected(worked_example):
