@@ -15,11 +15,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
-from .condsynth import CondEncoder, Template, TrainedCond, row_length
+from .condsynth import CondEncoder, Template, TrainedCond
 from .errors import BundleError, reading
-from .features import BIGRAM_DIM, FeaturePipeline
+from .features import FeaturePipeline
 from .models import FrequencyModel, LogisticModel, TableModel, UniformModel
 
 BUNDLE_VERSION = 1
@@ -52,9 +50,8 @@ class Bundle:
         """Reconstruct the prediction model this bundle describes.
 
         Raises ``BundleError`` when the model or pipeline section does not
-        parse as the parameters its model reads, or when a logistic array
-        does not fit the feature rows of the bundle's pipeline or holds a
-        number no training run writes."""
+        parse as the parameters its model reads; each reader checks its
+        own arrays, the PCA's before the encoder applies it."""
         if self.model_kind == "uniform":
             return UniformModel()
         try:
@@ -64,13 +61,11 @@ class Bundle:
                 return FrequencyModel.from_params(self.model_params)
             pipeline = FeaturePipeline.from_params(self.pipeline_params)
             encoder = CondEncoder(self.templates, pipeline)
-            model = LogisticModel.from_params(self.model_params, encoder)
+            return LogisticModel.from_params(self.model_params, encoder)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
             raise BundleError(
                 f"malformed bundle: {self.model_kind} parameters: {err}"
             ) from None
-        _check_logistic_arrays(model, pipeline)
-        return model
 
     def to_dict(self) -> dict:
         return {
@@ -129,71 +124,13 @@ class Bundle:
         )
 
 
-def _check_logistic_arrays(model: LogisticModel, pipeline: FeaturePipeline) -> None:
-    """Raise ``BundleError`` unless the PCA and every core's arrays have the
-    shapes the pipeline's feature rows give them (``condsynth.row_length``),
-    hold finite numbers only, and every ``std`` is positive, as training's
-    ``std`` floor keeps it."""
-    pca = pipeline.pca
-    dims = pca.dims
-    kept = pca.components.shape[0] if pca.components.ndim == 2 else 0
-    if kept > dims:
-        raise BundleError(
-            f"malformed bundle: logistic pipeline keeps {kept} pca directions "
-            f"in {dims} dims"
-        )
-    found = [
-        ("pipeline pca mean", pca.mean, (BIGRAM_DIM,)),
-        ("pipeline pca components", pca.components, (kept, BIGRAM_DIM)),
-    ]
-    for kind in ("creation", "variable"):
-        core = getattr(model, kind)
-        if core is not None:
-            width = (row_length(kind, dims),)
-            found += [(f"{kind} {name}", getattr(core, name), width)
-                      for name in ("w", "mean", "std")]
-            found.append((f"{kind} b", np.asarray(core.b), ()))
-    core = model.expression
-    if core is not None:
-        width = row_length("expression", dims)
-        classes = len(core.classes)
-        found += [
-            ("expression W", core.W, (width, classes)),
-            ("expression b", core.b, (classes,)),
-            ("expression mean", core.mean, (width,)),
-            ("expression std", core.std, (width,)),
-        ]
-    for name, array, want in found:
-        if array.shape != want:
-            raise BundleError(
-                f"malformed bundle: logistic {name} has shape {array.shape}, "
-                f"expected {want}"
-            )
-        if not np.isfinite(array).all():
-            raise BundleError(f"malformed bundle: logistic {name} is not finite")
-    for kind in ("creation", "variable", "expression"):
-        core = getattr(model, kind)
-        if core is not None and not (core.std > 0).all():
-            raise BundleError(f"malformed bundle: logistic {kind} std is not positive")
-
-
 def bundle_of(trained: TrainedCond, config: dict, corpus_sha256: str = "") -> Bundle:
-    if trained.model_kind == "frequency":
-        params = trained.frequency.to_params()
-        pipeline = None
-    elif trained.model_kind == "logistic":
-        params = trained.logistic.to_params()
-        pipeline = trained.pipeline.to_params()
-    elif trained.model_kind == "uniform":
-        params = {}
-        pipeline = None
-    else:
-        raise BundleError(f"cannot bundle a {trained.model_kind!r} model")
+    pipeline = trained.pipeline
     return Bundle(
         model_kind=trained.model_kind,
         templates=trained.templates,
-        model_params=params,
-        pipeline_params=pipeline,
+        model_params=trained.model.to_params(),
+        pipeline_params=None if pipeline is None else pipeline.to_params(),
         config=dict(config),
         corpus_sha256=corpus_sha256,
     )

@@ -538,18 +538,6 @@ def expression_block_length(p: int) -> int:
     return p + 20
 
 
-def row_length(kind: str, p: int) -> int:
-    """Width of a ``kind`` decision's feature rows at PCA width ``p``."""
-    head = context_block_length(p) + variable_block_length(p)
-    if kind == "expression":
-        return head
-    if kind == "creation":
-        return head + expression_block_length(p)
-    if kind == "variable":
-        return head + variable_block_length(p) + expression_block_length(p) + 1
-    raise ContextError(f"unknown decision kind {kind!r}")
-
-
 class CondEncoder:
     """Turns decision points into their kind and their feature rows,
     reading everything off the rules and the current tree; one encoder
@@ -591,6 +579,18 @@ class CondEncoder:
         self._context_block: np.ndarray | None = None
         self._declared: dict[str, VariableInfo] = {}
         self._variables: dict[str | None, np.ndarray] = {}
+
+    def row_length(self, kind: str) -> int:
+        """Width of a ``kind`` decision's feature rows."""
+        p = self.pipeline.dims
+        head = context_block_length(p) + variable_block_length(p)
+        if kind == "expression":
+            return head
+        if kind == "creation":
+            return head + expression_block_length(p)
+        if kind == "variable":
+            return head + variable_block_length(p) + expression_block_length(p) + 1
+        raise ContextError(f"unknown decision kind {kind!r}")
 
     def encode_rounds(
         self, rounds: Sequence[tuple[Context | None, Sequence[Decision]]]

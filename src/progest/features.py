@@ -218,7 +218,8 @@ def string_tuple(values, what: str) -> tuple[str, ...]:
 def number_array(values, what: str) -> np.ndarray:
     """A JSON number, or nested lists of them, as a float array;
     ``TypeError`` naming ``what`` for any entry that is not an int or a
-    float, or is a bool, which ``np.asarray`` would silently convert.
+    float, or is a bool, which ``np.asarray`` would silently convert, and
+    ``ValueError`` naming it for lists of unequal lengths at one level.
 
     The entries are checked one nesting level at a time, by the set of
     their types, not by one Python call per number."""
@@ -233,7 +234,22 @@ def number_array(values, what: str) -> np.ndarray:
             level = [x for item in level if type(item) is list for x in item]
         else:
             raise TypeError(f"{what} must hold numbers only")
-    return np.asarray(values, dtype=float)
+    try:
+        return np.asarray(values, dtype=float)
+    except ValueError:  # the one fault left: lists of unequal lengths
+        raise ValueError(f"{what} is ragged") from None
+
+
+def shaped_array(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``number_array`` of ``values``; ``ValueError`` naming ``what`` unless
+    the array has ``shape`` and finite entries only, so that a bundle's
+    reader refuses an array that no training run writes."""
+    array = number_array(values, what)
+    if array.shape != shape:
+        raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} is not finite")
+    return array
 
 
 _NUMBER_KINDS = frozenset({int, float})
@@ -311,15 +327,22 @@ class PcaTransform:
 
     @staticmethod
     def from_params(data: Mapping) -> "PcaTransform":
+        """The transform of a bundle's section: at most ``dims`` components
+        rows, each as wide as the mean, ``BIGRAM_DIM``."""
         dims = data["dims"]
         # a bool is an int to Python, and int() would take "16" or 16.9
-        if type(dims) is not int:
-            raise TypeError("dims must be an integer")
-        mean = number_array(data["mean"], "mean")
-        components = number_array(data["components"], "components")
-        if components.size == 0:
-            components = components.reshape(0, mean.shape[0])
-        return PcaTransform(mean, components, dims)
+        if type(dims) is not int or dims < 0:
+            raise ValueError("pca dims must be a non-negative integer")
+        mean = shaped_array(data["mean"], "pca mean", (BIGRAM_DIM,))
+        rows = data["components"]
+        kept = len(rows) if type(rows) is list else 0
+        if kept > dims:
+            raise ValueError(f"pca components has {kept} rows, more than pca dims ({dims})")
+        if rows == []:  # no direction kept
+            return PcaTransform(mean, np.zeros((0, BIGRAM_DIM)), dims)
+        return PcaTransform(
+            mean, shaped_array(rows, "pca components", (kept, BIGRAM_DIM)), dims
+        )
 
 
 # OpenBLAS (0.3.31, as numpy's wheels ship it) runs a product on one thread,

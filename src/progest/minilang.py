@@ -410,20 +410,17 @@ def logic_atoms(expr: Expr) -> list[Expr]:
 
     ``!(a && b) || c`` gives the subtrees ``a``, ``b`` and ``c``; a
     condition without connectives gives itself.  ``load_corpus`` makes one
-    record of each atom.
+    record of each atom.  The walk keeps an explicit stack, so a chain of
+    any length splits.
     """
     atoms: list[Expr] = []
-    _add_atoms(expr, atoms)
+    stack = [expr]
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, Unary) and expr.op == "!":
+            stack.append(expr.operand)
+        elif isinstance(expr, Binary) and expr.op in ("&&", "||"):
+            stack += (expr.right, expr.left)
+        else:
+            atoms.append(expr)
     return atoms
-
-
-def _add_atoms(expr: Expr, atoms: list[Expr]) -> None:
-    """Append the atoms of ``expr`` to ``atoms``, left to right; a
-    module-level recursion, so that no call leaves a reference cycle."""
-    if isinstance(expr, Unary) and expr.op == "!":
-        _add_atoms(expr.operand, atoms)
-    elif isinstance(expr, Binary) and expr.op in ("&&", "||"):
-        _add_atoms(expr.left, atoms)
-        _add_atoms(expr.right, atoms)
-    else:
-        atoms.append(expr)

@@ -46,7 +46,7 @@ from .errors import UnderivableTreeError
 # extract_features is bound only so that the benchmark's tracer (perfbench)
 # can wrap it under this module's name; every decision is encoded by the
 # encoder a LogisticModel keeps, which calls it from condsynth
-from .features import Context, extract_features, number_array, string_tuple
+from .features import Context, extract_features, shaped_array, string_tuple
 # every product of the fits is taken in row blocks within these one-thread
 # bounds, by these helpers (see features)
 from .features import _row_blocks, _tmatmul
@@ -82,6 +82,9 @@ Decision = tuple[AnnotatedAst, int | None, Sequence[RewritingRule]]
 class UniformModel:
     def predict(self, ctx, decisions: Sequence[Decision]) -> list[list[float]]:
         return [_uniform(len(candidates)) for _ast, _node, candidates in decisions]
+
+    def to_params(self) -> dict:
+        return {}
 
 
 class TableModel:
@@ -228,6 +231,16 @@ def _row_basis(X: np.ndarray) -> np.ndarray:
     return B[:r].T
 
 
+def _standardizer(data: Mapping, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A core's ``mean`` and ``std`` params, each ``width`` long and finite,
+    every ``std`` positive, as ``_standardize_fit`` floors it."""
+    mean = shaped_array(data["mean"], "mean", (width,))
+    std = shaped_array(data["std"], "std", (width,))
+    if not (std > 0).all():
+        raise ValueError("std is not positive")
+    return mean, std
+
+
 @dataclass
 class BinaryLogisticCore:
     """Plain full-batch logistic regression on standardized features."""
@@ -307,12 +320,12 @@ class BinaryLogisticCore:
         }
 
     @staticmethod
-    def from_params(data: Mapping) -> "BinaryLogisticCore":
+    def from_params(data: Mapping, width: int) -> "BinaryLogisticCore":
+        """The core of ``to_params``'s output, for rows ``width`` wide."""
         return BinaryLogisticCore(
-            number_array(data["w"], "w"),
-            float(number_array(data["b"], "b")),
-            number_array(data["mean"], "mean"),
-            number_array(data["std"], "std"),
+            shaped_array(data["w"], "w", (width,)),
+            float(shaped_array(data["b"], "b", ())),
+            *_standardizer(data, width),
         )
 
 
@@ -334,7 +347,7 @@ class SoftmaxCore:
     def __post_init__(self) -> None:
         self.column = {c: i for i, c in enumerate(self.classes)}
         if len(self.column) != len(self.classes):
-            raise ValueError("expression classes repeat a class")
+            raise ValueError("classes repeat a class")
 
     @staticmethod
     def fit(
@@ -405,13 +418,14 @@ class SoftmaxCore:
         }
 
     @staticmethod
-    def from_params(data: Mapping) -> "SoftmaxCore":
+    def from_params(data: Mapping, width: int) -> "SoftmaxCore":
+        """The core of ``to_params``'s output, for rows ``width`` wide."""
+        classes = string_tuple(data["classes"], "classes")
         return SoftmaxCore(
-            string_tuple(data["classes"], "classes"),
-            number_array(data["W"], "W"),
-            number_array(data["b"], "b"),
-            number_array(data["mean"], "mean"),
-            number_array(data["std"], "std"),
+            classes,
+            shaped_array(data["W"], "W", (width, len(classes))),
+            shaped_array(data["b"], "b", (len(classes),)),
+            *_standardizer(data, width),
         )
 
 
@@ -428,11 +442,14 @@ class EncodedRound(NamedTuple):
 
 class StepEncoder(Protocol):
     """Maps rounds of decisions, each a context and its decisions, to
-    their feature rows (``condsynth.CondEncoder``)."""
+    their feature rows (``condsynth.CondEncoder``), and gives the width of
+    each kind's rows."""
 
     def encode_rounds(
         self, rounds: Sequence[tuple[Context | None, Sequence[Decision]]]
     ) -> EncodedRound: ...
+
+    def row_length(self, kind: str) -> int: ...
 
 
 @dataclass(eq=False, repr=False)
@@ -541,15 +558,23 @@ class LogisticModel:
 
     @staticmethod
     def from_params(data: Mapping, encoder: StepEncoder) -> "LogisticModel":
-        def load(name, loader):
-            block = data[name]
-            return None if block is None else loader(block)
+        """The model of ``to_params``'s output: each core reads its section
+        for its kind's rows (``encoder.row_length``), its errors prefixed
+        with the kind."""
+        def load(kind, core):
+            block = data[kind]
+            if block is None:
+                return None
+            try:
+                return core.from_params(block, encoder.row_length(kind))
+            except (TypeError, ValueError) as err:
+                raise type(err)(f"{kind} {err}") from None
 
         return LogisticModel(
             encoder,
-            creation=load("creation", BinaryLogisticCore.from_params),
-            variable=load("variable", BinaryLogisticCore.from_params),
-            expression=load("expression", SoftmaxCore.from_params),
+            creation=load("creation", BinaryLogisticCore),
+            variable=load("variable", BinaryLogisticCore),
+            expression=load("expression", SoftmaxCore),
         )
 
 

@@ -1,6 +1,7 @@
 """Command-line interface, driven in process through cli.main."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -354,9 +355,8 @@ def test_an_input_that_is_not_json_names_it(capsys, tmp_path, data_dir, reader, 
         ("bundle", None),
         ("context", None),
         ("corpus", "(" * 5_000 + "hours > 0" + ")" * 5_000),
-        ("corpus", " && ".join(["hours > 0"] * 3_000)),
     ],
-    ids=["bundle", "context", "corpus-parens", "corpus-conjuncts"],
+    ids=["bundle", "context", "corpus-parens"],
 )
 def test_an_input_nested_too_deeply_names_it(capsys, tmp_path, data_dir, reader, condition):
     """An input deeper than its recursive readers reach is bad input: exit
@@ -369,6 +369,20 @@ def test_an_input_nested_too_deeply_names_it(capsys, tmp_path, data_dir, reader,
         content = json.dumps({"id": "deep", "condition": condition, "context": ctx}).encode()
     err, bad = _run_reader(capsys, tmp_path, data_dir, reader, content)
     assert err == f"error: {bad}: nested too deeply to read\n"
+
+
+def test_a_corpus_line_of_3000_conjuncts_trains(capsys, tmp_path, data_dir):
+    """3 000 atoms joined by ``&&`` nest no parentheses: the line splits
+    into 3 000 records, and they train."""
+    ctx = json.loads((data_dir / "demo" / "demo_context.json").read_text())
+    condition = " && ".join(["hours > 0"] * 3_000)
+    corpus = tmp_path / "chain.jsonl"
+    corpus.write_text(json.dumps({"id": "chain", "condition": condition, "context": ctx}))
+    code, out, err = run(
+        capsys, ["train", "--corpus", str(corpus), "--bundle", str(tmp_path / "x.json")]
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "trained frequency on 3000 atoms (1 templates)"
 
 
 def _set_sections(kind, model, pipeline):
@@ -693,13 +707,23 @@ def _cut_last(values):
         ("model", "expression", "mean", _cut_last),
         ("pipeline", "pca", "mean", _cut_last),
         ("pipeline", "pca", "components", lambda rows: rows + rows),
+        pytest.param("pipeline", "pca", "components", lambda rows: [r[:-1] for r in rows],
+                     id="pca-components-column-short"),
+        pytest.param("pipeline", "pca", "dims", lambda dims: 0, id="pca-dims-zero"),
+        pytest.param("pipeline", "pca", "dims", lambda dims: -1, id="pca-dims-negative"),
+        pytest.param("model", "variable", "mean", lambda mean: [float("nan")] + mean[1:],
+                     id="variable-mean-nan"),
+        pytest.param("model", "expression", "std", lambda std: std[:-1] + [0.0],
+                     id="expression-std-zero"),
     ],
 )
 def test_logistic_bundle_with_misfit_arrays_is_exit_2(
     capsys, tmp_path, logistic_bundle, section, core, name, edit
 ):
-    """Arrays that parse but do not fit the pipeline's feature rows are a
-    malformed bundle, not a numpy failure in the middle of a predict."""
+    """Arrays that parse but do not fit the pipeline's feature rows, or
+    hold a number no training run writes, are a malformed bundle, not a
+    numpy failure in the middle of a predict: the message names the array
+    and the shape it should have or its fault."""
     data, ctx_path = logistic_bundle
     data = json.loads(json.dumps(data))
     params = data[section][core]
@@ -709,7 +733,16 @@ def test_logistic_bundle_with_misfit_arrays_is_exit_2(
     code, out, err = run(capsys, ["predict", str(ctx_path), "--bundle", str(bad)])
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {bad}: malformed bundle: logistic ")
+    prefix = f"error: {bad}: malformed bundle: logistic parameters: "
+    assert err.startswith(prefix) and err.endswith("\n")
+    fault = err[len(prefix):-1]
+    assert f"{core} {name}" in fault
+    assert re.fullmatch(
+        r"[a-z]+ [a-zA-Z]+ (has shape \([\d, ]*\), expected \([\d, ]*\)"
+        r"|has \d+ rows, more than pca dims \(\d+\)"
+        r"|is not finite|is not positive|must be a non-negative integer)",
+        fault,
+    ), fault
 
 
 def test_pca_dims_out_of_range(capsys, small_corpus, tmp_path):

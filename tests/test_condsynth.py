@@ -26,7 +26,6 @@ from progest.condsynth import (
     mine_templates,
     record_tree,
     render_condition,
-    row_length,
     synthesize_condition,
     template_key,
     template_layer,
@@ -108,6 +107,21 @@ def test_load_corpus_splits_connectives(tmp_path):
         ("r1#1", "count > 0"),
         ("r1#2", "done"),
     ]
+
+
+def test_load_corpus_splits_a_chain_of_any_length(tmp_path):
+    """A line of 100 000 atoms joined by ``&&`` nests no parentheses: it
+    splits into its 100 000 records, in order."""
+    n = 100_000
+    condition = " && ".join(f"count > {i}" for i in range(n))
+    path = write_corpus(
+        tmp_path, [{"id": "r", "condition": condition, "context": ctx_dict({"count": "Int"})}]
+    )
+    records = load_corpus(path)
+    assert len(records) == n
+    assert all(
+        (r.id, r.condition) == (f"r#{i + 1}", f"count > {i}") for i, r in enumerate(records)
+    )
 
 
 def test_load_corpus_rejects_bad_json(tmp_path):
@@ -1313,7 +1327,8 @@ def test_each_tree_fills_each_slot_at_most_once(monkeypatch, tmp_path, corpus_re
 
 
 def test_row_length_is_the_width_of_each_kind():
-    """Each decision kind's rows are ``row_length`` wide."""
+    """Each decision kind's rows are as wide as ``CondEncoder.row_length``
+    says."""
     records = make_records()
     templates = mine_templates(records)
     pipe = FeaturePipeline.fit([r.context for r in records], dims=3, seed=1)
@@ -1325,7 +1340,7 @@ def test_row_length_is_the_width_of_each_kind():
             kind, rows = rows_alone(encoder, ctx, ast, node, kept)
             widths.setdefault(kind, set()).add(rows.shape[1])
     assert widths == {
-        kind: {row_length(kind, 3)} for kind in ("creation", "expression", "variable")
+        kind: {encoder.row_length(kind)} for kind in ("creation", "expression", "variable")
     }
 
 

@@ -1,6 +1,7 @@
 """Name encodings, the PCA, and the fixed-layout feature blocks."""
 
 import dataclasses
+import re
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -296,6 +297,42 @@ def test_pipeline_equals_its_reloaded_params():
     ):
         assert changed != pca
         assert FeaturePipeline(changed, pipe.vocab) != pipe
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        pytest.param("dims", lambda dims: -1, "pca dims must be a non-negative integer",
+                     id="dims-negative"),
+        pytest.param("dims", lambda dims: True, "pca dims must be a non-negative integer",
+                     id="dims-bool"),
+        pytest.param("dims", lambda dims: 2, "pca components has 3 rows, more than pca dims (2)",
+                     id="dims-under-rows"),
+        pytest.param("mean", lambda mean: mean[:-1],
+                     f"pca mean has shape ({BIGRAM_DIM - 1},), expected ({BIGRAM_DIM},)",
+                     id="mean-short"),
+        pytest.param("mean", lambda mean: [float("inf")] + mean[1:], "pca mean is not finite",
+                     id="mean-inf"),
+        pytest.param("components", lambda rows: [row[:-1] for row in rows],
+                     f"pca components has shape (3, {BIGRAM_DIM - 1}), "
+                     f"expected (3, {BIGRAM_DIM})",
+                     id="components-column-short"),
+        pytest.param("components", lambda rows: rows[:-1] + [rows[-1][:-1]],
+                     "pca components is ragged", id="components-ragged"),
+        pytest.param("components", lambda rows: rows[:-1] + [[float("nan")] * BIGRAM_DIM],
+                     "pca components is not finite", id="components-nan"),
+    ],
+)
+def test_pca_params_that_do_not_fit_are_refused(name, edit, message):
+    """The PCA reads its own section: ``dims`` an integer of at least 0, a
+    ``BIGRAM_DIM``-wide mean and at most ``dims`` components rows of that
+    width, every number finite."""
+    pca = FeaturePipeline.fit(make_contexts(), dims=3, seed=1).pca
+    params = pca.to_params()
+    assert features.PcaTransform.from_params(params) == pca
+    params[name] = edit(params[name])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        features.PcaTransform.from_params(params)
 
 
 def test_pipeline_window_vec():

@@ -24,7 +24,7 @@ from progest.minilang import (
     typecheck,
     _Parser,
 )
-from tests_support import ReferenceParser, canonical
+from tests_support import ReferenceParser, canonical, reference_logic_atoms
 
 TYPES = {
     "count": "Int",
@@ -189,6 +189,31 @@ def test_split_logic_ops():
     assert atoms("!(count > 0 || done)") == ["count > 0", "done"]
     assert atoms("count>0") == ["count > 0"]
     assert atoms("!done") == ["done"]
+
+
+_LOGIC_TREES = st.recursive(
+    st.one_of(
+        st.builds(Var, st.sampled_from("abcdef")),
+        st.builds(Lit, st.sampled_from(["0", "1", "true"])),
+    ),
+    lambda parts: st.one_of(
+        parts.map(lambda e: Unary("!", e)),
+        parts.map(lambda e: Unary("-", e)),
+        st.tuples(st.sampled_from(["&&", "||", "=="]), parts, parts).map(
+            lambda t: Binary(*t)
+        ),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOGIC_TREES)
+def test_logic_atoms_match_the_recursive_reference(expr):
+    """Over random trees of ``!``, ``&&`` and ``||`` (and operators that
+    are no connective), the stack walk gives the recursion's atoms: the
+    same objects, in the same order."""
+    assert list(map(id, logic_atoms(expr))) == list(map(id, reference_logic_atoms(expr)))
 
 
 # --------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_binary_core_params_round_trip():
     X = np.random.default_rng(1).standard_normal((20, 2))
     y = (X[:, 0] > 0).astype(float)
     core = BinaryLogisticCore.fit(X, y, np.arange(0, len(X), 4))
-    again = BinaryLogisticCore.from_params(core.to_params())
+    again = BinaryLogisticCore.from_params(core.to_params(), 2)
     spans = [(0, 5), (5, len(X))]
     assert np.array_equal(again.scores(X, spans), core.scores(X, spans))
 
@@ -236,7 +236,7 @@ def test_softmax_params_round_trip():
     X = rng.standard_normal((24, 3))
     labels = [("u", "v")[i % 2] for i in range(24)]
     core = SoftmaxCore.fit(X, labels)
-    again = SoftmaxCore.from_params(core.to_params())
+    again = SoftmaxCore.from_params(core.to_params(), 3)
     x = rng.standard_normal((2, 3))
     assert again.column == core.column
     assert np.array_equal(again.probabilities(x), core.probabilities(x))
@@ -251,7 +251,39 @@ def test_softmax_core_refuses_a_repeated_class():
     params = core.to_params()
     params["classes"] = ["u", "u"]
     with pytest.raises(ValueError, match="repeat"):
-        SoftmaxCore.from_params(params)
+        SoftmaxCore.from_params(params, 3)
+
+
+@pytest.mark.parametrize(
+    "core, name, value, message",
+    [
+        (BinaryLogisticCore, "w", [0.5, 0.5], r"w has shape \(2,\), expected \(3,\)"),
+        (BinaryLogisticCore, "b", [0.0], r"b has shape \(1,\), expected \(\)"),
+        (BinaryLogisticCore, "w", [0.5, inf, 0.5], "w is not finite"),
+        (BinaryLogisticCore, "b", float("nan"), "b is not finite"),
+        (BinaryLogisticCore, "std", [1.0, 0.0, 1.0], "std is not positive"),
+        (SoftmaxCore, "W", [[0.5, 0.5]] * 2, r"W has shape \(2, 2\), expected \(3, 2\)"),
+        (SoftmaxCore, "mean", [0.0] * 4, r"mean has shape \(4,\), expected \(3,\)"),
+        (SoftmaxCore, "b", [0.0, -inf], "b is not finite"),
+        (SoftmaxCore, "std", [1.0, -1.0, 1.0], "std is not positive"),
+        (SoftmaxCore, "std", [1.0, float("nan"), 1.0], "std is not finite"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_core_params_that_do_not_fit_its_rows_are_refused(core, name, value, message):
+    """A core reads an array only when it fits rows of the width it is
+    given (3 here), holds finite numbers and, for ``std``, positive ones."""
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((24, 3))
+    if core is BinaryLogisticCore:
+        fitted = core.fit(X, (X[:, 0] > 0).astype(float), np.arange(0, len(X), 4))
+    else:
+        fitted = core.fit(X, [("u", "v")[i % 2] for i in range(24)])
+    params = fitted.to_params()
+    core.from_params(params, 3)
+    params[name] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        core.from_params(params, 3)
 
 
 def test_fit_is_deterministic():

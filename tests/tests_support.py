@@ -12,7 +12,8 @@ power-iteration PCA fit, the per-candidate reading of a decision and its feature
 memo-free rows and logistic predict built from them, the logistic model's
 per-decision predict, the row-matrix logistic fits, a model that records
 its rounds, the per-context condition rule set, the field-by-field context
-loader and the level-recursive condition parser."""
+loader, the level-recursive condition parser and the recursive split of a
+condition into its atoms."""
 
 import contextlib
 import gc
@@ -89,7 +90,6 @@ from progest.models import (
     _LR,
     BinaryLogisticCore,
     SoftmaxCore,
-    TableModel,
     _sigmoid,
 )
 from progest.search import (
@@ -177,26 +177,6 @@ def criterion_06_rule_sets(g: Grammar) -> tuple[RuleSet, RuleSet]:
     assert len(leaf) == 1
     topdown = RuleSet(td + list(derive_creation_rules(g, [CreationMode.ROOT])))
     return topdown, RuleSet(td + kept_bu + leaf)
-
-
-def stub_rules_and_model(g: Grammar) -> tuple[RuleSet, TableModel, dict[str, str]]:
-    """Top-down rules plus the fixed step odds of the running example.
-
-    Root choices get 0.3 and 0.6; the operand choices get 0.8/0.1/0.05 under
-    the "> 12" parent and 0.1/0.2/0.05 under the "> 0" parent.  Unlisted
-    pairs fall back to zero, so addition chains die out on their own.
-    """
-    rules = list(derive_top_down_rules(g))
-    rules += list(derive_creation_rules(g, [CreationMode.ROOT]))
-    rs = RuleSet(rules)
-    keys = classify_demo_rules(rs)
-    table = {
-        "": {keys["root"]: 1.0},
-        keys["root"]: {keys["gt12"]: 0.3, keys["gt0"]: 0.6},
-        keys["gt12"]: {keys["hours"]: 0.8, keys["value"]: 0.1, keys["plus"]: 0.05},
-        keys["gt0"]: {keys["hours"]: 0.1, keys["value"]: 0.2, keys["plus"]: 0.05},
-    }
-    return rs, TableModel.from_nested(table), keys
 
 
 def expandable_nodes(ast: AnnotatedAst) -> list[tuple[int, Annotation]]:
@@ -1581,3 +1561,13 @@ class ReferenceParser:
         if re.fullmatch(r"[A-Za-z_$][A-Za-z0-9_$]*", token):
             return Var(token)
         raise MiniLangError(f"unexpected token {token!r}")
+
+
+def reference_logic_atoms(expr: Expr) -> list[Expr]:
+    """``minilang.logic_atoms`` as a recursion, one call per connective
+    or negation."""
+    if isinstance(expr, Unary) and expr.op == "!":
+        return reference_logic_atoms(expr.operand)
+    if isinstance(expr, Binary) and expr.op in ("&&", "||"):
+        return reference_logic_atoms(expr.left) + reference_logic_atoms(expr.right)
+    return [expr]
