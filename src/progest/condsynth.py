@@ -68,12 +68,7 @@ from .models import (
     extract_training_set,
 )
 from .search import SearchResult, beam_search
-from .trees import (
-    AnnotatedAst,
-    build_complete_ast,
-    leaf_tokens,
-    policy_leftmost,
-)
+from .trees import AnnotatedAst, build_complete_ast, policy_leftmost
 
 EXPR_ROOT = "E"
 _PLACEHOLDER_RE = re.compile(r"^V(\d+)$")
@@ -484,11 +479,13 @@ def record_tree(record: CorpusRecord) -> AnnotatedAst:
     return build_complete_ast((nonterminal(EXPR_ROOT), tuple(children)))
 
 
-def render_condition(ast: AnnotatedAst) -> str:
-    """The condition's text.  Renderings repeat across holes (the same
-    templates over the same variable names), so they are interned: a caller
-    that keeps many rankings keeps one copy of each text."""
-    return sys.intern(join_tokens(leaf_tokens(ast)))
+def render_condition(tokens: Sequence[str]) -> str:
+    """The condition's text from a finished tree's terminals' names in
+    preorder (``trees.leaf_tokens``), a ``search.Renderer``.  Renderings
+    repeat across holes (the same templates over the same variable names),
+    so they are interned: a caller that keeps many rankings keeps one copy
+    of each text."""
+    return sys.intern(join_tokens(tokens))
 
 
 # --------------------------------------------------------------------------

@@ -26,12 +26,12 @@ that made the tree carries the tree's size bound and its classes, the type
 class of each marked node with the type forced on it, so each offer costs
 a size comparison and a type comparison.  Every probe an expansion keeps
 shares one ``Expansion`` record of the expanded tree, which also splits
-the tree's preorder labels at the target once, on first read.  A kept
-``Probe`` splices only when its tree or ids are first read, and merges its
-classes only when its state is expanded.  ``probe_rules`` gives the
-argument why this decides exactly what solving the whole system of each
-spliced tree decides.  The probe, or None for the empty tree, is the only
-state a step reads.
+the tree's preorder labels, and their terminals' names, at the target
+once, on first read.  A kept ``Probe`` splices only when its tree or ids
+are first read, and merges its classes only when its state is expanded.
+``probe_rules`` gives the argument why this decides exactly what solving
+the whole system of each spliced tree decides.  The probe, or None for the
+empty tree, is the only state a step reads.
 
 The table is keyed on values, so the condition rule sets of every context
 share one: a signature is compiled once for all the searches that agree on
@@ -56,7 +56,9 @@ from .trees import (
     check_applicable,
     splice_finishes,
     splice_labels,
+    splice_tokens,
     split_labels,
+    split_tokens,
 )
 
 
@@ -507,7 +509,8 @@ class Expansion:
     target, the tree's classes, the search's ``labels`` (``SearchStep``)
     and, made on first read, the tree's preorder labels and the target's
     place among them (``trees.split_labels``), kept apart so that neither
-    is a tuple inside a tuple.
+    is a tuple inside a tuple, and the terminals' names read from those
+    labels (``trees.split_tokens``).
 
     A slotted dataclass, equal only to itself and hashed by identity."""
 
@@ -517,6 +520,7 @@ class Expansion:
     labels: dict[tuple, tuple]
     _preorder: tuple | None = field(init=False, default=None)
     _at: int = field(init=False, default=0)
+    _tokens: tuple | None = field(init=False, default=None)
 
     @property
     def split(self) -> tuple[tuple, int] | None:
@@ -527,6 +531,14 @@ class Expansion:
             self._preorder, self._at = split_labels(self.ast, self.target, self.labels)
         return self._preorder, self._at
 
+    @property
+    def tokens(self) -> tuple | None:
+        """The tree's terminal names around the target, read from ``split``
+        without a second walk; None for a creation on the empty tree."""
+        if self._tokens is None and self.target is not None:
+            self._tokens = split_tokens(self.split)  # type: ignore[arg-type]
+        return self._tokens
+
 
 @dataclass(slots=True, eq=False, repr=False)
 class Probe:
@@ -536,11 +548,11 @@ class Probe:
     ``ast``, the new tree, and ``ids``, the splice ids, by one splice, and
     ``classes``, the new tree's, from the expansion's and the signature's
     holes.  A caller that reads none of them splices nothing, and a search
-    reads the classes only of a state it expands.  ``finishes`` and
-    ``labels`` read the new tree's completeness and preorder labels from the
-    expansion and the rule's block, and splice nothing; the labels are made
-    on first read, of the search's one label per value, so the tuple a
-    caller keeps holds only tuples of atoms.
+    reads the classes only of a state it expands.  ``finishes``, ``labels``
+    and ``tokens`` read the new tree's completeness, preorder labels and
+    terminals' names from the expansion and the rule's block, and splice
+    nothing; the labels are made on first read, of the search's one label
+    per value, so the tuple a caller keeps holds only tuples of atoms.
 
     A probe that a search keeps is that search's state: the loop sets its
     ``log_prob`` and ``history`` (``search.History``), which a probe no
@@ -587,6 +599,11 @@ class Probe:
             exp = self.expansion
             self._labels = splice_labels(exp.split, self.rule, exp.labels)
         return self._labels
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        """``trees.leaf_tokens`` of the new tree, read without it."""
+        return splice_tokens(self.expansion.tokens, self.rule)
 
     @property
     def classes(self) -> Classes:

@@ -344,10 +344,12 @@ class RuleBlock:
     positions.  ``labels[p]`` is position p's ``(name, is_terminal,
     arity)`` in the replacement alone.  ``anchor`` is the anchor's
     position, None in a creation, and ``end`` is one past the last
-    position of its subtree (0 in a creation).  The marked positions other
-    than the anchor are split by where they fall in preorder: ``before``
-    the anchor, ``under`` it, and ``after`` its subtree; a creation has no
-    anchor, so all of them are ``before``.
+    position of its subtree (0 in a creation).  ``tokens`` holds the names
+    of the terminal positions in preorder, split at ``end``: those before
+    it and those from it on.  The marked positions other than the anchor
+    are split by where they fall in preorder: ``before`` the anchor,
+    ``under`` it, and ``after`` its subtree; a creation has no anchor, so
+    all of them are ``before``.
     The schema comes as ``pins``, (position, type name) for each concrete
     atom, and ``links``, (position, position) for each pair of consecutive
     positions of one schema variable, in schema order.
@@ -364,6 +366,7 @@ class RuleBlock:
     labels: tuple[tuple[str, bool, int], ...]
     anchor: int | None
     end: int
+    tokens: tuple[tuple[str, ...], tuple[str, ...]]
     before: tuple[int, ...]
     under: tuple[int, ...]
     after: tuple[int, ...]
@@ -421,6 +424,10 @@ def _compile_block(rule: RewritingRule) -> RuleBlock:
     labels = tuple(
         (sym.name, sym.is_terminal, len(kids)) for sym, kids in zip(symbols, children)
     )
+    tokens = (
+        tuple([sym.name for sym in symbols[:end] if sym.is_terminal]),
+        tuple([sym.name for sym in symbols[end:] if sym.is_terminal]),
+    )
     head = labels[0][:2]
     if children[0] if anchor == 0 else not marks[0].needs_down:
         head += (len(children[0]),) + tuple(
@@ -428,8 +435,8 @@ def _compile_block(rule: RewritingRule) -> RuleBlock:
         )
     return RuleBlock(
         tuple(symbols), tuple(marks), tuple(parents), tuple(map(tuple, children)),
-        labels, anchor, end, tuple(before), tuple(under), tuple(after), tuple(pins),
-        tuple(links), head,
+        labels, anchor, end, tokens, tuple(before), tuple(under), tuple(after),
+        tuple(pins), tuple(links), head,
     )
 
 

@@ -260,60 +260,88 @@ def _numeric(name: str) -> bool:
 
 
 def typecheck(expr: Expr, var_types: Mapping[str, str]) -> str:
-    """Type of ``expr`` under the declarations, or a ``MiniTypeError``."""
-    if isinstance(expr, Lit):
-        if expr.text == "null":
-            return "Null"
-        if expr.text in ("true", "false"):
-            return "Boolean"
-        return "Float" if "." in expr.text else "Int"
-    if isinstance(expr, Var):
-        declared = var_types.get(expr.name)
-        if declared is None:
-            raise MiniTypeError(f"undeclared variable {expr.name}")
-        return declared
-    if isinstance(expr, Unary):
-        inner = typecheck(expr.operand, var_types)
-        if inner != "Boolean":
-            raise MiniTypeError(f"! needs Boolean, got {inner}")
+    """Type of ``expr`` under the declarations, or a ``MiniTypeError``.
+
+    Subexpressions are checked left to right, each before the node that
+    holds it, and an indexed or called base before what follows it, so the
+    first error met is the one raised.  The walk keeps an explicit stack of
+    the subexpressions still to check and of (node, phase) entries that
+    finish a node from the types of its checked operands, so a chain of any
+    length types."""
+    types: list[str] = []
+    stack: list = [expr]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is tuple:
+            node, phase = item
+            if isinstance(node, Binary):
+                right = types.pop()
+                types.append(_binary_type(node.op, types.pop(), right))
+            elif isinstance(node, Unary):
+                inner = types.pop()
+                if inner != "Boolean":
+                    raise MiniTypeError(f"! needs Boolean, got {inner}")
+                types.append("Boolean")
+            elif isinstance(node, Call):
+                base = types.pop()
+                entry = _METHODS.get(node.method)
+                if entry is None:
+                    raise MiniTypeError(f"unknown method {node.method}")
+                result, accepted = entry
+                if classify_type(base) not in accepted:
+                    raise MiniTypeError(f"{base} has no method {node.method}")
+                types.append(result)
+            elif phase:  # an Index whose base is checked
+                if classify_type(types[-1]) != "ArrayLike":
+                    raise MiniTypeError(f"cannot index into {types[-1]}")
+                stack += ((node, 0), node.index)
+            else:
+                index = types.pop()
+                if index != "Int":
+                    raise MiniTypeError(f"index must be Int, got {index}")
+                types.append(element_type(types.pop()))
+        elif isinstance(item, Var):
+            declared = var_types.get(item.name)
+            if declared is None:
+                raise MiniTypeError(f"undeclared variable {item.name}")
+            types.append(declared)
+        elif isinstance(item, Lit):
+            if item.text == "null":
+                types.append("Null")
+            elif item.text in ("true", "false"):
+                types.append("Boolean")
+            else:
+                types.append("Float" if "." in item.text else "Int")
+        elif isinstance(item, Binary):
+            stack += ((item, 0), item.right, item.left)
+        elif isinstance(item, Unary):
+            stack += ((item, 0), item.operand)
+        elif isinstance(item, Call):
+            stack += ((item, 0), item.base)
+        elif isinstance(item, Index):
+            stack += ((item, 1), item.base)
+        else:
+            raise MiniTypeError(f"unsupported expression {item!r}")
+    return types.pop()
+
+
+def _binary_type(op: str, left: str, right: str) -> str:
+    """The type of ``left op right``, or a ``MiniTypeError``."""
+    if op in ("&&", "||"):
+        if left != "Boolean" or right != "Boolean":
+            raise MiniTypeError(f"{op} needs Boolean operands, got {left}, {right}")
         return "Boolean"
-    if isinstance(expr, Binary):
-        left = typecheck(expr.left, var_types)
-        right = typecheck(expr.right, var_types)
-        op = expr.op
-        if op in ("&&", "||"):
-            if left != "Boolean" or right != "Boolean":
-                raise MiniTypeError(f"{op} needs Boolean operands, got {left}, {right}")
+    if op in ("==", "!="):
+        if left == right:
             return "Boolean"
-        if op in ("==", "!="):
-            if left == right:
-                return "Boolean"
-            if _null_comparable(left, right) or _null_comparable(right, left):
-                return "Boolean"
-            raise MiniTypeError(f"cannot compare {left} with {right}")
-        if op in ("<", ">", "<=", ">="):
-            _require_same_numeric(op, left, right)
+        if _null_comparable(left, right) or _null_comparable(right, left):
             return "Boolean"
+        raise MiniTypeError(f"cannot compare {left} with {right}")
+    if op in ("<", ">", "<=", ">="):
         _require_same_numeric(op, left, right)
-        return left
-    if isinstance(expr, Index):
-        base = typecheck(expr.base, var_types)
-        if classify_type(base) != "ArrayLike":
-            raise MiniTypeError(f"cannot index into {base}")
-        index = typecheck(expr.index, var_types)
-        if index != "Int":
-            raise MiniTypeError(f"index must be Int, got {index}")
-        return element_type(base)
-    if isinstance(expr, Call):
-        base = typecheck(expr.base, var_types)
-        entry = _METHODS.get(expr.method)
-        if entry is None:
-            raise MiniTypeError(f"unknown method {expr.method}")
-        result, accepted = entry
-        if classify_type(base) not in accepted:
-            raise MiniTypeError(f"{base} has no method {expr.method}")
-        return result
-    raise MiniTypeError(f"unsupported expression {expr!r}")
+        return "Boolean"
+    _require_same_numeric(op, left, right)
+    return left
 
 
 def _null_comparable(a: str, b: str) -> bool:
@@ -329,14 +357,6 @@ def _require_same_numeric(op: str, left: str, right: str) -> None:
 # --------------------------------------------------------------------------
 # canonical token form
 
-def _emit(expr: Expr, parent_prec: int, right_side: bool) -> list[tuple[str, bool]]:
-    prec = _prec_of(expr)
-    inner = _emit_bare(expr)
-    if prec < parent_prec or (prec == parent_prec and right_side):
-        return [("(", False)] + inner + [(")", False)]
-    return inner
-
-
 def _prec_of(expr: Expr) -> int:
     if isinstance(expr, Binary):
         return _PRECEDENCE[expr.op]
@@ -347,30 +367,50 @@ def _prec_of(expr: Expr) -> int:
     return _ATOM_PREC
 
 
-def _emit_bare(expr: Expr) -> list[tuple[str, bool]]:
-    if isinstance(expr, Lit):
-        return [(expr.text, False)]
-    if isinstance(expr, Var):
-        return [(expr.name, True)]
-    if isinstance(expr, Unary):
-        return [("!", False)] + _emit(expr.operand, _UNARY_PREC, False)
-    if isinstance(expr, Binary):
-        prec = _PRECEDENCE[expr.op]
-        left = _emit(expr.left, prec, False)
-        right = _emit(expr.right, prec, True)
-        return left + [(expr.op, False)] + right
-    if isinstance(expr, Index):
-        base = _emit(expr.base, _POSTFIX_PREC, False)
-        return base + [("[", False)] + _emit(expr.index, 0, False) + [("]", False)]
-    if isinstance(expr, Call):
-        base = _emit(expr.base, _POSTFIX_PREC, False)
-        return base + [(".", False), (expr.method, False), ("(", False), (")", False)]
-    raise MiniLangError(f"cannot render {expr!r}")
+def _push_operand(stack: list, expr: Expr, prec: int, right_side: bool) -> None:
+    """Push an operand of an operator of precedence ``prec`` for
+    ``tokens_with_vars``, parenthesized when it binds looser than the
+    operator, or as tightly on its right side."""
+    own = _prec_of(expr)
+    if own < prec or (own == prec and right_side):
+        stack += ((")", False), expr, ("(", False))
+    else:
+        stack.append(expr)
 
 
 def tokens_with_vars(expr: Expr) -> list[tuple[str, bool]]:
-    """Canonical tokens, each tagged with whether it is a variable leaf."""
-    return _emit(expr, 0, False)
+    """Canonical tokens, each tagged with whether it is a variable leaf.
+
+    The walk keeps an explicit stack of what is still to emit, last first:
+    subexpressions, and tokens as (text, is variable) pairs.  So a chain of
+    any length emits."""
+    out: list[tuple[str, bool]] = []
+    stack: list = [expr]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is tuple:
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append((item.name, True))
+        elif isinstance(item, Lit):
+            out.append((item.text, False))
+        elif isinstance(item, Binary):
+            prec = _PRECEDENCE[item.op]
+            _push_operand(stack, item.right, prec, True)
+            stack.append((item.op, False))
+            _push_operand(stack, item.left, prec, False)
+        elif isinstance(item, Unary):
+            _push_operand(stack, item.operand, _UNARY_PREC, False)
+            stack.append(("!", False))
+        elif isinstance(item, Index):
+            stack += (("]", False), item.index, ("[", False))
+            _push_operand(stack, item.base, _POSTFIX_PREC, False)
+        elif isinstance(item, Call):
+            stack += ((")", False), ("(", False), (item.method, False), (".", False))
+            _push_operand(stack, item.base, _POSTFIX_PREC, False)
+        else:
+            raise MiniLangError(f"cannot render {item!r}")
+    return out
 
 
 def canonical_tokens(expr: Expr) -> list[str]:

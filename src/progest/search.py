@@ -6,14 +6,18 @@ its policy picks, keeps the locally best successors, then truncates the pool
 to the round's beam width.  Widths are given per round; the last entry
 repeats, so ``(5, 200)`` means a tight first pick and a wide tail.  There is
 one search loop, ``finished_builds``: it hands out each finished build
-unspliced, and ``beam_search`` renders and ranks them.  Which renderings to
-drop and how many to keep is the caller's policy, passed to the beam as a
-screen of regexes and a cut ``k``: the beam renders its builds from the
-likeliest down, one equal-log-p group at a time, and stops once ``k``
-renderings have passed the screen, so a build below the k-th survivor's
-log p is never spliced or rendered.  Exhaustive search is the beam at
-unbounded width with no cut, and the certifier reads the loop's builds
-directly.
+unspliced, and ``beam_search`` renders and ranks them.  A build is
+rendered from its terminals' names, which its probe reads from its
+expansion's split of the tree it grew and from its rule's block
+(``Probe.tokens``), so no finished build is spliced: a renderer maps those
+names to text, and a ranked candidate splices its tree only when it is
+read.  Which renderings to drop and how many to keep is the caller's
+policy, passed to the beam as a screen of regexes and a cut ``k``: the
+beam renders its builds from the likeliest down, one equal-log-p group at
+a time, and stops once ``k`` renderings have passed the screen, so a build
+below the k-th survivor's log p is never rendered.  Exhaustive search is
+the beam at unbounded width with no cut, and the certifier reads the
+loop's builds directly.
 
 Every expansion is one call of ``constraints.feasible_rules``, the one
 gate: the policy's node, the check that its rule group fits, and the typed,
@@ -52,19 +56,15 @@ from .constraints import (
 )
 from .errors import SearchOverflowError
 from .grammar import Annotation, RuleSet
-from .trees import (
-    AnnotatedAst,
-    Application,
-    policy_leftmost,
-    render,
-    to_sexpr,
-)
+from .trees import AnnotatedAst, Application, policy_leftmost, to_sexpr
 
 if TYPE_CHECKING:  # features loads numpy; a search passes a context through
     from .features import Context
 
 Policy = Callable[[AnnotatedAst], tuple[int, Annotation]]
-Renderer = Callable[[AnnotatedAst], str]
+# a finished tree's text from its terminals' names in preorder
+# (``trees.leaf_tokens``)
+Renderer = Callable[[Sequence[str]], str]
 # the rule choices of a state from the empty tree, flat: the node (None for
 # the creation) and the rule id of each application in turn.  A tuple of
 # atoms, so the cyclic collector stops tracking it after one pass;
@@ -102,23 +102,38 @@ class SearchStats:
     step_cap_hit: bool = False
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Candidate:
-    """A ranked finished tree: its rendering, the log probability of its
-    rule choices and its build's ``history``, which ``applications`` reads
-    as ``Application`` values when asked, so a ranking makes none.
+    """A ranked finished tree: the build that makes it, its rendering, the
+    log probability of its rule choices and its build's ``history``, which
+    ``applications`` reads as ``Application`` values when asked, so a
+    ranking makes none.  ``ast`` is the build's tree, spliced on first
+    read (``Probe.ast``), so a ranking splices none.
 
     A slotted dataclass, made once per ranked build: equal by value on its
-    four fields and unhashable, as its tree is."""
+    tree, rendering, log p and history, and unhashable, as its tree is."""
 
-    ast: AnnotatedAst
+    build: Build
     rendered: str
     log_prob: float
     history: History
 
     @property
+    def ast(self) -> AnnotatedAst:
+        return self.build.ast
+
+    @property
     def applications(self) -> tuple[Application, ...]:
         return applications(self.history)
+
+    def __eq__(self, other):
+        if other.__class__ is not Candidate:
+            return NotImplemented
+        return (self.ast, self.rendered, self.log_prob, self.history) == (
+            other.ast, other.rendered, other.log_prob, other.history
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def prob(self) -> float:
@@ -265,13 +280,16 @@ def beam_search(
     Probabilities multiply over steps exactly as the model reports them; the
     fitted models normalize per candidate list, fixtures may not.  The
     builds of ``finished_builds`` are ranked at the end, so a slow
-    completion can still outrank an early one.  The cut happens before
+    completion can still outrank an early one.  ``renderer`` maps a build's
+    terminals' names (``Probe.tokens``) to its text, ``" ".join`` when
+    None; no build is spliced to be rendered.  The cut happens before
     rendering: the builds are taken from the likeliest down, one group of
     equal log p at a time, each rendered and screened, until ``k``
     renderings have passed the screen.  Only the rendered builds are sorted
     by the full key and cut to ``k``, so no build whose log p is below the
-    k-th survivor's is spliced or rendered, and the list is the one that
-    rendering, screening and ranking every build, then cutting, would give.
+    k-th survivor's is rendered, and the list is the one that rendering,
+    screening and ranking every build, then cutting, would give.  The
+    candidates of one log p share one float of it.
     ``k`` must be None or an int of at least 0, and the widths and
     ``step_cap`` are checked as ``finished_builds`` says, all before the
     search starts.
@@ -282,24 +300,26 @@ def beam_search(
         rs, ctx, model, policy=policy, widths=widths, size_limit=size_limit,
         step_cap=step_cap,
     )
-    render_fn = renderer or render
+    render_fn = renderer or " ".join
     screens = [re.compile(pattern) for pattern in screen]
     keep = len(builds) if k is None else k
     builds.sort(key=lambda build: -build.log_prob)
-    rendered: list[tuple[Build, str]] = []
+    rendered: list[tuple[Build, str, float]] = []
     # a group below the k-th survivor's log p cannot reach the top k, and
-    # the ties at it can, so whole groups are rendered
-    for _, group in groupby(builds, key=attrgetter("log_prob")):
+    # the ties at it can, so whole groups are rendered; a group's candidates
+    # share one float of its log p, so a caller that keeps many rankings
+    # keeps one copy of each tied value
+    for log_prob, group in groupby(builds, key=attrgetter("log_prob")):
         if len(rendered) >= keep:
             break
         for build in group:
-            text = render_fn(build.ast)
+            text = render_fn(build.tokens)
             if not any(s.search(text) for s in screens):
-                rendered.append((build, text))
-    rendered.sort(key=lambda item: (-item[0].log_prob, item[1], item[0].history[1::2]))
+                rendered.append((build, text, log_prob))
+    rendered.sort(key=lambda item: (-item[2], item[1], item[0].history[1::2]))
     return SearchResult([
-        Candidate(build.ast, text, build.log_prob, build.history)
-        for build, text in rendered[:keep]
+        Candidate(build, text, log_prob, build.history)
+        for build, text, log_prob in rendered[:keep]
     ], stats)
 
 

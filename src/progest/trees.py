@@ -46,11 +46,14 @@ after its subtree.  ``policy_leftmost`` and ``is_complete`` read
 ``open`` and never rescan the tree.
 
 A block is read a second way, without splicing: ``splice_finishes`` says
-whether a splice would leave ``open`` empty, and ``splice_labels`` gives
-the preorder labels of the tree it would make from the tree's labels split
-at the target (``split_labels``), one walk that every rule applied at that
-target shares.  A search hands out finished builds by the first, and the
-certifier keys each by the second.
+whether a splice would leave ``open`` empty, ``splice_labels`` gives the
+preorder labels of the tree it would make from the tree's labels split at
+the target (``split_labels``), one walk that every rule applied at that
+target shares, and ``splice_tokens`` gives that tree's terminals' names
+from the names in the same labels (``split_tokens``) and the block's own
+(``RuleBlock.tokens``).  A search hands out finished builds by the first,
+the certifier keys each by the second, and the beam renders each from the
+third, so no finished build is spliced to be read.
 
 ``iter_derivations`` is the one walk over a finished tree's derivations:
 it steps through a search step, so its first derivation is the search's
@@ -326,6 +329,39 @@ def splice_labels(
         return (*labels[:at], *new, *labels[at + 1:])
     end = block.end
     return (*new[:end], *labels[1:], *new[end:])
+
+
+def split_tokens(
+    split: tuple[tuple, int],
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The terminals' names of ``split_labels``' labels, in the three parts
+    ``splice_tokens`` places around a rule's block: before it, between its
+    two halves (``RuleBlock.tokens``) and after it.  The target's own name,
+    if it has one, gives way to the block's.  As in the splice, a target
+    below the root is a leaf, so the block takes its place and nothing lies
+    between its halves; a target at the root has the whole old tree under
+    it, so every other name lies between them."""
+    labels, at = split
+    rest = tuple([name for name, is_terminal, _ in labels[at + 1:] if is_terminal])
+    if not at:
+        return (), rest, ()
+    return tuple([name for name, is_terminal, _ in labels[:at] if is_terminal]), (), rest
+
+
+def splice_tokens(
+    split: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]] | None,
+    rule: RewritingRule,
+) -> tuple[str, ...]:
+    """The terminals' names, in preorder, of the tree
+    ``apply_rule_with_ids(ast, target, rule)`` makes, joined from
+    ``split_tokens(split_labels(ast, target, shared))`` (None for a
+    creation on the empty tree) and the rule's block without making it:
+    ``leaf_tokens`` of that tree."""
+    head, tail = rule.block.tokens
+    if split is None:
+        return head + tail
+    before, inside, after = split
+    return (*before, *head, *inside, *tail, *after)
 
 
 def render(ast: AnnotatedAst) -> str:

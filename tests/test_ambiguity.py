@@ -214,7 +214,8 @@ def test_a_clean_check_lists_no_tree(demo_grammar, monkeypatch):
     monkeypatch.setattr(trees, "build_complete_ast", listed)
     monkeypatch.setattr(ambiguity, "build_complete_ast", listed)
     monkeypatch.setattr(trees, "to_sexpr", listed)
-    monkeypatch.setattr(search, "render", listed)
+    monkeypatch.setattr(ambiguity, "render", listed)
+    monkeypatch.setattr(trees, "leaf_tokens", listed)
     assert _counts(check_unambiguous(topdown, demo_grammar, max_nodes=13)) == (
         True, 13, 746, 746, 0
     )

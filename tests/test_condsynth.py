@@ -53,6 +53,7 @@ from progest.trees import (
     AnnotatedAst,
     apply_rule,
     is_complete,
+    leaf_tokens,
     policy_leftmost,
     to_sexpr,
 )
@@ -122,6 +123,16 @@ def test_load_corpus_splits_a_chain_of_any_length(tmp_path):
     assert all(
         (r.id, r.condition) == (f"r#{i + 1}", f"count > {i}") for i, r in enumerate(records)
     )
+
+
+def test_load_corpus_reads_a_flat_arithmetic_chain(tmp_path):
+    """A line ``budget + budget + … > 0`` of 10 000 terms nests no
+    parentheses: it parses, types Boolean and re-emits as one record."""
+    condition = " + ".join(["budget"] * 10_000) + " > 0"
+    path = write_corpus(
+        tmp_path, [{"id": "r", "condition": condition, "context": ctx_dict({"budget": "Int"})}]
+    )
+    assert [(r.id, r.condition) for r in load_corpus(path)] == [("r", condition)]
 
 
 def test_load_corpus_rejects_bad_json(tmp_path):
@@ -291,7 +302,7 @@ def test_mine_templates_orders_by_frequency():
 def test_record_tree_shape():
     tree = record_tree(make_records()[2])
     assert to_sexpr(tree) == '(E (V1 "count") ">" (V2 "total"))'
-    assert render_condition(tree) == "count > total"
+    assert render_condition(leaf_tokens(tree)) == "count > total"
 
 
 def test_build_ruleset_key_families():
@@ -812,7 +823,7 @@ def test_compiled_rules_certify_unambiguous(corpus_records):
         )
         keys = {probe.labels for probe in builds}
         assert len(keys) == len(builds), ctx
-        rendered = sorted(render_condition(probe.ast) for probe in builds)
+        rendered = sorted(render_condition(leaf_tokens(probe.ast)) for probe in builds)
         assert rendered == sorted(well_typed_instantiations(templates, ctx)), ctx
         trees += len(builds)
     assert (len(contexts), trees) == (560, 38_620)

@@ -24,7 +24,13 @@ from progest.minilang import (
     typecheck,
     _Parser,
 )
-from tests_support import ReferenceParser, canonical, reference_logic_atoms
+from tests_support import (
+    ReferenceParser,
+    canonical,
+    reference_logic_atoms,
+    reference_tokens_with_vars,
+    reference_typecheck,
+)
 
 TYPES = {
     "count": "Int",
@@ -216,10 +222,60 @@ def test_logic_atoms_match_the_recursive_reference(expr):
     assert list(map(id, logic_atoms(expr))) == list(map(id, reference_logic_atoms(expr)))
 
 
+_BINARY_OPS = ("||", "&&", "==", "!=", "<", ">", "<=", ">=", "+", "-", "*", "/", "%")
+# every operator and method the walkers know, one they do not, and a node
+# type neither knows (``Expr`` itself)
+_TYPED_TREES = st.recursive(
+    st.sampled_from([
+        *map(Var, [*TYPES, "undeclared"]),
+        *map(Lit, ["0", "12", "1.5", "true", "false", "null"]),
+        Expr(),
+    ]),
+    lambda parts: st.one_of(
+        parts.map(lambda e: Unary("!", e)),
+        st.builds(Binary, st.sampled_from(_BINARY_OPS), parts, parts),
+        st.builds(Index, parts, parts),
+        st.builds(Call, parts, st.sampled_from(["isEmpty", "size", "length", "peek"])),
+    ),
+    max_leaves=20,
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (MiniLangError, MiniTypeError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TYPED_TREES)
+def test_tokens_with_vars_match_the_recursive_reference(expr):
+    """Over random trees of every node type, the stack walk emits the
+    recursion's tokens and parentheses, or fails with its error."""
+    assert _outcome(tokens_with_vars, expr) == _outcome(reference_tokens_with_vars, expr)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TYPED_TREES)
+def test_typecheck_matches_the_recursive_reference(expr):
+    """Over random trees of every node type, mostly ill-typed, the stack
+    walk gives the recursion's type, or the first error it meets."""
+    assert _outcome(typecheck, expr, TYPES) == _outcome(reference_typecheck, expr, TYPES)
+
+
+def test_walkers_match_the_recursive_references_on_the_corpus(corpus_records):
+    """On every corpus condition, each well-typed under its context, the
+    stack walks give the recursions' tokens and type."""
+    for record in corpus_records:
+        expr, types = record.expr, record.context.variable_types
+        assert tokens_with_vars(expr) == reference_tokens_with_vars(expr), record.id
+        assert typecheck(expr, types) == reference_typecheck(expr, types), record.id
+
+
 # --------------------------------------------------------------------------
 # the precedence-climbing parser against the level-recursive reference
 
-_BINARY_OPS = ("||", "&&", "==", "!=", "<", ">", "<=", ">=", "+", "-", "*", "/", "%")
 _VOCABULARY = _BINARY_OPS + (
     "a", "b", "x1", "$v", "_w", "0", "12", "1.5", "true", "false", "null",
     "(", ")", "[", "]", ".", "!", "size", "isEmpty", "1x", "@", "",

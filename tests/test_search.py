@@ -138,7 +138,7 @@ def test_trees_and_candidates_compare_by_value(worked_example):
     assert first.ast == AnnotatedAst(dict(again.ast.nodes), again.ast.root, again.ast.open)
     assert first.ast != AnnotatedAst(first.ast.nodes, first.ast.root, (first.ast.root,))
     assert first == search.Candidate(
-        again.ast, again.rendered, again.log_prob, again.history
+        again.build, again.rendered, again.log_prob, again.history
     )
     assert first != a.candidates[1]
     for record in (first.ast, first):
@@ -468,9 +468,9 @@ def test_beam_cuts_before_rendering_what_the_reference_cuts_after(
     screen = (r"0$",) if screened else ()
     rendered = []
 
-    def counting(ast):
-        rendered.append(ast)
-        return trees.render(ast)
+    def counting(tokens):
+        rendered.append(tokens)
+        return " ".join(tokens)
 
     ours = beam_search(rs, ctx, model, renderer=counting, k=k, screen=screen, **kwargs)
     ref = reference_beam_search(rs, ctx, model, k=k, screen=screen, **kwargs)
@@ -583,6 +583,80 @@ def test_search_counts_are_pinned(demo_grammar, corpus_records, corpus_models):
             "beam_truncated": pinned[record.id][2],
         }, record.id
         assert len(result.candidates) == pinned[record.id][3], record.id
+
+
+def test_a_predict_splices_only_what_it_expands(
+    corpus_records, corpus_models, monkeypatch
+):
+    """No finished build is spliced to be ranked or rendered: over the three
+    pinned corpus predicts, the splices are one per expanded state past the
+    empty tree, plus one per successor that the ``to_sexpr`` tie-break of a
+    round's cut reads and no round expands.  Each expanded or tie-broken
+    tree is spliced once, and no ranked candidate's tree is read."""
+    counts: Counter = Counter()
+    splice, sexpr, probe = (
+        constraints.apply_rule_with_ids, search.to_sexpr, constraints.probe_rules
+    )
+    expanded: dict[int, object] = {}
+    sorted_: dict[int, object] = {}
+
+    def counted_splice(*args):
+        counts["splice"] += 1
+        return splice(*args)
+
+    def counted_sexpr(ast):
+        sorted_[id(ast)] = ast
+        return sexpr(ast)
+
+    def counted_probe(state, *args):
+        if state is not None:
+            expanded[id(state.ast)] = state.ast
+        return probe(state, *args)
+
+    monkeypatch.setattr(constraints, "apply_rule_with_ids", counted_splice)
+    monkeypatch.setattr(search, "to_sexpr", counted_sexpr)
+    monkeypatch.setattr(constraints, "probe_rules", counted_probe)
+    frequency = corpus_models[0]
+    # (splices, expanded states past the empty tree, tie-broken states no
+    # round expands); at (5, 200) no round's successors outnumber its width,
+    # so the narrow (2,) beam shows the tie-break's splices
+    pinned = {
+        ("r0000", (5, 200)): (5, 5, 0),
+        ("r0001", (5, 200)): (11, 11, 0),
+        ("r0002", (5, 200)): (14, 14, 0),
+        ("r0000", (2,)): (6, 2, 4),
+    }
+    got = {}
+    for record_id, widths in pinned:
+        record = next(r for r in corpus_records if r.id == record_id)
+        counts.clear()
+        expanded.clear()
+        sorted_.clear()
+        result = synthesize_condition(
+            record.context, frequency.templates, frequency.model,
+            k=50, widths=widths, size_limit=30,
+        )
+        assert result.candidates
+        tie_broken = sorted_.keys() - expanded.keys()
+        assert len(expanded) == result.stats.expansions - 1, record.id
+        assert counts["splice"] == len(expanded) + len(tie_broken), record.id
+        got[record_id, widths] = (counts["splice"], len(expanded), len(tie_broken))
+    assert got == pinned
+
+
+def test_tied_candidates_share_one_log_p(corpus_records, corpus_models):
+    """The frequency model ties many candidates, and the beam hands each
+    group of equal log p one float, so a caller that keeps rankings keeps
+    one copy of each tied value."""
+    frequency = corpus_models[0]
+    for record in corpus_records[:3]:
+        found = synthesize_condition(
+            record.context, frequency.templates, frequency.model,
+            k=50, widths=(5, 200), size_limit=30,
+        ).candidates
+        values = {c.log_prob for c in found}
+        assert len(values) < len(found), record.id
+        assert len({id(c.log_prob) for c in found}) == len(values), record.id
 
 
 def test_each_step_checks_its_group_once(

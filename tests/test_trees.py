@@ -328,34 +328,15 @@ def test_compiled_splice_matches_the_reference(seed, middle, hashed):
     assert spliced > 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000),
-       st.sampled_from(["topdown", "bottomup", "full", "middle"]), st.booleans())
-@example(2, "full", False)  # spells its first operator "E"
-def test_block_reading_matches_the_built_tree(seed, rules, hashed):
-    """Read from the tree before a splice and the rule's block, whether the
-    splice finishes the tree is ``is_complete`` of the spliced tree, and
-    its labels, joined from the expansion's one split of the tree, are the
-    key of the tree the reference splice builds.  Checked on every probe a
-    bounded typed search keeps over a random typed grammar, stepping from
-    each probe as a search does, with top-down rules and a root creation,
-    bottom-up rules and leaf creations, both, and both plus middle
-    creations, under two policies: at creations, at targets below the root
-    unless the rules are bottom-up only, and at the root growing upward
-    unless they are top-down only.
-    Each expansion walks its tree once, however many probes it keeps."""
-    g = random_typed_grammar(seed)
-    if rules == "topdown":
-        rs = top_down_set(g)
-    elif rules == "bottomup":
-        rs = RuleSet([*derive_bottom_up_rules(g),
-                      *derive_creation_rules(g, [CreationMode.LEAF])])
-    else:
-        rs = full_set(g)
-        if rules == "middle":
-            rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
-    policy = make_hash_policy(seed) if hashed else policy_leftmost
-    step = SearchStep(rs, None, 9)
+def _check_block_reads(rs, ctx, size_limit, policy) -> set[str]:
+    """Step from every probe a bounded typed search over ``rs`` in ``ctx``
+    keeps, as a search does, up to 300 of them, and check each one's block
+    reading against the tree the reference splice builds: ``finishes``,
+    ``labels`` and ``tokens``.  Each expansion must walk its tree once
+    (``split_labels``), however many probes it keeps and whichever of the
+    readings it serves.  Returns where the searched trees were expanded:
+    ``creation``, ``root`` or ``leaf`` (a target below the root)."""
+    step = SearchStep(rs, ctx, size_limit)
     frontier, finished, spliced = [None], 0, 0
     met, expanded, walks = set(), 0, []
     split = constraints.split_labels
@@ -372,6 +353,7 @@ def test_block_reading_matches_the_built_tree(seed, rules, hashed):
             for probe in outcome.kept:
                 want, _ = reference_apply_rule_with_ids(ast, target, probe.rule)
                 assert probe.labels == tree_key(want), probe
+                assert probe.tokens == tuple(leaf_tokens(want)), probe
                 assert probe.finishes == is_complete(probe.ast), probe
                 finished += probe.finishes
                 frontier.append(probe)
@@ -382,9 +364,64 @@ def test_block_reading_matches_the_built_tree(seed, rules, hashed):
                         "root" if ast.nodes[target].parent is None else "leaf")
     assert 0 < finished < spliced
     assert len(walks) == expanded
+    return met
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000),
+       st.sampled_from(["topdown", "bottomup", "full", "middle"]), st.booleans())
+@example(2, "full", False)  # spells its first operator "E"
+def test_block_reading_matches_the_built_tree(seed, rules, hashed):
+    """Read from the tree before a splice and the rule's block, whether the
+    splice finishes the tree is ``is_complete`` of the spliced tree, and
+    its labels and its terminals' names, joined from the expansion's one
+    split of the tree, are the key and the ``leaf_tokens`` of the tree the
+    reference splice builds.  Checked on every probe a bounded typed search
+    keeps over a random typed grammar, stepping from each probe as a search
+    does, with top-down rules and a root creation, bottom-up rules and leaf
+    creations, both, and both plus middle creations, under two policies:
+    at creations, at targets below the root unless the rules are bottom-up
+    only, and at the root growing upward unless they are top-down only.
+    Each expansion walks its tree once, however many probes it keeps."""
+    g = random_typed_grammar(seed)
+    if rules == "topdown":
+        rs = top_down_set(g)
+    elif rules == "bottomup":
+        rs = RuleSet([*derive_bottom_up_rules(g),
+                      *derive_creation_rules(g, [CreationMode.LEAF])])
+    else:
+        rs = full_set(g)
+        if rules == "middle":
+            rs = RuleSet([*rs, *derive_creation_rules(g, [CreationMode.MIDDLE])])
+    policy = make_hash_policy(seed) if hashed else policy_leftmost
+    met = _check_block_reads(rs, None, 9, policy)
     assert "creation" in met
     assert rules == "bottomup" or "leaf" in met
     assert rules == "topdown" or "root" in met
+
+
+@pytest.fixture(scope="module")
+def corpus_templates(corpus_records):
+    return mine_templates(corpus_records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.booleans())
+def test_block_reading_matches_the_built_tree_in_corpus_contexts(
+    corpus_records, corpus_templates, data, hashed
+):
+    """The block readings of ``test_block_reading_matches_the_built_tree``,
+    over the condition rule set of a corpus context with the templates
+    mined from the corpus, at the evaluation's size limit: each search
+    creates a variable and grows a template above it at the root, and
+    fills the template's other slots below it wherever a template with more
+    than one slot fits the context's types."""
+    record = data.draw(st.sampled_from(corpus_records))
+    rs = build_cond_ruleset(corpus_templates, record.context)
+    seed = data.draw(st.integers(0, 10_000))
+    policy = make_hash_policy(seed) if hashed else policy_leftmost
+    met = _check_block_reads(rs, record.context, 30, policy)
+    assert {"creation", "root"} <= met, record.id
 
 
 def _walk_both_ways(target, rs, policy) -> tuple[list, list, int]:

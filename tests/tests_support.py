@@ -12,8 +12,9 @@ power-iteration PCA fit, the per-candidate reading of a decision and its feature
 memo-free rows and logistic predict built from them, the logistic model's
 per-decision predict, the row-matrix logistic fits, a model that records
 its rounds, the per-context condition rule set, the field-by-field context
-loader, the level-recursive condition parser and the recursive split of a
-condition into its atoms."""
+loader, the level-recursive condition parser, the recursive split of a
+condition into its atoms, and the recursive canonical emitter and type
+checker of a condition."""
 
 import contextlib
 import gc
@@ -41,6 +42,7 @@ from progest.condsynth import Template, expression_block
 from progest.errors import (
     ContextError,
     MiniLangError,
+    MiniTypeError,
     SearchOverflowError,
     UnderivableTreeError,
 )
@@ -72,6 +74,7 @@ from progest.grammar import (
     nonterminal,
     terminal,
 )
+from progest import minilang
 from progest.minilang import (
     Binary,
     Call,
@@ -81,6 +84,8 @@ from progest.minilang import (
     Unary,
     Var,
     canonical_tokens,
+    classify_type,
+    element_type,
     is_variable_token,
     join_tokens,
     parse_condition,
@@ -107,6 +112,7 @@ from progest.trees import (
     apply_rule_with_ids,
     check_applicable,
     iter_derivations,
+    leaf_tokens,
     policy_leftmost,
     render,
     to_sexpr,
@@ -359,7 +365,7 @@ def canonical_classes(classes):
 class SplicedProbe:
     """A kept candidate as ``reference_probe_rules`` records it, spliced at
     once: the fields a search reads of a ``constraints.Probe``, with
-    ``finishes`` read from the spliced tree, ``size`` its whole
+    ``finishes`` and ``tokens`` read from the spliced tree, ``size`` its whole
     ``tree_size`` (0 when sizes are unbounded), ``classes`` from
     ``reference_classes``, and ``pins``, the schema pins of every
     application that built it, threaded from the pins it was probed
@@ -378,6 +384,10 @@ class SplicedProbe:
     @property
     def finishes(self) -> bool:
         return reference_is_complete(self.ast)
+
+    @property
+    def tokens(self) -> list[str]:
+        return leaf_tokens(self.ast)
 
     @property
     def pins(self) -> tuple[TypeConstraint, ...]:
@@ -635,30 +645,34 @@ def reference_beam_search(
     """``search.beam_search`` the slow way, with the same arguments: every
     state's scored candidates and every round's successors are sorted,
     whether or not the width truncates them, and every finished tree is
-    rendered as it finishes.  A finished tree whose rendering matches any
-    regex of ``screen`` is dropped then, and the full ranking is cut to
-    ``k`` (None keeps all) only at the end, so it is also the
-    screen-then-cut pipeline of ``condsynth.synthesize_condition``.
-    ``model`` None scores every candidate 1, as the search does."""
+    spliced and rendered from its leaves (``trees.leaf_tokens``) as it
+    finishes.  A finished tree whose rendering matches any regex of
+    ``screen`` is dropped then, and the full ranking is cut to ``k`` (None
+    keeps all) only at the end, so it is also the screen-then-cut pipeline
+    of ``condsynth.synthesize_condition``.  ``model`` None scores every
+    candidate 1, as the search does."""
     if not widths or any(w < 1 for w in widths):
         raise ValueError("widths must be a non-empty sequence of positive ints")
     stats = SearchStats()
-    render_fn = renderer or render
+    render_fn = renderer or " ".join
     step = SearchStep(rs, ctx, size_limit)
     results: list[Candidate] = []
-    # state: tree, log prob, applications so far, accumulated schema pins
-    states: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
-        (AnnotatedAst.empty(), 0.0, (), ())
+    # state: tree, log prob, applications so far, accumulated schema pins,
+    # and the probe that made the tree (None for the empty tree)
+    states: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple, object]] = [
+        (AnnotatedAst.empty(), 0.0, (), (), None)
     ]
     round_idx = 0
     while states:
         width = widths[min(round_idx, len(widths) - 1)]
-        successors: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = []
-        for ast, log_prob, apps, pins in states:
+        successors: list[
+            tuple[AnnotatedAst, float, tuple[Application, ...], tuple, object]
+        ] = []
+        for ast, log_prob, apps, pins, made_by in states:
             if reference_is_complete(ast):
-                text = render_fn(ast)
+                text = render_fn(leaf_tokens(ast))
                 if not any(re.search(pattern, text) for pattern in screen):
-                    results.append(Candidate(ast, text, log_prob, history_of(apps)))
+                    results.append(Candidate(made_by, text, log_prob, history_of(apps)))
                 continue
             if stats.expansions >= step_cap:
                 stats.step_cap_hit = True
@@ -692,6 +706,7 @@ def reference_beam_search(
                         new_log,
                         apps + (Application(node, probe.id),),
                         pins + probe_pins(probe),
+                        probe,
                     )
                 )
         successors.sort(
@@ -721,24 +736,27 @@ def reference_exhaustive_search(
     """``search.exhaustive_search`` as a loop of its own: a depth-first walk
     of every state within the bounds.  Raises ``SearchOverflowError`` past
     ``state_cap`` visited states; ``math.inf`` sets no cap.  Without a model
-    all log probabilities are zero."""
+    all log probabilities are zero.  Each finished tree is spliced and
+    rendered from its leaves, as in ``reference_beam_search``."""
     stats = SearchStats()
-    render_fn = renderer or render
+    render_fn = renderer or " ".join
     step = SearchStep(rs, ctx, size_limit)
     results: list[Candidate] = []
-    stack: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple]] = [
-        (AnnotatedAst.empty(), 0.0, (), ())
+    stack: list[tuple[AnnotatedAst, float, tuple[Application, ...], tuple, object]] = [
+        (AnnotatedAst.empty(), 0.0, (), (), None)
     ]
     visited = 0
     while stack:
-        ast, log_prob, apps, pins = stack.pop()
+        ast, log_prob, apps, pins, made_by = stack.pop()
         visited += 1
         if visited > state_cap:
             raise SearchOverflowError(
                 f"exhaustive search exceeded {state_cap} states"
             )
         if reference_is_complete(ast):
-            results.append(Candidate(ast, render_fn(ast), log_prob, history_of(apps)))
+            results.append(Candidate(
+                made_by, render_fn(leaf_tokens(ast)), log_prob, history_of(apps)
+            ))
             continue
         stats.expansions += 1
         outcome = feasible_rules(whole_tree_state(ast, step, pins), step, policy)
@@ -762,6 +780,7 @@ def reference_exhaustive_search(
                     new_log,
                     apps + (Application(node, probe.id),),
                     pins + probe_pins(probe),
+                    probe,
                 )
             )
     results.sort(
@@ -1571,3 +1590,98 @@ def reference_logic_atoms(expr: Expr) -> list[Expr]:
     if isinstance(expr, Binary) and expr.op in ("&&", "||"):
         return reference_logic_atoms(expr.left) + reference_logic_atoms(expr.right)
     return [expr]
+
+
+def reference_tokens_with_vars(expr: Expr) -> list[tuple[str, bool]]:
+    """``minilang.tokens_with_vars`` as a recursion, two calls per operand:
+    one that parenthesizes, one that emits."""
+    return _reference_emit(expr, 0, False)
+
+
+def _reference_emit(expr: Expr, parent_prec: int, right_side: bool) -> list:
+    prec = minilang._prec_of(expr)
+    inner = _reference_emit_bare(expr)
+    if prec < parent_prec or (prec == parent_prec and right_side):
+        return [("(", False)] + inner + [(")", False)]
+    return inner
+
+
+def _reference_emit_bare(expr: Expr) -> list:
+    postfix, unary = minilang._POSTFIX_PREC, minilang._UNARY_PREC
+    if isinstance(expr, Lit):
+        return [(expr.text, False)]
+    if isinstance(expr, Var):
+        return [(expr.name, True)]
+    if isinstance(expr, Unary):
+        return [("!", False)] + _reference_emit(expr.operand, unary, False)
+    if isinstance(expr, Binary):
+        prec = minilang._PRECEDENCE[expr.op]
+        left = _reference_emit(expr.left, prec, False)
+        right = _reference_emit(expr.right, prec, True)
+        return left + [(expr.op, False)] + right
+    if isinstance(expr, Index):
+        base = _reference_emit(expr.base, postfix, False)
+        return base + [("[", False)] + _reference_emit(expr.index, 0, False) + [("]", False)]
+    if isinstance(expr, Call):
+        base = _reference_emit(expr.base, postfix, False)
+        return base + [(".", False), (expr.method, False), ("(", False), (")", False)]
+    raise MiniLangError(f"cannot render {expr!r}")
+
+
+def reference_typecheck(expr: Expr, var_types) -> str:
+    """``minilang.typecheck`` as a recursion, one call per subexpression."""
+    if isinstance(expr, Lit):
+        if expr.text == "null":
+            return "Null"
+        if expr.text in ("true", "false"):
+            return "Boolean"
+        return "Float" if "." in expr.text else "Int"
+    if isinstance(expr, Var):
+        declared = var_types.get(expr.name)
+        if declared is None:
+            raise MiniTypeError(f"undeclared variable {expr.name}")
+        return declared
+    if isinstance(expr, Unary):
+        inner = reference_typecheck(expr.operand, var_types)
+        if inner != "Boolean":
+            raise MiniTypeError(f"! needs Boolean, got {inner}")
+        return "Boolean"
+    if isinstance(expr, Binary):
+        left = reference_typecheck(expr.left, var_types)
+        right = reference_typecheck(expr.right, var_types)
+        op = expr.op
+        if op in ("&&", "||"):
+            if left != "Boolean" or right != "Boolean":
+                raise MiniTypeError(f"{op} needs Boolean operands, got {left}, {right}")
+            return "Boolean"
+        if op in ("==", "!="):
+            if left == right:
+                return "Boolean"
+            if minilang._null_comparable(left, right) or minilang._null_comparable(
+                right, left
+            ):
+                return "Boolean"
+            raise MiniTypeError(f"cannot compare {left} with {right}")
+        if op in ("<", ">", "<=", ">="):
+            minilang._require_same_numeric(op, left, right)
+            return "Boolean"
+        minilang._require_same_numeric(op, left, right)
+        return left
+    if isinstance(expr, Index):
+        base = reference_typecheck(expr.base, var_types)
+        if classify_type(base) != "ArrayLike":
+            raise MiniTypeError(f"cannot index into {base}")
+        index = reference_typecheck(expr.index, var_types)
+        if index != "Int":
+            raise MiniTypeError(f"index must be Int, got {index}")
+        return element_type(base)
+    if isinstance(expr, Call):
+        base = reference_typecheck(expr.base, var_types)
+        entry = minilang._METHODS.get(expr.method)
+        if entry is None:
+            raise MiniTypeError(f"unknown method {expr.method}")
+        result, accepted = entry
+        if classify_type(base) not in accepted:
+            raise MiniTypeError(f"{base} has no method {expr.method}")
+        return result
+    raise MiniTypeError(f"unsupported expression {expr!r}")
