@@ -22,11 +22,12 @@ witness.  Builds of trees the grammar does not have are never looked up.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, replace
 from math import inf
 
 from .grammar import Grammar, RuleSet, Symbol
-from .search import Build, applications, finished_builds
+from .search import Build, _is_count, applications, finished_builds
 # iter_derivations is bound only so that the benchmark's tracer (perfbench)
 # can wrap it under this module's name; the check itself does not call it
 from .trees import (
@@ -199,47 +200,72 @@ def check_unambiguous(
 
     The bound keeps the check decidable; a clean report certifies nothing
     about larger trees, though in practice a clash shows up near the smallest
-    tree the clashing rules can both build.  Only builds of the grammar's
-    trees count; a tree outside the grammar may have any number.  The
-    grammar's trees are walked once, in ``tree_labels`` order: each tree with
-    one build counts as a derivation, each with none as underivable, and the
-    first clashing tree ends the check: its first two builds in walk order
-    make the witness and count as two derivations.
+    tree the clashing rules can both build.  ``max_nodes`` must be an int of
+    at least 1 (not a bool); anything else raises ``ValueError`` before the
+    search starts.  Only builds of the grammar's trees count; a tree outside
+    the grammar may have any number.  The grammar's trees are walked once,
+    in ``tree_labels`` order: each tree with one build counts as a
+    derivation, each with none as underivable, and the first clashing tree
+    ends the check: its first two builds in walk order make the witness and
+    count as two derivations.
 
     The builds are those of ``search.finished_builds`` at unbounded width,
     with no model and no renderer, each keyed by ``Probe.labels``.  A clean
     check makes no finished tree, so it splices once per expanded state
     past the empty tree; a clash makes the clashing tree's builds.
+
+    The whole check, the caller's ``policy`` included, runs with the cyclic
+    collector paused, and every exit, by a report or by an exception, gives
+    the collector back in the state the caller had it.  The pause is safe
+    because the check makes no reference cycles, clean or clashing
+    (``tests/test_ambiguity.py::test_a_check_leaves_no_reference_cycle``):
+    reference counting frees all it drops, and a collection would only
+    rescan the probes, expansions and trees it still holds.  The pause is
+    the process's: another thread's garbage waits for the check too.
     """
+    if not _is_count(max_nodes, 1):
+        raise ValueError(f"max_nodes must be an int >= 1, got {max_nodes!r}")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _check(rs, grammar, max_nodes, policy or policy_leftmost)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _check(rs: RuleSet, grammar: Grammar, max_nodes: int,
+           policy) -> AmbiguityReport:
     untyped = RuleSet([replace(r, schema=()) for r in rs])
     # the loop's builds, unranked and unspliced: each is keyed by the labels
     # its probe's splice would make, and only a clashing tree's builds are
     # spliced, to order them by _walk_order and make the witness
     found, _ = finished_builds(
-        untyped, None, None, policy=policy or policy_leftmost, widths=(inf,),
+        untyped, None, None, policy=policy, widths=(inf,),
         size_limit=max_nodes, step_cap=inf,
     )
-    # the first build of each tree, and every build of a tree built twice
-    builds: dict[tuple, Build] = {}
-    clashes: dict[tuple, list[Build]] = {}
+    # each tree's one build, or the list of its builds if it has more
+    builds: dict[tuple, Build | list[Build]] = {}
     for build in found:
         labels = build.labels
         first = builds.setdefault(labels, build)
-        if first is not build:
-            clashes.setdefault(labels, [first]).append(build)
+        if isinstance(first, list):
+            first.append(build)
+        elif first is not build:
+            builds[labels] = [first, build]
     trees_checked = derivations_checked = underivable = 0
     for labels in tree_labels(grammar, max_nodes):
         trees_checked += 1
-        same = clashes.get(labels)
-        if same is not None:
+        same = builds.get(labels)
+        if same is None:
+            underivable += 1
+        elif isinstance(same, list):
             a, b = sorted(same, key=_walk_order)[:2]
             return AmbiguityReport(False, max_nodes, trees_checked,
                                    derivations_checked + 2, underivable,
                                    _witness(a, b, rs))
-        if labels in builds:
-            derivations_checked += 1
         else:
-            underivable += 1
+            derivations_checked += 1
     return AmbiguityReport(
         True, max_nodes, trees_checked, derivations_checked, underivable
     )

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import re
 from dataclasses import replace
 from math import inf
 
@@ -247,12 +248,21 @@ def test_a_clean_check_splices_only_the_states_it_expands(
     assert made == splices
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["topdown", "both"])
-def test_a_check_leaves_no_reference_cycle(demo_grammar, which):
+def _checked_set(g: Grammar, name: str) -> RuleSet:
+    """A criterion 06 set, ``topdown`` or ``both``, or the clashing
+    ``full`` set."""
+    if name == "full":
+        return full_set(g)
+    return _criterion_06_sets(g)[("topdown", "both").index(name)]
+
+
+@pytest.mark.parametrize("name", ["topdown", "both", "full"])
+def test_a_check_leaves_no_reference_cycle(demo_grammar, name):
     """A check, and a walk of the grammar's trees, leave nothing that only
     the cyclic collector frees: with the collector off, a collection right
-    after them finds no unreachable object."""
-    rs = _criterion_06_sets(demo_grammar)[which]
+    after them finds no unreachable object.  The check runs with the
+    collector paused, so this holds on a clash too, witness and all."""
+    rs = _checked_set(demo_grammar, name)
 
     def check():
         check_unambiguous(rs, demo_grammar, max_nodes=13)
@@ -260,6 +270,94 @@ def test_a_check_leaves_no_reference_cycle(demo_grammar, which):
             pass
 
     assert cyclic_garbage(check) == 0
+
+
+@pytest.fixture
+def collections():
+    """The collections started while the test runs, one per allocation of
+    a tracked object: the collector's young threshold is 1."""
+    started: list[int] = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(count)
+    gc.set_threshold(1)
+    try:
+        yield started
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(count)
+
+
+@pytest.mark.parametrize("name", ["topdown", "both", "full"])
+def test_a_check_runs_uncollected(demo_grammar, collections, name):
+    """No collection starts inside a check, clean or clashing, though every
+    allocation would start one; the collector's state is the caller's
+    again afterwards, on or off."""
+    rs = _checked_set(demo_grammar, name)
+    assert gc.isenabled()
+    # len() makes no tracked object, so reading the count starts nothing
+    before = len(collections)
+    report = check_unambiguous(rs, demo_grammar, max_nodes=13)
+    during = len(collections) - before
+    assert during == 0
+    assert gc.isenabled()
+    assert report.unambiguous == (name != "full")
+    gc.disable()
+    try:
+        check_unambiguous(rs, demo_grammar, max_nodes=9)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_raising_policy_restores_the_collector(demo_grammar, enabled):
+    """A caller's policy runs inside the pause; when it raises mid-search
+    the collector is left as the caller had it."""
+    calls = 0
+
+    def failing(ast):
+        nonlocal calls
+        calls += 1
+        if calls == 20:
+            raise KeyError("policy failed")
+        return policy_leftmost(ast)
+
+    rs = _checked_set(demo_grammar, "topdown")
+    if not enabled:
+        gc.disable()
+    try:
+        with pytest.raises(KeyError, match="policy failed"):
+            check_unambiguous(rs, demo_grammar, max_nodes=13, policy=failing)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert calls == 20
+
+
+@pytest.mark.parametrize("bound", [None, 2.5, True, 0, -1, "9"])
+def test_a_bad_bound_is_refused_before_searching(demo_grammar, monkeypatch, bound):
+    """A bound that is not an int of at least 1 raises, naming it, and no
+    search starts: ``None`` would search without end, ``2.5`` failed only
+    after the search, and ``True``, 0 and -1 certified no tree."""
+    searches = 0
+
+    def searched(*args, **kwargs):
+        nonlocal searches
+        searches += 1
+        # stop here, so that an unbounded search fails rather than hangs
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(ambiguity, "finished_builds", searched)
+    rs = _checked_set(demo_grammar, "topdown")
+    with pytest.raises(ValueError, match=re.escape(repr(bound))):
+        check_unambiguous(rs, demo_grammar, max_nodes=bound)
+    assert searches == 0
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["topdown", "both"])
